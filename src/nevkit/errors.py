@@ -46,10 +46,6 @@ class NotNevanlinnaTau(NevkitError):
     """The composing degree-one function is not a Herglotz function."""
 
 
-class NotMember(NevkitError):
-    """The class-membership precondition fails."""
-
-
 class NotInterlacing(NevkitError):
     """Zeros and poles were required to be real, simple and interlacing."""
 
@@ -76,6 +72,10 @@ class EvaluationFailure(NevkitError):
 
 class NonConvergent(NevkitError):
     """Successive inversion levels disagree beyond tolerance."""
+
+
+class BadPrecision(NevkitError):
+    """NEVKIT_PRECISION is not a positive rational."""
 
 
 class ParseError(NevkitError):

@@ -18,7 +18,7 @@ from .errors import (ConstantInput, ExactSplitUnavailable, NotNevanlinna,
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from .poly import Poly, RealAlg, rat
 from .qmath import INF, QC, fmt_rat
-from .ratfun import RatFun, RootRecord
+from .ratfun import RatFun
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,6 @@ def nonpositive_type_records(f: RatFun) -> list[MultiplicityRecord]:
         if m:
             out.append(MultiplicityRecord(INF, "GPNT", m))
     return out
-
-
-def _split_rational_real_part(p: Poly):
-    """p = prod (z - r)^m  *  residual, with all removed roots rational.
-
-    Returns (roots_with_mult, residual).  Raises ExactSplitUnavailable when
-    the residual still has real roots, since those are irrational and cannot
-    be split off over the rationals.
-    """
-    from .poly import roots_with_multiplicity, count_real_roots
-    roots = roots_with_multiplicity(p)
-    residual = p
-    for r, m in roots:
-        residual = residual.deflate(r, m)
-    if residual.degree > 0 and count_real_roots(residual) > 0:
-        raise ExactSplitUnavailable(
-            "irrational real root prevents an exact factor split")
-    return roots, residual
 
 
 class GenNevFun:
@@ -241,23 +223,15 @@ def canonical_rational(s: RatFun):
                 else:
                     s0_den = s0_den * lin
 
-    # conjugate-pair residuals (and irrational even-order blocks) go wholly
-    # into the nonnegative factor; an odd-order block with real content would
-    # need an exact split, so it must be rational-rooted
-    rational_zero_recs, num_blocks = _separate(s.num)
-    rational_pole_recs, den_blocks = _separate(s.den)
-    handle(rational_zero_recs, True)
-    handle(rational_pole_recs, False)
-    for g, m, n_real in num_blocks:
-        if m % 2 == 1 and n_real > 0:
-            raise ExactSplitUnavailable(
-                "odd-order irrational real zero cannot be split exactly")
-        psi_num = psi_num * g ** m
-    for g, m, n_real in den_blocks:
-        if m % 2 == 1 and n_real > 0:
-            raise ExactSplitUnavailable(
-                "odd-order irrational real pole cannot be split exactly")
-        psi_den = psi_den * g ** m
+    # what is left of num and den once the rational roots are divided out
+    # (conjugate pairs and irrational even-order roots) goes wholly into the
+    # nonnegative factor; an odd-order irrational root would need an exact
+    # split, so it is refused
+    zeros, poles = s.real_zeros, s.real_poles
+    handle([rec for rec in zeros if rec.is_rational], True)
+    handle([rec for rec in poles if rec.is_rational], False)
+    psi_num = psi_num * _irrational_part(s.num, zeros, "zero")
+    psi_den = psi_den * _irrational_part(s.den, poles, "pole")
 
     psi = RatFun(psi_num, psi_den)
     s0 = RatFun(s0_num, s0_den)
@@ -265,21 +239,16 @@ def canonical_rational(s: RatFun):
     return psi, s0, records
 
 
-def _separate(p: Poly):
-    """Rational-rooted records of p plus residual blocks (g, mult, n_real)."""
-    from .poly import (count_real_roots, rational_roots_squarefree,
-                       squarefree_decomposition)
-    recs = []
-    blocks = []
-    for g, m in squarefree_decomposition(p):
-        res = g
-        for r in rational_roots_squarefree(g):
-            recs.append(RootRecord(r, m))
-            res = res // Poly([-r, 1])
-        if res.degree > 0:
-            blocks.append((res, m, count_real_roots(res)))
-    recs.sort(key=lambda rec: rec.point)
-    return recs, blocks
+def _irrational_part(p: Poly, recs, kind: str) -> Poly:
+    """Monic p with its rational roots divided out; refuses an odd-order
+    irrational real root."""
+    for rec in recs:
+        if rec.is_rational:
+            p = p.deflate(rec.point, rec.mult)
+        elif rec.mult % 2:
+            raise ExactSplitUnavailable(
+                f"odd-order irrational real {kind} cannot be split exactly")
+    return p.monic()
 
 
 def canonical_pair(f: RatFun) -> GenNevFun:

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EvaluationFailure, NonConvergent
+from .gnev import GenNevFun
 from .qmath import rat
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -24,6 +25,8 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 def as_evaluator(obj) -> Evaluator:
     """Vectorized complex evaluator for the function types or a callable."""
+    if isinstance(obj, GenNevFun):
+        return obj.to_ratfun().eval_np
     if callable(obj) and not hasattr(obj, "evaluate") and not hasattr(obj, "eval_np"):
         def f(z: np.ndarray) -> np.ndarray:
             return np.asarray(obj(z), dtype=complex)
@@ -41,9 +44,6 @@ def as_evaluator(obj) -> Evaluator:
 class KernelSample:
     points: np.ndarray
     gram: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.gram)
 
 
 def build_kernel_sample(f: Evaluator, points: np.ndarray) -> KernelSample:

@@ -4,29 +4,45 @@ Provides the arithmetic, gcd and square-free machinery the rational-function
 layer builds on, plus certified real-root location: rational roots are found
 exactly; the remaining real roots are isolated into rational intervals by
 Sturm bisection and represented as :class:`RealAlg` values supporting exact
-sign queries and comparisons.
+sign queries and comparisons.  :func:`real_root_structure` is the one place
+where the real roots and conjugate-pair content of a polynomial are derived,
+memoised on the polynomial's value.
 """
 
 from __future__ import annotations
 
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cmp_to_key, lru_cache
+from typing import Iterable, NamedTuple, Sequence, Union
 
+from .errors import BadPrecision
 from .qmath import QC, rat
 
 #: default width below which isolating intervals are refined on construction
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 
+#: number of polynomials whose root structure is kept by real_root_structure
+ROOT_STRUCTURE_CACHE_SIZE = 1024
+
 
 def isolation_width() -> Fraction:
     """Isolation width, overridable through NEVKIT_PRECISION (e.g. "1/2**80"
-    is not accepted; use a plain rational such as "1/1208925819614629174706176")."""
+    is not accepted; use a plain rational such as "1/1208925819614629174706176").
+    A malformed or nonpositive value raises BadPrecision."""
     env = os.environ.get("NEVKIT_PRECISION")
-    if env:
-        return Fraction(env)
-    return DEFAULT_ISOLATION_WIDTH
+    if not env:
+        return DEFAULT_ISOLATION_WIDTH
+    try:
+        width = Fraction(env)
+    except (ValueError, ZeroDivisionError):
+        raise BadPrecision(f"NEVKIT_PRECISION {env!r} is not a rational") \
+            from None
+    if width <= 0:
+        raise BadPrecision(f"NEVKIT_PRECISION {env!r} is not positive")
+    return width
 
 
 class Poly:
@@ -277,27 +293,6 @@ def irreducible_factors(p: Poly) -> list[Poly]:
     return out
 
 
-def rational_roots_squarefree(p: Poly) -> list[Fraction]:
-    """All rational roots of a squarefree polynomial, ascending: the linear
-    irreducible factors."""
-    if p.degree < 1:
-        return []
-    roots = []
-    for h in irreducible_factors(p):
-        if h.degree == 1:
-            roots.append(-h.c[0])   # factors come back monic
-    return sorted(roots)
-
-
-def roots_with_multiplicity(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with exact multiplicities, ascending."""
-    out = {}
-    for g, m in squarefree_decomposition(p):
-        for r in rational_roots_squarefree(g):
-            out[r] = m
-    return sorted(out.items())
-
-
 # -- Sturm machinery ----------------------------------------------------------
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -493,12 +488,67 @@ def point_cmp(a: RPoint, b: RPoint) -> int:
     return (a > b) - (a < b)
 
 
-def point_eq(a: RPoint, b: RPoint) -> bool:
-    return point_cmp(a, b) == 0
+@dataclass(frozen=True)
+class RootRecord:
+    """A real or infinite zero/pole with its exact multiplicity."""
+
+    point: object  # Fraction | RealAlg, or INF for the point at infinity
+    mult: int
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.mult % 2 else "even"
+
+    @property
+    def is_rational(self) -> bool:
+        return isinstance(self.point, Fraction)
 
 
-def point_float(a: RPoint) -> float:
-    return float(a)
+@dataclass(frozen=True)
+class ConjugatePairBlock:
+    """Count of conjugate nonreal root pairs of one irreducible factor.
+
+    ``factor`` also contains the factor's irrational real roots, if any, so
+    it is only an exact polynomial witness of the pairs when
+    ``real_roots == 0``.
+    """
+
+    factor: Poly
+    pairs: int
+    mult: int
+    real_roots: int
+
+
+class RootStructure(NamedTuple):
+    real: tuple[RootRecord, ...]            # finite real roots, ascending
+    blocks: tuple[ConjugatePairBlock, ...]  # conjugate-pair content
+
+
+@lru_cache(maxsize=ROOT_STRUCTURE_CACHE_SIZE)
+def real_root_structure(p: Poly) -> RootStructure:
+    """Real roots of p with exact multiplicities plus its conjugate-pair
+    blocks, one block per irreducible factor with nonreal roots.
+
+    Each squarefree part is factored once: linear factors give rational
+    records, and every other factor has its real roots isolated into
+    :class:`RealAlg` records.  The result is memoised on the value of p and
+    shared, so it is immutable; the isolating boxes of its RealAlg records
+    only ever shrink.
+    """
+    real: list[RootRecord] = []
+    blocks: list[ConjugatePairBlock] = []
+    for g, m in squarefree_decomposition(p):
+        for h in irreducible_factors(g):
+            if h.degree == 1:
+                real.append(RootRecord(-h.c[0], m))  # factors come back monic
+                continue
+            boxes = isolate_real_roots(h)
+            real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
+            pairs = (h.degree - len(boxes)) // 2
+            if pairs:
+                blocks.append(ConjugatePairBlock(h, pairs, m, len(boxes)))
+    real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
+    return RootStructure(tuple(real), tuple(blocks))
 
 
 def poly_sign_at(q: Poly, x: RPoint) -> int:

@@ -12,83 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
-from .poly import (Poly, RealAlg, RPoint, compose_fractional, count_real_roots,
-                   gcd, irreducible_factors, isolate_real_roots, point_cmp,
-                   rat, rational_between, rational_roots_squarefree,
-                   squarefree_decomposition)
+from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
+                   RootStructure, RPoint, compose_fractional, gcd, point_cmp,
+                   rat, rational_between, real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
-
-
-@dataclass(frozen=True)
-class RootRecord:
-    """A real or infinite zero/pole with its exact multiplicity."""
-
-    point: Point
-    mult: int
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.mult % 2 else "even"
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.point, Fraction)
-
-
-@dataclass(frozen=True)
-class ConjugatePairBlock:
-    """Count of conjugate nonreal root pairs sharing one squarefree factor.
-
-    ``factor`` also contains the factor's irrational real roots, if any, so
-    it is only an exact polynomial witness of the pairs when
-    ``real_roots == 0``.
-    """
-
-    factor: Poly
-    pairs: int
-    mult: int
-    real_roots: int
-
-
-class _Roots:
-    __slots__ = ("real", "blocks")
-
-    def __init__(self, real, blocks):
-        self.real = real      # list[RootRecord], finite, ascending
-        self.blocks = blocks  # list[ConjugatePairBlock]
-
-
-def _analyze(p: Poly) -> _Roots:
-    real: list[RootRecord] = []
-    blocks: list[ConjugatePairBlock] = []
-    for g, m in squarefree_decomposition(p):
-        rationals = rational_roots_squarefree(g)
-        res = g
-        for r in rationals:
-            real.append(RootRecord(r, m))
-            res = res // Poly([-r, 1])
-        if res.degree > 0:
-            # classify per irreducible factor so pure conjugate-pair content
-            # stays an exact polynomial witness
-            for h in irreducible_factors(res):
-                n_real = count_real_roots(h)
-                for lo, hi in isolate_real_roots(h):
-                    real.append(RootRecord(RealAlg(h, lo, hi), m))
-                pairs = (h.degree - n_real) // 2
-                if pairs:
-                    blocks.append(ConjugatePairBlock(h, pairs, m, n_real))
-    real.sort(key=lambda rec: rec.point if isinstance(rec.point, Fraction)
-              else rec.point.approx())
-    # isolating intervals were refined well below unit width, so the sort by
-    # approximation above is exact for distinct roots of a reduced pair
-    return _Roots(real, blocks)
 
 
 @dataclass(frozen=True)
@@ -273,14 +208,16 @@ class RatFun:
                 / np.polynomial.polynomial.polyval(z, dc))
 
     # -- root bookkeeping -------------------------------------------------------------
-    def _num_roots(self) -> _Roots:
+    def _num_roots(self) -> RootStructure:
         if self._roots_num is None:
-            object.__setattr__(self, "_roots_num", _analyze(self.num))
+            object.__setattr__(self, "_roots_num",
+                               real_root_structure(self.num))
         return self._roots_num
 
-    def _den_roots(self) -> _Roots:
+    def _den_roots(self) -> RootStructure:
         if self._roots_den is None:
-            object.__setattr__(self, "_roots_den", _analyze(self.den))
+            object.__setattr__(self, "_roots_den",
+                               real_root_structure(self.den))
         return self._roots_den
 
     @property
@@ -357,7 +294,7 @@ class RatFun:
                 * self._deflated_sign(self.den, self._den_roots(), x))
 
     @staticmethod
-    def _deflated_sign(poly: Poly, roots: _Roots, x: RealAlg) -> int:
+    def _deflated_sign(poly: Poly, roots: RootStructure, x: RealAlg) -> int:
         """Sign of lim poly(z)/(z-x)^m at an irrational real x, where m is
         the multiplicity of x in poly (possibly 0)."""
         for rec in roots.real:
@@ -398,12 +335,7 @@ class RatFun:
         (point, mult, kind)."""
         items = ([(r.point, r.mult, "zero") for r in self.real_zeros]
                  + [(r.point, r.mult, "pole") for r in self.real_poles])
-
-        def key(it):
-            p = it[0]
-            return p if isinstance(p, Fraction) else p.approx()
-
-        items.sort(key=key)
+        items.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
         return items
 
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import small_polys
+import nevkit.poly
+from nevkit.errors import ExactSplitUnavailable
+from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          isolate_real_roots, point_cmp, poly_sign_at,
-                         rational_between, rational_roots_squarefree,
-                         roots_with_multiplicity, squarefree_decomposition,
-                         sturm_chain)
+                         rational_between, real_root_structure,
+                         squarefree_decomposition, sturm_chain)
+from nevkit.ratfun import RatFun
 
 
 def P(*coeffs):
@@ -47,13 +51,53 @@ def test_squarefree_decomposition():
     assert mults == [1, 3]
 
 
+def roots_of(p):
+    return [(rec.point, rec.mult) for rec in real_root_structure(p).real]
+
+
 def test_rational_roots():
     p = Poly.from_roots([Fraction(2, 3), -5, 0])
-    assert rational_roots_squarefree(p) == [Fraction(-5), Fraction(0),
-                                            Fraction(2, 3)]
+    assert roots_of(p) == [(Fraction(-5), 1), (Fraction(0), 1),
+                           (Fraction(2, 3), 1)]
     q = Poly.from_roots([1]) ** 2 * Poly.from_roots([Fraction(-1, 2)])
-    assert roots_with_multiplicity(q) == [(Fraction(-1, 2), 1),
-                                          (Fraction(1), 2)]
+    assert roots_of(q) == [(Fraction(-1, 2), 1), (Fraction(1), 2)]
+
+
+def test_root_structure_shared_by_equal_numerators(monkeypatch):
+    calls = []
+    factor = nevkit.poly.irreducible_factors
+
+    def counting(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(nevkit.poly, "irreducible_factors", counting)
+    real_root_structure.cache_clear()
+    num = P(-3, 0, 1) * P(-7, 1) * P(1, 0, 1)   # squarefree: one factoring
+    r1 = RatFun(num, Poly.from_roots([2]))
+    r2 = RatFun(num, Poly.from_roots([-4, 9]))
+    assert r1 is not r2
+    zeros = r1.real_zeros
+    assert r2.real_zeros == zeros
+    assert len(calls) == 1
+    assert [rec.is_rational for rec in zeros] == [False, False, True]
+    assert [(b.pairs, b.real_roots) for b in r2.complex_zero_blocks] == [(1, 0)]
+
+
+def test_root_structure_mixed_factor():
+    cube = P(-2, 0, 0, 1)          # one irrational real root, one pair
+    f1 = RatFun(cube * P(-1, 1), Poly.const(1))
+    assert [(b.factor, b.pairs, b.mult, b.real_roots)
+            for b in f1.complex_zero_blocks] == [(cube, 1, 1, 1)]
+    assert [rec.mult for rec in f1.real_zeros] == [1, 1]
+    with pytest.raises(ExactSplitUnavailable):
+        canonical_pair(f1)
+    f2 = RatFun(cube ** 2 * P(-1, 1), Poly.const(1))
+    assert [(b.pairs, b.mult, b.real_roots)
+            for b in f2.complex_zero_blocks] == [(1, 2, 1)]
+    psi, s0, _records = canonical_rational(f2)
+    assert psi == RatFun(cube ** 2, Poly.const(1))
+    assert s0 == RatFun(P(-1, 1), Poly.const(1))
 
 
 def test_sturm_count():

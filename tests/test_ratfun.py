@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -150,3 +151,17 @@ def test_irrational_roots_and_signs():
     assert r.eta_count(0) == 2    # sqrt(2) and the pole 5
     segs = r.sign_on_interval().segments
     assert [seg.sign for seg in segs] == [-1, 1, -1, 1]
+
+
+def test_root_order_is_exact():
+    # c lies below sqrt(2) by less than 10^-50, far inside the isolating
+    # box of sqrt(2); the order must not depend on the box
+    c = Fraction(isqrt(2 * 10**100), 10**50)
+    r = RatFun(Poly([-2, 0, 1]) * Poly([-c, 1]), Poly([-5, 1]))
+    zs = r.real_zeros
+    assert [rec.is_rational for rec in zs] == [False, True, False]
+    assert zs[1].point == c
+    assert zs[2].point.cmp_rat(c) > 0
+    crit = r.critical_points()
+    assert [p for p, _m, _k in crit[:3]] == [zs[0].point, c, zs[2].point]
+    assert crit[3] == (Fraction(5), 1, "pole")

@@ -9,7 +9,7 @@ import pytest
 from nevkit import serialize as ser
 from nevkit.cli import main
 from nevkit.corpus import random_gennev, random_nevfun, random_symmetric_ratfun
-from nevkit.errors import SchemaMismatch
+from nevkit.errors import BadPrecision, SchemaMismatch
 from nevkit.nevfun import NevFun
 from nevkit.qmath import INF
 from nevkit.realize import minimal_model
@@ -133,6 +133,16 @@ def test_cli_kappa_and_invert(tmp_path):
     assert abs(rep2["mass"] - 1.0) < 1e-3
 
 
+def test_cli_kappa_canonical_pair(tmp_path):
+    pair = {"kappa": 1, "phi": {"num": ["36", "-12", "1"], "den": ["1"]},
+            "q0": {"alpha": "-3/4", "beta": "0", "atoms": []}}
+    code, rep = _run(tmp_path, "kappa", {"in": pair})
+    assert code == 0
+    assert rep["kappa_symbolic"] == 1
+    assert rep["kappa_numeric"] == 1
+    assert rep["agrees"] is True
+
+
 def test_cli_determinism(tmp_path):
     import nevkit.serialize as s
     p = tmp_path / "f.json"
@@ -186,3 +196,20 @@ def test_precision_env_override(monkeypatch):
     assert isolation_width() == Fraction(1, 1024)
     monkeypatch.delenv("NEVKIT_PRECISION")
     assert isolation_width() == Fraction(1, 2**64)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_precision_env_rejects_bad_values(monkeypatch, value):
+    from nevkit.poly import isolation_width
+    monkeypatch.setenv("NEVKIT_PRECISION", value)
+    with pytest.raises(BadPrecision):
+        isolation_width()
+
+
+def test_cli_reports_bad_precision(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEVKIT_PRECISION", "0")
+    # an irrational root no other test isolates, so no cached structure
+    # answers before the width is read
+    code, rep = _run(tmp_path, "factor",
+                     {"in": {"num": ["-41/3", "0", "1"], "den": ["1"]}})
+    assert code == 1 and rep is None
