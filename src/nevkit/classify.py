@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (ConstantInput, ExactSplitUnavailable, NotInClass,
-                     NotInterlacing, NotNevanlinna, NotRationalAtoms, PoleHit)
+from .errors import (ConstantInput, ExactSplitUnavailable,
+                     InvariantViolation, NotInClass, NotInterlacing,
+                     NotNevanlinna, NotRationalAtoms, PoleHit)
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
@@ -202,7 +203,8 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
     prod = RatFun.const(1)
     for f in out:
         prod = prod * f
-    assert prod == s
+    if prod != s:
+        raise InvariantViolation("interlacing factors do not multiply back")
     return out
 
 
@@ -309,7 +311,7 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
         pass
     ok = not failures
     if kappa_tilde is not None and ok != (kappa_tilde == 0):
-        raise AssertionError(
+        raise InvariantViolation(
             f"clause verdict {ok} disagrees with product index {kappa_tilde}")
     return N00Report(ok, tuple(failures), kappa_tilde)
 
@@ -508,7 +510,8 @@ def chain_factorize(q: NevFun, r: RatFun) -> FactorChain:
     prod = RatFun.const(1)
     for f in factors:
         prod = prod * f
-    assert prod == r
+    if prod != r:
+        raise InvariantViolation("chain factors do not multiply back")
     return FactorChain(tuple(factors), tuple(certs))
 
 
@@ -566,11 +569,11 @@ def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
     for f in factors:
         leftover = leftover / f
     if not leftover.is_constant:
-        raise AssertionError("chain does not exhaust the multiplier")
+        raise InvariantViolation("chain does not exhaust the multiplier")
     c = leftover.gamma
     if c != 1:
         if c <= 0:
-            raise AssertionError("negative leftover constant")
+            raise InvariantViolation("negative leftover constant")
         factors[0] = factors[0] * c
     return factors
 
@@ -580,7 +583,7 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     pole or support point of anything involved: sample one point from each
     cell of the common critical-point refinement."""
     from functools import cmp_to_key
-    from .poly import rational_between
+    from .poly import rational_between, rational_outside
     pts = []
     for f in (s, q.to_ratfun(), r):
         pts.extend(p for (p, _m, _k) in f.critical_points())
@@ -589,21 +592,14 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     for p in pts:
         if not dedup or point_cmp(dedup[-1], p) != 0:
             dedup.append(p)
-
-    def lo_of(p):
-        return p if isinstance(p, Fraction) else p.lo
-
-    def hi_of(p):
-        return p if isinstance(p, Fraction) else p.hi
-
     cells = []
     if not dedup:
         cells.append(Fraction(0))
     else:
-        cells.append(lo_of(dedup[0]) - 1)
+        cells.append(rational_outside(dedup[0])[0])
         for a, b in zip(dedup, dedup[1:]):
             cells.append(rational_between(a, b))
-        cells.append(hi_of(dedup[-1]) + 1)
+        cells.append(rational_outside(dedup[-1])[1])
     for cand in cells:
         try:
             if s.sign_at(cand) > 0:

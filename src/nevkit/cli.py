@@ -2,8 +2,9 @@
 
 Verbs: factor, classify, product, chain, realize, kappa, invert, selftest.
 Exact inputs and outputs are JSON with rationals as "p/q" strings; numeric
-results carry explicit tolerance fields.  Exit status: 0 success, 1 parse or
-schema errors, 2 for classification-negative outcomes.
+results carry explicit tolerance fields.  Exit status: 0 success, 1 parse,
+schema and other input errors, 2 for classification-negative outcomes, 3 when
+an internal invariant is violated (a defect in nevkit).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from . import serialize as ser
 from .classify import (chain_factorize, check_N00, kac_closure, membership,
                        product_factorization)
-from .errors import NevkitError, ParseError, SchemaMismatch
+from .errors import (InvariantViolation, NevkitError, ParseError,
+                     SchemaMismatch)
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
 from .oracle import InversionConfig, negative_squares_report, stieltjes_invert
@@ -238,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("realize", help="model transfer for the product")
     common(sp, needs_r=True)
-    sp.add_argument("--xi", default=None,
-                    help="anchor override (unused; anchor is the first pole)")
     sp.set_defaults(fn=cmd_realize)
 
     sp = sub.add_parser("kappa", help="numeric negative-squares count")
@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     except (ParseError, SchemaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 3
     except NevkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -78,6 +78,11 @@ class BadPrecision(NevkitError):
     """NEVKIT_PRECISION is not a positive rational."""
 
 
+class InvariantViolation(NevkitError):
+    """An exact identity that the algorithms guarantee failed to hold: a
+    defect in nevkit, not in its input."""
+
+
 class ParseError(NevkitError):
     """Input file could not be parsed."""
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ConstantInput, ExactSplitUnavailable, NotNevanlinna,
-                     NotNevanlinnaTau)
+from .errors import (ConstantInput, ExactSplitUnavailable,
+                     InvariantViolation, NotNevanlinna, NotNevanlinnaTau)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from .poly import Poly, RealAlg, rat
 from .qmath import INF, QC, fmt_rat
@@ -235,7 +235,8 @@ def canonical_rational(s: RatFun):
 
     psi = RatFun(psi_num, psi_den)
     s0 = RatFun(s0_num, s0_den)
-    assert psi * s0 == s
+    if psi * s0 != s:
+        raise InvariantViolation("canonical factors do not multiply back")
     return psi, s0, records
 
 

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (GapViolated, NotNevanlinna, NotRationalAtoms, PoleHit)
+from .errors import (GapViolated, InvariantViolation, NotNevanlinna,
+                     NotRationalAtoms, PoleHit)
 from .poly import Poly, count_real_roots, gcd, rat
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF, QC,
                     LimitValue, fmt_rat)
@@ -138,6 +139,12 @@ class NevFun:
 
     # -- structure ------------------------------------------------------------------
     def to_ratfun(self) -> RatFun:
+        """The function as a reduced RatFun, built once per instance.  The
+        memo lives outside the dataclass fields, so equality, the hash and
+        the repr do not see it."""
+        memo = self.__dict__.get("_ratfun")
+        if memo is not None:
+            return memo
         den = Poly.from_roots(self.sigma.positions)
         c0 = self.alpha
         for t, w in self.sigma:
@@ -146,7 +153,9 @@ class NevFun:
         for t, w in self.sigma:
             num = num + Poly.from_roots(
                 [s for s in self.sigma.positions if s != t]) * (-w)
-        return RatFun(num, den)
+        memo = RatFun(num, den)
+        object.__setattr__(self, "_ratfun", memo)
+        return memo
 
     def zeros(self) -> list:
         """Finite real zeros (records) of the function."""
@@ -410,5 +419,5 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
     alpha = c0 + sum((w * t / (1 + t * t) for t, w in atoms), Fraction(0))
     q = NevFun.of(alpha, beta, atoms)
     if q.to_ratfun() != f:
-        raise AssertionError("representation extraction mismatch")
+        raise InvariantViolation("representation extraction mismatch")
     return q

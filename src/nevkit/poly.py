@@ -3,15 +3,20 @@
 Provides the arithmetic, gcd and square-free machinery the rational-function
 layer builds on, plus certified real-root location: rational roots are found
 exactly; the remaining real roots are isolated into rational intervals by
-Sturm bisection and represented as :class:`RealAlg` values supporting exact
-sign queries and comparisons.  :func:`real_root_structure` is the one place
-where the real roots and conjugate-pair content of a polynomial are derived,
-memoised on the polynomial's value.
+Sturm bisection and represented as lazy :class:`RealAlg` values, which refine
+their interval only as far as an exact sign query or comparison needs.
+:func:`real_root_structure` is the one place where the real roots and
+conjugate-pair content of a polynomial are derived, memoised on the
+polynomial's value.  Everything this module returns about an irrational
+point (comparisons, signs, floors, the rationals of
+:func:`rational_between` and :func:`rational_outside`) depends only on the
+point's value, never on how far its interval happens to be refined.
 """
 
 from __future__ import annotations
 
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import BadPrecision
 from .qmath import QC, rat
 
-#: default width below which isolating intervals are refined on construction
+#: default resolution of the emitted approximations of irrational points
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 
 #: number of polynomials whose root structure is kept by real_root_structure
@@ -29,9 +34,11 @@ ROOT_STRUCTURE_CACHE_SIZE = 1024
 
 
 def isolation_width() -> Fraction:
-    """Isolation width, overridable through NEVKIT_PRECISION (e.g. "1/2**80"
-    is not accepted; use a plain rational such as "1/1208925819614629174706176").
-    A malformed or nonpositive value raises BadPrecision."""
+    """Resolution w of emitted approximations: an irrational x is emitted
+    as (floor(x/w) + 1/2) * w.  Overridable through NEVKIT_PRECISION (e.g.
+    "1/2**80" is not accepted; use a plain rational such as
+    "1/1208925819614629174706176").  A malformed or nonpositive value raises
+    BadPrecision."""
     env = os.environ.get("NEVKIT_PRECISION")
     if not env:
         return DEFAULT_ISOLATION_WIDTH
@@ -371,54 +378,54 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
 
 
 class RealAlg:
-    """A real algebraic number given by a squarefree defining polynomial with
-    no rational roots and an isolating interval.  Supports exact comparisons
-    and exact sign evaluation of other polynomials at the number.
+    """A real algebraic number: a squarefree defining polynomial with no
+    rational roots and an open isolating interval, the box, that holds
+    exactly one of its roots.
 
-    The value itself is immutable; the isolating box only ever shrinks and is
-    replaced in a single attribute write, so concurrent refinement from
-    several threads stays consistent."""
+    The box is a private cache, not data.  Construction keeps the box it is
+    given; each query (:meth:`cmp_rat`, :meth:`cmp_alg`, :meth:`sign_of`,
+    :meth:`floor_div`, ``float``) bisects it only until its exact answer is
+    decided, and no answer depends on how far earlier queries refined it.
+    The box only ever shrinks and is replaced in a single attribute write,
+    so concurrent refinement from several threads stays consistent."""
 
-    __slots__ = ("p", "box")
+    __slots__ = ("p", "box", "_lo_neg")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "box", (lo, hi))
-        self._refine_to(isolation_width())
+        # inside the box p has one sign left of the root, so the sign at
+        # the first lo holds at every later lo
+        object.__setattr__(self, "_lo_neg", p.eval_q(lo) < 0)
 
     def __setattr__(self, *a):
         raise AttributeError("RealAlg is immutable")
 
-    @property
-    def lo(self) -> Fraction:
-        return self.box[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.box[1]
-
-    def _set(self, lo, hi):
-        object.__setattr__(self, "box", (lo, hi))
+    def _split(self, x: Fraction) -> int:
+        """Shrink the box to the side of x, strictly inside it, that holds
+        the number; return the sign of (self - x)."""
+        lo, hi = self.box
+        # p has no rational roots, so p(x) != 0
+        if (self.p.eval_q(x) < 0) == self._lo_neg:
+            object.__setattr__(self, "box", (x, hi))
+            return 1
+        object.__setattr__(self, "box", (lo, x))
+        return -1
 
     def _step(self):
         lo, hi = self.box
-        mid = (lo + hi) / 2
-        # defining polynomial has no rational roots, so p(mid) != 0
-        if self.p.eval_q(lo) * self.p.eval_q(mid) < 0:
-            self._set(lo, mid)
-        else:
-            self._set(mid, hi)
-
-    def _refine_to(self, width: Fraction):
-        while self.hi - self.lo > width:
-            self._step()
+        self._split((lo + hi) / 2)
 
     # -- queries ----------------------------------------------------------------
-    def approx(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __float__(self):
-        return float(self.approx())
+        """The correctly rounded double: bisect until both ends of the box
+        round to the same double."""
+        while True:
+            lo, hi = self.box
+            f = float(lo)
+            if f == float(hi):
+                return f
+            self._step()
 
     def __repr__(self):
         return f"RealAlg~{float(self):.6g}"
@@ -426,51 +433,61 @@ class RealAlg:
     def cmp_rat(self, x) -> int:
         """Sign of (self - x) for rational x; never 0 (self is irrational)."""
         x = rat(x)
-        while True:
-            if x <= self.lo:
-                return 1
-            if x >= self.hi:
-                return -1
-            # x strictly inside: split on it
-            if self.p.eval_q(self.lo) * self.p.eval_q(x) < 0:
-                self._set(self.lo, x)
-                return -1
-            self._set(x, self.hi)
+        lo, hi = self.box
+        if x <= lo:
             return 1
+        if x >= hi:
+            return -1
+        return self._split(x)
+
+    def floor_div(self, w) -> int:
+        """Exact floor(self / w) for a rational w > 0."""
+        w = rat(w)
+        while True:
+            lo, hi = self.box
+            k = math.floor(lo / w)
+            m = (k + 1) * w             # the least multiple of w above lo
+            if m >= hi:
+                return k
+            if hi - lo <= w:            # m is the only multiple in the box
+                return k + 1 if self._split(m) > 0 else k
+            self._step()
 
     def sign_of(self, q: Poly) -> int:
         """Exact sign of q evaluated at this number."""
         if q.is_zero:
             return 0
         g = gcd(self.p, q)
-        if g.degree > 0 and count_real_roots(g, self.lo, self.hi) > 0:
-            # the only root of p in the interval is shared with q
+        if g.degree > 0 and count_real_roots(g, *self.box) > 0:
+            # the only root of p in the box is shared with q
             return 0
         # refine until q has no root in [lo, hi], then the sign is constant
-        while count_real_roots(q, self.lo, self.hi) > 0 or q.eval_q(self.lo) == 0:
+        chain = sturm_chain(q)
+        while True:
+            lo, hi = self.box
+            v = q.eval_q(lo)
+            if v != 0 and count_real_roots(q, lo, hi, chain) == 0:
+                return -1 if v < 0 else 1
             self._step()
-        v = q.eval_q(self.lo)
-        return -1 if v < 0 else 1
 
     def cmp_alg(self, other: "RealAlg") -> int:
         if self is other:
             return 0
         g = gcd(self.p, other.p)
-        for _ in range(256):
-            if self.hi <= other.lo:
+        while True:
+            (alo, ahi), (blo, bhi) = self.box, other.box
+            if ahi <= blo:
                 return -1
-            if other.hi <= self.lo:
+            if bhi <= alo:
                 return 1
-            lo = max(self.lo, other.lo)
-            hi = min(self.hi, other.hi)
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            # a root of g in the overlap is the one root of each p there
             if (g.degree > 0
                     and count_real_roots(g, lo, hi) > 0
                     and count_real_roots(self.p, lo, hi) == 1
                     and count_real_roots(other.p, lo, hi) == 1):
                 return 0
-            self._step()
-            other._step()
-        raise RuntimeError("failed to separate algebraic numbers")
+            (self if ahi - alo >= bhi - blo else other)._step()
 
 
 RPoint = Union[Fraction, RealAlg]
@@ -560,23 +577,36 @@ def poly_sign_at(q: Poly, x: RPoint) -> int:
 
 
 def rational_between(a: RPoint, b: RPoint) -> Fraction:
-    """Some exact rational strictly between a < b."""
-    if isinstance(a, RealAlg) or isinstance(b, RealAlg):
-        # refine until the isolating boxes separate, then use the midpoint
-        for _ in range(256):
-            ahi = a.hi if isinstance(a, RealAlg) else rat(a)
-            blo = b.lo if isinstance(b, RealAlg) else rat(b)
-            if ahi < blo:
-                return (ahi + blo) / 2
-            if isinstance(a, RealAlg):
-                a._step()
-            if isinstance(b, RealAlg):
-                b._step()
-        raise RuntimeError("failed to separate points")
-    a, b = rat(a), rat(b)
-    if not a < b:
+    """An exact rational strictly between the points a < b.
+
+    For two rationals it is their midpoint.  When an endpoint is irrational
+    it is the least dyadic rational with the smallest denominator in (a, b),
+    so it depends only on the values of a and b."""
+    if not (isinstance(a, RealAlg) or isinstance(b, RealAlg)):
+        a, b = rat(a), rat(b)
+        if not a < b:
+            raise ValueError("need a < b")
+        return (a + b) / 2
+    if point_cmp(a, b) >= 0:
         raise ValueError("need a < b")
-    return (a + b) / 2
+    w = Fraction(1)
+    while True:
+        # cand is the least multiple of w above a
+        cand = (a.floor_div(w) + 1 if isinstance(a, RealAlg)
+                else math.floor(rat(a) / w) + 1) * w
+        if point_cmp(cand, b) < 0:
+            return cand
+        w /= 2
+
+
+def rational_outside(p: RPoint) -> tuple[Fraction, Fraction]:
+    """Rationals at least 1 below and above the point p: p - 1 and p + 1
+    for a rational p, floor(p) - 1 and floor(p) + 2 for an irrational one."""
+    if isinstance(p, RealAlg):
+        f = p.floor_div(1)
+        return Fraction(f - 1), Fraction(f + 2)
+    p = rat(p)
+    return p - 1, p + 1
 
 
 def compose_fractional(p: Poly, num: Poly, den: Poly, pad_to: int) -> Poly:

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
 from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
                    RootStructure, RPoint, compose_fractional, gcd, point_cmp,
-                   rat, rational_between, real_root_structure)
+                   rat, rational_between, rational_outside,
+                   real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
@@ -367,20 +368,11 @@ class RatFun:
         inside = [p for (p, _m, _k) in self.critical_points()
                   if _strictly_between(p, a, b)]
 
-        def lo_of(p):
-            return p if isinstance(p, Fraction) else p.lo
-
-        def hi_of(p):
-            return p if isinstance(p, Fraction) else p.hi
-
-        if a is NEG_INF:
-            anchor = inside[0] if inside else (b if b is not INF else None)
-            if anchor is None:
-                return Fraction(0)
-            return lo_of(anchor) - 1
         first = inside[0] if inside else (b if b is not INF else None)
+        if a is NEG_INF:
+            return Fraction(0) if first is None else rational_outside(first)[0]
         if first is None:
-            return hi_of(a) + 1
+            return rational_outside(a)[1]
         return rational_between(a, first)
 
     def eta_count(self, c) -> int:

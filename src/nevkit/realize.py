@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import check_N00
-from .errors import NotInN00, NotKacMember, SpectrumHit
+from .errors import InvariantViolation, NotInN00, NotKacMember, SpectrumHit
 from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
 from .poly import Poly, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
@@ -130,7 +130,7 @@ def model_weyl(m: L2Model, lam):
     acc = _lift(m.beta * m.omega_inf_sq, lam)
     for t, w in m.sigma:
         acc = acc + _div(w * m.omega_sq_at(t) * (t - m.xi), _sub(t, lam))
-    return _lift(m.eta, lam) + _mul(_sub_rev(lam, m.xi), acc)
+    return _lift(m.eta, lam) + _sub_rev(lam, m.xi) * acc
 
 
 def _lift(x: Fraction, like):
@@ -163,10 +163,6 @@ def _div(x: Fraction, d):
     if isinstance(d, complex):
         return float(x) / d
     return x / d
-
-
-def _mul(a, b):
-    return a * b
 
 
 def enumerate_zeros_poles(r: RatFun) -> tuple[tuple, tuple]:
@@ -224,7 +220,8 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
             zeta = rq.limit_at(b, "residue").value
         zetas.append((b, zeta))
     zeta_map = {("inf" if b is INF else b): z for b, z in zetas}
-    assert all(z >= 0 for _, z in zetas)
+    if any(z < 0 for _, z in zetas):
+        raise InvariantViolation("negative acquired point mass")
 
     finite_zero_pts = {rec.point for rec in r.real_zeros if rec.is_rational}
     kept = [(t, w) for t, w in q.sigma if t not in finite_zero_pts]
@@ -241,7 +238,8 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     else:
         case = "both_finite"
         beta_e = r.gamma * q.beta
-    assert beta_e == rq.beta
+    if beta_e != rq.beta:
+        raise InvariantViolation("mass at infinity disagrees with the product")
 
     omega_sq = []
     for t, _w in kept:
@@ -262,7 +260,9 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         eta_out = rq.evaluate(a_n)
     model_out = L2Model(beta_e, sigma_e, a_n, eta_out, tuple(omega_sq),
                         Fraction(1))
-    assert model_out.weyl_ratfun() == rq.to_ratfun()
+    if model_out.weyl_ratfun() != rq.to_ratfun():
+        raise InvariantViolation("transferred model does not realize the "
+                                 "product")
     return RealizationTransformReport(tuple(zetas), case, model_out,
                                       zeros_enum, poles_enum)
 

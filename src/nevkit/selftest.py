@@ -23,6 +23,16 @@ from .realize import (minimal_model, model_spectral_check, model_weyl,
                       transform_model)
 
 
+class CheckFailed(Exception):
+    """A selftest expectation did not hold."""
+
+
+def expect(cond, what: str):
+    """Explicit check that, unlike assert, also runs under python -O."""
+    if not cond:
+        raise CheckFailed(what)
+
+
 def worked_instance():
     """The running example: q = (z-1)/(2-z), r = (z-2)^2 z /((z-1)^2 (z-3))."""
     q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])
@@ -48,41 +58,43 @@ def run_selftest(seed: int = 0):
 
     def chk_canonical():
         psi, s0, _ = canonical_rational(r)
-        assert psi * s0 == r
-        assert s0 == RatFun.from_points([3], [0])
-        assert is_nevanlinna(s0)
+        expect(psi * s0 == r, "psi * s0 == r")
+        expect(s0 == RatFun.from_points([3], [0]), "s0 == (z-3)/z")
+        expect(is_nevanlinna(s0), "s0 is Nevanlinna")
     check("canonical factorization of the worked multiplier", chk_canonical)
 
     def chk_product():
         w = product_factorization(GenNevFun.from_nevfun(q), r)
-        assert w.phi.is_constant and w.kappa == 0
-        expect = RatFun(Poly([0, 2, -1]), Poly.from_roots([1, 3]))
-        assert w.q0.to_ratfun() == expect
+        expect(w.phi.is_constant and w.kappa == 0, "plain witness")
+        want = RatFun(Poly([0, 2, -1]), Poly.from_roots([1, 3]))
+        expect(w.q0.to_ratfun() == want, "witness (2z-z^2)/((z-1)(z-3))")
     check("product factorization reproduces the worked witness", chk_product)
 
     def chk_chain():
         chain = chain_factorize(q, r)
         fs = [RatFun.from_points([2], [1]), RatFun.from_points([0], [3]),
               RatFun.from_points([2], [1])]
-        assert list(chain.factors) == fs
+        expect(list(chain.factors) == fs, "factors in the worked order")
     check("worked chain order", chk_chain)
 
     def chk_realize():
         m = minimal_model(q, 1)
         rep = transform_model(m, r, q)
-        assert dict((b, z) for b, z in rep.zetas) == \
-            {Fraction(1): Fraction(1, 2), Fraction(3): Fraction(3, 2)}
+        expect(dict(rep.zetas) == {Fraction(1): Fraction(1, 2),
+                                   Fraction(3): Fraction(3, 2)},
+               "acquired masses 1/2 at 1 and 3/2 at 3")
         lam = QC.of(Fraction(1, 3), Fraction(2, 5))
         lhs = model_weyl(rep.model_out, lam)
         rhs = r.eval_qc(lam) * q.evaluate(lam)
-        assert lhs == rhs
-        assert model_spectral_check(m, rep.model_out, r)
+        expect(lhs == rhs, "transferred model realizes r*q")
+        expect(model_spectral_check(m, rep.model_out, r), "spectral check")
     check("worked model transfer", chk_realize)
 
     def chk_oracle():
-        assert negative_squares(RatFun(Poly([0, -1]), Poly.const(1))) == 1
-        assert negative_squares(RatFun(Poly([0, 1]), Poly.const(1))) == 0
-        assert negative_squares(RatFun(Poly([0, 0, 0, 1]), Poly.const(1))) == 1
+        for coeffs, kappa in (([0, -1], 1), ([0, 1], 0), ([0, 0, 0, 1], 1)):
+            f = RatFun(Poly(coeffs), Poly.const(1))
+            expect(negative_squares(f) == kappa,
+                   f"negative_squares({f}) == {kappa}")
     check("negative-squares counts on cubics and lines", chk_oracle)
 
     def chk_corpus():
@@ -90,7 +102,8 @@ def run_selftest(seed: int = 0):
         for _ in range(12):
             f = random_symmetric_ratfun(rng, max_degree=6)
             g = canonical_pair(f)
-            assert negative_squares(f, seed=seed) == g.kappa
+            expect(negative_squares(f, seed=seed) == g.kappa,
+                   f"negative_squares({f}) == {g.kappa}")
     check("oracle agreement on a seeded corpus", chk_corpus)
 
     def chk_interlace():
@@ -101,27 +114,29 @@ def run_selftest(seed: int = 0):
             prod = RatFun.const(1)
             for f in fs:
                 prod = prod * f
-            assert prod == s
+            expect(prod == s, "factors multiply back")
             pieces = [negative_closed_pieces(f) for f in fs]
             for i in range(len(pieces)):
                 for j in range(i + 1, len(pieces)):
-                    assert pieces_disjoint(pieces[i], pieces[j])
+                    expect(pieces_disjoint(pieces[i], pieces[j]),
+                           f"negative sets {i} and {j} are disjoint")
     check("interlacing splits with disjoint negative sets", chk_interlace)
 
     def chk_pairs():
         from .corpus import random_plain_pair
         for _ in range(6):
             qq, rr = random_plain_pair(rng)
-            assert check_N00(qq, rr).ok
+            expect(check_N00(qq, rr).ok, "plain-pair test passes")
             chain = chain_factorize(qq, rr)
-            assert len(chain.partial_certificates) == len(chain.factors)
+            expect(len(chain.partial_certificates) == len(chain.factors),
+                   "one certificate per factor")
     check("generated plain pairs admit certified chains", chk_pairs)
 
     def chk_membership():
         g = GenNevFun.from_nevfun(nevfun_from_ratfun(
             RatFun(Poly.const(1), Poly([-1, -1]))))
         rep = membership(g, RatFun.x())
-        assert rep.member and rep.kappa_tilde == 1
+        expect(rep.member and rep.kappa_tilde == 1, "member with index 1")
     check("membership flags the exceptional-pole mechanism", chk_membership)
 
     return ok_all, lines

@@ -8,11 +8,12 @@ identical bytes.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import SchemaMismatch
 from .gnev import GenNevFun
 from .nevfun import AtomicMeasure, NevFun
-from .poly import Poly, RealAlg
+from .poly import Poly, RealAlg, isolation_width
 from .qmath import INF, fmt_rat, parse_rat
 from .ratfun import RatFun
 from .realize import L2Model
@@ -26,7 +27,11 @@ def point_to_json(p):
     if p is INF:
         return "inf"
     if isinstance(p, RealAlg):
-        return {"approx": fmt_rat(p.approx()), "exact": False}
+        # the centre of the grid cell of width w that holds p: a function of
+        # p's value alone
+        w = isolation_width()
+        return {"approx": fmt_rat((p.floor_div(w) + Fraction(1, 2)) * w),
+                "exact": False}
     return fmt_rat(p)
 
 

@@ -10,13 +10,15 @@ from nevkit.classify import (chain_factorize, candidate_points,
                              productinNg_forms, _certify_chain)
 from nevkit.corpus import (random_interlacing_simple, random_member_pair,
                            random_plain_pair, structured_plain_pair)
-from nevkit.errors import NotInterlacing, NotNevanlinna
+from nevkit import serialize as ser
+from nevkit.errors import InvariantViolation, NotInterlacing, NotNevanlinna
 from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
-from nevkit.poly import Poly, point_cmp
+from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun
+from nevkit.realize import enumerate_zeros_poles
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])                              # -1/z
 WORKED_Q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])                 # (z-1)/(2-z)
@@ -264,3 +266,66 @@ def test_four_forms_agree():
         assert len(set(forms)) == 1, (q, s, forms)
         checked += 1
     assert checked > 10
+
+
+def test_chain_invariant_holds_without_assert(monkeypatch):
+    import nevkit.classify as cl
+    monkeypatch.setattr(cl, "_chain_build",
+                        lambda q, r: [RatFun.from_points([2], [1])])
+    with pytest.raises(InvariantViolation):
+        chain_factorize(WORKED_Q, WORKED_R)
+
+
+def _plain_corpus_pair(index: int):
+    """Pair ``index`` of the criterion-5 corpus (seed 1005; index 0 is the
+    worked pair), as JSON so that every parse gives fresh objects."""
+    rng = random.Random(1005)
+    n = 0
+    while n < index:
+        q, r = random_plain_pair(rng)
+        _zs, ps = enumerate_zeros_poles(r)
+        if ps and q.kac_membership(ps[0]):
+            n += 1
+    return ser.nevfun_to_json(q), ser.ratfun_to_json(r)
+
+
+def test_chain_factors_depend_only_on_values(monkeypatch):
+    import nevkit.classify as cl
+    import nevkit.poly as poly
+    qj, rj = _plain_corpus_pair(6)
+    from_irrational, anchors = [], []
+
+    def recording(fn):
+        def wrapper(*points):
+            out = fn(*points)
+            if any(isinstance(p, RealAlg) for p in points):
+                from_irrational.append(out)
+            return out
+        return wrapper
+    for name in ("rational_between", "rational_outside"):
+        monkeypatch.setattr(poly, name, recording(getattr(poly, name)))
+    anchor = cl._positive_anchor
+    monkeypatch.setattr(cl, "_positive_anchor",
+                        lambda *a: anchors.append(anchor(*a)) or anchors[-1])
+
+    def factors(precision=None, refine=False):
+        real_root_structure.cache_clear()
+        if precision:
+            monkeypatch.setenv("NEVKIT_PRECISION", precision)
+        else:
+            monkeypatch.delenv("NEVKIT_PRECISION", raising=False)
+        q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
+        if refine:
+            for f in (r, q.to_ratfun()):
+                for rec in f.real_zeros + f.real_poles:
+                    if isinstance(rec.point, RealAlg):
+                        rec.point.floor_div(Fraction(1, 2**200))
+        return chain_factorize(q, r).factors
+
+    base = factors()
+    # the premise: the anchor is a rational placed next to an irrational point
+    flat = [x for out in from_irrational
+            for x in (out if isinstance(out, tuple) else (out,))]
+    assert any(a in flat for a in anchors)
+    assert factors("1/1024") == base
+    assert factors(refine=True) == base

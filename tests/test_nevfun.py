@@ -201,3 +201,13 @@ def test_atomic_measure_validation():
         AtomicMeasure.of([(1, 1), (1, 2)])
     with pytest.raises(ValueError):
         AtomicMeasure.of([(1, -1)])
+
+
+def test_to_ratfun_is_built_once_and_invisible():
+    q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])
+    before = (repr(q), hash(q))
+    r = q.to_ratfun()
+    assert q.to_ratfun() is r
+    assert r == RatFun.from_points([1], [2], -1)
+    assert (repr(q), hash(q)) == before
+    assert q == WORKED and NevFun.of(Fraction(-3, 5), 0, [(2, 1)]) == q

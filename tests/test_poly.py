@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from nevkit.errors import ExactSplitUnavailable
 from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          isolate_real_roots, point_cmp, poly_sign_at,
-                         rational_between, real_root_structure,
-                         squarefree_decomposition, sturm_chain)
+                         rational_between, rational_outside,
+                         real_root_structure, squarefree_decomposition,
+                         sturm_chain)
 from nevkit.ratfun import RatFun
 
 
@@ -142,3 +144,94 @@ def test_sturm_chain_endpoints():
     p = Poly.from_roots([0, 1, 2, 3])
     chain = sturm_chain(p)
     assert count_real_roots(p, Fraction(-1), None, chain) == 4
+
+
+def fresh_roots(p: Poly) -> list[RealAlg]:
+    """Fresh RealAlg objects, with the Sturm boxes as isolated."""
+    return [RealAlg(p, lo, hi) for lo, hi in isolate_real_roots(p)]
+
+
+def test_real_root_structure_does_not_bisect(monkeypatch):
+    steps = []
+    step = RealAlg._step
+    monkeypatch.setattr(RealAlg, "_step",
+                        lambda self: (steps.append(self), step(self)))
+    for p in (P(-2, 0, 1), P(-2, 0, 1) * P(-5, 1), P(1, 0, -10, 0, 1),
+              P(-2, 0, 0, 1) * P(-1, 1)):
+        s = real_root_structure.__wrapped__(p)    # bypass the cache
+        assert any(isinstance(rec.point, RealAlg) for rec in s.real)
+    assert steps == []
+
+
+def test_float_is_correctly_rounded_whatever_the_refinement():
+    sqrt2 = P(-2, 0, 1)
+    assert float(fresh_roots(sqrt2)[1]) == math.sqrt(2)
+    for probes in ([Fraction(3, 2)], [Fraction(141421356, 10**8)],
+                   [Fraction(math.sqrt(2)), Fraction(1414213562373095, 10**15)]):
+        x = fresh_roots(sqrt2)[1]
+        for c in probes:
+            x.cmp_rat(c)
+        x.floor_div(Fraction(1, 2**70))
+        assert float(x) == math.sqrt(2)
+    assert float(fresh_roots(sqrt2)[0]) == -math.sqrt(2)
+    assert float(fresh_roots(P(-1, 0, 3))[1]) == math.sqrt(1 / 3)
+    assert repr(fresh_roots(sqrt2)[1]) == "RealAlg~1.41421"
+
+
+def test_floor_div_is_exact():
+    neg, pos = fresh_roots(P(-2, 0, 1))
+    assert pos.floor_div(1) == 1 and neg.floor_div(1) == -2
+    assert pos.floor_div(Fraction(1, 1024)) == 1448      # 1024 * 1.41421...
+    assert neg.floor_div(Fraction(1, 1024)) == -1449
+    w = Fraction(1, 2**64)
+    assert pos.floor_div(w) == math.isqrt(2 * 2**128)
+    assert pos.floor_div(Fraction(3, 2)) == 0
+    assert pos.floor_div(Fraction(1, 3)) == 4
+
+
+def test_cmp_alg_separates_close_numbers_without_a_step_cap():
+    # sqrt(2 + 10^-120) - sqrt(2) is about 2^-400
+    near = Poly([-(2 + Fraction(1, 10**120)), 0, 1])
+    a = fresh_roots(P(-2, 0, 1))[1]
+    b = fresh_roots(near)[1]
+    assert a.cmp_alg(b) < 0 and b.cmp_alg(a) > 0
+    mid = rational_between(fresh_roots(P(-2, 0, 1))[1], fresh_roots(near)[1])
+    assert a.cmp_rat(mid) < 0 and b.cmp_rat(mid) > 0
+    assert mid.denominator & (mid.denominator - 1) == 0   # a power of two
+
+
+def test_rational_between_smallest_dyadic():
+    neg2, pos2 = fresh_roots(P(-2, 0, 1))
+    neg3, pos3 = fresh_roots(P(-3, 0, 1))
+    assert rational_between(pos2, pos3) == Fraction(3, 2)
+    assert rational_between(neg3, neg2) == Fraction(-3, 2)
+    assert rational_between(neg2, pos2) == -1
+    assert rational_between(1, pos2) == Fraction(5, 4)
+    assert rational_between(pos2, 2) == Fraction(3, 2)
+    assert rational_between(neg2, Fraction(-1, 3)) == -1
+    # several integers inside: the least
+    assert rational_between(pos2, 7) == 2
+    assert rational_between(-7, neg2) == -6
+    # two rationals keep the midpoint
+    assert rational_between(Fraction(1), Fraction(2)) == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        rational_between(pos3, pos2)
+
+
+def test_rational_between_ignores_refinement_history():
+    first = rational_between(*fresh_roots(P(-2, 0, 1)))
+    neg, pos = fresh_roots(P(-2, 0, 1))
+    for x in (neg, pos):
+        x.floor_div(Fraction(1, 2**90))
+    assert rational_between(neg, pos) == first == -1
+    a, b = fresh_roots(P(-2, 0, 1))[1], fresh_roots(P(-3, 0, 1))[1]
+    a.cmp_rat(Fraction(1414, 1000))
+    b.cmp_rat(Fraction(17, 10))
+    assert rational_between(a, b) == Fraction(3, 2)
+
+
+def test_rational_outside():
+    neg, pos = fresh_roots(P(-2, 0, 1))
+    assert rational_outside(pos) == (0, 3)
+    assert rational_outside(neg) == (-3, 0)
+    assert rational_outside(Fraction(5, 2)) == (Fraction(3, 2), Fraction(7, 2))

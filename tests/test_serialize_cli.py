@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import random
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import pytest
 from nevkit import serialize as ser
 from nevkit.cli import main
 from nevkit.corpus import random_gennev, random_nevfun, random_symmetric_ratfun
-from nevkit.errors import BadPrecision, SchemaMismatch
+from nevkit.errors import BadPrecision, InvariantViolation, SchemaMismatch
 from nevkit.nevfun import NevFun
-from nevkit.qmath import INF
+from nevkit.poly import Poly
+from nevkit.qmath import INF, fmt_rat
+from nevkit.ratfun import RatFun
 from nevkit.realize import minimal_model
 
 
@@ -208,8 +212,77 @@ def test_precision_env_rejects_bad_values(monkeypatch, value):
 
 def test_cli_reports_bad_precision(tmp_path, monkeypatch):
     monkeypatch.setenv("NEVKIT_PRECISION", "0")
-    # an irrational root no other test isolates, so no cached structure
-    # answers before the width is read
+    # the width is read when the irrational zeros are emitted
     code, rep = _run(tmp_path, "factor",
                      {"in": {"num": ["-41/3", "0", "1"], "den": ["1"]}})
     assert code == 1 and rep is None
+
+
+def _sqrt2_point(r: RatFun) -> str:
+    """Emitted bytes of the zero sqrt(2) of r."""
+    return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
+
+
+def test_emitted_irrational_point_depends_only_on_its_value(monkeypatch):
+    monkeypatch.delenv("NEVKIT_PRECISION", raising=False)
+    first = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-5, 1])))
+    # both functions share the cached root records of z^2 - 2; these
+    # queries refine their boxes in between
+    f = RatFun(Poly([-2, 0, 1]), Poly([-5, 1]))
+    f.sign_on_interval()
+    f.real_zeros[1].point.cmp_rat(Fraction(1414213562373095, 10**15))
+    second = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-7, 1])))
+    assert first == second
+    w = Fraction(1, 2**64)
+    centre = (math.isqrt(2 * 2**128) + Fraction(1, 2)) * w
+    assert json.loads(first) == {"approx": fmt_rat(centre), "exact": False}
+    monkeypatch.setenv("NEVKIT_PRECISION", "1/1024")
+    assert json.loads(_sqrt2_point(f)) == {"approx": "2897/2048",
+                                           "exact": False}
+
+
+def test_cli_maps_invariant_violation_to_exit_3(tmp_path, monkeypatch):
+    import nevkit.cli
+
+    def broken(r):
+        raise InvariantViolation("factors do not multiply back")
+    monkeypatch.setattr(nevkit.cli, "canonical_rational", broken)
+    code, rep = _run(tmp_path, "factor", {"in": WORKED_R})
+    assert code == 3 and rep is None
+
+
+def test_realize_has_no_xi_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        _run(tmp_path, "realize", {"in": WORKED_Q, "r": WORKED_R},
+             extra=["--xi", "1"])
+
+
+def test_selftest_reports_a_broken_check(monkeypatch):
+    import nevkit.selftest as st
+    monkeypatch.setattr(st, "negative_squares", lambda *a, **k: -1)
+    ok, lines = st.run_selftest(seed=0)
+    assert ok is False
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 2 and all("CheckFailed" in f for f in fails)
+
+
+def test_selftest_checks_under_python_O():
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+
+    plain = run("-m", "nevkit.cli", "selftest", "--seed", "0")
+    optimized = run("-O", "-m", "nevkit.cli", "selftest", "--seed", "0")
+    assert plain.returncode == optimized.returncode == 0
+    n = json.loads(plain.stdout)["checks"]
+    assert n > 0 and json.loads(optimized.stdout)["checks"] == n
+    assert len(optimized.stderr.splitlines()) == n
+    # and under -O a broken check still fails
+    broken = run("-O", "-c", "import nevkit.selftest as st; "
+                 "st.negative_squares = lambda *a, **k: -1; "
+                 "print(st.run_selftest(0)[0])")
+    assert broken.stdout.strip() == "False"
