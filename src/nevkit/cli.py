@@ -5,6 +5,9 @@ Exact inputs and outputs are JSON with rationals as "p/q" strings; numeric
 results carry explicit tolerance fields.  Exit status: 0 success, 1 parse,
 schema and other input errors, 2 for classification-negative outcomes, 3 when
 an internal invariant is violated (a defect in nevkit).
+
+The numeric verbs and selftest import the oracle module, and with it numpy,
+when they run, so the exact verbs start without numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from .errors import (InvariantViolation, NevkitError, ParseError,
                      SchemaMismatch)
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
-from .oracle import InversionConfig, negative_squares_report, stieltjes_invert
 from .qmath import INF, fmt_rat, parse_rat
 from .realize import minimal_model, model_spectral_check, transform_model
-from .selftest import run_selftest
 
 
 def _read_json(path: str) -> dict:
@@ -143,6 +144,7 @@ def cmd_realize(args) -> tuple[int, dict]:
 
 
 def cmd_kappa(args) -> tuple[int, dict]:
+    from .oracle import negative_squares_report
     f = _load_function(args.infile)
     count, tails = negative_squares_report(
         f, n_points=args.points, trials=args.trials, seed=args.seed,
@@ -157,6 +159,7 @@ def cmd_kappa(args) -> tuple[int, dict]:
 
 
 def cmd_invert(args) -> tuple[int, dict]:
+    from .oracle import InversionConfig, stieltjes_invert
     f = _load_function(args.infile)
     parts = args.interval.split(",")
     if len(parts) != 2:
@@ -198,6 +201,7 @@ def _dump_samples(f, lo, hi, eps: float, n: int, path: str):
 
 
 def cmd_selftest(args) -> tuple[int, dict]:
+    from .selftest import run_selftest
     ok, lines = run_selftest(seed=args.seed)
     for line in lines:
         print(line, file=sys.stderr)

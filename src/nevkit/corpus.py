@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import ExactSplitUnavailable
 from .gnev import GenNevFun
 from .nevfun import NevFun, is_nevanlinna
 from .poly import Poly
@@ -166,14 +167,14 @@ def structured_plain_pair(rng: random.Random):
         try:
             if check_N00(q, r).ok:
                 return q, r
-        except Exception:
+        except ExactSplitUnavailable:
             continue
         # try the mirrored endpoint orientation
         r2 = phi * RatFun.from_points([b], [a])
         try:
             if check_N00(q, r2).ok:
                 return q, r2
-        except Exception:
+        except ExactSplitUnavailable:
             continue
     raise RuntimeError("structured pair generation failed")
 
@@ -206,7 +207,7 @@ def random_member_pair(rng: random.Random, max_atoms: int = 6,
         from .classify import product_factorization
         try:
             product_factorization(g, r)
-        except Exception:
+        except ExactSplitUnavailable:
             continue
         return g, r
     raise RuntimeError("member pair generation failed")

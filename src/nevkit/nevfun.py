@@ -8,11 +8,10 @@ the spectral-gap characterizations with their transformed representatives.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .errors import (GapViolated, InvariantViolation, NotNevanlinna,
                      NotRationalAtoms, PoleHit)
@@ -123,7 +122,8 @@ class NevFun:
                 tf, wf = float(t), float(w)
                 acc += wf / (tf - z) - wf * tf / (1 + tf * tf)
             return acc
-        if isinstance(z, np.ndarray):
+        np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
+        if np is not None and isinstance(z, np.ndarray):
             acc = float(self.alpha) + float(self.beta) * z
             for t, w in self.sigma:
                 tf, wf = float(t), float(w)

@@ -1,10 +1,11 @@
 """Dense univariate polynomials over the exact rationals.
 
 Provides the arithmetic, gcd and square-free machinery the rational-function
-layer builds on, plus certified real-root location: rational roots are found
-exactly; the remaining real roots are isolated into rational intervals by
-Sturm bisection and represented as lazy :class:`RealAlg` values, which refine
-their interval only as far as an exact sign query or comparison needs.
+layer builds on, plus certified real-root location: Sturm bisection on the
+primitive integer form of a polynomial finds its rational roots exactly and
+isolates the remaining real roots into rational intervals, represented as
+lazy :class:`RealAlg` values, which refine their interval only as far as an
+exact sign query or comparison needs.
 :func:`real_root_structure` is the one place where the real roots and
 conjugate-pair content of a polynomial are derived, memoised on the
 polynomial's value.  Everything this module returns about an irrational
@@ -31,6 +32,9 @@ DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 
 #: number of polynomials whose root structure is kept by real_root_structure
 ROOT_STRUCTURE_CACHE_SIZE = 1024
+
+#: number of polynomials whose Sturm chain is kept by sturm_chain
+STURM_CHAIN_CACHE_SIZE = 1024
 
 
 def isolation_width() -> Fraction:
@@ -242,13 +246,6 @@ class Poly:
             p = p // lin
         return p
 
-    def cauchy_bound(self) -> Fraction:
-        """All real roots lie in (-B, B)."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.lead)
-        return 1 + max(abs(a) for a in self.c[:-1]) / lead
-
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic polynomial gcd."""
@@ -286,7 +283,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def irreducible_factors(p: Poly) -> list[Poly]:
     """Monic irreducible factors of p over the rationals, with repetition
-    according to multiplicity (delegated to sympy's factorization)."""
+    according to multiplicity (delegated to sympy's factorization).
+
+    :func:`real_root_structure` calls it only for a squarefree residual
+    that mixes irrational real roots with nonreal ones, so sympy is
+    imported only then."""
     import sympy
     x = sympy.Symbol("x")
     sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
@@ -300,87 +301,180 @@ def irreducible_factors(p: Poly) -> list[Poly]:
     return out
 
 
-# -- Sturm machinery ----------------------------------------------------------
+# -- Sturm machinery on primitive integer polynomials -------------------------
+#
+# A polynomial is cleared of denominators and content, its Sturm chain is
+# built from sign-corrected pseudo-remainders, and every sign at a rational
+# u/v is read off the integer v^n a(u/v) by homogeneous Horner evaluation, so
+# no Fraction enters these loops.
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.deriv()]
-    while not chain[-1].is_zero:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
-            break
-        r = -r
-        r = r * (1 / abs(r.lead))  # positive rescale keeps numbers small
-        chain.append(r)
-    if chain[-1].is_zero:
-        chain.pop()
-    return chain
+IntPoly = tuple[int, ...]   # ascending integer coefficients
 
 
-def _variations(vals: Sequence[Fraction]) -> int:
-    signs = [(-1 if v < 0 else 1) for v in vals if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _primitive(ints: Sequence[int]) -> IntPoly:
+    """ints divided by their positive content; () for the zero polynomial."""
+    while ints and ints[-1] == 0:
+        ints = ints[:-1]
+    if not ints:
+        return ()
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
-def _chain_signs_at_inf(chain: Sequence[Poly], positive: bool) -> int:
-    vals = []
-    for q in chain:
-        if q.is_zero:
-            continue
-        s = q.lead
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        vals.append(s)
-    return _variations(vals)
+def _primitive_int(p: Poly) -> IntPoly:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.c))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.c])
+
+
+def _sign_at(a: IntPoly, u: int, v: int) -> int:
+    """Sign of a(u/v) for v > 0, from the integer v^deg(a) * a(u/v)."""
+    acc = 0
+    w = 1
+    for c in reversed(a):
+        acc = acc * u + c * w
+        w *= v
+    return (acc > 0) - (acc < 0)
+
+
+def _neg_prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive positive multiple of -(a mod b); () when b divides a.
+
+    Each elimination step scales the remainder by |lead(b)|, a positive
+    factor, so the sign of the classical remainder is kept."""
+    r = list(a)
+    lb = abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    db = len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        if lr:
+            k = len(r) - 1 - db
+            f = s * lr
+            r = [x * lb for x in r]
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+        r.pop()
+    return _primitive([-x for x in r])
+
+
+@lru_cache(maxsize=STURM_CHAIN_CACHE_SIZE)
+def sturm_chain(p: Poly) -> tuple[IntPoly, ...]:
+    """Sturm chain of p as primitive integer polynomials: p, p' and the
+    negated remainders, each a positive multiple of its classical term, so
+    sign variations are those of the classical chain.  Memoised on the
+    value of p."""
+    chain = [_primitive_int(p)]
+    nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _neg_prem(chain[-2], chain[-1])
+    return tuple(chain)
+
+
+def _signs(chain: Sequence[IntPoly], x: Fraction) -> list[int]:
+    u, v = x.numerator, x.denominator
+    return [_sign_at(a, u, v) for a in chain]
+
+
+def _variations(signs: Iterable[int]) -> int:
+    nz = [s for s in signs if s]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+
+
+def _variations_at(chain: Sequence[IntPoly], x, at_inf: int) -> int:
+    """Sign variations of the chain at the rational x, or at at_inf times
+    infinity when x is None."""
+    if x is None:
+        return _variations((1 if a[-1] > 0 else -1)
+                           * (at_inf if len(a) % 2 == 0 else 1)
+                           for a in chain)
+    return _variations(_signs(chain, rat(x)))
 
 
 def count_real_roots(p: Poly, lo=None, hi=None, chain=None) -> int:
-    """Number of distinct real roots of a squarefree p in (lo, hi].
+    """Number of distinct real roots of p in (lo, hi], when p is
+    squarefree or neither end is a multiple root of p.
 
-    ``None`` endpoints mean the corresponding infinity.
+    ``None`` endpoints mean the corresponding infinity; ``chain`` defaults
+    to ``sturm_chain(p)``.
     """
     if p.degree < 1:
         return 0
     if chain is None:
         chain = sturm_chain(p)
-    va = (_chain_signs_at_inf(chain, positive=False) if lo is None
-          else _variations([q.eval_q(lo) for q in chain]))
-    vb = (_chain_signs_at_inf(chain, positive=True) if hi is None
-          else _variations([q.eval_q(hi) for q in chain]))
-    return va - vb
+    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, 1)
 
 
 def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating open intervals for the real roots of a squarefree p with no
-    rational roots.  Each interval (lo, hi) holds exactly one root and has
-    nonzero endpoint values."""
+    """The real roots of a squarefree p, ascending: ``(r, r)`` for a
+    rational root r, else an open interval with nonzero endpoint values
+    holding exactly one root, which is irrational.
+
+    Sturm bisection separates the roots.  A rational root of the primitive
+    integer form of p, with leading coefficient L, is a multiple of 1/L, so
+    an interval with one root is bisected by sign until it holds at most
+    one multiple of 1/L, which is then tested exactly.
+    """
     if p.degree < 1:
         return []
     chain = sturm_chain(p)
-    bound = p.cauchy_bound()
-    lo, hi = -bound, bound
-    total = count_real_roots(p, lo, hi, chain)
+    a = chain[0]
+    lead = abs(a[-1])
+
+    def point(x: Fraction) -> tuple[int, int, int]:
+        # (variations, sign of p, sign of p'), as p' is chain[1]
+        s = _signs(chain, x)
+        return _variations(s), s[0], s[1]
+
+    bound = Fraction(2 + max(abs(c) for c in a[:-1]) // lead)  # Cauchy
     out = []
-    stack = [(lo, hi, total)]
+    stack = [(-bound, point(-bound), bound, point(bound))]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
-            continue
+        lo, plo, hi, phi = stack.pop()
+        n = plo[0] - phi[0] - (phi[1] == 0)      # roots in the open (lo, hi)
         if n == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        # no rational roots, so p(mid) != 0 and the count splits cleanly
-        nl = count_real_roots(p, a, mid, chain)
-        stack.append((a, mid, nl))
-        stack.append((mid, b, n - nl))
+            out.append(_one_root(a, lead, lo, plo, hi, phi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            pmid = point(mid)
+            if pmid[1] == 0:
+                out.append((mid, mid))
+            stack.append((lo, plo, mid, pmid))
+            stack.append((mid, pmid, hi, phi))
     out.sort()
     return out
 
 
+def _one_root(a: IntPoly, lead: int, lo: Fraction, plo, hi: Fraction, phi
+              ) -> tuple[Fraction, Fraction]:
+    """The one root of a in the open (lo, hi), given the signs of a and a'
+    at the ends: (r, r) when it is a rational r, else an isolating box with
+    nonzero endpoint values."""
+    sign_lo = plo[1] or plo[2]  # the sign on (lo, root): a'(lo)'s at a root lo
+    lo_zero, hi_zero = plo[1] == 0, phi[1] == 0
+    while True:
+        k = lo.numerator * lead // lo.denominator + 1     # least k/L > lo
+        last = -(-hi.numerator * lead // hi.denominator) - 1  # greatest < hi
+        if k == last and _sign_at(a, k, lead) == 0:
+            root = Fraction(k, lead)
+            return root, root
+        if k >= last and not (lo_zero or hi_zero):
+            return lo, hi
+        mid = (lo + hi) / 2
+        s = _sign_at(a, mid.numerator, mid.denominator)
+        if s == 0:
+            return mid, mid
+        if s == sign_lo:
+            lo, lo_zero = mid, False
+        else:
+            hi, hi_zero = mid, False
+
+
 class RealAlg:
     """A real algebraic number: a squarefree defining polynomial with no
-    rational roots and an open isolating interval, the box, that holds
-    exactly one of its roots.
+    rational roots (not necessarily irreducible) and an open isolating
+    interval, the box, that holds exactly one of its roots.
 
     The box is a private cache, not data.  Construction keeps the box it is
     given; each query (:meth:`cmp_rat`, :meth:`cmp_alg`, :meth:`sign_of`,
@@ -389,14 +483,17 @@ class RealAlg:
     The box only ever shrinks and is replaced in a single attribute write,
     so concurrent refinement from several threads stays consistent."""
 
-    __slots__ = ("p", "box", "_lo_neg")
+    __slots__ = ("p", "box", "_ints", "_lo_neg")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
+        ints = _primitive_int(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "box", (lo, hi))
+        object.__setattr__(self, "_ints", ints)
         # inside the box p has one sign left of the root, so the sign at
         # the first lo holds at every later lo
-        object.__setattr__(self, "_lo_neg", p.eval_q(lo) < 0)
+        object.__setattr__(self, "_lo_neg",
+                           _sign_at(ints, lo.numerator, lo.denominator) < 0)
 
     def __setattr__(self, *a):
         raise AttributeError("RealAlg is immutable")
@@ -406,7 +503,8 @@ class RealAlg:
         the number; return the sign of (self - x)."""
         lo, hi = self.box
         # p has no rational roots, so p(x) != 0
-        if (self.p.eval_q(x) < 0) == self._lo_neg:
+        if (_sign_at(self._ints, x.numerator, x.denominator) < 0) \
+                == self._lo_neg:
             object.__setattr__(self, "box", (x, hi))
             return 1
         object.__setattr__(self, "box", (lo, x))
@@ -465,9 +563,9 @@ class RealAlg:
         chain = sturm_chain(q)
         while True:
             lo, hi = self.box
-            v = q.eval_q(lo)
-            if v != 0 and count_real_roots(q, lo, hi, chain) == 0:
-                return -1 if v < 0 else 1
+            v = _sign_at(chain[0], lo.numerator, lo.denominator)
+            if v and count_real_roots(q, lo, hi, chain) == 0:
+                return v
             self._step()
 
     def cmp_alg(self, other: "RealAlg") -> int:
@@ -523,11 +621,13 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class ConjugatePairBlock:
-    """Count of conjugate nonreal root pairs of one irreducible factor.
+    """Count of the conjugate nonreal root pairs of ``factor``: the
+    residual of one squarefree part after its real roots are divided out,
+    or one irreducible factor of a residual that mixes irrational real
+    roots with nonreal ones.
 
-    ``factor`` also contains the factor's irrational real roots, if any, so
-    it is only an exact polynomial witness of the pairs when
-    ``real_roots == 0``.
+    ``factor`` then also contains its irrational real roots, so it is only
+    an exact polynomial witness of the pairs when ``real_roots == 0``.
     """
 
     factor: Poly
@@ -544,26 +644,41 @@ class RootStructure(NamedTuple):
 @lru_cache(maxsize=ROOT_STRUCTURE_CACHE_SIZE)
 def real_root_structure(p: Poly) -> RootStructure:
     """Real roots of p with exact multiplicities plus its conjugate-pair
-    blocks, one block per irreducible factor with nonreal roots.
+    blocks.
 
-    Each squarefree part is factored once: linear factors give rational
-    records, and every other factor has its real roots isolated into
-    :class:`RealAlg` records.  The result is memoised on the value of p and
-    shared, so it is immutable; the isolating boxes of its RealAlg records
-    only ever shrink.
+    The real roots of each squarefree part g are isolated once: rational
+    roots become rational records, and the residual h, g without its
+    rational linear factors, gives the rest.  When h has only real roots
+    they become :class:`RealAlg` records on h; when it has none it is one
+    conjugate-pair block.  Only an h that has both is factored over the
+    rationals, each factor giving its own records and block.  The result is
+    memoised on the value of p and shared, so it is immutable; the
+    isolating boxes of its RealAlg records only ever shrink.
     """
     real: list[RootRecord] = []
     blocks: list[ConjugatePairBlock] = []
     for g, m in squarefree_decomposition(p):
-        for h in irreducible_factors(g):
-            if h.degree == 1:
-                real.append(RootRecord(-h.c[0], m))  # factors come back monic
-                continue
-            boxes = isolate_real_roots(h)
+        h = g
+        boxes = []
+        for lo, hi in isolate_real_roots(g):
+            if lo == hi:
+                real.append(RootRecord(lo, m))
+                h = h // Poly([-lo, 1])
+            else:
+                boxes.append((lo, hi))
+        if len(boxes) == h.degree:
             real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
-            pairs = (h.degree - len(boxes)) // 2
-            if pairs:
-                blocks.append(ConjugatePairBlock(h, pairs, m, len(boxes)))
+        elif not boxes:
+            blocks.append(ConjugatePairBlock(h, h.degree // 2, m, 0))
+        else:
+            for f in irreducible_factors(h):
+                fboxes = isolate_real_roots(f)
+                real.extend(RootRecord(RealAlg(f, lo, hi), m)
+                            for lo, hi in fboxes)
+                pairs = (f.degree - len(fboxes)) // 2
+                if pairs:
+                    blocks.append(ConjugatePairBlock(f, pairs, m,
+                                                     len(fboxes)))
     real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
     return RootStructure(tuple(real), tuple(blocks))
 

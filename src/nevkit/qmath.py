@@ -28,6 +28,10 @@ def rat(x) -> Fraction:
 
 
 def parse_rat(s: str) -> Fraction:
+    """The rational written as the string s; anything else, a JSON number
+    or null included, is a ParseError."""
+    if not isinstance(s, str):
+        raise ParseError(f"rational literal {s!r} is not a string")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

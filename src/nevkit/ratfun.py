@@ -10,12 +10,11 @@ multiplicity there is the degree imbalance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
 from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
@@ -182,7 +181,8 @@ class RatFun:
             return self.eval_qc(z)
         if isinstance(z, complex):
             return self.eval_c(z)
-        if isinstance(z, np.ndarray):
+        np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
+        if np is not None and isinstance(z, np.ndarray):
             return self.eval_np(z)
         return self.eval_q(z)
 
@@ -203,6 +203,7 @@ class RatFun:
         return self.num.eval_c(z) / self.den.eval_c(z)
 
     def eval_np(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
         nc = self.num.float_coeffs() or [0.0]
         dc = self.den.float_coeffs()
         return (np.polynomial.polynomial.polyval(z, nc)

@@ -19,6 +19,15 @@ from .ratfun import RatFun
 from .realize import L2Model
 
 
+def _list(val, key: str) -> list:
+    """val, the value of the field key, if it is a list, else a
+    SchemaMismatch (a string would otherwise be read character by
+    character)."""
+    if not isinstance(val, list):
+        raise SchemaMismatch(f"{key!r} must be a list, not {val!r}")
+    return val
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -49,8 +58,8 @@ def ratfun_records_json(r: RatFun) -> dict:
 
 def ratfun_from_json(d: dict) -> RatFun:
     try:
-        num = Poly([parse_rat(c) for c in d["num"]])
-        den = Poly([parse_rat(c) for c in d["den"]])
+        num = Poly([parse_rat(c) for c in _list(d["num"], "num")])
+        den = Poly([parse_rat(c) for c in _list(d["den"], "den")])
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"bad rational-function object: {exc}") from exc
     return RatFun(num, den)
@@ -65,7 +74,7 @@ def nevfun_from_json(d: dict) -> NevFun:
     try:
         return NevFun.of(parse_rat(d["alpha"]), parse_rat(d["beta"]),
                          [(parse_rat(a["t"]), parse_rat(a["w"]))
-                          for a in d.get("atoms", [])])
+                          for a in _list(d.get("atoms", []), "atoms")])
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"bad representation object: {exc}") from exc
 
@@ -123,6 +132,8 @@ def model_from_json(d: dict) -> L2Model:
 def parse_function(d: dict):
     """Dispatch on the schema: canonical pair, representation data, or a
     rational function."""
+    if not isinstance(d, dict):
+        raise SchemaMismatch("a function must be a JSON object")
     if "phi" in d and "q0" in d:
         return gennev_from_json(d)
     if "alpha" in d:

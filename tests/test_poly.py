@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_polys
 import nevkit.poly
@@ -235,3 +236,109 @@ def test_rational_outside():
     assert rational_outside(pos) == (0, 3)
     assert rational_outside(neg) == (-3, 0)
     assert rational_outside(Fraction(5, 2)) == (Fraction(3, 2), Fraction(7, 2))
+
+
+def _sympy_roots(g: Poly) -> tuple[list[Fraction], int, object]:
+    """Rational roots and the number of irrational real roots of g from
+    sympy's factorization, and g as a sympy polynomial."""
+    import sympy
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                     for c in reversed(g.c)], sympy.Symbol("x"), domain="QQ")
+    rational, irrational = [], 0
+    for f, _k in sp.factor_list()[1]:
+        if f.degree() == 1:
+            a, b = f.all_coeffs()
+            root = -b / a
+            rational.append(Fraction(int(root.p), int(root.q)))
+        else:
+            irrational += f.count_roots()
+    return sorted(rational), irrational, sp
+
+
+def _check_isolation(g: Poly):
+    got = isolate_real_roots(g)
+    rational, irrational, sp = _sympy_roots(g)
+    assert [lo for lo, hi in got if lo == hi] == rational
+    boxes = [(lo, hi) for lo, hi in got if lo != hi]
+    assert len(boxes) == irrational
+    for lo, hi in boxes:
+        assert lo < hi and g.eval_q(lo) != 0 and g.eval_q(hi) != 0
+        assert sp.count_roots(lo, hi) == 1
+    assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
+    return got
+
+
+BIG = 10**6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)),
+                max_size=5),
+       st.lists(st.tuples(st.booleans(), st.integers(1, 50)), max_size=2))
+@example([(0, 1), (1, 3), (-2, 7), (1, 2)], [(True, 2), (False, 1)])
+@example([(BIG, BIG - 1), (BIG - 1, BIG - 2)], [(True, 3)])
+def test_integer_isolation_matches_sympy(linear, quadratic):
+    """Products of (b z - a) times optional z^2 - c and z^2 + c: the
+    rational roots are sympy's linear factors and every other real root of
+    the squarefree part gets one box."""
+    p = Poly.const(1)
+    for a, b in linear:
+        p = p * P(-a, b)
+    for real, c in quadratic:
+        p = p * P(-c if real else c, 0, 1)
+    if p.degree < 1:
+        assert isolate_real_roots(p) == []
+        return
+    _check_isolation(p // gcd(p, p.deriv()))
+
+
+def test_integer_isolation_edge_cases():
+    # roots exactly at bisection midpoints: 0 halves the first interval
+    assert isolate_real_roots(P(0, 1)) == [(0, 0)]
+    neg, zero, pos = _check_isolation(P(0, -2, 0, 1))
+    assert zero == (0, 0)
+    # neighbouring rational roots
+    assert isolate_real_roots(P(-1, 1000) * P(-1, 1001)) == [
+        (Fraction(1, 1001),) * 2, (Fraction(1, 1000),) * 2]
+    # a rational root less than 10^-30 below sqrt(2)
+    r = Fraction(math.isqrt(2 * 10**60), 10**30)
+    g = P(-r, 1) * P(-2, 0, 1)
+    _neg, root, box = _check_isolation(g)
+    assert root == (r, r) and box[0] > r
+    sqrt2 = RealAlg(P(-2, 0, 1), *box)
+    assert sqrt2.cmp_rat(r) > 0 and float(sqrt2) == math.sqrt(2)
+    recs = real_root_structure(g).real
+    assert [rec.point for rec in recs[1:2]] == [r]
+    assert [rec.point.p for rec in recs[::2]] == [P(-2, 0, 1)] * 2
+
+
+def test_residual_without_real_roots_is_one_block(monkeypatch):
+    def no_factoring(p):
+        raise AssertionError("factored a residual that is not mixed")
+    monkeypatch.setattr(nevkit.poly, "irreducible_factors", no_factoring)
+    real_root_structure.cache_clear()
+    quartic = P(2, 0, 3, 0, 1)                   # (z^2 + 1)(z^2 + 2)
+    f = RatFun(quartic * P(-3, 1) * P(-1, 0, 1) ** 2, Poly.const(1))
+    assert [(b.factor, b.pairs, b.mult, b.real_roots)
+            for b in f.complex_zero_blocks] == [(quartic, 2, 1, 0)]
+    assert [(rec.point, rec.mult) for rec in f.real_zeros] == [
+        (-1, 2), (1, 2), (3, 1)]
+    w = canonical_pair(RatFun(quartic, Poly.const(1)))
+    assert w.phi == RatFun(quartic, Poly.const(1)) and w.kappa == 2
+    assert w.q0.to_ratfun() == RatFun.const(1)
+    # a residual with only real roots: RealAlg records on the residual
+    g = P(-2, 0, 1) * P(-3, 0, 1) * P(-5, 1)
+    s = real_root_structure(g)
+    assert s.blocks == () and len(s.real) == 5
+    assert {rec.point.p for rec in s.real
+            if not rec.is_rational} == {P(6, 0, -5, 0, 1)}
+
+
+def test_sign_of_reuses_the_sturm_chain():
+    q = P(-1, 0, 0, 1)                           # z^3 - 1
+    points = fresh_roots(P(-2, 0, 1)) + fresh_roots(P(-3, 0, 1))
+    sturm_chain.cache_clear()
+    assert [x.sign_of(q) for x in points] == [-1, 1, -1, 1]
+    info = sturm_chain.cache_info()
+    assert info.misses == 1 and info.hits == 3
+    assert sturm_chain(P(-1, 0, 0, 1)) is sturm_chain(q)

@@ -286,3 +286,58 @@ def test_selftest_checks_under_python_O():
                  "st.negative_squares = lambda *a, **k: -1; "
                  "print(st.run_selftest(0)[0])")
     assert broken.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("payload", [
+    {"num": [1.5], "den": ["1"]},          # a JSON number as a coefficient
+    {"num": [None], "den": ["1"]},         # null as a coefficient
+    {"num": "12", "den": "1"},             # a string where a list belongs
+    {"alpha": "0", "beta": "0", "atoms": "2"},
+    5,                                     # not an object at all
+])
+def test_cli_rejects_malformed_coefficients(tmp_path, capsys, payload):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(payload))
+    assert main(["factor", "--in", str(p)]) == 1
+    assert main(["kappa", "--in", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+IMPORT_PROBE = """
+import json, sys
+from nevkit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "sympy": "sympy" in sys.modules,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+MIXED_R = {"num": ["2", "-2", "0", "-1", "1"], "den": ["1"]}  # (z^3-2)(z-1)
+
+
+@pytest.mark.parametrize("verb,files,code,sympy,numpy", [
+    ("factor", {"in": WORKED_R}, 0, False, False),
+    ("chain", {"in": WORKED_Q, "r": WORKED_R}, 0, False, False),
+    ("kappa", {"in": WORKED_R}, 0, False, True),
+    # the mixed factor cannot be split exactly: an input error
+    ("factor", {"in": MIXED_R}, 1, True, False),
+])
+def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
+                                                       code, sympy, numpy):
+    """The exact verbs run without sympy or numpy; sympy comes in only for
+    a squarefree factor mixing irrational real and nonreal roots, numpy
+    only for the numeric verbs."""
+    args = [verb]
+    for flag, payload in files.items():
+        p = tmp_path / f"{flag}.json"
+        p.write_text(json.dumps(payload))
+        args += [f"--{flag}", str(p)]
+    args += ["--out", str(tmp_path / "out.json")]
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
+                          capture_output=True, text=True, env=env)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"code": code, "sympy": sympy, "numpy": numpy}
+    assert code == 0 or "ExactSplitUnavailable" in proc.stderr
