@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (ConstantInput, ExactSplitUnavailable,
+from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      InvariantViolation, NotInClass, NotInterlacing,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
@@ -23,7 +23,7 @@ from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from .poly import Poly, RealAlg, point_cmp
 from .qmath import INF, NEG_INF, fmt_rat
-from .ratfun import RatFun
+from .ratfun import RatFun, strictly_between
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,31 @@ def membership(g: GenNevFun, r: RatFun) -> ClassReport:
     """
     if r.is_constant:
         raise ConstantInput("multiplier must be nonconstant")
-    q0 = g.q0
-    exceptional = []
-    for t in q0.support(include_inf=False):
-        try:
-            if r.sign_at(t) < 0:
-                exceptional.append(t)
-        except PoleHit:
-            continue
-    if q0.beta > 0 and r.ord_at_inf() == 0 and r.gamma < 0:
-        exceptional.append(INF)
+    exceptional = _negative_at(r, g.q0.support())
     witness = product_factorization(g, r)
     return ClassReport(True, g.kappa, witness.kappa, witness,
                        (), tuple(exceptional))
+
+
+def _negative_at(r: RatFun, points) -> list:
+    """The points, INF included, at which r is strictly negative; r is not
+    negative at its poles."""
+    out = []
+    for p in points:
+        if p is INF:
+            neg = r.ord_at_inf() == 0 and r.gamma < 0
+        else:
+            try:
+                neg = r.sign_at(p) < 0
+            except PoleHit:
+                neg = False
+        if neg:
+            out.append(p)
+    return out
+
+
+def _zero_points(q: NevFun) -> list:
+    return [rec.point for rec in q.zeros()]
 
 
 def product_factorization(g: GenNevFun, r: RatFun) -> GenNevFun:
@@ -117,38 +129,35 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     """One multiplication by a degree-one simple factor: returns the squared
     factor it contributes to the canonical pair and the certified Nevanlinna
     remainder."""
-    g_rat = s * q.to_ratfun()
+    q_rat = q.to_ratfun()
+    g_rat = s * q_rat
+
+    def lead_sign(p) -> int:
+        # leading signs multiply; the roots of s and q are known, while
+        # those of g_rat would have to be isolated afresh
+        return s.laurent_lead_sign(p) * q_rat.laurent_lead_sign(p)
+
     psi_num = Poly.const(1)
     psi_den = Poly.const(1)
     for rec in s.real_zeros:       # at most one
         a = rec.point
         e = g_rat.ord_at(a)
-        pi = _zero_type_mult(max(e, 0), g_rat.laurent_lead_sign(a))
+        pi = _zero_type_mult(max(e, 0), lead_sign(a))
         if pi:
             psi_num = psi_num * Poly([-a, 1]) ** (2 * pi)
     for rec in s.real_poles:       # at most one
         b = rec.point
         e = g_rat.ord_at(b)
-        ka = _pole_type_mult(max(-e, 0), g_rat.laurent_lead_sign(b))
+        ka = _pole_type_mult(max(-e, 0), lead_sign(b))
         if ka:
             psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
-    for rec in q.to_ratfun().real_zeros:
-        try:
-            neg = s.sign_at(rec.point) < 0
-        except PoleHit:
-            neg = False
-        if neg:
-            if isinstance(rec.point, RealAlg):
-                raise ExactSplitUnavailable(
-                    "irrational zero inside the negative set of the factor")
-            psi_num = psi_num * Poly([-rec.point, 1]) ** 2
-    for t, _w in q.sigma:
-        try:
-            neg = s.sign_at(t) < 0
-        except PoleHit:
-            neg = False
-        if neg:
-            psi_den = psi_den * Poly([-t, 1]) ** 2
+    for a in _negative_at(s, _zero_points(q)):
+        if isinstance(a, RealAlg):
+            raise ExactSplitUnavailable(
+                "irrational zero inside the negative set of the factor")
+        psi_num = psi_num * Poly([-a, 1]) ** 2
+    for t in _negative_at(s, q.sigma.positions):
+        psi_den = psi_den * Poly([-t, 1]) ** 2
     psi = RatFun(psi_num, psi_den)
     q_next = nevfun_from_ratfun(g_rat / psi)
     return psi, q_next
@@ -245,7 +254,7 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
     is reported alongside whenever it is computable, and the clause verdict
     is asserted against it."""
     if q.is_constant and q.alpha == 0:
-        raise ValueError("the zero function is excluded")
+        raise InvalidInput("the zero function is excluded")
     if r.is_constant:
         raise ConstantInput("multiplier must be nonconstant")
     failures = []
@@ -260,21 +269,12 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
 
     # the multiplier is nonnegative on the spectral support and the function
     # does not vanish where the multiplier is strictly negative
-    for t in q.support(include_inf=False):
-        try:
-            if r.sign_at(t) < 0:
-                failures.append(("i", t, "negative multiplier at an atom"))
-        except PoleHit:
-            pass
-    if q.beta > 0 and r.ord_at_inf() == 0 and r.gamma < 0:
-        failures.append(("i", INF, "negative multiplier at the mass at infinity"))
-    for rec in q_rat.real_zeros:
-        try:
-            if r.sign_at(rec.point) < 0:
-                failures.append(("i", rec.point,
-                                 "function vanishes where multiplier is negative"))
-        except PoleHit:
-            pass
+    for t in _negative_at(r, q.support()):
+        failures.append(("i", t, "negative multiplier at the mass at infinity"
+                         if t is INF else "negative multiplier at an atom"))
+    for a in _negative_at(r, _zero_points(q)):
+        failures.append(("i", a,
+                         "function vanishes where multiplier is negative"))
 
     # local clauses at the finite zeros and poles of r of order <= 2
     for rec in r.real_zeros:
@@ -350,7 +350,7 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
 
     form_i = is_nevanlinna(g_rat)
 
-    ok_ii = _no_support_in_negative(q, s) and _no_zero_in_negative(q_rat, s)
+    ok_ii = not _negative_at(s, q.support() + _zero_points(q))
     for rec in s.real_zeros:
         e = g_rat.ord_at(rec.point)
         if _zero_type_mult(max(e, 0), g_rat.laurent_lead_sign(rec.point)):
@@ -363,7 +363,7 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
 
     form_iii = _interval_form(q, s)
 
-    ok_iv = _no_support_in_negative(q, s)
+    ok_iv = not _negative_at(s, q.support())
     for rec in s.real_poles:
         e = g_rat.ord_at(rec.point)
         if e < -1 or (e == -1 and g_rat.laurent_lead_sign(rec.point) > 0):
@@ -384,28 +384,6 @@ def _require_simple(s: RatFun):
             or s.complex_zero_blocks or s.complex_pole_blocks
             or abs(s.ord_at_inf()) > 1):
         raise NotInterlacing("multiplier must be simple, infinity included")
-
-
-def _no_support_in_negative(q: NevFun, s: RatFun) -> bool:
-    for t in q.support(include_inf=False):
-        try:
-            if s.sign_at(t) < 0:
-                return False
-        except PoleHit:
-            pass
-    if q.beta > 0 and s.ord_at_inf() == 0 and s.gamma < 0:
-        return False
-    return True
-
-
-def _no_zero_in_negative(q_rat: RatFun, s: RatFun) -> bool:
-    for rec in q_rat.real_zeros:
-        try:
-            if s.sign_at(rec.point) < 0:
-                return False
-        except PoleHit:
-            pass
-    return True
 
 
 def _interval_form(q: NevFun, s: RatFun) -> bool:
@@ -614,7 +592,7 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     factors, the endpoint factors, then the paired factors again."""
     atoms_in = [t for t in q.sigma.positions if a < t < b]
     zero_recs = [rec for rec in q.to_ratfun().real_zeros
-                 if _strict_inside(rec.point, a, b)]
+                 if strictly_between(rec.point, a, b)]
     for rec in zero_recs:
         if not rec.is_rational:
             raise ExactSplitUnavailable("irrational zero inside the interval")
@@ -672,10 +650,6 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
 
 def _gap_sample(q: NevFun, a, b) -> Fraction:
     return q.to_ratfun()._sample_inside(a, b)
-
-
-def _strict_inside(p, a, b) -> bool:
-    return point_cmp(p, a) > 0 and point_cmp(p, b) < 0
 
 
 def _degenerate_chain(q: NevFun, r: RatFun) -> list[RatFun]:
@@ -774,19 +748,8 @@ def candidate_points(g: GenNevFun, r: RatFun) -> list:
         add(rec.point)
     for mr in g.gznt_gpnt():
         add(mr.point)
-    q_rat = g.q0.to_ratfun()
-    for rec in q_rat.real_zeros:
-        try:
-            if r.sign_at(rec.point) < 0:
-                add(rec.point)
-        except PoleHit:
-            pass
-    for t in g.q0.support(include_inf=False):
-        try:
-            if r.sign_at(t) < 0:
-                add(t)
-        except PoleHit:
-            pass
+    for p in _negative_at(r, _zero_points(g.q0) + g.q0.support()):
+        add(p)
     # the point at infinity is always carried as a conservative candidate
     add(INF)
     return pts

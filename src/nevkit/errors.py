@@ -89,3 +89,9 @@ class ParseError(NevkitError):
 
 class SchemaMismatch(NevkitError):
     """Parsed JSON does not match the expected schema."""
+
+
+class InvalidInput(NevkitError, ValueError):
+    """A value outside the domain of the operation: a negative slope or
+    atom weight, a duplicate atom, the zero function where it is excluded,
+    a nonpositive factor or a bad numeric setting."""

@@ -3,9 +3,9 @@
 A :class:`GenNevFun` is a nonnegative rational factor together with an
 ordinary Nevanlinna function; its negative index is read off the factor's
 multiplicities.  Zero/pole multiplicities of nonpositive type are decided
-symbolically from exact local order and leading-sign data, and the explicit
-canonical factorization of an arbitrary symmetric rational function is
-computed from odd-order point counts.
+symbolically from exact local orders and leading signs, the signs read off
+odd-order point counts, and the canonical factorization of an arbitrary
+symmetric rational function is built from those multiplicities alone.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ConstantInput, ExactSplitUnavailable,
-                     InvariantViolation, NotNevanlinna, NotNevanlinnaTau)
+from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
+                     NotNevanlinnaTau)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from .poly import Poly, RealAlg, rat
 from .qmath import INF, QC, fmt_rat
@@ -87,11 +87,11 @@ class GenNevFun:
 
     def __init__(self, phi: RatFun, q0: NevFun):
         if phi.is_zero:
-            raise ValueError("factor must be nonzero")
+            raise InvalidInput("factor must be nonzero")
         g = phi.gamma
         if g != 1:
             if g <= 0:
-                raise ValueError("factor must be positive at its leading order")
+                raise InvalidInput("factor must be positive at its leading order")
             phi = phi / g
             q0 = q0.scale(g)
         pi_total, kappa_total = _factor_multiplicity_sums(phi)
@@ -129,7 +129,7 @@ class GenNevFun:
     def gznt_gpnt(self) -> list[MultiplicityRecord]:
         if self.phi.is_constant and self.q0.is_constant and \
                 self.q0.alpha == 0:
-            raise ValueError("records of the zero function are undefined")
+            raise InvalidInput("records of the zero function are undefined")
         return nonpositive_type_records(self.to_ratfun())
 
     def balance_check(self) -> bool:
@@ -143,10 +143,6 @@ class GenNevFun:
         p += sum(b.pairs * b.mult for b in f.complex_pole_blocks)
         return z == p
 
-    # -- composition -----------------------------------------------------------------
-    def compose(self, tau: RatFun) -> "GenNevFun":
-        return compose_gen(self, tau)
-
 
 def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     """(sum of zero-type, sum of pole-type) multiplicities carried by a
@@ -154,144 +150,77 @@ def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     pi_total = 0
     for rec in phi.real_zeros:
         if rec.mult % 2:
-            raise ValueError("factor has an odd-order real zero")
+            raise InvalidInput("factor has an odd-order real zero")
         pi_total += rec.mult // 2
     for blk in phi.complex_zero_blocks:
         pi_total += blk.pairs * blk.mult
     kappa_total = 0
     for rec in phi.real_poles:
         if rec.mult % 2:
-            raise ValueError("factor has an odd-order real pole")
+            raise InvalidInput("factor has an odd-order real pole")
         kappa_total += rec.mult // 2
     for blk in phi.complex_pole_blocks:
         kappa_total += blk.pairs * blk.mult
     return pi_total, kappa_total
 
 
+def _canonical_factor(f: RatFun):
+    """The nonnegative factor of the canonical factorization of f, built
+    from the finite nonpositive-type records of f, and those records.
+
+    A rational point of type multiplicity k gives (z-p)^(2k).  Conjugate
+    pairs and even-order irrational roots enter whole, as their defining
+    polynomial to its multiplicity.  Exact arithmetic cannot split an
+    odd-order irrational point that carries type multiplicity, nor conjugate
+    pairs that share an odd-multiplicity factor with irrational real roots;
+    both are refused.
+    """
+    records = [rec for rec in nonpositive_type_records(f)
+               if rec.point is not INF]
+    parts = {"GZNT": {}, "GPNT": {}}      # kind -> {polynomial: exponent}
+    for rec in records:
+        if isinstance(rec.point, RealAlg):
+            order = abs(f.ord_at(rec.point))
+            if order % 2:
+                raise ExactSplitUnavailable(
+                    "odd-order irrational point carries type multiplicity")
+            parts[rec.kind][rec.point.p] = order
+        else:
+            parts[rec.kind][Poly([-rec.point, 1])] = 2 * rec.mult
+    for kind, blocks in (("GZNT", f.complex_zero_blocks),
+                         ("GPNT", f.complex_pole_blocks)):
+        for blk in blocks:
+            if blk.real_roots and blk.mult % 2:
+                raise ExactSplitUnavailable(
+                    "conjugate pairs share an odd-multiplicity factor with "
+                    "irrational real roots")
+            parts[kind][blk.factor] = blk.mult
+    # every polynomial here is monic, so the factor's gamma is one
+    num, den = Poly.const(1), Poly.const(1)
+    for h, e in parts["GZNT"].items():
+        num = num * h ** e
+    for h, e in parts["GPNT"].items():
+        den = den * h ** e
+    return RatFun(num, den), records
+
+
 def canonical_rational(s: RatFun):
     """Canonical factorization of a nonconstant symmetric rational function:
     a nonnegative factor, a rational Nevanlinna part, and the multiplicity
-    records of the factor.
-
-    Even-order real points and conjugate pairs go wholly into the factor;
-    each odd-order real point splits according to the parity of the count of
-    odd-order points above it and the sign of the leading coefficient.
-    """
+    records of the factor."""
     if s.is_constant:
         raise ConstantInput("constant functions admit no factorization")
-    gamma_sign = 1 if s.gamma > 0 else -1
-    psi_num = Poly.const(1)
-    psi_den = Poly.const(1)
-    s0_num = Poly.const(s.gamma)
-    s0_den = Poly.const(1)
-    records = []
-
-    def handle(recs, is_zero: bool):
-        nonlocal psi_num, psi_den, s0_num, s0_den
-        for rec in recs:
-            point, m = rec.point, rec.mult
-            if m % 2 == 0:
-                half = m // 2
-                lin = Poly([-point, 1])
-                if is_zero:
-                    psi_num = psi_num * lin ** m
-                    records.append(MultiplicityRecord(point, "GZNT", half))
-                else:
-                    psi_den = psi_den * lin ** m
-                    records.append(MultiplicityRecord(point, "GPNT", half))
-                continue
-            eta = s.eta_count(point)
-            iota = gamma_sign * (1 if eta % 2 == 0 else -1)
-            lin = Poly([-point, 1])
-            if is_zero:
-                pi = (m - iota) // 2
-                if pi:
-                    psi_num = psi_num * lin ** (2 * pi)
-                    records.append(MultiplicityRecord(point, "GZNT", pi))
-                if iota > 0:
-                    s0_num = s0_num * lin
-                else:
-                    s0_den = s0_den * lin
-            else:
-                ka = (m + iota) // 2
-                if ka:
-                    psi_den = psi_den * lin ** (2 * ka)
-                    records.append(MultiplicityRecord(point, "GPNT", ka))
-                # residual exponent at the pole is -m + 2*ka = iota
-                if iota > 0:
-                    s0_num = s0_num * lin
-                else:
-                    s0_den = s0_den * lin
-
-    # what is left of num and den once the rational roots are divided out
-    # (conjugate pairs and irrational even-order roots) goes wholly into the
-    # nonnegative factor; an odd-order irrational root would need an exact
-    # split, so it is refused
-    zeros, poles = s.real_zeros, s.real_poles
-    handle([rec for rec in zeros if rec.is_rational], True)
-    handle([rec for rec in poles if rec.is_rational], False)
-    psi_num = psi_num * _irrational_part(s.num, zeros, "zero")
-    psi_den = psi_den * _irrational_part(s.den, poles, "pole")
-
-    psi = RatFun(psi_num, psi_den)
-    s0 = RatFun(s0_num, s0_den)
-    if psi * s0 != s:
-        raise InvariantViolation("canonical factors do not multiply back")
-    return psi, s0, records
-
-
-def _irrational_part(p: Poly, recs, kind: str) -> Poly:
-    """Monic p with its rational roots divided out; refuses an odd-order
-    irrational real root."""
-    for rec in recs:
-        if rec.is_rational:
-            p = p.deflate(rec.point, rec.mult)
-        elif rec.mult % 2:
-            raise ExactSplitUnavailable(
-                f"odd-order irrational real {kind} cannot be split exactly")
-    return p.monic()
+    psi, records = _canonical_factor(s)
+    return psi, s / psi, records
 
 
 def canonical_pair(f: RatFun) -> GenNevFun:
-    """Direct canonical extraction of an arbitrary nonzero symmetric rational
-    function: collect every nonpositive-type multiplicity into a nonnegative
-    factor and certify the quotient as a Nevanlinna function.
-
-    Real points that carry nonzero type multiplicity must be rational, since
-    only those enter the factor; conjugate-pair content must not share a
-    squarefree factor with irrational real roots.
-    """
+    """Canonical pair of a nonzero symmetric rational function: the
+    canonical factor, and the quotient certified as a Nevanlinna function."""
     if f.is_zero:
-        raise ValueError("zero function has no canonical pair")
-    phi_num = Poly.const(1)
-    phi_den = Poly.const(1)
-    for rec in f.real_zeros:
-        pi = _zero_type_mult(rec.mult, f.laurent_lead_sign(rec.point))
-        if pi:
-            if not rec.is_rational:
-                raise ExactSplitUnavailable(
-                    "irrational zero carries nonzero type multiplicity")
-            phi_num = phi_num * Poly([-rec.point, 1]) ** (2 * pi)
-    for rec in f.real_poles:
-        ka = _pole_type_mult(rec.mult, f.laurent_lead_sign(rec.point))
-        if ka:
-            if not rec.is_rational:
-                raise ExactSplitUnavailable(
-                    "irrational pole carries nonzero type multiplicity")
-            phi_den = phi_den * Poly([-rec.point, 1]) ** (2 * ka)
-    for blk in f.complex_zero_blocks:
-        if blk.real_roots:
-            raise ExactSplitUnavailable(
-                "conjugate pairs share a factor with irrational real roots")
-        phi_num = phi_num * blk.factor ** blk.mult
-    for blk in f.complex_pole_blocks:
-        if blk.real_roots:
-            raise ExactSplitUnavailable(
-                "conjugate pairs share a factor with irrational real roots")
-        phi_den = phi_den * blk.factor ** blk.mult
-    phi = RatFun(phi_num, phi_den)
-    q0 = nevfun_from_ratfun(f / phi)
-    return GenNevFun(phi, q0)
+        raise InvalidInput("zero function has no canonical pair")
+    phi, _records = _canonical_factor(f)
+    return GenNevFun(phi, nevfun_from_ratfun(f / phi))
 
 
 def compose_gen(g: GenNevFun, tau: RatFun) -> GenNevFun:

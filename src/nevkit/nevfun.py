@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (GapViolated, InvariantViolation, NotNevanlinna,
-                     NotRationalAtoms, PoleHit)
+from .errors import (GapViolated, InvalidInput, InvariantViolation,
+                     NotNevanlinna, NotRationalAtoms, PoleHit)
 from .poly import Poly, count_real_roots, gcd, rat
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF, QC,
                     LimitValue, fmt_rat)
@@ -38,10 +38,10 @@ class AtomicMeasure:
         items.sort()
         for (t1, _), (t2, _) in zip(items, items[1:]):
             if t1 == t2:
-                raise ValueError(f"duplicate atom position {fmt_rat(t1)}")
+                raise InvalidInput(f"duplicate atom position {fmt_rat(t1)}")
         for _, w in items:
             if w < 0:
-                raise ValueError("atom weights must be positive")
+                raise InvalidInput("atom weights must be positive")
         return AtomicMeasure(tuple(items))
 
     @staticmethod
@@ -68,9 +68,6 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((w for _, w in self.atoms), Fraction(0))
 
-    def restrict(self, keep) -> "AtomicMeasure":
-        return AtomicMeasure(tuple((t, w) for t, w in self.atoms if keep(t)))
-
 
 @dataclass(frozen=True)
 class NevFun:
@@ -84,7 +81,7 @@ class NevFun:
     def of(alpha, beta, atoms=()) -> "NevFun":
         b = rat(beta)
         if b < 0:
-            raise ValueError("beta must be nonnegative")
+            raise InvalidInput("beta must be nonnegative")
         return NevFun(rat(alpha), b, AtomicMeasure.of(atoms))
 
     @staticmethod

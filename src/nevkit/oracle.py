@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationFailure, NonConvergent
+from .errors import EvaluationFailure, InvalidInput, NonConvergent
 from .gnev import GenNevFun
 from .qmath import rat
 
@@ -123,9 +123,9 @@ class InversionConfig:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not eps:
-            raise ValueError("schedule must decrease strictly")
+            raise InvalidInput("schedule must decrease strictly")
         if self.quadrature_points < 64:
-            raise ValueError("need at least 64 quadrature points")
+            raise InvalidInput("need at least 64 quadrature points")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     d = float(rat(cfg.interval[1]) if not isinstance(cfg.interval[1], float)
               else cfg.interval[1])
     if not c < d:
-        raise ValueError("interval must be nondegenerate")
+        raise InvalidInput("interval must be nondegenerate")
     peaks: list[float] = []
     per_level = []
     spacing = (d - c) / cfg.quadrature_points
@@ -293,7 +293,7 @@ def _check_phi(phi, cfg: InversionConfig):
             bad = (count_real_roots(phi.den, lo, hi) > 0
                    or phi.den.eval_q(lo) == 0)
             if bad:
-                raise ValueError("weight has a pole inside the interval")
+                raise InvalidInput("weight has a pole inside the interval")
 
 
 def gap_detect(f, interval, samples: int = 128, mass_tol: float = 1e-3) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError
 
@@ -63,43 +62,9 @@ class ExtSymbol:
 INF = ExtSymbol("inf")
 NEG_INF = ExtSymbol("-inf")
 
-ExtReal = Union[Fraction, ExtSymbol]
-
 
 def _ext_lookup(name: str) -> ExtSymbol:
     return {"inf": INF, "-inf": NEG_INF}[name]
-
-
-def ext_is_finite(x: ExtReal) -> bool:
-    return not isinstance(x, ExtSymbol)
-
-
-def ext_cmp(a: ExtReal, b: ExtReal) -> int:
-    """Total order with NEG_INF < finite < INF."""
-    if a is b:
-        return 0
-    if a is NEG_INF or b is INF:
-        return -1
-    if a is INF or b is NEG_INF:
-        return 1
-    return (a > b) - (a < b)
-
-
-def parse_ext(s: str) -> ExtReal:
-    t = s.strip().lower()
-    if t in ("inf", "+inf", "oo"):
-        return INF
-    if t in ("-inf", "-oo"):
-        return NEG_INF
-    return parse_rat(s)
-
-
-def fmt_ext(x: ExtReal) -> str:
-    if x is INF:
-        return "inf"
-    if x is NEG_INF:
-        return "-inf"
-    return fmt_rat(x)
 
 
 @dataclass(frozen=True)
@@ -126,15 +91,6 @@ class LimitValue:
 
     def finite_nonpos(self) -> bool:
         return self.is_finite and self.value <= 0
-
-    def as_float(self) -> float:
-        if self.is_finite:
-            return float(self.value)
-        if self.kind == "+inf":
-            return float("inf")
-        if self.kind == "-inf":
-            return float("-inf")
-        return float("nan")
 
     def __repr__(self):
         if self.is_finite:

@@ -76,10 +76,6 @@ class RatFun:
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
-    def from_coeffs(num_coeffs: Sequence, den_coeffs: Sequence) -> "RatFun":
-        return RatFun(Poly(num_coeffs), Poly(den_coeffs))
-
-    @staticmethod
     def const(x) -> "RatFun":
         return RatFun(Poly.const(x), Poly.const(1))
 
@@ -92,16 +88,6 @@ class RatFun:
         """gamma * prod (z - zero) / prod (z - pole), all data rational."""
         return RatFun(Poly.from_roots(zeros, lead=rat(gamma)),
                       Poly.from_roots(poles))
-
-    @staticmethod
-    def degree_one(zero=None, pole=None, gamma=1) -> "RatFun":
-        """gamma*(z-zero)/(z-pole) with None meaning the point at infinity."""
-        zs = [] if zero is None else [zero]
-        ps = [] if pole is None else [pole]
-        r = RatFun.from_points(zs, ps, gamma)
-        if r.degree != 1:
-            raise DegreeNotOne("zero and pole coincide")
-        return r
 
     # -- basic queries -----------------------------------------------------------
     @property
@@ -170,10 +156,6 @@ class RatFun:
 
     def inverse(self) -> "RatFun":
         return RatFun(self.den, self.num)
-
-    def deriv(self) -> "RatFun":
-        return RatFun(self.num.deriv() * self.den - self.num * self.den.deriv(),
-                      self.den * self.den)
 
     # -- evaluation ------------------------------------------------------------------
     def __call__(self, z):
@@ -288,26 +270,15 @@ class RatFun:
                 / self.den.deflate(a, md).eval_q(a))
 
     def laurent_lead_sign(self, point: Point) -> int:
-        if point is INF or isinstance(point, (Fraction, int)):
-            v = self.laurent_lead(point)
-            return -1 if v < 0 else (1 if v > 0 else 0)
-        x: RealAlg = point
-        return (self._deflated_sign(self.num, self._num_roots(), x)
-                * self._deflated_sign(self.den, self._den_roots(), x))
-
-    @staticmethod
-    def _deflated_sign(poly: Poly, roots: RootStructure, x: RealAlg) -> int:
-        """Sign of lim poly(z)/(z-x)^m at an irrational real x, where m is
-        the multiplicity of x in poly (possibly 0)."""
-        for rec in roots.real:
-            if isinstance(rec.point, RealAlg) and x.cmp_alg(rec.point) == 0:
-                # poly = g^mult * rest with g squarefree through x; near x,
-                # g(z)/(z-x) tends to g'(x)
-                g = rec.point.p
-                sg = x.sign_of(g.deriv()) ** rec.mult
-                rest = poly // (g ** rec.mult)
-                return sg * x.sign_of(rest)
-        return x.sign_of(poly)
+        """Sign of the leading Laurent coefficient at a real point or at
+        infinity.  Just right of a real point p the function has the sign
+        of that coefficient; it has the sign of gamma near +inf and changes
+        sign at each odd-order point, so the sign is sign(gamma) times
+        (-1)^eta(p).  At infinity it is the sign of gamma."""
+        s = (self.gamma > 0) - (self.gamma < 0)
+        if point is INF or self.eta_count(point) % 2 == 0:
+            return s
+        return -s
 
     def sign_at(self, point: RPoint) -> int:
         """Exact sign at a real point; raises PoleHit at poles."""
@@ -322,15 +293,6 @@ class RatFun:
         v = self.num.eval_q(rat(point)) / v_den
         return 0 if v == 0 else (-1 if v < 0 else 1)
 
-    def value_at_inf_sign(self) -> int:
-        """Sign of the limit along either real direction toward infinity:
-        0 when there is a zero at infinity; otherwise the sign of gamma for
-        the +inf direction (the -inf direction flips with odd imbalance)."""
-        m = self.ord_at_inf()
-        if m > 0:
-            return 0
-        return -1 if self.gamma < 0 else 1
-
     # -- ordered critical points -------------------------------------------------------
     def critical_points(self) -> list[tuple[RPoint, int, str]]:
         """Finite real zeros and poles merged in ascending order as
@@ -343,14 +305,8 @@ class RatFun:
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
         """Maximal constant-sign subintervals of (lo, hi) with exact
         endpoints; only odd-order zeros and poles separate segments."""
-        def inside(p: RPoint) -> bool:
-            if lo is not NEG_INF and point_cmp(p, lo) <= 0:
-                return False
-            if hi is not INF and point_cmp(p, hi) >= 0:
-                return False
-            return True
-
-        crit = [it for it in self.critical_points() if inside(it[0])]
+        crit = [it for it in self.critical_points()
+                if strictly_between(it[0], lo, hi)]
         odd = [it for it in crit if it[1] % 2 == 1]
         bounds = [lo] + [it[0] for it in odd] + [hi]
         segments = []
@@ -359,7 +315,7 @@ class RatFun:
             sample = self._sample_inside(a, b)
             sgn = self.sign_at(sample)
             touches = tuple((p, kind) for (p, m, kind) in crit
-                            if m % 2 == 0 and _strictly_between(p, a, b))
+                            if m % 2 == 0 and strictly_between(p, a, b))
             segments.append(SignSegment(a, b, sgn, touches))
         return SignReport(tuple(segments))
 
@@ -367,7 +323,7 @@ class RatFun:
         """A rational point strictly inside (a, b) that is neither a zero nor
         a pole.  Works because the critical points are finite in number."""
         inside = [p for (p, _m, _k) in self.critical_points()
-                  if _strictly_between(p, a, b)]
+                  if strictly_between(p, a, b)]
 
         first = inside[0] if inside else (b if b is not INF else None)
         if a is NEG_INF:
@@ -378,13 +334,11 @@ class RatFun:
 
     def eta_count(self, c) -> int:
         """Number of odd-order finite real zeros and poles strictly greater
-        than the rational point c."""
-        c = rat(c)
-        n = 0
-        for p, m, _kind in self.critical_points():
-            if m % 2 == 1 and point_cmp(p, c) > 0:
-                n += 1
-        return n
+        than the real point c, rational or irrational."""
+        if not isinstance(c, RealAlg):
+            c = rat(c)
+        return sum(1 for p, m, _kind in self.critical_points()
+                   if m % 2 and point_cmp(p, c) > 0)
 
     # -- composition ---------------------------------------------------------------------
     def compose_mobius(self, tau: "RatFun") -> "RatFun":
@@ -407,7 +361,8 @@ class RatFun:
         return RatFun(Poly([-b, d]), Poly([a, -c]))
 
 
-def _strictly_between(p: RPoint, a, b) -> bool:
+def strictly_between(p: RPoint, a, b) -> bool:
+    """Whether a < p < b, with NEG_INF and INF allowed as the ends."""
     if a is not NEG_INF and point_cmp(p, a) <= 0:
         return False
     if b is not INF and point_cmp(p, b) >= 0:

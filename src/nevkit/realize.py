@@ -16,9 +16,10 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import check_N00
-from .errors import InvariantViolation, NotInN00, NotKacMember, SpectrumHit
+from .errors import (InvariantViolation, NotInN00, NotKacMember,
+                     NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
-from .poly import Poly, rat
+from .poly import Poly, RealAlg, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
 from .ratfun import RatFun
 
@@ -100,6 +101,8 @@ class RealizationTransformReport:
 def minimal_model(q: NevFun, xi) -> L2Model:
     """Minimal model of a function at an anchor in its local class: the
     vector is 1/(t - xi) for a finite anchor and 1 at infinity."""
+    if isinstance(xi, RealAlg):
+        raise NotRationalAtoms("a model needs a rational anchor")
     if xi is not INF:
         xi = rat(xi)
     if not q.kac_membership(xi):
@@ -204,6 +207,9 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         raise ValueError("input model must be anchored at the first pole")
     a_n = zeros_enum[-1]
     b_n = poles_enum[-1]
+    if any(isinstance(p, RealAlg) for p in (a_n,) + poles_enum):
+        raise NotRationalAtoms("the transferred model needs rational poles "
+                               "and a rational anchor")
 
     rq = nevfun_from_ratfun(r * q.to_ratfun())
 

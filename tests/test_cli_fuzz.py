@@ -1,0 +1,63 @@
+"""Schema-valid but adversarial JSON through every verb of the CLI: small
+degrees, duplicate, zero and negative data.  Whatever the input, ``main``
+returns a documented exit code and no exception escapes it."""
+
+import json
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nevkit.cli import main
+
+COEFFS = st.sampled_from(["0", "0", "1", "-1", "2", "-2", "1/2", "-3/2", "3"])
+
+
+def ratfun_json():
+    coeffs = st.lists(COEFFS, min_size=1, max_size=4)
+    return st.fixed_dictionaries({"num": coeffs, "den": coeffs})
+
+
+# mostly positive, so that some inputs get past validation
+WEIGHTS = st.sampled_from(["1", "2", "1/2", "3", "0", "-1"])
+
+
+def nevfun_json():
+    atom = st.fixed_dictionaries({"t": COEFFS, "w": WEIGHTS})
+    return st.fixed_dictionaries({"alpha": COEFFS, "beta": WEIGHTS,
+                                  "atoms": st.lists(atom, max_size=3)})
+
+
+def gennev_json():
+    return st.fixed_dictionaries(
+        {"phi": ratfun_json(), "q0": nevfun_json()},
+        optional={"kappa": st.integers(0, 3)})
+
+
+FUNCTIONS = st.one_of(ratfun_json(), nevfun_json(), gennev_json())
+
+# extra arguments of each verb; "R" stands for the multiplier file
+VERBS = {
+    "factor": [],
+    "classify": ["--r", "R"],
+    "product": ["--r", "R"],
+    "chain": ["--r", "R"],
+    "realize": ["--r", "R"],
+    "kappa": ["--points", "8", "--trials", "1"],
+    "invert": ["--interval=-1,1", "--points", "64", "--eps-levels", "2",
+               "--eps-min", "1e-4"],
+}
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(verb=st.sampled_from(sorted(VERBS)), f=FUNCTIONS, r=ratfun_json())
+def test_cli_fuzz_exit_codes(tmp_path_factory, verb, f, r):
+    d = tmp_path_factory.getbasetemp()
+    fp, rp, out = d / "fuzz_f.json", d / "fuzz_r.json", d / "fuzz_out.json"
+    fp.write_text(json.dumps(f))
+    rp.write_text(json.dumps(r))
+    args = [verb, "--in", str(fp), "--out", str(out)]
+    args += [str(rp) if a == "R" else a for a in VERBS[verb]]
+    assert main(args) in (0, 1, 2, 3)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from nevkit.corpus import random_symmetric_ratfun
-from nevkit.errors import ConstantInput, NotNevanlinnaTau
+from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
+                           NotNevanlinnaTau, NotRationalAtoms)
 from nevkit.gnev import (GenNevFun, canonical_pair, canonical_rational,
-                         compose_gen)
+                         compose_gen, nonpositive_type_records)
 from nevkit.nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
 from nevkit.poly import Poly
@@ -140,3 +141,91 @@ def test_compose_rejects_non_herglotz():
         compose_gen(CUBE, bad)
     with pytest.raises(NotNevanlinnaTau):
         compose_gen(CUBE, RatFun.from_points([1, 2], [0]))
+
+
+P = lambda *c: Poly(list(c))   # noqa: E731  ascending coefficients
+SQRT2_SQ = P(-2, 0, 1)          # z^2 - 2
+
+
+def test_canonical_pair_even_irrational_roots():
+    f = RatFun(SQRT2_SQ ** 2 * P(0, 1), Poly.const(1))      # (z^2-2)^2 z
+    g = canonical_pair(f)
+    assert g.phi == RatFun(SQRT2_SQ ** 2, Poly.const(1))
+    assert g.q0 == Z
+    assert g.kappa == 2
+
+
+def test_canonical_rational_odd_irrational_without_type():
+    # (z^2-2)(z-1): the simple zeros at -+sqrt(2) carry no type
+    # multiplicity, so only the zero at 1 enters the factor
+    f = RatFun(SQRT2_SQ * P(-1, 1), Poly.const(1))
+    psi, s0, recs = canonical_rational(f)
+    assert psi == RatFun(P(-1, 1) ** 2, Poly.const(1))
+    assert s0 == RatFun(SQRT2_SQ, P(-1, 1))
+    assert [(r.point, r.kind, r.mult) for r in recs] == \
+        [(Fraction(1), "GZNT", 1)]
+    assert canonical_pair(f).phi == psi
+
+
+def test_canonical_split_refusals():
+    # the mixed cube carries an irrational real root and a conjugate pair
+    # in one odd-multiplicity factor
+    mixed = RatFun(P(-2, 0, 0, 1) * P(-1, 1), Poly.const(1))
+    with pytest.raises(ExactSplitUnavailable):
+        canonical_rational(mixed)
+    with pytest.raises(ExactSplitUnavailable):
+        canonical_pair(mixed)
+    # a simple irrational pole that carries type multiplicity: gamma > 0
+    # and no odd-order point above sqrt(2)
+    odd = RatFun(Poly.const(1), SQRT2_SQ)
+    with pytest.raises(ExactSplitUnavailable):
+        canonical_rational(odd)
+    with pytest.raises(ExactSplitUnavailable):
+        canonical_pair(odd)
+
+
+def _irrational_corpus(rng, n):
+    """Random symmetric functions times quadratics with irrational real
+    roots or conjugate pairs, in both the numerator and the denominator."""
+    quads = [P(-2, 0, 1), P(-3, 0, 1), P(-1, -1, 1), P(1, 0, 1),
+             P(-5, 2, 1)]
+    out = []
+    for _ in range(n):
+        f = random_symmetric_ratfun(rng, max_degree=5)
+        for _k in range(rng.randint(0, 2)):
+            q = RatFun(rng.choice(quads) ** rng.choice([1, 1, 2]),
+                       Poly.const(1))
+            f = f * q if rng.random() < 0.5 else f / q
+        if not f.is_constant:
+            out.append(f)
+    return out
+
+
+def test_canonical_rational_and_pair_agree():
+    rng = random.Random(29)
+    paired = 0
+    for f in _irrational_corpus(rng, 60):
+        try:
+            psi, s0, recs = canonical_rational(f)
+        except ExactSplitUnavailable:
+            with pytest.raises(ExactSplitUnavailable):
+                canonical_pair(f)
+            continue
+        assert psi * s0 == f and is_nevanlinna(s0)
+        assert recs == [r for r in nonpositive_type_records(f)
+                        if r.point is not INF]
+        try:
+            g = canonical_pair(f)
+        except NotRationalAtoms:
+            # the same split, but representation data needs rational poles
+            assert any(not rec.is_rational for rec in s0.real_poles)
+            continue
+        paired += 1
+        assert psi == g.phi and s0 == g.q0.to_ratfun()
+        # the finite records and the conjugate pairs account for kappa
+        zeros = sum(r.mult for r in recs if r.kind == "GZNT") + \
+            sum(b.pairs * b.mult for b in f.complex_zero_blocks)
+        poles = sum(r.mult for r in recs if r.kind == "GPNT") + \
+            sum(b.pairs * b.mult for b in f.complex_pole_blocks)
+        assert g.kappa == max(zeros, poles)
+    assert paired >= 30

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 
 from conftest import ratfuns, small_polys
 from nevkit.errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
-from nevkit.poly import Poly
+from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
+                         rational_outside)
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, reduce
 
@@ -165,3 +166,34 @@ def test_root_order_is_exact():
     crit = r.critical_points()
     assert [p for p, _m, _k in crit[:3]] == [zs[0].point, c, zs[2].point]
     assert crit[3] == (Fraction(5), 1, "pole")
+
+
+def _sign_just_right(r: RatFun, p) -> int:
+    """Sign of r at a rational point right of p with no zero or pole of r
+    in between: the sign of the leading Laurent coefficient at p."""
+    above = [c for c, _m, _k in r.critical_points() if point_cmp(c, p) > 0]
+    hi = above[0] if above else rational_outside(p)[1]
+    return r.sign_at(rational_between(p, hi))
+
+
+def test_laurent_sign_is_eta_rule_at_irrational_points():
+    s2, s3 = Poly([-2, 0, 1]), Poly([-3, 0, 1])
+    rs = [RatFun(s2 ** 2 * Poly([0, 1]), Poly.const(1)),
+          RatFun(s2 * Poly([-1, 1]) ** 3, s3 * Poly([4, 1])),
+          RatFun(-s3 ** 3, s2 ** 2 * Poly([1, 0, 1])),
+          RatFun(Poly([-1, -1, 1]) * Poly([5, 1]), s2 * Poly([-7, 2]))]
+    sqrt3 = RatFun(s3, Poly.const(1)).real_zeros[1].point
+    for r in rs:
+        points = [c for c, _m, _k in r.critical_points()] + [sqrt3]
+        assert any(isinstance(p, RealAlg) for p in points)
+        for p in points:
+            sign = r.laurent_lead_sign(p)
+            assert sign == _sign_just_right(r, p)
+            assert sign == (1 if r.gamma > 0 else -1) * \
+                (-1) ** r.eta_count(p)
+            if not isinstance(p, RealAlg):
+                v = r.laurent_lead(p)
+                assert sign == (v > 0) - (v < 0)
+        assert r.laurent_lead_sign(INF) == (1 if r.gamma > 0 else -1)
+    assert RatFun.const(0).laurent_lead_sign(Fraction(1)) == 0
+    assert RatFun.const(0).laurent_lead_sign(INF) == 0

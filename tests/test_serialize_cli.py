@@ -341,3 +341,82 @@ def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {"code": code, "sympy": sympy, "numpy": numpy}
     assert code == 0 or "ExactSplitUnavailable" in proc.stderr
+
+
+def _factor_report(tmp_path, capsys, num):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"num": num, "den": ["1"]}))
+    code = main(["factor", "--in", str(p)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_factor_records_irrational_points(tmp_path, capsys):
+    # (z^2-2)^2 z: the double zeros at -+sqrt(2) carry the whole index
+    code, rep = _factor_report(tmp_path, capsys,
+                               ["0", "4", "0", "-4", "0", "1"])
+    assert code == 0 and rep["kappa"] == 2
+    assert rep["psi"] == {"num": ["4", "0", "-4", "0", "1"], "den": ["1"]}
+    assert rep["s0"] == {"num": ["0", "1"], "den": ["1"]}
+    assert [(r["kind"], r["mult"], r["point"]["exact"])
+            for r in rep["records"]] == [("GZNT", 1, False)] * 2
+    approx = [float(Fraction(r["point"]["approx"])) for r in rep["records"]]
+    assert approx == pytest.approx([-math.sqrt(2), math.sqrt(2)])
+
+
+def test_cli_factor_splits_odd_irrational_without_type(tmp_path, capsys):
+    # (z^2-2)(z-1) = z^3 - z^2 - 2z + 2
+    code, rep = _factor_report(tmp_path, capsys, ["2", "-2", "-1", "1"])
+    assert code == 0 and rep["kappa"] == 1
+    assert rep["psi"] == {"num": ["1", "-2", "1"], "den": ["1"]}
+    assert rep["s0"] == {"num": ["-2", "0", "1"], "den": ["-1", "1"]}
+    assert rep["records"] == [{"point": "1", "kind": "GZNT", "mult": 1}]
+
+
+Q_JSON = {"alpha": "0", "beta": "1", "atoms": [{"t": "0", "w": "1"}]}
+R_JSON = {"num": ["0", "1"], "den": ["1", "0", "1"]}
+
+
+@pytest.mark.parametrize("verb,q,extra", [
+    ("chain", {"alpha": "0", "beta": "-1"}, []),                 # slope < 0
+    ("chain", {"alpha": "0", "beta": "0",
+               "atoms": [{"t": "1", "w": "-1"}]}, []),           # weight < 0
+    ("chain", {"alpha": "0", "beta": "0",
+               "atoms": [{"t": "1", "w": "1"},
+                         {"t": "1", "w": "2"}]}, []),            # duplicate
+    ("chain", {"alpha": "0", "beta": "0", "atoms": []}, []),     # zero q
+    ("classify", {"phi": {"num": ["0"], "den": ["1"]},
+                  "q0": Q_JSON}, []),                           # zero phi
+    ("classify", {"phi": {"num": ["-1"], "den": ["1"]},
+                  "q0": Q_JSON}, []),                           # phi < 0
+    ("invert", Q_JSON, ["--interval=1,0"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--points", "10"]),
+])
+def test_cli_invalid_input_is_one_error_line(tmp_path, capsys, verb, q,
+                                             extra):
+    qp, rp = tmp_path / "q.json", tmp_path / "r.json"
+    qp.write_text(json.dumps(q))
+    rp.write_text(json.dumps(R_JSON))
+    args = [verb, "--in", str(qp)] + extra
+    if verb != "invert":
+        args += ["--r", str(rp)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidInput: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q,r", [
+    # the first pole of r, the model anchor, is irrational
+    ({"alpha": "0", "beta": "0", "atoms": [{"t": "1/2", "w": "1"}]},
+     {"num": ["2", "2", "-2"], "den": ["2", "2", "-3/2", "1/2"]}),
+    # the last zero of r, the anchor of the transferred model, is 1+sqrt(2)
+    ({"alpha": "1", "beta": "1", "atoms": []},
+     {"num": ["1", "2", "-1"], "den": ["1", "-1", "-2"]}),
+])
+def test_cli_realize_refuses_irrational_anchor(tmp_path, capsys, q, r):
+    qp, rp = tmp_path / "q.json", tmp_path / "r.json"
+    qp.write_text(json.dumps(q))
+    rp.write_text(json.dumps(r))
+    assert main(["realize", "--in", str(qp), "--r", str(rp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
