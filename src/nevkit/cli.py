@@ -19,8 +19,8 @@ import sys
 from . import serialize as ser
 from .classify import (chain_factorize, check_N00, kac_closure, membership,
                        product_factorization)
-from .errors import (InvariantViolation, NevkitError, ParseError,
-                     SchemaMismatch)
+from .errors import (InvalidInput, InvariantViolation, NevkitError,
+                     ParseError, SchemaMismatch)
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
 from .qmath import INF, fmt_rat, parse_rat
@@ -165,6 +165,8 @@ def cmd_invert(args) -> tuple[int, dict]:
     if len(parts) != 2:
         raise ParseError("interval must be LO,HI")
     lo, hi = parse_rat(parts[0]), parse_rat(parts[1])
+    if not 0 < args.eps_min < float("inf"):
+        raise InvalidInput("--eps-min must be finite and positive")
     levels = args.eps_levels
     top = 1e-2
     ratio = (args.eps_min / top) ** (1.0 / max(levels - 1, 1))

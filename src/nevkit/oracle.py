@@ -47,14 +47,16 @@ class KernelSample:
 
 
 def build_kernel_sample(f: Evaluator, points: np.ndarray) -> KernelSample:
-    vals = f(points)
-    z = points[:, None]
-    w = points[None, :]
+    return KernelSample(points, _gram(points, f(points)))
+
+
+def _gram(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Hermitian part of the kernel (f(z) - f(w)*)/(z - w*) at the points,
+    given the values of f there."""
     num = vals[:, None] - np.conj(vals)[None, :]
-    den = z - np.conj(w)
+    den = points[:, None] - np.conj(points)[None, :]
     gram = num / den
-    gram = (gram + gram.conj().T) / 2
-    return KernelSample(points, gram)
+    return (gram + gram.conj().T) / 2
 
 
 def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -85,29 +87,34 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
                             seed: int = 0, tol_rel: float = 1e-9):
     """As negative_squares, but also returns the per-trial lower eigenvalue
     tails of the balanced kernel for reporting."""
+    if n_points < 1 or trials < 1:
+        raise InvalidInput("need at least one point and one trial")
+    if not np.isfinite(tol_rel) or tol_rel < 0:
+        raise InvalidInput("tolerance must be finite and nonnegative")
+    if seed < 0:
+        raise InvalidInput("seed must be nonnegative")
     ev = as_evaluator(f)
-    best = 0
-    tails = []
+    balanced = []
     for trial in range(trials):
         rng = np.random.default_rng(seed * 1_000_003 + trial)
-        pts = None
         for _attempt in range(64):
-            cand = _sample_points(rng, n_points)
-            vals = ev(cand)
+            pts = _sample_points(rng, n_points)
+            vals = ev(pts)
             good = np.isfinite(vals) & (np.abs(vals) < 1e100)
             if bool(np.all(good)):
-                pts = cand
                 break
-        if pts is None:
+        else:
             raise EvaluationFailure("sampling kept hitting poles or overflow")
-        ks = build_kernel_sample(ev, pts)
+        gram = _gram(pts, vals)
         # positive diagonal congruence preserves the signature and tames the
         # dynamic range before thresholding
-        d = np.sqrt(np.abs(np.diag(ks.gram)) + 1e-30)
-        balanced = ks.gram / np.outer(d, d)
-        norm_inf = float(np.max(np.sum(np.abs(balanced), axis=1)))
+        d = np.sqrt(np.abs(np.diag(gram)) + 1e-30)
+        balanced.append(gram / np.outer(d, d))
+    best = 0
+    tails = []
+    for b, eigs in zip(balanced, np.linalg.eigvalsh(np.stack(balanced))):
+        norm_inf = float(np.max(np.sum(np.abs(b), axis=1)))
         thresh = -tol_rel * max(norm_inf, 1.0)
-        eigs = np.linalg.eigvalsh(balanced)
         count = int(np.sum(eigs < thresh))
         tails.append([float(x) for x in eigs[:max(count + 2, 4)]])
         best = max(best, count)
@@ -124,6 +131,8 @@ class InversionConfig:
         eps = tuple(float(e) for e in self.eps_schedule)
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not eps:
             raise InvalidInput("schedule must decrease strictly")
+        if not all(0 < e < np.inf for e in eps):
+            raise InvalidInput("offset levels must be finite and positive")
         if self.quadrature_points < 64:
             raise InvalidInput("need at least 64 quadrature points")
 
@@ -182,12 +191,7 @@ def _level_integral(ev, phi_ev, c: float, d: float, eps: float,
         total += float(np.trapezoid(vals * jac, th))
         gs = np.abs(vals)
         top = float(np.max(gs))
-        if top > 0:
-            for i in range(len(xs)):
-                left_ok = i == 0 or gs[i] >= gs[i - 1]
-                right_ok = i == len(xs) - 1 or gs[i] >= gs[i + 1]
-                if left_ok and right_ok and gs[i] > 0.005 * top:
-                    refined.append(float(xs[i]))
+        refined.extend(xs[_local_maxima(gs, 0.005 * top)].tolist())
         cursor = hi
     if cursor < d:
         xs = np.linspace(cursor, d, n)
@@ -196,6 +200,15 @@ def _level_integral(ev, phi_ev, c: float, d: float, eps: float,
         xs = np.linspace(c, d, n)
         total = float(np.trapezoid(integrand(xs), xs))
     return total, refined
+
+
+def _local_maxima(g: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the samples above floor that are no smaller than their
+    neighbours; an end sample has only one neighbour.  NaN is never kept."""
+    keep = g > floor
+    keep[1:] &= g[1:] >= g[:-1]
+    keep[:-1] &= g[:-1] >= g[1:]
+    return keep
 
 
 def _detect_peaks(ev, phi_ev, c: float, d: float, eps: float,
@@ -207,14 +220,8 @@ def _detect_peaks(ev, phi_ev, c: float, d: float, eps: float,
         v = v * phi_ev(z)
     g = np.abs(np.imag(v)) / np.pi
     scale = max(float(np.median(g)), 1e-12)
-    peaks = []
-    for i in range(len(xs)):
-        left_ok = i == 0 or g[i] >= g[i - 1]
-        right_ok = i == len(xs) - 1 or g[i] >= g[i + 1]
-        if left_ok and right_ok and g[i] > 20 * scale:
-            peaks.append(float(xs[i]))
     merged = []
-    for p in peaks:
+    for p in xs[_local_maxima(g, 20 * scale)].tolist():
         if merged and abs(p - merged[-1]) < 10 * eps:
             continue
         merged.append(p)
@@ -227,6 +234,8 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     (interior mass plus half the endpoint masses) by shrinking the boundary
     offset along the schedule and extrapolating the linear-in-offset error.
     """
+    if not np.isfinite(tol) or tol < 0:
+        raise InvalidInput("tolerance must be finite and nonnegative")
     ev = as_evaluator(f)
     phi_ev = None
     if phi is not None:

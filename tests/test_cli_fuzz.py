@@ -1,6 +1,7 @@
 """Schema-valid but adversarial JSON through every verb of the CLI: small
 degrees, duplicate, zero and negative data.  Whatever the input, ``main``
-returns a documented exit code and no exception escapes it."""
+returns a documented exit code and no exception escapes it.  The numeric
+flags of ``kappa`` and ``invert`` get the same treatment."""
 
 import json
 from datetime import timedelta
@@ -61,3 +62,57 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, verb, f, r):
     args = [verb, "--in", str(fp), "--out", str(out)]
     args += [str(rp) if a == "R" else a for a in VERBS[verb]]
     assert main(args) in (0, 1, 2, 3)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+# nan, infinities, zeros, negatives and the extremes of the float range
+FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-5",
+                     "1e-300", "5e-324", "1e-2", "0.5", "1e308"]),
+    st.floats().map(repr))
+
+# kappa --points stays <= 256 and invert --points <= 8192, so that no example
+# allocates much memory
+NUMERIC_FLAGS = {
+    "kappa": {"--points": st.integers(-3, 256).map(str),
+              "--trials": st.integers(-2, 6).map(str),
+              "--seed": st.integers(-3, 2**40).map(str),
+              "--tol": FLOATS},
+    "invert": {"--points": st.integers(-5, 8192).map(str),
+               "--eps-min": FLOATS,
+               "--eps-levels": st.integers(-1, 5).map(str),
+               "--tol": FLOATS},
+}
+
+
+@st.composite
+def numeric_args(draw):
+    verb = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flags = NUMERIC_FLAGS[verb]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    return verb, [f"{flag}={draw(flags[flag])}" for flag in chosen]
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(case=numeric_args())
+def test_cli_fuzz_numeric_flags(tmp_path_factory, capsys, case):
+    verb, flags = case
+    fp = tmp_path_factory.getbasetemp() / "fuzz_numeric.json"
+    # (z^3 - 2z)/(1 - z^2) has index 3; the NevFun -1/z has a unit atom at 0
+    fp.write_text(json.dumps(
+        {"num": ["0", "-2", "0", "1"], "den": ["1", "0", "-1"]}
+        if verb == "kappa" else
+        {"alpha": "0", "beta": "0", "atoms": [{"t": "0", "w": "1"}]}))
+    args = [verb, "--in", str(fp)] + flags
+    if verb == "invert":
+        args.append("--interval=-1,1")
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)

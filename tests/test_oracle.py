@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nevkit.corpus import random_nevfun
+from nevkit.corpus import random_nevfun, random_symmetric_ratfun
+from nevkit.errors import InvalidInput
 from nevkit.nevfun import NevFun
-from nevkit.oracle import (InversionConfig, build_kernel_sample, gap_detect,
-                           negative_squares, stieltjes_invert)
+from nevkit.oracle import (InversionConfig, _local_maxima, _sample_points,
+                           build_kernel_sample, gap_detect, negative_squares,
+                           negative_squares_report, stieltjes_invert)
 from nevkit.poly import Poly
 from nevkit.ratfun import RatFun
 
@@ -104,3 +108,88 @@ def test_phi_pole_rejected():
     cfg = InversionConfig(interval=(Fraction(-1), Fraction(1)))
     with pytest.raises(ValueError):
         stieltjes_invert(MINUS_INV, cfg, phi=phi)
+
+
+def _local_maxima_loop(g, floor):
+    """The per-sample scan the peak mask replaced, kept as its reference."""
+    keep = []
+    for i in range(len(g)):
+        left_ok = i == 0 or g[i] >= g[i - 1]
+        right_ok = i == len(g) - 1 or g[i] >= g[i + 1]
+        keep.append(bool(left_ok and right_ok and g[i] > floor))
+    return keep
+
+
+# few distinct values, so that plateaus and ties are common
+SAMPLES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5, float("nan")])
+
+
+@given(g=st.lists(SAMPLES, min_size=1, max_size=12),
+       floor=st.sampled_from([-1.0, 0.0, 0.75, 2.0, 10.0, float("nan")]))
+def test_local_maxima_matches_loop(g, floor):
+    g = np.array(g)
+    assert _local_maxima(g, floor).tolist() == _local_maxima_loop(g, floor)
+
+
+def test_local_maxima_edges():
+    assert _local_maxima(np.array([1.0]), 0.0).tolist() == [True]
+    assert _local_maxima(np.array([1.0]), 1.0).tolist() == [False]
+    assert _local_maxima(np.array([2.0, 2.0]), 0.0).tolist() == [True, True]
+    assert _local_maxima(np.array([1.0, 2.0]), 0.0).tolist() == [False, True]
+    assert _local_maxima(np.array([1.0, np.nan, 1.0]), 0.0).tolist() == \
+        [False] * 3
+
+
+def _report_per_trial(f, n_points, trials, seed, tol_rel):
+    """negative_squares_report with one kernel and one eigvalsh per trial,
+    as it was before the trials were stacked."""
+    best, tails = 0, []
+    for trial in range(trials):
+        rng = np.random.default_rng(seed * 1_000_003 + trial)
+        for _attempt in range(64):
+            pts = _sample_points(rng, n_points)
+            vals = f.eval_np(pts)
+            if bool(np.all(np.isfinite(vals) & (np.abs(vals) < 1e100))):
+                break
+        ks = build_kernel_sample(f.eval_np, pts)
+        d = np.sqrt(np.abs(np.diag(ks.gram)) + 1e-30)
+        balanced = ks.gram / np.outer(d, d)
+        norm_inf = float(np.max(np.sum(np.abs(balanced), axis=1)))
+        eigs = np.linalg.eigvalsh(balanced)
+        count = int(np.sum(eigs < -tol_rel * max(norm_inf, 1.0)))
+        tails.append([float(x) for x in eigs[:max(count + 2, 4)]])
+        best = max(best, count)
+    return best, tails
+
+
+def test_stacked_count_equals_per_trial_reference():
+    readme = RatFun(Poly([0, 4, -4, 1]), Poly([-3, 7, -5, 1]))
+    assert negative_squares_report(readme, seed=1) == \
+        _report_per_trial(readme, 40, 5, 1, 1e-9)
+    rng = random.Random(1001)
+    for _ in range(20):
+        f = random_symmetric_ratfun(rng, max_degree=8)
+        assert negative_squares_report(f, 40, 5, 12345) == \
+            _report_per_trial(f, 40, 5, 12345, 1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_points": 0}, {"n_points": -3}, {"trials": 0},
+    {"tol_rel": float("nan")}, {"tol_rel": float("inf")}, {"tol_rel": -1.0},
+    {"seed": -1},
+])
+def test_negative_squares_rejects_bad_settings(kwargs):
+    with pytest.raises(InvalidInput):
+        negative_squares_report(MINUS_INV, **kwargs)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+def test_inversion_config_rejects_bad_levels(eps):
+    with pytest.raises(InvalidInput):
+        InversionConfig(eps_schedule=(eps,))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_inversion_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidInput):
+        stieltjes_invert(MINUS_INV, InversionConfig(), tol=tol)

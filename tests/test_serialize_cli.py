@@ -390,6 +390,17 @@ R_JSON = {"num": ["0", "1"], "den": ["1", "0", "1"]}
                   "q0": Q_JSON}, []),                           # phi < 0
     ("invert", Q_JSON, ["--interval=1,0"]),
     ("invert", Q_JSON, ["--interval=-1,1", "--points", "10"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--eps-min=-1e-5"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--eps-min=0"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--eps-min=nan"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--tol=nan"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--tol=-1"]),
+    ("kappa", Q_JSON, ["--points=0"]),
+    ("kappa", Q_JSON, ["--points=-3"]),
+    ("kappa", Q_JSON, ["--trials=0"]),
+    ("kappa", Q_JSON, ["--tol=nan"]),
+    ("kappa", Q_JSON, ["--tol=inf"]),
+    ("kappa", Q_JSON, ["--seed=-1"]),
 ])
 def test_cli_invalid_input_is_one_error_line(tmp_path, capsys, verb, q,
                                              extra):
@@ -397,7 +408,7 @@ def test_cli_invalid_input_is_one_error_line(tmp_path, capsys, verb, q,
     qp.write_text(json.dumps(q))
     rp.write_text(json.dumps(R_JSON))
     args = [verb, "--in", str(qp)] + extra
-    if verb != "invert":
+    if verb not in ("invert", "kappa"):
         args += ["--r", str(rp)]
     assert main(args) == 1
     err = capsys.readouterr().err
