@@ -379,8 +379,9 @@ def _herglotz_parts(f: RatFun):
         raise NotNevanlinna("negative slope at infinity")
     c0 = q.c[0] if not q.is_zero else Fraction(0)
     den = f.den
+    dp = den.deriv()
     if den.degree > 0:
-        if gcd(den, den.deriv()).degree > 0:
+        if gcd(den, dp).degree > 0:
             raise NotNevanlinna("multiple pole")
         if count_real_roots(den) != den.degree:
             raise NotNevanlinna("nonreal pole")
@@ -389,7 +390,6 @@ def _herglotz_parts(f: RatFun):
         t = recd.point
         # residue of rem/den at t is rem(t)/den'(t); need it negative, so
         # weight w = -residue is positive
-        dp = den.deriv()
         if isinstance(t, Fraction):
             resid = rem.eval_q(t) / dp.eval_q(t)
             if resid >= 0:

@@ -1,7 +1,9 @@
 """Dense univariate polynomials over the exact rationals.
 
 Provides the arithmetic, gcd and square-free machinery the rational-function
-layer builds on, plus certified real-root location: Sturm bisection on the
+layer builds on, with integer kernels for products (one convolution of the
+integer numerators) and gcds (a primitive remainder sequence), plus
+certified real-root location: Sturm bisection on the
 primitive integer form of a polynomial finds its rational roots exactly and
 isolates the remaining real roots into rational intervals, represented as
 lazy :class:`RealAlg` values, which refine their interval only as far as an
@@ -141,13 +143,15 @@ class Poly:
             return Poly([k * x for x in self.c])
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                out[i + j] += a * b
-        return Poly(out)
+        da, a = _int_form(self)
+        db, b = _int_form(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return Poly([Fraction(x, den) for x in out])
 
     __rmul__ = __mul__
 
@@ -170,7 +174,7 @@ class Poly:
         r = list(self.c)
         dlead = other.lead
         dn = len(other.c)
-        while len(r) >= dn and any(x != 0 for x in r):
+        while len(r) >= dn:
             while r and r[-1] == 0:
                 r.pop()
             if len(r) < dn:
@@ -185,9 +189,6 @@ class Poly:
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero or self.lead == 1:
@@ -248,12 +249,13 @@ class Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic polynomial gcd."""
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
+    """Monic polynomial gcd (zero for a = b = 0): the last nonzero term of
+    the primitive remainder sequence (Brown 1971) of the primitive integer
+    forms of a and b, so no Fraction enters the loop."""
+    a, b = _primitive_int(a), _primitive_int(b)
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return Poly(a).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -321,10 +323,16 @@ def _primitive(ints: Sequence[int]) -> IntPoly:
     return tuple(x // g for x in ints)
 
 
+def _int_form(p: Poly) -> tuple[int, list[int]]:
+    """(d, ints): the least common denominator d of the coefficients of p
+    and the integer numerators of d * p."""
+    den = math.lcm(*(c.denominator for c in p.c))
+    return den, [c.numerator * (den // c.denominator) for c in p.c]
+
+
 def _primitive_int(p: Poly) -> IntPoly:
     """The primitive integer polynomial that is a positive multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.c))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.c])
+    return _primitive(_int_form(p)[1])
 
 
 def _sign_at(a: IntPoly, u: int, v: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_polys
+from conftest import rationals, small_polys
 import nevkit.poly
 from nevkit.errors import ExactSplitUnavailable
 from nevkit.gnev import canonical_pair, canonical_rational
@@ -36,11 +36,81 @@ def test_divmod_property(a, b):
     assert q * b + r == a
 
 
-def test_gcd_common_factor():
-    common = Poly.from_roots([Fraction(1, 2), -3])
-    a = common * Poly.from_roots([5], lead=7)
-    b = common * Poly.from_roots([4], lead=-2)
-    assert gcd(a, b) == common.monic()
+def _schoolbook(a, b):
+    """Product of a and b by the Fraction schoolbook rule, the reference
+    for Poly.__mul__."""
+    out = [Fraction(0)] * (len(a.c) + len(b.c))
+    for i, x in enumerate(a.c):
+        for j, y in enumerate(b.c):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over the rationals, the reference
+    for gcd."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def _some_polys(max_degree):
+    """Polynomials with unlike denominators, the zero polynomial and
+    constants included."""
+    return st.one_of(st.just(Poly()), rationals(8, 5).map(Poly.const),
+                     st.lists(rationals(9, 7), min_size=1,
+                              max_size=max_degree + 1).map(Poly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_some_polys(3), _some_polys(4), _some_polys(2), rationals(5, 4),
+       rationals(5, 4))
+@example(common=Poly.from_roots([Fraction(1, 2), -3]),
+         u=Poly.from_roots([5], lead=7), v=Poly.from_roots([4], lead=-2),
+         ku=Fraction(1), kv=Fraction(1))
+@example(common=Poly(), u=Poly(), v=Poly(), ku=Fraction(1), kv=Fraction(1))
+@example(common=Poly.const(1), u=Poly(), v=P(Fraction(-2, 3), 0, 5),
+         ku=Fraction(1), kv=Fraction(-3, 2))
+@example(common=P(1, Fraction(1, 3)), u=Poly.const(-4), v=P(0, 2),
+         ku=Fraction(-1), kv=Fraction(2, 3))
+def test_gcd_common_factor(common, u, v, ku, kv):
+    """gcd equals the Fraction-Euclid gcd in both argument orders, and a
+    shared factor divides it."""
+    a = _schoolbook(common, u) * ku
+    b = _schoolbook(common, v) * kv
+    want = _euclid_gcd(a, b)
+    assert gcd(a, b) == want
+    assert gcd(b, a) == want
+    assert want.is_zero or want.lead == 1
+    if not want.is_zero and not common.is_zero:
+        assert want.divmod(common)[1].is_zero
+
+
+def test_gcd_runs_no_fraction_division(monkeypatch):
+    calls = []
+    divmod_ = Poly.divmod
+
+    def counted(self, other):
+        calls.append(1)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", counted)
+    common = P(-2, 0, 3)
+    assert gcd(P(1, 2, 3), P(-5, 0, 0, Fraction(1, 7))) == Poly.const(1)
+    assert gcd(_schoolbook(common, P(1, 4)),
+               _schoolbook(common, P(Fraction(2, 3), 0, -1))) \
+        == common.monic()
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_some_polys(4), _some_polys(3), rationals(9, 7))
+def test_mul_matches_schoolbook(a, b, k):
+    assert a * b == _schoolbook(a, b)
+    assert b * a == _schoolbook(a, b)
+    assert a * k == _schoolbook(a, Poly.const(k))
+    assert k * a == a * k
+    assert (a * 3).c == tuple(3 * x for x in a.c)
 
 
 def test_squarefree_decomposition():
