@@ -132,22 +132,25 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     q_rat = q.to_ratfun()
     g_rat = s * q_rat
 
+    # orders add and leading signs multiply; the roots of s and q are
+    # known, while those of g_rat would have to be isolated afresh
+    def order(p) -> int:
+        return s.ord_at(p) + q_rat.ord_at(p)
+
     def lead_sign(p) -> int:
-        # leading signs multiply; the roots of s and q are known, while
-        # those of g_rat would have to be isolated afresh
         return s.laurent_lead_sign(p) * q_rat.laurent_lead_sign(p)
 
     psi_num = Poly.const(1)
     psi_den = Poly.const(1)
     for rec in s.real_zeros:       # at most one
         a = rec.point
-        e = g_rat.ord_at(a)
+        e = order(a)
         pi = _zero_type_mult(max(e, 0), lead_sign(a))
         if pi:
             psi_num = psi_num * Poly([-a, 1]) ** (2 * pi)
     for rec in s.real_poles:       # at most one
         b = rec.point
-        e = g_rat.ord_at(b)
+        e = order(b)
         ka = _pole_type_mult(max(-e, 0), lead_sign(b))
         if ka:
             psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
@@ -220,8 +223,8 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
 def negative_closed_pieces(f: RatFun) -> list[tuple]:
     """Closure in the real line of the set where f is negative, as closed
     intervals (lo, hi) with NEG_INF / INF allowed as endpoints."""
-    return [(seg.lo, seg.hi) for seg in f.sign_on_interval().segments
-            if seg.sign < 0]
+    return [(seg.lo, seg.hi)
+            for seg in f.sign_on_interval().negative_segments()]
 
 
 def _ext_le(x, y) -> bool:
@@ -325,8 +328,7 @@ def _order_one_clause(q: NevFun, r: RatFun, point, is_zero: bool) -> bool:
     side = "-" if iota > 0 else "+"
     if isinstance(point, RealAlg):
         # atoms are rational, so q is regular at an irrational point
-        qr = q.to_ratfun()
-        val_sign = point.sign_of(qr.num) * point.sign_of(qr.den)
+        val_sign = q.to_ratfun().sign_at(point)
         if is_zero:
             return iota * val_sign > 0
         return iota * val_sign <= 0
@@ -428,7 +430,7 @@ def _interval_form(q: NevFun, s: RatFun) -> bool:
 def _negative_components(s: RatFun):
     """Maximal arcs of the extended line where s is negative."""
     comps = []
-    neg = [seg for seg in s.sign_on_interval().segments if seg.sign < 0]
+    neg = s.sign_on_interval().negative_segments()
     left_unb = next((seg for seg in neg if seg.lo is NEG_INF), None)
     right_unb = next((seg for seg in neg if seg.hi is INF), None)
     wrap = (left_unb is not None and right_unb is not None
@@ -590,8 +592,9 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
 def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     """Factors for one bounded maximal negative interval: paired interior
     factors, the endpoint factors, then the paired factors again."""
+    q_rat = q.to_ratfun()
     atoms_in = [t for t in q.sigma.positions if a < t < b]
-    zero_recs = [rec for rec in q.to_ratfun().real_zeros
+    zero_recs = [rec for rec in q_rat.real_zeros
                  if strictly_between(rec.point, a, b)]
     for rec in zero_recs:
         if not rec.is_rational:
@@ -618,7 +621,7 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     tilde = [RatFun.from_points([beta], [alpha]) for beta, alpha in pair_iter]
 
     if not seq:
-        sgn = q.to_ratfun().sign_at(_gap_sample(q, a, b))
+        sgn = q_rat.sign_at(q_rat._sample_inside(a, b))
         if sgn > 0:
             expect = ("pole", "zero")
             ends = [RatFun.from_points([b], [a])]
@@ -646,10 +649,6 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
         raise NotInClass(f"endpoint kinds {got} do not match the interior "
                          f"pattern {expect}")
     return list(tilde) + ends + list(tilde)
-
-
-def _gap_sample(q: NevFun, a, b) -> Fraction:
-    return q.to_ratfun()._sample_inside(a, b)
 
 
 def _degenerate_chain(q: NevFun, r: RatFun) -> list[RatFun]:

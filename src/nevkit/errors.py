@@ -74,10 +74,6 @@ class NonConvergent(NevkitError):
     """Successive inversion levels disagree beyond tolerance."""
 
 
-class BadPrecision(NevkitError):
-    """NEVKIT_PRECISION is not a positive rational."""
-
-
 class InvariantViolation(NevkitError):
     """An exact identity that the algorithms guarantee failed to hold: a
     defect in nevkit, not in its input."""

@@ -96,7 +96,7 @@ class NevFun:
         """Positive rescaling, again a Nevanlinna function."""
         c = rat(c)
         if c <= 0:
-            raise ValueError("scale factor must be positive")
+            raise InvalidInput("scale factor must be positive")
         return NevFun(self.alpha * c, self.beta * c,
                       AtomicMeasure(tuple((t, w * c) for t, w in self.sigma)))
 
@@ -113,14 +113,9 @@ class NevFun:
                 acc = acc + (QC.of(w) / (QC.of(t) - z)
                              - QC.of(w * t / (1 + t * t)))
             return acc
-        if isinstance(z, complex):
-            acc = float(self.alpha) + float(self.beta) * z
-            for t, w in self.sigma:
-                tf, wf = float(t), float(w)
-                acc += wf / (tf - z) - wf * tf / (1 + tf * tf)
-            return acc
         np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
-        if np is not None and isinstance(z, np.ndarray):
+        if isinstance(z, complex) or (np is not None
+                                      and isinstance(z, np.ndarray)):
             acc = float(self.alpha) + float(self.beta) * z
             for t, w in self.sigma:
                 tf, wf = float(t), float(w)
@@ -203,7 +198,7 @@ class NevFun:
             for t, w in self.sigma:
                 acc += w / (t - c) ** 2
             return LimitValue.finite(acc)
-        raise ValueError(f"unknown limit mode {mode!r}")
+        raise InvalidInput(f"unknown limit mode {mode!r}")
 
     def _limit_at_inf(self, mode, c, side) -> LimitValue:
         direction = side if side is not None else ("-" if c is NEG_INF else None)
@@ -227,7 +222,7 @@ class NevFun:
             if val.value != 0:
                 return LIM_INF
             return LimitValue.finite(-self.sigma.total_mass())
-        raise ValueError(f"unknown limit mode {mode!r}")
+        raise InvalidInput(f"unknown limit mode {mode!r}")
 
     # -- Kac-Donoghue classes ------------------------------------------------------------
     def kac_membership(self, xi) -> bool:
@@ -243,7 +238,7 @@ class NevFun:
         if shape == "bounded_gap":
             d = rat(d)
             if not c < d:
-                raise ValueError("need c < d")
+                raise InvalidInput("need c < d")
             offenders = [t for t in self.sigma.positions if c < t < d]
             if offenders:
                 raise GapViolated("atoms inside the gap", offenders)
@@ -262,7 +257,7 @@ class NevFun:
         if shape == "complement_gap":
             d = rat(d)
             if not c < d:
-                raise ValueError("need c < d")
+                raise InvalidInput("need c < d")
             offenders = [t for t in self.sigma.positions if not c <= t <= d]
             if offenders or self.beta > 0:
                 msg = ("atoms outside the compact interval" if offenders
@@ -300,7 +295,7 @@ class NevFun:
                 q_tilde2 = nevfun_from_ratfun(f2)
             return CharacterizationReport("left_ray", True, True, eta,
                                           q_tilde, None, eta2, q_tilde2)
-        raise ValueError(f"unknown gap shape {shape!r}")
+        raise InvalidInput(f"unknown gap shape {shape!r}")
 
     def corollary_products(self, c, d=INF) -> "ProductMembership":
         """Exact decision of the four bounded-gap product memberships, or the
@@ -380,11 +375,11 @@ def _herglotz_parts(f: RatFun):
     c0 = q.c[0] if not q.is_zero else Fraction(0)
     den = f.den
     dp = den.deriv()
-    if den.degree > 0:
-        if gcd(den, dp).degree > 0:
-            raise NotNevanlinna("multiple pole")
-        if count_real_roots(den) != den.degree:
-            raise NotNevanlinna("nonreal pole")
+    # deg den distinct real roots leave no room for a multiple one; the gcd
+    # only chooses the message
+    if count_real_roots(den) != den.degree:
+        raise NotNevanlinna("multiple pole" if gcd(den, dp).degree > 0
+                            else "nonreal pole")
     pairs = []
     for recd in f.real_poles:
         t = recd.point

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import BadPrecision
+from .errors import InvalidInput
 from .qmath import QC, rat
 
-#: default resolution of the emitted approximations of irrational points
+#: resolution w of the emitted approximations of irrational points: an
+#: irrational x is emitted as (floor(x/w) + 1/2) * w
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 
 #: number of polynomials whose root structure is kept by real_root_structure
@@ -37,25 +37,6 @@ ROOT_STRUCTURE_CACHE_SIZE = 1024
 
 #: number of polynomials whose Sturm chain is kept by sturm_chain
 STURM_CHAIN_CACHE_SIZE = 1024
-
-
-def isolation_width() -> Fraction:
-    """Resolution w of emitted approximations: an irrational x is emitted
-    as (floor(x/w) + 1/2) * w.  Overridable through NEVKIT_PRECISION (e.g.
-    "1/2**80" is not accepted; use a plain rational such as
-    "1/1208925819614629174706176").  A malformed or nonpositive value raises
-    BadPrecision."""
-    env = os.environ.get("NEVKIT_PRECISION")
-    if not env:
-        return DEFAULT_ISOLATION_WIDTH
-    try:
-        width = Fraction(env)
-    except (ValueError, ZeroDivisionError):
-        raise BadPrecision(f"NEVKIT_PRECISION {env!r} is not a rational") \
-            from None
-    if width <= 0:
-        raise BadPrecision(f"NEVKIT_PRECISION {env!r} is not positive")
-    return width
 
 
 class Poly:
@@ -157,7 +138,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidInput("negative power of a polynomial")
         out = Poly.const(1)
         base = self
         while n:
@@ -268,8 +249,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     p = p.monic()
     d = p.deriv()
     a = gcd(p, d)
-    b = p // a
-    c = d // a
+    # a gcd of degree 0 is the constant 1, so its divisions are skipped
+    b, c = (p // a, d // a) if a.degree > 0 else (p, d)
     out = []
     i = 1
     while b.degree > 0:
@@ -277,8 +258,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         g = gcd(b, d2)
         if g.degree > 0:
             out.append((g, i))
-        b = b // g
-        c = d2 // g
+            b, c = b // g, d2 // g
+        else:
+            c = d2
         i += 1
     return out
 
@@ -579,13 +561,15 @@ class RealAlg:
     def cmp_alg(self, other: "RealAlg") -> int:
         if self is other:
             return 0
-        g = gcd(self.p, other.p)
+        g = None    # needed only once the boxes overlap
         while True:
             (alo, ahi), (blo, bhi) = self.box, other.box
             if ahi <= blo:
                 return -1
             if bhi <= alo:
                 return 1
+            if g is None:
+                g = gcd(self.p, other.p)
             lo, hi = max(alo, blo), min(ahi, bhi)
             # a root of g in the overlap is the one root of each p there
             if (g.degree > 0
@@ -708,10 +692,10 @@ def rational_between(a: RPoint, b: RPoint) -> Fraction:
     if not (isinstance(a, RealAlg) or isinstance(b, RealAlg)):
         a, b = rat(a), rat(b)
         if not a < b:
-            raise ValueError("need a < b")
+            raise InvalidInput("need a < b")
         return (a + b) / 2
     if point_cmp(a, b) >= 0:
-        raise ValueError("need a < b")
+        raise InvalidInput("need a < b")
     w = Fraction(1)
     while True:
         # cand is the least multiple of w above a
@@ -735,7 +719,7 @@ def rational_outside(p: RPoint) -> tuple[Fraction, Fraction]:
 def compose_fractional(p: Poly, num: Poly, den: Poly, pad_to: int) -> Poly:
     """p(num/den) * den**pad_to as a polynomial; requires pad_to >= deg p."""
     if pad_to < p.degree:
-        raise ValueError("pad_to must be at least deg p")
+        raise InvalidInput("pad_to must be at least deg p")
     if p.is_zero:
         return Poly()
     acc = Poly()

@@ -4,7 +4,9 @@ A :class:`RatFun` is a reduced pair of Fraction-coefficient polynomials with
 bookkeeping for its zeros and poles on the extended real line: rational
 points are exact, irrational real points are certified isolating intervals,
 and conjugate-pair blocks are tracked by count only (they never take part in
-sign decisions).  The point at infinity is first class: the zero or pole
+sign decisions).  The finite real zeros and poles form one ordered table,
+:meth:`RatFun.critical_points`, which every local query (orders, eta counts,
+sign segments) reads.  The point at infinity is first class: the zero or pole
 multiplicity there is the degree imbalance.
 """
 
@@ -54,7 +56,7 @@ class SignReport:
 class RatFun:
     """Reduced rational function; den is monic and coprime with num."""
 
-    __slots__ = ("num", "den", "_roots_num", "_roots_den")
+    __slots__ = ("num", "den", "_roots_num", "_roots_den", "_crit")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -70,6 +72,7 @@ class RatFun:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_roots_num", None)
         object.__setattr__(self, "_roots_den", None)
+        object.__setattr__(self, "_crit", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -239,24 +242,50 @@ class RatFun:
         return out
 
     # -- local structure ------------------------------------------------------------
+    def critical_points(self) -> tuple[tuple[RPoint, int, str], ...]:
+        """Finite real zeros and poles merged in ascending order as
+        (point, mult, kind): the one table every local query reads, built
+        once per instance from the two root structures."""
+        if self._crit is None:
+            items = ([(r.point, r.mult, "zero")
+                      for r in self._num_roots().real]
+                     + [(r.point, r.mult, "pole")
+                        for r in self._den_roots().real])
+            items.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
+            object.__setattr__(self, "_crit", tuple(items))
+        return self._crit
+
+    def _locate(self, x) -> tuple[int, bool]:
+        """(i, hit): i is the index of the first critical point not below
+        x, hit whether that point equals x.  x is a real point or one of
+        NEG_INF and INF."""
+        crit = self.critical_points()
+        if x is NEG_INF:
+            return 0, False
+        if x is INF:
+            return len(crit), False
+        lo, hi = 0, len(crit)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c = point_cmp(crit[mid][0], x)
+            if c == 0:
+                return mid, True
+            if c < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo, False
+
     def ord_at(self, point: Point) -> int:
         """Order at a point: k > 0 for a zero of order k, k < 0 for a pole,
         0 when regular and nonzero."""
         if point is INF:
             return self.ord_at_inf()
-        if isinstance(point, RealAlg):
-            for rec in self.real_zeros:
-                if isinstance(rec.point, RealAlg) and point.cmp_alg(rec.point) == 0:
-                    return rec.mult
-            for rec in self.real_poles:
-                if isinstance(rec.point, RealAlg) and point.cmp_alg(rec.point) == 0:
-                    return -rec.mult
+        i, hit = self._locate(point)
+        if not hit:
             return 0
-        point = rat(point)
-        m = self.num.root_multiplicity(point)
-        if m:
-            return m
-        return -self.den.root_multiplicity(point)
+        _p, m, kind = self.critical_points()[i]
+        return m if kind == "zero" else -m
 
     def laurent_lead(self, point: Point) -> Fraction:
         """Exact coefficient c with f ~ c (z-a)^ord near a rational a, or
@@ -293,39 +322,33 @@ class RatFun:
         v = self.num.eval_q(rat(point)) / v_den
         return 0 if v == 0 else (-1 if v < 0 else 1)
 
-    # -- ordered critical points -------------------------------------------------------
-    def critical_points(self) -> list[tuple[RPoint, int, str]]:
-        """Finite real zeros and poles merged in ascending order as
-        (point, mult, kind)."""
-        items = ([(r.point, r.mult, "zero") for r in self.real_zeros]
-                 + [(r.point, r.mult, "pole") for r in self.real_poles])
-        items.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
-        return items
-
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
         """Maximal constant-sign subintervals of (lo, hi) with exact
-        endpoints; only odd-order zeros and poles separate segments."""
-        crit = [it for it in self.critical_points()
-                if strictly_between(it[0], lo, hi)]
-        odd = [it for it in crit if it[1] % 2 == 1]
-        bounds = [lo] + [it[0] for it in odd] + [hi]
+        endpoints; only odd-order zeros and poles separate segments, and
+        the even-order ones inside a segment are its touches."""
+        i, hit = self._locate(lo)
+        j, _ = self._locate(hi)
         segments = []
-        for i in range(len(bounds) - 1):
-            a, b = bounds[i], bounds[i + 1]
-            sample = self._sample_inside(a, b)
-            sgn = self.sign_at(sample)
-            touches = tuple((p, kind) for (p, m, kind) in crit
-                            if m % 2 == 0 and strictly_between(p, a, b))
-            segments.append(SignSegment(a, b, sgn, touches))
+        a, touches = lo, []
+        # hi ends the last segment like one more odd-order point
+        for p, m, kind in self.critical_points()[i + hit:j] + ((hi, 1, None),):
+            if m % 2 == 0:
+                touches.append((p, kind))
+                continue
+            sgn = self.sign_at(self._sample_inside(a, p))
+            segments.append(SignSegment(a, p, sgn, tuple(touches)))
+            a, touches = p, []
         return SignReport(tuple(segments))
 
     def _sample_inside(self, a, b) -> Fraction:
         """A rational point strictly inside (a, b) that is neither a zero nor
-        a pole.  Works because the critical points are finite in number."""
-        inside = [p for (p, _m, _k) in self.critical_points()
-                  if strictly_between(p, a, b)]
-
-        first = inside[0] if inside else (b if b is not INF else None)
+        a pole: it lies below the first critical point above a, or below b
+        if that comes first."""
+        crit = self.critical_points()
+        i, hit = self._locate(a)
+        first = crit[i + hit][0] if i + hit < len(crit) else None
+        if b is not INF and (first is None or point_cmp(first, b) >= 0):
+            first = b
         if a is NEG_INF:
             return Fraction(0) if first is None else rational_outside(first)[0]
         if first is None:
@@ -335,10 +358,8 @@ class RatFun:
     def eta_count(self, c) -> int:
         """Number of odd-order finite real zeros and poles strictly greater
         than the real point c, rational or irrational."""
-        if not isinstance(c, RealAlg):
-            c = rat(c)
-        return sum(1 for p, m, _kind in self.critical_points()
-                   if m % 2 and point_cmp(p, c) > 0)
+        i, hit = self._locate(c)
+        return sum(m % 2 for _p, m, _kind in self.critical_points()[i + hit:])
 
     # -- composition ---------------------------------------------------------------------
     def compose_mobius(self, tau: "RatFun") -> "RatFun":

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import check_N00
-from .errors import (InvariantViolation, NotInN00, NotKacMember,
-                     NotRationalAtoms, SpectrumHit)
+from .errors import (InvalidInput, InvariantViolation, NotInN00,
+                     NotKacMember, NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
 from .poly import Poly, RealAlg, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
@@ -204,7 +204,7 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         raise NotInN00("multiplier has no pole on the extended line")
     b1 = poles_enum[0]
     if not _same_point(m.xi, b1):
-        raise ValueError("input model must be anchored at the first pole")
+        raise InvalidInput("input model must be anchored at the first pole")
     a_n = zeros_enum[-1]
     b_n = poles_enum[-1]
     if any(isinstance(p, RealAlg) for p in (a_n,) + poles_enum):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import SchemaMismatch
 from .gnev import GenNevFun
 from .nevfun import AtomicMeasure, NevFun
-from .poly import Poly, RealAlg, isolation_width
+from .poly import DEFAULT_ISOLATION_WIDTH, Poly, RealAlg
 from .qmath import INF, fmt_rat, parse_rat
 from .ratfun import RatFun
 from .realize import L2Model
@@ -38,7 +38,7 @@ def point_to_json(p):
     if isinstance(p, RealAlg):
         # the centre of the grid cell of width w that holds p: a function of
         # p's value alone
-        w = isolation_width()
+        w = DEFAULT_ISOLATION_WIDTH
         return {"approx": fmt_rat((p.floor_div(w) + Fraction(1, 2)) * w),
                 "exact": False}
     return fmt_rat(p)

@@ -308,12 +308,8 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
     monkeypatch.setattr(cl, "_positive_anchor",
                         lambda *a: anchors.append(anchor(*a)) or anchors[-1])
 
-    def factors(precision=None, refine=False):
+    def factors(refine=False):
         real_root_structure.cache_clear()
-        if precision:
-            monkeypatch.setenv("NEVKIT_PRECISION", precision)
-        else:
-            monkeypatch.delenv("NEVKIT_PRECISION", raising=False)
         q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
         if refine:
             for f in (r, q.to_ratfun()):
@@ -327,5 +323,4 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
     flat = [x for out in from_irrational
             for x in (out if isinstance(out, tuple) else (out,))]
     assert any(a in flat for a in anchors)
-    assert factors("1/1024") == base
     assert factors(refine=True) == base

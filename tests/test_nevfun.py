@@ -4,10 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import nevfuns, upper_half_points
-from nevkit.errors import GapViolated, NotNevanlinna, PoleHit
+import nevkit.nevfun
+from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
                            nevfun_from_ratfun)
-from nevkit.poly import Poly
+from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd,
+                         rational_between)
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun
 
@@ -194,6 +196,64 @@ def test_is_nevanlinna_irrational_poles():
     from nevkit.errors import NotRationalAtoms
     with pytest.raises(NotRationalAtoms):
         nevfun_from_ratfun(f)
+
+
+@pytest.mark.parametrize("den, message", [
+    (Poly.from_roots([1, 1]), "multiple pole"),
+    (Poly.from_roots([1]) * Poly([1, 0, 1]), "nonreal pole"),
+    (Poly.from_roots([1, 1]) * Poly([1, 0, 1]), "multiple pole"),
+])
+def test_herglotz_pole_messages(den, message):
+    with pytest.raises(NotNevanlinna, match=f"^{message}$"):
+        nevfun_from_ratfun(RatFun(Poly.const(-1), den))
+
+
+def test_herglotz_check_takes_no_gcd_when_it_accepts(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(nevkit.nevfun, "gcd", counted)
+    # -2z/(z^2-2) = 1/(sqrt2 - z) + 1/(-sqrt2 - z)
+    assert is_nevanlinna(RatFun(Poly([0, -2]), Poly([-2, 0, 1])))
+    assert nevfun_from_ratfun(WORKED.to_ratfun()) == WORKED
+    assert calls == []
+    assert not is_nevanlinna(RatFun(Poly.const(-1), Poly.from_roots([1, 1])))
+    assert calls == [1]
+
+
+def test_float_evaluation_matches_exact_values():
+    np = pytest.importorskip("numpy")
+    q = NevFun.of(Fraction(1, 3), Fraction(2, 7),
+                  [(-1, Fraction(1, 3)), (2, 5), (Fraction(7, 2), 1)])
+    zs = [QC.of(Fraction(3, 10), Fraction(7, 10)), QC.of(-2, Fraction(1, 8)),
+          QC.of(1000, 2)]
+    exact = [complex(q.evaluate(z)) for z in zs]
+    floats = [complex(z) for z in zs]
+    assert [q.evaluate(z) for z in floats] == pytest.approx(exact, rel=1e-12)
+    assert list(q.evaluate(np.array(floats))) == \
+        pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Poly([1, 1]) ** -1,
+    lambda: rational_between(2, 1),
+    lambda: rational_between(RealAlg(Poly([-2, 0, 1]), 1, 2), 1),
+    lambda: compose_fractional(Poly([1, 2, 3]), Poly([0, 1]), Poly([1]), 1),
+    lambda: WORKED.scale(0),
+    lambda: WORKED.limit_at(0, "bogus"),
+    lambda: WORKED.limit_at(INF, "bogus"),
+    lambda: WORKED.gap_characterize(1, 0),
+    lambda: WORKED.gap_characterize(1, 0, "complement_gap"),
+    lambda: WORKED.gap_characterize(0, shape="bogus"),
+], ids=["negative_power", "rational_between", "rational_between_alg",
+        "compose_fractional", "scale", "limit_mode", "limit_mode_inf",
+        "bounded_gap", "complement_gap", "gap_shape"])
+def test_domain_errors_are_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def test_atomic_measure_validation():

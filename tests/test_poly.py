@@ -124,6 +124,20 @@ def test_squarefree_decomposition():
     assert mults == [1, 3]
 
 
+def test_squarefree_decomposition_never_divides_by_one(monkeypatch):
+    divisors = []
+    divmod_ = Poly.divmod
+
+    def recorded(self, other):
+        divisors.append(other)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", recorded)
+    p = P(-2, 0, 1) * P(-3, 1)
+    assert squarefree_decomposition(p) == [(p, 1)]
+    assert divisors and all(d.degree > 0 for d in divisors)
+
+
 def roots_of(p):
     return [(rec.point, rec.mult) for rec in real_root_structure(p).real]
 
@@ -201,6 +215,25 @@ def test_isolation_and_realalg():
     assert pos.cmp_alg(sqrt3) < 0
     mid = rational_between(pos, sqrt3)
     assert pos.cmp_rat(mid) < 0 and sqrt3.cmp_rat(mid) > 0
+
+
+def test_cmp_alg_takes_no_gcd_of_disjoint_boxes(monkeypatch):
+    calls = []
+    gcd_ = nevkit.poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd_(a, b)
+
+    monkeypatch.setattr(nevkit.poly, "gcd", counted)
+    sqrt2 = RealAlg(P(-2, 0, 1), Fraction(1), Fraction(3, 2))
+    sqrt3 = RealAlg(P(-3, 0, 1), Fraction(3, 2), Fraction(2))
+    assert sqrt2.cmp_alg(sqrt3) < 0 and sqrt3.cmp_alg(sqrt2) > 0
+    assert calls == []
+    # overlapping boxes of one value still need the gcd to decide equality
+    other = RealAlg(P(-2, 0, 1), Fraction(4, 3), Fraction(2))
+    assert sqrt2.cmp_alg(other) == 0
+    assert calls == [1]
 
 
 def test_point_cmp_mixed():

@@ -3,13 +3,35 @@ from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ratfuns, small_polys
+from conftest import rationals, ratfuns, small_polys
+import nevkit.ratfun
 from nevkit.errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
 from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
                          rational_outside)
 from nevkit.qmath import INF, NEG_INF, QC
-from nevkit.ratfun import RatFun, reduce
+from nevkit.ratfun import RatFun, reduce, strictly_between
+
+
+def factored_ratfuns():
+    """gamma * prod (z - a)^k (z^2 - n)^j over the same for the poles: real
+    rational and irrational points of mixed orders, and conjugate pairs."""
+    linear = st.tuples(rationals(6, 3), st.integers(1, 3)).map(
+        lambda am: Poly([-am[0], 1]) ** am[1])
+    quadratic = st.tuples(st.sampled_from([-1, 2, 3, 5]),
+                          st.integers(1, 2)).map(
+        lambda nm: Poly([-nm[0], 0, 1]) ** nm[1])
+    side = st.lists(st.one_of(linear, quadratic), max_size=3).map(_product)
+    return st.builds(lambda g, n, d: RatFun(n * g, d),
+                     rationals(5, 3).filter(bool), side, side)
+
+
+def _product(polys):
+    out = Poly.const(1)
+    for p in polys:
+        out = out * p
+    return out
 
 
 def test_reduce_cancels_common_factor():
@@ -74,6 +96,25 @@ def test_sign_report_matches_pointwise(r):
     for seg in rep.segments:
         x = r._sample_inside(seg.lo, seg.hi)
         assert r.sign_at(x) == seg.sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_ratfuns(), rationals(6, 4), rationals(6, 4))
+def test_sign_on_interval_with_finite_ends(r, lo, hi):
+    assume(lo < hi)
+    crit = [it for it in r.critical_points()
+            if strictly_between(it[0], lo, hi)]
+    segs = r.sign_on_interval(lo, hi).segments
+    bounds = [lo] + [p for p, m, _k in crit if m % 2] + [hi]
+    assert [(seg.lo, seg.hi) for seg in segs] == list(zip(bounds,
+                                                          bounds[1:]))
+    for seg in segs:
+        assert list(seg.touches) == [
+            (p, k) for p, m, k in crit
+            if m % 2 == 0 and strictly_between(p, seg.lo, seg.hi)]
+        x = r._sample_inside(seg.lo, seg.hi)
+        assert strictly_between(x, seg.lo, seg.hi)
+        assert r.ord_at(x) == 0 and r.sign_at(x) == seg.sign
 
 
 def test_eta_count_examples():
@@ -166,6 +207,46 @@ def test_root_order_is_exact():
     crit = r.critical_points()
     assert [p for p, _m, _k in crit[:3]] == [zs[0].point, c, zs[2].point]
     assert crit[3] == (Fraction(5), 1, "pole")
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_ratfuns(), st.lists(rationals(8, 4), max_size=4))
+def test_ord_at_matches_root_multiplicity(r, extra):
+    crit = r.critical_points()
+    rational = [p for p, _m, _k in crit if not isinstance(p, RealAlg)]
+    for p in rational + extra:
+        assert r.ord_at(p) == (r.num.root_multiplicity(p)
+                               - r.den.root_multiplicity(p))
+    for recs, sign in ((r.real_zeros, 1), (r.real_poles, -1)):
+        for rec in recs:
+            assert r.ord_at(rec.point) == sign * rec.mult
+            if isinstance(rec.point, RealAlg):
+                # another number object of the same value
+                twin = RealAlg(rec.point.p, *rec.point.box)
+                assert r.ord_at(twin) == sign * rec.mult
+    sqrt11 = RealAlg(Poly([-11, 0, 1]), Fraction(3), Fraction(4))
+    assert r.ord_at(sqrt11) == 0
+
+
+def test_critical_points_are_sorted_once(monkeypatch):
+    calls = []
+    point_cmp_ = nevkit.ratfun.point_cmp
+
+    def counted(a, b):
+        calls.append(1)
+        return point_cmp_(a, b)
+
+    monkeypatch.setattr(nevkit.ratfun, "point_cmp", counted)
+    r = RatFun(Poly([-2, 0, 1]) * Poly.from_roots([1, 1, 3]),
+               Poly.from_roots([0, 2]))
+    crit = r.critical_points()
+    assert isinstance(crit, tuple) and len(crit) == 6 and calls
+    calls.clear()
+    assert r.critical_points() is crit
+    assert calls == []
+    # a local query is a binary search of the table, not a re-sort
+    assert r.eta_count(Fraction(1, 2)) == 3
+    assert 0 < len(calls) <= 3
 
 
 def _sign_just_right(r: RatFun, p) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nevkit.corpus import random_plain_pair, structured_plain_pair
-from nevkit.errors import NotKacMember, SpectrumHit
+from nevkit.errors import InvalidInput, NotKacMember, SpectrumHit
 from nevkit.nevfun import NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import INF, QC
@@ -99,6 +99,11 @@ def test_transform_worked_instance():
         assert model_weyl(out, lam) == \
             WORKED_R.eval_qc(lam) * WORKED_Q.evaluate(lam)
     assert model_spectral_check(m, out, WORKED_R)
+
+
+def test_transform_requires_the_first_pole_as_anchor():
+    with pytest.raises(InvalidInput):
+        transform_model(minimal_model(WORKED_Q, 3), WORKED_R, WORKED_Q)
 
 
 def test_transform_pole_at_infinity():

@@ -11,7 +11,7 @@ import pytest
 from nevkit import serialize as ser
 from nevkit.cli import main
 from nevkit.corpus import random_gennev, random_nevfun, random_symmetric_ratfun
-from nevkit.errors import BadPrecision, InvariantViolation, SchemaMismatch
+from nevkit.errors import InvariantViolation, SchemaMismatch
 from nevkit.nevfun import NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import INF, fmt_rat
@@ -194,37 +194,12 @@ def test_cli_invert_dump_samples(tmp_path):
     assert len(lines) > 1000
 
 
-def test_precision_env_override(monkeypatch):
-    from nevkit.poly import isolation_width
-    monkeypatch.setenv("NEVKIT_PRECISION", "1/1024")
-    assert isolation_width() == Fraction(1, 1024)
-    monkeypatch.delenv("NEVKIT_PRECISION")
-    assert isolation_width() == Fraction(1, 2**64)
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_precision_env_rejects_bad_values(monkeypatch, value):
-    from nevkit.poly import isolation_width
-    monkeypatch.setenv("NEVKIT_PRECISION", value)
-    with pytest.raises(BadPrecision):
-        isolation_width()
-
-
-def test_cli_reports_bad_precision(tmp_path, monkeypatch):
-    monkeypatch.setenv("NEVKIT_PRECISION", "0")
-    # the width is read when the irrational zeros are emitted
-    code, rep = _run(tmp_path, "factor",
-                     {"in": {"num": ["-41/3", "0", "1"], "den": ["1"]}})
-    assert code == 1 and rep is None
-
-
 def _sqrt2_point(r: RatFun) -> str:
     """Emitted bytes of the zero sqrt(2) of r."""
     return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
 
 
-def test_emitted_irrational_point_depends_only_on_its_value(monkeypatch):
-    monkeypatch.delenv("NEVKIT_PRECISION", raising=False)
+def test_emitted_irrational_point_depends_only_on_its_value():
     first = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-5, 1])))
     # both functions share the cached root records of z^2 - 2; these
     # queries refine their boxes in between
@@ -236,9 +211,6 @@ def test_emitted_irrational_point_depends_only_on_its_value(monkeypatch):
     w = Fraction(1, 2**64)
     centre = (math.isqrt(2 * 2**128) + Fraction(1, 2)) * w
     assert json.loads(first) == {"approx": fmt_rat(centre), "exact": False}
-    monkeypatch.setenv("NEVKIT_PRECISION", "1/1024")
-    assert json.loads(_sqrt2_point(f)) == {"approx": "2897/2048",
-                                           "exact": False}
 
 
 def test_cli_maps_invariant_violation_to_exit_3(tmp_path, monkeypatch):
