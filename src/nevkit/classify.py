@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
@@ -21,7 +22,7 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
-from .poly import Poly, RealAlg, point_cmp
+from .poly import CERTIFICATE_CACHE_SIZE, Poly, RealAlg, point_cmp
 from .qmath import INF, NEG_INF, fmt_rat
 from .ratfun import RatFun, strictly_between
 
@@ -251,11 +252,16 @@ def pieces_disjoint(p1: list[tuple], p2: list[tuple]) -> bool:
 # -- plain-pair characterization ----------------------------------------------------
 
 
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def check_N00(q: NevFun, r: RatFun) -> N00Report:
     """Clause-by-clause test that both the function and its product with r
     are Nevanlinna.  Diagnostics list every failed clause; the product index
     is reported alongside whenever it is computable, and the clause verdict
-    is asserted against it."""
+    is asserted against it.
+
+    The report is memoised on the values of q and r.  Exceptions are not
+    memoised, so invalid input and a failed cross-check raise again on
+    every call."""
     if q.is_constant and q.alpha == 0:
         raise InvalidInput("the zero function is excluded")
     if r.is_constant:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
-from .poly import Poly, count_real_roots, gcd, rat
+from .poly import CERTIFICATE_CACHE_SIZE, Poly, count_real_roots, gcd, rat
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF, QC,
                     LimitValue, fmt_rat)
 from .ratfun import RatFun
@@ -398,10 +399,15 @@ def _herglotz_parts(f: RatFun):
     return beta, c0, pairs
 
 
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def nevfun_from_ratfun(f: RatFun) -> NevFun:
     """Exact extraction of representation data from a rational Nevanlinna
     function.  Raises NotNevanlinna when the function is not one, and
-    NotRationalAtoms when it is but its poles are irrational."""
+    NotRationalAtoms when it is but its poles are irrational.
+
+    The certificate is memoised on the value of f, so every RatFun equal
+    to f shares one NevFun.  Exceptions are not memoised: a rejected f is
+    checked again on every call."""
     beta, c0, pairs = _herglotz_parts(f)
     atoms = []
     for t, w in pairs:

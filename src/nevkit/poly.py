@@ -38,6 +38,10 @@ ROOT_STRUCTURE_CACHE_SIZE = 1024
 #: number of polynomials whose Sturm chain is kept by sturm_chain
 STURM_CHAIN_CACHE_SIZE = 1024
 
+#: number of values whose certificate is kept by classify.check_N00 and by
+#: nevfun.nevfun_from_ratfun, each
+CERTIFICATE_CACHE_SIZE = 1024
+
 
 class Poly:
     """Immutable polynomial with Fraction coefficients, ascending degree."""
@@ -195,10 +199,21 @@ class Poly:
         return acc
 
     def eval_qc(self, z: QC) -> QC:
-        acc = QC.of(0)
-        for a in reversed(self.c):
-            acc = acc * z + QC.of(a)
-        return acc
+        """p(z) exactly: with z = (u + iv)/w and d·p integral, homogeneous
+        Horner on the Gaussian integers gives d·w^n·p(z), divided once."""
+        if not self.c:
+            return QC.of(0)
+        d, ints = _int_form(self)
+        w = math.lcm(z.re.denominator, z.im.denominator)
+        u = z.re.numerator * (w // z.re.denominator)
+        v = z.im.numerator * (w // z.im.denominator)
+        re = im = 0
+        wk = 1
+        for a in reversed(ints):
+            re, im = re * u - im * v + a * wk, re * v + im * u
+            wk *= w
+        den = d * w ** (len(ints) - 1)
+        return QC(Fraction(re, den), Fraction(im, den))
 
     def eval_c(self, z: complex) -> complex:
         acc = 0j

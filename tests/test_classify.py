@@ -18,7 +18,8 @@ from nevkit.oracle import negative_squares
 from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun
-from nevkit.realize import enumerate_zeros_poles
+from nevkit.realize import (enumerate_zeros_poles, minimal_model,
+                            transform_model)
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])                              # -1/z
 WORKED_Q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])                 # (z-1)/(2-z)
@@ -276,23 +277,29 @@ def test_chain_invariant_holds_without_assert(monkeypatch):
         chain_factorize(WORKED_Q, WORKED_R)
 
 
-def _plain_corpus_pair(index: int):
-    """Pair ``index`` of the criterion-5 corpus (seed 1005; index 0 is the
-    worked pair), as JSON so that every parse gives fresh objects."""
+def _clear_certificates():
+    """Empty the certificate memos, as in a fresh process."""
+    check_N00.cache_clear()
+    nevfun_from_ratfun.cache_clear()
+
+
+def _criterion5_pairs(n: int):
+    """The first n pairs of the criterion-5 corpus, the worked pair first,
+    as JSON so that every parse gives fresh objects."""
+    pairs = [(WORKED_Q, WORKED_R)]
     rng = random.Random(1005)
-    n = 0
-    while n < index:
+    while len(pairs) < n:
         q, r = random_plain_pair(rng)
         _zs, ps = enumerate_zeros_poles(r)
         if ps and q.kac_membership(ps[0]):
-            n += 1
-    return ser.nevfun_to_json(q), ser.ratfun_to_json(r)
+            pairs.append((q, r))
+    return [(ser.nevfun_to_json(q), ser.ratfun_to_json(r)) for q, r in pairs]
 
 
 def test_chain_factors_depend_only_on_values(monkeypatch):
     import nevkit.classify as cl
     import nevkit.poly as poly
-    qj, rj = _plain_corpus_pair(6)
+    qj, rj = _criterion5_pairs(7)[6]
     from_irrational, anchors = [], []
 
     def recording(fn):
@@ -310,6 +317,7 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
 
     def factors(refine=False):
         real_root_structure.cache_clear()
+        _clear_certificates()
         q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
         if refine:
             for f in (r, q.to_ratfun()):
@@ -324,3 +332,57 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
             for x in (out if isinstance(out, tuple) else (out,))]
     assert any(a in flat for a in anchors)
     assert factors(refine=True) == base
+
+
+def test_plain_pair_is_analysed_once_per_value(monkeypatch):
+    import nevkit.classify as cl
+    calls = []
+    canonical = cl.canonical_pair
+    monkeypatch.setattr(cl, "canonical_pair",
+                        lambda f: calls.append(f) or canonical(f))
+    qj, rj = ser.nevfun_to_json(WORKED_Q), ser.ratfun_to_json(WORKED_R)
+
+    def fresh():
+        return ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
+    _clear_certificates()
+    assert check_N00(*fresh()).ok
+    chain_factorize(*fresh())
+    kac_closure(*fresh())
+    q, r = fresh()
+    transform_model(minimal_model(q, enumerate_zeros_poles(r)[1][0]), r, q)
+    assert calls == [WORKED_R * WORKED_Q.to_ratfun()]
+
+
+def test_plain_pair_cross_check_is_not_memoised(monkeypatch):
+    import nevkit.classify as cl
+
+    class Wrong:
+        kappa = 1
+    monkeypatch.setattr(cl, "canonical_pair", lambda f: Wrong)
+    _clear_certificates()
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="disagrees"):
+            check_N00(WORKED_Q, WORKED_R)
+    assert check_N00.cache_info().currsize == 0
+
+
+def test_results_equal_with_cold_and_warm_certificates():
+    def outputs(qj, rj):
+        q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
+        chain = chain_factorize(q, r)
+        kac = kac_closure(q, r)
+        kac = [[(ser.point_to_json(p), ok) for p, ok in side]
+               for side in (kac.at_poles, kac.at_zeros)]
+        m = minimal_model(q, enumerate_zeros_poles(r)[1][0])
+        rep = transform_model(m, r, q)
+        return (chain.factors, chain.partial_certificates, kac,
+                rep.model_out, rep.zetas, rep.case)
+
+    pairs = _criterion5_pairs(10)
+    cold = []
+    for qj, rj in pairs:
+        _clear_certificates()
+        cold.append(outputs(qj, rj))
+    warm = [outputs(qj, rj) for qj, rj in pairs]
+    assert check_N00.cache_info().hits >= len(pairs)
+    assert warm == cold

@@ -216,12 +216,46 @@ def test_herglotz_check_takes_no_gcd_when_it_accepts(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(nevkit.nevfun, "gcd", counted)
+    nevfun_from_ratfun.cache_clear()    # a memoised certificate takes none
     # -2z/(z^2-2) = 1/(sqrt2 - z) + 1/(-sqrt2 - z)
     assert is_nevanlinna(RatFun(Poly([0, -2]), Poly([-2, 0, 1])))
     assert nevfun_from_ratfun(WORKED.to_ratfun()) == WORKED
     assert calls == []
     assert not is_nevanlinna(RatFun(Poly.const(-1), Poly.from_roots([1, 1])))
     assert calls == [1]
+
+
+def _count_herglotz_parts(monkeypatch) -> list:
+    calls = []
+    parts = nevkit.nevfun._herglotz_parts
+    monkeypatch.setattr(nevkit.nevfun, "_herglotz_parts",
+                        lambda f: calls.append(f) or parts(f))
+    nevfun_from_ratfun.cache_clear()
+    return calls
+
+
+def test_certificate_is_memoised_on_value(monkeypatch):
+    calls = _count_herglotz_parts(monkeypatch)
+    f1 = RatFun(Poly([1, -1]), Poly([-2, 1]))
+    f2 = RatFun(Poly([2, -2]), Poly([-4, 2]))
+    assert f1 is not f2 and f1 == f2
+    q = nevfun_from_ratfun(f1)
+    assert q == WORKED and nevfun_from_ratfun(f2) is q
+    assert len(calls) == 1
+
+
+def test_rejections_are_not_memoised(monkeypatch):
+    from nevkit.errors import NotRationalAtoms
+    calls = _count_herglotz_parts(monkeypatch)
+    positive_residue = RatFun(Poly.const(1), Poly.from_roots([1]))
+    irrational_poles = RatFun(Poly([0, -2]), Poly([-2, 0, 1]))
+    for f, error in ((positive_residue, NotNevanlinna),
+                     (irrational_poles, NotRationalAtoms)):
+        for _ in range(2):
+            with pytest.raises(error):
+                nevfun_from_ratfun(f)
+    assert len(calls) == 4
+    assert nevfun_from_ratfun.cache_info().currsize == 0
 
 
 def test_float_evaluation_matches_exact_values():

@@ -14,6 +14,7 @@ from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition,
                          sturm_chain)
+from nevkit.qmath import QC
 from nevkit.ratfun import RatFun
 
 
@@ -111,6 +112,29 @@ def test_mul_matches_schoolbook(a, b, k):
     assert a * k == _schoolbook(a, Poly.const(k))
     assert k * a == a * k
     assert (a * 3).c == tuple(3 * x for x in a.c)
+
+
+def _qc_horner(p, z):
+    """p(z) by Horner through QC arithmetic, the reference for
+    Poly.eval_qc."""
+    acc = QC.of(0)
+    for a in reversed(p.c):
+        acc = acc * z + QC.of(a)
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_some_polys(9), rationals(30, 11), rationals(30, 11))
+@example(p=Poly(), re=Fraction(1, 3), im=Fraction(2))
+@example(p=Poly.const(Fraction(-7, 4)), re=Fraction(5), im=Fraction(1, 9))
+@example(p=P(1, Fraction(-2, 3), 0, 5), re=Fraction(-3, 2), im=Fraction(0))
+@example(p=P(Fraction(1, 6), 4, Fraction(-5, 7)), re=Fraction(2, 5),
+         im=Fraction(-7, 3))
+def test_eval_qc_matches_qc_horner(p, re, im):
+    z = QC.of(re, im)
+    got = p.eval_qc(z)
+    assert got == _qc_horner(p, z)
+    assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
 
 
 def test_squarefree_decomposition():
