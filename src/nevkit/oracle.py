@@ -121,6 +121,11 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
     return best, tails
 
 
+#: largest ratio between consecutive offsets across which a stored peak is
+#: carried without being re-located
+PEAK_TRACK_RATIO = 10.0
+
+
 @dataclass(frozen=True)
 class InversionConfig:
     eps_schedule: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -250,7 +255,19 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     peaks: list[float] = []
     per_level = []
     spacing = (d - c) / cfg.quadrature_points
+    mid = 0.0
     for eps in cfg.eps_schedule:
+        # a peak located at the last level is off by up to about that
+        # offset, so across a step of more than PEAK_TRACK_RATIO it is
+        # re-located at unrecorded offsets in between, lest the window of
+        # the new level miss its spike
+        while mid > eps * (1 + 1e-9):
+            _, refined = _level_integral(ev, phi_ev, c, d, mid,
+                                         cfg.quadrature_points, peaks)
+            if refined:
+                peaks = _merge_peaks([], sorted(refined), 3 * mid)
+            mid /= PEAK_TRACK_RATIO
+        mid = eps / PEAK_TRACK_RATIO
         found = _detect_peaks(ev, phi_ev, c, d, eps, cfg.quadrature_points)
         peaks = _merge_peaks(peaks, found, 2 * spacing)
         value, refined = _level_integral(ev, phi_ev, c, d, eps,

@@ -1,13 +1,15 @@
 """Dense univariate polynomials over the exact rationals.
 
-Provides the arithmetic, gcd and square-free machinery the rational-function
-layer builds on, with integer kernels for products (one convolution of the
-integer numerators) and gcds (a primitive remainder sequence), plus
-certified real-root location: Sturm bisection on the
-primitive integer form of a polynomial finds its rational roots exactly and
-isolates the remaining real roots into rational intervals, represented as
-lazy :class:`RealAlg` values, which refine their interval only as far as an
-exact sign query or comparison needs.
+A polynomial is stored in integer-primitive form: one positive integer
+denominator and a tuple of integer numerators, so the arithmetic, the gcd
+(a primitive remainder sequence) and the square-free machinery the
+rational-function layer builds on all run on Python ints, and a Fraction is
+made only where a coefficient or a value is read out.  On top of it sits
+certified real-root location: Sturm bisection on the primitive integer form
+of a polynomial finds its rational roots exactly and isolates the remaining
+real roots into rational intervals, represented as lazy :class:`RealAlg`
+values, which refine their interval only as far as an exact sign query or
+comparison needs.
 :func:`real_root_structure` is the one place where the real roots and
 conjugate-pair content of a polynomial are derived, memoised on the
 polynomial's value.  Everything this module returns about an irrational
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInput
@@ -44,27 +47,43 @@ CERTIFICATE_CACHE_SIZE = 1024
 
 
 class Poly:
-    """Immutable polynomial with Fraction coefficients, ascending degree."""
+    """Immutable polynomial with rational coefficients, ascending degree.
 
-    __slots__ = ("c",)
+    The coefficients are ``n[i] / d`` for a positive int ``d`` and a tuple
+    ``n`` of ints, in canonical form: ``n`` has no trailing zero,
+    gcd(d, *n) = 1, and the zero polynomial is ``d = 1, n = ()``.  Equal
+    values thus have equal ``(d, n)``, which ``==`` and ``hash`` read.
+    :attr:`c`, the coefficients as Fractions, is built on first use."""
 
-    def __init__(self, coeffs: Iterable = ()):  # trims trailing zeros
+    __slots__ = ("d", "n", "_c")
+
+    def __new__(cls, coeffs: Iterable = ()):
         cs = [rat(x) for x in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "c", tuple(cs))
+        d = math.lcm(*[c.denominator for c in cs])
+        return _poly([c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        try:
+            return self._c
+        except AttributeError:
+            c = tuple(Fraction(x, self.d) for x in self.n)
+            object.__setattr__(self, "_c", c)
+            return c
+
     # -- construction helpers -------------------------------------------------
     @staticmethod
     def const(x) -> "Poly":
-        return Poly([rat(x)])
+        x = rat(x)
+        return _poly((x.numerator,), x.denominator)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly([0, 1])
+        return _poly((0, 1))
 
     @staticmethod
     def from_roots(roots: Sequence, lead=1) -> "Poly":
@@ -76,27 +95,26 @@ class Poly:
     # -- basic queries ---------------------------------------------------------
     @property
     def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
+        return len(self.n) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.n
 
     @property
     def is_constant(self) -> bool:
-        return len(self.c) <= 1
+        return len(self.n) <= 1
 
     @property
     def lead(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.c[-1]
+        return Fraction(self.n[-1], self.d) if self.n else Fraction(0)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.c == other.c
+        return (isinstance(other, Poly) and self.n == other.n
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.d, self.n))
 
     def __repr__(self):
         if self.is_zero:
@@ -106,14 +124,16 @@ class Poly:
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
         o = other if isinstance(other, Poly) else Poly.const(other)
-        n = max(len(self.c), len(o.c))
-        return Poly([(self.c[i] if i < len(self.c) else 0)
-                     + (o.c[i] if i < len(o.c) else 0) for i in range(n)])
+        g = math.gcd(self.d, o.d)
+        sa, sb = o.d // g, self.d // g      # both sides over lcm(d_a, d_b)
+        return _poly([x * sa + y * sb
+                      for x, y in zip_longest(self.n, o.n, fillvalue=0)],
+                     self.d * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-x for x in self.c])
+        return _poly([-x for x in self.n], self.d)
 
     def __sub__(self, other):
         o = other if isinstance(other, Poly) else Poly.const(other)
@@ -125,18 +145,17 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             k = rat(other)
-            return Poly([k * x for x in self.c])
-        if self.is_zero or other.is_zero:
-            return Poly()
-        da, a = _int_form(self)
-        db, b = _int_form(other)
+            return _poly([k.numerator * x for x in self.n],
+                         self.d * k.denominator)
+        a, b = self.n, other.n
+        if not (a and b):
+            return _poly(())
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        den = da * db
-        return Poly([Fraction(x, den) for x in out])
+        return _poly(out, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -153,35 +172,49 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with self = q * other + r and deg r < deg other.
+
+        Integer long division of the numerators: when a top coefficient of
+        the remainder is not a multiple of lead(other), the remainder and
+        the quotient so far are scaled by the least factor that makes it
+        one, and the total scale s is divided out once at the end."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.c) - len(other.c) + 1)
-        r = list(self.c)
-        dlead = other.lead
-        dn = len(other.c)
-        while len(r) >= dn:
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < dn:
-                break
-            k = len(r) - dn
-            f = r[-1] / dlead
-            q[k] = f
-            for i, b in enumerate(other.c):
-                r[k + i] -= f * b
-            r.pop()
-        return Poly(q), Poly(r)
+        b = other.n
+        db = len(b) - 1
+        if len(self.n) <= db:
+            return _poly(()), self
+        lb = b[-1]
+        r = list(self.n)
+        q = [0] * (len(r) - db)
+        s = 1
+        for k in range(len(q) - 1, -1, -1):
+            top = r.pop()
+            if top:
+                if top % lb:
+                    t = abs(lb) // math.gcd(top, lb)
+                    r = [x * t for x in r]
+                    q = [x * t for x in q]
+                    s *= t
+                    top *= t
+                f = top // lb
+                q[k] = f
+                for i in range(db):
+                    r[k + i] -= f * b[i]
+        den = self.d * s
+        return _poly([x * other.d for x in q], den), _poly(r, den)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.lead == 1:
+        n = self.n
+        if not n or n[-1] == self.d:
             return self
-        return self * (1 / self.lead)
+        return _poly(n, n[-1])
 
     def deriv(self) -> "Poly":
-        return Poly([i * self.c[i] for i in range(1, len(self.c))])
+        return _poly([i * x for i, x in enumerate(self.n)][1:], self.d)
 
     # -- evaluation ------------------------------------------------------------
     def __call__(self, z):
@@ -192,27 +225,28 @@ class Poly:
         return self.eval_q(z)
 
     def eval_q(self, z) -> Fraction:
+        """p(z) exactly: with z = u/v, d·v^deg(p)·p(z) is an integer,
+        divided once."""
+        if not self.n:
+            return Fraction(0)
         z = rat(z)
-        acc = Fraction(0)
-        for a in reversed(self.c):
-            acc = acc * z + a
-        return acc
+        return Fraction(_horner(self.n, z.numerator, z.denominator),
+                        self.d * z.denominator ** (len(self.n) - 1))
 
     def eval_qc(self, z: QC) -> QC:
-        """p(z) exactly: with z = (u + iv)/w and d·p integral, homogeneous
-        Horner on the Gaussian integers gives d·w^n·p(z), divided once."""
-        if not self.c:
+        """p(z) exactly: with z = (u + iv)/w, homogeneous Horner on the
+        Gaussian integers gives d·w^deg(p)·p(z), divided once."""
+        if not self.n:
             return QC.of(0)
-        d, ints = _int_form(self)
         w = math.lcm(z.re.denominator, z.im.denominator)
         u = z.re.numerator * (w // z.re.denominator)
         v = z.im.numerator * (w // z.im.denominator)
         re = im = 0
         wk = 1
-        for a in reversed(ints):
+        for a in reversed(self.n):
             re, im = re * u - im * v + a * wk, re * v + im * u
             wk *= w
-        den = d * w ** (len(ints) - 1)
+        den = self.d * w ** (len(self.n) - 1)
         return QC(Fraction(re, den), Fraction(im, den))
 
     def eval_c(self, z: complex) -> complex:
@@ -236,22 +270,33 @@ class Poly:
             m += 1
         return m
 
-    def deflate(self, r, mult: int) -> "Poly":
-        p = self
-        lin = Poly([-rat(r), 1])
-        for _ in range(mult):
-            p = p // lin
-        return p
+
+def _poly(n: Sequence[int], d: int = 1) -> Poly:
+    """The Poly with coefficients n[i] / d, for ints n and d != 0, in
+    canonical form: every Poly is built here."""
+    if n and not n[-1]:
+        k = len(n) - 1
+        while k and not n[k - 1]:
+            k -= 1
+        n = n[:k]
+    g = math.gcd(d, *n)
+    if d < 0:
+        g = -g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "d", d // g)
+    object.__setattr__(p, "n", tuple([x // g for x in n]) if g != 1
+                       else tuple(n))
+    return p
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic polynomial gcd (zero for a = b = 0): the last nonzero term of
-    the primitive remainder sequence (Brown 1971) of the primitive integer
-    forms of a and b, so no Fraction enters the loop."""
-    a, b = _primitive_int(a), _primitive_int(b)
+    the primitive remainder sequence (Brown 1971) of the primitive parts of
+    the numerators of a and b."""
+    a, b = _primitive(a.n), _primitive(b.n)
     while b:
         a, b = b, _neg_prem(a, b)
-    return Poly(a).monic()
+    return _poly(a, a[-1] if a else 1)
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -317,29 +362,23 @@ def _primitive(ints: Sequence[int]) -> IntPoly:
     if not ints:
         return ()
     g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple([x // g for x in ints])
 
 
-def _int_form(p: Poly) -> tuple[int, list[int]]:
-    """(d, ints): the least common denominator d of the coefficients of p
-    and the integer numerators of d * p."""
-    den = math.lcm(*(c.denominator for c in p.c))
-    return den, [c.numerator * (den // c.denominator) for c in p.c]
-
-
-def _primitive_int(p: Poly) -> IntPoly:
-    """The primitive integer polynomial that is a positive multiple of p."""
-    return _primitive(_int_form(p)[1])
-
-
-def _sign_at(a: IntPoly, u: int, v: int) -> int:
-    """Sign of a(u/v) for v > 0, from the integer v^deg(a) * a(u/v)."""
+def _horner(a: Sequence[int], u: int, v: int) -> int:
+    """The integer v^deg(a) * a(u/v), by homogeneous Horner evaluation."""
     acc = 0
     w = 1
     for c in reversed(a):
         acc = acc * u + c * w
         w *= v
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(a: IntPoly, u: int, v: int) -> int:
+    """Sign of a(u/v) for v > 0."""
+    x = _horner(a, u, v)
+    return (x > 0) - (x < 0)
 
 
 def _neg_prem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -369,7 +408,7 @@ def sturm_chain(p: Poly) -> tuple[IntPoly, ...]:
     negated remainders, each a positive multiple of its classical term, so
     sign variations are those of the classical chain.  Memoised on the
     value of p."""
-    chain = [_primitive_int(p)]
+    chain = [_primitive(p.n)]
     nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
     while nxt:
         chain.append(nxt)
@@ -491,7 +530,7 @@ class RealAlg:
     __slots__ = ("p", "box", "_ints", "_lo_neg")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        ints = _primitive_int(p)
+        ints = _primitive(p.n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "box", (lo, hi))
         object.__setattr__(self, "_ints", ints)
@@ -560,17 +599,19 @@ class RealAlg:
         """Exact sign of q evaluated at this number."""
         if q.is_zero:
             return 0
-        g = gcd(self.p, q)
-        if g.degree > 0 and count_real_roots(g, *self.box) > 0:
-            # the only root of p in the box is shared with q
-            return 0
-        # refine until q has no root in [lo, hi], then the sign is constant
         chain = sturm_chain(q)
+        g = None    # needed only once q has a root in the box
+        # refine until q has no root in [lo, hi], then the sign is constant
         while True:
             lo, hi = self.box
             v = _sign_at(chain[0], lo.numerator, lo.denominator)
             if v and count_real_roots(q, lo, hi, chain) == 0:
                 return v
+            if g is None:
+                g = gcd(self.p, q)
+                if g.degree > 0 and count_real_roots(g, lo, hi) > 0:
+                    # the only root of p in the box is shared with q
+                    return 0
             self._step()
 
     def cmp_alg(self, other: "RealAlg") -> int:
@@ -742,8 +783,8 @@ def compose_fractional(p: Poly, num: Poly, den: Poly, pad_to: int) -> Poly:
     dens = [Poly.const(1)]
     for _ in range(pad_to):
         dens.append(dens[-1] * den)
-    for k, a in enumerate(p.c):
-        if a != 0:
+    for k, a in enumerate(p.n):
+        if a:
             acc = acc + num_pow * dens[pad_to - k] * a
         num_pow = num_pow * num
-    return acc
+    return _poly(acc.n, acc.d * p.d)

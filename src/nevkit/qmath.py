@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: rationals, rational complex numbers, the
 extended real line and symbolic limit values.
 
-All exact quantities in the package are ``fractions.Fraction``; floats only
-appear in the numeric oracle.  The point at infinity is the singleton
-``INF`` (projectively, the single point closing the real line); ``NEG_INF``
-exists for directed limits and interval ends.
+All exact scalars in the package are ``fractions.Fraction`` (a polynomial
+stores integer numerators over one denominator, see :mod:`nevkit.poly`, and
+reads its coefficients out as Fractions); floats only appear in the numeric
+oracle.  The point at infinity is the singleton ``INF`` (projectively, the
+single point closing the real line); ``NEG_INF`` exists for directed limits
+and interval ends.
 """
 
 from __future__ import annotations

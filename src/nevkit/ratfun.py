@@ -293,10 +293,11 @@ class RatFun:
         if point is INF:
             return self.gamma
         a = rat(point)
+        lin = Poly([-a, 1])
         mn = self.num.root_multiplicity(a)
         md = self.den.root_multiplicity(a)
-        return (self.num.deflate(a, mn).eval_q(a)
-                / self.den.deflate(a, md).eval_q(a))
+        return ((self.num // lin ** mn).eval_q(a)
+                / (self.den // lin ** md).eval_q(a))
 
     def laurent_lead_sign(self, point: Point) -> int:
         """Sign of the leading Laurent coefficient at a real point or at

@@ -311,6 +311,4 @@ def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
 
 def _residue(f: RatFun, t: Fraction) -> Fraction:
     """Residue of f at a simple pole t."""
-    num = f.num
-    den_deflated = f.den.deflate(t, 1)
-    return num.eval_q(t) / den_deflated.eval_q(t)
+    return f.num.eval_q(t) / (f.den // Poly([-t, 1])).eval_q(t)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nevkit.oracle
 from nevkit.corpus import random_nevfun, random_symmetric_ratfun
 from nevkit.errors import InvalidInput
 from nevkit.nevfun import NevFun
@@ -94,6 +95,25 @@ def test_inversion_levels_cauchy():
     res = stieltjes_invert(MINUS_INV, cfg)
     diffs = [abs(a - b) for a, b in zip(res.per_level, res.per_level[1:])]
     assert all(d2 < d1 + 1e-9 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+def test_only_long_steps_add_tracking_offsets(monkeypatch):
+    offsets = []
+    level = nevkit.oracle._level_integral
+
+    def recorded(ev, phi_ev, c, d, eps, n, peaks):
+        offsets.append(eps)
+        return level(ev, phi_ev, c, d, eps, n, peaks)
+
+    monkeypatch.setattr(nevkit.oracle, "_level_integral", recorded)
+    cfg = InversionConfig()
+    stieltjes_invert(MINUS_INV, cfg)
+    assert offsets == list(cfg.eps_schedule)
+    offsets.clear()
+    steep = InversionConfig(eps_schedule=(1e-2, 2.5e-6), interval=(-1, 1))
+    res = stieltjes_invert(MINUS_INV, steep)
+    assert offsets == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5, 2.5e-6])
+    assert len(res.per_level) == 2 and abs(res.value - 1.0) < 1e-3
 
 
 def test_gap_detect_examples():

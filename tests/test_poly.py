@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,11 +31,56 @@ def test_divmod_roundtrip():
     assert r.degree < b.degree
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_polys(4, nonzero=True), small_polys(3, nonzero=True))
-def test_divmod_property(a, b):
+def _long_division(a, b):
+    """Coefficients of (q, r) by Fraction long division, the reference for
+    Poly.divmod."""
+    r = list(a.c)
+    q = [Fraction(0)] * max(0, len(r) - len(b.c) + 1)
+    while len(r) >= len(b.c):
+        k = len(r) - len(b.c)
+        q[k] = r[-1] / b.c[-1]
+        for i, y in enumerate(b.c):
+            r[k + i] -= q[k] * y
+        r.pop()
+    return _trimmed(q), _trimmed(r)
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _assert_canonical(p):
+    """The stored form: d > 0, gcd(d, *n) = 1, no trailing zero, and .c
+    reads n[i] / d."""
+    assert type(p.d) is int and all(type(x) is int for x in p.n)
+    assert p.d > 0 and math.gcd(p.d, *p.n) == 1
+    assert not p.n or p.n[-1] != 0
+    assert p.c == tuple(Fraction(x, p.d) for x in p.n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys(6), small_polys(3, nonzero=True), small_polys(3),
+       st.booleans())
+@example(a=P(1, 2, 3, 4), b=P(1, 0, -3), c=Poly(), exact=False)
+@example(a=Poly(), b=P(Fraction(2, 5), Fraction(-7, 3)),
+         c=P(5, 0, Fraction(1, 6)), exact=True)
+@example(a=P(Fraction(1, 2), 3), b=P(Fraction(-4, 9)), c=Poly(), exact=False)
+def test_divmod_property(a, b, c, exact):
+    """divmod equals Fraction long division, for divisors with non-unit and
+    negative leading coefficients and for exact divisions."""
+    if exact:
+        a = _schoolbook(b, c)
     q, r = a.divmod(b)
+    assert (q.c, r.c) == _long_division(a, b)
+    assert r.degree < b.degree
     assert q * b + r == a
+    _assert_canonical(q)
+    _assert_canonical(r)
+    if exact:
+        assert r.is_zero and q == c
 
 
 def _schoolbook(a, b):
@@ -112,6 +158,66 @@ def test_mul_matches_schoolbook(a, b, k):
     assert a * k == _schoolbook(a, Poly.const(k))
     assert k * a == a * k
     assert (a * 3).c == tuple(3 * x for x in a.c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_some_polys(5), _some_polys(5), rationals(12, 9))
+def test_ring_ops_match_fraction_references(a, b, z):
+    pairs = list(zip_longest(a.c, b.c, fillvalue=Fraction(0)))
+    assert (a + b).c == _trimmed(x + y for x, y in pairs)
+    assert (a - b).c == _trimmed(x - y for x, y in pairs)
+    assert (-a).c == tuple(-x for x in a.c)
+    assert a.monic().c == tuple(x / a.c[-1] for x in a.c)
+    assert a.deriv().c == tuple(i * x for i, x in enumerate(a.c))[1:]
+    want = Fraction(0)
+    for x in reversed(a.c):
+        want = want * z + x
+    assert a.eval_q(z) == want and type(a.eval_q(z)) is Fraction
+    for p in (a + b, a - b, -a, a.monic(), a.deriv(), a * b, a * z):
+        _assert_canonical(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals(9, 7), max_size=5), _some_polys(3),
+       st.integers(2, 12))
+def test_equal_values_have_one_form(cs, other, k):
+    """However a value is built, its Poly compares equal, hashes equal and
+    reads the same coefficients."""
+    p = Poly(cs)
+    forms = [Poly(cs + [0, 0]),
+             Poly(f"{x.numerator * k}/{x.denominator * k}" for x in cs),
+             (p + other) - other,
+             p * k * Fraction(1, k),
+             Poly.const(k) * p * Poly.const(Fraction(1, k))]
+    if all(x.denominator == 1 for x in cs):
+        forms.append(Poly([int(x) for x in cs]))
+    _assert_canonical(p)
+    for f in forms:
+        _assert_canonical(f)
+        assert f == p and hash(f) == hash(p) and f.c == p.c
+    if p.is_zero:
+        assert (p.d, p.n) == (1, ())
+
+
+def test_mul_and_divmod_construct_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    a = P(1, Fraction(2, 3), -5, 7)
+    b = P(Fraction(-3, 4), 0, Fraction(5, 2))
+    monkeypatch.setattr(nevkit.poly, "Fraction", Counted)
+    prod = a * b
+    q, r = a.divmod(b)
+    q2, r2 = prod.divmod(a)
+    g = gcd(prod, b * P(1, 1))
+    assert made == []
+    monkeypatch.undo()
+    assert (q.c, r.c) == _long_division(a, b)
+    assert q2 == b and r2.is_zero and g == b.monic()
 
 
 def _qc_horner(p, z):
@@ -258,6 +364,29 @@ def test_cmp_alg_takes_no_gcd_of_disjoint_boxes(monkeypatch):
     other = RealAlg(P(-2, 0, 1), Fraction(4, 3), Fraction(2))
     assert sqrt2.cmp_alg(other) == 0
     assert calls == [1]
+
+
+def test_sign_of_takes_a_gcd_only_when_the_box_holds_a_root_of_q(
+        monkeypatch):
+    calls = []
+    gcd_ = nevkit.poly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd_(a, b)
+
+    monkeypatch.setattr(nevkit.poly, "gcd", counted)
+    sqrt2 = RealAlg(P(-2, 0, 1), Fraction(1), Fraction(3, 2))
+    assert sqrt2.sign_of(P(-2, 1)) < 0              # root 2 outside the box
+    assert sqrt2.sign_of(P(-3, 0, 1)) < 0           # roots +-sqrt(3) too
+    assert calls == []
+    assert sqrt2.sign_of(P(Fraction(-7, 5), 1)) > 0   # 7/5 < sqrt(2)
+    assert calls == [1]
+    # a root shared with q: the sign is 0
+    assert sqrt2.sign_of(P(-2, 0, 1)) == 0
+    assert RealAlg(P(-2, 0, 1), Fraction(1), Fraction(3, 2)).sign_of(
+        P(-2, 0, 1) * P(-5, 1)) == 0
+    assert calls == [1, 1, 1]
 
 
 def test_point_cmp_mixed():

@@ -194,6 +194,20 @@ def test_cli_invert_dump_samples(tmp_path):
     assert len(lines) > 1000
 
 
+@pytest.mark.parametrize("eps_min", ["1e-20", "1e-40", "1e-300"])
+def test_cli_invert_steep_schedule_keeps_the_atom(tmp_path, capsys,
+                                                  eps_min):
+    """z - 1/z has a unit atom at 0.  Levels far more than ten times apart
+    must still recover its mass, or fail: never a wrong mass with exit 0."""
+    f = {"num": ["-1", "0", "1"], "den": ["0", "1"]}
+    code, rep = _run(tmp_path, "invert", {"in": f},
+                     extra=["--interval=-1,1", "--eps-min", eps_min])
+    if code == 0:
+        assert abs(rep["mass"] - 1.0) < 1e-3
+    else:
+        assert code == 1 and "NonConvergent" in capsys.readouterr().err
+
+
 def _sqrt2_point(r: RatFun) -> str:
     """Emitted bytes of the zero sqrt(2) of r."""
     return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
