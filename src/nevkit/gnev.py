@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinnaTau)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
-from .poly import Poly, RealAlg, rat
+from .poly import (Poly, RealAlg, count_real_roots, irreducible_factors,
+                   rat)
 from .qmath import INF, QC, fmt_rat
 from .ratfun import RatFun
 
@@ -170,10 +171,12 @@ def _canonical_factor(f: RatFun):
 
     A rational point of type multiplicity k gives (z-p)^(2k).  Conjugate
     pairs and even-order irrational roots enter whole, as their defining
-    polynomial to its multiplicity.  Exact arithmetic cannot split an
-    odd-order irrational point that carries type multiplicity, nor conjugate
-    pairs that share an odd-multiplicity factor with irrational real roots;
-    both are refused.
+    polynomial to its multiplicity.  Only a pair block of odd multiplicity
+    that also holds irrational real roots is factored over the rationals:
+    its factors without real roots enter, those with only real roots stay
+    out.  Exact arithmetic cannot split an odd-order irrational point that
+    carries type multiplicity, nor conjugate pairs that share an irreducible
+    factor with irrational real roots; both are refused.
     """
     records = [rec for rec in nonpositive_type_records(f)
                if rec.point is not INF]
@@ -190,11 +193,17 @@ def _canonical_factor(f: RatFun):
     for kind, blocks in (("GZNT", f.complex_zero_blocks),
                          ("GPNT", f.complex_pole_blocks)):
         for blk in blocks:
-            if blk.real_roots and blk.mult % 2:
-                raise ExactSplitUnavailable(
-                    "conjugate pairs share an odd-multiplicity factor with "
-                    "irrational real roots")
-            parts[kind][blk.factor] = blk.mult
+            if not (blk.real_roots and blk.mult % 2):
+                parts[kind][blk.factor] = blk.mult
+                continue
+            for h in irreducible_factors(blk.factor):
+                n = count_real_roots(h)
+                if 0 < n < h.degree:
+                    raise ExactSplitUnavailable(
+                        "conjugate pairs share an odd-multiplicity factor "
+                        "with irrational real roots")
+                if not n:
+                    parts[kind][h] = blk.mult
     # every polynomial here is monic, so the factor's gamma is one
     num, den = Poly.const(1), Poly.const(1)
     for h, e in parts["GZNT"].items():

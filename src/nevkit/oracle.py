@@ -256,6 +256,13 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     per_level = []
     spacing = (d - c) / cfg.quadrature_points
     mid = 0.0
+    if cfg.eps_schedule[0] < spacing:
+        # spikes finer than the grid fall between its samples, so those of
+        # a first level below the grid spacing are found at that spacing
+        # and tracked down to the level like those of an earlier level
+        peaks = _detect_peaks(ev, phi_ev, c, d, spacing,
+                              cfg.quadrature_points)
+        mid = spacing / PEAK_TRACK_RATIO
     for eps in cfg.eps_schedule:
         # a peak located at the last level is off by up to about that
         # offset, so across a step of more than PEAK_TRACK_RATIO it is

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from itertools import zip_longest
+from functools import cmp_to_key, lru_cache, reduce
+from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInput
@@ -327,22 +328,170 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def irreducible_factors(p: Poly) -> list[Poly]:
     """Monic irreducible factors of p over the rationals, with repetition
-    according to multiplicity (delegated to sympy's factorization).
-
-    :func:`real_root_structure` calls it only for a squarefree residual
-    that mixes irrational real roots with nonreal ones, so sympy is
-    imported only then."""
-    import sympy
-    x = sympy.Symbol("x")
-    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                     for c in reversed(p.c)], x, domain="QQ")
-    _, factors = sp.factor_list()
+    according to multiplicity: each squarefree part is factored over Z by
+    :func:`_factor_squarefree`."""
     out = []
-    for f, k in factors:
-        coeffs = [Fraction(int(c.p), int(c.q))
-                  for c in reversed(f.all_coeffs())]
-        out.extend([Poly(coeffs).monic()] * k)
+    for g, m in squarefree_decomposition(p):
+        for f in _factor_squarefree(_primitive(g.n)):
+            out.extend([_poly(f, f[-1])] * m)
     return out
+
+
+# -- Factoring over Z (Zassenhaus 1969; von zur Gathen and Gerhard, Modern
+# Computer Algebra, ch. 14-15).  A polynomial mod m is a list of ascending
+# residues in [0, m) without trailing zeros.
+
+def _pnorm(a: Sequence[int], m: int) -> list[int]:
+    a = [x % m for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(a, b, m, k=1):
+    """a + k b mod m."""
+    return _pnorm([x + k * y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _pmul(a, b, m):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _pnorm(out, m)
+
+
+def _pdivmod(a, b, m):
+    """(q, r) with a = q b + r mod m and deg r < deg b, for a unit lead(b)."""
+    inv, db = pow(b[-1], -1, m), len(b) - 1
+    r, q = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f = r[k + db] * inv % m
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    return _pnorm(q, m), _pnorm(r[:db], m)
+
+
+def _pgcd(a, b, p):
+    """Monic gcd of a != 0 and b mod the prime p."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmul(a, [pow(a[-1], -1, p)], p)
+
+
+def _ppow(a, e, f, p):
+    """a^e mod f, mod p, for deg a < deg f."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pdivmod(_pmul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _pdivmod(_pmul(out, a, p), f, p)[1]
+    return out
+
+
+def _ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f mod p: pairs
+    (g, d), g the product of the irreducible factors of degree d."""
+    out, h, d = [], [0, 1], 0
+    while len(f) > 2 * d + 2:
+        d += 1
+        h = _ppow(h, p, f, p)                       # x^(p^d) mod f
+        g = _pgcd(f, _padd(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] * (len(f) > 1)
+
+
+def _edf(g, d, p, rng):
+    """The monic factors of g mod the odd prime p, all of degree d
+    (Cantor and Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _pnorm([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        u = _pgcd(g, _padd(_ppow(a, (p**d - 1) // 2, g, p), [1], p, -1), p)
+        if 1 < len(u) < len(g):
+            return (_edf(u, d, p, rng)
+                    + _edf(_pdivmod(g, u, p)[0], d, p, rng))
+
+
+def _hensel(f, gs, p, big):
+    """Monic factors mod big = p^(2^j) of f, monic mod big, that lift the
+    pairwise coprime monic factors gs of f mod p: a tree of quadratic
+    Hensel steps (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    if len(gs) == 1:
+        return [f]
+    k = len(gs) // 2
+    g, h = (reduce(lambda a, b: _pmul(a, b, p), half)
+            for half in (gs[:k], gs[k:]))
+    r0, r1, s, s1 = g, h, [1], []        # s g + t h = 1 mod p
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1, s, s1 = r1, r, s1, _padd(s, _pmul(q, s1, p), p, -1)
+    s = _pmul(s, [pow(r0[0], -1, p)], p)
+    t = _pdivmod(_padd([1], _pmul(s, g, p), p, -1), h, p)[0]
+    m = p
+    while m < big:
+        m *= m
+        e = _padd(f, _pmul(g, h, m), m, -1)
+        q, r = _pdivmod(_pmul(s, e, m), h, m)
+        g = _padd(g, _padd(_pmul(t, e, m), _pmul(q, g, m), m), m)
+        h = _padd(h, r, m)
+        b = _padd(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [1], m, -1)
+        c, d = _pdivmod(_pmul(s, b, m), h, m)
+        s = _padd(s, d, m, -1)
+        t = _padd(t, _padd(_pmul(t, b, m), _pmul(c, g, m), m), m, -1)
+    return _hensel(g, gs[:k], p, big) + _hensel(h, gs[k:], p, big)
+
+
+def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
+    """The primitive irreducible factors over Z of a squarefree primitive
+    integer polynomial f of positive degree.
+
+    Of the first five odd primes p that keep the degree and squarefreeness
+    of f mod p, each decided by trial division, the one with the fewest
+    factors mod p is taken.  Those factors are split with a fixed seed,
+    Hensel-lifted mod p^(2^j) beyond twice the Mignotte bound on lead(f)
+    times a factor of f, and recombined in subsets by exact division."""
+    best, p, tried = (len(f), 0, []), 1, 0
+    while tried < 5 and best[0] > 1:
+        p += 2
+        if f[-1] % p == 0 or any(p % q == 0
+                                 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        fp = _pmul(f, [pow(f[-1], -1, p)], p)
+        if len(_pgcd(fp, _pnorm([i * c for i, c in enumerate(f)][1:], p),
+                     p)) == 1:
+            tried += 1
+            dd = _ddf(fp, p)
+            best = min(best, (sum((len(g) - 1) // d for g, d in dd), p, dd))
+    r, p, dd = best
+    if r == 1:
+        return [f]
+    rng = random.Random(0)
+    gs = [u for g, d in dd for u in _edf(g, d, p, rng)]
+    bound = abs(f[-1]) * 2 ** len(f) * (math.isqrt(sum(c * c for c in f)) + 1)
+    big = p
+    while big <= 2 * bound:
+        big *= big
+    us = _hensel(_pmul(f, [pow(f[-1], -1, big)], big), gs, p, big)
+    out, size = [], 1
+    while 2 * size <= len(us):
+        for sub in combinations(range(len(us)), size):
+            g = reduce(lambda a, b: _pmul(a, b, big), [us[i] for i in sub],
+                       [f[-1]])
+            g = _primitive([c - big if 2 * c > big else c for c in g])
+            q, rem = _poly(f).divmod(_poly(g))
+            if rem.is_zero:
+                out.append(g)
+                f = _primitive(q.n)
+                us = [u for i, u in enumerate(us) if i not in sub]
+                break
+        else:
+            size += 1
+    return out + [f]
 
 
 # -- Sturm machinery on primitive integer polynomials -------------------------
@@ -670,12 +819,13 @@ class RootRecord:
 @dataclass(frozen=True)
 class ConjugatePairBlock:
     """Count of the conjugate nonreal root pairs of ``factor``: the
-    residual of one squarefree part after its real roots are divided out,
-    or one irreducible factor of a residual that mixes irrational real
-    roots with nonreal ones.
+    residual of one squarefree part after its rational roots are divided
+    out.
 
-    ``factor`` then also contains its irrational real roots, so it is only
-    an exact polynomial witness of the pairs when ``real_roots == 0``.
+    ``factor`` also holds the ``real_roots`` irrational real roots of that
+    residual, so it is an exact polynomial witness of the pairs only when
+    ``real_roots == 0``; otherwise the pairs are split off by factoring it
+    over the rationals, where and when a caller needs them apart.
     """
 
     factor: Poly
@@ -696,12 +846,11 @@ def real_root_structure(p: Poly) -> RootStructure:
 
     The real roots of each squarefree part g are isolated once: rational
     roots become rational records, and the residual h, g without its
-    rational linear factors, gives the rest.  When h has only real roots
-    they become :class:`RealAlg` records on h; when it has none it is one
-    conjugate-pair block.  Only an h that has both is factored over the
-    rationals, each factor giving its own records and block.  The result is
-    memoised on the value of p and shared, so it is immutable; the
-    isolating boxes of its RealAlg records only ever shrink.
+    rational linear factors, gives the rest.  Each irrational real root
+    becomes a :class:`RealAlg` record on h, and when h also has nonreal
+    roots they are one conjugate-pair block on h.  Nothing is factored
+    here.  The result is memoised on the value of p and shared, so it is
+    immutable; the isolating boxes of its RealAlg records only ever shrink.
     """
     real: list[RootRecord] = []
     blocks: list[ConjugatePairBlock] = []
@@ -714,19 +863,10 @@ def real_root_structure(p: Poly) -> RootStructure:
                 h = h // Poly([-lo, 1])
             else:
                 boxes.append((lo, hi))
-        if len(boxes) == h.degree:
-            real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
-        elif not boxes:
-            blocks.append(ConjugatePairBlock(h, h.degree // 2, m, 0))
-        else:
-            for f in irreducible_factors(h):
-                fboxes = isolate_real_roots(f)
-                real.extend(RootRecord(RealAlg(f, lo, hi), m)
-                            for lo, hi in fboxes)
-                pairs = (f.degree - len(fboxes)) // 2
-                if pairs:
-                    blocks.append(ConjugatePairBlock(f, pairs, m,
-                                                     len(fboxes)))
+        real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
+        if len(boxes) < h.degree:
+            blocks.append(ConjugatePairBlock(
+                h, (h.degree - len(boxes)) // 2, m, len(boxes)))
     real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
     return RootStructure(tuple(real), tuple(blocks))
 

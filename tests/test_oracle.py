@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nevkit.oracle
 from nevkit.corpus import random_nevfun, random_symmetric_ratfun
-from nevkit.errors import InvalidInput
+from nevkit.errors import InvalidInput, NonConvergent
 from nevkit.nevfun import NevFun
 from nevkit.oracle import (InversionConfig, _local_maxima, _sample_points,
                            build_kernel_sample, gap_detect, negative_squares,
@@ -114,6 +114,18 @@ def test_only_long_steps_add_tracking_offsets(monkeypatch):
     res = stieltjes_invert(MINUS_INV, steep)
     assert offsets == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5, 2.5e-6])
     assert len(res.per_level) == 2 and abs(res.value - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("schedule", [(1e-9, 1e-10), (1e-12,), (1e-6, 1e-7)])
+def test_first_level_finer_than_the_grid_keeps_the_atom(schedule):
+    """z - 1/z on [-1, 1]: a unit atom at 0 whose spike, at a first offset
+    far below the 4.9e-4 grid spacing, falls between the samples."""
+    cfg = InversionConfig(eps_schedule=schedule, interval=(-1, 1))
+    try:
+        res = stieltjes_invert(NevFun.of(0, 1, [(0, 1)]), cfg)
+    except NonConvergent:
+        return
+    assert abs(res.value - 1.0) < 1e-3
 
 
 def test_gap_detect_examples():

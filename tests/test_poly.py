@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, small_polys
+import nevkit.gnev
 import nevkit.poly
 from nevkit.errors import ExactSplitUnavailable
 from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
-                         isolate_real_roots, point_cmp, poly_sign_at,
-                         rational_between, rational_outside,
+                         irreducible_factors, isolate_real_roots, point_cmp,
+                         poly_sign_at, rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition,
                          sturm_chain)
 from nevkit.qmath import QC
@@ -280,41 +281,113 @@ def test_rational_roots():
     assert roots_of(q) == [(Fraction(-1, 2), 1), (Fraction(1), 2)]
 
 
-def test_root_structure_shared_by_equal_numerators(monkeypatch):
-    calls = []
-    factor = nevkit.poly.irreducible_factors
-
-    def counting(p):
-        calls.append(p)
-        return factor(p)
-
-    monkeypatch.setattr(nevkit.poly, "irreducible_factors", counting)
+def test_root_structure_shared_by_equal_numerators():
     real_root_structure.cache_clear()
-    num = P(-3, 0, 1) * P(-7, 1) * P(1, 0, 1)   # squarefree: one factoring
+    num = P(-3, 0, 1) * P(-7, 1) * P(1, 0, 1)   # squarefree: one analysis
     r1 = RatFun(num, Poly.from_roots([2]))
     r2 = RatFun(num, Poly.from_roots([-4, 9]))
     assert r1 is not r2
     zeros = r1.real_zeros
     assert r2.real_zeros == zeros
-    assert len(calls) == 1
+    info = real_root_structure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert [rec.is_rational for rec in zeros] == [False, False, True]
-    assert [(b.pairs, b.real_roots) for b in r2.complex_zero_blocks] == [(1, 0)]
+    # the pair of z^2 + 1 shares its block with the roots of z^2 - 3
+    assert [(b.pairs, b.real_roots) for b in r2.complex_zero_blocks] == [(1, 2)]
 
 
-def test_root_structure_mixed_factor():
+def test_root_structure_mixed_factor(monkeypatch):
+    calls = []
+    factor = nevkit.gnev.irreducible_factors
+
+    def counting(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(nevkit.gnev, "irreducible_factors", counting)
     cube = P(-2, 0, 0, 1)          # one irrational real root, one pair
     f1 = RatFun(cube * P(-1, 1), Poly.const(1))
     assert [(b.factor, b.pairs, b.mult, b.real_roots)
             for b in f1.complex_zero_blocks] == [(cube, 1, 1, 1)]
     assert [rec.mult for rec in f1.real_zeros] == [1, 1]
-    with pytest.raises(ExactSplitUnavailable):
+    # an odd power is factored, and its irreducible mixed factor refused
+    with pytest.raises(ExactSplitUnavailable, match="conjugate pairs share"):
         canonical_pair(f1)
+    assert calls == [cube]
     f2 = RatFun(cube ** 2 * P(-1, 1), Poly.const(1))
     assert [(b.pairs, b.mult, b.real_roots)
             for b in f2.complex_zero_blocks] == [(1, 2, 1)]
     psi, s0, _records = canonical_rational(f2)
     assert psi == RatFun(cube ** 2, Poly.const(1))
     assert s0 == RatFun(P(-1, 1), Poly.const(1))
+    # an even power enters the factor whole, unfactored
+    assert canonical_pair(f2).q0.to_ratfun() == s0
+    assert calls == [cube]
+
+
+def test_mixed_block_splits_into_pairs_and_real_roots():
+    # the degree-5 block of the golden case chain_negative-1: z^2 + 1 times
+    # a cubic with three real roots
+    F = Fraction
+    block = P(F(518, 633), F(-19373, 2532), F(-1063, 211), F(-16841, 2532),
+              F(-3707, 633), 1)
+    cubic = P(F(518, 633), F(-19373, 2532), F(-3707, 633), 1)
+    assert sorted(irreducible_factors(block), key=lambda f: f.degree) == [
+        P(1, 0, 1), cubic]
+    assert count_real_roots(cubic) == 3
+    f = RatFun(block * F(-422, 65),
+               P(F(2, 3), F(35, 12), F(13, 8), F(-83, 12), F(-43, 6), 1))
+    assert [(b.pairs, b.mult, b.real_roots)
+            for b in f.complex_zero_blocks] == [(1, 1, 3)]
+    psi, s0, _records = canonical_rational(f)
+    assert psi == RatFun(P(1, 0, 1), P(F(1, 4), 1, 1))
+    assert psi * s0 == f
+
+
+def _sympy_factors(p: Poly) -> list[Poly]:
+    """Monic irreducible factors of p over Q by sympy, with repetition."""
+    import sympy
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                     for c in reversed(p.c)], sympy.Symbol("x"), domain="QQ")
+    out = []
+    for f, k in sp.factor_list()[1]:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        out.extend([Poly(coeffs).monic()] * k)
+    return out
+
+
+def _by_value(fs):
+    return sorted(fs, key=lambda f: (f.degree, f.n, f.d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-30, 30), min_size=1,
+                                   max_size=4),
+                          st.sampled_from([1, -1, 2, -3, 6, -12]),
+                          st.integers(1, 3)),
+                min_size=1, max_size=6),
+       st.sampled_from([1, -2, Fraction(3, 7)]))
+@example([([1, 0, 0], 1, 1)], 1)                       # z^4 + 1
+@example([([1, 0, -10, 0], 1, 1), ([1, 0, -98, 0], 1, 2)], 1)
+@example([([-2, 0], 1, 1), ([-3, 0], 1, 1), ([-5, 0], 1, 1),
+          ([-6, 0], 1, 1), ([-7, 0], 1, 1), ([-10, 0], 1, 1)], -2)
+def test_irreducible_factors_match_sympy(factors, scale):
+    """Products of integer factors of degree 1 to 4, with non-unit and
+    negative leading coefficients and repeated factors, up to degree 12:
+    the monic irreducible factors equal sympy's, with multiplicity, and
+    multiply back to p."""
+    p = Poly.const(scale)
+    for low, lead, m in factors:
+        f = Poly(low + [lead]) ** m
+        if p.degree + f.degree <= 12:
+            p = p * f
+    got = irreducible_factors(p)
+    assert _by_value(got) == _by_value(_sympy_factors(p))
+    prod = Poly.const(p.lead)
+    for f in got:
+        assert f.lead == 1
+        prod = prod * f
+    assert prod == p
 
 
 def test_sturm_count():

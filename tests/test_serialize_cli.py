@@ -305,14 +305,14 @@ MIXED_R = {"num": ["2", "-2", "0", "-1", "1"], "den": ["1"]}  # (z^3-2)(z-1)
     ("factor", {"in": WORKED_R}, 0, False, False),
     ("chain", {"in": WORKED_Q, "r": WORKED_R}, 0, False, False),
     ("kappa", {"in": WORKED_R}, 0, False, True),
-    # the mixed factor cannot be split exactly: an input error
-    ("factor", {"in": MIXED_R}, 1, True, False),
+    # the mixed factor cannot be split exactly: an input error, found by
+    # the native factorizer
+    ("factor", {"in": MIXED_R}, 1, False, False),
 ])
 def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
                                                        code, sympy, numpy):
-    """The exact verbs run without sympy or numpy; sympy comes in only for
-    a squarefree factor mixing irrational real and nonreal roots, numpy
-    only for the numeric verbs."""
+    """No verb imports sympy, and the exact verbs run without numpy, which
+    only the numeric verbs load."""
     args = [verb]
     for flag, payload in files.items():
         p = tmp_path / f"{flag}.json"
@@ -327,6 +327,55 @@ def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {"code": code, "sympy": sympy, "numpy": numpy}
     assert code == 0 or "ExactSplitUnavailable" in proc.stderr
+
+
+GOLDENS_PROBE = """
+import contextlib, io, json, os, sys
+from nevkit.cli import main
+runs = []
+for case in json.load(open(sys.argv[1]))["cases"]:
+    os.chdir(sys.argv[2])
+    os.mkdir(case["id"])
+    os.chdir(case["id"])
+    for name, text in case["files"].items():
+        with open(name, "w") as fh:
+            fh.write(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        runs.append([main(case["argv"]), out.getvalue()])
+with contextlib.redirect_stdout(io.StringIO()):
+    runs.append([main(["selftest"]), ""])
+print(json.dumps({"runs": runs, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_no_verb_imports_sympy(tmp_path):
+    """Every golden CLI case and ``selftest``, run in one fresh process,
+    give their golden reports and never load sympy."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from cli_goldens import GOLDENS, compare
+    finally:
+        sys.path.remove(perfbench)
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", GOLDENS_PROBE, str(GOLDENS), str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    cases = json.loads(GOLDENS.read_text())["cases"]
+    *runs, selftest = probe["runs"]
+    assert len(runs) == len(cases) and {c["kind"] for c in cases} >= {
+        "factor", "classify", "product", "chain", "realize", "kappa",
+        "invert"}
+    for case, (code, stdout) in zip(cases, runs):
+        assert compare(case, code, stdout) is None, case["id"]
+    assert selftest == [0, ""]
+    assert probe["sympy"] is False
 
 
 def _factor_report(tmp_path, capsys, num):
