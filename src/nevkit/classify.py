@@ -3,14 +3,16 @@ symmetric rational functions.
 
 Membership and witness construction, the constructive canonical
 factorization of the product (single degree-one steps along a
-disjoint-negative-set splitting of the multiplier's Nevanlinna part), the
-plain-pair characterization with clause-level diagnostics, and ordered
-degree-one factor chains whose partial products all stay Nevanlinna, each
-certified by exact representation extraction.
+disjoint-negative-set splitting of the multiplier's Nevanlinna part, each
+computed in closed form on the representation data and certified by a
+polynomial identity), the plain-pair characterization with clause-level
+diagnostics, and ordered degree-one factor chains whose partial products all
+stay Nevanlinna, certified by exact representation extraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -108,9 +110,12 @@ def product_factorization(g: GenNevFun, r: RatFun) -> GenNevFun:
     """Canonical pair of r times the function: split the Nevanlinna part of
     r into degree-one pieces with pairwise disjoint closed negative sets and
     absorb them one at a time, collecting the squared factors each step
-    produces.  Every intermediate is certified exactly."""
+    produces.  Each step is computed in closed form from the representation
+    data and certified exactly, without re-extracting a representation."""
     if r.is_constant:
         raise ConstantInput("multiplier must be nonconstant")
+    if g.q0.is_constant and g.q0.alpha == 0:
+        raise InvalidInput("zero function has no canonical pair")
     psi_r, s0, _ = canonical_rational(r)
     acc_phi = g.phi * psi_r
     q_cur = g.q0
@@ -127,44 +132,93 @@ def product_factorization(g: GenNevFun, r: RatFun) -> GenNevFun:
 
 
 def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
-    """One multiplication by a degree-one simple factor: returns the squared
-    factor it contributes to the canonical pair and the certified Nevanlinna
-    remainder."""
-    q_rat = q.to_ratfun()
-    g_rat = s * q_rat
+    """One multiplication by a degree-one simple factor s, in closed form on
+    the representation data of q: the squared factor psi it contributes to
+    the canonical pair and the Nevanlinna function q_next = s q / psi.
 
-    # orders add and leading signs multiply; the roots of s and q are
-    # known, while those of g_rat would have to be isolated afresh
-    def order(p) -> int:
-        return s.ord_at(p) + q_rat.ord_at(p)
+    psi carries the type multiplicities of s q at the finite zero and pole
+    of s, and the atoms and zeros of q where s is negative; q's numerator is
+    isolated only when sign changes put a zero there.  q_next has its atoms
+    where ord s + ord q - ord psi = -1, with weight -lead(s) lead(q) /
+    lead(psi), and the polynomial part of s q / psi as linear part.  It is
+    certified exactly: positive weights, nonnegative slope and the Poly
+    identity q_next psi = s q.  Any failure is an InvariantViolation."""
+    a, b = (-p.c[0] / p.c[1] if p.degree == 1 else None
+            for p in (s.num, s.den))           # finite zero and pole of s
 
-    def lead_sign(p) -> int:
-        return s.laurent_lead_sign(p) * q_rat.laurent_lead_sign(p)
+    def s_local(x) -> tuple[int, Fraction]:
+        u, v = s.num.eval_q(x), s.den.eval_q(x)
+        return (1, s.num.lead / v) if u == 0 else (-1, u) if v == 0 \
+            else (0, u / v)
 
-    psi_num = Poly.const(1)
-    psi_den = Poly.const(1)
-    for rec in s.real_zeros:       # at most one
-        a = rec.point
-        e = order(a)
-        pi = _zero_type_mult(max(e, 0), lead_sign(a))
-        if pi:
-            psi_num = psi_num * Poly([-a, 1]) ** (2 * pi)
-    for rec in s.real_poles:       # at most one
-        b = rec.point
-        e = order(b)
-        ka = _pole_type_mult(max(-e, 0), lead_sign(b))
-        if ka:
-            psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
-    for a in _negative_at(s, _zero_points(q)):
-        if isinstance(a, RealAlg):
-            raise ExactSplitUnavailable(
-                "irrational zero inside the negative set of the factor")
-        psi_num = psi_num * Poly([-a, 1]) ** 2
-    for t in _negative_at(s, q.sigma.positions):
-        psi_den = psi_den * Poly([-t, 1]) ** 2
-    psi = RatFun(psi_num, psi_den)
-    q_next = nevfun_from_ratfun(g_rat / psi)
-    return psi, q_next
+    def negative(x) -> bool:
+        return s.num.eval_q(x) * s.den.eval_q(x) < 0
+
+    n, d = q.num_den()
+
+    def q_local(x) -> tuple[int, Fraction]:
+        """(order, Laurent lead) of q at a non-atom; zeros are simple."""
+        v, dx = n.eval_q(x), d.eval_q(x)
+        return (0, v / dx) if v else (1, n.deriv().eval_q(x) / dx)
+
+    # local data of q at every candidate atom of q_next
+    q_loc = {t: (-1, -w) for t, w in q.sigma}
+    q_loc.update((x, q_loc.get(x) or q_local(x)) for x in (a, b)
+                 if x is not None)
+    psi = {t: -2 for t in q_loc if negative(t)}   # point -> even exponent
+    for x, type_mult, sgn in ((a, _zero_type_mult, 1),
+                              (b, _pole_type_mult, -1)):
+        if x is not None:
+            e, lead = q_loc[x]
+            m = type_mult(1 + sgn * e, s_local(x)[1] * lead)
+            if m:
+                psi[x] = 2 * sgn * m
+    # The atoms and the finite ends of the set where s < 0 cut the line
+    # into cells, each inside that set or outside it.  q increases on each
+    # cell, so it vanishes inside one exactly when it is negative just right
+    # of the left end and positive just left of the right end.  None stands
+    # for -inf on the left and +inf on the right, where q takes its signs as
+    # at an atom if beta > 0, else as at a regular point.
+    at_inf = (-1, -1) if q.beta > 0 else (0, q.limit_at(INF, "value").value)
+
+    def end_sign(x, right_of: bool) -> int:
+        e, lead = at_inf if x is None else q_loc[x]     # q ~ lead (z-x)^e
+        sgn = (lead > 0) - (lead < 0)
+        return sgn if right_of or e % 2 == 0 else -sgn
+
+    ends = sorted(q_loc)                # not empty: s has a finite end
+    insides = ([ends[0] - 1] + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+               + [ends[-1] + 1])
+    if any(negative(x) and end_sign(lo, True) < 0 < end_sign(hi, False)
+           for lo, hi, x in zip([None] + ends, ends + [None], insides)):
+        for x in _negative_at(s, _zero_points(q)):
+            if isinstance(x, RealAlg):
+                raise ExactSplitUnavailable(
+                    "irrational zero inside the negative set of the factor")
+            psi[x] = 2
+            q_loc[x] = q_local(x)
+
+    atoms = []
+    for x, (eq, lq) in q_loc.items():
+        es, ls = s_local(x)
+        if es + eq - psi.get(x, 0) == -1:
+            lead_psi = math.prod(((x - y) ** e for y, e in psi.items()
+                                  if y != x), start=Fraction(1))
+            atoms.append((x, -ls * lq / lead_psi))
+    psi_num = Poly.from_roots([y for y, e in psi.items() for _ in range(e)])
+    psi_den = Poly.from_roots([y for y, e in psi.items() for _ in range(-e)])
+    lhs, rhs = s.num * n * psi_den, s.den * d * psi_num   # s q / psi
+    lin = lhs.divmod(rhs)[0]
+    c0, beta = (lin.c + (Fraction(0),) * 2)[:2]
+    if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
+        raise InvariantViolation("degree-one step: s q / psi is not a "
+                                 "Nevanlinna function")
+    alpha = c0 + sum((w * t / (1 + t * t) for t, w in atoms), Fraction(0))
+    q_next = NevFun.of(alpha, beta, atoms)
+    n_next, d_next = q_next.num_den()
+    if n_next * rhs != lhs * d_next:
+        raise InvariantViolation("degree-one step: q_next psi != s q")
+    return RatFun(psi_num, psi_den), q_next
 
 
 # -- splitting of simple interlacing functions ---------------------------------------

@@ -131,23 +131,31 @@ class NevFun:
         return acc
 
     # -- structure ------------------------------------------------------------------
-    def to_ratfun(self) -> RatFun:
-        """The function as a reduced RatFun, built once per instance.  The
-        memo lives outside the dataclass fields, so equality, the hash and
-        the repr do not see it."""
-        memo = self.__dict__.get("_ratfun")
+    def num_den(self) -> tuple[Poly, Poly]:
+        """(num, den) with the function num/den and den the monic product
+        of z - t over the atoms, built once per instance and without a gcd,
+        one atom at a time.  The memo lives outside the dataclass fields, so
+        equality, the hash and the repr do not see it."""
+        memo = self.__dict__.get("_num_den")
         if memo is not None:
             return memo
-        den = Poly.from_roots(self.sigma.positions)
+        num, den = Poly.const(0), Poly.const(1)
         c0 = self.alpha
         for t, w in self.sigma:
+            lin = Poly([-t, 1])
+            num, den = num * lin - den * w, den * lin    # + w/(t-z)
             c0 -= w * t / (1 + t * t)
-        num = Poly([c0, self.beta]) * den
-        for t, w in self.sigma:
-            num = num + Poly.from_roots(
-                [s for s in self.sigma.positions if s != t]) * (-w)
-        memo = RatFun(num, den)
-        object.__setattr__(self, "_ratfun", memo)
+        memo = (num + Poly([c0, self.beta]) * den, den)
+        object.__setattr__(self, "_num_den", memo)
+        return memo
+
+    def to_ratfun(self) -> RatFun:
+        """The function as a reduced RatFun, built once per instance from
+        :meth:`num_den`."""
+        memo = self.__dict__.get("_ratfun")
+        if memo is None:
+            memo = RatFun(*self.num_den())
+            object.__setattr__(self, "_ratfun", memo)
         return memo
 
     def zeros(self) -> list:

@@ -44,7 +44,7 @@ class L2Model:
         for pos, v in self.omega_sq:
             if pos == t:
                 return v
-        raise KeyError(f"no vector value at {fmt_rat(t)}")
+        raise InvariantViolation(f"no vector value at {fmt_rat(t)}")
 
     def spectrum(self) -> list:
         pts: list = list(self.sigma.positions)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .classify import (chain_factorize, check_N00, interlacing_factorize,
-                       membership, negative_closed_pieces, pieces_disjoint,
+from .classify import (_degree_one_step, chain_factorize, check_N00,
+                       interlacing_factorize, membership,
+                       negative_closed_pieces, pieces_disjoint,
                        product_factorization)
 from .gnev import GenNevFun, canonical_pair, canonical_rational
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
@@ -138,5 +139,18 @@ def run_selftest(seed: int = 0):
         rep = membership(g, RatFun.x())
         expect(rep.member and rep.kappa_tilde == 1, "member with index 1")
     check("membership flags the exceptional-pole mechanism", chk_membership)
+
+    def chk_steps():
+        from .corpus import random_member_pair
+        for _ in range(4):
+            g, rr = random_member_pair(rng, max_atoms=4, max_degree=3)
+            s0, qq = canonical_rational(rr)[1], g.q0
+            for s in ([] if s0.is_constant else interlacing_factorize(s0)):
+                psi, q_next = _degree_one_step(s, qq)
+                expect(q_next == nevfun_from_ratfun(s * qq.to_ratfun() / psi),
+                       f"step by {s} equals the exact extraction")
+                qq = q_next
+    check("closed-form degree-one steps agree with exact extraction",
+          chk_steps)
 
     return ok_all, lines

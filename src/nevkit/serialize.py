@@ -115,7 +115,7 @@ def model_to_json(m: L2Model) -> dict:
 def model_from_json(d: dict) -> L2Model:
     try:
         xi = INF if d["xi"] == "inf" else parse_rat(d["xi"])
-        return L2Model(
+        m = L2Model(
             parse_rat(d["beta"]),
             AtomicMeasure.of([(parse_rat(a["t"]), parse_rat(a["w"]))
                               for a in d["sigma"]]),
@@ -127,6 +127,9 @@ def model_from_json(d: dict) -> L2Model:
         )
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"bad model object: {exc}") from exc
+    if sorted(t for t, _ in m.omega_sq) != m.sigma.positions:
+        raise SchemaMismatch("omega must have one entry per atom position")
+    return m
 
 
 def parse_function(d: dict):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,12 +10,17 @@ from nevkit.classify import (chain_factorize, candidate_points,
                              check_N00, interlacing_factorize, kac_closure,
                              membership, negative_closed_pieces,
                              pieces_disjoint, product_factorization,
-                             productinNg_forms, _certify_chain)
-from nevkit.corpus import (random_interlacing_simple, random_member_pair,
-                           random_plain_pair, structured_plain_pair)
+                             productinNg_forms, _certify_chain,
+                             _degree_one_step, _negative_at, _zero_points)
+from nevkit.corpus import (random_gennev, random_interlacing_simple,
+                           random_member_pair, random_plain_pair,
+                           random_symmetric_ratfun, structured_plain_pair)
 from nevkit import serialize as ser
-from nevkit.errors import InvariantViolation, NotInterlacing, NotNevanlinna
-from nevkit.gnev import GenNevFun, canonical_pair
+from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
+                           InvariantViolation, NevkitError, NotInterlacing,
+                           NotNevanlinna)
+from nevkit.gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
+                         canonical_pair, canonical_rational)
 from nevkit.nevfun import NevFun, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
 from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
@@ -386,3 +394,154 @@ def test_results_equal_with_cold_and_warm_certificates():
     warm = [outputs(qj, rj) for qj, rj in pairs]
     assert check_N00.cache_info().hits >= len(pairs)
     assert warm == cold
+
+
+# -- closed-form degree-one steps ----------------------------------------------------
+
+
+def _extraction_step(s: RatFun, q: NevFun):
+    """Reference for one product step: psi from the type multiplicities of
+    the RatFun s*q and the negative set of s, and q_next by exact
+    extraction of s*q/psi."""
+    q_rat = q.to_ratfun()
+    g_rat = s * q_rat
+    psi_num = psi_den = Poly.const(1)
+    for rec in s.real_zeros:
+        a = rec.point
+        pi = _zero_type_mult(max(g_rat.ord_at(a), 0),
+                             g_rat.laurent_lead_sign(a))
+        psi_num = psi_num * Poly([-a, 1]) ** (2 * pi)
+    for rec in s.real_poles:
+        b = rec.point
+        ka = _pole_type_mult(max(-g_rat.ord_at(b), 0),
+                             g_rat.laurent_lead_sign(b))
+        psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
+    for a in _negative_at(s, _zero_points(q)):
+        if isinstance(a, RealAlg):
+            raise ExactSplitUnavailable(
+                "irrational zero inside the negative set of the factor")
+        psi_num = psi_num * Poly([-a, 1]) ** 2
+    for t in _negative_at(s, q.sigma.positions):
+        psi_den = psi_den * Poly([-t, 1]) ** 2
+    psi = RatFun(psi_num, psi_den)
+    return psi, nevfun_from_ratfun(g_rat / psi)
+
+
+def _outcome(step, s, q):
+    try:
+        return step(s, q)
+    except NevkitError as exc:
+        return type(exc), str(exc)
+
+
+def _steps_agree(g: GenNevFun, r: RatFun) -> tuple[int, bool]:
+    """Walk the degree-one steps of product_factorization(g, r), comparing
+    each closed-form step with the reference: (steps compared, whether all
+    steps succeeded)."""
+    try:
+        s0 = canonical_rational(r)[1]
+        factors = [] if s0.is_constant else interlacing_factorize(s0)
+    except NevkitError:
+        return 0, False
+    q = g.q0
+    for i, s in enumerate(factors):
+        got = _outcome(_degree_one_step, s, q)
+        assert got == _outcome(_extraction_step, s, q), (s, q)
+        if not isinstance(got[1], NevFun):
+            return i + 1, False
+        q = got[1]
+    return len(factors), True
+
+
+def test_closed_form_steps_match_extraction_on_the_member_corpus():
+    rng = random.Random(1002)          # the corpus of acceptance criterion 2
+    steps, members = 0, 0
+    for _ in range(246):
+        n, ok = _steps_agree(random_gennev(rng, 6),
+                             random_symmetric_ratfun(rng, 4))
+        steps, members = steps + n, members + ok
+    assert members >= 100 and steps >= 104
+
+
+def test_closed_form_steps_match_extraction_on_random_draws():
+    rng = random.Random(4242)
+    steps = 0
+    for _ in range(500):
+        steps += _steps_agree(random_gennev(rng, 6),
+                              random_symmetric_ratfun(rng, 4))[0]
+    assert steps >= 500
+
+
+Q_IRR = NevFun.of(0, 1, [(0, 2)])          # z - 2/z, zeros +-sqrt(2)
+
+
+@pytest.mark.parametrize("q, s", [
+    # the zero of s at an atom of q
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([1], [3])),
+    # the pole of s at a zero of q
+    (NevFun.of(0, 1), RatFun.from_points([2], [0])),
+    # the pole of s at an atom of q
+    (NevFun.of(0, 0, [(1, 1), (4, 2)]), RatFun.from_points([3], [1])),
+    # beta > 0 with s = gamma (z - a), either sign of gamma
+    (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([3], [], 2)),
+    (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([-3], [], -1)),
+    # gamma < 0: the negative set wraps through infinity
+    (NevFun.of(0, 0, [(-1, 1), (3, 1)]), RatFun.from_points([1], [2], -1)),
+    # a rational zero of q inside the negative set (z - 1/z, zeros +-1)
+    (NevFun.of(0, 1, [(0, 1)]), RatFun.from_points([Fraction(1, 2)], [2])),
+    # an irrational zero inside the negative set
+    (Q_IRR, RatFun.from_points([1], [2])),
+])
+def test_closed_form_step_cases(q, s):
+    got = _outcome(_degree_one_step, s, q)
+    assert got == _outcome(_extraction_step, s, q)
+    if q is Q_IRR:
+        assert got == (ExactSplitUnavailable, "irrational zero inside the "
+                       "negative set of the factor")
+
+
+def test_closed_form_step_isolates_no_zero_outside_the_negative_set(
+        monkeypatch):
+    import nevkit.classify as cl
+    calls = []
+    monkeypatch.setattr(cl, "nevfun_from_ratfun",
+                        lambda f: calls.append(f) or nevfun_from_ratfun(f))
+    s = RatFun.from_points([3], [4])       # negative on (3, 4)
+    q = NevFun.of(0, 1, [(0, 2)])          # fresh: irrational zeros +-sqrt(2)
+    real_root_structure.cache_clear()
+    got = cl._degree_one_step(s, q)
+    assert real_root_structure.cache_info().misses == 0
+    assert calls == []
+    assert got == _extraction_step(s, q)
+
+
+STEP_WITH_WRONG_PSI = """
+import nevkit.classify as cl
+from nevkit.errors import InvariantViolation
+from nevkit.nevfun import NevFun
+from nevkit.ratfun import RatFun
+zero_type_mult = cl._zero_type_mult
+cl._zero_type_mult = lambda order, lead: zero_type_mult(order, lead) + 1
+for q in (NevFun.of(0, 1, [(0, 2)]), NevFun.of(0, 0, [(3, 1)]),
+          NevFun.of(3, 1)):
+    try:
+        cl._degree_one_step(RatFun.from_points([3], [4]), q)
+        print("accepted")
+    except InvariantViolation:
+        print("InvariantViolation")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_closed_form_step_rejects_a_wrong_psi(flags):
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", STEP_WITH_WRONG_PSI],
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["InvariantViolation"] * 3, out.stderr
+
+
+def test_product_of_the_zero_function_is_rejected():
+    with pytest.raises(InvalidInput, match="zero function"):
+        product_factorization(GenNevFun.from_nevfun(NevFun.of(0, 0)), Z)

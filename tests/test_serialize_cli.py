@@ -49,6 +49,24 @@ def test_model_roundtrip():
     assert ser.model_from_json(ser.model_to_json(m_inf)) == m_inf
 
 
+@pytest.mark.parametrize("omega", [
+    [],                                                    # missing entry
+    [{"t": "2", "value_sq": "1"}, {"t": "2", "value_sq": "1"}],  # duplicate
+    [{"t": "3", "value_sq": "1"}],                         # wrong position
+])
+def test_model_omega_must_match_the_atoms(omega):
+    d = ser.model_to_json(minimal_model(NevFun.of(0, 0, [(2, 1)]), 0))
+    d["omega"] = omega
+    with pytest.raises(SchemaMismatch, match="one entry per atom"):
+        ser.model_from_json(d)
+
+
+def test_model_without_vector_value_is_an_invariant_violation():
+    m = minimal_model(NevFun.of(0, 0, [(2, 1)]), 0)
+    with pytest.raises(InvariantViolation, match="no vector value at 3"):
+        m.omega_sq_at(3)
+
+
 def test_dumps_byte_stable():
     q = NevFun.of(Fraction(1, 3), 2, [(1, 1), (Fraction(5, 2), 3)])
     a = ser.dumps(ser.nevfun_to_json(q))
