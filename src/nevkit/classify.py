@@ -54,6 +54,19 @@ class N00Report:
     def __bool__(self):
         return self.ok
 
+    def describe(self) -> str:
+        """The failed clauses as 'clause at point: detail', joined by '; ',
+        with rational points in lowest terms and an irrational one as a
+        decimal approximation."""
+        def where(p) -> str:
+            if p is None:
+                return ""
+            if isinstance(p, RealAlg):
+                return f" at ~{float(p):.6g}"
+            return " at inf" if p is INF else f" at {fmt_rat(p)}"
+        return "; ".join(f"{clause}{where(p)}: {detail}"
+                         for clause, p, detail in self.failures)
+
 
 @dataclass(frozen=True)
 class KacClosureReport:
@@ -143,8 +156,8 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     lead(psi), and the polynomial part of s q / psi as linear part.  It is
     certified exactly: positive weights, nonnegative slope and the Poly
     identity q_next psi = s q.  Any failure is an InvariantViolation."""
-    a, b = (-p.c[0] / p.c[1] if p.degree == 1 else None
-            for p in (s.num, s.den))           # finite zero and pole of s
+    a, b = (-p.c[0] / p.c[1] if p.degree == 1 else INF
+            for p in (s.num, s.den))           # zero and pole of s
 
     def s_local(x) -> tuple[int, Fraction]:
         u, v = s.num.eval_q(x), s.den.eval_q(x)
@@ -164,11 +177,11 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     # local data of q at every candidate atom of q_next
     q_loc = {t: (-1, -w) for t, w in q.sigma}
     q_loc.update((x, q_loc.get(x) or q_local(x)) for x in (a, b)
-                 if x is not None)
+                 if x is not INF)
     psi = {t: -2 for t in q_loc if negative(t)}   # point -> even exponent
     for x, type_mult, sgn in ((a, _zero_type_mult, 1),
                               (b, _pole_type_mult, -1)):
-        if x is not None:
+        if x is not INF:
             e, lead = q_loc[x]
             m = type_mult(1 + sgn * e, s_local(x)[1] * lead)
             if m:
@@ -176,13 +189,13 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     # The atoms and the finite ends of the set where s < 0 cut the line
     # into cells, each inside that set or outside it.  q increases on each
     # cell, so it vanishes inside one exactly when it is negative just right
-    # of the left end and positive just left of the right end.  None stands
-    # for -inf on the left and +inf on the right, where q takes its signs as
-    # at an atom if beta > 0, else as at a regular point.
+    # of the left end and positive just left of the right end.  The outer
+    # cells end at NEG_INF and INF, which are not in q_loc: there q takes its
+    # signs as at an atom if beta > 0, else as at a regular point.
     at_inf = (-1, -1) if q.beta > 0 else (0, q.limit_at(INF, "value").value)
 
     def end_sign(x, right_of: bool) -> int:
-        e, lead = at_inf if x is None else q_loc[x]     # q ~ lead (z-x)^e
+        e, lead = q_loc.get(x, at_inf)                  # q ~ lead (z-x)^e
         sgn = (lead > 0) - (lead < 0)
         return sgn if right_of or e % 2 == 0 else -sgn
 
@@ -190,7 +203,7 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     insides = ([ends[0] - 1] + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
                + [ends[-1] + 1])
     if any(negative(x) and end_sign(lo, True) < 0 < end_sign(hi, False)
-           for lo, hi, x in zip([None] + ends, ends + [None], insides)):
+           for lo, hi, x in zip([NEG_INF] + ends, ends + [INF], insides)):
         for x in _negative_at(s, _zero_points(q)):
             if isinstance(x, RealAlg):
                 raise ExactSplitUnavailable(
@@ -282,23 +295,13 @@ def negative_closed_pieces(f: RatFun) -> list[tuple]:
             for seg in f.sign_on_interval().negative_segments()]
 
 
-def _ext_le(x, y) -> bool:
-    if x is NEG_INF or y is INF:
-        return True
-    if x is INF:
-        return y is INF
-    if y is NEG_INF:
-        return False
-    return point_cmp(x, y) <= 0
-
-
 def pieces_disjoint(p1: list[tuple], p2: list[tuple]) -> bool:
     """Whether two closed piece lists have empty intersection."""
     for (a1, b1) in p1:
         for (a2, b2) in p2:
-            lo = a1 if _ext_le(a2, a1) else a2
-            hi = b1 if _ext_le(b1, b2) else b2
-            if _ext_le(lo, hi):
+            lo = a1 if point_cmp(a2, a1) <= 0 else a2
+            hi = b1 if point_cmp(b1, b2) <= 0 else b2
+            if point_cmp(lo, hi) <= 0:
                 return False
     return True
 
@@ -470,20 +473,11 @@ def _interval_form(q: NevFun, s: RatFun) -> bool:
             if not lim.is_finite or lim.value == 0:
                 return False
         for role in ("left", "right"):
-            endpoint = comp[role]
+            # an end at NEG_INF or INF takes its kind from s at infinity
             kind = comp[f"{role}_kind"]
             want_zero = (sgn < 0) == (role == "left")
-            if endpoint is None:
-                # the interval reaches infinity; the infinity endpoint of s
-                # must exist and carry the matching type
-                m = s.ord_at_inf()
-                if m == 0:
-                    return False
-                if want_zero != (m > 0):
-                    return False
-            else:
-                if kind is None or want_zero != (kind == "zero"):
-                    return False
+            if kind is None or want_zero != (kind == "zero"):
+                return False
     return True
 
 
@@ -499,8 +493,8 @@ def _negative_components(s: RatFun):
         if wrap and (seg is left_unb or seg is right_unb):
             continue
         comps.append({
-            "left": None if seg.lo is NEG_INF else seg.lo,
-            "right": None if seg.hi is INF else seg.hi,
+            "left": seg.lo,
+            "right": seg.hi,
             "left_kind": _point_kind(s, seg.lo),
             "right_kind": _point_kind(s, seg.hi),
             "sample": s._sample_inside(seg.lo, seg.hi),
@@ -522,9 +516,7 @@ def _in_component(t, comp) -> bool:
     if comp["wraps"]:
         return (point_cmp(t, comp["left"]) > 0
                 or point_cmp(t, comp["right"]) < 0)
-    lo_ok = comp["left"] is None or point_cmp(t, comp["left"]) > 0
-    hi_ok = comp["right"] is None or point_cmp(t, comp["right"]) < 0
-    return lo_ok and hi_ok
+    return strictly_between(t, comp["left"], comp["right"])
 
 
 def _point_kind(s: RatFun, p) -> Optional[str]:
@@ -544,7 +536,7 @@ def chain_factorize(q: NevFun, r: RatFun) -> FactorChain:
     of every partial product's representation."""
     rep = check_N00(q, r)
     if not rep.ok:
-        raise NotInClass(f"pair fails the plain-pair test: {rep.failures}")
+        raise NotInClass(f"pair fails the plain-pair test: {rep.describe()}")
     factors = _chain_build(q, r)
     certs = _certify_chain(q, factors)
     prod = RatFun.const(1)
@@ -587,7 +579,7 @@ def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
     if s.is_constant:
         return _degenerate_chain(q, r)
     comps = _negative_components(s)
-    if any(c["wraps"] or c["left"] is None or c["right"] is None
+    if any(c["wraps"] or c["left"] is NEG_INF or c["right"] is INF
            for c in comps):
         p = _positive_anchor(s, q, r)
         tau = RatFun(Poly([-1, p]), Poly([0, 1]))      # p - 1/lambda
@@ -794,14 +786,8 @@ def candidate_points(g: GenNevFun, r: RatFun) -> list:
     pts: list = []
 
     def add(p):
-        for existing in pts:
-            if existing is INF or p is INF:
-                if existing is p:
-                    return
-                continue
-            if point_cmp(existing, p) == 0:
-                return
-        pts.append(p)
+        if all(point_cmp(existing, p) != 0 for existing in pts):
+            pts.append(p)
 
     for rec in r.zeros() + r.poles():
         add(rec.point)
@@ -827,8 +813,5 @@ def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:
 
 
 def _kac_at(q: NevFun, point) -> bool:
-    if point is INF:
-        return q.kac_membership(INF)
-    if isinstance(point, RealAlg):
-        return True  # atoms are rational, so no mass sits at an irrational point
-    return q.kac_membership(point)
+    # atoms are rational, so no mass sits at an irrational point
+    return isinstance(point, RealAlg) or q.kac_membership(point)

@@ -23,7 +23,7 @@ from .errors import (InvalidInput, InvariantViolation, NevkitError,
                      ParseError, SchemaMismatch)
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
-from .qmath import INF, fmt_rat, parse_rat
+from .qmath import fmt_rat, parse_rat
 from .realize import minimal_model, model_spectral_check, transform_model
 
 
@@ -86,7 +86,7 @@ def cmd_classify(args) -> tuple[int, dict]:
         "kappa": rep.kappa,
         "kappa_tilde": rep.kappa_tilde,
         "witness": ser.gennev_to_json(rep.witness) if rep.witness else None,
-        "exceptional_atoms": [fmt_rat(t) if t is not INF else "inf"
+        "exceptional_atoms": [ser.point_to_json(t)
                               for t in rep.exceptional_atoms],
         "violations": list(rep.violations),
     }
@@ -136,8 +136,7 @@ def cmd_realize(args) -> tuple[int, dict]:
     return 0, {
         "input_model": ser.model_to_json(m_in),
         "case": rep.case,
-        "zetas": [["inf" if b is INF else fmt_rat(b), fmt_rat(z)]
-                  for b, z in rep.zetas],
+        "zetas": [[ser.point_to_json(b), fmt_rat(z)] for b, z in rep.zetas],
         "output_model": ser.model_to_json(rep.model_out),
         "spectral_check": ok,
     }

@@ -16,9 +16,8 @@ from fractions import Fraction
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinnaTau)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
-from .poly import (Poly, RealAlg, count_real_roots, irreducible_factors,
-                   rat)
-from .qmath import INF, QC, fmt_rat
+from .poly import Poly, RealAlg, count_real_roots, irreducible_factors
+from .qmath import INF, fmt_rat
 from .ratfun import RatFun
 
 
@@ -116,10 +115,7 @@ class GenNevFun:
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(self, z):
-        if isinstance(z, QC) or isinstance(z, complex):
-            return self.phi(z) * self.q0.evaluate(z)
-        z = rat(z)
-        return self.phi.eval_q(z) * self.q0.evaluate(z)
+        return self.phi(z) * self.q0.evaluate(z)
 
     __call__ = evaluate
 

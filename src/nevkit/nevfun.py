@@ -15,9 +15,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
-                     NotNevanlinna, NotRationalAtoms, PoleHit)
+                     NotNevanlinna, NotRationalAtoms)
 from .poly import CERTIFICATE_CACHE_SIZE, Poly, count_real_roots, gcd, rat
-from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF, QC,
+from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat)
 from .ratfun import RatFun
 
@@ -44,10 +44,6 @@ class AtomicMeasure:
             if w < 0:
                 raise InvalidInput("atom weights must be positive")
         return AtomicMeasure(tuple(items))
-
-    @staticmethod
-    def empty() -> "AtomicMeasure":
-        return AtomicMeasure(())
 
     def __iter__(self):
         return iter(self.atoms)
@@ -106,14 +102,10 @@ class NevFun:
         return self.evaluate(z)
 
     def evaluate(self, z):
-        if isinstance(z, QC):
-            if z.is_real:
-                return QC.of(self.evaluate(z.re), 0)
-            acc = QC.of(self.alpha) + QC.of(self.beta) * z
-            for t, w in self.sigma:
-                acc = acc + (QC.of(w) / (QC.of(t) - z)
-                             - QC.of(w * t / (1 + t * t)))
-            return acc
+        """The value at z.  Exact points, rationals and QC, go through
+        :meth:`to_ratfun` and its integer Horner evaluation, which raises
+        PoleHit at an atom; a complex float or a numpy array is evaluated
+        in floating point from the representation."""
         np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
         if isinstance(z, complex) or (np is not None
                                       and isinstance(z, np.ndarray)):
@@ -122,13 +114,7 @@ class NevFun:
                 tf, wf = float(t), float(w)
                 acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
             return acc
-        z = rat(z)
-        if self.sigma.weight_at(z) != 0:
-            raise PoleHit(f"evaluation at atom {fmt_rat(z)}")
-        acc = self.alpha + self.beta * z
-        for t, w in self.sigma:
-            acc += w / (t - z) - w * t / (1 + t * t)
-        return acc
+        return self.to_ratfun()(z)
 
     # -- structure ------------------------------------------------------------------
     def num_den(self) -> tuple[Poly, Poly]:

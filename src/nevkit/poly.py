@@ -30,7 +30,7 @@ from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInput
-from .qmath import QC, rat
+from .qmath import INF, NEG_INF, QC, rat
 
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
@@ -788,8 +788,14 @@ class RealAlg:
 RPoint = Union[Fraction, RealAlg]
 
 
-def point_cmp(a: RPoint, b: RPoint) -> int:
-    """Total order on rational and real algebraic points."""
+def point_cmp(a, b) -> int:
+    """Total order on the extended real line: NEG_INF below every rational
+    and real algebraic point, INF above every one, and each infinity equal
+    to itself."""
+    if a is NEG_INF or b is INF:
+        return -(a is not b)
+    if a is INF or b is NEG_INF:
+        return 1
     if isinstance(a, RealAlg):
         if isinstance(b, RealAlg):
             return a.cmp_alg(b)

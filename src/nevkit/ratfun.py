@@ -152,11 +152,6 @@ class RatFun:
     def __rsub__(self, other):
         return RatFun.const(other) + (-self)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
-
     def inverse(self) -> "RatFun":
         return RatFun(self.den, self.num)
 
@@ -258,12 +253,8 @@ class RatFun:
     def _locate(self, x) -> tuple[int, bool]:
         """(i, hit): i is the index of the first critical point not below
         x, hit whether that point equals x.  x is a real point or one of
-        NEG_INF and INF."""
+        NEG_INF and INF, ordered by point_cmp."""
         crit = self.critical_points()
-        if x is NEG_INF:
-            return 0, False
-        if x is INF:
-            return len(crit), False
         lo, hi = 0, len(crit)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -385,11 +376,7 @@ class RatFun:
 
 def strictly_between(p: RPoint, a, b) -> bool:
     """Whether a < p < b, with NEG_INF and INF allowed as the ends."""
-    if a is not NEG_INF and point_cmp(p, a) <= 0:
-        return False
-    if b is not INF and point_cmp(p, b) >= 0:
-        return False
-    return True
+    return point_cmp(p, a) > 0 and point_cmp(p, b) < 0
 
 
 def reduce(num: Poly | Sequence, den: Poly | Sequence) -> RatFun:

@@ -19,7 +19,7 @@ from .classify import check_N00
 from .errors import (InvalidInput, InvariantViolation, NotInN00,
                      NotKacMember, NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
-from .poly import Poly, RealAlg, rat
+from .poly import Poly, RealAlg, point_cmp, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
 from .ratfun import RatFun
 
@@ -45,12 +45,6 @@ class L2Model:
             if pos == t:
                 return v
         raise InvariantViolation(f"no vector value at {fmt_rat(t)}")
-
-    def spectrum(self) -> list:
-        pts: list = list(self.sigma.positions)
-        if self.beta > 0:
-            pts.append(INF)
-        return pts
 
     def induced_measure(self) -> list[tuple[Fraction, Fraction]]:
         """Spectral measure of the realized function on the finite atoms."""
@@ -117,55 +111,34 @@ def minimal_model(q: NevFun, xi) -> L2Model:
 
 
 def model_weyl(m: L2Model, lam):
-    """Evaluate the realized function from the model data alone."""
+    """Evaluate the realized function from the model data alone, at a
+    rational, QC or complex point; Fraction mixes with QC and complex
+    through their reflected operators."""
     if isinstance(lam, QC) and lam.is_real:
         lam = lam.re
-    exact_real = not isinstance(lam, (QC, complex))
-    if exact_real:
+    if not isinstance(lam, (QC, complex)):
         lam = rat(lam)
         if any(t == lam for t, _ in m.sigma):
             raise SpectrumHit(f"model spectrum contains {fmt_rat(lam)}")
     if m.xi is INF:
         acc = _lift(m.eta, lam)
         for t, w in m.sigma:
-            acc = acc + _div(w * m.omega_sq_at(t), _sub(t, lam))
+            acc = acc + w * m.omega_sq_at(t) / (t - lam)
         return acc
     acc = _lift(m.beta * m.omega_inf_sq, lam)
     for t, w in m.sigma:
-        acc = acc + _div(w * m.omega_sq_at(t) * (t - m.xi), _sub(t, lam))
-    return _lift(m.eta, lam) + _sub_rev(lam, m.xi) * acc
+        acc = acc + w * m.omega_sq_at(t) * (t - m.xi) / (t - lam)
+    return _lift(m.eta, lam) + (lam - m.xi) * acc
 
 
 def _lift(x: Fraction, like):
+    """x as a value of like's type, so that a model without atoms still
+    answers in the type of its argument."""
     if isinstance(like, QC):
         return QC.of(x)
     if isinstance(like, complex):
         return complex(float(x), 0.0)
     return x
-
-
-def _sub(t: Fraction, lam):
-    if isinstance(lam, QC):
-        return QC.of(t) - lam
-    if isinstance(lam, complex):
-        return float(t) - lam
-    return t - lam
-
-
-def _sub_rev(lam, xi: Fraction):
-    if isinstance(lam, QC):
-        return lam - QC.of(xi)
-    if isinstance(lam, complex):
-        return lam - float(xi)
-    return lam - xi
-
-
-def _div(x: Fraction, d):
-    if isinstance(d, QC):
-        return QC.of(x) / d
-    if isinstance(d, complex):
-        return float(x) / d
-    return x / d
 
 
 def enumerate_zeros_poles(r: RatFun) -> tuple[tuple, tuple]:
@@ -198,12 +171,12 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     """
     rep = check_N00(q, r)
     if not rep.ok:
-        raise NotInN00(f"pair fails the plain-pair test: {rep.failures}")
+        raise NotInN00(f"pair fails the plain-pair test: {rep.describe()}")
     zeros_enum, poles_enum = enumerate_zeros_poles(r)
     if not poles_enum:
         raise NotInN00("multiplier has no pole on the extended line")
     b1 = poles_enum[0]
-    if not _same_point(m.xi, b1):
+    if point_cmp(m.xi, b1) != 0:
         raise InvalidInput("input model must be anchored at the first pole")
     a_n = zeros_enum[-1]
     b_n = poles_enum[-1]
@@ -213,19 +186,11 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
 
     rq = nevfun_from_ratfun(r * q.to_ratfun())
 
-    zetas = []
-    seen = set()
+    zeta_map = {}                   # pole -> acquired mass, INF included
     for b in poles_enum:
-        key = "inf" if b is INF else b
-        if key in seen:
-            continue
-        seen.add(key)
-        if b is INF:
-            zeta = rq.limit_at(INF, "residue").value
-        else:
-            zeta = rq.limit_at(b, "residue").value
-        zetas.append((b, zeta))
-    zeta_map = {("inf" if b is INF else b): z for b, z in zetas}
+        if b not in zeta_map:
+            zeta_map[b] = rq.limit_at(b, "residue").value
+    zetas = list(zeta_map.items())
     if any(z < 0 for _, z in zetas):
         raise InvariantViolation("negative acquired point mass")
 
@@ -240,7 +205,7 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         beta_e = Fraction(0)
     elif b_n is INF:
         case = "bn_infinite"
-        beta_e = zeta_map["inf"]
+        beta_e = zeta_map[INF]
     else:
         case = "both_finite"
         beta_e = r.gamma * q.beta
@@ -273,12 +238,6 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
                                       zeros_enum, poles_enum)
 
 
-def _same_point(x, y) -> bool:
-    if x is INF or y is INF:
-        return x is y
-    return rat(x) == rat(y)
-
-
 def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
     """Exact comparison of induced spectral measures: off the poles of r the
     output measure is the multiplier times the input measure; at each pole
@@ -288,7 +247,7 @@ def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
     rq = r * m_in.to_nevfun().to_ratfun()
     for t, mass in induced_out.items():
         if r.ord_at(t) < 0:
-            zeta = -_residue(rq, t)
+            zeta = -rq.laurent_lead(t)
             if mass != zeta:
                 return False
         else:
@@ -307,8 +266,3 @@ def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
     if m_out.induced_inf_mass() != inf_mass:
         return False
     return True
-
-
-def _residue(f: RatFun, t: Fraction) -> Fraction:
-    """Residue of f at a simple pole t."""
-    return f.num.eval_q(t) / (f.den // Poly([-t, 1])).eval_q(t)

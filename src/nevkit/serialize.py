@@ -104,7 +104,7 @@ def model_to_json(m: L2Model) -> dict:
     return {
         "beta": fmt_rat(m.beta),
         "sigma": [{"t": fmt_rat(t), "w": fmt_rat(w)} for t, w in m.sigma],
-        "xi": "inf" if m.xi is INF else fmt_rat(m.xi),
+        "xi": point_to_json(m.xi),
         "eta": fmt_rat(m.eta),
         "omega": [{"t": fmt_rat(t), "value_sq": fmt_rat(v)}
                   for t, v in m.omega_sq],

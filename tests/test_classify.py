@@ -545,3 +545,23 @@ def test_closed_form_step_rejects_a_wrong_psi(flags):
 def test_product_of_the_zero_function_is_rejected():
     with pytest.raises(InvalidInput, match="zero function"):
         product_factorization(GenNevFun.from_nevfun(NevFun.of(0, 0)), Z)
+
+
+def test_chain_leaves_the_leading_zero_unpaired():
+    # the fifth draw of random_plain_pair(random.Random(229), 6): after the
+    # change of variable for the unbounded negative set, one interval holds
+    # a zero of the function and no atom after it, so _interval_factors
+    # leaves that leading zero unpaired
+    q = NevFun.of(4, Fraction(1, 2))                       # 4 + z/2
+    r = RatFun(Poly([-28, 3, 1]), Poly([0, 64, 16, 1]))
+    assert check_N00(q, r).ok
+    chain = chain_factorize(q, r)
+    assert list(chain.factors) == [
+        RatFun.from_points([4], [0], Fraction(14, 81)),
+        RatFun.from_points([], [-8], Fraction(9, 2)),
+        RatFun.from_points([-7], [-8], Fraction(9, 7))]
+    prod = RatFun.const(1)
+    for f, cert in zip(chain.factors, chain.partial_certificates):
+        prod = prod * f
+        assert cert == nevfun_from_ratfun(prod * q.to_ratfun())
+    assert prod == r

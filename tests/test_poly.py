@@ -16,7 +16,7 @@ from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          poly_sign_at, rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition,
                          sturm_chain)
-from nevkit.qmath import QC
+from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun
 
 
@@ -468,6 +468,15 @@ def test_point_cmp_mixed():
     assert point_cmp(Fraction(1), pos) < 0
     assert point_cmp(pos, Fraction(2)) < 0
     assert poly_sign_at(P(0, 1), pos) > 0
+
+
+def test_point_cmp_orders_the_extended_line():
+    p = P(-2, 0, 1)
+    sqrt2 = RealAlg(p, *isolate_real_roots(p)[1])
+    points = [NEG_INF, Fraction(-3), Fraction(1), sqrt2, Fraction(3, 2), INF]
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            assert point_cmp(a, b) == (i > j) - (i < j), (a, b)
 
 
 def test_sturm_chain_endpoints():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nevkit.corpus import random_plain_pair, structured_plain_pair
-from nevkit.errors import InvalidInput, NotKacMember, SpectrumHit
+from nevkit.errors import InvalidInput, NotKacMember, PoleHit, SpectrumHit
+from nevkit.gnev import GenNevFun
 from nevkit.nevfun import NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import INF, QC
@@ -58,6 +59,57 @@ def test_model_weyl_spectrum_hit():
     m = minimal_model(WORKED_Q, 0)
     with pytest.raises(SpectrumHit):
         model_weyl(m, Fraction(2))
+
+
+# (function, model anchor); the last model has no atoms
+EVAL_CASES = [
+    (NevFun.of(Fraction(-3, 5), Fraction(1, 2),
+               [(-1, 2), (Fraction(1, 3), 1), (2, Fraction(5, 4))]), 0),
+    (NevFun.of(1, 0, [(0, 1), (Fraction(7, 2), 3)]), INF),
+    (NevFun.const(Fraction(5, 7)), 1),
+]
+EVAL_PHI = RatFun.from_points([Fraction(1, 2)] * 2, [3, 3])
+EVAL_POINTS = [Fraction(-7, 3), Fraction(5), QC.of(Fraction(1, 3), 2),
+               QC.of(-2, Fraction(1, 7)), QC.of(Fraction(3, 2)),
+               complex(0.25, 1.5), complex(-3.0, 1e-3), complex(1.7, 0.0)]
+
+
+def _partial_fractions(q, z):
+    """alpha + beta z + sum w (1/(t - z) - t/(1 + t^2)) in z's arithmetic."""
+    acc = q.alpha + q.beta * z
+    for t, w in q.sigma:
+        acc = acc + w / (t - z) - w * t / (1 + t * t)
+    return acc
+
+
+def _agree(got, want) -> bool:
+    if isinstance(want, complex):
+        return abs(got - want) <= 1e-12 * abs(want)
+    return QC.coerce(got) == QC.coerce(want)
+
+
+@pytest.mark.parametrize("q, xi", EVAL_CASES)
+def test_evaluation_agrees_with_partial_fractions(q, xi):
+    m = minimal_model(q, xi)
+    g = GenNevFun(EVAL_PHI, q)
+    for z in EVAL_POINTS:
+        want = _partial_fractions(q, z)
+        phi = (z - Fraction(1, 2)) * (z - Fraction(1, 2)) / ((z - 3) * (z - 3))
+        assert _agree(q.evaluate(z), want), z
+        assert _agree(q.to_ratfun()(z), want), z
+        assert _agree(model_weyl(m, z), want), z
+        assert _agree(g.evaluate(z), phi * want), z
+        if not m.sigma:     # a real QC point is answered as a rational
+            real_qc = isinstance(z, QC) and z.is_real
+            assert type(model_weyl(m, z)) is type(z.re if real_qc else z)
+    for t in q.sigma.positions:
+        for call in (q.evaluate, q.to_ratfun(), g.evaluate):
+            with pytest.raises(PoleHit):
+                call(t)
+        with pytest.raises(PoleHit):
+            q.evaluate(QC.of(t))
+        with pytest.raises(SpectrumHit):
+            model_weyl(m, t)
 
 
 def test_faithfulness_random():

@@ -484,3 +484,14 @@ def test_cli_realize_refuses_irrational_anchor(tmp_path, capsys, q, r):
     assert main(["realize", "--in", str(qp), "--r", str(rp)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_realize_prints_failed_clauses_with_rational_points(tmp_path,
+                                                                capsys):
+    qp, rp = tmp_path / "q.json", tmp_path / "r.json"
+    qp.write_text(json.dumps({"alpha": "1", "beta": "0", "atoms": []}))
+    rp.write_text(json.dumps({"num": ["-1", "1"], "den": ["-2", "1"]}))
+    assert main(["realize", "--in", str(qp), "--r", str(rp)]) == 1
+    err = capsys.readouterr().err
+    assert "Fraction(" not in err
+    assert "ii(b) at 1: zero-side limit sign" in err
