@@ -192,7 +192,7 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     # of the left end and positive just left of the right end.  The outer
     # cells end at NEG_INF and INF, which are not in q_loc: there q takes its
     # signs as at an atom if beta > 0, else as at a regular point.
-    at_inf = (-1, -1) if q.beta > 0 else (0, q.limit_at(INF, "value").value)
+    at_inf = (-1, -1) if q.beta > 0 else (0, q.c0)
 
     def end_sign(x, right_of: bool) -> int:
         e, lead = q_loc.get(x, at_inf)                  # q ~ lead (z-x)^e
@@ -226,8 +226,7 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
         raise InvariantViolation("degree-one step: s q / psi is not a "
                                  "Nevanlinna function")
-    alpha = c0 + sum((w * t / (1 + t * t) for t, w in atoms), Fraction(0))
-    q_next = NevFun.of(alpha, beta, atoms)
+    q_next = NevFun.from_partial_fractions(c0, beta, atoms)
     n_next, d_next = q_next.num_den()
     if n_next * rhs != lhs * d_next:
         raise InvariantViolation("degree-one step: q_next psi != s q")
@@ -280,10 +279,7 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
         return [f.inverse() for f in interlacing_factorize(s.inverse())]
     else:
         raise NotInterlacing("zero/pole counts differ by more than one")
-    prod = RatFun.const(1)
-    for f in out:
-        prod = prod * f
-    if prod != s:
+    if math.prod(out, start=RatFun.const(1)) != s:
         raise InvariantViolation("interlacing factors do not multiply back")
     return out
 
@@ -539,10 +535,7 @@ def chain_factorize(q: NevFun, r: RatFun) -> FactorChain:
         raise NotInClass(f"pair fails the plain-pair test: {rep.describe()}")
     factors = _chain_build(q, r)
     certs = _certify_chain(q, factors)
-    prod = RatFun.const(1)
-    for f in factors:
-        prod = prod * f
-    if prod != r:
+    if math.prod(factors, start=RatFun.const(1)) != r:
         raise InvariantViolation("chain factors do not multiply back")
     return FactorChain(tuple(factors), tuple(certs))
 
@@ -593,9 +586,7 @@ def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
     for comp in sorted(comps, key=lambda c: c["left"]):
         fs = _interval_factors(q_cur, r, comp["left"], comp["right"])
         factors.extend(fs)
-        prod = RatFun.const(1)
-        for f in fs:
-            prod = prod * f
+        prod = math.prod(fs, start=RatFun.const(1))
         q_cur = nevfun_from_ratfun(prod * q_cur.to_ratfun())
     leftover = r
     for f in factors:
@@ -762,10 +753,7 @@ def _degenerate_chain(q: NevFun, r: RatFun) -> list[RatFun]:
                 candidates.append(list(base) + [u1, u2] + list(base))
 
     for chain in candidates:
-        prod = RatFun.const(1)
-        for f in chain:
-            prod = prod * f
-        if prod != r:
+        if math.prod(chain, start=RatFun.const(1)) != r:
             continue
         try:
             _certify_chain(q, chain)

@@ -24,7 +24,8 @@ from .errors import (InvalidInput, InvariantViolation, NevkitError,
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
 from .qmath import fmt_rat, parse_rat
-from .realize import minimal_model, model_spectral_check, transform_model
+from .realize import (enumerate_zeros_poles, minimal_model,
+                      model_spectral_check, transform_model)
 
 
 def _read_json(path: str) -> dict:
@@ -126,7 +127,6 @@ def cmd_chain(args) -> tuple[int, dict]:
 def cmd_realize(args) -> tuple[int, dict]:
     q = _as_nevfun(_load_function(args.infile))
     r = ser.ratfun_from_json(_read_json(args.rfile))
-    from .realize import enumerate_zeros_poles
     _zeros, poles = enumerate_zeros_poles(r)
     if not poles:
         raise SchemaMismatch("multiplier has no pole on the extended line")

@@ -85,6 +85,20 @@ class NevFun:
     def const(c) -> "NevFun":
         return NevFun.of(c, 0)
 
+    @staticmethod
+    def from_partial_fractions(c0, beta, atoms=()) -> "NevFun":
+        """The function c0 + beta z + sum w/(t - z); inverse of :attr:`c0`."""
+        atoms = [(rat(t), rat(w)) for t, w in atoms]
+        return NevFun.of(rat(c0) + sum((w * t / (1 + t * t) for t, w in atoms),
+                                       Fraction(0)), beta, atoms)
+
+    @property
+    def c0(self) -> Fraction:
+        """The constant of the partial-fraction form c0 + beta z +
+        sum w/(t - z), which is the limit at infinity when beta = 0."""
+        return self.alpha - sum((w * t / (1 + t * t) for t, w in self.sigma),
+                                Fraction(0))
+
     @property
     def is_constant(self) -> bool:
         return self.beta == 0 and len(self.sigma) == 0
@@ -126,12 +140,10 @@ class NevFun:
         if memo is not None:
             return memo
         num, den = Poly.const(0), Poly.const(1)
-        c0 = self.alpha
         for t, w in self.sigma:
             lin = Poly([-t, 1])
             num, den = num * lin - den * w, den * lin    # + w/(t-z)
-            c0 -= w * t / (1 + t * t)
-        memo = (num + Poly([c0, self.beta]) * den, den)
+        memo = (num + Poly([self.c0, self.beta]) * den, den)
         object.__setattr__(self, "_num_den", memo)
         return memo
 
@@ -206,10 +218,7 @@ class NevFun:
                 if direction == "+":
                     return LIM_POS_INF
                 return LIM_INF
-            acc = self.alpha
-            for t, w in self.sigma:
-                acc -= w * t / (1 + t * t)
-            return LimitValue.finite(acc)
+            return LimitValue.finite(self.c0)
         if mode == "slope":
             if self.beta > 0:
                 return LIM_INF
@@ -275,8 +284,7 @@ class NevFun:
             offenders = [t for t in self.sigma.positions if t < c]
             if offenders:
                 raise GapViolated("atoms below the ray endpoint", offenders)
-            eta = LimitValue.finite(self.alpha - sum(
-                (w * t / (1 + t * t) for t, w in self.sigma), Fraction(0)))
+            eta = LimitValue.finite(self.c0)
             # representative with the linear part and the ray factor removed
             f1 = (self.to_ratfun() - RatFun(Poly([eta.value, self.beta]),
                                             Poly.const(1))) \
@@ -403,13 +411,9 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
     to f shares one NevFun.  Exceptions are not memoised: a rejected f is
     checked again on every call."""
     beta, c0, pairs = _herglotz_parts(f)
-    atoms = []
-    for t, w in pairs:
-        if w is None:
-            raise NotRationalAtoms("pole is not rational")
-        atoms.append((t, w))
-    alpha = c0 + sum((w * t / (1 + t * t) for t, w in atoms), Fraction(0))
-    q = NevFun.of(alpha, beta, atoms)
+    if any(w is None for _, w in pairs):
+        raise NotRationalAtoms("pole is not rational")
+    q = NevFun.from_partial_fractions(c0, beta, pairs)
     if q.to_ratfun() != f:
         raise InvariantViolation("representation extraction mismatch")
     return q

@@ -575,28 +575,28 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _variations_at(chain: Sequence[IntPoly], x, at_inf: int) -> int:
-    """Sign variations of the chain at the rational x, or at at_inf times
-    infinity when x is None."""
-    if x is None:
+def _variations_at(chain: Sequence[IntPoly], x) -> int:
+    """Sign variations of the chain at the rational x, NEG_INF or INF."""
+    if x is NEG_INF or x is INF:
+        at_inf = -1 if x is NEG_INF else 1
         return _variations((1 if a[-1] > 0 else -1)
                            * (at_inf if len(a) % 2 == 0 else 1)
                            for a in chain)
     return _variations(_signs(chain, rat(x)))
 
 
-def count_real_roots(p: Poly, lo=None, hi=None, chain=None) -> int:
+def count_real_roots(p: Poly, lo=NEG_INF, hi=INF, chain=None) -> int:
     """Number of distinct real roots of p in (lo, hi], when p is
     squarefree or neither end is a multiple root of p.
 
-    ``None`` endpoints mean the corresponding infinity; ``chain`` defaults
-    to ``sturm_chain(p)``.
+    The ends are rationals, NEG_INF or INF; ``chain`` defaults to
+    ``sturm_chain(p)``.
     """
     if p.degree < 1:
         return 0
     if chain is None:
         chain = sturm_chain(p)
-    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, 1)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -875,14 +875,6 @@ def real_root_structure(p: Poly) -> RootStructure:
                 h, (h.degree - len(boxes)) // 2, m, len(boxes)))
     real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
     return RootStructure(tuple(real), tuple(blocks))
-
-
-def poly_sign_at(q: Poly, x: RPoint) -> int:
-    """Exact sign of q at a rational or real algebraic point."""
-    if isinstance(x, RealAlg):
-        return x.sign_of(q)
-    v = q.eval_q(x)
-    return 0 if v == 0 else (-1 if v < 0 else 1)
 
 
 def rational_between(a: RPoint, b: RPoint) -> Fraction:

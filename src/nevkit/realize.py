@@ -2,7 +2,10 @@
 
 A :class:`L2Model` packages the data (mass at infinity, atomic measure,
 anchor point, squared vector values, boundary constant) that realizes a
-function locally integrable at the anchor.  The central operation rebuilds
+function locally integrable at the anchor.  The realized function is one
+:class:`NevFun`, built in closed form from that data by
+:meth:`L2Model.to_nevfun`; evaluation, the certificate of a transferred
+model and the spectral comparison all read it.  The central operation rebuilds
 the model of the product with a symmetric rational multiplier from the model
 of the original function: atoms at the multiplier's zeros are removed, unit
 atoms appear at its poles with the acquired point masses carried by the
@@ -19,7 +22,7 @@ from .classify import check_N00
 from .errors import (InvalidInput, InvariantViolation, NotInN00,
                      NotKacMember, NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
-from .poly import Poly, RealAlg, point_cmp, rat
+from .poly import RealAlg, point_cmp, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
 from .ratfun import RatFun
 
@@ -30,7 +33,7 @@ class L2Model:
     measure and mass at infinity, the anchor, the squared values of the
     generating vector on the atoms (squares suffice for evaluation), the
     squared component along the mass at infinity, and the boundary value at
-    the anchor."""
+    the anchor.  The function it realizes is :meth:`to_nevfun`."""
 
     beta: Fraction
     sigma: AtomicMeasure
@@ -46,41 +49,28 @@ class L2Model:
                 return v
         raise InvariantViolation(f"no vector value at {fmt_rat(t)}")
 
-    def induced_measure(self) -> list[tuple[Fraction, Fraction]]:
-        """Spectral measure of the realized function on the finite atoms."""
-        out = []
-        for t, w in self.sigma:
-            o2 = self.omega_sq_at(t)
-            if self.xi is INF:
-                out.append((t, w * o2))
-            else:
-                out.append((t, w * o2 * (t - self.xi) ** 2))
-        return [(t, m) for t, m in out if m != 0]
-
-    def induced_inf_mass(self) -> Fraction:
-        """Linear growth rate of the realized function."""
-        if self.xi is INF:
-            return Fraction(0)
-        return self.beta * self.omega_inf_sq
-
     def to_nevfun(self) -> NevFun:
-        return nevfun_from_ratfun(self.weyl_ratfun())
-
-    def weyl_ratfun(self) -> RatFun:
-        """The realized function as an exact rational function."""
-        acc = RatFun.const(self.eta)
-        if self.xi is INF:
-            for t, w in self.sigma:
-                o2 = self.omega_sq_at(t)
-                acc = acc + RatFun(Poly.const(w * o2), Poly([-t, 1])) * (-1)
-            return acc
-        lin = RatFun(Poly([-self.xi, 1]), Poly.const(1))
-        acc = acc + lin * (self.beta * self.omega_inf_sq)
-        for t, w in self.sigma:
-            o2 = self.omega_sq_at(t)
-            term = RatFun(Poly.const(w * o2 * (t - self.xi)), Poly([-t, 1]))
-            acc = acc + lin * term * (-1)
-        return acc
+        """The realized function, eta + (z - xi) [beta' + sum w omega^2(t)
+        (t - xi)/(t - z)] with the slope beta' = beta omega_inf^2, in closed
+        form and built once per instance.  It has the measure m_t = w
+        omega^2(t) (t - xi)^2, the slope beta' and the constant c0 = eta -
+        beta' xi - sum m_t/(t - xi).  At xi = INF it is eta + sum w
+        omega^2(t)/(t - z).  The memo lives outside the dataclass fields."""
+        memo = self.__dict__.get("_nevfun")
+        if memo is not None:
+            return memo
+        xi = self.xi
+        atoms = [(t, w * self.omega_sq_at(t)) for t, w in self.sigma]
+        if xi is INF:
+            c0, slope = self.eta, Fraction(0)
+        else:
+            slope = self.beta * self.omega_inf_sq
+            c0 = self.eta - slope * xi - sum((v * (t - xi) for t, v in atoms),
+                                             Fraction(0))
+            atoms = [(t, v * (t - xi) ** 2) for t, v in atoms]
+        memo = NevFun.from_partial_fractions(c0, slope, atoms)
+        object.__setattr__(self, "_nevfun", memo)
+        return memo
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def minimal_model(q: NevFun, xi) -> L2Model:
         raise NotKacMember(f"function is not locally integrable at {xi}")
     if xi is INF:
         omega_sq = tuple((t, Fraction(1)) for t, _ in q.sigma)
-        eta = q.limit_at(INF, "value").value
+        eta = q.c0
     else:
         omega_sq = tuple((t, 1 / (t - xi) ** 2) for t, _ in q.sigma)
         eta = q.evaluate(xi)
@@ -111,34 +101,14 @@ def minimal_model(q: NevFun, xi) -> L2Model:
 
 
 def model_weyl(m: L2Model, lam):
-    """Evaluate the realized function from the model data alone, at a
-    rational, QC or complex point; Fraction mixes with QC and complex
-    through their reflected operators."""
-    if isinstance(lam, QC) and lam.is_real:
-        lam = lam.re
-    if not isinstance(lam, (QC, complex)):
-        lam = rat(lam)
-        if any(t == lam for t, _ in m.sigma):
-            raise SpectrumHit(f"model spectrum contains {fmt_rat(lam)}")
-    if m.xi is INF:
-        acc = _lift(m.eta, lam)
-        for t, w in m.sigma:
-            acc = acc + w * m.omega_sq_at(t) / (t - lam)
-        return acc
-    acc = _lift(m.beta * m.omega_inf_sq, lam)
-    for t, w in m.sigma:
-        acc = acc + w * m.omega_sq_at(t) * (t - m.xi) / (t - lam)
-    return _lift(m.eta, lam) + (lam - m.xi) * acc
-
-
-def _lift(x: Fraction, like):
-    """x as a value of like's type, so that a model without atoms still
-    answers in the type of its argument."""
-    if isinstance(like, QC):
-        return QC.of(x)
-    if isinstance(like, complex):
-        return complex(float(x), 0.0)
-    return x
+    """The realized function at a rational, QC or complex point, in the
+    type of the point.  A real point in the model spectrum, an atom of the
+    model measure, raises SpectrumHit; elsewhere it reads
+    :meth:`L2Model.to_nevfun`."""
+    x = lam.re if isinstance(lam, QC) and lam.is_real else lam
+    if not isinstance(x, (QC, complex)) and m.sigma.weight_at(x) != 0:
+        raise SpectrumHit(f"model spectrum contains {fmt_rat(rat(x))}")
+    return m.to_nevfun().evaluate(lam)
 
 
 def enumerate_zeros_poles(r: RatFun) -> tuple[tuple, tuple]:
@@ -167,7 +137,9 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     The acquired point masses at the multiplier's poles are the limits of
     (b - lam) r(lam) q(lam); they appear as unit atoms whose vector values
     carry the square roots, while atoms at the multiplier's zeros drop out
-    and the anchor moves to the last enumerated zero.
+    and the anchor moves to the last enumerated zero.  The input model must
+    be anchored at the first enumerated pole and realize q, or InvalidInput
+    is raised; the output model must realize r q, or InvariantViolation is.
     """
     rep = check_N00(q, r)
     if not rep.ok:
@@ -178,6 +150,8 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     b1 = poles_enum[0]
     if point_cmp(m.xi, b1) != 0:
         raise InvalidInput("input model must be anchored at the first pole")
+    if m.to_nevfun() != q:
+        raise InvalidInput("input model does not realize the function")
     a_n = zeros_enum[-1]
     b_n = poles_enum[-1]
     if any(isinstance(p, RealAlg) for p in (a_n,) + poles_enum):
@@ -225,13 +199,10 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         omega_sq.append((b, val))
     omega_sq.sort()
 
-    if a_n is INF:
-        eta_out = rq.limit_at(INF, "value").value
-    else:
-        eta_out = rq.evaluate(a_n)
+    eta_out = rq.c0 if a_n is INF else rq.evaluate(a_n)
     model_out = L2Model(beta_e, sigma_e, a_n, eta_out, tuple(omega_sq),
                         Fraction(1))
-    if model_out.weyl_ratfun() != rq.to_ratfun():
+    if model_out.to_nevfun() != rq:
         raise InvariantViolation("transferred model does not realize the "
                                  "product")
     return RealizationTransformReport(tuple(zetas), case, model_out,
@@ -239,12 +210,13 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
 
 
 def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
-    """Exact comparison of induced spectral measures: off the poles of r the
-    output measure is the multiplier times the input measure; at each pole
-    it is the acquired point mass of the product."""
-    induced_in = dict(m_in.induced_measure())
-    induced_out = dict(m_out.induced_measure())
-    rq = r * m_in.to_nevfun().to_ratfun()
+    """Exact comparison of the realized functions' spectral measures: off
+    the poles of r the output measure is the multiplier times the input
+    measure; at each pole it is the acquired point mass of the product."""
+    q_in, q_out = m_in.to_nevfun(), m_out.to_nevfun()
+    induced_in = dict(q_in.sigma)
+    induced_out = dict(q_out.sigma)
+    rq = r * q_in.to_ratfun()
     for t, mass in induced_out.items():
         if r.ord_at(t) < 0:
             zeta = -rq.laurent_lead(t)
@@ -263,6 +235,4 @@ def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
     # growth at infinity
     d = rq.num.degree - rq.den.degree
     inf_mass = rq.gamma if d == 1 else Fraction(0)
-    if m_out.induced_inf_mass() != inf_mass:
-        return False
-    return True
+    return q_out.beta == inf_mass

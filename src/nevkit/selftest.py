@@ -7,6 +7,7 @@ seconds; the full property suite lives in the pytest tree.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -112,10 +113,8 @@ def run_selftest(seed: int = 0):
         for _ in range(10):
             s = random_interlacing_simple(rng)
             fs = interlacing_factorize(s)
-            prod = RatFun.const(1)
-            for f in fs:
-                prod = prod * f
-            expect(prod == s, "factors multiply back")
+            expect(math.prod(fs, start=RatFun.const(1)) == s,
+                   "factors multiply back")
             pieces = [negative_closed_pieces(f) for f in fs]
             for i in range(len(pieces)):
                 for j in range(i + 1, len(pieces)):

@@ -179,6 +179,17 @@ def test_roundtrip_through_ratfun(q):
     assert nevfun_from_ratfun(q.to_ratfun()) == q
 
 
+@settings(max_examples=40, deadline=None)
+@given(nevfuns(4))
+def test_partial_fraction_constant_roundtrip(q):
+    """c0 + beta z is the polynomial part of q, and c0 + beta z +
+    sum w/(t - z) with c0 = q.c0 is q again."""
+    f = q.to_ratfun()
+    lin = f.num.divmod(f.den)[0]
+    assert lin == Poly([q.c0, q.beta])
+    assert NevFun.from_partial_fractions(q.c0, q.beta, q.sigma) == q
+
+
 def test_is_nevanlinna_negatives():
     assert not is_nevanlinna(RatFun(Poly([0, -1]), Poly.const(1)))      # -z
     assert not is_nevanlinna(RatFun(Poly([0, 0, 1]), Poly.const(1)))    # z^2

@@ -13,7 +13,7 @@ from nevkit.errors import ExactSplitUnavailable
 from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          irreducible_factors, isolate_real_roots, point_cmp,
-                         poly_sign_at, rational_between, rational_outside,
+                         rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition,
                          sturm_chain)
 from nevkit.qmath import INF, NEG_INF, QC
@@ -394,6 +394,7 @@ def test_sturm_count():
     p = Poly.from_roots([-2, 0, 3])
     assert count_real_roots(p) == 3
     assert count_real_roots(p, Fraction(-1), Fraction(4)) == 2
+    assert count_real_roots(p, NEG_INF, Fraction(0)) == 2
     no_real = P(1, 0, 1)
     assert count_real_roots(no_real) == 0
 
@@ -467,7 +468,7 @@ def test_point_cmp_mixed():
     pos = RealAlg(p, *isolate_real_roots(p)[1])
     assert point_cmp(Fraction(1), pos) < 0
     assert point_cmp(pos, Fraction(2)) < 0
-    assert poly_sign_at(P(0, 1), pos) > 0
+    assert pos.sign_of(P(0, 1)) > 0
 
 
 def test_point_cmp_orders_the_extended_line():
@@ -482,7 +483,7 @@ def test_point_cmp_orders_the_extended_line():
 def test_sturm_chain_endpoints():
     p = Poly.from_roots([0, 1, 2, 3])
     chain = sturm_chain(p)
-    assert count_real_roots(p, Fraction(-1), None, chain) == 4
+    assert count_real_roots(p, Fraction(-1), INF, chain) == 4
 
 
 def fresh_roots(p: Poly) -> list[RealAlg]:

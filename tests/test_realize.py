@@ -6,11 +6,11 @@ import pytest
 from nevkit.corpus import random_plain_pair, structured_plain_pair
 from nevkit.errors import InvalidInput, NotKacMember, PoleHit, SpectrumHit
 from nevkit.gnev import GenNevFun
-from nevkit.nevfun import NevFun
+from nevkit.nevfun import AtomicMeasure, NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun
-from nevkit.realize import (enumerate_zeros_poles, minimal_model,
+from nevkit.realize import (L2Model, enumerate_zeros_poles, minimal_model,
                             model_spectral_check, model_weyl, transform_model)
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])
@@ -99,9 +99,7 @@ def test_evaluation_agrees_with_partial_fractions(q, xi):
         assert _agree(q.to_ratfun()(z), want), z
         assert _agree(model_weyl(m, z), want), z
         assert _agree(g.evaluate(z), phi * want), z
-        if not m.sigma:     # a real QC point is answered as a rational
-            real_qc = isinstance(z, QC) and z.is_real
-            assert type(model_weyl(m, z)) is type(z.re if real_qc else z)
+        assert type(model_weyl(m, z)) is type(z)
     for t in q.sigma.positions:
         for call in (q.evaluate, q.to_ratfun(), g.evaluate):
             with pytest.raises(PoleHit):
@@ -228,3 +226,88 @@ def test_transform_structured_pairs():
         for lam in UHP[:5]:
             assert model_weyl(rep.model_out, lam) == rq.eval_qc(lam)
         assert model_spectral_check(m, rep.model_out, r)
+
+
+def test_transform_refuses_a_model_of_another_function():
+    # anchored at the first pole of r, but it realizes another function
+    m = minimal_model(NevFun.of(5, 0, [(2, 3)]), 1)
+    with pytest.raises(InvalidInput, match="does not realize"):
+        transform_model(m, WORKED_R, WORKED_Q)
+
+
+def _weyl_ratfun(m: L2Model) -> RatFun:
+    """Reference: eta + (z - xi) [beta omega_inf^2 + sum w omega^2(t)
+    (t - xi)/(t - z)], or eta + sum w omega^2(t)/(t - z) at xi = INF,
+    summed term by term as RatFuns."""
+    acc = RatFun.const(m.eta)
+    if m.xi is INF:
+        for t, w in m.sigma:
+            acc = acc + RatFun(Poly.const(w * m.omega_sq_at(t)),
+                               Poly([t, -1]))
+        return acc
+    lin = RatFun(Poly([-m.xi, 1]), Poly.const(1))
+    acc = acc + lin * (m.beta * m.omega_inf_sq)
+    for t, w in m.sigma:
+        term = RatFun(Poly.const(w * m.omega_sq_at(t) * (t - m.xi)),
+                      Poly([t, -1]))
+        acc = acc + lin * term
+    return acc
+
+
+def _criterion_5_pairs():
+    """The worked pair and the 50 plain pairs of acceptance criterion 5."""
+    pairs = [(WORKED_Q, WORKED_R)]
+    rng = random.Random(1005)
+    while len(pairs) < 51:
+        q, r = random_plain_pair(rng)
+        _zs, ps = enumerate_zeros_poles(r)
+        if ps and q.kac_membership(ps[0]):
+            pairs.append((q, r))
+    return pairs
+
+
+def test_closed_form_matches_the_term_by_term_sum_on_transferred_models():
+    for q, r in _criterion_5_pairs():
+        m_in = minimal_model(q, enumerate_zeros_poles(r)[1][0])
+        m_out = transform_model(m_in, r, q).model_out
+        assert m_in.to_nevfun() == q
+        for m in (m_in, m_out):
+            assert m.to_nevfun().to_ratfun() == _weyl_ratfun(m)
+
+
+def _random_model(rng, xi) -> L2Model:
+    ts = rng.sample(range(-6, 7), rng.randint(0, 4))
+    atoms = [(Fraction(t, 2), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+             for t in ts if xi is INF or Fraction(t, 2) != xi]
+    omega_sq = tuple((t, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+                     for t, _ in sorted(atoms))
+    return L2Model(Fraction(rng.randint(0, 3), 2), AtomicMeasure.of(atoms), xi,
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 4)), omega_sq,
+                   Fraction(rng.randint(0, 4), 3))
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_closed_form_matches_the_term_by_term_sum_on_random_models(finite):
+    rng = random.Random(79)
+    for _ in range(30):
+        xi = Fraction(rng.randint(-9, 9), rng.randint(1, 3)) if finite else INF
+        m = _random_model(rng, xi)
+        ref = _weyl_ratfun(m)
+        assert m.to_nevfun().to_ratfun() == ref
+        for z in UHP[::10]:
+            assert model_weyl(m, z) == ref.eval_qc(z)
+
+
+def test_vanishing_vector_value_keeps_the_atom_in_the_spectrum():
+    # omega(1) = 0: the realized function has no atom at 1, but 1 is still
+    # in the spectrum of the model
+    m = L2Model(Fraction(1), AtomicMeasure.of([(1, 2), (3, 1)]), Fraction(0),
+                Fraction(1, 2), ((Fraction(1), Fraction(0)),
+                                 (Fraction(3), Fraction(1, 9))), Fraction(1))
+    q = m.to_nevfun()
+    assert q.to_ratfun() == _weyl_ratfun(m)
+    assert q.sigma.positions == [Fraction(3)]
+    for lam in (Fraction(1), 1, QC.of(1)):
+        with pytest.raises(SpectrumHit):
+            model_weyl(m, lam)
+    assert model_weyl(m, Fraction(2)) == q.evaluate(Fraction(2))

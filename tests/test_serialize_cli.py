@@ -226,6 +226,24 @@ def test_cli_invert_steep_schedule_keeps_the_atom(tmp_path, capsys,
         assert code == 1 and "NonConvergent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps_min, code", [("1e-310", 1), ("1e-200", 0)])
+def test_cli_invert_subnormal_offset(tmp_path, capsys, eps_min, code):
+    """A unit atom at 0 sampled at a subnormal offset overflows the float
+    evaluation to inf: the levels then disagree and the run fails with one
+    error line and no report.  At 1e-200 the mass is recovered."""
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"alpha": "0", "beta": "0",
+                             "atoms": [{"t": "0", "w": "1"}]}))
+    assert main(["invert", "--in", str(p), "--interval=-1,1",
+                 "--eps-min", eps_min]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: NonConvergent: ")
+    else:
+        assert abs(json.loads(out)["mass"] - 1.0) < 1e-6
+
+
 def _sqrt2_point(r: RatFun) -> str:
     """Emitted bytes of the zero sqrt(2) of r."""
     return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
