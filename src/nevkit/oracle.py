@@ -11,6 +11,7 @@ resolved at every level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -52,11 +53,17 @@ def build_kernel_sample(f: Evaluator, points: np.ndarray) -> KernelSample:
 
 def _gram(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Hermitian part of the kernel (f(z) - f(w)*)/(z - w*) at the points,
-    given the values of f there."""
-    num = vals[:, None] - np.conj(vals)[None, :]
-    den = points[:, None] - np.conj(points)[None, :]
+    given the values of f there; a leading axis indexes point sets."""
+    num = vals[..., :, None] - np.conj(vals)[..., None, :]
+    den = points[..., :, None] - np.conj(points)[..., None, :]
     gram = num / den
-    return (gram + gram.conj().T) / 2
+    return (gram + gram.conj().swapaxes(-1, -2)) / 2
+
+
+#: float evaluations may meet a pole or overflow, and a huge tolerance
+#: overflows its threshold to -inf; the non-finite values are rejected or
+#: reported by the caller, so numpy need not warn
+_FLOAT_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -73,10 +80,30 @@ def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate([strip, ann])
 
 
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    return np.random.default_rng(seed * 1_000_003 + trial)
+
+
+@lru_cache(maxsize=16)
+def _first_point_sets(seed: int, trials: int, n_points: int) -> np.ndarray:
+    """The first point set of every trial, stacked; read-only, as the same
+    array answers every call with these settings."""
+    pts = np.stack([_sample_points(_trial_rng(seed, trial), n_points)
+                    for trial in range(trials)])
+    pts.flags.writeable = False
+    return pts
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """Per point set (last axis), whether every value is usable."""
+    return np.all(np.isfinite(vals) & (np.abs(vals) < 1e100), axis=-1)
+
+
 def negative_squares(f, n_points: int = 40, trials: int = 5,
                      seed: int = 0, tol_rel: float = 1e-9) -> int:
     """Maximum over trials of the count of negative kernel eigenvalues on
-    randomized upper-half-plane point sets; deterministic for a given seed.
+    randomized upper-half-plane point sets.  The point sets depend only on
+    (seed, trials, n_points), not on f, and are drawn once per setting.
     """
     count, _tails = negative_squares_report(f, n_points, trials, seed,
                                             tol_rel)
@@ -86,7 +113,15 @@ def negative_squares(f, n_points: int = 40, trials: int = 5,
 def negative_squares_report(f, n_points: int = 40, trials: int = 5,
                             seed: int = 0, tol_rel: float = 1e-9):
     """As negative_squares, but also returns the per-trial lower eigenvalue
-    tails of the balanced kernel for reporting."""
+    tails of the balanced kernel for reporting.
+
+    Trial t draws from its own generator, seeded by (seed, t), so its first
+    point set depends only on (seed, t, n_points); those sets are memoised
+    per (seed, trials, n_points).  f is evaluated on all of them at once,
+    and only a trial whose set meets a pole or overflow redraws, from where
+    its generator left off.  The trials' kernels are balanced, thresholded
+    and diagonalized as one stack.
+    """
     if n_points < 1 or trials < 1:
         raise InvalidInput("need at least one point and one trial")
     if not np.isfinite(tol_rel) or tol_rel < 0:
@@ -94,31 +129,32 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
     if seed < 0:
         raise InvalidInput("seed must be nonnegative")
     ev = as_evaluator(f)
-    balanced = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed * 1_000_003 + trial)
-        for _attempt in range(64):
-            pts = _sample_points(rng, n_points)
-            vals = ev(pts)
-            good = np.isfinite(vals) & (np.abs(vals) < 1e100)
-            if bool(np.all(good)):
-                break
-        else:
-            raise EvaluationFailure("sampling kept hitting poles or overflow")
+    pts = _first_point_sets(seed, trials, n_points).copy()
+    with np.errstate(**_FLOAT_QUIET):
+        vals = ev(pts.ravel()).reshape(pts.shape)
+        for trial in np.flatnonzero(~_finite(vals)).tolist():
+            rng = _trial_rng(seed, trial)
+            _sample_points(rng, n_points)          # the first set, rejected
+            for _attempt in range(63):             # 64 sets in all
+                pts[trial] = _sample_points(rng, n_points)
+                vals[trial] = ev(pts[trial])
+                if _finite(vals[trial]):
+                    break
+            else:
+                raise EvaluationFailure(
+                    "sampling kept hitting poles or overflow")
         gram = _gram(pts, vals)
         # positive diagonal congruence preserves the signature and tames the
         # dynamic range before thresholding
-        d = np.sqrt(np.abs(np.diag(gram)) + 1e-30)
-        balanced.append(gram / np.outer(d, d))
-    best = 0
-    tails = []
-    for b, eigs in zip(balanced, np.linalg.eigvalsh(np.stack(balanced))):
-        norm_inf = float(np.max(np.sum(np.abs(b), axis=1)))
-        thresh = -tol_rel * max(norm_inf, 1.0)
-        count = int(np.sum(eigs < thresh))
-        tails.append([float(x) for x in eigs[:max(count + 2, 4)]])
-        best = max(best, count)
-    return best, tails
+        d = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1)) + 1e-30)
+        balanced = gram / (d[:, :, None] * d[:, None, :])
+        norm_inf = np.max(np.sum(np.abs(balanced), axis=-1), axis=-1)
+        thresh = -tol_rel * np.maximum(norm_inf, 1.0)
+    eigs = np.linalg.eigvalsh(balanced)
+    counts = np.sum(eigs < thresh[:, None], axis=-1).tolist()
+    tails = [row[:max(count + 2, 4)]
+             for row, count in zip(eigs.tolist(), counts)]
+    return max(counts), tails
 
 
 #: largest ratio between consecutive offsets across which a stored peak is
@@ -256,32 +292,33 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     per_level = []
     spacing = (d - c) / cfg.quadrature_points
     mid = 0.0
-    if cfg.eps_schedule[0] < spacing:
-        # spikes finer than the grid fall between its samples, so those of
-        # a first level below the grid spacing are found at that spacing
-        # and tracked down to the level like those of an earlier level
-        peaks = _detect_peaks(ev, phi_ev, c, d, spacing,
-                              cfg.quadrature_points)
-        mid = spacing / PEAK_TRACK_RATIO
-    for eps in cfg.eps_schedule:
-        # a peak located at the last level is off by up to about that
-        # offset, so across a step of more than PEAK_TRACK_RATIO it is
-        # re-located at unrecorded offsets in between, lest the window of
-        # the new level miss its spike
-        while mid > eps * (1 + 1e-9):
-            _, refined = _level_integral(ev, phi_ev, c, d, mid,
-                                         cfg.quadrature_points, peaks)
+    with np.errstate(**_FLOAT_QUIET):
+        if cfg.eps_schedule[0] < spacing:
+            # spikes finer than the grid fall between its samples, so those of
+            # a first level below the grid spacing are found at that spacing
+            # and tracked down to the level like those of an earlier level
+            peaks = _detect_peaks(ev, phi_ev, c, d, spacing,
+                                  cfg.quadrature_points)
+            mid = spacing / PEAK_TRACK_RATIO
+        for eps in cfg.eps_schedule:
+            # a peak located at the last level is off by up to about that
+            # offset, so across a step of more than PEAK_TRACK_RATIO it is
+            # re-located at unrecorded offsets in between, lest the window of
+            # the new level miss its spike
+            while mid > eps * (1 + 1e-9):
+                _, refined = _level_integral(ev, phi_ev, c, d, mid,
+                                             cfg.quadrature_points, peaks)
+                if refined:
+                    peaks = _merge_peaks([], sorted(refined), 3 * mid)
+                mid /= PEAK_TRACK_RATIO
+            mid = eps / PEAK_TRACK_RATIO
+            found = _detect_peaks(ev, phi_ev, c, d, eps, cfg.quadrature_points)
+            peaks = _merge_peaks(peaks, found, 2 * spacing)
+            value, refined = _level_integral(ev, phi_ev, c, d, eps,
+                                             cfg.quadrature_points, peaks)
+            per_level.append(value)
             if refined:
-                peaks = _merge_peaks([], sorted(refined), 3 * mid)
-            mid /= PEAK_TRACK_RATIO
-        mid = eps / PEAK_TRACK_RATIO
-        found = _detect_peaks(ev, phi_ev, c, d, eps, cfg.quadrature_points)
-        peaks = _merge_peaks(peaks, found, 2 * spacing)
-        value, refined = _level_integral(ev, phi_ev, c, d, eps,
-                                         cfg.quadrature_points, peaks)
-        per_level.append(value)
-        if refined:
-            peaks = _merge_peaks([], sorted(refined), 3 * eps)
+                peaks = _merge_peaks([], sorted(refined), 3 * eps)
     value, err = _extrapolate(cfg.eps_schedule, per_level)
     if len(per_level) >= 2 and abs(per_level[-1] - per_level[-2]) > \
             max(tol, 10 * err + tol):
@@ -346,7 +383,8 @@ def gap_detect(f, interval, samples: int = 128, mass_tol: float = 1e-3) -> bool:
     if abs(res.value) > mass_tol:
         return False
     xs = np.linspace(c + pad, d - pad, samples) + 1j * 1e-9
-    vals = ev(xs)
+    with np.errstate(**_FLOAT_QUIET):
+        vals = ev(xs)
     if np.any(np.abs(np.imag(vals)) > 1e-5 * (1 + np.abs(vals))):
         return False
     re = np.real(vals)

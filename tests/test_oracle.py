@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 import nevkit.oracle
 from nevkit.corpus import random_nevfun, random_symmetric_ratfun
-from nevkit.errors import InvalidInput, NonConvergent
+from nevkit.errors import EvaluationFailure, InvalidInput, NonConvergent
+from nevkit.gnev import canonical_pair
 from nevkit.nevfun import NevFun
 from nevkit.oracle import (InversionConfig, _local_maxima, _sample_points,
-                           build_kernel_sample, gap_detect, negative_squares,
-                           negative_squares_report, stieltjes_invert)
+                           as_evaluator, build_kernel_sample, gap_detect,
+                           negative_squares, negative_squares_report,
+                           stieltjes_invert)
 from nevkit.poly import Poly
 from nevkit.ratfun import RatFun
 
@@ -203,6 +206,113 @@ def test_stacked_count_equals_per_trial_reference():
         f = random_symmetric_ratfun(rng, max_degree=8)
         assert negative_squares_report(f, 40, 5, 12345) == \
             _report_per_trial(f, 40, 5, 12345, 1e-9)
+
+
+def _report_reference(f, n_points, trials, seed, tol_rel):
+    """negative_squares_report as it was before its point sets were
+    memoised and its trials stacked: a generator, a draw loop, an
+    evaluation and a kernel per trial, the kernel by np.outer and
+    np.diag."""
+    ev = as_evaluator(f)
+    balanced = []
+    for trial in range(trials):
+        rng = np.random.default_rng(seed * 1_000_003 + trial)
+        for _attempt in range(64):
+            pts = _sample_points(rng, n_points)
+            vals = ev(pts)
+            if bool(np.all(np.isfinite(vals) & (np.abs(vals) < 1e100))):
+                break
+        else:
+            raise EvaluationFailure("sampling kept hitting poles or overflow")
+        gram = (vals[:, None] - np.conj(vals)[None, :]) \
+            / (pts[:, None] - np.conj(pts)[None, :])
+        gram = (gram + gram.conj().T) / 2
+        d = np.sqrt(np.abs(np.diag(gram)) + 1e-30)
+        balanced.append(gram / np.outer(d, d))
+    best, tails = 0, []
+    for b, eigs in zip(balanced, np.linalg.eigvalsh(np.stack(balanced))):
+        norm_inf = float(np.max(np.sum(np.abs(b), axis=1)))
+        count = int(np.sum(eigs < -tol_rel * max(norm_inf, 1.0)))
+        tails.append([float(x) for x in eigs[:max(count + 2, 4)]])
+        best = max(best, count)
+    return best, tails
+
+
+def _inf_right_of_9(z):
+    """z^3, but a pole-like inf wherever Re z > 9."""
+    return np.where(z.real > 9, np.inf, z ** 3)
+
+
+def test_stacked_count_matches_reference_on_every_input_kind():
+    rng = random.Random(1015)
+    q = random_nevfun(rng, max_atoms=4)
+    r = random_symmetric_ratfun(rng, max_degree=8)
+    g = canonical_pair(r)
+    plain = q.to_ratfun().eval_np
+    cases = [(q, 40, 5, 7), (g, 40, 5, 7), (plain, 40, 5, 7),
+             (r, 17, 3, 99), (q, 1, 1, 0), (g, 64, 8, 2)]
+    for f, n_points, trials, seed in cases:
+        assert negative_squares_report(f, n_points, trials, seed) == \
+            _report_reference(f, n_points, trials, seed, 1e-9)
+    assert negative_squares_report(r, 40, 5, 7, tol_rel=1e-3) == \
+        _report_reference(r, 40, 5, 7, 1e-3)
+
+
+def test_redrawn_trials_match_reference_and_leave_the_cache_intact():
+    seed, trials, n_points = 31, 6, 9
+    # trials whose first point set reaches Re z > 9 redraw
+    redrawn = [t for t in range(trials) if np.any(_sample_points(
+        np.random.default_rng(seed * 1_000_003 + t), n_points).real > 9)]
+    assert 0 < len(redrawn) < trials
+    assert negative_squares_report(_inf_right_of_9, n_points, trials, seed) \
+        == _report_reference(_inf_right_of_9, n_points, trials, seed, 1e-9)
+    # the redraws replaced rows of a copy, not of the memoised first sets
+    f = NevFun.of(1, 2, [(0, 1), (12, 3)])
+    assert negative_squares_report(f, n_points, trials, seed) == \
+        _report_reference(f, n_points, trials, seed, 1e-9)
+
+
+def test_exhausted_redraws_stop_after_64_sets():
+    seen = []
+
+    def never_finite(z):
+        seen.append(z.copy())
+        return np.full(z.shape, np.inf)
+
+    with pytest.raises(EvaluationFailure):
+        negative_squares_report(never_finite, 10, 3, 0)
+    # all first sets at once, then 63 more sets of the first trial, each
+    # new: its first set is not drawn again
+    assert [z.shape for z in seen] == [(30,)] + [(10,)] * 63
+    sets = [seen[0][:10]] + seen[1:]
+    assert len({z.tobytes() for z in sets}) == 64
+
+
+def test_repeated_count_draws_no_generator_and_solves_once(monkeypatch):
+    f = random_symmetric_ratfun(random.Random(1016), max_degree=8)
+    first = negative_squares_report(f, 40, 5, 4242)
+    calls = {"rng": 0, "eigvalsh": 0, "ev": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        counted("rng", np.random.default_rng))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    assert negative_squares_report(counted("ev", f.eval_np), 40, 5, 4242) \
+        == first
+    assert calls == {"rng": 0, "eigvalsh": 1, "ev": 1}
+
+
+def test_huge_tolerance_counts_nothing_and_warns_nothing():
+    cube = RatFun(Poly([0, 0, 0, 1]), Poly.const(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert negative_squares_report(cube, tol_rel=1e308)[0] == 0
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -244,6 +244,24 @@ def test_cli_invert_subnormal_offset(tmp_path, capsys, eps_min, code):
         assert abs(json.loads(out)["mass"] - 1.0) < 1e-6
 
 
+def test_cli_invert_overflow_prints_one_line(tmp_path):
+    """In a fresh process, where numpy's warnings are not captured, the
+    subnormal offset that overflows the float evaluation leaves stderr
+    with the one error line and nothing from numpy."""
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"alpha": "0", "beta": "0",
+                             "atoms": [{"t": "0", "w": "1"}]}))
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevkit.cli", "invert", "--in", str(p),
+         "--interval=-1,1", "--eps-min", "1e-310"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: NonConvergent: levels disagree: 1 vs inf\n"
+
+
 def _sqrt2_point(r: RatFun) -> str:
     """Emitted bytes of the zero sqrt(2) of r."""
     return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
