@@ -5,11 +5,13 @@ denominator and a tuple of integer numerators, so the arithmetic, the gcd
 (a primitive remainder sequence) and the square-free machinery the
 rational-function layer builds on all run on Python ints, and a Fraction is
 made only where a coefficient or a value is read out.  On top of it sits
-certified real-root location: Sturm bisection on the primitive integer form
-of a polynomial finds its rational roots exactly and isolates the remaining
-real roots into rational intervals, represented as lazy :class:`RealAlg`
-values, which refine their interval only as far as an exact sign query or
-comparison needs.
+certified real-root location on the primitive integer form of a polynomial:
+its rational roots are found exactly by lifting its roots modulo a small
+prime p-adically, and the remaining real roots, those of the residual
+without rational roots, are separated by Sturm bisection on dyadic points
+into rational intervals, represented as lazy :class:`RealAlg` values, which
+refine their interval only as far as an exact sign query or comparison
+needs.
 :func:`real_root_structure` is the one place where the real roots and
 conjugate-pair content of a polynomial are derived, memoised on the
 polynomial's value.  Everything this module returns about an irrational
@@ -341,6 +343,15 @@ def irreducible_factors(p: Poly) -> list[Poly]:
 # Computer Algebra, ch. 14-15).  A polynomial mod m is a list of ascending
 # residues in [0, m) without trailing zeros.
 
+def _odd_primes():
+    """3, 5, 7, 11, ..., by trial division."""
+    p = 1
+    while True:
+        p += 2
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
 def _pnorm(a: Sequence[int], m: int) -> list[int]:
     a = [x % m for x in a]
     while a and not a[-1]:
@@ -455,11 +466,11 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     factors mod p is taken.  Those factors are split with a fixed seed,
     Hensel-lifted mod p^(2^j) beyond twice the Mignotte bound on lead(f)
     times a factor of f, and recombined in subsets by exact division."""
-    best, p, tried = (len(f), 0, []), 1, 0
-    while tried < 5 and best[0] > 1:
-        p += 2
-        if f[-1] % p == 0 or any(p % q == 0
-                                 for q in range(3, math.isqrt(p) + 1, 2)):
+    best, tried = (len(f), 0, []), 0
+    for p in _odd_primes():
+        if tried == 5 or best[0] == 1:
+            break
+        if f[-1] % p == 0:
             continue
         fp = _pmul(f, [pow(f[-1], -1, p)], p)
         if len(_pgcd(fp, _pnorm([i * c for i, c in enumerate(f)][1:], p),
@@ -492,6 +503,75 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
         else:
             size += 1
     return out + [f]
+
+
+# -- Rational roots over Z by p-adic lifting (Loos 1983, "Computing rational
+# zeros of integral polynomials by p-adic expansion", SIAM J. Comput. 12).
+
+def _pval(a: Sequence[int], x: int, m: int) -> int:
+    """a(x) mod m."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _rational_roots(a: IntPoly) -> list[Fraction]:
+    """The rational roots of the primitive integer polynomial a, ascending.
+
+    With L = lead(a), take the first odd prime p that does not divide L and
+    at which every root of a mod p, found by trial, is simple.  Each lifts
+    by Newton steps to a root rho mod p^(2^j) > 2 (|L| + max |a_i|), a bound
+    on 2 |L x| for a root x.  A rational root x = u/v has v | L and reduces
+    to one of them, so the symmetric residue c of L rho is L x: c/L is kept
+    when it is an exact root.
+
+    A prime that does not divide L but gives a multiple root mod p divides
+    the discriminant of a, unless a is not squarefree; once the product of
+    such primes exceeds the Hadamard bound on the discriminant, InvalidInput
+    is raised.  A square factor without rational roots may pass the search;
+    it stays in the residual, whose Sturm chain detects it."""
+    n, lead = len(a) - 1, a[-1]
+    da = [i * c for i, c in enumerate(a)][1:]
+    limit = ((math.isqrt(sum(c * c for c in a)) + 1) ** (n - 1)
+             * (math.isqrt(sum(c * c for c in da)) + 1) ** n)
+    bad = 1
+    for p in _odd_primes():
+        if lead % p:
+            ap, dap = _pnorm(a, p), _pnorm(da, p)
+            roots = [r for r in range(p) if not _pval(ap, r, p)]
+            if all(_pval(dap, r, p) for r in roots):
+                break
+            bad *= p
+            if bad > limit:
+                raise InvalidInput("polynomial is not squarefree")
+    bound = abs(lead) + max(abs(c) for c in a)      # |L x| for a root x
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m                  # a(r) = 0 mod sqrt(m): one Newton step
+            r = (r - _pval(a, r, m) * pow(_pval(da, r, m), -1, m)) % m
+        c = lead * r % m
+        if 2 * c > m:
+            c -= m
+        if abs(c) <= bound:
+            x = Fraction(c, lead)
+            if _horner(a, x.numerator, x.denominator) == 0:
+                out.append(x)
+    out.sort()
+    return out
+
+
+def _deflate(a: IntPoly, u: int, v: int) -> IntPoly:
+    """a / (v z - u) for a factor v z - u of a over Z, by synthetic
+    division (a_i = v q_(i-1) - u q_i, from the top): no Fraction, unlike
+    Poly division."""
+    q = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc = q[i - 1] = (a[i] + u * acc) // v
+    return tuple(q)
 
 
 # -- Sturm machinery on primitive integer polynomials -------------------------
@@ -604,64 +684,83 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     rational root r, else an open interval with nonzero endpoint values
     holding exactly one root, which is irrational.
 
-    Sturm bisection separates the roots.  A rational root of the primitive
-    integer form of p, with leading coefficient L, is a multiple of 1/L, so
-    an interval with one root is bisected by sign until it holds at most
-    one multiple of 1/L, which is then tested exactly.
+    The rational roots are found directly by p-adic lifting, and only the
+    residual, which has no rational root, is separated by Sturm bisection
+    (:func:`_real_roots`).  Raises :class:`InvalidInput` when p is not
+    squarefree.
+    """
+    rats, _h, boxes = _real_roots(p)
+    return sorted([(r, r) for r in rats] + boxes)
+
+
+def _real_roots(p: Poly) -> tuple[list[Fraction], Poly,
+                                  list[tuple[Fraction, Fraction]]]:
+    """The rational roots of a squarefree p, ascending; the residual h, p
+    without its rational linear factors, monic; and isolating boxes of the
+    real roots of h, which each hold no rational root of p.
+
+    h has no rational root, so it is nonzero at every dyadic point u/2^e,
+    and Sturm bisection of its chain needs neither a root test nor a
+    Fraction: a box is a dyadic cell (u/2^e, (u+1)/2^e), with e < 0 for the
+    cells wider than 1, bisected until it holds one root of h and then only
+    while its closure holds a rational root of p.
     """
     if p.degree < 1:
-        return []
-    chain = sturm_chain(p)
-    a = chain[0]
-    lead = abs(a[-1])
+        return [], p, []
+    a = _primitive(p.n)
+    rats = _rational_roots(a)
+    h = a
+    for r in rats:
+        h = _deflate(h, r.numerator, r.denominator)
+    hp = _poly(h, h[-1])
+    if len(h) < 3:                  # h has no rational root, so no degree 1
+        return rats, hp, []
+    chain = sturm_chain(hp)
+    if len(chain[-1]) > 1:          # gcd(h, h') is not a constant
+        raise InvalidInput("polynomial is not squarefree")
+    if _variations_at(chain, NEG_INF) == _variations_at(chain, INF):
+        return rats, hp, []
 
-    def point(x: Fraction) -> tuple[int, int, int]:
-        # (variations, sign of p, sign of p'), as p' is chain[1]
-        s = _signs(chain, x)
-        return _variations(s), s[0], s[1]
+    def var(u: int, e: int) -> int:
+        x, v = _dyadic(u, e)
+        return _variations([_sign_at(c, x, v) for c in chain])
 
-    bound = Fraction(2 + max(abs(c) for c in a[:-1]) // lead)  # Cauchy
-    out = []
-    stack = [(-bound, point(-bound), bound, point(bound))]
+    # every root of h lies in (-2^k, 2^k) (Cauchy)
+    k = (max(abs(c) for c in h[:-1]) // abs(h[-1]) + 1).bit_length()
+    v_lo, v_mid, v_hi = var(-1, -k), var(0, 0), var(1, -k)
+    stack = [(-1, -k, v_lo, v_mid), (0, -k, v_mid, v_hi)]
+    boxes = []
     while stack:
-        lo, plo, hi, phi = stack.pop()
-        n = plo[0] - phi[0] - (phi[1] == 0)      # roots in the open (lo, hi)
-        if n == 1:
-            out.append(_one_root(a, lead, lo, plo, hi, phi))
-        elif n > 1:
-            mid = (lo + hi) / 2
-            pmid = point(mid)
-            if pmid[1] == 0:
-                out.append((mid, mid))
-            stack.append((lo, plo, mid, pmid))
-            stack.append((mid, pmid, hi, phi))
-    out.sort()
-    return out
+        u, e, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            boxes.append(_exclude(h, u, e, rats))
+        elif v_lo - v_hi > 1:
+            v_mid = var(2 * u + 1, e + 1)
+            stack.append((2 * u, e + 1, v_lo, v_mid))
+            stack.append((2 * u + 1, e + 1, v_mid, v_hi))
+    return rats, hp, boxes
 
 
-def _one_root(a: IntPoly, lead: int, lo: Fraction, plo, hi: Fraction, phi
-              ) -> tuple[Fraction, Fraction]:
-    """The one root of a in the open (lo, hi), given the signs of a and a'
-    at the ends: (r, r) when it is a rational r, else an isolating box with
-    nonzero endpoint values."""
-    sign_lo = plo[1] or plo[2]  # the sign on (lo, root): a'(lo)'s at a root lo
-    lo_zero, hi_zero = plo[1] == 0, phi[1] == 0
+def _dyadic(u: int, e: int) -> tuple[int, int]:
+    """u/2^e as (numerator, positive denominator), for any int e."""
+    return (u, 1 << e) if e >= 0 else (u << -e, 1)
+
+
+def _exclude(h: IntPoly, u: int, e: int, rats: Sequence[Fraction]
+             ) -> tuple[Fraction, Fraction]:
+    """The cell (u/2^e, (u+1)/2^e), holding one root of h, bisected until
+    its closure holds none of the rationals rats, as Fractions."""
+    s_lo = None
     while True:
-        k = lo.numerator * lead // lo.denominator + 1     # least k/L > lo
-        last = -(-hi.numerator * lead // hi.denominator) - 1  # greatest < hi
-        if k == last and _sign_at(a, k, lead) == 0:
-            root = Fraction(k, lead)
-            return root, root
-        if k >= last and not (lo_zero or hi_zero):
-            return lo, hi
-        mid = (lo + hi) / 2
-        s = _sign_at(a, mid.numerator, mid.denominator)
-        if s == 0:
-            return mid, mid
-        if s == sign_lo:
-            lo, lo_zero = mid, False
-        else:
-            hi, hi_zero = mid, False
+        (lo, v), (hi, _v) = _dyadic(u, e), _dyadic(u + 1, e)
+        if not any(lo * r.denominator <= r.numerator * v <= hi * r.denominator
+                   for r in rats):
+            return Fraction(lo, v), Fraction(hi, v)
+        if s_lo is None:
+            s_lo = _sign_at(h, lo, v)
+        u, e = 2 * u, e + 1
+        if _sign_at(h, *_dyadic(u + 1, e)) == s_lo:
+            u += 1                  # the root is right of the midpoint
 
 
 class RealAlg:
@@ -850,9 +949,10 @@ def real_root_structure(p: Poly) -> RootStructure:
     """Real roots of p with exact multiplicities plus its conjugate-pair
     blocks.
 
-    The real roots of each squarefree part g are isolated once: rational
-    roots become rational records, and the residual h, g without its
-    rational linear factors, gives the rest.  Each irrational real root
+    The real roots of each squarefree part g are isolated once, by the
+    helper of :func:`isolate_real_roots`: rational roots become rational
+    records, and the residual h it divides out, g without its rational
+    linear factors, gives the rest.  Each irrational real root
     becomes a :class:`RealAlg` record on h, and when h also has nonreal
     roots they are one conjugate-pair block on h.  Nothing is factored
     here.  The result is memoised on the value of p and shared, so it is
@@ -861,14 +961,8 @@ def real_root_structure(p: Poly) -> RootStructure:
     real: list[RootRecord] = []
     blocks: list[ConjugatePairBlock] = []
     for g, m in squarefree_decomposition(p):
-        h = g
-        boxes = []
-        for lo, hi in isolate_real_roots(g):
-            if lo == hi:
-                real.append(RootRecord(lo, m))
-                h = h // Poly([-lo, 1])
-            else:
-                boxes.append((lo, hi))
+        rats, h, boxes = _real_roots(g)
+        real.extend(RootRecord(r, m) for r in rats)
         real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
         if len(boxes) < h.degree:
             blocks.append(ConjugatePairBlock(

@@ -18,7 +18,8 @@ from .classify import (_degree_one_step, chain_factorize, check_N00,
 from .gnev import GenNevFun, canonical_pair, canonical_rational
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from .oracle import negative_squares
-from .poly import Poly
+from .poly import (Poly, count_real_roots, isolate_real_roots,
+                   squarefree_decomposition)
 from .qmath import QC
 from .ratfun import RatFun
 from .realize import (minimal_model, model_spectral_check, model_weyl,
@@ -151,5 +152,24 @@ def run_selftest(seed: int = 0):
                 qq = q_next
     check("closed-form degree-one steps agree with exact extraction",
           chk_steps)
+
+    def chk_rational_roots():
+        for _ in range(6):
+            p = Poly.const(1)
+            for _ in range(rng.randint(1, 4)):
+                p = p * Poly([rng.randint(-20, 20), rng.randint(1, 12)])
+            for _ in range(rng.randint(0, 2)):
+                p = p * Poly([rng.choice((-1, 1)) * rng.randint(1, 30), 0, 1])
+            for g, _m in squarefree_decomposition(p):
+                roots = isolate_real_roots(g)
+                expect(all(g(lo) == 0 for lo, hi in roots if lo == hi),
+                       f"rational roots of {g} are exact zeros")
+                expect(len(roots) == count_real_roots(g),
+                       f"roots of {g} number its Sturm count")
+                expect(all(count_real_roots(g, lo, hi) == 1
+                           for lo, hi in roots if lo != hi),
+                       f"each box of {g} holds one root")
+    check("p-adic rational roots agree with the Sturm count",
+          chk_rational_roots)
 
     return ok_all, lines

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -9,15 +11,18 @@ from hypothesis import strategies as st
 from conftest import rationals, small_polys
 import nevkit.gnev
 import nevkit.poly
-from nevkit.errors import ExactSplitUnavailable
+from nevkit.corpus import random_plain_pair
+from nevkit.errors import ExactSplitUnavailable, InvalidInput
 from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          irreducible_factors, isolate_real_roots, point_cmp,
                          rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition,
                          sturm_chain)
+from nevkit.nevfun import NevFun
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun
+from nevkit.realize import enumerate_zeros_poles
 
 
 def P(*coeffs):
@@ -649,6 +654,186 @@ def test_integer_isolation_edge_cases():
     recs = real_root_structure(g).real
     assert [rec.point for rec in recs[1:2]] == [r]
     assert [rec.point.p for rec in recs[::2]] == [P(-2, 0, 1)] * 2
+
+
+def _bisection_reference(g: Poly) -> list[tuple[Fraction, Fraction]]:
+    """The real roots of a squarefree g by the former isolation, the
+    reference for the p-adic one: Sturm bisection of the whole chain of g
+    on Fractions, a root at a midpoint taken exactly, and a box with one
+    root bisected by sign until it holds at most one multiple of 1/L (L the
+    leading coefficient of the primitive form), which is tested exactly."""
+    chain = sturm_chain(g)
+    a = chain[0]
+    lead = abs(a[-1])
+
+    def point(x):
+        # (variations, sign of g, sign of g')
+        s = nevkit.poly._signs(chain, x)
+        return nevkit.poly._variations(s), s[0], s[1]
+
+    def one_root(lo, plo, hi, phi):
+        sign_lo = plo[1] or plo[2]
+        lo_zero, hi_zero = plo[1] == 0, phi[1] == 0
+        while True:
+            k = lo.numerator * lead // lo.denominator + 1
+            last = -(-hi.numerator * lead // hi.denominator) - 1
+            if k == last and nevkit.poly._sign_at(a, k, lead) == 0:
+                return Fraction(k, lead), Fraction(k, lead)
+            if k >= last and not (lo_zero or hi_zero):
+                return lo, hi
+            mid = (lo + hi) / 2
+            s = nevkit.poly._sign_at(a, mid.numerator, mid.denominator)
+            if s == 0:
+                return mid, mid
+            if s == sign_lo:
+                lo, lo_zero = mid, False
+            else:
+                hi, hi_zero = mid, False
+
+    bound = Fraction(2 + max(abs(c) for c in a[:-1]) // lead)
+    out = []
+    stack = [(-bound, point(-bound), bound, point(bound))]
+    while stack:
+        lo, plo, hi, phi = stack.pop()
+        n = plo[0] - phi[0] - (phi[1] == 0)
+        if n == 1:
+            out.append(one_root(lo, plo, hi, phi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            pmid = point(mid)
+            if pmid[1] == 0:
+                out.append((mid, mid))
+            stack.append((lo, plo, mid, pmid))
+            stack.append((mid, pmid, hi, phi))
+    return sorted(out)
+
+
+def _check_against_reference(g: Poly):
+    """isolate_real_roots(g) has the reference's rational roots, and each
+    of its boxes holds the one root that the reference's box holds."""
+    got, ref = isolate_real_roots(g), _bisection_reference(g)
+    assert [lo for lo, hi in got if lo == hi] == [
+        lo for lo, hi in ref if lo == hi]
+    assert len(got) == len(ref)
+    for (lo, hi), (rlo, rhi) in zip(got, ref):
+        if lo != hi:
+            assert lo < hi and g.eval_q(lo) != 0 and g.eval_q(hi) != 0
+            assert count_real_roots(g, lo, hi) == 1
+            assert count_real_roots(g, max(lo, rlo), min(hi, rhi)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)),
+                max_size=5),
+       st.lists(st.tuples(st.booleans(), st.integers(1, 50)), max_size=2))
+@example([(0, 1), (1, 3), (-2, 7), (1, 2)], [(True, 2), (False, 1)])
+@example([(BIG, BIG - 1), (BIG - 1, BIG - 2)], [(True, 3)])
+def test_isolation_matches_the_bisection_reference(linear, quadratic):
+    p = Poly.const(1)
+    for a, b in linear:
+        p = p * P(-a, b)
+    for real, c in quadratic:
+        p = p * P(-c if real else c, 0, 1)
+    if p.degree >= 1:
+        _check_against_reference(p // gcd(p, p.deriv()))
+
+
+def test_isolation_matches_the_reference_on_plain_pairs():
+    """Every squarefree part of r, q and r*q over the first 10 pairs of
+    acceptance criterion 5: the worked pair and 9 generated ones."""
+    pairs = [(NevFun.of(Fraction(-3, 5), 0, [(2, 1)]),
+              RatFun.from_points([2, 2, 0], [1, 1, 3]))]
+    rng = random.Random(1005)
+    while len(pairs) < 10:
+        q, r = random_plain_pair(rng)
+        _zs, ps = enumerate_zeros_poles(r)
+        if ps and q.kac_membership(ps[0]):
+            pairs.append((q, r))
+    parts = {}
+    for q, r in pairs:
+        for f in (r, q.to_ratfun(), r * q.to_ratfun()):
+            for p in (f.num, f.den):
+                parts.update(dict.fromkeys(
+                    g for g, _m in squarefree_decomposition(p)))
+    assert len(parts) > 30
+    for g in parts:
+        _check_against_reference(g)
+
+
+@pytest.mark.parametrize("p", [P(-2, 0, 1) ** 2,
+                               P(-1, 1) ** 2 * P(-2, 0, 1)])
+def test_isolation_rejects_a_polynomial_that_is_not_squarefree(p):
+    # (z^2-2)^2: a square factor without rational roots reaches the Sturm
+    # chain; (z-1)^2 (z^2-2): a double rational root is a double root mod
+    # every prime, which ends the prime search at the discriminant bound
+    with pytest.raises(InvalidInput, match="not squarefree"):
+        isolate_real_roots(p)
+
+
+SD_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _swinnerton_dyer(n: int) -> Poly:
+    """The product of z - (+-sqrt 2 +- sqrt 3 ... +- sqrt p_n), in integers:
+    P <- U^2 - p V^2 where P(z + sqrt p) = U + sqrt(p) V, from P = z."""
+    coeffs = [0, 1]
+    for p in SD_PRIMES[:n]:
+        u, v = [0] * len(coeffs), [0] * len(coeffs)
+        for i, c in enumerate(coeffs):
+            for j in range(i + 1):      # C(i, j) z^(i-j) sqrt(p)^j
+                t = c * math.comb(i, j) * p ** (j // 2)
+                (v if j % 2 else u)[i - j] += t
+        coeffs = (Poly(u) * Poly(u) - Poly(v) * Poly(v) * p).n
+    return Poly(coeffs)
+
+
+def _recipe_poles(n: int) -> list[Fraction]:
+    """A rational (limit_denominator(10**6)) between each two adjacent real
+    roots of the Swinnerton-Dyer polynomial of the first n primes."""
+    roots = sorted(sum(s * math.sqrt(p) for s, p in zip(signs, SD_PRIMES))
+                   for signs in itertools.product((-1, 1), repeat=n))
+    return [Fraction((a + b) / 2).limit_denominator(10**6)
+            for a, b in zip(roots, roots[1:])]
+
+
+def _counted(monkeypatch, *names) -> dict:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*args, _name=name, _f=getattr(nevkit.poly, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(nevkit.poly, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("n, tests", [(5, 31), (6, 63)])
+def test_recipe_rational_roots_take_no_bisection(monkeypatch, n, tests):
+    """D, the product of z - m over the 2^n - 1 rationals between the real
+    roots of the Swinnerton-Dyer polynomial: every root is lifted p-adically
+    and tested once by Horner, and no sign is taken."""
+    poles = _recipe_poles(n)
+    d = Poly.from_roots(poles)
+    calls = _counted(monkeypatch, "_sign_at", "_horner")
+    assert isolate_real_roots(d) == [(m, m) for m in sorted(poles)]
+    assert calls == {"_sign_at": 0, "_horner": tests}
+
+
+def test_recipe_poles_interlace_the_numerator_roots():
+    """N = SD_5 (z^2 + 1) has 32 irrational real roots and no rational one,
+    and one pole of D lies between each two adjacent ones."""
+    sd = _swinnerton_dyer(5)
+    boxes = isolate_real_roots(sd * P(1, 0, 1))
+    assert len(boxes) == 32 and all(lo < hi for lo, hi in boxes)
+    ends = [NEG_INF, *_recipe_poles(5), INF]
+    assert [count_real_roots(sd, lo, hi)
+            for lo, hi in zip(ends, ends[1:])] == [1] * 32
+
+
+def test_neighbouring_rational_roots_take_no_bisection(monkeypatch):
+    calls = _counted(monkeypatch, "_sign_at")
+    assert isolate_real_roots(P(-1, 1000) * P(-1, 1001)) == [
+        (Fraction(1, 1001),) * 2, (Fraction(1, 1000),) * 2]
+    assert calls == {"_sign_at": 0}
 
 
 def test_residual_without_real_roots_is_one_block(monkeypatch):
