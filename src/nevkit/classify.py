@@ -458,9 +458,9 @@ def _interval_form(q: NevFun, s: RatFun) -> bool:
         for rec in q_rat.real_zeros:
             if _in_component(rec.point, comp):
                 return False
-        sgn = q_rat.sign_at(comp["sample"])
-        if sgn == 0:
-            return False
+        # q has no zero or pole inside, so its sign there is the one just
+        # right of the left end
+        sgn = q_rat.laurent_lead_sign(comp["left"])
         if comp["wraps"]:
             # the function must be holomorphic and nonvanishing at infinity
             if q.beta > 0:
@@ -493,7 +493,6 @@ def _negative_components(s: RatFun):
             "right": seg.hi,
             "left_kind": _point_kind(s, seg.lo),
             "right_kind": _point_kind(s, seg.hi),
-            "sample": s._sample_inside(seg.lo, seg.hi),
             "wraps": False,
         })
     if wrap:
@@ -502,7 +501,6 @@ def _negative_components(s: RatFun):
             "right": left_unb.hi,
             "left_kind": _point_kind(s, right_unb.lo),
             "right_kind": _point_kind(s, left_unb.hi),
-            "sample": s._sample_inside(right_unb.lo, INF),
             "wraps": True,
         })
     return comps
@@ -603,8 +601,9 @@ def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
 
 def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     """A rational point where s is strictly positive that is not a zero,
-    pole or support point of anything involved: sample one point from each
-    cell of the common critical-point refinement."""
+    pole or support point of anything involved: walk the cells of the
+    common critical-point refinement, read the sign of s on each from its
+    critical table, and draw one rational in the first positive cell."""
     from functools import cmp_to_key
     from .poly import rational_between, rational_outside
     pts = []
@@ -615,20 +614,12 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     for p in pts:
         if not dedup or point_cmp(dedup[-1], p) != 0:
             dedup.append(p)
-    cells = []
-    if not dedup:
-        cells.append(Fraction(0))
-    else:
-        cells.append(rational_outside(dedup[0])[0])
-        for a, b in zip(dedup, dedup[1:]):
-            cells.append(rational_between(a, b))
-        cells.append(rational_outside(dedup[-1])[1])
-    for cand in cells:
-        try:
-            if s.sign_at(cand) > 0:
-                return cand
-        except PoleHit:
+    for a, b in zip([NEG_INF] + dedup, dedup + [INF]):
+        if s.laurent_lead_sign(a) <= 0:
             continue
+        if a is NEG_INF:                # s nonconstant: dedup is not empty
+            return rational_outside(b)[0]
+        return rational_outside(a)[1] if b is INF else rational_between(a, b)
     raise NotInClass("multiplier is nowhere positive")
 
 
@@ -664,7 +655,7 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     tilde = [RatFun.from_points([beta], [alpha]) for beta, alpha in pair_iter]
 
     if not seq:
-        sgn = q_rat.sign_at(q_rat._sample_inside(a, b))
+        sgn = q_rat.laurent_lead_sign(a)        # q is regular inside (a, b)
         if sgn > 0:
             expect = ("pole", "zero")
             ends = [RatFun.from_points([b], [a])]

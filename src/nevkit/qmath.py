@@ -11,6 +11,7 @@ and interval ends.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +30,14 @@ def rat(x) -> Fraction:
 
 
 def parse_rat(s: str) -> Fraction:
-    """The rational written as the string s; anything else, a JSON number
-    or null included, is a ParseError."""
+    """The rational written as the string s: an integer, p/q or a plain
+    decimal.  Anything else, exponent notation, a JSON number or null
+    included, is a ParseError."""
     if not isinstance(s, str):
         raise ParseError(f"rational literal {s!r} is not a string")
+    # Fraction expands an exponent exactly: "1e10000000" has 10**7 digits
+    if re.search(r"[eE][-+]?\d", s):
+        raise ParseError(f"exponent notation in rational literal {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

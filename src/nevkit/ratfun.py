@@ -6,7 +6,10 @@ points are exact, irrational real points are certified isolating intervals,
 and conjugate-pair blocks are tracked by count only (they never take part in
 sign decisions).  The finite real zeros and poles form one ordered table,
 :meth:`RatFun.critical_points`, which every local query (orders, eta counts,
-sign segments) reads.  The point at infinity is first class: the zero or pole
+signs) reads.  Signs follow one parity rule on that table: just above its
+first i entries the function has the sign of gamma times (-1) to the number
+of odd-order entries from the i-th on.  Only a sign at a rational point is
+found by evaluation.  The point at infinity is first class: the zero or pole
 multiplicity there is the degree imbalance.
 """
 
@@ -21,8 +24,7 @@ from typing import Sequence, Union
 from .errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
 from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
                    RootStructure, RPoint, compose_fractional, gcd, point_cmp,
-                   rat, rational_between, rational_outside,
-                   real_root_structure)
+                   rat, real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
@@ -290,24 +292,33 @@ class RatFun:
         return ((self.num // lin ** mn).eval_q(a)
                 / (self.den // lin ** md).eval_q(a))
 
+    def _sign_above(self, i: int) -> int:
+        """Sign just above the first i critical points: that of gamma near
+        +inf, flipped once per odd-order point from the i-th on."""
+        s = (self.gamma > 0) - (self.gamma < 0)
+        odd = sum(m % 2 for _p, m, _kind in self.critical_points()[i:])
+        return -s if odd % 2 else s
+
     def laurent_lead_sign(self, point: Point) -> int:
         """Sign of the leading Laurent coefficient at a real point or at
-        infinity.  Just right of a real point p the function has the sign
-        of that coefficient; it has the sign of gamma near +inf and changes
-        sign at each odd-order point, so the sign is sign(gamma) times
-        (-1)^eta(p).  At infinity it is the sign of gamma."""
-        s = (self.gamma > 0) - (self.gamma < 0)
-        if point is INF or self.eta_count(point) % 2 == 0:
-            return s
-        return -s
+        infinity: the sign just right of the point, sign(gamma) times
+        (-1)^eta(p).  At infinity, above every entry, it is the sign of
+        gamma."""
+        i, hit = self._locate(point)
+        return self._sign_above(i + hit)
 
     def sign_at(self, point: RPoint) -> int:
-        """Exact sign at a real point; raises PoleHit at poles."""
+        """Exact sign at a real point; raises PoleHit at poles.  A rational
+        point is evaluated; an irrational one is located in the critical
+        table, where it is a zero, a pole or inside one constant-sign
+        segment."""
         if isinstance(point, RealAlg):
-            sd = point.sign_of(self.den)
-            if sd == 0:
+            i, hit = self._locate(point)
+            if not hit:
+                return self._sign_above(i)
+            if self.critical_points()[i][2] == "pole":
                 raise PoleHit("sign query at pole")
-            return point.sign_of(self.num) * sd
+            return 0
         v_den = self.den.eval_q(rat(point))
         if v_den == 0:
             raise PoleHit(f"sign query at pole {fmt_rat(rat(point))}")
@@ -317,9 +328,11 @@ class RatFun:
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
         """Maximal constant-sign subintervals of (lo, hi) with exact
         endpoints; only odd-order zeros and poles separate segments, and
-        the even-order ones inside a segment are its touches."""
+        the even-order ones inside a segment are its touches.  The sign
+        starts as the one just above lo and flips at each odd-order point."""
         i, hit = self._locate(lo)
         j, _ = self._locate(hi)
+        sgn = self._sign_above(i + hit)
         segments = []
         a, touches = lo, []
         # hi ends the last segment like one more odd-order point
@@ -327,25 +340,9 @@ class RatFun:
             if m % 2 == 0:
                 touches.append((p, kind))
                 continue
-            sgn = self.sign_at(self._sample_inside(a, p))
             segments.append(SignSegment(a, p, sgn, tuple(touches)))
-            a, touches = p, []
+            a, touches, sgn = p, [], -sgn
         return SignReport(tuple(segments))
-
-    def _sample_inside(self, a, b) -> Fraction:
-        """A rational point strictly inside (a, b) that is neither a zero nor
-        a pole: it lies below the first critical point above a, or below b
-        if that comes first."""
-        crit = self.critical_points()
-        i, hit = self._locate(a)
-        first = crit[i + hit][0] if i + hit < len(crit) else None
-        if b is not INF and (first is None or point_cmp(first, b) >= 0):
-            first = b
-        if a is NEG_INF:
-            return Fraction(0) if first is None else rational_outside(first)[0]
-        if first is None:
-            return rational_outside(a)[1]
-        return rational_between(a, first)
 
     def eta_count(self, c) -> int:
         """Number of odd-order finite real zeros and poles strictly greater

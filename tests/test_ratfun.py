@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, ratfuns, small_polys
+import nevkit.poly
 import nevkit.ratfun
 from nevkit.errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
 from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
@@ -32,6 +33,21 @@ def _product(polys):
     for p in polys:
         out = out * p
     return out
+
+
+def _sample_inside(r: RatFun, a, b) -> Fraction:
+    """A rational point strictly inside (a, b) that is neither a zero nor a
+    pole of r: it lies below the first critical point above a, or below b
+    if that comes first."""
+    above = [p for p, _m, _k in r.critical_points() if point_cmp(p, a) > 0]
+    first = above[0] if above else None
+    if b is not INF and (first is None or point_cmp(first, b) >= 0):
+        first = b
+    if a is NEG_INF:
+        return Fraction(0) if first is None else rational_outside(first)[0]
+    if first is None:
+        return rational_outside(a)[1]
+    return rational_between(a, first)
 
 
 def test_reduce_cancels_common_factor():
@@ -94,7 +110,7 @@ def test_sign_report_matches_pointwise(r):
     assume(not r.num.is_zero)
     rep = r.sign_on_interval()
     for seg in rep.segments:
-        x = r._sample_inside(seg.lo, seg.hi)
+        x = _sample_inside(r, seg.lo, seg.hi)
         assert r.sign_at(x) == seg.sign
 
 
@@ -112,9 +128,57 @@ def test_sign_on_interval_with_finite_ends(r, lo, hi):
         assert list(seg.touches) == [
             (p, k) for p, m, k in crit
             if m % 2 == 0 and strictly_between(p, seg.lo, seg.hi)]
-        x = r._sample_inside(seg.lo, seg.hi)
+        x = _sample_inside(r, seg.lo, seg.hi)
         assert strictly_between(x, seg.lo, seg.hi)
         assert r.ord_at(x) == 0 and r.sign_at(x) == seg.sign
+
+
+def test_signs_read_the_table_not_a_sample(monkeypatch):
+    """Signs at irrational points and on segments come from the critical
+    table: no rational is drawn and no Sturm sign is taken."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*a):
+            calls.append(name)
+            return fn(*a)
+        return wrapper
+    for mod in (nevkit.poly, nevkit.ratfun):
+        for name in ("rational_between", "rational_outside"):
+            monkeypatch.setattr(mod, name, counted(
+                name, getattr(nevkit.poly, name)), raising=False)
+    monkeypatch.setattr(RealAlg, "sign_of",
+                        counted("sign_of", RealAlg.sign_of))
+    s2 = Poly([-2, 0, 1])
+    r = RatFun(s2 * Poly([-1, 1]), Poly([-5, 1]))
+    segs = r.sign_on_interval().segments
+    assert [seg.sign for seg in segs] == [1, -1, 1, -1, 1]
+    for rec in r.real_zeros:
+        assert r.sign_at(rec.point) == 0
+    twin = RealAlg(s2, Fraction(1), Fraction(2))
+    sqrt3 = RealAlg(Poly([-3, 0, 1]), Fraction(1), Fraction(2))
+    assert r.sign_at(twin) == 0
+    assert r.sign_at(sqrt3) == -1
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_ratfuns())
+def test_sign_at_irrational_points_matches_sturm(r):
+    """The parity sign at an irrational point agrees with the Sturm signs
+    of numerator and denominator, and a pole raises."""
+    points = [RealAlg(Poly([-n, 0, 1]), Fraction(lo), Fraction(lo + 1))
+              for n in (2, 3) for lo in (-2, 1)]
+    for p, _m, _k in r.critical_points():
+        if isinstance(p, RealAlg):
+            points += [p, RealAlg(p.p, *p.box)]
+    for p in points:
+        den = p.sign_of(r.den)
+        if den == 0:
+            with pytest.raises(PoleHit):
+                r.sign_at(p)
+        else:
+            assert r.sign_at(p) == p.sign_of(r.num) * den
 
 
 def test_eta_count_examples():

@@ -11,10 +11,10 @@ import pytest
 from nevkit import serialize as ser
 from nevkit.cli import main
 from nevkit.corpus import random_gennev, random_nevfun, random_symmetric_ratfun
-from nevkit.errors import InvariantViolation, SchemaMismatch
+from nevkit.errors import InvariantViolation, ParseError, SchemaMismatch
 from nevkit.nevfun import NevFun
 from nevkit.poly import Poly
-from nevkit.qmath import INF, fmt_rat
+from nevkit.qmath import INF, fmt_rat, parse_rat
 from nevkit.ratfun import RatFun
 from nevkit.realize import minimal_model
 
@@ -262,6 +262,34 @@ def test_cli_invert_overflow_prints_one_line(tmp_path):
     assert proc.stderr == "error: NonConvergent: levels disagree: 1 vs inf\n"
 
 
+@pytest.mark.parametrize("text, value", [
+    ("7", Fraction(7)), (" -3/4 ", Fraction(-3, 4)), ("2.5", Fraction(5, 2)),
+    ("-0.125", Fraction(-1, 8))])
+def test_parse_rat_reads_integers_fractions_and_decimals(text, value):
+    assert parse_rat(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e5", "2E-3", "1.5e+3", "1e1000000000"])
+def test_parse_rat_rejects_exponent_notation(text):
+    with pytest.raises(ParseError, match="exponent notation"):
+        parse_rat(text)
+
+
+def test_cli_rejects_an_exponent_at_once(tmp_path):
+    """Expanding 10**(10**9) exactly would hold the process for hours; the
+    literal is refused before any arithmetic."""
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"num": ["1e1000000000"], "den": ["1"]}))
+    src = os.path.dirname(os.path.dirname(ser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevkit.cli", "factor", "--in", str(p)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "exponent notation" in proc.stderr
+
+
 def _sqrt2_point(r: RatFun) -> str:
     """Emitted bytes of the zero sqrt(2) of r."""
     return ser.dumps(ser.ratfun_records_json(r)["zeros"][1]["point"])
@@ -272,8 +300,10 @@ def test_emitted_irrational_point_depends_only_on_its_value():
     # both functions share the cached root records of z^2 - 2; these
     # queries refine their boxes in between
     f = RatFun(Poly([-2, 0, 1]), Poly([-5, 1]))
-    f.sign_on_interval()
+    box = f.real_zeros[1].point.box
+    f.real_zeros[1].point.floor_div(Fraction(1, 2**100))
     f.real_zeros[1].point.cmp_rat(Fraction(1414213562373095, 10**15))
+    assert f.real_zeros[1].point.box != box
     second = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-7, 1])))
     assert first == second
     w = Fraction(1, 2**64)
