@@ -242,24 +242,22 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
     disjoint."""
     if s.degree < 1:
         raise ConstantInput("nothing to factor")
-    zs = s.real_zeros
-    ps = s.real_poles
-    if (any(r.mult != 1 for r in zs + ps) or s.complex_zero_blocks
+    crit = s.critical_points()
+    if (any(m != 1 for _x, m, _k in crit) or s.complex_zero_blocks
             or s.complex_pole_blocks):
         raise NotInterlacing("zeros and poles must be real and simple")
-    if any(not r.is_rational for r in zs + ps):
+    if any(isinstance(x, RealAlg) for x, _m, _k in crit):
         raise ExactSplitUnavailable("interlacing split needs rational points")
-    merged = sorted([(r.point, "z") for r in zs] + [(r.point, "p") for r in ps])
-    for (x1, k1), (x2, k2) in zip(merged, merged[1:]):
+    for (x1, _m1, k1), (x2, _m2, k2) in zip(crit, crit[1:]):
         if k1 == k2:
             raise NotInterlacing(
                 f"consecutive like points at {fmt_rat(x1)}, {fmt_rat(x2)}")
-    a = [x for x, k in merged if k == "z"]
-    b = [x for x, k in merged if k == "p"]
+    a = [x for x, _m, k in crit if k == "zero"]
+    b = [x for x, _m, k in crit if k == "pole"]
     l1, l2 = len(a), len(b)
     gamma = s.gamma
     if l1 == l2:
-        if merged and merged[0][1] == "p":
+        if crit and crit[0][2] == "pole":
             return [f.inverse() for f in interlacing_factorize(s.inverse())]
         if gamma < 0:
             out = [RatFun.from_points([a[0]], [b[-1]], gamma)]
@@ -625,64 +623,45 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
 
 def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     """Factors for one bounded maximal negative interval: paired interior
-    factors, the endpoint factors, then the paired factors again."""
+    factors, the endpoint factors, then the paired factors again.
+
+    The interior points are the entries of q's critical table inside
+    (a, b), its poles being its atoms.  q's sign just right of a, flipped
+    once per interior point, fixes the pattern: a leading zero stays
+    unpaired when q goes from negative to positive, a trailing atom when it
+    goes from positive to negative, and the rest pair up as (atom, zero)."""
     q_rat = q.to_ratfun()
-    atoms_in = [t for t in q.sigma.positions if a < t < b]
-    zero_recs = [rec for rec in q_rat.real_zeros
-                 if strictly_between(rec.point, a, b)]
-    for rec in zero_recs:
-        if not rec.is_rational:
-            raise ExactSplitUnavailable("irrational zero inside the interval")
-    zeros_in = [rec.point for rec in zero_recs]
-    seq = sorted([(t, "atom") for t in atoms_in]
-                 + [(x, "zero") for x in zeros_in])
-    for (x1, k1), (x2, k2) in zip(seq, seq[1:]):
+    seq = [(x, kind) for x, _m, kind in q_rat.critical_points()
+           if strictly_between(x, a, b)]
+    if any(isinstance(x, RealAlg) for x, _k in seq):
+        raise ExactSplitUnavailable("irrational zero inside the interval")
+    for (_x1, k1), (_x2, k2) in zip(seq, seq[1:]):
         if k1 == k2:
             raise NotInClass("interior data does not alternate")
-    alphas = [x for x, k in seq if k == "zero"]
-    betas = [x for x, k in seq if k == "atom"]
-    has_alpha0 = bool(seq) and seq[0][1] == "zero"
-    has_beta_last = bool(seq) and seq[-1][1] == "atom"
-
-    if has_alpha0 and has_beta_last:
-        pair_iter = zip(betas, alphas)             # each atom with the zero left of it
-    elif has_alpha0:
-        pair_iter = zip(betas, alphas[1:])         # leading zero left unpaired
-    elif has_beta_last:
-        pair_iter = zip(betas[:-1], alphas)        # trailing atom left unpaired
-    else:
-        pair_iter = zip(betas, alphas)             # each atom with the zero right of it
-    tilde = [RatFun.from_points([beta], [alpha]) for beta, alpha in pair_iter]
-
-    if not seq:
-        sgn = q_rat.laurent_lead_sign(a)        # q is regular inside (a, b)
-        if sgn > 0:
-            expect = ("pole", "zero")
-            ends = [RatFun.from_points([b], [a])]
-        else:
-            expect = ("zero", "pole")
-            ends = [RatFun.from_points([a], [b])]
-    elif has_alpha0 and has_beta_last:
-        expect = ("zero", "pole")
-        ends = [RatFun.from_points([a], [b])]
-    elif has_alpha0:
-        alpha0 = alphas[0]
-        expect = ("zero", "zero")
+    left_pos = q_rat.laurent_lead_sign(a) > 0
+    right_pos = left_pos != (len(seq) % 2 == 1)
+    if right_pos and not left_pos:
+        alpha0, seq = seq[0][0], seq[1:]
         ends = [RatFun.from_points([a], [alpha0]),
                 RatFun.from_points([b], [alpha0])]
-    elif has_beta_last:
-        beta_last = betas[-1]
-        expect = ("pole", "pole")
+    elif left_pos and not right_pos:
+        beta_last, seq = seq[-1][0], seq[:-1]
         ends = [RatFun.from_points([beta_last], [a]),
                 RatFun.from_points([beta_last], [b])]
-    else:
-        expect = ("pole", "zero")
+    elif left_pos:
         ends = [RatFun.from_points([b], [a])]
+    else:
+        ends = [RatFun.from_points([a], [b])]
+    tilde = []
+    for pair in zip(seq[::2], seq[1::2]):
+        at = {kind: x for x, kind in pair}
+        tilde.append(RatFun.from_points([at["pole"]], [at["zero"]]))
+    expect = ("pole" if left_pos else "zero", "zero" if right_pos else "pole")
     got = (_point_kind(r, a), _point_kind(r, b))
     if got != expect:
         raise NotInClass(f"endpoint kinds {got} do not match the interior "
                          f"pattern {expect}")
-    return list(tilde) + ends + list(tilde)
+    return tilde + ends + tilde
 
 
 def _degenerate_chain(q: NevFun, r: RatFun) -> list[RatFun]:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms)
-from .poly import CERTIFICATE_CACHE_SIZE, Poly, count_real_roots, gcd, rat
+from .poly import CERTIFICATE_CACHE_SIZE, Poly, rat
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat)
 from .ratfun import RatFun
@@ -358,7 +358,9 @@ class ProductMembership:
 def is_nevanlinna(f: RatFun) -> bool:
     """Exact check whether a symmetric rational function is a Nevanlinna
     function: at most linear growth with nonnegative slope, all poles real
-    and simple, and every residue strictly negative."""
+    and simple, and every residue strictly negative.  The poles are read
+    from f's root structure, an irrational pole's residue sign from its
+    critical table."""
     try:
         _herglotz_parts(f)
         return True
@@ -368,7 +370,9 @@ def is_nevanlinna(f: RatFun) -> bool:
 
 def _herglotz_parts(f: RatFun):
     """(beta, c0, [(pole, weight)...]) of f = c0 + beta z + sum w/(t-z),
-    poles possibly irrational.  Raises NotNevanlinna."""
+    weight None at an irrational pole.  The poles come from f's root
+    structure; at a simple irrational pole t the residue has the sign of f
+    just right of t, its Laurent sign.  Raises NotNevanlinna."""
     q, rem = f.num.divmod(f.den)
     if q.degree > 1:
         raise NotNevanlinna("superlinear growth at infinity")
@@ -376,15 +380,13 @@ def _herglotz_parts(f: RatFun):
     if beta < 0:
         raise NotNevanlinna("negative slope at infinity")
     c0 = q.c[0] if not q.is_zero else Fraction(0)
-    den = f.den
-    dp = den.deriv()
-    # deg den distinct real roots leave no room for a multiple one; the gcd
-    # only chooses the message
-    if count_real_roots(den) != den.degree:
-        raise NotNevanlinna("multiple pole" if gcd(den, dp).degree > 0
-                            else "nonreal pole")
+    poles, blocks = f.real_poles, f.complex_pole_blocks
+    if blocks or any(r.mult > 1 for r in poles):
+        multiple = any(r.mult > 1 for r in poles + blocks)
+        raise NotNevanlinna("multiple pole" if multiple else "nonreal pole")
+    dp = f.den.deriv()
     pairs = []
-    for recd in f.real_poles:
+    for recd in poles:
         t = recd.point
         # residue of rem/den at t is rem(t)/den'(t); need it negative, so
         # weight w = -residue is positive
@@ -393,10 +395,9 @@ def _herglotz_parts(f: RatFun):
             if resid >= 0:
                 raise NotNevanlinna(f"nonnegative residue at {fmt_rat(t)}")
             pairs.append((t, -resid))
+        elif f.laurent_lead_sign(t) >= 0:
+            raise NotNevanlinna("nonnegative residue at irrational pole")
         else:
-            s = t.sign_of(rem) * t.sign_of(dp)
-            if s >= 0:
-                raise NotNevanlinna("nonnegative residue at irrational pole")
             pairs.append((t, None))
     return beta, c0, pairs
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import EvaluationFailure, InvalidInput, NonConvergent
 from .gnev import GenNevFun
+from .poly import point_cmp
 from .qmath import rat
+from .ratfun import RatFun
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -355,15 +357,16 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[float]):
 
 
 def _check_phi(phi, cfg: InversionConfig):
-    from .ratfun import RatFun
-    from .poly import count_real_roots
+    """Refuse a weight with a pole in the closed interval.  Every weight
+    with ``to_ratfun()`` is checked on that RatFun, whose real poles come
+    from its root structure."""
+    if hasattr(phi, "to_ratfun"):
+        phi = phi.to_ratfun()
     if isinstance(phi, RatFun):
         lo, hi = rat(cfg.interval[0]), rat(cfg.interval[1])
-        if phi.den.degree > 0:
-            bad = (count_real_roots(phi.den, lo, hi) > 0
-                   or phi.den.eval_q(lo) == 0)
-            if bad:
-                raise InvalidInput("weight has a pole inside the interval")
+        if any(point_cmp(lo, r.point) <= 0 <= point_cmp(hi, r.point)
+               for r in phi.real_poles):
+            raise InvalidInput("weight has a pole inside the interval")
 
 
 def gap_detect(f, interval, samples: int = 128, mass_tol: float = 1e-3) -> bool:

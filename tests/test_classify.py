@@ -17,15 +17,15 @@ from nevkit.corpus import (random_gennev, random_interlacing_simple,
                            random_symmetric_ratfun, structured_plain_pair)
 from nevkit import serialize as ser
 from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
-                           InvariantViolation, NevkitError, NotInterlacing,
-                           NotNevanlinna)
+                           InvariantViolation, NevkitError, NotInClass,
+                           NotInterlacing, NotNevanlinna)
 from nevkit.gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                          canonical_pair, canonical_rational)
 from nevkit.nevfun import NevFun, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
 from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
 from nevkit.qmath import INF, QC
-from nevkit.ratfun import RatFun
+from nevkit.ratfun import RatFun, strictly_between
 from nevkit.realize import (enumerate_zeros_poles, minimal_model,
                             transform_model)
 
@@ -565,3 +565,153 @@ def test_chain_leaves_the_leading_zero_unpaired():
         prod = prod * f
         assert cert == nevfun_from_ratfun(prod * q.to_ratfun())
     assert prod == r
+
+
+# -- interval patterns read from the critical table -----------------------------------
+
+
+def _flag_interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
+    """The interval factors as they were chosen from merged atom and zero
+    lists by two case flags, kept as the reference for the table reading."""
+    from nevkit.classify import _point_kind
+    q_rat = q.to_ratfun()
+    atoms_in = [t for t in q.sigma.positions if a < t < b]
+    zero_recs = [rec for rec in q_rat.real_zeros
+                 if strictly_between(rec.point, a, b)]
+    for rec in zero_recs:
+        if not rec.is_rational:
+            raise ExactSplitUnavailable("irrational zero inside the interval")
+    seq = sorted([(t, "atom") for t in atoms_in]
+                 + [(rec.point, "zero") for rec in zero_recs])
+    for (x1, k1), (x2, k2) in zip(seq, seq[1:]):
+        if k1 == k2:
+            raise NotInClass("interior data does not alternate")
+    alphas = [x for x, k in seq if k == "zero"]
+    betas = [x for x, k in seq if k == "atom"]
+    has_alpha0 = bool(seq) and seq[0][1] == "zero"
+    has_beta_last = bool(seq) and seq[-1][1] == "atom"
+    if has_alpha0 and has_beta_last:
+        pair_iter = zip(betas, alphas)
+    elif has_alpha0:
+        pair_iter = zip(betas, alphas[1:])
+    elif has_beta_last:
+        pair_iter = zip(betas[:-1], alphas)
+    else:
+        pair_iter = zip(betas, alphas)
+    tilde = [RatFun.from_points([beta], [alpha]) for beta, alpha in pair_iter]
+    if not seq:
+        if q_rat.laurent_lead_sign(a) > 0:
+            expect = ("pole", "zero")
+            ends = [RatFun.from_points([b], [a])]
+        else:
+            expect = ("zero", "pole")
+            ends = [RatFun.from_points([a], [b])]
+    elif has_alpha0 and has_beta_last:
+        expect = ("zero", "pole")
+        ends = [RatFun.from_points([a], [b])]
+    elif has_alpha0:
+        expect = ("zero", "zero")
+        ends = [RatFun.from_points([a], [alphas[0]]),
+                RatFun.from_points([b], [alphas[0]])]
+    elif has_beta_last:
+        expect = ("pole", "pole")
+        ends = [RatFun.from_points([betas[-1]], [a]),
+                RatFun.from_points([betas[-1]], [b])]
+    else:
+        expect = ("pole", "zero")
+        ends = [RatFun.from_points([b], [a])]
+    got = (_point_kind(r, a), _point_kind(r, b))
+    if got != expect:
+        raise NotInClass(f"endpoint kinds {got} do not match the interior "
+                         f"pattern {expect}")
+    return list(tilde) + ends + list(tilde)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NevkitError as e:
+        return type(e), str(e)
+
+
+def test_interval_factors_match_the_flag_reference(monkeypatch):
+    import nevkit.classify as cl
+    table = cl._interval_factors
+    patterns = set()
+
+    def checked(q, r, a, b):
+        want = _outcome(_flag_interval_factors, q, r, a, b)
+        try:
+            got = table(q, r, a, b)
+        except NevkitError as e:
+            assert (type(e), str(e)) == want
+            raise
+        assert got == want
+        inside = [k for t, _m, k in q.to_ratfun().critical_points()
+                  if strictly_between(t, a, b)]
+        patterns.add(tuple(inside[:1] + inside[-1:])
+                     or q.to_ratfun().laurent_lead_sign(a))
+        return got
+    monkeypatch.setattr(cl, "_interval_factors", checked)
+    pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
+             for qj, rj in _criterion5_pairs(51)]
+    for seed in (229, 1004):
+        rng = random.Random(seed)
+        pairs += [random_plain_pair(rng, 6) for _ in range(40)]
+    for q, r in pairs:
+        _outcome(chain_factorize, q, r)
+    # empty with q > 0 and with q < 0, z...a, z...z and a...a
+    assert patterns >= {1, -1, ("zero", "pole"), ("zero", "zero"),
+                        ("pole", "pole")}
+
+
+# q on (0, 10) and r with the endpoint kinds that q's pattern asks for
+Z_0_10 = RatFun.from_points([0, 10], [])
+P_0_10 = RatFun.from_points([], [0, 10])
+
+
+@pytest.mark.parametrize("q, r, factors", [
+    # empty, q > 0: (pole, zero)
+    (NevFun.of(1, 0), RatFun.from_points([10], [0]),
+     [RatFun.from_points([10], [0])]),
+    # empty, q < 0: (zero, pole)
+    (NevFun.of(-1, 0), RatFun.from_points([0], [10]),
+     [RatFun.from_points([0], [10])]),
+    # z...a: -1/3 + 1/(5 - z) has its zero at 2
+    (NevFun.from_partial_fractions(Fraction(-1, 3), 0, [(5, 1)]),
+     RatFun.from_points([0], [10]),
+     [RatFun.from_points([5], [2]), RatFun.from_points([0], [10]),
+      RatFun.from_points([5], [2])]),
+    # z...z: z - 5 + 9/(5 - z) = (z - 2)(z - 8)/(z - 5)
+    (NevFun.from_partial_fractions(-5, 1, [(5, 9)]), Z_0_10,
+     [RatFun.from_points([5], [8]), RatFun.from_points([0], [2]),
+      RatFun.from_points([10], [2]), RatFun.from_points([5], [8])]),
+    # a...a: 1/(2 - z) + 1/(8 - z) has its zero at 5
+    (NevFun.from_partial_fractions(0, 0, [(2, 1), (8, 1)]), P_0_10,
+     [RatFun.from_points([2], [5]), RatFun.from_points([8], [0]),
+      RatFun.from_points([8], [10]), RatFun.from_points([2], [5])]),
+    # a...z: 1/3 + 1/(2 - z) has its zero at 5
+    (NevFun.from_partial_fractions(Fraction(1, 3), 0, [(2, 1)]),
+     RatFun.from_points([10], [0]),
+     [RatFun.from_points([2], [5]), RatFun.from_points([10], [0]),
+      RatFun.from_points([2], [5])]),
+])
+def test_interval_patterns(q, r, factors):
+    from nevkit.classify import _interval_factors
+    a, b = Fraction(0), Fraction(10)
+    assert _interval_factors(q, r, a, b) == factors
+    assert _flag_interval_factors(q, r, a, b) == factors
+
+
+@pytest.mark.parametrize("q, r, error", [
+    # (z^2 - 2)/z has its zero sqrt 2 inside
+    (NevFun.of(0, 1, [(0, 2)]), Z_0_10, ExactSplitUnavailable),
+    # q > 0 asks for (pole, zero)
+    (NevFun.of(1, 0), RatFun.from_points([0], [10]), NotInClass),
+])
+def test_interval_pattern_refusals(q, r, error):
+    from nevkit.classify import _interval_factors
+    a, b = Fraction(0), Fraction(10)
+    got = _outcome(_interval_factors, q, r, a, b)
+    assert got == _outcome(_flag_interval_factors, q, r, a, b)
+    assert got[0] is error

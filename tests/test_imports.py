@@ -47,3 +47,48 @@ def test_no_module_imports_a_name_it_never_uses():
              # the package's __init__ re-exports what it imports
              if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+# Sturm sequences belong to poly.py: every other module reads real roots
+# from a root structure and signs from a critical table.  gnev counts the
+# real roots of irreducible factors, which have no RatFun, and selftest
+# checks the isolation against the Sturm count.
+STURM_NAMES = {"count_real_roots", "sturm_chain", "isolate_real_roots"}
+STURM_ALLOWED = {("gnev.py", "count_real_roots"),
+                 ("selftest.py", "count_real_roots"),
+                 ("selftest.py", "isolate_real_roots")}
+
+
+def _sturm_uses(source: str) -> list[tuple[str, int]]:
+    """Imports and attribute reads of the Sturm helpers, and calls of a
+    ``.sign_of`` method, as (name, line)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name in STURM_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in STURM_NAMES:
+            found.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "sign_of"):
+            found.append(("sign_of", node.lineno))
+    return sorted(found, key=lambda nl: (nl[1], nl[0]))
+
+
+def test_detector_finds_sturm_helpers():
+    src = ("from .poly import Poly, sturm_chain\n"
+           "def f(t, p):\n"
+           "    from . import poly\n"
+           "    return t.sign_of(p) * poly.count_real_roots(p)\n")
+    assert _sturm_uses(src) == [("sturm_chain", 1), ("count_real_roots", 4),
+                                ("sign_of", 4)]
+
+
+def test_only_poly_takes_sturm_sequences():
+    found = {(path.name, name): line
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "poly.py"
+             for name, line in _sturm_uses(path.read_text())}
+    assert {key: line for key, line in found.items()
+            if key not in STURM_ALLOWED} == {}

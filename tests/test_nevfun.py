@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import nevfuns, upper_half_points
+from conftest import nevfuns, rationals, small_polys, upper_half_points
 import nevkit.nevfun
 from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
                            nevfun_from_ratfun)
 from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd,
                          rational_between)
-from nevkit.qmath import INF, NEG_INF, QC
+from nevkit.qmath import INF, NEG_INF, QC, fmt_rat
 from nevkit.ratfun import RatFun
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])            # -1/z
@@ -219,21 +220,123 @@ def test_herglotz_pole_messages(den, message):
         nevfun_from_ratfun(RatFun(Poly.const(-1), den))
 
 
-def test_herglotz_check_takes_no_gcd_when_it_accepts(monkeypatch):
+IRRATIONAL_ATOMS = RatFun(Poly([0, -2]), Poly([-2, 0, 1]))    # -2z/(z^2-2)
+IRRATIONAL_POSITIVE = RatFun(Poly([0, 2]), Poly([-2, 0, 1]))  # 2z/(z^2-2)
+
+
+def test_herglotz_check_takes_no_sturm_sequence(monkeypatch):
+    import nevkit.poly as poly
+    from nevkit.errors import NotRationalAtoms
     calls = []
 
-    def counted(a, b):
-        calls.append(1)
-        return gcd(a, b)
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
 
-    monkeypatch.setattr(nevkit.nevfun, "gcd", counted)
+    rejected = [
+        (IRRATIONAL_POSITIVE, "nonnegative residue at irrational pole"),
+        (RatFun(Poly.const(1), Poly.from_roots([1])),
+         "nonnegative residue at 1"),
+        (RatFun(Poly.const(-1), Poly.from_roots([1, 1])), "multiple pole"),
+        (RatFun(Poly.const(-1), Poly([1, 0, 1])), "nonreal pole"),
+        (RatFun(Poly.const(-1), Poly([-2, 0, 1]) ** 2), "multiple pole"),
+    ]
+    worked = WORKED.to_ratfun()
+    # each root structure is isolated once, by Sturm bisection where a
+    # residual has irrational roots; the check itself only reads it
+    for f in [worked, IRRATIONAL_ATOMS] + [f for f, _m in rejected]:
+        f.critical_points()
+    for name in ("count_real_roots", "sturm_chain"):
+        monkeypatch.setattr(poly, name, counted(name, getattr(poly, name)))
+    monkeypatch.setattr(RealAlg, "sign_of",
+                        counted("sign_of", RealAlg.sign_of))
     nevfun_from_ratfun.cache_clear()    # a memoised certificate takes none
-    # -2z/(z^2-2) = 1/(sqrt2 - z) + 1/(-sqrt2 - z)
-    assert is_nevanlinna(RatFun(Poly([0, -2]), Poly([-2, 0, 1])))
-    assert nevfun_from_ratfun(WORKED.to_ratfun()) == WORKED
+    assert nevfun_from_ratfun(worked) == WORKED
+    assert is_nevanlinna(IRRATIONAL_ATOMS)
+    with pytest.raises(NotRationalAtoms):
+        nevfun_from_ratfun(IRRATIONAL_ATOMS)
+    for f, message in rejected:
+        assert not is_nevanlinna(f)
+        with pytest.raises(NotNevanlinna, match=f"^{message}$"):
+            nevfun_from_ratfun(f)
     assert calls == []
-    assert not is_nevanlinna(RatFun(Poly.const(-1), Poly.from_roots([1, 1])))
-    assert calls == [1]
+
+
+def _sturm_herglotz_parts(f: RatFun):
+    """The check as it read Sturm sequences: a count of the denominator's
+    real roots, a gcd for the message and Sturm signs at irrational
+    poles."""
+    from nevkit.poly import count_real_roots
+    q, rem = f.num.divmod(f.den)
+    if q.degree > 1:
+        raise NotNevanlinna("superlinear growth at infinity")
+    beta = q.c[1] if q.degree == 1 else Fraction(0)
+    if beta < 0:
+        raise NotNevanlinna("negative slope at infinity")
+    c0 = q.c[0] if not q.is_zero else Fraction(0)
+    den = f.den
+    dp = den.deriv()
+    if count_real_roots(den) != den.degree:
+        raise NotNevanlinna("multiple pole" if gcd(den, dp).degree > 0
+                            else "nonreal pole")
+    pairs = []
+    for recd in f.real_poles:
+        t = recd.point
+        if isinstance(t, Fraction):
+            resid = rem.eval_q(t) / dp.eval_q(t)
+            if resid >= 0:
+                raise NotNevanlinna(f"nonnegative residue at {fmt_rat(t)}")
+            pairs.append((t, -resid))
+        else:
+            if t.sign_of(rem) * t.sign_of(dp) >= 0:
+                raise NotNevanlinna("nonnegative residue at irrational pole")
+            pairs.append((t, None))
+    return beta, c0, pairs
+
+
+def herglotz_candidates():
+    """A polynomial part of degree up to 2, mostly a line of nonnegative
+    slope, plus one to four terms: w/(t - z) at a rational t,
+    (b - az)/(z^2 - n)^k with irrational real (n = 2, 3, 8) or nonreal
+    (n = -1) poles, and w/(t - z)^2.  Residues take either sign, negative
+    ones more often, so that many draws are accepted."""
+    def signed(r):
+        return st.tuples(r.filter(bool), st.sampled_from([1, 1, 1, -1])).map(
+            lambda xs: abs(xs[0]) * xs[1])
+    atom = st.tuples(rationals(6, 2), signed(rationals(4, 3))).map(
+        lambda tw: RatFun(Poly.const(tw[1]), Poly([tw[0], -1])))
+    double = st.tuples(rationals(6, 2), signed(rationals(4, 3))).map(
+        lambda tw: RatFun(Poly.const(tw[1]), Poly([tw[0], -1]) ** 2))
+    # at k = 1 the residues at +-sqrt n are -a/2 +- b/(2 sqrt n), both
+    # negative when |b| < a sqrt n
+    quadratic = st.tuples(st.sampled_from([2, 3, 8, -1]),
+                          signed(rationals(4, 2)), rationals(2, 3),
+                          st.sampled_from([1, 1, 1, 2])).map(
+        lambda nabk: RatFun(Poly([nabk[2], -nabk[1]]),
+                            Poly([-nabk[0], 0, 1]) ** nabk[3]))
+    line = st.tuples(rationals(4, 2), rationals(2, 2)).map(
+        lambda cb: Poly([cb[0], abs(cb[1])]))
+    polynomial = st.one_of(small_polys(2), line, line).map(
+        lambda p: RatFun(p, Poly.const(1)))
+    return st.builds(lambda p, terms: sum(terms, p), polynomial,
+                     st.lists(st.one_of(quadratic, atom, double),
+                              min_size=1, max_size=4))
+
+
+def _verdict(check, f):
+    """The parts, or the message of the rejection; both checks read the
+    poles of the same root structure, so a RealAlg pole compares by
+    identity."""
+    try:
+        return check(f)
+    except NotNevanlinna as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(herglotz_candidates())
+def test_herglotz_check_matches_sturm_reference(f):
+    assert (_verdict(nevkit.nevfun._herglotz_parts, f)
+            == _verdict(_sturm_herglotz_parts, f))
 
 
 def _count_herglotz_parts(monkeypatch) -> list:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import nevkit.oracle
 from nevkit.corpus import random_nevfun, random_symmetric_ratfun
 from nevkit.errors import EvaluationFailure, InvalidInput, NonConvergent
-from nevkit.gnev import canonical_pair
+from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun
 from nevkit.oracle import (InversionConfig, _local_maxima, _sample_points,
                            as_evaluator, build_kernel_sample, gap_detect,
@@ -143,6 +143,30 @@ def test_phi_pole_rejected():
     cfg = InversionConfig(interval=(Fraction(-1), Fraction(1)))
     with pytest.raises(ValueError):
         stieltjes_invert(MINUS_INV, cfg, phi=phi)
+
+
+HALF_ATOM = NevFun.of(0, 0, [(Fraction(1, 2), 1)])      # pole at 1/2
+
+
+@pytest.mark.parametrize("phi", [
+    RatFun.from_points([], [Fraction(1, 2)]),
+    HALF_ATOM,
+    GenNevFun.from_nevfun(HALF_ATOM),
+    RatFun.from_points([], [-1]),                       # a pole at each end
+    NevFun.of(0, 0, [(1, 2)]),
+    RatFun(Poly.const(1), Poly([-1, 0, 2])),            # 1/(2z^2 - 1)
+])
+def test_weight_with_a_pole_in_the_closed_interval_is_refused(phi):
+    cfg = InversionConfig(interval=(Fraction(-1), Fraction(1)))
+    with pytest.raises(InvalidInput, match="pole inside the interval"):
+        stieltjes_invert(MINUS_INV, cfg, phi=phi)
+
+
+def test_weight_with_poles_outside_the_interval_is_accepted():
+    cfg = InversionConfig(interval=(Fraction(-1), Fraction(1)))
+    phi = NevFun.of(0, 0, [(Fraction(3, 2), 1), (-2, 1)])
+    res = stieltjes_invert(MINUS_INV, cfg, phi=phi)
+    assert abs(res.value - float(phi.to_ratfun()(0))) < 1e-3
 
 
 def _local_maxima_loop(g, floor):
