@@ -7,7 +7,8 @@ disjoint-negative-set splitting of the multiplier's Nevanlinna part, each
 computed in closed form on the representation data and certified by a
 polynomial identity), the plain-pair characterization with clause-level
 diagnostics, and ordered degree-one factor chains whose partial products all
-stay Nevanlinna, certified by exact representation extraction.
+stay Nevanlinna, each partial product computed once in closed form on the
+representation of the one before and certified by a polynomial identity.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
@@ -24,7 +26,8 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
 from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
-from .poly import CERTIFICATE_CACHE_SIZE, Poly, RealAlg, point_cmp
+from .poly import (CERTIFICATE_CACHE_SIZE, Poly, RealAlg, compose_fractional,
+                   point_cmp)
 from .qmath import INF, NEG_INF, fmt_rat
 from .ratfun import RatFun, strictly_between
 
@@ -156,8 +159,7 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     lead(psi), and the polynomial part of s q / psi as linear part.  It is
     certified exactly: positive weights, nonnegative slope and the Poly
     identity q_next psi = s q.  Any failure is an InvariantViolation."""
-    a, b = (-p.c[0] / p.c[1] if p.degree == 1 else INF
-            for p in (s.num, s.den))           # zero and pole of s
+    a, b = _ends(s)
 
     def s_local(x) -> tuple[int, Fraction]:
         u, v = s.num.eval_q(x), s.den.eval_q(x)
@@ -220,17 +222,63 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
             atoms.append((x, -ls * lq / lead_psi))
     psi_num = Poly.from_roots([y for y, e in psi.items() for _ in range(e)])
     psi_den = Poly.from_roots([y for y, e in psi.items() for _ in range(-e)])
-    lhs, rhs = s.num * n * psi_den, s.den * d * psi_num   # s q / psi
+    return RatFun(psi_num, psi_den), _certified(
+        s.num * n * psi_den, s.den * d * psi_num, atoms,      # s q / psi
+        InvariantViolation, "degree-one step: s q / psi")
+
+
+def _certified(lhs: Poly, rhs: Poly, atoms, fail, what: str) -> NevFun:
+    """The NevFun lhs/rhs from its atoms, with the quotient of lhs by rhs
+    as c0 + beta z.  A weight <= 0, beta < 0 or superlinear growth raises
+    ``fail``; the result (n', d') is certified by n' rhs = lhs d'."""
     lin = lhs.divmod(rhs)[0]
     c0, beta = (lin.c + (Fraction(0),) * 2)[:2]
     if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
-        raise InvariantViolation("degree-one step: s q / psi is not a "
-                                 "Nevanlinna function")
+        raise fail(f"{what} is not a Nevanlinna function")
     q_next = NevFun.from_partial_fractions(c0, beta, atoms)
     n_next, d_next = q_next.num_den()
     if n_next * rhs != lhs * d_next:
-        raise InvariantViolation("degree-one step: q_next psi != s q")
-    return RatFun(psi_num, psi_den), q_next
+        raise InvariantViolation(f"{what}: the certificate identity fails")
+    return q_next
+
+
+def _ends(s: RatFun) -> tuple:
+    """The zero and the pole of a degree-one s, INF when at infinity."""
+    return tuple(-p.c[0] / p.c[1] if p.degree == 1 else INF
+                 for p in (s.num, s.den))
+
+
+def _chain_step(s: RatFun, q: NevFun) -> NevFun:
+    """s q in closed form, for a degree-one s with zero a and pole b: q's
+    atoms t != a with weight w s(t), and b with weight -(s (z - b))(b) q(b)
+    unless q(b) = 0.  An atom at b (a double pole), or any other failure to
+    be a Nevanlinna function, raises NotNevanlinna."""
+    a, b = _ends(s)
+    if b is not INF and q.sigma.weight_at(b):
+        raise NotNevanlinna(f"multiple pole at {fmt_rat(b)}")
+    n, d = q.num_den()
+    atoms = [(t, w * s.eval_q(t)) for t, w in q.sigma if t != a]
+    if b is not INF:
+        q_b = n.eval_q(b) / d.eval_q(b)
+        if q_b:
+            atoms.append((b, -s.num.eval_q(b) * q_b))
+    return _certified(s.num * n, s.den * d, atoms, NotNevanlinna,
+                      "chain step: s q")
+
+
+def _compose_tau(q: NevFun, p: Fraction) -> NevFun:
+    """q o tau for tau(l) = p - 1/l in closed form: beta becomes an atom at
+    0, an atom (t, w) with t != p one at 1/(p - t) with weight w/(t - p)^2,
+    and an atom at p the slope."""
+    atoms = [(1 / (p - t), w / (t - p) ** 2) for t, w in q.sigma if t != p]
+    if q.beta:
+        atoms.append((Fraction(0), q.beta))
+    n, d = q.num_den()
+    deg = max(n.degree, d.degree)
+    tau_num, tau_den = Poly([-1, p]), Poly([0, 1])
+    return _certified(compose_fractional(n, tau_num, tau_den, deg),
+                      compose_fractional(d, tau_num, tau_den, deg), atoms,
+                      NotNevanlinna, "q o tau")
 
 
 # -- splitting of simple interlacing functions ---------------------------------------
@@ -524,46 +572,38 @@ def _point_kind(s: RatFun, p) -> Optional[str]:
 
 def chain_factorize(q: NevFun, r: RatFun) -> FactorChain:
     """Ordered degree-one factors multiplying to r such that every partial
-    product with q is a Nevanlinna function, certified by exact extraction
-    of every partial product's representation."""
+    product with q is a Nevanlinna function, each computed once in closed
+    form from the one before and certified by a polynomial identity."""
     rep = check_N00(q, r)
     if not rep.ok:
         raise NotInClass(f"pair fails the plain-pair test: {rep.describe()}")
-    factors = _chain_build(q, r)
-    certs = _certify_chain(q, factors)
+    factors, certs = _chain_build(q, r)
     if math.prod(factors, start=RatFun.const(1)) != r:
         raise InvariantViolation("chain factors do not multiply back")
     return FactorChain(tuple(factors), tuple(certs))
 
 
 def _certify_chain(q: NevFun, factors) -> list[NevFun]:
-    acc = q.to_ratfun()
-    certs = []
-    for f in factors:
-        acc = f * acc
-        certs.append(nevfun_from_ratfun(acc))
-    return certs
+    """The partial products of the factors with q, one closed-form step
+    each; NotNevanlinna when one of them is not a Nevanlinna function."""
+    return list(accumulate(factors, lambda acc, f: _chain_step(f, acc),
+                           initial=q))[1:]
 
 
 def _odd_part(r: RatFun) -> RatFun:
     """The simple symmetric function carrying r's odd-order finite points
     and its leading coefficient; r divided by it is nonnegative."""
-    num = Poly.const(r.gamma)
-    den = Poly.const(1)
-    for rec in r.real_zeros:
-        if rec.mult % 2:
-            if not rec.is_rational:
-                raise ExactSplitUnavailable("irrational odd-order zero")
-            num = num * Poly([-rec.point, 1])
-    for rec in r.real_poles:
-        if rec.mult % 2:
-            if not rec.is_rational:
-                raise ExactSplitUnavailable("irrational odd-order pole")
-            den = den * Poly([-rec.point, 1])
-    return RatFun(num, den)
+    points = []
+    for recs, what in ((r.real_zeros, "zero"), (r.real_poles, "pole")):
+        points.append([rec.point for rec in recs if rec.mult % 2])
+        if not all(isinstance(x, Fraction) for x in points[-1]):
+            raise ExactSplitUnavailable(f"irrational odd-order {what}")
+    return RatFun.from_points(*points, r.gamma)
 
 
-def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
+def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
+    """The chain's factors and their partial products with q, in one pass:
+    each negative component takes its factors from the last product."""
     s = _odd_part(r)
     if s.is_constant:
         return _degenerate_chain(q, r)
@@ -572,29 +612,24 @@ def _chain_build(q: NevFun, r: RatFun) -> list[RatFun]:
            for c in comps):
         p = _positive_anchor(s, q, r)
         tau = RatFun(Poly([-1, p]), Poly([0, 1]))      # p - 1/lambda
-        q_t = nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
-        r_t = r.compose_mobius(tau)
-        inner = _chain_build(q_t, r_t)
+        inner, _ = _chain_build(_compose_tau(q, p), r.compose_mobius(tau))
         tinv = tau.mobius_inverse()
-        return [f.compose_mobius(tinv) for f in inner]
-    factors: list[RatFun] = []
-    q_cur = q
+        factors = [f.compose_mobius(tinv) for f in inner]
+        return factors, _certify_chain(q, factors)
+    factors, certs, q_cur = [], [], q
     for comp in sorted(comps, key=lambda c: c["left"]):
         fs = _interval_factors(q_cur, r, comp["left"], comp["right"])
-        factors.extend(fs)
-        prod = math.prod(fs, start=RatFun.const(1))
-        q_cur = nevfun_from_ratfun(prod * q_cur.to_ratfun())
-    leftover = r
-    for f in factors:
-        leftover = leftover / f
-    if not leftover.is_constant:
-        raise InvariantViolation("chain does not exhaust the multiplier")
-    c = leftover.gamma
+        factors += fs
+        certs += _certify_chain(q_cur, fs)
+        q_cur = certs[-1]
+    # the factors carry the zeros and poles of r, as chain_factorize checks
+    c = r.gamma / math.prod((f.gamma for f in factors), start=Fraction(1))
+    if c <= 0:
+        raise InvariantViolation("negative leftover constant")
     if c != 1:
-        if c <= 0:
-            raise InvariantViolation("negative leftover constant")
         factors[0] = factors[0] * c
-    return factors
+        certs = [cert.scale(c) for cert in certs]
+    return factors, certs
 
 
 def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
@@ -635,9 +670,6 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
            if strictly_between(x, a, b)]
     if any(isinstance(x, RealAlg) for x, _k in seq):
         raise ExactSplitUnavailable("irrational zero inside the interval")
-    for (_x1, k1), (_x2, k2) in zip(seq, seq[1:]):
-        if k1 == k2:
-            raise NotInClass("interior data does not alternate")
     left_pos = q_rat.laurent_lead_sign(a) > 0
     right_pos = left_pos != (len(seq) % 2 == 1)
     if right_pos and not left_pos:
@@ -664,71 +696,51 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     return tilde + ends + tilde
 
 
-def _degenerate_chain(q: NevFun, r: RatFun) -> list[RatFun]:
+def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
+                                                     list[NevFun]]:
     """All-even multiplier with negative sign: pair the atoms and zeros of q
     across the whole line, certifying every candidate layout and keeping the
-    first that passes."""
+    first that passes, with its partial products."""
     gamma = r.gamma
     pts = []
-    for rec in r.real_zeros:
-        if not rec.is_rational:
-            raise ExactSplitUnavailable("irrational double zero")
-        pts.append((rec.point, "atom"))
-    for rec in r.real_poles:
-        if not rec.is_rational:
-            raise ExactSplitUnavailable("irrational double pole")
-        pts.append((rec.point, "zero"))
+    for recs, kind, what in ((r.real_zeros, "atom", "zero"),
+                             (r.real_poles, "zero", "pole")):
+        for rec in recs:
+            if not rec.is_rational:
+                raise ExactSplitUnavailable(f"irrational double {what}")
+            pts.append((rec.point, kind))
     pts.sort()
     for (x1, k1), (x2, k2) in zip(pts, pts[1:]):
         if k1 == k2:
             raise NotInClass("degenerate layout does not alternate")
 
+    # an even count pairs up whole; an odd one leaves its last or its
+    # first point to a pair of factors of its own
+    layouts = ([(pts, None)] if len(pts) % 2 == 0
+               else [(pts[:-1], pts[-1]), (pts[1:], pts[0])])
     candidates = []
-    for start in (0, 1):
-        pairable = pts[start:]
-        n_pairs = len(pairable) // 2
-        leftover_items = ([pts[0]] if start == 1 else []) \
-            + list(pairable[2 * n_pairs:])
-        if len(leftover_items) > 1:
-            continue
-        base = []
-        good = True
-        for i in range(n_pairs):
-            (p1, k1), (p2, k2) = pairable[2 * i], pairable[2 * i + 1]
-            if k1 == k2:
-                good = False
-                break
-            atom = p1 if k1 == "atom" else p2
-            zero = p1 if k1 == "zero" else p2
-            base.append(RatFun.from_points([atom], [zero]))
-        if not good:
-            continue
-        if not leftover_items:
-            if not base:
-                continue
+    for pairable, star in layouts:
+        base = [RatFun.from_points([x], [y]) if k == "atom"
+                else RatFun.from_points([y], [x])
+                for (x, k), (y, _k) in zip(pairable[::2], pairable[1::2])]
+        if star is None:
             for spot in range(len(base)):
                 second = list(base)
                 second[spot] = second[spot] * gamma
-                candidates.append(list(base) + second)
-        else:
-            p_star, kind = leftover_items[0]
-            for e1 in (Fraction(1), Fraction(-1), gamma, -gamma):
-                e2 = gamma / e1
-                if kind == "atom":
-                    u1 = RatFun(Poly([-p_star, 1]) * e1, Poly.const(1))
-                    u2 = RatFun(Poly([-p_star, 1]) * e2, Poly.const(1))
-                else:
-                    u1 = RatFun(Poly.const(e1), Poly([-p_star, 1]))
-                    u2 = RatFun(Poly.const(e2), Poly([-p_star, 1]))
-                candidates.append(list(base) + [u1, u2] + list(base))
+                candidates.append(base + second)
+            continue
+        lin, one = Poly([-star[0], 1]), Poly.const(1)
+        num, den = (lin, one) if star[1] == "atom" else (one, lin)
+        for e1 in (Fraction(1), Fraction(-1), gamma, -gamma):
+            candidates.append(base + [RatFun(num * e1, den),
+                                      RatFun(num * (gamma / e1), den)] + base)
 
     for chain in candidates:
         if math.prod(chain, start=RatFun.const(1)) != r:
             continue
         try:
-            _certify_chain(q, chain)
-            return chain
-        except (NotNevanlinna, NotRationalAtoms):
+            return chain, _certify_chain(q, chain)
+        except NotNevanlinna:
             continue
     raise NotInClass("no certified degenerate chain layout found")
 

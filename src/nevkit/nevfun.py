@@ -8,15 +8,17 @@ the spectral-gap characterizations with their transformed representatives.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms)
-from .poly import CERTIFICATE_CACHE_SIZE, Poly, rat
+from .poly import (CERTIFICATE_CACHE_SIZE, Poly, RootRecord, RootStructure,
+                   _deflate, _poly, interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat)
 from .ratfun import RatFun
@@ -89,15 +91,16 @@ class NevFun:
     def from_partial_fractions(c0, beta, atoms=()) -> "NevFun":
         """The function c0 + beta z + sum w/(t - z); inverse of :attr:`c0`."""
         atoms = [(rat(t), rat(w)) for t, w in atoms]
-        return NevFun.of(rat(c0) + sum((w * t / (1 + t * t) for t, w in atoms),
-                                       Fraction(0)), beta, atoms)
+        q = NevFun.of(rat(c0) + _shift(atoms), beta, atoms)
+        q.__dict__["c0"] = rat(c0)          # seeds the memo of NevFun.c0
+        return q
 
-    @property
+    @cached_property
     def c0(self) -> Fraction:
         """The constant of the partial-fraction form c0 + beta z +
-        sum w/(t - z), which is the limit at infinity when beta = 0."""
-        return self.alpha - sum((w * t / (1 + t * t) for t, w in self.sigma),
-                                Fraction(0))
+        sum w/(t - z), which is the limit at infinity when beta = 0.
+        Memoised outside the dataclass fields, like :meth:`num_den`."""
+        return self.alpha - _shift(self.sigma)
 
     @property
     def is_constant(self) -> bool:
@@ -133,26 +136,46 @@ class NevFun:
     # -- structure ------------------------------------------------------------------
     def num_den(self) -> tuple[Poly, Poly]:
         """(num, den) with the function num/den and den the monic product
-        of z - t over the atoms, built once per instance and without a gcd,
-        one atom at a time.  The memo lives outside the dataclass fields, so
-        equality, the hash and the repr do not see it."""
+        of z - t over the atoms, built once per instance without a gcd, in
+        integers: with t = u/v, D = prod (v z - u) = V den, c0 + beta z =
+        (C + B z)/L and w v = W/L, num = (D (C + B z) - sum W D/(v z - u))
+        / (V L).  The memo lives outside the dataclass fields, so equality,
+        the hash and the repr do not see it."""
         memo = self.__dict__.get("_num_den")
         if memo is not None:
             return memo
-        num, den = Poly.const(0), Poly.const(1)
+        c0, beta = self.c0, self.beta
+        big = math.lcm(c0.denominator, beta.denominator,
+                       *[w.denominator for _, w in self.sigma])
+        dd = [1]
+        for t, _ in self.sigma:              # times v z - u
+            dd = [t.denominator * y - t.numerator * x
+                  for x, y in zip(dd + [0], [0] + dd)]
+        cc, bb = (x.numerator * (big // x.denominator) for x in (c0, beta))
+        nn = [cc * x + bb * y for x, y in zip(dd + [0], [0] + dd)]
         for t, w in self.sigma:
-            lin = Poly([-t, 1])
-            num, den = num * lin - den * w, den * lin    # + w/(t-z)
-        memo = (num + Poly([self.c0, self.beta]) * den, den)
+            ww = w.numerator * (big // w.denominator) * t.denominator
+            for i, x in enumerate(_deflate(dd, t.numerator, t.denominator)):
+                nn[i] -= ww * x
+        memo = (_poly(nn, dd[-1] * big), _poly(dd, dd[-1]))
         object.__setattr__(self, "_num_den", memo)
         return memo
 
     def to_ratfun(self) -> RatFun:
         """The function as a reduced RatFun, built once per instance from
-        :meth:`num_den`."""
+        :meth:`num_den` with no gcd (every weight is positive) and with the
+        root structures its representation states: the atoms are simple
+        poles, and one simple zero lies between neighbouring atoms and one
+        on an outer ray where q is < 0 at -inf or > 0 at +inf."""
         memo = self.__dict__.get("_ratfun")
         if memo is None:
-            memo = RatFun(*self.num_den())
+            num, den = self.num_den()
+            atoms = self.sigma.positions
+            zeros = interlaced_root_structure(
+                num, atoms, self.beta > 0 or self.c0 < 0,
+                self.beta > 0 or self.c0 > 0)
+            poles = RootStructure(tuple(RootRecord(t, 1) for t in atoms), ())
+            memo = RatFun._with_roots(num, den, zeros, poles)
             object.__setattr__(self, "_ratfun", memo)
         return memo
 
@@ -334,6 +357,16 @@ class NevFun:
                 f" atoms=[{atoms}])")
 
 
+def _shift(atoms) -> Fraction:
+    """alpha - c0 = sum w t/(1 + t^2), with t = u/v and w = x/y summed in
+    integers as x u v / (y (u^2 + v^2)) over one common denominator."""
+    terms = [(w.numerator * t.numerator * t.denominator,
+              w.denominator * (t.numerator ** 2 + t.denominator ** 2))
+             for t, w in atoms]
+    big = math.lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (big // d) for n, d in terms), big)
+
+
 @dataclass(frozen=True)
 class CharacterizationReport:
     shape: str
@@ -415,6 +448,6 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
     if any(w is None for _, w in pairs):
         raise NotRationalAtoms("pole is not rational")
     q = NevFun.from_partial_fractions(c0, beta, pairs)
-    if q.to_ratfun() != f:
+    if q.num_den() != (f.num, f.den):
         raise InvariantViolation("representation extraction mismatch")
     return q

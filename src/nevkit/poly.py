@@ -31,7 +31,7 @@ from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvariantViolation
 from .qmath import INF, NEG_INF, QC, rat
 
 #: resolution w of the emitted approximations of irrational points: an
@@ -969,6 +969,37 @@ def real_root_structure(p: Poly) -> RootStructure:
                 h, (h.degree - len(boxes)) // 2, m, len(boxes)))
     real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
     return RootStructure(tuple(real), tuple(blocks))
+
+
+def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
+                              left: bool, right: bool) -> RootStructure:
+    """The root structure of a p with one real simple root between each
+    pair of neighbouring rationals of ``poles`` (ascending), one below them
+    if ``left`` and one above if ``right`` (with no poles, one if both),
+    and no other: the zeros of a rational Nevanlinna function and its atoms.
+    A cell without a rational root boxes an irrational root of the residual,
+    the outer cells cut at the Cauchy bound of p.  No Sturm chain is taken;
+    records not one per cell and deg p in all raise InvariantViolation."""
+    if p.degree < 1:
+        return RootStructure((), ())
+    a = _primitive(p.n)
+    rats = _rational_roots(a)
+    h = a
+    for r in rats:
+        h = _deflate(h, r.numerator, r.denominator)
+    hp = _poly(h, h[-1])
+    k = (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
+    ends = [Fraction(-2**k)] + list(poles) + [Fraction(2**k)]
+    cells = list(zip(ends, ends[1:]))       # every root in (-2^k, 2^k)
+    cells = cells[0 if left else 1:len(cells) - (not right)]
+    pts = []
+    for lo, hi in cells:
+        inside = [r for r in rats if lo < r < hi]
+        pts.append(inside[0] if inside else RealAlg(hp, lo, hi))
+    used = sum(isinstance(x, Fraction) for x in pts)
+    if len(pts) != p.degree or used != len(rats):
+        raise InvariantViolation("zeros do not interlace with the poles")
+    return RootStructure(tuple(RootRecord(x, 1) for x in pts), ())
 
 
 def rational_between(a: RPoint, b: RPoint) -> Fraction:

@@ -79,6 +79,15 @@ class RatFun:
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
+    @classmethod
+    def _with_roots(cls, num: Poly, den: Poly, *roots: RootStructure):
+        """num/den for a coprime pair with den monic, whose two root
+        structures the caller already knows: no gcd, no root analysis."""
+        f = object.__new__(cls)
+        for name, v in zip(cls.__slots__, (num, den, *roots, None)):
+            object.__setattr__(f, name, v)
+        return f
+
     # -- constructors ----------------------------------------------------------
     @staticmethod
     def const(x) -> "RatFun":

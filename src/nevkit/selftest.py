@@ -11,8 +11,8 @@ import math
 import random
 from fractions import Fraction
 
-from .classify import (_degree_one_step, chain_factorize, check_N00,
-                       interlacing_factorize, membership,
+from .classify import (_compose_tau, _degree_one_step, chain_factorize,
+                       check_N00, interlacing_factorize, membership,
                        negative_closed_pieces, pieces_disjoint,
                        product_factorization)
 from .gnev import GenNevFun, canonical_pair, canonical_rational
@@ -129,9 +129,19 @@ def run_selftest(seed: int = 0):
             qq, rr = random_plain_pair(rng)
             expect(check_N00(qq, rr).ok, "plain-pair test passes")
             chain = chain_factorize(qq, rr)
-            expect(len(chain.partial_certificates) == len(chain.factors),
-                   "one certificate per factor")
-    check("generated plain pairs admit certified chains", chk_pairs)
+            acc = qq.to_ratfun()
+            for f, cert in zip(chain.factors, chain.partial_certificates,
+                               strict=True):      # one certificate per factor
+                acc = f * acc
+                expect(cert == nevfun_from_ratfun(acc),
+                       f"chain step by {f} equals the exact extraction")
+            for p in [Fraction(rng.randint(-9, 9), 2)] + qq.sigma.positions:
+                tau = RatFun(Poly([-1, p]), Poly([0, 1]))
+                expect(_compose_tau(qq, p) == nevfun_from_ratfun(
+                    qq.to_ratfun().compose_mobius(tau)),
+                    f"q o (p - 1/l) at p = {p} equals the exact extraction")
+    check("generated plain pairs admit chains whose closed-form steps and "
+          "compositions agree with extraction", chk_pairs)
 
     def chk_membership():
         g = GenNevFun.from_nevfun(nevfun_from_ratfun(

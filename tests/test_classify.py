@@ -5,7 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import nevfuns, rationals
 from nevkit.classify import (chain_factorize, candidate_points,
                              check_N00, interlacing_factorize, kac_closure,
                              membership, negative_closed_pieces,
@@ -280,7 +283,7 @@ def test_four_forms_agree():
 def test_chain_invariant_holds_without_assert(monkeypatch):
     import nevkit.classify as cl
     monkeypatch.setattr(cl, "_chain_build",
-                        lambda q, r: [RatFun.from_points([2], [1])])
+                        lambda q, r: ([RatFun.from_points([2], [1])], [q]))
     with pytest.raises(InvariantViolation):
         chain_factorize(WORKED_Q, WORKED_R)
 
@@ -715,3 +718,101 @@ def test_interval_pattern_refusals(q, r, error):
     got = _outcome(_interval_factors, q, r, a, b)
     assert got == _outcome(_flag_interval_factors, q, r, a, b)
     assert got[0] is error
+
+
+# -- closed-form chain steps ------------------------------------------------------------
+
+
+def test_chain_steps_match_extraction(monkeypatch):
+    """Every closed-form chain step and Moebius composition, inner chains
+    included, equals the exact extraction of its RatFun, and every partial
+    certificate equals the extraction of its partial product."""
+    import nevkit.classify as cl
+    step, compose = cl._chain_step, cl._compose_tau
+    seen = {"step": 0, "tau": 0}
+
+    def checked_step(s, q):
+        got = step(s, q)
+        assert got == nevfun_from_ratfun(s * q.to_ratfun()), (s, q)
+        seen["step"] += 1
+        return got
+
+    def checked_compose(q, p):
+        got = compose(q, p)
+        tau = RatFun(Poly([-1, p]), Poly([0, 1]))
+        assert got == nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
+        seen["tau"] += 1
+        return got
+    monkeypatch.setattr(cl, "_chain_step", checked_step)
+    monkeypatch.setattr(cl, "_compose_tau", checked_compose)
+    pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
+             for qj, rj in _criterion5_pairs(51)]
+    rng = random.Random(4711)
+    pairs += [random_plain_pair(rng) for _ in range(80)]
+    for q, r in pairs:
+        chain = chain_factorize(q, r)
+        acc = q.to_ratfun()
+        for f, cert in zip(chain.factors, chain.partial_certificates,
+                           strict=True):
+            acc = f * acc
+            assert cert == nevfun_from_ratfun(acc)
+    assert seen["step"] >= 350 and seen["tau"] >= 50
+
+
+@pytest.mark.parametrize("q, s", [
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([1], [3])),   # zero at atom
+    (NevFun.of(0, 1), RatFun.from_points([-2], [0])),            # pole at zero
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([2], [3])),   # new atom
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([], [2], -1)),  # weight < 0
+    (NevFun.of(0, 0, [(0, 1)]), RatFun.from_points([2], [0])),   # double pole
+    (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([3], [])),   # growth z^2
+])
+def test_chain_step_cases(q, s):
+    from nevkit.classify import _chain_step
+    want = _outcome(nevfun_from_ratfun, s * q.to_ratfun())
+    got = _outcome(_chain_step, s, q)
+    assert got == want if isinstance(want, NevFun) else got[0] is want[0]
+
+
+@pytest.mark.parametrize("q, p", [
+    (NevFun.of(1, 2, [(-1, 1), (3, 2)]), Fraction(3)),       # beta, atom at p
+    (NevFun.of(0, 0, [(Fraction(1, 2), 5)]), Fraction(1, 2)),  # only atom at p
+    (NevFun.of(-2, Fraction(1, 3)), Fraction(-4)),            # no atoms
+    (NevFun.of(5, 0), Fraction(1)),                           # a constant
+])
+def test_closed_form_composition_cases(q, p):
+    from nevkit.classify import _compose_tau
+    tau = RatFun(Poly([-1, p]), Poly([0, 1]))
+    got = _compose_tau(q, p)
+    assert got == nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
+    assert got.beta == q.sigma.weight_at(p)
+    assert got.sigma.weight_at(0) == q.beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(nevfuns(4), rationals(8, 3), st.booleans())
+def test_closed_form_composition_matches_extraction(q, p, at_atom):
+    from nevkit.classify import _compose_tau
+    if at_atom and len(q.sigma):
+        p = q.sigma.positions[-1]
+    tau = RatFun(Poly([-1, p]), Poly([0, 1]))
+    assert _compose_tau(q, p) == \
+        nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
+
+
+def test_chain_extracts_nothing_and_closure_hits_the_pair_certificate():
+    """With the memos cleared, chain_factorize makes no call to
+    nevfun_from_ratfun, and kac_closure and transform_model each hit the
+    certificate of r q that check_N00 extracted."""
+    for qj, rj in _criterion5_pairs(51):
+        _clear_certificates()
+        q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
+        assert check_N00(q, r).ok
+        before = nevfun_from_ratfun.cache_info()
+        chain_factorize(q, r)
+        after = nevfun_from_ratfun.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        kac_closure(q, r)
+        transform_model(minimal_model(q, enumerate_zeros_poles(r)[1][0]), r, q)
+        final = nevfun_from_ratfun.cache_info()
+        assert (final.hits, final.misses) == (after.hits + 2, after.misses)

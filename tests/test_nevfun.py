@@ -9,8 +9,8 @@ import nevkit.nevfun
 from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
                            nevfun_from_ratfun)
-from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd,
-                         rational_between)
+from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd, point_cmp,
+                         rational_between, real_root_structure)
 from nevkit.qmath import INF, NEG_INF, QC, fmt_rat
 from nevkit.ratfun import RatFun
 
@@ -419,3 +419,60 @@ def test_to_ratfun_is_built_once_and_invisible():
     assert r == RatFun.from_points([1], [2], -1)
     assert (repr(q), hash(q)) == before
     assert q == WORKED and NevFun.of(Fraction(-3, 5), 0, [(2, 1)]) == q
+
+
+def _fraction_num_den(q: NevFun) -> tuple[Poly, Poly]:
+    """(num, den) built one atom at a time in Fraction arithmetic, the
+    reference for the integer assembly of NevFun.num_den."""
+    num, den = Poly.const(0), Poly.const(1)
+    for t, w in q.sigma:
+        lin = Poly([-t, 1])
+        num, den = num * lin - den * w, den * lin
+    return num + Poly([q.c0, q.beta]) * den, den
+
+
+def _check_seeded_structures(q: NevFun):
+    """q's RatFun is RatFun(*num_den()), and the root structures it was
+    given equal those of the root analysis record by record."""
+    fresh = NevFun.of(q.alpha, q.beta, q.sigma)      # no memo of any kind
+    assert fresh.num_den() == _fraction_num_den(fresh)
+    f = fresh.to_ratfun()
+    assert f == RatFun(*fresh.num_den())
+    for seeded, p in ((f.real_zeros, f.num), (f.real_poles, f.den)):
+        ref = real_root_structure(p)
+        assert ref.blocks == () and len(seeded) == len(ref.real)
+        for got, want in zip(seeded, ref.real):
+            assert point_cmp(got.point, want.point) == 0
+            assert type(got.point) is type(want.point)
+            assert got.mult == want.mult == 1
+    assert f.complex_zero_blocks == f.complex_pole_blocks == []
+
+
+@pytest.mark.parametrize("q", [
+    NevFun.from_partial_fractions(-1, 0, [(0, 1)]),         # zero -1 < atom 0
+    NevFun.from_partial_fractions(1, 0, [(0, 1)]),          # zero 1 > atom 0
+    NevFun.from_partial_fractions(0, 1, [(0, 4)]),          # zeros -2, 2
+    NevFun.from_partial_fractions(0, 1, [(0, 2), (5, 1)]),  # irrational ends
+    NevFun.of(3, 2),                                        # no atoms
+    NevFun.of(3, 0), NevFun.of(0, 0),                       # constants
+], ids=["left_ray", "right_ray", "beta_rational", "beta_irrational",
+        "no_atoms", "constant", "zero"])
+def test_seeded_root_structure_cases(q):
+    _check_seeded_structures(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nevfuns(5), rationals(30, 4))
+def test_seeded_root_structures_match_root_analysis(q, x):
+    _check_seeded_structures(q)
+    if not q.sigma.weight_at(x):                    # a rational zero at x
+        _check_seeded_structures(NevFun.of(q.alpha - q.evaluate(x), q.beta,
+                                           q.sigma))
+
+
+def test_interlacing_is_checked():
+    from nevkit.errors import InvariantViolation
+    from nevkit.poly import interlaced_root_structure
+    p = Poly.from_roots([1, 2])                     # both zeros in (0, 3)
+    with pytest.raises(InvariantViolation):
+        interlaced_root_structure(p, [Fraction(0), Fraction(3)], True, False)
