@@ -25,9 +25,9 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
-from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
-from .poly import (CERTIFICATE_CACHE_SIZE, Poly, RealAlg, compose_fractional,
-                   point_cmp)
+from .nevfun import (NevFun, _certified, _chain_step, _compose, _ends,
+                     is_nevanlinna)
+from .poly import CERTIFICATE_CACHE_SIZE, Poly, RealAlg, point_cmp
 from .qmath import INF, NEG_INF, fmt_rat
 from .ratfun import RatFun, strictly_between
 
@@ -53,6 +53,7 @@ class N00Report:
     ok: bool
     failures: tuple = ()
     kappa_tilde: Optional[int] = None
+    product: Optional[NevFun] = None    # r q, when its index is 0
 
     def __bool__(self):
         return self.ok
@@ -227,60 +228,6 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
         InvariantViolation, "degree-one step: s q / psi")
 
 
-def _certified(lhs: Poly, rhs: Poly, atoms, fail, what: str) -> NevFun:
-    """The NevFun lhs/rhs from its atoms, with the quotient of lhs by rhs
-    as c0 + beta z.  A weight <= 0, beta < 0 or superlinear growth raises
-    ``fail``; the result (n', d') is certified by n' rhs = lhs d'."""
-    lin = lhs.divmod(rhs)[0]
-    c0, beta = (lin.c + (Fraction(0),) * 2)[:2]
-    if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
-        raise fail(f"{what} is not a Nevanlinna function")
-    q_next = NevFun.from_partial_fractions(c0, beta, atoms)
-    n_next, d_next = q_next.num_den()
-    if n_next * rhs != lhs * d_next:
-        raise InvariantViolation(f"{what}: the certificate identity fails")
-    return q_next
-
-
-def _ends(s: RatFun) -> tuple:
-    """The zero and the pole of a degree-one s, INF when at infinity."""
-    return tuple(-p.c[0] / p.c[1] if p.degree == 1 else INF
-                 for p in (s.num, s.den))
-
-
-def _chain_step(s: RatFun, q: NevFun) -> NevFun:
-    """s q in closed form, for a degree-one s with zero a and pole b: q's
-    atoms t != a with weight w s(t), and b with weight -(s (z - b))(b) q(b)
-    unless q(b) = 0.  An atom at b (a double pole), or any other failure to
-    be a Nevanlinna function, raises NotNevanlinna."""
-    a, b = _ends(s)
-    if b is not INF and q.sigma.weight_at(b):
-        raise NotNevanlinna(f"multiple pole at {fmt_rat(b)}")
-    n, d = q.num_den()
-    atoms = [(t, w * s.eval_q(t)) for t, w in q.sigma if t != a]
-    if b is not INF:
-        q_b = n.eval_q(b) / d.eval_q(b)
-        if q_b:
-            atoms.append((b, -s.num.eval_q(b) * q_b))
-    return _certified(s.num * n, s.den * d, atoms, NotNevanlinna,
-                      "chain step: s q")
-
-
-def _compose_tau(q: NevFun, p: Fraction) -> NevFun:
-    """q o tau for tau(l) = p - 1/l in closed form: beta becomes an atom at
-    0, an atom (t, w) with t != p one at 1/(p - t) with weight w/(t - p)^2,
-    and an atom at p the slope."""
-    atoms = [(1 / (p - t), w / (t - p) ** 2) for t, w in q.sigma if t != p]
-    if q.beta:
-        atoms.append((Fraction(0), q.beta))
-    n, d = q.num_den()
-    deg = max(n.degree, d.degree)
-    tau_num, tau_den = Poly([-1, p]), Poly([0, 1])
-    return _certified(compose_fractional(n, tau_num, tau_den, deg),
-                      compose_fractional(d, tau_num, tau_den, deg), atoms,
-                      NotNevanlinna, "q o tau")
-
-
 # -- splitting of simple interlacing functions ---------------------------------------
 
 
@@ -355,8 +302,8 @@ def pieces_disjoint(p1: list[tuple], p2: list[tuple]) -> bool:
 def check_N00(q: NevFun, r: RatFun) -> N00Report:
     """Clause-by-clause test that both the function and its product with r
     are Nevanlinna.  Diagnostics list every failed clause; the product index
-    is reported alongside whenever it is computable, and the clause verdict
-    is asserted against it.
+    is reported alongside whenever it is computable, with r q as ``product``
+    when it is 0, and the clause verdict is asserted against it.
 
     The report is memoised on the values of q and r.  Exceptions are not
     memoised, so invalid input and a failed cross-check raise again on
@@ -412,16 +359,18 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
             if not _order_one_clause(q, r, rec.point, is_zero=False):
                 failures.append(("ii(b)", rec.point, "pole-side limit sign"))
 
-    kappa_tilde = None
     try:
-        kappa_tilde = canonical_pair(r * q_rat).kappa
+        pair = canonical_pair(r * q_rat)
     except (ExactSplitUnavailable, NotRationalAtoms):
-        pass
+        pair = None
+    kappa_tilde = None if pair is None else pair.kappa
     ok = not failures
     if kappa_tilde is not None and ok != (kappa_tilde == 0):
         raise InvariantViolation(
             f"clause verdict {ok} disagrees with product index {kappa_tilde}")
-    return N00Report(ok, tuple(failures), kappa_tilde)
+    # at index 0 the factor is 1, so the pair's q0 is r q
+    return N00Report(ok, tuple(failures), kappa_tilde,
+                     pair.q0 if kappa_tilde == 0 else None)
 
 
 def _order_one_clause(q: NevFun, r: RatFun, point, is_zero: bool) -> bool:
@@ -612,7 +561,7 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
            for c in comps):
         p = _positive_anchor(s, q, r)
         tau = RatFun(Poly([-1, p]), Poly([0, 1]))      # p - 1/lambda
-        inner, _ = _chain_build(_compose_tau(q, p), r.compose_mobius(tau))
+        inner, _ = _chain_build(_compose(q, tau), r.compose_mobius(tau))
         tinv = tau.mobius_inverse()
         factors = [f.compose_mobius(tinv) for f in inner]
         return factors, _certify_chain(q, factors)
@@ -776,7 +725,9 @@ def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:
     rep = check_N00(q, r)
     if not rep.ok:
         raise NotInClass("pair fails the plain-pair test")
-    rq = nevfun_from_ratfun(r * q.to_ratfun())
+    rq = rep.product
+    if rq is None:
+        raise NotRationalAtoms("pole is not rational")
     at_poles = tuple((rec.point, _kac_at(q, rec.point)) for rec in r.poles())
     at_zeros = tuple((rec.point, _kac_at(rq, rec.point)) for rec in r.zeros())
     return KacClosureReport(at_poles, at_zeros)

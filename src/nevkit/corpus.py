@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ExactSplitUnavailable
+from .errors import ExactSplitUnavailable, NotNevanlinna
 from .gnev import GenNevFun
-from .nevfun import NevFun, is_nevanlinna
+from .nevfun import NevFun, _chain_step
 from .poly import Poly
 from .ratfun import RatFun
 
@@ -114,24 +114,23 @@ def _candidate_factors(rng: random.Random, q: NevFun) -> list[RatFun]:
 def random_plain_pair(rng: random.Random, max_factors: int = 4,
                       simple_only: bool = False,
                       require_finite_pole: bool = False):
-    """A pair (q, r) with both q and r*q Nevanlinna, built by multiplying
-    exactly verified degree-one factors one at a time."""
+    """A pair (q, r) with both q and r*q Nevanlinna, built by closed-form
+    chain steps, one degree-one factor at a time."""
     for _attempt in range(200):
         q = random_nevfun(rng, max_atoms=4)
         r = RatFun.const(1)
-        cur = q.to_ratfun()
+        cur = q
         n_target = rng.randint(1, max_factors)
         factors = 0
         for cand in _candidate_factors(rng, q):
             if factors >= n_target:
                 break
-            nxt = cand * cur
-            if nxt.is_constant and nxt.gamma == 0:
+            try:
+                cur = _chain_step(cand, cur)
+            except NotNevanlinna:
                 continue
-            if is_nevanlinna(nxt):
-                r = r * cand
-                cur = nxt
-                factors += 1
+            r = r * cand
+            factors += 1
         if factors == 0 or r.is_constant:
             continue
         if simple_only and (any(rec.mult != 1 for rec in

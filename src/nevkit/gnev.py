@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
-                     NotNevanlinnaTau)
-from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
+                     NotNevanlinna, NotNevanlinnaTau)
+from .nevfun import NevFun, _compose, nevfun_from_ratfun
 from .poly import Poly, RealAlg, count_real_roots, irreducible_factors
 from .qmath import INF, fmt_rat
 from .ratfun import RatFun
@@ -233,8 +233,9 @@ def compose_gen(g: GenNevFun, tau: RatFun) -> GenNevFun:
     composes componentwise and the index is preserved."""
     if tau.degree != 1:
         raise NotNevanlinnaTau("composition parameter must have degree one")
-    if not is_nevanlinna(tau):
-        raise NotNevanlinnaTau("composition parameter fails the Herglotz check")
-    phi_t = g.phi.compose_mobius(tau)
-    q0_t = nevfun_from_ratfun(g.q0.to_ratfun().compose_mobius(tau))
-    return GenNevFun(phi_t, q0_t)
+    try:
+        q0_t = _compose(g.q0, tau)
+    except NotNevanlinna:
+        raise NotNevanlinnaTau(
+            "composition parameter fails the Herglotz check") from None
+    return GenNevFun(g.phi.compose_mobius(tau), q0_t)

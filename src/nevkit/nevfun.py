@@ -2,8 +2,10 @@
 
 A :class:`NevFun` stores the representation data (alpha, beta, finite atomic
 measure) exactly.  Everything here is closed form: evaluation, one-sided and
-nontangential limits at real points and infinity, Kac-class membership, and
-the spectral-gap characterizations with their transformed representatives.
+nontangential limits at real points and infinity, Kac-class membership, the
+spectral-gap characterizations with their transformed representatives, and
+the products with degree-one factors and compositions with degree-one
+Herglotz maps they and the chains are built from.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms)
-from .poly import (CERTIFICATE_CACHE_SIZE, Poly, RootRecord, RootStructure,
-                   _deflate, _poly, interlaced_root_structure, rat)
+from .poly import (Poly, RootRecord, RootStructure, _deflate, _poly,
+                   compose_fractional, interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat)
 from .ratfun import RatFun
@@ -261,67 +263,48 @@ class NevFun:
 
     # -- spectral-gap characterizations ----------------------------------------------------
     def gap_characterize(self, c, d=None, shape: str = "bounded_gap") -> "CharacterizationReport":
+        """The gap condition; each representative is one :func:`_chain_step`
+        on q - eta, or for the left ray's first on the measure part."""
         c = rat(c)
-        if shape == "bounded_gap":
-            d = rat(d)
-            if not c < d:
-                raise InvalidInput("need c < d")
-            offenders = [t for t in self.sigma.positions if c < t < d]
-            if offenders:
-                raise GapViolated("atoms inside the gap", offenders)
-            eta = self.limit_at(d, "value", side="-")
-            q_tilde = None
-            transformed = None
-            if eta.is_finite:
-                f = (self.to_ratfun() - eta.value) \
-                    * RatFun.from_points([c], [d])
-                q_tilde = nevfun_from_ratfun(f)
-                transformed = AtomicMeasure.of(
-                    [(t, w * (t - c) / (t - d)) for t, w in self.sigma
-                     if not (c < t <= d)])
-            return CharacterizationReport("bounded_gap", True, eta.is_finite,
-                                          eta, q_tilde, transformed)
-        if shape == "complement_gap":
-            d = rat(d)
-            if not c < d:
-                raise InvalidInput("need c < d")
-            offenders = [t for t in self.sigma.positions if not c <= t <= d]
-            if offenders or self.beta > 0:
-                msg = ("atoms outside the compact interval" if offenders
-                       else "mass at infinity")
-                raise GapViolated(msg, offenders)
-            eta = self.limit_at(d, "value", side="+")
-            q_tilde = None
-            transformed = None
-            if eta.is_finite:
-                f = (self.to_ratfun() - eta.value) \
-                    * RatFun(Poly([-c, 1]), Poly([d, -1]))
-                q_tilde = nevfun_from_ratfun(f)
-                transformed = AtomicMeasure.of(
-                    [(t, w * (t - c) / (d - t)) for t, w in self.sigma
-                     if c <= t < d])
-            return CharacterizationReport("complement_gap", True,
-                                          eta.is_finite, eta, q_tilde,
-                                          transformed)
         if shape == "left_ray":
             offenders = [t for t in self.sigma.positions if t < c]
             if offenders:
                 raise GapViolated("atoms below the ray endpoint", offenders)
             eta = LimitValue.finite(self.c0)
             # representative with the linear part and the ray factor removed
-            f1 = (self.to_ratfun() - RatFun(Poly([eta.value, self.beta]),
-                                            Poly.const(1))) \
-                * RatFun(Poly([-c, 1]), Poly.const(1))
-            q_tilde = nevfun_from_ratfun(f1)
+            bare = NevFun.from_partial_fractions(0, 0, self.sigma)
+            q_tilde = _chain_step(RatFun.from_points([c], []), bare)
             eta2 = self.limit_at(c, "value", side="-")
             q_tilde2 = None
             if eta2.is_finite:
-                f2 = (self.to_ratfun() - eta2.value) \
-                    / RatFun(Poly([-c, 1]), Poly.const(1))
-                q_tilde2 = nevfun_from_ratfun(f2)
+                q_tilde2 = _chain_step(RatFun.from_points([], [c]), NevFun(
+                    self.alpha - eta2.value, self.beta, self.sigma))
             return CharacterizationReport("left_ray", True, True, eta,
                                           q_tilde, None, eta2, q_tilde2)
-        raise InvalidInput(f"unknown gap shape {shape!r}")
+        if shape not in ("bounded_gap", "complement_gap"):
+            raise InvalidInput(f"unknown gap shape {shape!r}")
+        if d is None or not c < rat(d):
+            raise InvalidInput("need c < d")
+        d, bounded = rat(d), shape == "bounded_gap"
+        if bounded:
+            offenders = [t for t in self.sigma.positions if c < t < d]
+            if offenders:
+                raise GapViolated("atoms inside the gap", offenders)
+        else:
+            offenders = [t for t in self.sigma.positions if not c <= t <= d]
+            if offenders or self.beta > 0:
+                msg = ("atoms outside the compact interval" if offenders
+                       else "mass at infinity")
+                raise GapViolated(msg, offenders)
+        eta = self.limit_at(d, "value", side="-" if bounded else "+")
+        q_tilde = None
+        if eta.is_finite:
+            s = RatFun.from_points([c], [d], 1 if bounded else -1)
+            q_tilde = _chain_step(s, NevFun(self.alpha - eta.value,
+                                            self.beta, self.sigma))
+        return CharacterizationReport(
+            shape, True, eta.is_finite, eta, q_tilde,
+            None if q_tilde is None else q_tilde.sigma)
 
     def corollary_products(self, c, d=INF) -> "ProductMembership":
         """Exact decision of the four bounded-gap product memberships, or the
@@ -335,6 +318,8 @@ class NevFun:
                    ray_ok and lim_up_c.finite_nonpos())
             labels = ("(z-c)*Q", "Q/(z-c)")
             return ProductMembership(res, labels)
+        if d is None or not c < rat(d):
+            raise InvalidInput("need c < d")
         d = rat(d)
         gap_ok = all(not (c < t < d) for t in self.sigma.positions)
         comp_ok = (all(c <= t <= d for t in self.sigma.positions)
@@ -435,15 +420,10 @@ def _herglotz_parts(f: RatFun):
     return beta, c0, pairs
 
 
-@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def nevfun_from_ratfun(f: RatFun) -> NevFun:
     """Exact extraction of representation data from a rational Nevanlinna
     function.  Raises NotNevanlinna when the function is not one, and
-    NotRationalAtoms when it is but its poles are irrational.
-
-    The certificate is memoised on the value of f, so every RatFun equal
-    to f shares one NevFun.  Exceptions are not memoised: a rejected f is
-    checked again on every call."""
+    NotRationalAtoms when it is but its poles are irrational."""
     beta, c0, pairs = _herglotz_parts(f)
     if any(w is None for _, w in pairs):
         raise NotRationalAtoms("pole is not rational")
@@ -451,3 +431,67 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
     if q.num_den() != (f.num, f.den):
         raise InvariantViolation("representation extraction mismatch")
     return q
+
+
+# -- closed-form products and compositions ----------------------------------------
+
+
+def _certified(lhs: Poly, rhs: Poly, atoms, fail, what: str) -> NevFun:
+    """The NevFun lhs/rhs from its atoms, with the quotient of lhs by rhs
+    as c0 + beta z.  A weight <= 0, beta < 0 or superlinear growth raises
+    ``fail``; the result (n', d') is certified by n' rhs = lhs d'."""
+    lin = lhs.divmod(rhs)[0]
+    c0, beta = (lin.c + (Fraction(0),) * 2)[:2]
+    if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
+        raise fail(f"{what} is not a Nevanlinna function")
+    q_next = NevFun.from_partial_fractions(c0, beta, atoms)
+    n_next, d_next = q_next.num_den()
+    if n_next * rhs != lhs * d_next:
+        raise InvariantViolation(f"{what}: the certificate identity fails")
+    return q_next
+
+
+def _ends(s: RatFun) -> tuple:
+    """The zero and the pole of a degree-one s, INF when at infinity."""
+    return tuple(-p.c[0] / p.c[1] if p.degree == 1 else INF
+                 for p in (s.num, s.den))
+
+
+def _chain_step(s: RatFun, q: NevFun) -> NevFun:
+    """s q in closed form, for a degree-one s with zero a and pole b: q's
+    atoms t != a with weight w s(t), and b with weight -(s (z - b))(b) q(b)
+    unless q(b) = 0.  An atom at b (a double pole), or any other failure to
+    be a Nevanlinna function, raises NotNevanlinna."""
+    a, b = _ends(s)
+    if b is not INF and q.sigma.weight_at(b):
+        raise NotNevanlinna(f"multiple pole at {fmt_rat(b)}")
+    n, d = q.num_den()
+    atoms = [(t, w * s.eval_q(t)) for t, w in q.sigma if t != a]
+    if b is not INF:
+        q_b = n.eval_q(b) / d.eval_q(b)
+        if q_b:
+            atoms.append((b, -s.num.eval_q(b) * q_b))
+    return _certified(s.num * n, s.den * d, atoms, NotNevanlinna,
+                      "chain step: s q")
+
+
+def _compose(q: NevFun, tau: RatFun) -> NevFun:
+    """q o tau in closed form, for a degree-one Herglotz tau.  For tau =
+    c + b z an atom (t, w) goes to ((t - c)/b, w/b).  For tau = c + v/(s - z)
+    one with t != c goes to s - v/(t - c) with weight w v/(t - c)^2, an atom
+    at c becomes the slope, and beta an atom at s with weight beta v.  A tau
+    that is not Herglotz raises NotNevanlinna."""
+    b, c, poles = _herglotz_parts(tau)
+    if b:
+        atoms = [((t - c) / b, w / b) for t, w in q.sigma]
+    else:
+        [(s, v)] = poles
+        atoms = [(s - v / (t - c), w * v / (t - c) ** 2)
+                 for t, w in q.sigma if t != c]
+        if q.beta:
+            atoms.append((s, q.beta * v))
+    n, d = q.num_den()
+    deg = max(n.degree, d.degree)
+    return _certified(compose_fractional(n, tau.num, tau.den, deg),
+                      compose_fractional(d, tau.num, tau.den, deg), atoms,
+                      NotNevanlinna, "q o tau")

@@ -44,8 +44,7 @@ ROOT_STRUCTURE_CACHE_SIZE = 1024
 #: number of polynomials whose Sturm chain is kept by sturm_chain
 STURM_CHAIN_CACHE_SIZE = 1024
 
-#: number of values whose certificate is kept by classify.check_N00 and by
-#: nevfun.nevfun_from_ratfun, each
+#: number of pairs whose plain-pair report is kept by classify.check_N00
 CERTIFICATE_CACHE_SIZE = 1024
 
 
@@ -707,12 +706,7 @@ def _real_roots(p: Poly) -> tuple[list[Fraction], Poly,
     """
     if p.degree < 1:
         return [], p, []
-    a = _primitive(p.n)
-    rats = _rational_roots(a)
-    h = a
-    for r in rats:
-        h = _deflate(h, r.numerator, r.denominator)
-    hp = _poly(h, h[-1])
+    _a, rats, h, hp = _rational_split(p)
     if len(h) < 3:                  # h has no rational root, so no degree 1
         return rats, hp, []
     chain = sturm_chain(hp)
@@ -739,6 +733,18 @@ def _real_roots(p: Poly) -> tuple[list[Fraction], Poly,
             stack.append((2 * u, e + 1, v_lo, v_mid))
             stack.append((2 * u + 1, e + 1, v_mid, v_hi))
     return rats, hp, boxes
+
+
+def _rational_split(p: Poly) -> tuple:
+    """The primitive integer coefficients a of a nonconstant p, its
+    rational roots ascending, and the residual, a without its rational
+    linear factors, as integers h and as the monic Poly hp."""
+    a = _primitive(p.n)
+    rats = _rational_roots(a)
+    h = a
+    for r in rats:
+        h = _deflate(h, r.numerator, r.denominator)
+    return a, rats, h, _poly(h, h[-1])
 
 
 def _dyadic(u: int, e: int) -> tuple[int, int]:
@@ -982,12 +988,7 @@ def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
     records not one per cell and deg p in all raise InvariantViolation."""
     if p.degree < 1:
         return RootStructure((), ())
-    a = _primitive(p.n)
-    rats = _rational_roots(a)
-    h = a
-    for r in rats:
-        h = _deflate(h, r.numerator, r.denominator)
-    hp = _poly(h, h[-1])
+    a, rats, _h, hp = _rational_split(p)
     k = (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
     ends = [Fraction(-2**k)] + list(poles) + [Fraction(2**k)]
     cells = list(zip(ends, ends[1:]))       # every root in (-2^k, 2^k)

@@ -21,7 +21,7 @@ from typing import Union
 from .classify import check_N00
 from .errors import (InvalidInput, InvariantViolation, NotInN00,
                      NotKacMember, NotRationalAtoms, SpectrumHit)
-from .nevfun import AtomicMeasure, NevFun, nevfun_from_ratfun
+from .nevfun import AtomicMeasure, NevFun
 from .poly import RealAlg, point_cmp, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat
 from .ratfun import RatFun
@@ -158,7 +158,7 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         raise NotRationalAtoms("the transferred model needs rational poles "
                                "and a rational anchor")
 
-    rq = nevfun_from_ratfun(r * q.to_ratfun())
+    rq = rep.product
 
     zeta_map = {}                   # pole -> acquired mass, INF included
     for b in poles_enum:

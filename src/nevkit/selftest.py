@@ -11,12 +11,12 @@ import math
 import random
 from fractions import Fraction
 
-from .classify import (_compose_tau, _degree_one_step, chain_factorize,
-                       check_N00, interlacing_factorize, membership,
+from .classify import (_degree_one_step, chain_factorize, check_N00,
+                       interlacing_factorize, membership,
                        negative_closed_pieces, pieces_disjoint,
                        product_factorization)
 from .gnev import GenNevFun, canonical_pair, canonical_rational
-from .nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
+from .nevfun import NevFun, _compose, is_nevanlinna, nevfun_from_ratfun
 from .oracle import negative_squares
 from .poly import (Poly, count_real_roots, isolate_real_roots,
                    squarefree_decomposition)
@@ -136,10 +136,11 @@ def run_selftest(seed: int = 0):
                 expect(cert == nevfun_from_ratfun(acc),
                        f"chain step by {f} equals the exact extraction")
             for p in [Fraction(rng.randint(-9, 9), 2)] + qq.sigma.positions:
-                tau = RatFun(Poly([-1, p]), Poly([0, 1]))
-                expect(_compose_tau(qq, p) == nevfun_from_ratfun(
-                    qq.to_ratfun().compose_mobius(tau)),
-                    f"q o (p - 1/l) at p = {p} equals the exact extraction")
+                for tau in (RatFun(Poly([-1, p]), Poly([0, 1])),   # p - 1/l
+                            RatFun(Poly([p, Fraction(1, 3)]), Poly.const(1))):
+                    expect(_compose(qq, tau) == nevfun_from_ratfun(
+                        qq.to_ratfun().compose_mobius(tau)),
+                        f"q o {tau} equals the exact extraction")
     check("generated plain pairs admit chains whose closed-form steps and "
           "compositions agree with extraction", chk_pairs)
 

@@ -21,7 +21,7 @@ from nevkit.corpus import (random_gennev, random_interlacing_simple,
 from nevkit import serialize as ser
 from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
                            InvariantViolation, NevkitError, NotInClass,
-                           NotInterlacing, NotNevanlinna)
+                           NotInterlacing, NotNevanlinna, NotRationalAtoms)
 from nevkit.gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                          canonical_pair, canonical_rational)
 from nevkit.nevfun import NevFun, nevfun_from_ratfun
@@ -289,9 +289,22 @@ def test_chain_invariant_holds_without_assert(monkeypatch):
 
 
 def _clear_certificates():
-    """Empty the certificate memos, as in a fresh process."""
+    """Empty the certificate memo, as in a fresh process."""
     check_N00.cache_clear()
-    nevfun_from_ratfun.cache_clear()
+
+
+def _count_extractions(monkeypatch) -> list:
+    """The RatFuns passed to nevfun_from_ratfun from now on, through any
+    nevkit module's binding of it."""
+    calls = []
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if ((name == "nevkit" or name.startswith("nevkit."))
+                and hasattr(mod, "nevfun_from_ratfun")):
+            monkeypatch.setattr(mod, "nevfun_from_ratfun",
+                                lambda f: calls.append(f)
+                                or nevfun_from_ratfun(f))
+    return calls
 
 
 def _criterion5_pairs(n: int):
@@ -506,9 +519,7 @@ def test_closed_form_step_cases(q, s):
 def test_closed_form_step_isolates_no_zero_outside_the_negative_set(
         monkeypatch):
     import nevkit.classify as cl
-    calls = []
-    monkeypatch.setattr(cl, "nevfun_from_ratfun",
-                        lambda f: calls.append(f) or nevfun_from_ratfun(f))
+    calls = _count_extractions(monkeypatch)
     s = RatFun.from_points([3], [4])       # negative on (3, 4)
     q = NevFun.of(0, 1, [(0, 2)])          # fresh: irrational zeros +-sqrt(2)
     real_root_structure.cache_clear()
@@ -728,7 +739,7 @@ def test_chain_steps_match_extraction(monkeypatch):
     included, equals the exact extraction of its RatFun, and every partial
     certificate equals the extraction of its partial product."""
     import nevkit.classify as cl
-    step, compose = cl._chain_step, cl._compose_tau
+    step, compose = cl._chain_step, cl._compose
     seen = {"step": 0, "tau": 0}
 
     def checked_step(s, q):
@@ -737,14 +748,13 @@ def test_chain_steps_match_extraction(monkeypatch):
         seen["step"] += 1
         return got
 
-    def checked_compose(q, p):
-        got = compose(q, p)
-        tau = RatFun(Poly([-1, p]), Poly([0, 1]))
+    def checked_compose(q, tau):
+        got = compose(q, tau)
         assert got == nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
         seen["tau"] += 1
         return got
     monkeypatch.setattr(cl, "_chain_step", checked_step)
-    monkeypatch.setattr(cl, "_compose_tau", checked_compose)
+    monkeypatch.setattr(cl, "_compose", checked_compose)
     pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
              for qj, rj in _criterion5_pairs(51)]
     rng = random.Random(4711)
@@ -768,7 +778,7 @@ def test_chain_steps_match_extraction(monkeypatch):
     (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([3], [])),   # growth z^2
 ])
 def test_chain_step_cases(q, s):
-    from nevkit.classify import _chain_step
+    from nevkit.nevfun import _chain_step
     want = _outcome(nevfun_from_ratfun, s * q.to_ratfun())
     got = _outcome(_chain_step, s, q)
     assert got == want if isinstance(want, NevFun) else got[0] is want[0]
@@ -781,9 +791,9 @@ def test_chain_step_cases(q, s):
     (NevFun.of(5, 0), Fraction(1)),                           # a constant
 ])
 def test_closed_form_composition_cases(q, p):
-    from nevkit.classify import _compose_tau
+    from nevkit.nevfun import _compose
     tau = RatFun(Poly([-1, p]), Poly([0, 1]))
-    got = _compose_tau(q, p)
+    got = _compose(q, tau)
     assert got == nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
     assert got.beta == q.sigma.weight_at(p)
     assert got.sigma.weight_at(0) == q.beta
@@ -792,27 +802,82 @@ def test_closed_form_composition_cases(q, p):
 @settings(max_examples=80, deadline=None)
 @given(nevfuns(4), rationals(8, 3), st.booleans())
 def test_closed_form_composition_matches_extraction(q, p, at_atom):
-    from nevkit.classify import _compose_tau
+    from nevkit.nevfun import _compose
     if at_atom and len(q.sigma):
         p = q.sigma.positions[-1]
     tau = RatFun(Poly([-1, p]), Poly([0, 1]))
-    assert _compose_tau(q, p) == \
+    assert _compose(q, tau) == \
         nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
 
 
-def test_chain_extracts_nothing_and_closure_hits_the_pair_certificate():
-    """With the memos cleared, chain_factorize makes no call to
-    nevfun_from_ratfun, and kac_closure and transform_model each hit the
-    certificate of r q that check_N00 extracted."""
+def _herglotz_tau(c, v, s, affine: bool) -> RatFun:
+    """c + v z, or c + v/(s - z)."""
+    if affine:
+        return RatFun(Poly([c, v]), Poly.const(1))
+    return RatFun.const(c) + RatFun(Poly.const(v), Poly([s, -1]))
+
+
+@pytest.mark.parametrize("q, c, v, s, affine", [
+    (NevFun.of(1, 2, [(-1, 1), (3, 2)]), Fraction(3), Fraction(1, 2), 0,
+     True),                                                   # c at an atom
+    (NevFun.of(0, 0, [(2, 3)]), Fraction(-1), Fraction(3), 0, True),
+    (NevFun.of(1, 2, [(-1, 1), (3, 2)]), Fraction(3), Fraction(2),
+     Fraction(1, 2), False),                        # beta, c at an atom
+    (NevFun.of(0, 0, [(Fraction(1, 2), 5)]), Fraction(1, 2), Fraction(1, 3),
+     Fraction(-4), False),                          # only atom at c
+    (NevFun.of(-2, Fraction(1, 3)), Fraction(1), Fraction(5), Fraction(2),
+     False),                                        # no atoms
+    (NevFun.of(5, 0), Fraction(1), Fraction(1), Fraction(7), False),
+])
+def test_general_composition_cases(q, c, v, s, affine):
+    from nevkit.nevfun import _compose
+    tau = _herglotz_tau(c, v, s, affine)
+    got = _compose(q, tau)
+    assert got == nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
+    if affine:
+        assert got.beta == q.beta * v
+        assert got.sigma.positions == [(t - c) / v for t in q.sigma.positions]
+    else:
+        assert got.beta == q.sigma.weight_at(c) / v
+        assert got.sigma.weight_at(s) == q.beta * v
+
+
+@settings(max_examples=100, deadline=None)
+@given(nevfuns(4), rationals(8, 3), rationals(8, 3),
+       st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
+       st.booleans(), st.booleans())
+def test_general_composition_matches_extraction(q, c, s, v, affine, at_atom):
+    from nevkit.nevfun import _compose
+    if at_atom and len(q.sigma):
+        c = q.sigma.positions[0]
+    tau = _herglotz_tau(c, v, s, affine)
+    assert _compose(q, tau) == \
+        nevfun_from_ratfun(q.to_ratfun().compose_mobius(tau))
+
+
+def test_chain_extracts_nothing_and_closure_hits_the_pair_certificate(
+        monkeypatch):
+    """With the memo cleared, check_N00 extracts r q once, as its canonical
+    pair, and carries it in its report; after it chain_factorize,
+    kac_closure and transform_model call nevfun_from_ratfun no more."""
+    calls = _count_extractions(monkeypatch)
     for qj, rj in _criterion5_pairs(51):
         _clear_certificates()
         q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
-        assert check_N00(q, r).ok
-        before = nevfun_from_ratfun.cache_info()
+        rep = check_N00(q, r)
+        assert rep.ok and len(calls) == 1
+        assert rep.product == nevfun_from_ratfun(r * q.to_ratfun())
         chain_factorize(q, r)
-        after = nevfun_from_ratfun.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
         kac_closure(q, r)
         transform_model(minimal_model(q, enumerate_zeros_poles(r)[1][0]), r, q)
-        final = nevfun_from_ratfun.cache_info()
-        assert (final.hits, final.misses) == (after.hits + 2, after.misses)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_kac_closure_refuses_irrational_poles_of_the_product():
+    q = NevFun.of(0, 1)
+    r = RatFun(Poly.const(-2), Poly([-2, 0, 1]))    # r q = -2z/(z^2 - 2)
+    rep = check_N00(q, r)
+    assert rep.ok and rep.kappa_tilde is None and rep.product is None
+    with pytest.raises(NotRationalAtoms, match="^pole is not rational$"):
+        kac_closure(q, r)

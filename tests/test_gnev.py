@@ -136,10 +136,14 @@ def test_compose_kappa_preserved_random():
 
 
 def test_compose_rejects_non_herglotz():
+    herglotz = "^composition parameter fails the Herglotz check$"
     bad = RatFun(Poly([2, 1]), Poly([1, 1]))   # det = 1-2 < 0
-    with pytest.raises(NotNevanlinnaTau):
+    with pytest.raises(NotNevanlinnaTau, match=herglotz):
         compose_gen(CUBE, bad)
-    with pytest.raises(NotNevanlinnaTau):
+    with pytest.raises(NotNevanlinnaTau, match=herglotz):
+        compose_gen(CUBE, RatFun(Poly([3, -2]), Poly.const(1)))   # 3 - 2z
+    with pytest.raises(NotNevanlinnaTau,
+                       match="^composition parameter must have degree one$"):
         compose_gen(CUBE, RatFun.from_points([1, 2], [0]))
 
 

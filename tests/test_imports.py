@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nevkit"
 
@@ -92,3 +93,50 @@ def test_only_poly_takes_sturm_sequences():
              for name, line in _sturm_uses(path.read_text())}
     assert {key: line for key, line in found.items()
             if key not in STURM_ALLOWED} == {}
+
+
+# A Nevanlinna function derived from another one is formed in closed form
+# and passed on; extraction is for input that arrives as a RatFun: the
+# canonical pair of a rational function, the factor verb's Nevanlinna part,
+# and selftest's reference checks.
+EXTRACTION_ALLOWED = {("gnev.py", "canonical_pair"), ("cli.py", "cmd_factor"),
+                      ("selftest.py", "run_selftest")}
+
+
+def _extraction_calls(source: str) -> list[tuple[Optional[str], int]]:
+    """Calls of nevfun_from_ratfun, by name or attribute, as (outermost
+    enclosing function or None, line)."""
+    found = []
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            scope = outer
+            if outer is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = child.name
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name == "nevfun_from_ratfun":
+                    found.append((scope, child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detector_finds_extraction_calls():
+    src = ("from . import nevfun\nx = nevfun.nevfun_from_ratfun(1)\n"
+           "class A:\n    def m(self):\n"
+           "        return [nevfun_from_ratfun(f) for f in ()]\n"
+           "def g():\n    def h():\n        return nevfun_from_ratfun\n"
+           "    return h\n")
+    assert _extraction_calls(src) == [(None, 2), ("m", 5)]
+
+
+def test_extraction_is_called_only_on_rational_input():
+    found = {(path.name, scope): line
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in _extraction_calls(path.read_text())}
+    assert {key: line for key, line in found.items()
+            if key not in EXTRACTION_ALLOWED} == {}

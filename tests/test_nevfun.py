@@ -110,6 +110,65 @@ def test_gap_identity_complement():
     assert lhs == rhs
 
 
+def _extracted_representatives(q: NevFun, c, d, shape: str):
+    """(q_tilde, transformed measure, q_tilde_secondary) as extractions of
+    RatFun expressions, with the measures by their formulas."""
+    f = q.to_ratfun()
+    if shape == "left_ray":
+        bare = f - RatFun(Poly([q.c0, q.beta]), Poly.const(1))
+        eta2 = q.limit_at(c, "value", side="-")
+        second = None
+        if eta2.is_finite:
+            second = nevfun_from_ratfun((f - eta2.value)
+                                        / RatFun(Poly([-c, 1]), Poly.const(1)))
+        return (nevfun_from_ratfun(bare * RatFun(Poly([-c, 1]),
+                                                 Poly.const(1))),
+                None, second)
+    eta = q.limit_at(d, "value", side="-" if shape == "bounded_gap" else "+")
+    if not eta.is_finite:
+        return None, None, None
+    if shape == "bounded_gap":
+        s = RatFun.from_points([c], [d])
+        measure = [(t, w * (t - c) / (t - d)) for t, w in q.sigma
+                   if not (c < t <= d)]
+    else:
+        s = RatFun(Poly([-c, 1]), Poly([d, -1]))
+        measure = [(t, w * (t - c) / (d - t)) for t, w in q.sigma
+                   if c <= t < d]
+    return (nevfun_from_ratfun((f - eta.value) * s),
+            AtomicMeasure.of(measure), None)
+
+
+FRACTIONS_01 = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                Fraction(1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(nevfuns(4), st.sampled_from(["bounded_gap", "complement_gap",
+                                    "left_ray"]),
+       st.integers(0, 4), st.sampled_from(FRACTIONS_01),
+       st.sampled_from(FRACTIONS_01))
+def test_gap_representatives_match_extraction(q, shape, i, x, y):
+    pos = q.sigma.positions
+    lo, hi = (min(pos), max(pos)) if pos else (Fraction(-1), Fraction(1))
+    if shape == "bounded_gap":         # inside the closure of one gap
+        ends = [lo - 3] + pos + [hi + 3]
+        i = min(i, len(ends) - 2)
+        a, b = ends[i], ends[i + 1]
+        x, y = sorted((x, y))
+        assume(x < y)
+        c, d = a + (b - a) * x, a + (b - a) * y
+    else:                              # around all atoms, or below them
+        c, d = lo - x, hi + y
+        if shape == "complement_gap":
+            assume(c < d)
+            q = NevFun(q.alpha, Fraction(0), q.sigma)
+    rep = q.gap_characterize(c, d, shape)
+    want = _extracted_representatives(q, c, d, shape)
+    assert (rep.q_tilde, rep.transformed_measure,
+            rep.q_tilde_secondary) == want
+
+
 def test_corollary_products_examples():
     res = MINUS_INV.corollary_products(0)
     assert res.results == (True, False)
@@ -249,7 +308,6 @@ def test_herglotz_check_takes_no_sturm_sequence(monkeypatch):
         monkeypatch.setattr(poly, name, counted(name, getattr(poly, name)))
     monkeypatch.setattr(RealAlg, "sign_of",
                         counted("sign_of", RealAlg.sign_of))
-    nevfun_from_ratfun.cache_clear()    # a memoised certificate takes none
     assert nevfun_from_ratfun(worked) == WORKED
     assert is_nevanlinna(IRRATIONAL_ATOMS)
     with pytest.raises(NotRationalAtoms):
@@ -344,18 +402,7 @@ def _count_herglotz_parts(monkeypatch) -> list:
     parts = nevkit.nevfun._herglotz_parts
     monkeypatch.setattr(nevkit.nevfun, "_herglotz_parts",
                         lambda f: calls.append(f) or parts(f))
-    nevfun_from_ratfun.cache_clear()
     return calls
-
-
-def test_certificate_is_memoised_on_value(monkeypatch):
-    calls = _count_herglotz_parts(monkeypatch)
-    f1 = RatFun(Poly([1, -1]), Poly([-2, 1]))
-    f2 = RatFun(Poly([2, -2]), Poly([-4, 2]))
-    assert f1 is not f2 and f1 == f2
-    q = nevfun_from_ratfun(f1)
-    assert q == WORKED and nevfun_from_ratfun(f2) is q
-    assert len(calls) == 1
 
 
 def test_rejections_are_not_memoised(monkeypatch):
@@ -369,7 +416,6 @@ def test_rejections_are_not_memoised(monkeypatch):
             with pytest.raises(error):
                 nevfun_from_ratfun(f)
     assert len(calls) == 4
-    assert nevfun_from_ratfun.cache_info().currsize == 0
 
 
 def test_float_evaluation_matches_exact_values():
@@ -396,9 +442,16 @@ def test_float_evaluation_matches_exact_values():
     lambda: WORKED.gap_characterize(1, 0),
     lambda: WORKED.gap_characterize(1, 0, "complement_gap"),
     lambda: WORKED.gap_characterize(0, shape="bogus"),
+    lambda: WORKED.gap_characterize(0),
+    lambda: WORKED.gap_characterize(0, shape="complement_gap"),
+    lambda: WORKED.corollary_products(3, 1),
+    lambda: WORKED.corollary_products(1, 1),
+    lambda: WORKED.corollary_products(1, None),
 ], ids=["negative_power", "rational_between", "rational_between_alg",
         "compose_fractional", "scale", "limit_mode", "limit_mode_inf",
-        "bounded_gap", "complement_gap", "gap_shape"])
+        "bounded_gap", "complement_gap", "gap_shape", "bounded_gap_no_d",
+        "complement_gap_no_d", "corollary_reversed", "corollary_empty",
+        "corollary_no_d"])
 def test_domain_errors_are_invalid_input(call):
     with pytest.raises(InvalidInput):
         call()
