@@ -694,29 +694,7 @@ def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
     raise NotInClass("no certified degenerate chain layout found")
 
 
-# -- candidate points and local class closure ------------------------------------------
-
-
-def candidate_points(g: GenNevFun, r: RatFun) -> list:
-    """Superset of every possible nonpositive-type point of the product:
-    the multiplier's zeros and poles, the function's own nonpositive-type
-    points, and the spectral zeros and poles sitting where the multiplier is
-    strictly negative."""
-    pts: list = []
-
-    def add(p):
-        if all(point_cmp(existing, p) != 0 for existing in pts):
-            pts.append(p)
-
-    for rec in r.zeros() + r.poles():
-        add(rec.point)
-    for mr in g.gznt_gpnt():
-        add(mr.point)
-    for p in _negative_at(r, _zero_points(g.q0) + g.q0.support()):
-        add(p)
-    # the point at infinity is always carried as a conservative candidate
-    add(INF)
-    return pts
+# -- local class closure --------------------------------------------------------------
 
 
 def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:

@@ -55,14 +55,13 @@ def random_symmetric_ratfun(rng: random.Random, max_degree: int = 8) -> RatFun:
             return r
 
 
-def random_nevfun(rng: random.Random, max_atoms: int = 6,
-                  allow_beta: bool = True) -> NevFun:
+def random_nevfun(rng: random.Random, max_atoms: int = 6) -> NevFun:
     k = rng.randint(0, max_atoms)
     pts = _distinct_points(rng, k)
     atoms = [(t, Fraction(rng.randint(1, 12), rng.randint(1, 4)))
              for t in pts]
     beta = Fraction(0)
-    if allow_beta and rng.random() < 0.3:
+    if rng.random() < 0.3:
         beta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
     alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     if k == 0 and beta == 0 and alpha == 0:
@@ -112,8 +111,7 @@ def _candidate_factors(rng: random.Random, q: NevFun) -> list[RatFun]:
 
 
 def random_plain_pair(rng: random.Random, max_factors: int = 4,
-                      simple_only: bool = False,
-                      require_finite_pole: bool = False):
+                      simple_only: bool = False):
     """A pair (q, r) with both q and r*q Nevanlinna, built by closed-form
     chain steps, one degree-one factor at a time."""
     for _attempt in range(200):
@@ -136,8 +134,6 @@ def random_plain_pair(rng: random.Random, max_factors: int = 4,
         if simple_only and (any(rec.mult != 1 for rec in
                                 r.real_zeros + r.real_poles)
                             or abs(r.ord_at_inf()) > 1):
-            continue
-        if require_finite_pole and not r.real_poles:
             continue
         return q, r
     raise RuntimeError("plain-pair generation failed")

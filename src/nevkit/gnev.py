@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotNevanlinnaTau)
 from .nevfun import NevFun, _compose, nevfun_from_ratfun
-from .poly import Poly, RealAlg, count_real_roots, irreducible_factors
+from .poly import (Poly, RealAlg, _factor_squarefree, _poly, _primitive,
+                   count_real_roots)
 from .qmath import INF, fmt_rat
 from .ratfun import RatFun
 
@@ -123,12 +124,6 @@ class GenNevFun:
         return self.phi * self.q0.to_ratfun()
 
     # -- multiplicities -----------------------------------------------------------
-    def gznt_gpnt(self) -> list[MultiplicityRecord]:
-        if self.phi.is_constant and self.q0.is_constant and \
-                self.q0.alpha == 0:
-            raise InvalidInput("records of the zero function are undefined")
-        return nonpositive_type_records(self.to_ratfun())
-
     def balance_check(self) -> bool:
         """Total zero-type mass equals total pole-type mass, with infinity
         and the conjugate-pair content (full multiplicity each) included."""
@@ -161,6 +156,11 @@ def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     return pi_total, kappa_total
 
 
+def _is_pure(h: Poly) -> bool:
+    """Whether h has only real roots or none."""
+    return count_real_roots(h) in (0, h.degree)
+
+
 def _canonical_factor(f: RatFun):
     """The nonnegative factor of the canonical factorization of f, built
     from the finite nonpositive-type records of f, and those records.
@@ -168,9 +168,10 @@ def _canonical_factor(f: RatFun):
     A rational point of type multiplicity k gives (z-p)^(2k).  Conjugate
     pairs and even-order irrational roots enter whole, as their defining
     polynomial to its multiplicity.  Only a pair block of odd multiplicity
-    that also holds irrational real roots is factored over the rationals:
-    its factors without real roots enter, those with only real roots stay
-    out.  Exact arithmetic cannot split an odd-order irrational point that
+    that also holds irrational real roots is factored over the rationals,
+    and only until the rest is pure, with only real roots or none: its
+    pieces without real roots enter, those with only real roots stay out.
+    Exact arithmetic cannot split an odd-order irrational point that
     carries type multiplicity, nor conjugate pairs that share an irreducible
     factor with irrational real roots; both are refused.
     """
@@ -192,7 +193,8 @@ def _canonical_factor(f: RatFun):
             if not (blk.real_roots and blk.mult % 2):
                 parts[kind][blk.factor] = blk.mult
                 continue
-            for h in irreducible_factors(blk.factor):
+            pieces = _factor_squarefree(_primitive(blk.factor.n), _is_pure)
+            for h in (_poly(a, a[-1]) for a in pieces):
                 n = count_real_roots(h)
                 if 0 < n < h.degree:
                     raise ExactSplitUnavailable(
@@ -216,7 +218,8 @@ def canonical_rational(s: RatFun):
     if s.is_constant:
         raise ConstantInput("constant functions admit no factorization")
     psi, records = _canonical_factor(s)
-    return psi, s / psi, records
+    # a constant factor is 1: s itself keeps its root structures
+    return psi, s if psi.is_constant else s / psi, records
 
 
 def canonical_pair(f: RatFun) -> GenNevFun:
@@ -225,7 +228,8 @@ def canonical_pair(f: RatFun) -> GenNevFun:
     if f.is_zero:
         raise InvalidInput("zero function has no canonical pair")
     phi, _records = _canonical_factor(f)
-    return GenNevFun(phi, nevfun_from_ratfun(f / phi))
+    return GenNevFun(phi, nevfun_from_ratfun(f if phi.is_constant
+                                             else f / phi))
 
 
 def compose_gen(g: GenNevFun, tau: RatFun) -> GenNevFun:

@@ -456,7 +456,7 @@ def _hensel(f, gs, p, big):
     return _hensel(g, gs[:k], p, big) + _hensel(h, gs[k:], p, big)
 
 
-def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
+def _factor_squarefree(f: IntPoly, done=None) -> list[IntPoly]:
     """The primitive irreducible factors over Z of a squarefree primitive
     integer polynomial f of positive degree.
 
@@ -464,7 +464,10 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     of f mod p, each decided by trial division, the one with the fewest
     factors mod p is taken.  Those factors are split with a fixed seed,
     Hensel-lifted mod p^(2^j) beyond twice the Mignotte bound on lead(f)
-    times a factor of f, and recombined in subsets by exact division."""
+    times a factor of f, and recombined in subsets by exact division.
+
+    ``done``, a test on a monic Poly, ends the recombination as soon as
+    the remaining cofactor passes it; that cofactor comes last, unsplit."""
     best, tried = (len(f), 0, []), 0
     for p in _odd_primes():
         if tried == 5 or best[0] == 1:
@@ -488,7 +491,7 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
         big *= big
     us = _hensel(_pmul(f, [pow(f[-1], -1, big)], big), gs, p, big)
     out, size = [], 1
-    while 2 * size <= len(us):
+    while 2 * size <= len(us) and not (done and done(_poly(f, f[-1]))):
         for sub in combinations(range(len(us)), size):
             g = reduce(lambda a, b: _pmul(a, b, big), [us[i] for i in sub],
                        [f[-1]])

@@ -5,12 +5,12 @@ bookkeeping for its zeros and poles on the extended real line: rational
 points are exact, irrational real points are certified isolating intervals,
 and conjugate-pair blocks are tracked by count only (they never take part in
 sign decisions).  The finite real zeros and poles form one ordered table,
-:meth:`RatFun.critical_points`, which every local query (orders, eta counts,
-signs) reads.  Signs follow one parity rule on that table: just above its
-first i entries the function has the sign of gamma times (-1) to the number
-of odd-order entries from the i-th on.  Only a sign at a rational point is
-found by evaluation.  The point at infinity is first class: the zero or pole
-multiplicity there is the degree imbalance.
+:meth:`RatFun.critical_points`, which every local query (orders, Laurent
+signs, sign segments) reads.  Signs follow one parity rule on that table:
+just above its first i entries the function has the sign of gamma times (-1)
+to the number of odd-order entries from the i-th on.  Only a sign at a
+rational point is found by evaluation.  The point at infinity is first
+class: the zero or pole multiplicity there is the degree imbalance.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class SignSegment:
 @dataclass(frozen=True)
 class SignReport:
     segments: tuple[SignSegment, ...]
-
-    def is_nonnegative(self) -> bool:
-        return all(s.sign > 0 for s in self.segments)
 
     def negative_segments(self) -> list[SignSegment]:
         return [s for s in self.segments if s.sign < 0]
@@ -233,17 +230,17 @@ class RatFun:
         """Positive for a zero at infinity, negative for a pole."""
         return self.den.degree - self.num.degree
 
-    def zeros(self, include_inf: bool = True) -> list[RootRecord]:
+    def zeros(self) -> list[RootRecord]:
         out = self.real_zeros
         m = self.ord_at_inf()
-        if include_inf and m > 0:
+        if m > 0:
             out.append(RootRecord(INF, m))
         return out
 
-    def poles(self, include_inf: bool = True) -> list[RootRecord]:
+    def poles(self) -> list[RootRecord]:
         out = self.real_poles
         m = self.ord_at_inf()
-        if include_inf and m < 0:
+        if m < 0:
             out.append(RootRecord(INF, -m))
         return out
 
@@ -352,12 +349,6 @@ class RatFun:
             segments.append(SignSegment(a, p, sgn, tuple(touches)))
             a, touches, sgn = p, [], -sgn
         return SignReport(tuple(segments))
-
-    def eta_count(self, c) -> int:
-        """Number of odd-order finite real zeros and poles strictly greater
-        than the real point c, rational or irrational."""
-        i, hit = self._locate(c)
-        return sum(m % 2 for _p, m, _kind in self.critical_points()[i + hit:])
 
     # -- composition ---------------------------------------------------------------------
     def compose_mobius(self, tau: "RatFun") -> "RatFun":

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,15 @@ from nevkit.nevfun import NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import QC
 from nevkit.ratfun import RatFun
+
+
+def child_env() -> dict:
+    """The environment with this checkout's nevkit first on PYTHONPATH,
+    for tests that run nevkit in a fresh process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -8,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nevfuns, rationals
-from nevkit.classify import (chain_factorize, candidate_points,
-                             check_N00, interlacing_factorize, kac_closure,
-                             membership, negative_closed_pieces,
-                             pieces_disjoint, product_factorization,
-                             productinNg_forms, _certify_chain,
-                             _degree_one_step, _negative_at, _zero_points)
+from conftest import child_env, nevfuns, rationals
+from nevkit.classify import (chain_factorize, check_N00,
+                             interlacing_factorize, kac_closure, membership,
+                             negative_closed_pieces, pieces_disjoint,
+                             product_factorization, productinNg_forms,
+                             _certify_chain, _degree_one_step, _negative_at,
+                             _zero_points)
 from nevkit.corpus import (random_gennev, random_interlacing_simple,
                            random_member_pair, random_plain_pair,
                            random_symmetric_ratfun, structured_plain_pair)
@@ -26,7 +25,7 @@ from nevkit.gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                          canonical_pair, canonical_rational)
 from nevkit.nevfun import NevFun, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
-from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
+from nevkit.poly import Poly, RealAlg, real_root_structure
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun, strictly_between
 from nevkit.realize import (enumerate_zeros_poles, minimal_model,
@@ -193,34 +192,6 @@ def test_chain_structured_pairs():
         q, r = structured_plain_pair(rng)
         chain = chain_factorize(q, r)
         assert len(chain.factors) >= 3     # interior pair emitted twice
-
-
-def test_candidate_points_examples():
-    pts = candidate_points(GenNevFun.from_nevfun(SHIFT_INV), Z)
-    names = {p if p is INF else Fraction(p) for p in pts}
-    assert names == {Fraction(0), INF, Fraction(-1)}
-
-    pts2 = candidate_points(GenNevFun.from_nevfun(MINUS_INV), Z)
-    assert {p if p is INF else Fraction(p) for p in pts2} == \
-        {Fraction(0), INF}
-
-    pts3 = candidate_points(GenNevFun.from_nevfun(WORKED_Q), WORKED_R)
-    assert {p if p is INF else Fraction(p) for p in pts3} == \
-        {Fraction(0), Fraction(2), Fraction(1), Fraction(3), INF}
-
-
-def test_candidate_points_superset():
-    rng = random.Random(41)
-    for _ in range(20):
-        g, r = random_member_pair(rng)
-        cands = candidate_points(g, r)
-        actual = product_factorization(g, r).gznt_gpnt()
-        for rec in actual:
-            assert any(
-                (rec.point is INF and c is INF)
-                or (rec.point is not INF and c is not INF
-                    and point_cmp(rec.point, c) == 0)
-                for c in cands)
 
 
 def test_kac_closure_examples():
@@ -548,9 +519,7 @@ for q in (NevFun.of(0, 1, [(0, 2)]), NevFun.of(0, 0, [(3, 1)]),
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_closed_form_step_rejects_a_wrong_psi(flags):
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     out = subprocess.run([sys.executable, *flags, "-c", STEP_WITH_WRONG_PSI],
                          capture_output=True, text=True, env=env)
     assert out.stdout.split() == ["InvariantViolation"] * 3, out.stderr

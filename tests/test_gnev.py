@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import nevkit.gnev
+import nevkit.poly
 from nevkit.corpus import random_symmetric_ratfun
 from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
                            NotNevanlinnaTau, NotRationalAtoms)
@@ -27,13 +31,15 @@ def test_evaluate_examples():
 
 
 def test_records_examples():
-    recs = CUBE.gznt_gpnt()
+    recs = nonpositive_type_records(CUBE.to_ratfun())
     assert {(r.point, r.kind, r.mult) for r in recs} == \
         {(Fraction(0), "GZNT", 1), (INF, "GPNT", 1)}
-    assert GenNevFun.from_nevfun(Z).gznt_gpnt() == []
+    assert nonpositive_type_records(
+        GenNevFun.from_nevfun(Z).to_ratfun()) == []
     q0 = nevfun_from_ratfun(RatFun(Poly([-1, -1]), Poly([0, 1])))
     g = GenNevFun(RatFun(Poly([0, 0, 1]), Poly([1, 2, 1])), q0)
-    assert {(r.point, r.kind, r.mult) for r in g.gznt_gpnt()} == \
+    assert {(r.point, r.kind, r.mult) for r in
+            nonpositive_type_records(g.to_ratfun())} == \
         {(Fraction(0), "GZNT", 1), (Fraction(-1), "GPNT", 1)}
 
 
@@ -55,8 +61,9 @@ def test_canonical_rational_examples():
     assert {(r.point, r.kind, r.mult) for r in recs} == \
         {(Fraction(1), "GZNT", 1), (Fraction(2), "GPNT", 1)}
 
-    psi2, s02, recs2 = canonical_rational(RatFun.from_points([2], [1]))
-    assert psi2.is_constant and s02 == RatFun.from_points([2], [1])
+    s2 = RatFun.from_points([2], [1])
+    psi2, s02, recs2 = canonical_rational(s2)
+    assert psi2.is_constant and s02 is s2      # no division by 1
     assert recs2 == []
 
     r3 = RatFun.from_points([2, 2, 0], [1, 1, 3])
@@ -120,7 +127,8 @@ def test_compose_examples():
     shift = RatFun(Poly([1, 1]), Poly.const(1))
     g2 = compose_gen(CUBE, shift)
     assert g2.to_ratfun() == RatFun(Poly([1, 3, 3, 1]), Poly.const(1))
-    assert {(r.point, r.kind) for r in g2.gznt_gpnt()} == \
+    assert {(r.point, r.kind) for r in
+            nonpositive_type_records(g2.to_ratfun())} == \
         {(Fraction(-1), "GZNT"), (INF, "GPNT")}
     assert g2.kappa == CUBE.kappa
 
@@ -186,6 +194,52 @@ def test_canonical_split_refusals():
         canonical_rational(odd)
     with pytest.raises(ExactSplitUnavailable):
         canonical_pair(odd)
+
+
+def _swinnerton_dyer(n: int) -> RatFun:
+    """SD_n (z^2 + 1) over one simple pole between each pair of neighbouring
+    roots of SD_n, the Swinnerton-Dyer polynomial of the first n primes.
+    SD_n is irreducible with only real roots, and it splits into linear and
+    quadratic factors mod every prime, so its modular factors recombine
+    into irreducible ones only after many trials."""
+    primes = [2, 3, 5, 7, 11][:n]
+    sd = z = P(0, 1)
+    for p in primes:
+        # sd(z + sqrt(p)) = u + sqrt(p) v, and sd <- u^2 - p v^2
+        u = v = Poly([])
+        for c in reversed(sd.c):
+            u, v = u * z + v * p + Poly.const(c), u + v * z
+        sd = u * u - v * v * p
+    roots = sorted(sum(s * math.sqrt(p) for s, p in zip(signs, primes))
+                   for signs in itertools.product((1, -1), repeat=n))
+    poles = [Fraction((a + b) / 2).limit_denominator(10**6)
+             for a, b in zip(roots, roots[1:])]
+    return RatFun(sd * P(1, 0, 1), Poly.from_roots(poles))
+
+
+@pytest.mark.parametrize("n, trials", [(4, 2), (5, 17)])
+def test_canonical_split_stops_once_the_rest_is_pure(monkeypatch, n,
+                                                     trials):
+    # the pair block is SD_n (z^2 + 1): once z^2 + 1 is split off, the
+    # cofactor SD_n has only real roots and is not factored further
+    f = _swinnerton_dyer(n)
+    subsets = []
+    combinations = nevkit.poly.combinations
+
+    def counted(*args):
+        for sub in combinations(*args):
+            subsets.append(sub)
+            yield sub
+    monkeypatch.setattr(nevkit.poly, "combinations", counted)
+    psi, s0, _recs = canonical_rational(f)
+    assert len(subsets) == trials
+    assert psi.num.divmod(P(1, 0, 1))[1].is_zero and psi * s0 == f
+    if n == 4:
+        # factoring into irreducibles gives the same split, in 164 trials
+        monkeypatch.setattr(nevkit.gnev, "_factor_squarefree",
+                            lambda a, _done: nevkit.poly._factor_squarefree(a))
+        assert canonical_rational(f)[:2] == (psi, s0)
+        assert len(subsets) == trials + 164
 
 
 def _irrational_corpus(rng, n):

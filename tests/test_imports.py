@@ -1,8 +1,20 @@
-"""Every name a module of the package imports is used in that module."""
+"""Four rules on the package source, each read off its AST and each with a
+detector test on inline source:
+
+- every name a module imports is used in that module;
+- only poly.py takes Sturm sequences, with the exceptions listed;
+- Nevanlinna extraction is called only on input that arrives as a RatFun;
+- every function, method and class has a caller in the package, or is on
+  an allowlist that says why it is kept.
+"""
 
 import ast
+from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
+
+import nevkit
+from test_perfbench_layers import _layers
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nevkit"
 
@@ -52,8 +64,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # Sturm sequences belong to poly.py: every other module reads real roots
 # from a root structure and signs from a critical table.  gnev counts the
-# real roots of irreducible factors, which have no RatFun, and selftest
-# checks the isolation against the Sturm count.
+# real roots of the pieces of a factored pair block, which have no RatFun,
+# and selftest checks the isolation against the Sturm count.
 STURM_NAMES = {"count_real_roots", "sturm_chain", "isolate_real_roots"}
 STURM_ALLOWED = {("gnev.py", "count_real_roots"),
                  ("selftest.py", "count_real_roots"),
@@ -140,3 +152,102 @@ def test_extraction_is_called_only_on_rational_input():
              for scope, line in _extraction_calls(path.read_text())}
     assert {key: line for key, line in found.items()
             if key not in EXTRACTION_ALLOWED} == {}
+
+
+# A definition whose name the package never uses is dead, and goes.  Dunder
+# methods are called by Python and the names in nevkit.__all__ by users; the
+# rest that only tests or the benchmark reach stays only with its reason.
+# An entry fails once it is no longer defined or gains a caller.
+PAPER = "states a result of the paper"
+BENCH_LAYER = "wrapped by name in the benchmark's layer view"
+DEAD_ALLOWED = {
+    ("classify.py", "productinNg_forms"): PAPER,
+    ("nevfun.py", "NevFun.gap_characterize"): PAPER,
+    ("nevfun.py", "NevFun.corollary_products"): PAPER,
+    ("nevfun.py", "NevFun.spectral_gaps"): PAPER,
+    ("oracle.py", "gap_detect"): PAPER,
+    ("gnev.py", "GenNevFun.balance_check"): PAPER,
+    ("classify.py", "KacClosureReport.all_hold"):
+        "the accessor of the Kac closure report",
+    ("corpus.py", "structured_plain_pair"):
+        "generates pairs with interior double points",
+    ("serialize.py", "model_from_json"): "the inverse of model_to_json",
+    ("poly.py", "irreducible_factors"):
+        "the reference that test_irreducible_factors_match_sympy checks",
+    ("poly.py", "RealAlg.sign_of"): BENCH_LAYER,
+    ("oracle.py", "build_kernel_sample"): BENCH_LAYER,
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _dead_definitions(sources: dict[str, str], public: set[str],
+                      allowed: Iterable[tuple[str, str]]
+                      ) -> tuple[list, list]:
+    """The functions, methods and classes, as (file, qualified name), whose
+    name appears in no source outside their own body as a name or an
+    attribute (strings do not count), dunders and the top-level names in
+    public aside: those not in allowed, and the entries of allowed that are
+    not among them."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    dead = []
+
+    def visit(node, fname, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                visit(child, fname, prefix)
+                continue
+            name, qual = child.name, prefix + child.name
+            if not (name.startswith("__") and name.endswith("__")
+                    or qual in public
+                    or used[name] > _names(child)[name]):
+                dead.append((fname, qual))
+            visit(child, fname, qual + ".")
+    for fname, tree in trees.items():
+        visit(tree, fname, "")
+    allowed = list(allowed)
+    return ([d for d in dead if d not in allowed],
+            [a for a in allowed if a not in dead])
+
+
+def test_detector_finds_dead_definitions():
+    sources = {
+        "a.py": ("def api():\n    return _helper() + C().used()\n"
+                 "def _helper():\n    return 1\n"
+                 "def _uncalled():\n    return _helper()\n"
+                 "def _recursive(n):\n"
+                 "    return _recursive(n - 1) if n else 0\n"
+                 "def _kept():\n    pass\n"
+                 "def _gains_a_caller():\n    pass\n"),
+        "b.py": ("from a import _gains_a_caller\n"
+                 "class C:\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    def used(self):\n        return _gains_a_caller()\n"
+                 "    def uncalled(self):\n"
+                 "        \"\"\"api, _kept\"\"\"\n        return self.used()\n"),
+    }
+    allowed = [("a.py", "_kept"), ("a.py", "_gains_a_caller"),
+               ("a.py", "_gone")]
+    assert _dead_definitions(sources, {"api"}, allowed) == (
+        [("a.py", "_uncalled"), ("a.py", "_recursive"),
+         ("b.py", "C.uncalled")],
+        [("a.py", "_gains_a_caller"), ("a.py", "_gone")])
+
+
+def test_no_dead_definitions():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_definitions(sources, set(nevkit.__all__),
+                             DEAD_ALLOWED) == ([], [])
+    # once the benchmark stops wrapping them, these go too
+    wrapped = {(f"{module}.py", attribute)
+               for entries in _layers().values()
+               for module, attribute in entries}
+    assert {key for key, why in DEAD_ALLOWED.items()
+            if why == BENCH_LAYER} <= wrapped

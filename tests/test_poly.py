@@ -303,13 +303,13 @@ def test_root_structure_shared_by_equal_numerators():
 
 def test_root_structure_mixed_factor(monkeypatch):
     calls = []
-    factor = nevkit.gnev.irreducible_factors
+    factor = nevkit.gnev._factor_squarefree
 
-    def counting(p):
-        calls.append(p)
-        return factor(p)
+    def counting(a, done):
+        calls.append(Poly(a))
+        return factor(a, done)
 
-    monkeypatch.setattr(nevkit.gnev, "irreducible_factors", counting)
+    monkeypatch.setattr(nevkit.gnev, "_factor_squarefree", counting)
     cube = P(-2, 0, 0, 1)          # one irrational real root, one pair
     f1 = RatFun(cube * P(-1, 1), Poly.const(1))
     assert [(b.factor, b.pairs, b.mult, b.real_roots)

@@ -93,7 +93,7 @@ def test_sign_on_interval_examples():
 
     sq = RatFun.from_points([1, 1], [])
     rep = sq.sign_on_interval()
-    assert rep.is_nonnegative()
+    assert not rep.negative_segments()
     assert rep.segments[0].touches == ((Fraction(1), "zero"),)
 
     r3 = RatFun.from_points([2, 2, 0], [1, 1, 3])
@@ -181,23 +181,6 @@ def test_sign_at_irrational_points_matches_sturm(r):
             assert r.sign_at(p) == p.sign_of(r.num) * den
 
 
-def test_eta_count_examples():
-    s = RatFun.from_points([1], [2])
-    assert s.eta_count(1) == 1
-    assert s.eta_count(2) == 0
-    r3 = RatFun.from_points([2, 2, 0], [1, 1, 3])
-    assert r3.eta_count(0) == 1
-
-
-def test_eta_count_monotone_drop():
-    r = RatFun.from_points([0, 2], [1, 5])
-    counts = [r.eta_count(c) for c in
-              [Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
-               Fraction(5), Fraction(6)]]
-    assert counts == [4, 3, 2, 1, 0, 0]
-    assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
 def test_compose_mobius_examples():
     # identity-style: z composed with 1/lambda
     r = RatFun.x()
@@ -249,12 +232,19 @@ def test_ord_and_laurent():
     assert r.laurent_lead_sign(Fraction(0)) == -1
 
 
+def _eta_count(r: RatFun, c) -> int:
+    """Number of odd-order finite real zeros and poles of r strictly
+    greater than the real point c: the reference for the parity rule."""
+    return sum(m % 2 for p, m, _k in r.critical_points()
+               if point_cmp(p, c) > 0)
+
+
 def test_irrational_roots_and_signs():
     # (z^2-2)/(z-5): zeros at +-sqrt(2), pole at 5
     r = RatFun(Poly([-2, 0, 1]), Poly([-5, 1]))
     zs = r.real_zeros
     assert len(zs) == 2 and all(rec.mult == 1 for rec in zs)
-    assert r.eta_count(0) == 2    # sqrt(2) and the pole 5
+    assert _eta_count(r, 0) == 2    # sqrt(2) and the pole 5
     segs = r.sign_on_interval().segments
     assert [seg.sign for seg in segs] == [-1, 1, -1, 1]
 
@@ -309,7 +299,7 @@ def test_critical_points_are_sorted_once(monkeypatch):
     assert r.critical_points() is crit
     assert calls == []
     # a local query is a binary search of the table, not a re-sort
-    assert r.eta_count(Fraction(1, 2)) == 3
+    assert r.laurent_lead_sign(Fraction(1, 2)) == -1
     assert 0 < len(calls) <= 3
 
 
@@ -335,7 +325,7 @@ def test_laurent_sign_is_eta_rule_at_irrational_points():
             sign = r.laurent_lead_sign(p)
             assert sign == _sign_just_right(r, p)
             assert sign == (1 if r.gamma > 0 else -1) * \
-                (-1) ** r.eta_count(p)
+                (-1) ** _eta_count(r, p)
             if not isinstance(p, RealAlg):
                 v = r.laurent_lead(p)
                 assert sign == (v > 0) - (v < 0)

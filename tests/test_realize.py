@@ -188,7 +188,7 @@ def test_transform_random_pairs():
     rng = random.Random(67)
     done = 0
     while done < 10:
-        q, r = random_plain_pair(rng, require_finite_pole=False)
+        q, r = random_plain_pair(rng)
         _zs, ps = enumerate_zeros_poles(r)
         if not ps:
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import child_env
 from nevkit import serialize as ser
 from nevkit.cli import main
 from nevkit.corpus import random_gennev, random_nevfun, random_symmetric_ratfun
@@ -193,7 +195,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
     p.write_text(json.dumps(WORKED_R))
     proc = subprocess.run(
         [sys.executable, "-m", "nevkit.cli", "factor", "--in", str(p)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kappa"] == 2
 
@@ -251,9 +253,7 @@ def test_cli_invert_overflow_prints_one_line(tmp_path):
     p = tmp_path / "f.json"
     p.write_text(json.dumps({"alpha": "0", "beta": "0",
                              "atoms": [{"t": "0", "w": "1"}]}))
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "nevkit.cli", "invert", "--in", str(p),
          "--interval=-1,1", "--eps-min", "1e-310"],
@@ -280,9 +280,7 @@ def test_cli_rejects_an_exponent_at_once(tmp_path):
     literal is refused before any arithmetic."""
     p = tmp_path / "r.json"
     p.write_text(json.dumps({"num": ["1e1000000000"], "den": ["1"]}))
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "nevkit.cli", "factor", "--in", str(p)],
         capture_output=True, text=True, env=env, timeout=60)
@@ -337,9 +335,7 @@ def test_selftest_reports_a_broken_check(monkeypatch):
 
 
 def test_selftest_checks_under_python_O():
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
 
     def run(*args):
         return subprocess.run([sys.executable, *args], capture_output=True,
@@ -403,9 +399,7 @@ def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
         p.write_text(json.dumps(payload))
         args += [f"--{flag}", str(p)]
     args += ["--out", str(tmp_path / "out.json")]
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                           capture_output=True, text=True, env=env)
     probe = json.loads(proc.stdout.splitlines()[-1])
@@ -444,9 +438,7 @@ def test_no_verb_imports_sympy(tmp_path):
         from cli_goldens import GOLDENS, compare
     finally:
         sys.path.remove(perfbench)
-    src = os.path.dirname(os.path.dirname(ser.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", GOLDENS_PROBE, str(GOLDENS), str(tmp_path)],
         capture_output=True, text=True, env=env)
@@ -489,6 +481,50 @@ def test_cli_factor_splits_odd_irrational_without_type(tmp_path, capsys):
     assert rep["psi"] == {"num": ["1", "-2", "1"], "den": ["1"]}
     assert rep["s0"] == {"num": ["-2", "0", "1"], "den": ["-1", "1"]}
     assert rep["records"] == [{"point": "1", "kind": "GZNT", "mult": 1}]
+
+
+
+def _chebyshev(n: int) -> Poly:
+    t0, t1 = Poly.const(1), Poly([0, 1])
+    for _ in range(n - 1):
+        t0, t1 = t1, Poly([0, 2]) * t1 - t0
+    return t1
+
+
+ODD_IRRATIONAL = "ExactSplitUnavailable: odd-order irrational point " \
+    "carries type multiplicity"
+
+
+# the classic hard inputs of factoring: each finishes, with its report or
+# with the documented refusal
+@pytest.mark.parametrize("num, den, want", [
+    # Mignotte z^n - 2 (a z - 1)^2 over z - 3
+    (Poly([0] * 20 + [1]) - Poly([-1, 100]) ** 2 * 2, Poly([-3, 1]),
+     ODD_IRRATIONAL),
+    (Poly([0] * 40 + [1]) - Poly([-1, 1000]) ** 2 * 2, Poly([-3, 1]),
+     ODD_IRRATIONAL),
+    # Wilkinson prod (z - k) over prod (z - k - 1/2), k = 1..n
+    (Poly.from_roots(range(1, 21)),
+     Poly.from_roots([k + Fraction(1, 2) for k in range(1, 21)]),
+     "7dfa84afd1f9d02f7a9c3961b2cd8bfb8a498637610c8b676c49b43a8b8af3ad"),
+    (Poly.from_roots(range(1, 41)),
+     Poly.from_roots([k + Fraction(1, 2) for k in range(1, 41)]),
+     "ac0063da4afd76e71a46f7f1ea546e7a78bcc0233eee607479de7d4a871c6be2"),
+    (_chebyshev(40), Poly([0, 1]), ODD_IRRATIONAL),
+    (Poly([-2, 0, 1]) ** 9 * Poly([1, 0, 1]) ** 3,
+     Poly([Fraction(-1, 3), 1]) ** 7, ODD_IRRATIONAL),
+], ids=["mignotte-20", "mignotte-40", "wilkinson-20", "wilkinson-40",
+        "chebyshev-40", "high-multiplicity"])
+def test_cli_factor_hard_inputs(tmp_path, capsys, num, den, want):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"num": [fmt_rat(c) for c in num.c],
+                             "den": [fmt_rat(c) for c in den.c]}))
+    code = main(["factor", "--in", str(p)])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+    else:
+        assert (code, out, err) == (1, "", f"error: {want}\n")
 
 
 Q_JSON = {"alpha": "0", "beta": "1", "atoms": [{"t": "0", "w": "1"}]}
