@@ -334,7 +334,7 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
     # local clauses at the finite zeros and poles of r of order <= 2
     for rec in r.real_zeros:
         if rec.mult == 2:
-            has_atom = rec.is_rational and q.sigma.weight_at(rec.point) > 0
+            has_atom = q.sigma.weight_at(rec.point) > 0
             if not has_atom:
                 failures.append(("ii(a)", rec.point,
                                  "double zero is not an isolated pole"))
@@ -347,6 +347,7 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
     for rec in r.real_poles:
         if rec.mult == 2:
             ok = False
+            # q is evaluated only at a rational point
             if rec.is_rational and q.sigma.weight_at(rec.point) == 0:
                 ok = q.evaluate(rec.point) == 0
             if not ok:
@@ -706,11 +707,8 @@ def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:
     rq = rep.product
     if rq is None:
         raise NotRationalAtoms("pole is not rational")
-    at_poles = tuple((rec.point, _kac_at(q, rec.point)) for rec in r.poles())
-    at_zeros = tuple((rec.point, _kac_at(rq, rec.point)) for rec in r.zeros())
+    at_poles = tuple((rec.point, q.kac_membership(rec.point))
+                     for rec in r.poles())
+    at_zeros = tuple((rec.point, rq.kac_membership(rec.point))
+                     for rec in r.zeros())
     return KacClosureReport(at_poles, at_zeros)
-
-
-def _kac_at(q: NevFun, point) -> bool:
-    # atoms are rational, so no mass sits at an irrational point
-    return isinstance(point, RealAlg) or q.kac_membership(point)

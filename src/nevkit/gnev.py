@@ -10,6 +10,7 @@ symmetric rational function is built from those multiplicities alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,6 +178,7 @@ def _canonical_factor(f: RatFun):
     """
     records = [rec for rec in nonpositive_type_records(f)
                if rec.point is not INF]
+    points = {"GZNT": [], "GPNT": []}     # kind -> rational points, repeated
     parts = {"GZNT": {}, "GPNT": {}}      # kind -> {polynomial: exponent}
     for rec in records:
         if isinstance(rec.point, RealAlg):
@@ -186,7 +188,7 @@ def _canonical_factor(f: RatFun):
                     "odd-order irrational point carries type multiplicity")
             parts[rec.kind][rec.point.p] = order
         else:
-            parts[rec.kind][Poly([-rec.point, 1])] = 2 * rec.mult
+            points[rec.kind] += [rec.point] * (2 * rec.mult)
     for kind, blocks in (("GZNT", f.complex_zero_blocks),
                          ("GPNT", f.complex_pole_blocks)):
         for blk in blocks:
@@ -202,13 +204,13 @@ def _canonical_factor(f: RatFun):
                         "with irrational real roots")
                 if not n:
                     parts[kind][h] = blk.mult
-    # every polynomial here is monic, so the factor's gamma is one
-    num, den = Poly.const(1), Poly.const(1)
-    for h, e in parts["GZNT"].items():
-        num = num * h ** e
-    for h, e in parts["GPNT"].items():
-        den = den * h ** e
-    return RatFun(num, den), records
+    # all parts are monic, so gamma is one; the points seed psi's tables
+    psi = RatFun.from_points(points["GZNT"], points["GPNT"])
+    num, den = (math.prod((h ** e for h, e in parts[kind].items()),
+                          start=Poly.const(1)) for kind in ("GZNT", "GPNT"))
+    if num.degree or den.degree:
+        psi = psi * RatFun(num, den)
+    return psi, records
 
 
 def canonical_rational(s: RatFun):

@@ -14,12 +14,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms)
-from .poly import (Poly, RootRecord, RootStructure, _deflate, _poly,
+from .poly import (Poly, RealAlg, RootRecord, RootStructure, _deflate, _poly,
                    compose_fractional, interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat)
@@ -60,6 +60,9 @@ class AtomicMeasure:
         return [t for t, _ in self.atoms]
 
     def weight_at(self, t) -> Fraction:
+        """The mass at t; 0 at an irrational point, as atoms are rational."""
+        if isinstance(t, RealAlg):
+            return Fraction(0)
         t = rat(t)
         for pos, w in self.atoms:
             if pos == t:
@@ -149,17 +152,15 @@ class NevFun:
         c0, beta = self.c0, self.beta
         big = math.lcm(c0.denominator, beta.denominator,
                        *[w.denominator for _, w in self.sigma])
-        dd = [1]
-        for t, _ in self.sigma:              # times v z - u
-            dd = [t.denominator * y - t.numerator * x
-                  for x, y in zip(dd + [0], [0] + dd)]
+        den = Poly.from_roots(self.sigma.positions)
+        dd = list(den.n)                     # D, primitive by Gauss's lemma
         cc, bb = (x.numerator * (big // x.denominator) for x in (c0, beta))
         nn = [cc * x + bb * y for x, y in zip(dd + [0], [0] + dd)]
         for t, w in self.sigma:
             ww = w.numerator * (big // w.denominator) * t.denominator
             for i, x in enumerate(_deflate(dd, t.numerator, t.denominator)):
                 nn[i] -= ww * x
-        memo = (_poly(nn, dd[-1] * big), _poly(dd, dd[-1]))
+        memo = (_poly(nn, dd[-1] * big), den)
         object.__setattr__(self, "_num_den", memo)
         return memo
 
@@ -168,14 +169,15 @@ class NevFun:
         :meth:`num_den` with no gcd (every weight is positive) and with the
         root structures its representation states: the atoms are simple
         poles, and one simple zero lies between neighbouring atoms and one
-        on an outer ray where q is < 0 at -inf or > 0 at +inf."""
+        on an outer ray where q is < 0 at -inf or > 0 at +inf, located
+        only when first read."""
         memo = self.__dict__.get("_ratfun")
         if memo is None:
             num, den = self.num_den()
             atoms = self.sigma.positions
-            zeros = interlaced_root_structure(
-                num, atoms, self.beta > 0 or self.c0 < 0,
-                self.beta > 0 or self.c0 > 0)
+            zeros = partial(interlaced_root_structure, num, atoms,
+                            self.beta > 0 or self.c0 < 0,
+                            self.beta > 0 or self.c0 > 0)
             poles = RootStructure(tuple(RootRecord(t, 1) for t in atoms), ())
             memo = RatFun._with_roots(num, den, zeros, poles)
             object.__setattr__(self, "_ratfun", memo)
@@ -259,7 +261,7 @@ class NevFun:
         exactly at xi; at infinity it needs beta = 0."""
         if xi is INF:
             return self.beta == 0
-        return self.sigma.weight_at(rat(xi)) == 0
+        return self.sigma.weight_at(xi) == 0
 
     # -- spectral-gap characterizations ----------------------------------------------------
     def gap_characterize(self, c, d=None, shape: str = "bounded_gap") -> "CharacterizationReport":

@@ -89,10 +89,14 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Sequence, lead=1) -> "Poly":
-        p = Poly.const(lead)
-        for r in roots:
-            p = p * Poly([-rat(r), 1])
-        return p
+        """lead * prod (z - r), as lead * prod (v z - u) / prod v in ints."""
+        lead = rat(lead)
+        n, d = [lead.numerator], lead.denominator
+        for r in map(rat, roots):
+            n = [r.denominator * y - r.numerator * x
+                 for x, y in zip(n + [0], [0] + n)]
+            d *= r.denominator
+        return _poly(n, d)
 
     # -- basic queries ---------------------------------------------------------
     @property
@@ -259,18 +263,6 @@ class Poly:
 
     def float_coeffs(self) -> list[float]:
         return [float(a) for a in self.c]
-
-    # -- structure -------------------------------------------------------------
-    def root_multiplicity(self, r) -> int:
-        """Exact multiplicity of the rational point r as a root."""
-        r = rat(r)
-        m = 0
-        p = self
-        lin = Poly([-r, 1])
-        while not p.is_zero and p.eval_q(r) == 0:
-            p = p // lin
-            m += 1
-        return m
 
 
 def _poly(n: Sequence[int], d: int = 1) -> Poly:
@@ -899,7 +891,10 @@ RPoint = Union[Fraction, RealAlg]
 def point_cmp(a, b) -> int:
     """Total order on the extended real line: NEG_INF below every rational
     and real algebraic point, INF above every one, and each infinity equal
-    to itself."""
+    to itself.  Two Fractions compare by integer cross-multiplication."""
+    if type(a) is Fraction and type(b) is Fraction:
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        return (x > y) - (x < y)
     if a is NEG_INF or b is INF:
         return -(a is not b)
     if a is INF or b is NEG_INF:

@@ -11,20 +11,26 @@ just above its first i entries the function has the sign of gamma times (-1)
 to the number of odd-order entries from the i-th on.  Only a sign at a
 rational point is found by evaluation.  The point at infinity is first
 class: the zero or pole multiplicity there is the degree imbalance.
+
+The tables travel with the function: only input is analysed.  Products and
+quotients merge them (a common rational point is divided out, no gcd), and
+Mobius maps move rational ones; a table not built or with conjugate pairs,
+a common irrational point or an irrational image falls back to a gcd.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence, Union
 
-from .errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
+from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
+                     InvalidInput, PoleHit)
 from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
-                   RootStructure, RPoint, compose_fractional, gcd, point_cmp,
-                   rat, real_root_structure)
+                   RootStructure, RPoint, _deflate, _poly, compose_fractional,
+                   gcd, point_cmp, rat, real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
@@ -63,32 +69,32 @@ class RatFun:
         g = gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
-        lead = den.lead
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_roots_num", None)
-        object.__setattr__(self, "_roots_den", None)
-        object.__setattr__(self, "_crit", None)
+        self._fill(num, den)
+
+    def _fill(self, num: Poly, den: Poly, *slots):
+        if den.n[-1] != den.d:              # den is made monic
+            k = 1 / den.lead
+            num, den = num * k, den * k
+        for name, v in zip(self.__slots__, (num, den, *slots, *[None] * 3)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
     @classmethod
-    def _with_roots(cls, num: Poly, den: Poly, *roots: RootStructure):
-        """num/den for a coprime pair with den monic, whose two root
-        structures the caller already knows: no gcd, no root analysis."""
+    def _with_roots(cls, num: Poly, den: Poly, *roots):
+        """num/den for a coprime pair whose two root structures the caller
+        already knows, or thunks that give them: no gcd, no analysis."""
         f = object.__new__(cls)
-        for name, v in zip(cls.__slots__, (num, den, *roots, None)):
-            object.__setattr__(f, name, v)
+        f._fill(num, den, *roots)
         return f
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
     def const(x) -> "RatFun":
-        return RatFun(Poly.const(x), Poly.const(1))
+        x = rat(x)
+        return _from_table(Poly.const(x), Poly.const(1), []) if x \
+            else RatFun(Poly(), Poly.const(1))
 
     @staticmethod
     def x() -> "RatFun":
@@ -97,8 +103,15 @@ class RatFun:
     @staticmethod
     def from_points(zeros: Sequence, poles: Sequence, gamma=1) -> "RatFun":
         """gamma * prod (z - zero) / prod (z - pole), all data rational."""
-        return RatFun(Poly.from_roots(zeros, lead=rat(gamma)),
-                      Poly.from_roots(poles))
+        orders = Counter(map(rat, zeros))
+        orders.subtract(map(rat, poles))
+        table = sorted((p, e) for p, e in orders.items() if e)
+        if not rat(gamma):
+            return RatFun.const(0)
+        return _from_table(
+            Poly.from_roots([p for p, e in table for _ in range(e)],
+                            lead=rat(gamma)),
+            Poly.from_roots([p for p, e in table for _ in range(-e)]), table)
 
     # -- basic queries -----------------------------------------------------------
     @property
@@ -131,15 +144,31 @@ class RatFun:
     # -- arithmetic ----------------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, RatFun):
-            return RatFun(self.num * other.num, self.den * other.den)
-        return RatFun(self.num * rat(other), self.den)
+            return self._times(other, 1)
+        k = rat(other)
+        return RatFun._with_roots(self.num * k, self.den, self._roots_num,
+                                  self._roots_den, self._crit) if k \
+            else RatFun.const(0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, RatFun):
-            return RatFun(self.num * other.den, self.den * other.num)
-        return RatFun(self.num, self.den * rat(other))
+            return self._times(other, -1)
+        k = rat(other)
+        return self * (1 / k) if k else RatFun(self.num, self.den * k)
+
+    def _times(self, other: "RatFun", sign: int) -> "RatFun":
+        """self * other ** sign, sign +-1, by merging the tables if known."""
+        o_num, o_den = (other.num, other.den)[::sign]
+        num, den = self.num * o_num, self.den * o_den
+        a, b = self._table(), other._table()
+        if a is not None and b is not None:
+            table, common = _merge(a, [(p, sign * e) for p, e in b])
+            if table is not None:
+                return _from_table(_divide_out(num, common),
+                                   _divide_out(den, common), table)
+        return RatFun(num, den)
 
     def __rtruediv__(self, other):
         return RatFun.const(other) / self
@@ -151,7 +180,7 @@ class RatFun:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return self * -1
 
     def __sub__(self, other):
         o = other if isinstance(other, RatFun) else RatFun.const(other)
@@ -161,7 +190,10 @@ class RatFun:
         return RatFun.const(other) + (-self)
 
     def inverse(self) -> "RatFun":
-        return RatFun(self.den, self.num)
+        if self.is_zero:
+            return RatFun(self.den, self.num)       # raises
+        return RatFun._with_roots(self.den, self.num, self._roots_den,
+                                  self._roots_num)
 
     # -- evaluation ------------------------------------------------------------------
     def __call__(self, z):
@@ -198,17 +230,29 @@ class RatFun:
                 / np.polynomial.polynomial.polyval(z, dc))
 
     # -- root bookkeeping -------------------------------------------------------------
+    # None, or a thunk, is replaced by the structure in one attribute write
     def _num_roots(self) -> RootStructure:
-        if self._roots_num is None:
-            object.__setattr__(self, "_roots_num",
-                               real_root_structure(self.num))
-        return self._roots_num
+        r = self._roots_num
+        if not isinstance(r, RootStructure):
+            r = real_root_structure(self.num) if r is None else r()
+            object.__setattr__(self, "_roots_num", r)
+        return r
 
     def _den_roots(self) -> RootStructure:
-        if self._roots_den is None:
-            object.__setattr__(self, "_roots_den",
-                               real_root_structure(self.den))
-        return self._roots_den
+        r = self._roots_den
+        if not isinstance(r, RootStructure):
+            r = real_root_structure(self.den) if r is None else r()
+            object.__setattr__(self, "_roots_den", r)
+        return r
+
+    def _table(self):
+        """The finite real zeros and poles as ascending (point, order) if
+        both root structures are known, without conjugate pairs, else None."""
+        if (self.is_zero or self._roots_num is None or self._roots_den is None
+                or self._num_roots().blocks or self._den_roots().blocks):
+            return None
+        return [(p, m if kind == "zero" else -m)
+                for p, m, kind in self.critical_points()]
 
     @property
     def real_zeros(self) -> list[RootRecord]:
@@ -248,14 +292,13 @@ class RatFun:
     def critical_points(self) -> tuple[tuple[RPoint, int, str], ...]:
         """Finite real zeros and poles merged in ascending order as
         (point, mult, kind): the one table every local query reads, built
-        once per instance from the two root structures."""
+        once per instance by merging the two ascending root structures."""
         if self._crit is None:
-            items = ([(r.point, r.mult, "zero")
-                      for r in self._num_roots().real]
-                     + [(r.point, r.mult, "pole")
-                        for r in self._den_roots().real])
-            items.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
-            object.__setattr__(self, "_crit", tuple(items))
+            table, _ = _merge(
+                [(r.point, r.mult) for r in self._num_roots().real],
+                [(r.point, -r.mult) for r in self._den_roots().real])
+            object.__setattr__(self, "_crit", tuple(
+                (p, abs(e), "zero" if e > 0 else "pole") for p, e in table))
         return self._crit
 
     def _locate(self, x) -> tuple[int, bool]:
@@ -288,15 +331,16 @@ class RatFun:
 
     def laurent_lead(self, point: Point) -> Fraction:
         """Exact coefficient c with f ~ c (z-a)^ord near a rational a, or
-        f ~ c z^(-ord_at_inf) near infinity."""
+        f ~ c z^(-ord_at_inf) near infinity; the order is read from the
+        critical table."""
         if point is INF:
             return self.gamma
+        if isinstance(point, RealAlg):
+            raise InvalidInput("Laurent coefficient at an irrational point")
         a = rat(point)
-        lin = Poly([-a, 1])
-        mn = self.num.root_multiplicity(a)
-        md = self.den.root_multiplicity(a)
-        return ((self.num // lin ** mn).eval_q(a)
-                / (self.den // lin ** md).eval_q(a))
+        k = self.ord_at(a)
+        return (_divide_out(self.num, [a] * k).eval_q(a)
+                / _divide_out(self.den, [a] * -k).eval_q(a))
 
     def _sign_above(self, i: int) -> int:
         """Sign just above the first i critical points: that of gamma near
@@ -352,23 +396,72 @@ class RatFun:
 
     # -- composition ---------------------------------------------------------------------
     def compose_mobius(self, tau: "RatFun") -> "RatFun":
-        """self o tau for a degree-one tau; degrees multiply."""
+        """self o tau for a degree-one tau; degrees multiply.  A rational
+        table maps through tau^-1, tau(inf) to infinity and infinity to the
+        pole of tau."""
         if tau.degree != 1:
             raise DegreeNotOne(f"tau has degree {tau.degree}")
         d = self.degree
         num = compose_fractional(self.num, tau.num, tau.den, d)
         den = compose_fractional(self.den, tau.num, tau.den, d)
-        return RatFun(num, den)
+        table = self._table()
+        if table is None or any(isinstance(p, RealAlg) for p, _ in table):
+            return RatFun(num, den)
+        # tau = (a z + b)/(c z + e), tau^-1(w) = (e w - b)/(a - c w)
+        (b, a), (e, c) = ((p.c + (Fraction(0),) * 2)[:2]
+                          for p in (tau.num, tau.den))
+        image = [((e * p - b) / (a - c * p), m) for p, m in table
+                 if a != c * p]
+        if c and self.ord_at_inf():
+            image.append((-e / c, self.ord_at_inf()))
+        return _from_table(num, den, sorted(image))
 
     def mobius_inverse(self) -> "RatFun":
         """Inverse of a degree-one rational function."""
         if self.degree != 1:
             raise DegreeNotOne("only degree-one functions invert")
-        a = self.num.c[1] if self.num.degree >= 1 else Fraction(0)
-        b = self.num.c[0] if self.num.c else Fraction(0)
-        c = self.den.c[1] if self.den.degree >= 1 else Fraction(0)
-        d = self.den.c[0] if self.den.c else Fraction(0)
+        (b, a), (d, c) = ((p.c + (Fraction(0),) * 2)[:2]
+                          for p in (self.num, self.den))
         return RatFun(Poly([-b, d]), Poly([a, -c]))
+
+
+def _merge(a: list, b: list) -> tuple:
+    """Two ascending lists of (point, order) merged, orders added at a
+    common point, and the common points repeated by the orders that cancel
+    there; (None, None) when a common point is irrational."""
+    out, common, i, j = [], [], 0, 0
+    while i < len(a) and j < len(b):
+        c = point_cmp(a[i][0], b[j][0])
+        if c:
+            out.append(a[i] if c < 0 else b[j])
+            i, j = (i + 1, j) if c < 0 else (i, j + 1)
+            continue
+        (p, m), (_p, n) = a[i], b[j]
+        if isinstance(p, RealAlg):
+            return None, None
+        if m + n:
+            out.append((p, m + n))
+        common += [p] * min(abs(m), abs(n)) * (m * n < 0)
+        i, j = i + 1, j + 1
+    return out + a[i:] + b[j:], common
+
+
+def _from_table(num: Poly, den: Poly, table: list) -> RatFun:
+    """Coprime num/den with the root structures read off its table, the
+    ascending (point, order) of all its finite real zeros and poles."""
+    return RatFun._with_roots(
+        num, den,
+        RootStructure(tuple(RootRecord(p, e) for p, e in table if e > 0), ()),
+        RootStructure(tuple(RootRecord(p, -e) for p, e in table if e < 0), ()))
+
+
+def _divide_out(p: Poly, points: list) -> Poly:
+    """p / prod (z - t) over the listed rational roots t of p, over Z."""
+    n, scale = p.n, 1
+    for t in points:
+        n = _deflate(n, t.numerator, t.denominator)
+        scale *= t.denominator
+    return _poly([x * scale for x in n], p.d)
 
 
 def strictly_between(p: RPoint, a, b) -> bool:

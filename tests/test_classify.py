@@ -29,7 +29,7 @@ from nevkit.poly import Poly, RealAlg, real_root_structure
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun, strictly_between
 from nevkit.realize import (enumerate_zeros_poles, minimal_model,
-                            transform_model)
+                            model_spectral_check, transform_model)
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])                              # -1/z
 WORKED_Q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])                 # (z-1)/(2-z)
@@ -850,3 +850,78 @@ def test_kac_closure_refuses_irrational_poles_of_the_product():
     assert rep.ok and rep.kappa_tilde is None and rep.product is None
     with pytest.raises(NotRationalAtoms, match="^pole is not rational$"):
         kac_closure(q, r)
+
+
+def _record_analyses(monkeypatch) -> list:
+    """The polynomials given to real_root_structure from now on."""
+    import nevkit.ratfun
+    seen = []
+    analysis = nevkit.ratfun.real_root_structure
+    monkeypatch.setattr(nevkit.ratfun, "real_root_structure",
+                        lambda p: seen.append(p) or analysis(p))
+    return seen
+
+
+def test_chain_items_analyse_only_their_input(monkeypatch):
+    """The 51 criterion-5 pairs through the calls of the chain verb, from
+    empty memos: the multipliers' polynomials are analysed, and besides
+    them only z, the denominator of tau = p - 1/lambda, whose pole
+    _compose reads.  Every derived function gets its tables by merging."""
+    pairs = [(ser.nevfun_from_json(q), ser.ratfun_from_json(r))
+             for q, r in _criterion5_pairs(51)]
+    real_root_structure.cache_clear()
+    _clear_certificates()
+    seen = _record_analyses(monkeypatch)
+    for q, r in pairs:
+        assert check_N00(q, r).ok
+        chain_factorize(q, r)
+        kac_closure(q, r)
+        _zs, ps = enumerate_zeros_poles(r)
+        m_in = minimal_model(q, ps[0])
+        assert model_spectral_check(m_in, transform_model(m_in, r, q)
+                                    .model_out, r)
+    inputs = {p for _q, r in pairs for p in (r.num, r.den)}
+    assert set(seen) - inputs <= {Poly([0, 1])}
+    assert real_root_structure.cache_info().misses <= 92
+
+
+def test_negative_constant_branch_analyses_no_derived_polynomial(
+        monkeypatch):
+    """Draws 130 and 171 of the product corpus (seed 1002) take the branch
+    where the multiplier's Nevanlinna part is a negative constant and the
+    product is factored whole, by canonical_pair(r g): its tables, and
+    those of its canonical factor and quotient, are merged or seeded, so
+    only the input polynomials are analysed."""
+    import nevkit.classify as cl
+    rng = random.Random(1002)
+    draws = [(ser.gennev_to_json(random_gennev(rng, 6)),
+              ser.ratfun_to_json(random_symmetric_ratfun(rng, 4)))
+             for _ in range(172)]
+    whole = []
+    monkeypatch.setattr(cl, "canonical_pair",
+                        lambda f: whole.append(f) or canonical_pair(f))
+    for i in (130, 171):
+        real_root_structure.cache_clear()
+        seen = _record_analyses(monkeypatch)
+        g, r = ser.gennev_from_json(draws[i][0]), ser.ratfun_from_json(
+            draws[i][1])
+        whole.clear()
+        w = product_factorization(g, r)
+        assert len(whole) == 1
+        assert set(seen) <= {r.num, r.den, g.phi.num, g.phi.den}
+        for z in UHP_POINTS:
+            assert w.evaluate(z) == r.eval_qc(z) * g.evaluate(z)
+
+
+def test_irrational_double_points_fail_their_clauses():
+    """A double zero or pole of r at +-sqrt(2), where q has no atom: the
+    clauses fail there, and no irrational point reaches an evaluation."""
+    q = NevFun.of(0, 1, [(1, 1)])
+    s2, lin = Poly([-2, 0, 1]) ** 2, Poly([-1, 1])
+    for r, kind in ((RatFun(lin, s2), "pole"), (RatFun(s2, lin), "zero")):
+        other = "zero" if kind == "pole" else "pole"
+        rep = check_N00(q, r)
+        assert not rep.ok and rep.kappa_tilde is None
+        hits = [p for clause, p, why in rep.failures
+                if why == f"double {kind} is not an isolated {other}"]
+        assert len(hits) == 2 and all(isinstance(p, RealAlg) for p in hits)

@@ -1,9 +1,11 @@
-"""Four rules on the package source, each read off its AST and each with a
+"""Six rules on the package source, each read off its AST and each with a
 detector test on inline source:
 
 - every name a module imports is used in that module;
 - only poly.py takes Sturm sequences, with the exceptions listed;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
+- real_root_structure is called only by RatFun._num_roots and _den_roots;
+- RatFun._with_roots is called only in ratfun.py and nevfun.py;
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -107,34 +109,35 @@ def test_only_poly_takes_sturm_sequences():
             if key not in STURM_ALLOWED} == {}
 
 
-# A Nevanlinna function derived from another one is formed in closed form
-# and passed on; extraction is for input that arrives as a RatFun: the
-# canonical pair of a rational function, the factor verb's Nevanlinna part,
-# and selftest's reference checks.
-EXTRACTION_ALLOWED = {("gnev.py", "canonical_pair"), ("cli.py", "cmd_factor"),
-                      ("selftest.py", "run_selftest")}
-
-
-def _extraction_calls(source: str) -> list[tuple[Optional[str], int]]:
-    """Calls of nevfun_from_ratfun, by name or attribute, as (outermost
-    enclosing function or None, line)."""
+def _calls(source: str, name: str) -> list[tuple[Optional[str], int]]:
+    """Calls of the function ``name``, by name or attribute, as (the
+    dotted names of the enclosing classes and functions, or None, line)."""
     found = []
 
-    def visit(node, outer):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            scope = outer
-            if outer is None and isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = child.name
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if scope is None \
+                    else f"{scope}.{child.name}"
             if isinstance(child, ast.Call):
                 f = child.func
-                name = f.id if isinstance(f, ast.Name) else \
+                called = f.id if isinstance(f, ast.Name) else \
                     f.attr if isinstance(f, ast.Attribute) else None
-                if name == "nevfun_from_ratfun":
+                if called == name:
                     found.append((scope, child.lineno))
-            visit(child, scope)
+            visit(child, inner)
     visit(ast.parse(source), None)
     return found
+
+
+def _package_calls(name: str) -> dict:
+    """{(file, enclosing scope): line} of the calls of ``name`` in the
+    package."""
+    return {(path.name, scope): line
+            for path in sorted(PACKAGE.glob("*.py"))
+            for scope, line in _calls(path.read_text(), name)}
 
 
 def test_detector_finds_extraction_calls():
@@ -142,16 +145,56 @@ def test_detector_finds_extraction_calls():
            "class A:\n    def m(self):\n"
            "        return [nevfun_from_ratfun(f) for f in ()]\n"
            "def g():\n    def h():\n        return nevfun_from_ratfun\n"
-           "    return h\n")
-    assert _extraction_calls(src) == [(None, 2), ("m", 5)]
+           "    return h(nevfun_from_ratfun(2))\n")
+    assert _calls(src, "nevfun_from_ratfun") == [(None, 2), ("A.m", 5),
+                                                 ("g", 9)]
+
+
+# A Nevanlinna function derived from another one is formed in closed form
+# and passed on; extraction is for input that arrives as a RatFun: the
+# canonical pair of a rational function, the factor verb's Nevanlinna part,
+# and selftest's reference checks, which run in its nested functions.
+EXTRACTION_ALLOWED = {"gnev.py canonical_pair", "cli.py cmd_factor",
+                      "selftest.py run_selftest"}
 
 
 def test_extraction_is_called_only_on_rational_input():
-    found = {(path.name, scope): line
-             for path in sorted(PACKAGE.glob("*.py"))
-             for scope, line in _extraction_calls(path.read_text())}
+    found = {f"{fname} {scope and scope.split('.')[0]}": line
+             for (fname, scope), line
+             in _package_calls("nevfun_from_ratfun").items()}
     assert {key: line for key, line in found.items()
             if key not in EXTRACTION_ALLOWED} == {}
+
+
+# Root analysis has one path: a RatFun analyses its own polynomials when a
+# table is first read and was not given, and every other table travels with
+# the function it belongs to.  Tables are given only where they are known:
+# in ratfun.py, and for a NevFun's RatFun in nevfun.py.
+ANALYSIS_ALLOWED = {("ratfun.py", "RatFun._num_roots"),
+                    ("ratfun.py", "RatFun._den_roots")}
+
+
+def test_detector_finds_root_analysis_and_given_tables():
+    src = ("class RatFun:\n    def _num_roots(self):\n"
+           "        return real_root_structure(self.num)\n"
+           "    @classmethod\n    def _with_roots(cls, *a):\n"
+           "        return cls._with_roots(*a)\n"
+           "def stray(p):\n    return poly.real_root_structure(p)\n"
+           "f = RatFun._with_roots(1, 2)\n")
+    assert _calls(src, "real_root_structure") == [
+        ("RatFun._num_roots", 3), ("stray", 8)]
+    assert _calls(src, "_with_roots") == [("RatFun._with_roots", 6),
+                                          (None, 9)]
+
+
+def test_root_analysis_is_called_only_by_a_ratfun_on_itself():
+    found = _package_calls("real_root_structure")
+    assert set(found) <= ANALYSIS_ALLOWED
+
+
+def test_tables_are_given_only_where_they_are_known():
+    found = _package_calls("_with_roots")
+    assert {fname for fname, _scope in found} <= {"ratfun.py", "nevfun.py"}
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder

@@ -529,3 +529,10 @@ def test_interlacing_is_checked():
     p = Poly.from_roots([1, 2])                     # both zeros in (0, 3)
     with pytest.raises(InvariantViolation):
         interlaced_root_structure(p, [Fraction(0), Fraction(3)], True, False)
+
+
+def test_weight_at_an_irrational_point_is_zero():
+    sqrt2 = real_root_structure(Poly([-2, 0, 1])).real[1].point
+    q = NevFun.of(0, 1, [(1, 2), (Fraction(3, 2), 1)])
+    assert q.sigma.weight_at(sqrt2) == 0
+    assert q.sigma.weight_at(1) == 2 and q.kac_membership(sqrt2)

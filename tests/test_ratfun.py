@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, ratfuns, small_polys
+from conftest import nevfuns, rationals, ratfuns, small_polys
 import nevkit.poly
 import nevkit.ratfun
-from nevkit.errors import DegreeNotOne, IdenticallyZeroDenominator, PoleHit
+from nevkit.errors import (DegreeNotOne, IdenticallyZeroDenominator,
+                           InvalidInput, PoleHit)
 from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
                          rational_outside)
+from nevkit.nevfun import NevFun
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, reduce, strictly_between
 
@@ -263,14 +265,22 @@ def test_root_order_is_exact():
     assert crit[3] == (Fraction(5), 1, "pole")
 
 
+def _root_multiplicity(p: Poly, r) -> int:
+    """Multiplicity of the rational r as a root of p, by trial division."""
+    m, lin = 0, Poly([-r, 1])
+    while not p.is_zero and p.eval_q(r) == 0:
+        p, m = p // lin, m + 1
+    return m
+
+
 @settings(max_examples=60, deadline=None)
 @given(factored_ratfuns(), st.lists(rationals(8, 4), max_size=4))
 def test_ord_at_matches_root_multiplicity(r, extra):
     crit = r.critical_points()
     rational = [p for p, _m, _k in crit if not isinstance(p, RealAlg)]
     for p in rational + extra:
-        assert r.ord_at(p) == (r.num.root_multiplicity(p)
-                               - r.den.root_multiplicity(p))
+        assert r.ord_at(p) == (_root_multiplicity(r.num, p)
+                               - _root_multiplicity(r.den, p))
     for recs, sign in ((r.real_zeros, 1), (r.real_poles, -1)):
         for rec in recs:
             assert r.ord_at(rec.point) == sign * rec.mult
@@ -332,3 +342,165 @@ def test_laurent_sign_is_eta_rule_at_irrational_points():
         assert r.laurent_lead_sign(INF) == (1 if r.gamma > 0 else -1)
     assert RatFun.const(0).laurent_lead_sign(Fraction(1)) == 0
     assert RatFun.const(0).laurent_lead_sign(INF) == 0
+
+
+# -- tables that travel with the function ----------------------------------
+
+POOL = [Fraction(x) for x in (-2, -1, 0, 1)] + [Fraction(1, 2),
+                                                 Fraction(-3, 2)]
+
+
+def pointed():
+    """from_points over a small pool: points repeat, zeros and poles
+    cancel, and two draws share points."""
+    pts = st.lists(st.sampled_from(POOL), max_size=4)
+    return st.builds(RatFun.from_points, pts, pts, rationals(5, 3).filter(bool))
+
+
+def mobius_maps():
+    """(a z + b)/(c z + d) with ad - bc != 0, affine ones included."""
+    return st.tuples(*[st.integers(-3, 3)] * 4).filter(
+        lambda t: t[0] * t[3] != t[1] * t[2]).map(
+        lambda t: RatFun(Poly([t[1], t[0]]), Poly([t[3], t[2]])))
+
+
+def _check_tables(f: RatFun, seeded: bool):
+    """f is reduced, its root structures were given (seeded) or are left
+    to analysis, and either way they and its critical table agree with
+    real_root_structure of its polynomials by point_cmp, multiplicity and
+    kind."""
+    assert (f._roots_num is not None, f._roots_den is not None) == \
+        (seeded, seeded)
+    fresh = RatFun(f.num, f.den)
+    assert fresh == f
+    for got, p in ((f._num_roots(), f.num), (f._den_roots(), f.den)):
+        ref = nevkit.poly.real_root_structure(p)
+        assert got.blocks == ref.blocks and len(got.real) == len(ref.real)
+        for a, b in zip(got.real, ref.real):
+            assert point_cmp(a.point, b.point) == 0 and a.mult == b.mult
+    crit, ref = f.critical_points(), fresh.critical_points()
+    assert len(crit) == len(ref)
+    for (p, m, kind), (x, n, want) in zip(crit, ref):
+        assert point_cmp(p, x) == 0 and (m, kind) == (n, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed(), pointed())
+def test_products_and_quotients_merge_tables(f, g):
+    prod, quot = f * g, f / g
+    assert prod == RatFun(f.num * g.num, f.den * g.den)
+    assert quot == RatFun(f.num * g.den, f.den * g.num)
+    for h in (prod, quot):
+        _check_tables(h, seeded=True)
+    for one in (f / f, f * f.inverse()):      # full cancellation
+        assert one == RatFun.const(1) and one.critical_points() == ()
+        _check_tables(one, seeded=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nevfuns(4), pointed())
+def test_products_with_irrational_points(q, f):
+    g = q.to_ratfun()
+    assume(not g.is_zero)
+    for h in (g * f, f / g, g / f):
+        _check_tables(h, seeded=True)
+    # g's irrational zeros are common to both operands of g * g
+    irrational = any(isinstance(p, RealAlg) for p, _m, _k
+                     in g.critical_points())
+    _check_tables(g * g, seeded=not irrational)
+
+
+def test_common_irrational_point_falls_back():
+    s2 = Poly([-2, 0, 1])
+    f, g = RatFun(s2, Poly([-1, 1])), RatFun(Poly([-3, 1]), s2)
+    f.critical_points(), g.critical_points()          # analysed
+    for h in (f * g, f / g.inverse(), f * f, f / g):
+        _check_tables(h, seeded=False)
+
+
+def test_conjugate_pairs_and_unbuilt_tables_fall_back(monkeypatch):
+    pairs = RatFun(Poly([1, 0, 1]), Poly([-1, 1]))
+    pairs.critical_points()
+    g = RatFun.from_points([2], [3])
+    analysed = []
+    analysis = nevkit.ratfun.real_root_structure
+    monkeypatch.setattr(nevkit.ratfun, "real_root_structure",
+                        lambda p: analysed.append(p) or analysis(p))
+    unbuilt = RatFun(Poly([-1, 1]), Poly([-5, 1]))
+    products = [pairs * g, g / pairs, unbuilt * g, g / unbuilt,
+                unbuilt.compose_mobius(RatFun.x() + 1)]
+    assert analysed == []           # no analysis just to merge
+    for h in products:
+        _check_tables(h, seeded=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed(), mobius_maps())
+def test_mobius_images_map_tables(f, tau):
+    _check_tables(f.compose_mobius(tau), seeded=True)
+
+
+def test_mobius_images_at_infinity():
+    tau = RatFun(Poly([0, 1]), Poly([-1, 1]))         # z/(z-1): tau(inf) = 1
+    f = RatFun.from_points([1, 1, 2], [0])           # pole of order 2 at inf
+    h = f.compose_mobius(tau)
+    # the double zero at 1 goes to inf, and the double pole at inf to 1
+    assert (f.ord_at_inf(), h.ord_at_inf()) == (-2, 2)
+    assert [(p, m, k) for p, m, k in h.critical_points()] == [
+        (Fraction(0), 1, "pole"), (Fraction(1), 2, "pole"),
+        (Fraction(2), 1, "zero")]
+    _check_tables(h, seeded=True)
+    q = NevFun.of(0, 1, [(0, 2)])                    # zeros +-sqrt(2)
+    _check_tables(q.to_ratfun().compose_mobius(tau), seeded=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pointed(), factored_ratfuns()), rationals(5, 3).filter(bool))
+def test_inverse_negation_and_scaling_keep_tables(f, c):
+    f.critical_points()
+    for h in (f.inverse(), -f, f * c, c * f, f / c):
+        assert h == RatFun(h.num, h.den)
+        _check_tables(h, seeded=True)
+    _check_tables(RatFun.const(c), seeded=True)
+
+
+def test_laurent_lead_refuses_an_irrational_point():
+    r = RatFun(Poly([-2, 0, 1]), Poly([-1, 1]))
+    sqrt2 = r.real_zeros[1].point
+    with pytest.raises(InvalidInput):
+        r.laurent_lead(sqrt2)
+    assert r.laurent_lead(1) == -1 and r.laurent_lead(0) == 2
+
+
+def _point_cmp_reference(a, b) -> int:
+    """point_cmp as it dispatched before the Fraction fast path."""
+    if a is NEG_INF or b is INF:
+        return -(a is not b)
+    if a is INF or b is NEG_INF:
+        return 1
+    if isinstance(a, RealAlg):
+        return a.cmp_alg(b) if isinstance(b, RealAlg) else a.cmp_rat(b)
+    if isinstance(b, RealAlg):
+        return -b.cmp_rat(a)
+    a, b = Fraction(a), Fraction(b)
+    return (a > b) - (a < b)
+
+
+def _sqrts():
+    """RealAlg points of +-sqrt(2), +-sqrt(3), twice each, on different
+    defining polynomials."""
+    out = []
+    for p in (Poly([-2, 0, 1]), Poly([-3, 0, 1]),
+              Poly([-2, 0, 1]) * Poly([-3, 0, 1])):
+        out += [rec.point for rec in
+                nevkit.poly.real_root_structure.__wrapped__(p).real]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(rationals(4, 3), st.integers(-3, 3),
+                          st.sampled_from([INF, NEG_INF] + _sqrts())),
+                min_size=2, max_size=2))
+def test_point_cmp_agrees_with_the_old_dispatch(ab):
+    a, b = ab
+    assert point_cmp(a, b) == _point_cmp_reference(a, b)
