@@ -14,7 +14,6 @@ representation of the one before and certified by a polynomial identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -28,11 +27,11 @@ from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
 from .nevfun import (NevFun, _certified, _chain_step, _compose, _ends,
                      is_nevanlinna)
 from .poly import CERTIFICATE_CACHE_SIZE, Poly, RealAlg, point_cmp
-from .qmath import INF, NEG_INF, fmt_rat
+from .qmath import INF, NEG_INF, fmt_rat, record
 from .ratfun import RatFun, strictly_between
 
 
-@dataclass(frozen=True)
+@record
 class ClassReport:
     member: bool
     kappa: int
@@ -42,13 +41,13 @@ class ClassReport:
     exceptional_atoms: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class FactorChain:
     factors: tuple[RatFun, ...]
     partial_certificates: tuple[NevFun, ...]
 
 
-@dataclass(frozen=True)
+@record
 class N00Report:
     ok: bool
     failures: tuple = ()
@@ -72,7 +71,7 @@ class N00Report:
                          for clause, p, detail in self.failures)
 
 
-@dataclass(frozen=True)
+@record
 class KacClosureReport:
     at_poles: tuple            # ((point, bool), ...) for the input function
     at_zeros: tuple            # ((point, bool), ...) for the product
@@ -221,10 +220,11 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
             lead_psi = math.prod(((x - y) ** e for y, e in psi.items()
                                   if y != x), start=Fraction(1))
             atoms.append((x, -ls * lq / lead_psi))
-    psi_num = Poly.from_roots([y for y, e in psi.items() for _ in range(e)])
-    psi_den = Poly.from_roots([y for y, e in psi.items() for _ in range(-e)])
-    return RatFun(psi_num, psi_den), _certified(
-        s.num * n * psi_den, s.den * d * psi_num, atoms,      # s q / psi
+    psi_f = RatFun.from_points(
+        [y for y, e in psi.items() for _ in range(e)],
+        [y for y, e in psi.items() for _ in range(-e)])
+    return psi_f, _certified(
+        s.num * n * psi_f.den, s.den * d * psi_f.num, atoms,  # s q / psi
         InvariantViolation, "degree-one step: s q / psi")
 
 
@@ -561,7 +561,9 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
     if any(c["wraps"] or c["left"] is NEG_INF or c["right"] is INF
            for c in comps):
         p = _positive_anchor(s, q, r)
-        tau = RatFun(Poly([-1, p]), Poly([0, 1]))      # p - 1/lambda
+        # tau = p - 1/lambda, with its zero and pole
+        tau = RatFun.from_points([1 / p], [0], p) if p else \
+            RatFun.from_points([], [0], -1)
         inner, _ = _chain_build(_compose(q, tau), r.compose_mobius(tau))
         tinv = tau.mobius_inverse()
         factors = [f.compose_mobius(tinv) for f in inner]

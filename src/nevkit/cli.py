@@ -6,8 +6,10 @@ results carry explicit tolerance fields.  Exit status: 0 success, 1 parse,
 schema and other input errors, 2 for classification-negative outcomes, 3 when
 an internal invariant is violated (a defect in nevkit).
 
-The numeric verbs and selftest import the oracle module, and with it numpy,
-when they run, so the exact verbs start without numpy.
+Each verb imports the layers it runs when it runs: classify, product and
+chain import the classify module, realize the realize module, and the
+numeric verbs and selftest the oracle module, and with it numpy.  So factor
+loads neither classify nor realize, and no exact verb loads numpy.
 """
 
 from __future__ import annotations
@@ -17,15 +19,11 @@ import json
 import sys
 
 from . import serialize as ser
-from .classify import (chain_factorize, check_N00, kac_closure, membership,
-                       product_factorization)
 from .errors import (InvalidInput, InvariantViolation, NevkitError,
                      ParseError, SchemaMismatch)
 from .gnev import GenNevFun, canonical_rational
 from .nevfun import NevFun, nevfun_from_ratfun
 from .qmath import fmt_rat, parse_rat
-from .realize import (enumerate_zeros_poles, minimal_model,
-                      model_spectral_check, transform_model)
 
 
 def _read_json(path: str) -> dict:
@@ -79,6 +77,7 @@ def cmd_factor(args) -> tuple[int, dict]:
 
 
 def cmd_classify(args) -> tuple[int, dict]:
+    from .classify import membership
     g = _as_gennev(_load_function(args.infile))
     r = ser.ratfun_from_json(_read_json(args.rfile))
     rep = membership(g, r)
@@ -95,6 +94,7 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 
 def cmd_product(args) -> tuple[int, dict]:
+    from .classify import product_factorization
     g = _as_gennev(_load_function(args.infile))
     r = ser.ratfun_from_json(_read_json(args.rfile))
     w = product_factorization(g, r)
@@ -102,6 +102,7 @@ def cmd_product(args) -> tuple[int, dict]:
 
 
 def cmd_chain(args) -> tuple[int, dict]:
+    from .classify import chain_factorize, check_N00, kac_closure
     q = _as_nevfun(_load_function(args.infile))
     r = ser.ratfun_from_json(_read_json(args.rfile))
     rep = check_N00(q, r)
@@ -125,6 +126,8 @@ def cmd_chain(args) -> tuple[int, dict]:
 
 
 def cmd_realize(args) -> tuple[int, dict]:
+    from .realize import (enumerate_zeros_poles, minimal_model,
+                          model_spectral_check, transform_model)
     q = _as_nevfun(_load_function(args.infile))
     r = ser.ratfun_from_json(_read_json(args.rfile))
     _zeros, poles = enumerate_zeros_poles(r)

@@ -11,7 +11,6 @@ symmetric rational function is built from those multiplicities alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
@@ -19,11 +18,11 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
 from .nevfun import NevFun, _compose, nevfun_from_ratfun
 from .poly import (Poly, RealAlg, _factor_squarefree, _poly, _primitive,
                    count_real_roots)
-from .qmath import INF, fmt_rat
+from .qmath import INF, fmt_rat, record
 from .ratfun import RatFun
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicityRecord:
     """A real or infinite point carrying nonpositive-type multiplicity."""
 

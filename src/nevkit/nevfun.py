@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
@@ -22,11 +21,11 @@ from .errors import (GapViolated, InvalidInput, InvariantViolation,
 from .poly import (Poly, RealAlg, RootRecord, RootStructure, _deflate, _poly,
                    compose_fractional, interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
-                    LimitValue, fmt_rat)
+                    LimitValue, fmt_rat, record)
 from .ratfun import RatFun
 
 
-@dataclass(frozen=True)
+@record
 class AtomicMeasure:
     """Finite nonnegative measure with finitely many rational atoms.
 
@@ -73,7 +72,7 @@ class AtomicMeasure:
         return sum((w for _, w in self.atoms), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class NevFun:
     """Nevanlinna function alpha + beta z + sum w ((t-z)^-1 - t/(1+t^2))."""
 
@@ -104,7 +103,7 @@ class NevFun:
     def c0(self) -> Fraction:
         """The constant of the partial-fraction form c0 + beta z +
         sum w/(t - z), which is the limit at infinity when beta = 0.
-        Memoised outside the dataclass fields, like :meth:`num_den`."""
+        Memoised outside the record fields, like :meth:`num_den`."""
         return self.alpha - _shift(self.sigma)
 
     @property
@@ -144,7 +143,7 @@ class NevFun:
         of z - t over the atoms, built once per instance without a gcd, in
         integers: with t = u/v, D = prod (v z - u) = V den, c0 + beta z =
         (C + B z)/L and w v = W/L, num = (D (C + B z) - sum W D/(v z - u))
-        / (V L).  The memo lives outside the dataclass fields, so equality,
+        / (V L).  The memo lives outside the record fields, so equality,
         the hash and the repr do not see it."""
         memo = self.__dict__.get("_num_den")
         if memo is not None:
@@ -354,7 +353,7 @@ def _shift(atoms) -> Fraction:
     return Fraction(sum(n * (big // d) for n, d in terms), big)
 
 
-@dataclass(frozen=True)
+@record
 class CharacterizationReport:
     shape: str
     gap_holds: bool
@@ -366,7 +365,7 @@ class CharacterizationReport:
     q_tilde_secondary: Optional[NevFun] = None
 
 
-@dataclass(frozen=True)
+@record
 class ProductMembership:
     results: tuple[bool, ...]
     labels: tuple[str, ...]

@@ -10,7 +10,6 @@ resolved at every level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import EvaluationFailure, InvalidInput, NonConvergent
 from .gnev import GenNevFun
 from .poly import point_cmp
-from .qmath import rat
+from .qmath import rat, record
 from .ratfun import RatFun
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -43,7 +42,7 @@ def as_evaluator(obj) -> Evaluator:
     raise TypeError(f"cannot build an evaluator from {obj!r}")
 
 
-@dataclass(frozen=True)
+@record
 class KernelSample:
     points: np.ndarray
     gram: np.ndarray
@@ -164,7 +163,7 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
 PEAK_TRACK_RATIO = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class InversionConfig:
     eps_schedule: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
     quadrature_points: int = 4096
@@ -180,7 +179,7 @@ class InversionConfig:
             raise InvalidInput("need at least 64 quadrature points")
 
 
-@dataclass(frozen=True)
+@record
 class InversionResult:
     value: float
     error: float

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInput, InvariantViolation
-from .qmath import INF, NEG_INF, QC, rat
+from .qmath import INF, NEG_INF, QC, rat, record
 
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
@@ -909,7 +908,7 @@ def point_cmp(a, b) -> int:
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
+@record
 class RootRecord:
     """A real or infinite zero/pole with its exact multiplicity."""
 
@@ -925,7 +924,7 @@ class RootRecord:
         return isinstance(self.point, Fraction)
 
 
-@dataclass(frozen=True)
+@record
 class ConjugatePairBlock:
     """Count of the conjugate nonreal root pairs of ``factor``: the
     residual of one squarefree part after its rational roots are divided

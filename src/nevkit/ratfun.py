@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -31,12 +30,12 @@ from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
 from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
                    RootStructure, RPoint, _deflate, _poly, compose_fractional,
                    gcd, point_cmp, rat, real_root_structure)
-from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat
+from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, record
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
 
 
-@dataclass(frozen=True)
+@record
 class SignSegment:
     """Maximal open interval of constant nonzero sign.
 
@@ -50,7 +49,7 @@ class SignSegment:
     touches: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class SignReport:
     segments: tuple[SignSegment, ...]
 

@@ -14,7 +14,6 @@ vector, and the anchor moves to the last enumerated zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -23,11 +22,11 @@ from .errors import (InvalidInput, InvariantViolation, NotInN00,
                      NotKacMember, NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun
 from .poly import RealAlg, point_cmp, rat
-from .qmath import INF, QC, ExtSymbol, fmt_rat
+from .qmath import INF, QC, ExtSymbol, fmt_rat, record
 from .ratfun import RatFun
 
 
-@dataclass(frozen=True)
+@record
 class L2Model:
     """Multiplication-model data: the realized function's representation
     measure and mass at infinity, the anchor, the squared values of the
@@ -55,7 +54,7 @@ class L2Model:
         form and built once per instance.  It has the measure m_t = w
         omega^2(t) (t - xi)^2, the slope beta' and the constant c0 = eta -
         beta' xi - sum m_t/(t - xi).  At xi = INF it is eta + sum w
-        omega^2(t)/(t - z).  The memo lives outside the dataclass fields."""
+        omega^2(t)/(t - z).  The memo lives outside the record fields."""
         memo = self.__dict__.get("_nevfun")
         if memo is not None:
             return memo
@@ -73,7 +72,7 @@ class L2Model:
         return memo
 
 
-@dataclass(frozen=True)
+@record
 class RealizationTransformReport:
     zetas: tuple                      # ((pole point | INF, mass), ...)
     case: str                         # both_finite | bn_infinite | an_infinite

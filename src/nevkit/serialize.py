@@ -16,7 +16,6 @@ from .nevfun import AtomicMeasure, NevFun
 from .poly import DEFAULT_ISOLATION_WIDTH, Poly, RealAlg
 from .qmath import INF, fmt_rat, parse_rat
 from .ratfun import RatFun
-from .realize import L2Model
 
 
 def _list(val, key: str) -> list:
@@ -113,6 +112,7 @@ def model_to_json(m: L2Model) -> dict:
 
 
 def model_from_json(d: dict) -> L2Model:
+    from .realize import L2Model    # only a model loads the realize layer
     try:
         xi = INF if d["xi"] == "inf" else parse_rat(d["xi"])
         m = L2Model(

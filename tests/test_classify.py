@@ -864,9 +864,9 @@ def _record_analyses(monkeypatch) -> list:
 
 def test_chain_items_analyse_only_their_input(monkeypatch):
     """The 51 criterion-5 pairs through the calls of the chain verb, from
-    empty memos: the multipliers' polynomials are analysed, and besides
-    them only z, the denominator of tau = p - 1/lambda, whose pole
-    _compose reads.  Every derived function gets its tables by merging."""
+    empty memos: only the multipliers' polynomials are analysed, each once.
+    Every derived function gets its tables by merging, and tau = p -
+    1/lambda is built from its zero and pole."""
     pairs = [(ser.nevfun_from_json(q), ser.ratfun_from_json(r))
              for q, r in _criterion5_pairs(51)]
     real_root_structure.cache_clear()
@@ -881,8 +881,30 @@ def test_chain_items_analyse_only_their_input(monkeypatch):
         assert model_spectral_check(m_in, transform_model(m_in, r, q)
                                     .model_out, r)
     inputs = {p for _q, r in pairs for p in (r.num, r.den)}
-    assert set(seen) - inputs <= {Poly([0, 1])}
-    assert real_root_structure.cache_info().misses <= 92
+    assert set(seen) <= inputs
+    assert real_root_structure.cache_info().misses <= 91
+
+
+def test_product_members_analyse_few_derived_polynomials(monkeypatch):
+    """The 100 members of the product corpus (seed 1002) through
+    product_factorization, from empty memos: the squared factor psi of each
+    degree-one step is built from its zeros and poles, so the polynomials
+    analysed besides those of r and phi are at most 94 (154 when psi was
+    reduced by a gcd and analysed)."""
+    rng = random.Random(1002)
+    members = [random_member_pair(rng, max_atoms=6, max_degree=4)
+               for _ in range(100)]
+    pairs = [(ser.gennev_from_json(ser.gennev_to_json(g)),
+              ser.ratfun_from_json(ser.ratfun_to_json(r)))
+             for g, r in members]
+    real_root_structure.cache_clear()
+    _clear_certificates()
+    seen = _record_analyses(monkeypatch)
+    for g, r in pairs:
+        product_factorization(g, r)
+    inputs = {p for g, r in pairs for p in (r.num, r.den, g.phi.num,
+                                            g.phi.den)}
+    assert sum(p not in inputs for p in seen) <= 94
 
 
 def test_negative_constant_branch_analyses_no_derived_polynomial(

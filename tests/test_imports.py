@@ -1,7 +1,8 @@
-"""Six rules on the package source, each read off its AST and each with a
-detector test on inline source:
+"""Seven rules on the package source, each read off its AST and each with
+a detector test on inline source:
 
 - every name a module imports is used in that module;
+- no module imports dataclasses;
 - only poly.py takes Sturm sequences, with the exceptions listed;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots;
@@ -62,6 +63,32 @@ def test_no_module_imports_a_name_it_never_uses():
              # the package's __init__ re-exports what it imports
              if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _dataclasses_imports(source: str) -> list[int]:
+    """The lines that import the dataclasses module or a name from it."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "dataclasses")
+
+
+def test_detector_finds_dataclasses_imports():
+    src = ("import os, dataclasses as dc\nfrom dataclasses import field\n"
+           "from .qmath import record\n"
+           "def f():\n    from dataclasses import dataclass\n"
+           "    return dataclass\n")
+    assert _dataclasses_imports(src) == [1, 2, 5]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are qmath.record classes: the dataclasses import and the
+    methods it compiles with exec cost every process at start-up."""
+    found = {path.name: _dataclasses_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # Sturm sequences belong to poly.py: every other module reads real roots

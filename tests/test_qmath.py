@@ -1,0 +1,119 @@
+"""The frozen value records of qmath.record, against the dataclasses they
+replace."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from nevkit.classify import N00Report
+from nevkit.errors import InvalidInput
+from nevkit.nevfun import AtomicMeasure, NevFun
+from nevkit.oracle import InversionConfig
+from nevkit.poly import ConjugatePairBlock, Poly, RootRecord
+from nevkit.qmath import INF, NEG_INF, QC, LimitValue, record
+from nevkit.ratfun import SignReport, SignSegment
+
+
+def _dataclass_twin(cls):
+    """The frozen dataclass with the name, fields and defaults of cls."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (n, object, dataclasses.field(default=cls.__dict__[n]))
+        if n in cls.__dict__ else (n, object)
+        for n in cls.__annotations__], frozen=True)
+
+
+HALF = Fraction(1, 2)
+SEGMENT = SignSegment(NEG_INF, HALF, -1, (Fraction(-2),))
+RECORDS = [
+    (RootRecord, (Fraction(1, 3), 2), {}),
+    (RootRecord, (INF, 1), {}),
+    (SignSegment, (HALF, INF, 1), {}),
+    (SignSegment, (NEG_INF, HALF), {"sign": -1, "touches": (Fraction(-2),)}),
+    (SignReport, ((SEGMENT,),), {}),
+    (ConjugatePairBlock, (Poly([1, 0, 1]), 1, 2, 0), {}),
+    (N00Report, (False, (("ii(b)", HALF, "why"),)), {"kappa_tilde": 1}),
+    (AtomicMeasure, (((HALF, Fraction(3)),),), {}),
+]
+
+
+@pytest.mark.parametrize("cls,args,kw", RECORDS)
+def test_records_match_their_dataclass_twins(cls, args, kw):
+    """Repr, equality and hash as a frozen dataclass has them, over the
+    same fields with the same defaults."""
+    rec, twin = cls(*args, **kw), _dataclass_twin(cls)(*args, **kw)
+    assert repr(rec) == repr(twin)
+    assert hash(rec) == hash(twin)
+    again = cls(*args, **kw)
+    assert rec == again and hash(rec) == hash(again) and rec is not again
+    # no equality across classes, even over the same field values
+    assert rec != twin and rec.__eq__(twin) is NotImplemented
+
+
+def test_records_compare_every_field():
+    assert RootRecord(HALF, 1) != RootRecord(HALF, 2)
+    assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, 1, (HALF,))
+    assert len({QC(HALF, HALF), QC.of(1, 1) * HALF, QC.of(HALF)}) == 2
+
+
+def test_keyword_construction_and_defaults():
+    assert SignSegment(lo=HALF, hi=INF, sign=1) == SignSegment(HALF, INF, 1,
+                                                               ())
+    assert SignSegment(HALF, INF, touches=(1,), sign=-1).touches == (1,)
+    assert LimitValue("+inf").value is None
+    assert LimitValue(kind="finite", value=HALF) == LimitValue.finite(HALF)
+    assert N00Report(True).product is None and N00Report(True).failures == ()
+    for bad in (lambda: RootRecord(HALF), lambda: RootRecord(HALF, 1, 2),
+                lambda: RootRecord(HALF, 1, point=HALF),
+                lambda: RootRecord(HALF, mult=1, parity="odd")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_records_are_frozen_but_keep_their_memos():
+    rec = RootRecord(HALF, 1)
+    with pytest.raises(AttributeError):
+        rec.mult = 2
+    with pytest.raises(AttributeError):
+        rec.other = 2
+    with pytest.raises(AttributeError):
+        del rec.point
+    assert rec == RootRecord(HALF, 1)
+    # a memo in the instance dict is no field: equality, hash and repr
+    # ignore it
+    q = NevFun.of(0, 1, [(1, 2)])
+    fresh = NevFun.of(0, 1, [(1, 2)])
+    q.num_den()
+    assert q.c0 == -1 and "_num_den" in q.__dict__
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+
+
+def test_post_init_checks_run_on_every_construction():
+    assert InversionConfig().quadrature_points == 4096
+    assert InversionConfig((1e-1, 1e-2), 64).eps_schedule == (1e-1, 1e-2)
+    for kw in ({"eps_schedule": (1e-3, 1e-2)}, {"eps_schedule": (1e-3,) * 2},
+               {"eps_schedule": ()}, {"quadrature_points": 63}):
+        with pytest.raises(InvalidInput):
+            InversionConfig(**kw)
+    with pytest.raises(InvalidInput):
+        InversionConfig((1e-3, 1e-2))
+
+
+def test_record_of_one_field_and_of_many():
+    @record
+    class One:
+        x: tuple
+
+    @record
+    class Many:
+        a: int
+        b: int
+        c: int = 3
+        d: int = 4
+        e: int = 5
+
+    assert repr(One((1,))) == "test_record_of_one_field_and_of_many." \
+        "<locals>.One(x=(1,))"
+    assert hash(One((1,))) == hash(((1,),)) and One((1,)) != One((2,))
+    assert Many(1, 2, e=7) == Many(1, 2, 3, 4, 7) != Many(1, 2)
+    assert (Many(1, 2).c, Many(b=1, a=2).a) == (3, 2)

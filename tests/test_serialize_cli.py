@@ -372,13 +372,18 @@ def test_cli_rejects_malformed_coefficients(tmp_path, capsys, payload):
 
 IMPORT_PROBE = """
 import json, sys
+before = set(sys.modules)
 from nevkit.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "sympy": "sympy" in sys.modules,
-                  "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 """
 
 MIXED_R = {"num": ["2", "-2", "0", "-1", "1"], "den": ["1"]}  # (z^3-2)(z-1)
+
+# what each exact verb does without: the dataclasses module with the
+# inspect it imports, and the layers the verb does not run
+EXACT_ABSENT = {"factor": {"nevkit.classify", "nevkit.realize"},
+                "chain": {"nevkit.realize"}, "realize": set()}
 
 
 @pytest.mark.parametrize("verb,files,code,sympy,numpy", [
@@ -388,11 +393,15 @@ MIXED_R = {"num": ["2", "-2", "0", "-1", "1"], "den": ["1"]}  # (z^3-2)(z-1)
     # the mixed factor cannot be split exactly: an input error, found by
     # the native factorizer
     ("factor", {"in": MIXED_R}, 1, False, False),
+    ("realize", {"in": WORKED_Q, "r": WORKED_R}, 0, False, False),
 ])
 def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
                                                        code, sympy, numpy):
     """No verb imports sympy, and the exact verbs run without numpy, which
-    only the numeric verbs load."""
+    only the numeric verbs load.  The exact verbs run without dataclasses
+    and inspect too, factor without the classify and realize layers, and
+    chain without realize.  A module counts when the verb adds it to those
+    the interpreter loaded at start."""
     args = [verb]
     for flag, payload in files.items():
         p = tmp_path / f"{flag}.json"
@@ -403,7 +412,11 @@ def test_cli_imports_sympy_and_numpy_only_when_needed(tmp_path, verb, files,
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                           capture_output=True, text=True, env=env)
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"code": code, "sympy": sympy, "numpy": numpy}
+    new = set(probe["new"])
+    assert (probe["code"], "sympy" in new, "numpy" in new) == (code, sympy,
+                                                               numpy)
+    if verb in EXACT_ABSENT:
+        assert new.isdisjoint({"dataclasses", "inspect"} | EXACT_ABSENT[verb])
     assert code == 0 or "ExactSplitUnavailable" in proc.stderr
 
 
