@@ -26,7 +26,7 @@ from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
 from .nevfun import (NevFun, _certified, _chain_step, _compose, _ends,
                      is_nevanlinna)
-from .poly import CERTIFICATE_CACHE_SIZE, Poly, RealAlg, point_cmp
+from .poly import CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp
 from .qmath import INF, NEG_INF, fmt_rat, record
 from .ratfun import RatFun, strictly_between
 
@@ -565,7 +565,7 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
         tau = RatFun.from_points([1 / p], [0], p) if p else \
             RatFun.from_points([], [0], -1)
         inner, _ = _chain_build(_compose(q, tau), r.compose_mobius(tau))
-        tinv = tau.mobius_inverse()
+        tinv = RatFun.from_points([], [p], -1)     # its inverse, -1/(w - p)
         factors = [f.compose_mobius(tinv) for f in inner]
         return factors, _certify_chain(q, factors)
     factors, certs, q_cur = [], [], q
@@ -636,10 +636,7 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
         ends = [RatFun.from_points([b], [a])]
     else:
         ends = [RatFun.from_points([a], [b])]
-    tilde = []
-    for pair in zip(seq[::2], seq[1::2]):
-        at = {kind: x for x, kind in pair}
-        tilde.append(RatFun.from_points([at["pole"]], [at["zero"]]))
+    tilde = _pair_factors(seq)
     expect = ("pole" if left_pos else "zero", "zero" if right_pos else "pole")
     got = (_point_kind(r, a), _point_kind(r, b))
     if got != expect:
@@ -648,53 +645,37 @@ def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
     return tilde + ends + tilde
 
 
+def _pair_factors(seq) -> list[RatFun]:
+    """(z - atom)/(z - zero) for each consecutive two (point, kind) entries
+    of a run of q's critical table, its poles being its atoms."""
+    return [RatFun.from_points([x], [y]) if k == "pole"
+            else RatFun.from_points([y], [x])
+            for (x, k), (y, _k) in zip(seq[::2], seq[1::2])]
+
+
 def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
                                                      list[NevFun]]:
-    """All-even multiplier with negative sign: pair the atoms and zeros of q
-    across the whole line, certifying every candidate layout and keeping the
-    first that passes, with its partial products."""
-    gamma = r.gamma
-    pts = []
-    for recs, kind, what in ((r.real_zeros, "atom", "zero"),
-                             (r.real_poles, "zero", "pole")):
-        for rec in recs:
-            if not rec.is_rational:
-                raise ExactSplitUnavailable(f"irrational double {what}")
-            pts.append((rec.point, kind))
-    pts.sort()
-    for (x1, k1), (x2, k2) in zip(pts, pts[1:]):
-        if k1 == k2:
-            raise NotInClass("degenerate layout does not alternate")
-
-    # an even count pairs up whole; an odd one leaves its last or its
-    # first point to a pair of factors of its own
-    layouts = ([(pts, None)] if len(pts) % 2 == 0
-               else [(pts[:-1], pts[-1]), (pts[1:], pts[0])])
-    candidates = []
-    for pairable, star in layouts:
-        base = [RatFun.from_points([x], [y]) if k == "atom"
-                else RatFun.from_points([y], [x])
-                for (x, k), (y, _k) in zip(pairable[::2], pairable[1::2])]
-        if star is None:
-            for spot in range(len(base)):
-                second = list(base)
-                second[spot] = second[spot] * gamma
-                candidates.append(base + second)
-            continue
-        lin, one = Poly([-star[0], 1]), Poly.const(1)
-        num, den = (lin, one) if star[1] == "atom" else (one, lin)
-        for e1 in (Fraction(1), Fraction(-1), gamma, -gamma):
-            candidates.append(base + [RatFun(num * e1, den),
-                                      RatFun(num * (gamma / e1), den)] + base)
-
-    for chain in candidates:
-        if math.prod(chain, start=RatFun.const(1)) != r:
-            continue
-        try:
-            return chain, _certify_chain(q, chain)
-        except NotNevanlinna:
-            continue
-    raise NotInClass("no certified degenerate chain layout found")
+    """All-even multiplier: the plain-pair test makes q's atoms r's double
+    zeros and q's zeros r's double poles, so q's critical table lists r's
+    points.  The chain is the pairs, the first pair times gamma and the
+    others; an odd count puts z - x at a last atom x, 1/(z - x) at a last
+    zero, and gamma times it between.  Each factor removes or restores one
+    adjacent pair, so every partial product is Nevanlinna."""
+    seq = [(x, kind) for x, _m, kind in q.to_ratfun().critical_points()]
+    if any(isinstance(x, RealAlg) for x, _k in seq):
+        raise ExactSplitUnavailable("irrational double pole")
+    pairs, gamma = _pair_factors(seq), r.gamma
+    if len(seq) % 2 == 0:
+        factors = pairs + [pairs[0] * gamma] + pairs[1:]
+    else:
+        x, kind = seq[-1]
+        lone = RatFun.from_points(*([x], []) if kind == "pole" else ([], [x]))
+        factors = pairs + [lone, lone * gamma] + pairs
+    try:
+        return factors, _certify_chain(q, factors)
+    except NotNevanlinna as exc:
+        raise InvariantViolation(
+            f"degenerate chain does not certify: {exc}") from exc
 
 
 # -- local class closure --------------------------------------------------------------

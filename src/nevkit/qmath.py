@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 
 
 def record(cls):
@@ -79,7 +79,7 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return parse_rat(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    raise InvalidInput(f"cannot coerce {x!r} to an exact rational")
 
 
 def parse_rat(s: str) -> Fraction:

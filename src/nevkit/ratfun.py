@@ -379,6 +379,8 @@ class RatFun:
         endpoints; only odd-order zeros and poles separate segments, and
         the even-order ones inside a segment are its touches.  The sign
         starts as the one just above lo and flips at each odd-order point."""
+        if point_cmp(lo, hi) >= 0:
+            raise InvalidInput("interval must have lo < hi")
         i, hit = self._locate(lo)
         j, _ = self._locate(hi)
         sgn = self._sign_above(i + hit)
@@ -414,14 +416,6 @@ class RatFun:
         if c and self.ord_at_inf():
             image.append((-e / c, self.ord_at_inf()))
         return _from_table(num, den, sorted(image))
-
-    def mobius_inverse(self) -> "RatFun":
-        """Inverse of a degree-one rational function."""
-        if self.degree != 1:
-            raise DegreeNotOne("only degree-one functions invert")
-        (b, a), (d, c) = ((p.c + (Fraction(0),) * 2)[:2]
-                          for p in (self.num, self.den))
-        return RatFun(Poly([-b, d]), Poly([a, -c]))
 
 
 def _merge(a: list, b: list) -> tuple:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, nevfuns, rationals
-from nevkit.classify import (chain_factorize, check_N00,
+from nevkit.classify import (FactorChain, chain_factorize, check_N00,
                              interlacing_factorize, kac_closure, membership,
                              negative_closed_pieces, pieces_disjoint,
                              product_factorization, productinNg_forms,
@@ -947,3 +947,128 @@ def test_irrational_double_points_fail_their_clauses():
         hits = [p for clause, p, why in rep.failures
                 if why == f"double {kind} is not an isolated {other}"]
         assert len(hits) == 2 and all(isinstance(p, RealAlg) for p in hits)
+
+
+# -- clause (ii) of the plain-pair test ---------------------------------------------
+
+
+@pytest.mark.parametrize("q, r, text", [
+    # (z^2 + 1)/z has a conjugate pair of zeros
+    (NevFun.of(0, 1), RatFun(Poly([1, 0, 1]), Poly([0, 1])),
+     "ii: nonreal zero or pole"),
+    (NevFun.of(0, 1), RatFun(Poly([0, 0, 0, 1]), Poly.const(1)),
+     "ii at 0: order 3 > 2"),
+    # 1 - 1/z vanishes at 1, where z^2/(z^2 - 2) is negative
+    (NevFun.of(1, 0, [(0, 1)]), RatFun(Poly([0, 0, 1]), Poly([-2, 0, 1])),
+     "i at 1: function vanishes where multiplier is negative; "
+     "ii(b) at ~1.41421: pole-side limit sign"),
+])
+def test_clause_ii_failures_are_described(q, r, text):
+    rep = check_N00(q, r)
+    assert not rep.ok and rep.product is None
+    assert rep.describe() == text
+    with pytest.raises(NotInClass, match="plain-pair test"):
+        chain_factorize(q, r)
+
+
+# -- the all-even chain, built from the function's critical table ------------------
+
+
+def _candidate_search(q: NevFun, r: RatFun):
+    """The all-even chain as it was found by search: every candidate layout
+    of r's points, multiplied back and certified in turn, the first that
+    passes kept.  The reference for the one layout built from q's table."""
+    import math
+    gamma = r.gamma
+    pts = []
+    for recs, kind, what in ((r.real_zeros, "atom", "zero"),
+                             (r.real_poles, "zero", "pole")):
+        for rec in recs:
+            if not rec.is_rational:
+                raise ExactSplitUnavailable(f"irrational double {what}")
+            pts.append((rec.point, kind))
+    pts.sort()
+    for (x1, k1), (x2, k2) in zip(pts, pts[1:]):
+        if k1 == k2:
+            raise NotInClass("degenerate layout does not alternate")
+    layouts = ([(pts, None)] if len(pts) % 2 == 0
+               else [(pts[:-1], pts[-1]), (pts[1:], pts[0])])
+    candidates = []
+    for pairable, star in layouts:
+        base = [RatFun.from_points([x], [y]) if k == "atom"
+                else RatFun.from_points([y], [x])
+                for (x, k), (y, _k) in zip(pairable[::2], pairable[1::2])]
+        if star is None:
+            for spot in range(len(base)):
+                second = list(base)
+                second[spot] = second[spot] * gamma
+                candidates.append(base + second)
+            continue
+        lin, one = Poly([-star[0], 1]), Poly.const(1)
+        num, den = (lin, one) if star[1] == "atom" else (one, lin)
+        for e1 in (Fraction(1), Fraction(-1), gamma, -gamma):
+            candidates.append(base + [RatFun(num * e1, den),
+                                      RatFun(num * (gamma / e1), den)] + base)
+    for chain in candidates:
+        if math.prod(chain, start=RatFun.const(1)) != r:
+            continue
+        try:
+            return chain, _certify_chain(q, chain)
+        except NotNevanlinna:
+            continue
+    raise NotInClass("no certified degenerate chain layout found")
+
+
+def _all_even_pairs(rng: random.Random, n: int) -> list:
+    """n plain pairs (q, r) with r = gamma prod (z - atom)^2 / prod
+    (z - zero)^2 over q's atoms and finite zeros, gamma < 0: q is built
+    from 1 to 7 alternating rational points, either kind first, with the
+    sign that makes it Nevanlinna."""
+    grid = sorted({Fraction(k, d) for k in range(-12, 13) for d in (1, 2, 3)})
+    out = []
+    while len(out) < n:
+        pts = sorted(rng.sample(grid, rng.randint(1, 7)))
+        first = rng.randrange(2)
+        atoms = pts[first::2]
+        zeros = pts[1 - first::2]
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        try:
+            q = nevfun_from_ratfun(RatFun.from_points(zeros, atoms, c))
+        except NotNevanlinna:
+            q = nevfun_from_ratfun(RatFun.from_points(zeros, atoms, -c))
+        gamma = -Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        out.append((q, RatFun.from_points(atoms * 2, zeros * 2, gamma)))
+    return out
+
+
+def test_all_even_chain_matches_the_candidate_search():
+    q1 = nevfun_from_ratfun(RatFun(Poly([0, -2]), Poly([-1, 1])))
+    r1 = RatFun(Poly([-1, 2, -1]), Poly([0, 0, 1]))
+    q2, r2 = NevFun.of(0, 1), RatFun(Poly.const(-3), Poly([0, 0, 1]))
+    pairs = [(q1, r1), (q2, r2)] + _all_even_pairs(random.Random(2401), 600)
+    shapes = set()
+    for q, r in pairs:
+        assert check_N00(q, r).ok
+        factors, certs = _candidate_search(q, r)
+        chain = chain_factorize(q, r)
+        assert list(chain.factors) == factors
+        assert list(chain.partial_certificates) == certs
+        assert repr(chain) == repr(FactorChain(tuple(factors), tuple(certs)))
+        crit = q.to_ratfun().critical_points()
+        shapes.add((len(crit) % 2, crit[-1][2], q.beta > 0))
+    # even and odd counts, a last atom and a last zero; an odd count ending
+    # in a zero starts with one too, so q has beta > 0
+    assert shapes == {(0, "pole", False), (0, "zero", False),
+                      (1, "pole", False), (1, "zero", True)}
+
+
+def test_all_even_chain_failing_its_certificate_is_a_defect(monkeypatch):
+    import nevkit.classify as cl
+
+    def refuse(q, factors):
+        raise NotNevanlinna("forced")
+    monkeypatch.setattr(cl, "_certify_chain", refuse)
+    q = NevFun.of(0, 1)
+    r = RatFun(Poly.const(-3), Poly([0, 0, 1]))
+    with pytest.raises(InvariantViolation, match="does not certify: forced"):
+        chain_factorize(q, r)

@@ -11,8 +11,8 @@ from nevkit.errors import InvalidInput
 from nevkit.nevfun import AtomicMeasure, NevFun
 from nevkit.oracle import InversionConfig
 from nevkit.poly import ConjugatePairBlock, Poly, RootRecord
-from nevkit.qmath import INF, NEG_INF, QC, LimitValue, record
-from nevkit.ratfun import SignReport, SignSegment
+from nevkit.qmath import INF, NEG_INF, QC, LimitValue, rat, record
+from nevkit.ratfun import RatFun, SignReport, SignSegment
 
 
 def _dataclass_twin(cls):
@@ -117,3 +117,30 @@ def test_record_of_one_field_and_of_many():
     assert hash(One((1,))) == hash(((1,),)) and One((1,)) != One((2,))
     assert Many(1, 2, e=7) == Many(1, 2, 3, 4, 7) != Many(1, 2)
     assert (Many(1, 2).c, Many(b=1, a=2).a) == (3, 2)
+
+
+SQRT2 = RatFun(Poly([-2, 0, 1]), Poly.const(1)).real_zeros[1].point
+Q = NevFun.of(0, 1, [(0, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Q.gap_characterize(1, INF),
+    lambda: Q.gap_characterize(NEG_INF, 1),
+    lambda: Q.corollary_products(0, NEG_INF),
+    lambda: Q.corollary_products(INF),
+    lambda: Q.limit_at(SQRT2, "value"),
+    lambda: RatFun.from_points([], [INF]),
+], ids=["gap-inf", "gap-neg-inf", "corollary-neg-inf", "corollary-inf",
+        "limit-irrational", "from-points-inf"])
+def test_inexact_points_are_invalid_input(call):
+    """An end at infinity or an irrational point where a rational is
+    required is a ValueError of nevkit's own, not a raw TypeError."""
+    with pytest.raises(InvalidInput, match="cannot coerce") as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("x", [1.5, None, (1, 2), QC.of(1)])
+def test_rat_rejects_what_is_not_exact(x):
+    with pytest.raises(InvalidInput, match="exact rational"):
+        rat(x)

@@ -106,6 +106,14 @@ def test_sign_on_interval_examples():
     assert set(seg.touches) == {(Fraction(1), "pole"), (Fraction(2), "zero")}
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (1, -1), (0, 0), (Fraction(1, 2), Fraction(1, 2)), (INF, NEG_INF),
+    (INF, INF), (NEG_INF, NEG_INF), (INF, 0), (0, NEG_INF)])
+def test_sign_on_interval_rejects_empty_and_reversed_intervals(lo, hi):
+    with pytest.raises(InvalidInput, match="lo < hi"):
+        RatFun.from_points([1], []).sign_on_interval(lo, hi)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ratfuns(4))
 def test_sign_report_matches_pointwise(r):
@@ -209,7 +217,8 @@ def test_compose_requires_degree_one():
 @given(ratfuns(3))
 def test_compose_roundtrip(r):
     tau = RatFun(Poly([1, 2]), Poly([3, 1]))   # (2z+1)/(z+3)
-    back = r.compose_mobius(tau).compose_mobius(tau.mobius_inverse())
+    tinv = RatFun(Poly([-1, 3]), Poly([2, -1]))  # (3z-1)/(2-z)
+    back = r.compose_mobius(tau).compose_mobius(tinv)
     assert back == r
 
 
