@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -24,9 +24,10 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
-from .nevfun import (NevFun, _certified, _chain_step, _compose, _ends,
+from .nevfun import (NevFun, _chain_step, _compose, _ends, _local,
                      is_nevanlinna)
-from .poly import CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp
+from .poly import (CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp,
+                   rational_between, rational_outside)
 from .qmath import INF, NEG_INF, fmt_rat, record
 from .ratfun import RatFun, strictly_between
 
@@ -150,50 +151,36 @@ def product_factorization(g: GenNevFun, r: RatFun) -> GenNevFun:
 def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     """One multiplication by a degree-one simple factor s, in closed form on
     the representation data of q: the squared factor psi it contributes to
-    the canonical pair and the Nevanlinna function q_next = s q / psi.
-
-    psi carries the type multiplicities of s q at the finite zero and pole
-    of s, and the atoms and zeros of q where s is negative; q's numerator is
-    isolated only when sign changes put a zero there.  q_next has its atoms
-    where ord s + ord q - ord psi = -1, with weight -lead(s) lead(q) /
-    lead(psi), and the polynomial part of s q / psi as linear part.  It is
-    certified exactly: positive weights, nonnegative slope and the Poly
-    identity q_next psi = s q.  Any failure is an InvariantViolation."""
+    the canonical pair, from the type multiplicities of s q at the finite
+    zero and pole of s and the atoms and zeros of q where s is negative, and
+    the chain step q_next = s q / psi.  q's numerator is isolated only when
+    sign changes put a zero there.  A step that does not certify is an
+    InvariantViolation."""
     a, b = _ends(s)
-
-    def s_local(x) -> tuple[int, Fraction]:
-        u, v = s.num.eval_q(x), s.den.eval_q(x)
-        return (1, s.num.lead / v) if u == 0 else (-1, u) if v == 0 \
-            else (0, u / v)
-
-    def negative(x) -> bool:
-        return s.num.eval_q(x) * s.den.eval_q(x) < 0
-
     n, d = q.num_den()
-
-    def q_local(x) -> tuple[int, Fraction]:
-        """(order, Laurent lead) of q at a non-atom; zeros are simple."""
-        v, dx = n.eval_q(x), d.eval_q(x)
-        return (0, v / dx) if v else (1, n.deriv().eval_q(x) / dx)
-
-    # local data of q at every candidate atom of q_next
+    # q's local data at its atoms and the finite ends of s, which cut the
+    # line into cells where s has the sign its table gives at the left end
     q_loc = {t: (-1, -w) for t, w in q.sigma}
-    q_loc.update((x, q_loc.get(x) or q_local(x)) for x in (a, b)
+    q_loc.update((x, q_loc.get(x) or _local(n, d, x)) for x in (a, b)
                  if x is not INF)
-    psi = {t: -2 for t in q_loc if negative(t)}   # point -> even exponent
+    ends = sorted(q_loc)                # not empty: s has a finite end
+    lefts = [NEG_INF] + ends
+    inside = [s.laurent_lead_sign(x) < 0 for x in lefts]     # s < 0 there
+    # point -> even exponent; s < 0 at an atom off a, b iff right of it
+    psi = {t: -2 for t, neg in zip(ends, inside[1:])
+           if neg and t not in (a, b)}
     for x, type_mult, sgn in ((a, _zero_type_mult, 1),
                               (b, _pole_type_mult, -1)):
         if x is not INF:
             e, lead = q_loc[x]
-            m = type_mult(1 + sgn * e, s_local(x)[1] * lead)
+            m = type_mult(1 + sgn * e, _local(s.num, s.den, x)[1] * lead)
             if m:
                 psi[x] = 2 * sgn * m
-    # The atoms and the finite ends of the set where s < 0 cut the line
-    # into cells, each inside that set or outside it.  q increases on each
-    # cell, so it vanishes inside one exactly when it is negative just right
-    # of the left end and positive just left of the right end.  The outer
-    # cells end at NEG_INF and INF, which are not in q_loc: there q takes its
-    # signs as at an atom if beta > 0, else as at a regular point.
+    # q increases on each cell, so it vanishes inside one exactly when it
+    # is negative just right of the left end and positive just left of the
+    # right end.  The outer cells end at NEG_INF and INF, which are not in
+    # q_loc: there q takes its signs as at an atom if beta > 0, else as at
+    # a regular point.
     at_inf = (-1, -1) if q.beta > 0 else (0, q.c0)
 
     def end_sign(x, right_of: bool) -> int:
@@ -201,31 +188,20 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
         sgn = (lead > 0) - (lead < 0)
         return sgn if right_of or e % 2 == 0 else -sgn
 
-    ends = sorted(q_loc)                # not empty: s has a finite end
-    insides = ([ends[0] - 1] + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
-               + [ends[-1] + 1])
-    if any(negative(x) and end_sign(lo, True) < 0 < end_sign(hi, False)
-           for lo, hi, x in zip([NEG_INF] + ends, ends + [INF], insides)):
+    if any(neg and end_sign(lo, True) < 0 < end_sign(hi, False)
+           for lo, hi, neg in zip(lefts, ends + [INF], inside)):
         for x in _negative_at(s, _zero_points(q)):
             if isinstance(x, RealAlg):
                 raise ExactSplitUnavailable(
                     "irrational zero inside the negative set of the factor")
             psi[x] = 2
-            q_loc[x] = q_local(x)
-
-    atoms = []
-    for x, (eq, lq) in q_loc.items():
-        es, ls = s_local(x)
-        if es + eq - psi.get(x, 0) == -1:
-            lead_psi = math.prod(((x - y) ** e for y, e in psi.items()
-                                  if y != x), start=Fraction(1))
-            atoms.append((x, -ls * lq / lead_psi))
-    psi_f = RatFun.from_points(
+    try:
+        q_next = _chain_step(s, q, psi)
+    except NotNevanlinna as exc:
+        raise InvariantViolation(f"degree-one step: {exc}") from exc
+    return RatFun.from_points(
         [y for y, e in psi.items() for _ in range(e)],
-        [y for y, e in psi.items() for _ in range(-e)])
-    return psi_f, _certified(
-        s.num * n * psi_f.den, s.den * d * psi_f.num, atoms,  # s q / psi
-        InvariantViolation, "degree-one step: s q / psi")
+        [y for y, e in psi.items() for _ in range(-e)]), q_next
 
 
 # -- splitting of simple interlacing functions ---------------------------------------
@@ -557,9 +533,8 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
     s = _odd_part(r)
     if s.is_constant:
         return _degenerate_chain(q, r)
-    comps = _negative_components(s)
-    if any(c["wraps"] or c["left"] is NEG_INF or c["right"] is INF
-           for c in comps):
+    segments = s.sign_on_interval().negative_segments()     # ascending
+    if any(seg.lo is NEG_INF or seg.hi is INF for seg in segments):
         p = _positive_anchor(s, q, r)
         # tau = p - 1/lambda, with its zero and pole
         tau = RatFun.from_points([1 / p], [0], p) if p else \
@@ -569,8 +544,8 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
         factors = [f.compose_mobius(tinv) for f in inner]
         return factors, _certify_chain(q, factors)
     factors, certs, q_cur = [], [], q
-    for comp in sorted(comps, key=lambda c: c["left"]):
-        fs = _interval_factors(q_cur, r, comp["left"], comp["right"])
+    for seg in segments:
+        fs = _interval_factors(q_cur, r, seg.lo, seg.hi)
         factors += fs
         certs += _certify_chain(q_cur, fs)
         q_cur = certs[-1]
@@ -589,8 +564,6 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     pole or support point of anything involved: walk the cells of the
     common critical-point refinement, read the sign of s on each from its
     critical table, and draw one rational in the first positive cell."""
-    from functools import cmp_to_key
-    from .poly import rational_between, rational_outside
     pts = []
     for f in (s, q.to_ratfun(), r):
         pts.extend(p for (p, _m, _k) in f.critical_points())

@@ -161,7 +161,7 @@ def cmd_kappa(args) -> tuple[int, dict]:
 
 
 def cmd_invert(args) -> tuple[int, dict]:
-    from .oracle import InversionConfig, stieltjes_invert
+    from .oracle import MAX_EPS_LEVELS, InversionConfig, stieltjes_invert
     f = _load_function(args.infile)
     parts = args.interval.split(",")
     if len(parts) != 2:
@@ -170,6 +170,8 @@ def cmd_invert(args) -> tuple[int, dict]:
     if not 0 < args.eps_min < float("inf"):
         raise InvalidInput("--eps-min must be finite and positive")
     levels = args.eps_levels
+    if levels > MAX_EPS_LEVELS:
+        raise InvalidInput(f"--eps-levels must be at most {MAX_EPS_LEVELS}")
     top = 1e-2
     ratio = (args.eps_min / top) ** (1.0 / max(levels - 1, 1))
     schedule = tuple(top * ratio ** k for k in range(levels))

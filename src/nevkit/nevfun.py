@@ -225,12 +225,8 @@ class NevFun:
                 return LIM_INF
             return LimitValue.finite(self.evaluate(c))
         if mode == "slope":
-            if w_c != 0 or self.evaluate(c) != 0:
-                return LIM_INF
-            acc = self.beta
-            for t, w in self.sigma:
-                acc += w / (t - c) ** 2
-            return LimitValue.finite(acc)
+            e, lead = (-1, -w_c) if w_c else _local(*self.num_den(), c)
+            return LimitValue.finite(lead) if e == 1 else LIM_INF
         raise InvalidInput(f"unknown limit mode {mode!r}")
 
     def _limit_at_inf(self, mode, c, side) -> LimitValue:
@@ -437,14 +433,14 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
 # -- closed-form products and compositions ----------------------------------------
 
 
-def _certified(lhs: Poly, rhs: Poly, atoms, fail, what: str) -> NevFun:
+def _certified(lhs: Poly, rhs: Poly, atoms, what: str) -> NevFun:
     """The NevFun lhs/rhs from its atoms, with the quotient of lhs by rhs
     as c0 + beta z.  A weight <= 0, beta < 0 or superlinear growth raises
-    ``fail``; the result (n', d') is certified by n' rhs = lhs d'."""
+    NotNevanlinna; the result (n', d') is certified by n' rhs = lhs d'."""
     lin = lhs.divmod(rhs)[0]
     c0, beta = (lin.c + (Fraction(0),) * 2)[:2]
     if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
-        raise fail(f"{what} is not a Nevanlinna function")
+        raise NotNevanlinna(f"{what} is not a Nevanlinna function")
     q_next = NevFun.from_partial_fractions(c0, beta, atoms)
     n_next, d_next = q_next.num_den()
     if n_next * rhs != lhs * d_next:
@@ -458,22 +454,51 @@ def _ends(s: RatFun) -> tuple:
                  for p in (s.num, s.den))
 
 
-def _chain_step(s: RatFun, q: NevFun) -> NevFun:
-    """s q in closed form, for a degree-one s with zero a and pole b: q's
-    atoms t != a with weight w s(t), and b with weight -(s (z - b))(b) q(b)
-    unless q(b) = 0.  An atom at b (a double pole), or any other failure to
-    be a Nevanlinna function, raises NotNevanlinna."""
+def _local(n: Poly, d: Poly, x: Fraction) -> tuple[int, Fraction]:
+    """(order, Laurent lead) of n/d at a rational x where the order is
+    -1, 0 or 1."""
+    u, v = n.eval_q(x), d.eval_q(x)
+    if not v:
+        return -1, u / d.deriv().eval_q(x)
+    return (0, u / v) if u else (1, n.deriv().eval_q(x) / v)
+
+
+def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
+    """s q / psi in closed form, for a degree-one s with zero a and pole b
+    and psi = prod (z - y)^e over the items of psi, rational points y with
+    even e (None: psi = 1).  An atom t of q off a, b and psi's points keeps
+    its place with weight w s(t) / psi(t).  At b and psi's points the order
+    ord s + ord q - ord psi decides (at a it is >= 0 unless psi has a): -1
+    makes an atom of weight -lead(s) lead(q) / lead(psi); below -1 (for psi
+    = 1, an atom of q at b), or any other failure, raises NotNevanlinna."""
+    psi = psi or {}
     a, b = _ends(s)
-    if b is not INF and q.sigma.weight_at(b):
-        raise NotNevanlinna(f"multiple pole at {fmt_rat(b)}")
-    n, d = q.num_den()
-    atoms = [(t, w * s.eval_q(t)) for t, w in q.sigma if t != a]
+    # ord s - ord psi at b and psi's points, where q's order is added
+    points = {y: (y == a) - e for y, e in psi.items()}
     if b is not INF:
-        q_b = n.eval_q(b) / d.eval_q(b)
-        if q_b:
-            atoms.append((b, -s.num.eval_q(b) * q_b))
-    return _certified(s.num * n, s.den * d, atoms, NotNevanlinna,
-                      "chain step: s q")
+        points[b] = points.get(b, 0) - 1
+
+    def over_psi(x, v):
+        return math.prod(((x - y) ** -e for y, e in psi.items() if y != x),
+                         start=v) if psi else v
+    n, d = q.num_den()
+    atoms = []
+    for x, e in points.items():
+        w = q.sigma.weight_at(x)
+        eq, lq = (-1, -w) if w else _local(n, d, x)
+        if e + eq < -1:
+            raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
+        if e + eq == -1:
+            atoms.append((x, over_psi(x, -_local(s.num, s.den, x)[1] * lq)))
+    atoms += [(t, over_psi(t, w * s.eval_q(t))) for t, w in q.sigma
+              if t != a and t not in points]
+    lhs, rhs = s.num * n, s.den * d
+    if psi:                             # lhs times psi's poles, rhs its zeros
+        zeros, poles = ([y for y, e in psi.items() for _ in range(k * e)]
+                        for k in (1, -1))
+        lhs, rhs = lhs * Poly.from_roots(poles), rhs * Poly.from_roots(zeros)
+    return _certified(lhs, rhs, atoms,
+                      "chain step: s q / psi" if psi else "chain step: s q")
 
 
 def _compose(q: NevFun, tau: RatFun) -> NevFun:
@@ -495,4 +520,4 @@ def _compose(q: NevFun, tau: RatFun) -> NevFun:
     deg = max(n.degree, d.degree)
     return _certified(compose_fractional(n, tau.num, tau.den, deg),
                       compose_fractional(d, tau.num, tau.den, deg), atoms,
-                      NotNevanlinna, "q o tau")
+                      "q o tau")

@@ -24,6 +24,13 @@ from .ratfun import RatFun
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
+#: largest trials * n_points^2 of a negative-squares count, whose kernels
+#: take several complex arrays of that many entries (16 MiB each)
+MAX_KERNEL_ENTRIES = 2 ** 20
+#: largest quadrature grid and offset schedule of an inversion
+MAX_QUADRATURE_POINTS = 2 ** 20
+MAX_EPS_LEVELS = 64
+
 
 def as_evaluator(obj) -> Evaluator:
     """Vectorized complex evaluator for the function types or a callable."""
@@ -125,6 +132,9 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
     """
     if n_points < 1 or trials < 1:
         raise InvalidInput("need at least one point and one trial")
+    if trials * n_points ** 2 > MAX_KERNEL_ENTRIES:
+        raise InvalidInput(f"trials * points^2 must be at most "
+                           f"{MAX_KERNEL_ENTRIES}")
     if not np.isfinite(tol_rel) or tol_rel < 0:
         raise InvalidInput("tolerance must be finite and nonnegative")
     if seed < 0:
@@ -170,6 +180,8 @@ class InversionConfig:
     interval: tuple = (Fraction(-1), Fraction(1))
 
     def __post_init__(self):
+        if len(self.eps_schedule) > MAX_EPS_LEVELS:
+            raise InvalidInput(f"at most {MAX_EPS_LEVELS} offset levels")
         eps = tuple(float(e) for e in self.eps_schedule)
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not eps:
             raise InvalidInput("schedule must decrease strictly")
@@ -177,6 +189,9 @@ class InversionConfig:
             raise InvalidInput("offset levels must be finite and positive")
         if self.quadrature_points < 64:
             raise InvalidInput("need at least 64 quadrature points")
+        if self.quadrature_points > MAX_QUADRATURE_POINTS:
+            raise InvalidInput(
+                f"at most {MAX_QUADRATURE_POINTS} quadrature points")
 
 
 @record

@@ -30,7 +30,7 @@ from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import ExactSplitUnavailable, InvalidInput, InvariantViolation
 from .qmath import INF, NEG_INF, QC, rat, record
 
 #: resolution w of the emitted approximations of irrational points: an
@@ -333,6 +333,11 @@ def irreducible_factors(p: Poly) -> list[Poly]:
 # Computer Algebra, ch. 14-15).  A polynomial mod m is a list of ascending
 # residues in [0, m) without trailing zeros.
 
+#: most subset trials of one recombination of modular factors, which can
+#: otherwise take 2^(k-1) trials for k factors
+RECOMBINATION_TRIALS = 1000
+
+
 def _odd_primes():
     """3, 5, 7, 11, ..., by trial division."""
     p = 1
@@ -458,7 +463,8 @@ def _factor_squarefree(f: IntPoly, done=None) -> list[IntPoly]:
     times a factor of f, and recombined in subsets by exact division.
 
     ``done``, a test on a monic Poly, ends the recombination as soon as
-    the remaining cofactor passes it; that cofactor comes last, unsplit."""
+    the remaining cofactor passes it; that cofactor comes last, unsplit.
+    More than RECOMBINATION_TRIALS trials raise ExactSplitUnavailable."""
     best, tried = (len(f), 0, []), 0
     for p in _odd_primes():
         if tried == 5 or best[0] == 1:
@@ -481,9 +487,14 @@ def _factor_squarefree(f: IntPoly, done=None) -> list[IntPoly]:
     while big <= 2 * bound:
         big *= big
     us = _hensel(_pmul(f, [pow(f[-1], -1, big)], big), gs, p, big)
-    out, size = [], 1
+    out, size, trials = [], 1, 0
     while 2 * size <= len(us) and not (done and done(_poly(f, f[-1]))):
         for sub in combinations(range(len(us)), size):
+            trials += 1
+            if trials > RECOMBINATION_TRIALS:
+                raise ExactSplitUnavailable(
+                    "factoring over the rationals needs more than "
+                    f"{RECOMBINATION_TRIALS} recombination trials")
             g = reduce(lambda a, b: _pmul(a, b, big), [us[i] for i in sub],
                        [f[-1]])
             g = _primitive([c - big if 2 * c > big else c for c in g])

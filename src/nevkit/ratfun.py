@@ -344,7 +344,8 @@ class RatFun:
     def _sign_above(self, i: int) -> int:
         """Sign just above the first i critical points: that of gamma near
         +inf, flipped once per odd-order point from the i-th on."""
-        s = (self.gamma > 0) - (self.gamma < 0)
+        g = self.num.n[-1] if self.num.n else 0     # the sign of gamma
+        s = (g > 0) - (g < 0)
         odd = sum(m % 2 for _p, m, _kind in self.critical_points()[i:])
         return -s if odd % 2 else s
 

@@ -293,7 +293,6 @@ def _criterion5_pairs(n: int):
 
 def test_chain_factors_depend_only_on_values(monkeypatch):
     import nevkit.classify as cl
-    import nevkit.poly as poly
     qj, rj = _criterion5_pairs(7)[6]
     from_irrational, anchors = [], []
 
@@ -305,7 +304,7 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
             return out
         return wrapper
     for name in ("rational_between", "rational_outside"):
-        monkeypatch.setattr(poly, name, recording(getattr(poly, name)))
+        monkeypatch.setattr(cl, name, recording(getattr(cl, name)))
     anchor = cl._positive_anchor
     monkeypatch.setattr(cl, "_positive_anchor",
                         lambda *a: anchors.append(anchor(*a)) or anchors[-1])
@@ -738,19 +737,42 @@ def test_chain_steps_match_extraction(monkeypatch):
     assert seen["step"] >= 350 and seen["tau"] >= 50
 
 
-@pytest.mark.parametrize("q, s", [
-    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([1], [3])),   # zero at atom
-    (NevFun.of(0, 1), RatFun.from_points([-2], [0])),            # pole at zero
-    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([2], [3])),   # new atom
-    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([], [2], -1)),  # weight < 0
-    (NevFun.of(0, 0, [(0, 1)]), RatFun.from_points([2], [0])),   # double pole
-    (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([3], [])),   # growth z^2
-])
-def test_chain_step_cases(q, s):
+@pytest.mark.parametrize("q, s, psi, pinned", [
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([1], [3]), None,
+     None),                                                      # zero at atom
+    (NevFun.of(0, 1), RatFun.from_points([-2], [0]), None,
+     None),                                                      # pole at zero
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([2], [3]), None,
+     None),                                                      # new atom
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([], [2], -1), None,
+     None),                                                      # weight < 0
+    (NevFun.of(0, 0, [(0, 1)]), RatFun.from_points([2], [0]), None,
+     (NotNevanlinna, "multiple pole at 0")),                     # atom at pole
+    (NevFun.of(1, 2, [(-1, 1)]), RatFun.from_points([3], []), None,
+     None),                                                      # growth z^2
+    # product steps: psi at an atom of q where s < 0
+    (NevFun.of(0, 0, [(0, 1)]), RatFun.from_points([-2], [-1], -1),
+     {0: -2}, None),
+    # ... and at the zero of s, where s q has a double zero
+    (NevFun.of(0, 0, [(1, 1)]), RatFun.from_points([3], [-1]),
+     {1: -2, 3: 2}, None),
+    # ... and at the pole of s and at a zero of q where s < 0
+    (NevFun.of(1, 0, [(2, 2)]), RatFun.from_points([1], [-2], -1),
+     {2: -2, 1: 2, -2: -2, 12: 2}, None),
+    # psi at a point where s q is regular leaves a double pole there
+    (NevFun.of(0, 1), RatFun.from_points([1], [2]), {5: 2},
+     (NotNevanlinna, "multiple pole at 5")),
+], ids=[f"q{i}-s{i}" for i in range(10)])
+def test_chain_step_cases(q, s, psi, pinned):
     from nevkit.nevfun import _chain_step
-    want = _outcome(nevfun_from_ratfun, s * q.to_ratfun())
-    got = _outcome(_chain_step, s, q)
+    psi = psi and {Fraction(y): e for y, e in psi.items()}
+    items = (psi or {}).items()
+    psi_f = RatFun.from_points([y for y, e in items for _ in range(e)],
+                               [y for y, e in items for _ in range(-e)])
+    want = _outcome(nevfun_from_ratfun, s * q.to_ratfun() / psi_f)
+    got = _outcome(_chain_step, s, q, psi)
     assert got == want if isinstance(want, NevFun) else got[0] is want[0]
+    assert pinned is None or got == pinned
 
 
 @pytest.mark.parametrize("q, p", [

@@ -6,10 +6,13 @@ flags of ``kappa`` and ``invert`` get the same treatment."""
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nevkit.cli import main
+from nevkit.oracle import (MAX_EPS_LEVELS, MAX_KERNEL_ENTRIES,
+                           MAX_QUADRATURE_POINTS, InversionConfig)
 
 COEFFS = st.sampled_from(["0", "0", "1", "-1", "2", "-2", "1/2", "-3/2", "3"])
 
@@ -116,3 +119,31 @@ def test_cli_fuzz_numeric_flags(tmp_path_factory, capsys, case):
     assert code in (0, 1) and "Traceback" not in err
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("verb, flags", [
+    # trials * points^2 just above MAX_KERNEL_ENTRIES
+    ("kappa", ["--points", "1025", "--trials", "1"]),
+    ("kappa", ["--points", "513", "--trials", "4"]),
+    ("invert", ["--points", str(MAX_QUADRATURE_POINTS + 1)]),
+    ("invert", ["--eps-levels", str(MAX_EPS_LEVELS + 1)]),
+    # a schedule that would not fit in memory is refused before it is built
+    ("invert", ["--eps-levels", str(10**12)]),
+])
+def test_size_flags_above_their_bounds_are_refused(tmp_path, capsys, verb,
+                                                   flags):
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(
+        {"alpha": "0", "beta": "0", "atoms": [{"t": "0", "w": "1"}]}))
+    args = [verb, "--in", str(fp)] + flags
+    if verb == "invert":
+        args.append("--interval=-1,1")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "InvalidInput" in err and "Traceback" not in err
+
+
+def test_size_bounds_admit_the_bound_itself():
+    assert 1024 ** 2 == MAX_KERNEL_ENTRIES
+    InversionConfig((1e-2,), MAX_QUADRATURE_POINTS)
+    InversionConfig(tuple(2.0 ** -k for k in range(MAX_EPS_LEVELS)))

@@ -242,6 +242,16 @@ def test_canonical_split_stops_once_the_rest_is_pure(monkeypatch, n,
         assert len(subsets) == trials + 164
 
 
+def test_recombination_past_its_cap_is_refused(monkeypatch):
+    # the split of SD_5 (z^2 + 1) takes 17 trials, the full factorization
+    # of SD_4 164: both stay below the cap
+    assert nevkit.poly.RECOMBINATION_TRIALS > 166
+    monkeypatch.setattr(nevkit.poly, "RECOMBINATION_TRIALS", 16)
+    with pytest.raises(ExactSplitUnavailable,
+                       match="more than 16 recombination trials"):
+        canonical_rational(_swinnerton_dyer(5))
+
+
 def _irrational_corpus(rng, n):
     """Random symmetric functions times quadratics with irrational real
     roots or conjugate pairs, in both the numerator and the denominator."""

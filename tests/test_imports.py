@@ -1,4 +1,4 @@
-"""Seven rules on the package source, each read off its AST and each with
+"""Eight rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -7,6 +7,7 @@ a detector test on inline source:
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots;
 - RatFun._with_roots is called only in ratfun.py and nevfun.py;
+- closed forms are certified only by nevfun's _chain_step and _compose;
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -222,6 +223,25 @@ def test_root_analysis_is_called_only_by_a_ratfun_on_itself():
 def test_tables_are_given_only_where_they_are_known():
     found = _package_calls("_with_roots")
     assert {fname for fname, _scope in found} <= {"ratfun.py", "nevfun.py"}
+
+
+# A Nevanlinna function built in closed form has one certificate, reached
+# through two constructions: a degree-one product s q / psi, the chain step
+# that the chain, the gap representatives, the corpus and the product share,
+# and a composition with a degree-one Herglotz map.
+CERTIFIED_ALLOWED = {("nevfun.py", "_chain_step"), ("nevfun.py", "_compose")}
+
+
+def test_detector_finds_certificates_outside_the_steps():
+    src = ("def _chain_step(s, q):\n    return _certified(1, 2, [], 'a')\n"
+           "def _degree_one_step(s, q):\n"
+           "    return nevfun._certified(1, 2, [], 'b')\n")
+    assert _calls(src, "_certified") == [("_chain_step", 2),
+                                         ("_degree_one_step", 4)]
+
+
+def test_closed_forms_are_certified_only_by_the_two_steps():
+    assert set(_package_calls("_certified")) == CERTIFIED_ALLOWED
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder
