@@ -24,11 +24,10 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
 from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                    canonical_pair, canonical_rational)
-from .nevfun import (NevFun, _chain_step, _compose, _ends, _local,
-                     is_nevanlinna)
+from .nevfun import NevFun, _chain_step, _ends, _local, is_nevanlinna
 from .poly import (CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp,
                    rational_between, rational_outside)
-from .qmath import INF, NEG_INF, fmt_rat, record
+from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
 from .ratfun import RatFun, strictly_between
 
 
@@ -420,69 +419,43 @@ def _require_simple(s: RatFun):
 
 
 def _interval_form(q: NevFun, s: RatFun) -> bool:
-    """Per maximal negative interval: holomorphic, nonvanishing, constant
+    """Per maximal negative arc: holomorphic, nonvanishing, constant
     sign inside, with endpoint types matching that sign."""
     q_rat = q.to_ratfun()
-    for comp in _negative_components(s):
-        for t in q.support(include_inf=False):
-            if _in_component(t, comp):
-                return False
-        for rec in q_rat.real_zeros:
-            if _in_component(rec.point, comp):
-                return False
+    for a, b in _negative_arcs(s):
+        if any(_in_arc(t, a, b) for t, _m, _k in q_rat.critical_points()):
+            return False
+        # through INF the function must be holomorphic and nonvanishing there
+        if point_cmp(a, b) > 0 and (q.beta > 0 or q.c0 == 0):
+            return False
         # q has no zero or pole inside, so its sign there is the one just
-        # right of the left end
-        sgn = q_rat.laurent_lead_sign(comp["left"])
-        if comp["wraps"]:
-            # the function must be holomorphic and nonvanishing at infinity
-            if q.beta > 0:
-                return False
-            lim = q.limit_at(INF, "value")
-            if not lim.is_finite or lim.value == 0:
-                return False
-        for role in ("left", "right"):
-            # an end at NEG_INF or INF takes its kind from s at infinity
-            kind = comp[f"{role}_kind"]
-            want_zero = (sgn < 0) == (role == "left")
-            if kind is None or want_zero != (kind == "zero"):
-                return False
+        # right of a; an end at NEG_INF or INF takes its kind from s there
+        want = (("zero", "pole") if q_rat.laurent_lead_sign(a) < 0
+                else ("pole", "zero"))
+        if (_point_kind(s, a), _point_kind(s, b)) != want:
+            return False
     return True
 
 
-def _negative_components(s: RatFun):
-    """Maximal arcs of the extended line where s is negative."""
-    comps = []
-    neg = s.sign_on_interval().negative_segments()
-    left_unb = next((seg for seg in neg if seg.lo is NEG_INF), None)
-    right_unb = next((seg for seg in neg if seg.hi is INF), None)
-    wrap = (left_unb is not None and right_unb is not None
-            and s.ord_at_inf() % 2 == 0)
-    for seg in neg:
-        if wrap and (seg is left_unb or seg is right_unb):
-            continue
-        comps.append({
-            "left": seg.lo,
-            "right": seg.hi,
-            "left_kind": _point_kind(s, seg.lo),
-            "right_kind": _point_kind(s, seg.hi),
-            "wraps": False,
-        })
-    if wrap:
-        comps.append({
-            "left": right_unb.lo,
-            "right": left_unb.hi,
-            "left_kind": _point_kind(s, right_unb.lo),
-            "right_kind": _point_kind(s, left_unb.hi),
-            "wraps": True,
-        })
-    return comps
+def _negative_arcs(s: RatFun) -> list[tuple]:
+    """The maximal arcs of the extended line where s < 0, as (a, b): the
+    bounded ones in ascending order, then the one through INF, if any,
+    which runs from a through INF to b < a, from a to b = INF, or from
+    INF to b with a = NEG_INF."""
+    arcs = [(seg.lo, seg.hi)
+            for seg in s.sign_on_interval().negative_segments()]
+    if arcs and arcs[0][0] is NEG_INF:
+        b = arcs.pop(0)[1]
+        arcs.append((arcs.pop()[0] if arcs and arcs[-1][1] is INF
+                     else NEG_INF, b))
+    return arcs
 
 
-def _in_component(t, comp) -> bool:
-    if comp["wraps"]:
-        return (point_cmp(t, comp["left"]) > 0
-                or point_cmp(t, comp["right"]) < 0)
-    return strictly_between(t, comp["left"], comp["right"])
+def _in_arc(t, a, b) -> bool:
+    """Whether t lies inside the arc from a to b, through INF when a > b."""
+    if point_cmp(a, b) > 0:
+        return point_cmp(t, a) > 0 or point_cmp(t, b) < 0
+    return strictly_between(t, a, b)
 
 
 def _point_kind(s: RatFun, p) -> Optional[str]:
@@ -528,24 +501,19 @@ def _odd_part(r: RatFun) -> RatFun:
 
 
 def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
-    """The chain's factors and their partial products with q, in one pass:
-    each negative component takes its factors from the last product."""
+    """The chain's factors and their partial products with q, in one pass
+    over the negative arcs of r's odd part s, each taking its factors from
+    the last product.  Every factor is 1 at one anchor, INF when s > 0
+    there and else a rational p with s(p) > 0; the first then carries the
+    constant left over, r(p) at p."""
     s = _odd_part(r)
     if s.is_constant:
         return _degenerate_chain(q, r)
-    segments = s.sign_on_interval().negative_segments()     # ascending
-    if any(seg.lo is NEG_INF or seg.hi is INF for seg in segments):
-        p = _positive_anchor(s, q, r)
-        # tau = p - 1/lambda, with its zero and pole
-        tau = RatFun.from_points([1 / p], [0], p) if p else \
-            RatFun.from_points([], [0], -1)
-        inner, _ = _chain_build(_compose(q, tau), r.compose_mobius(tau))
-        tinv = RatFun.from_points([], [p], -1)     # its inverse, -1/(w - p)
-        factors = [f.compose_mobius(tinv) for f in inner]
-        return factors, _certify_chain(q, factors)
+    anchor = (INF if s.gamma > 0 < s.laurent_lead_sign(NEG_INF)
+              else _positive_anchor(s, q, r))
     factors, certs, q_cur = [], [], q
-    for seg in segments:
-        fs = _interval_factors(q_cur, r, seg.lo, seg.hi)
+    for a, b in _negative_arcs(s):
+        fs = _interval_factors(q_cur, r, a, b, anchor)
         factors += fs
         certs += _certify_chain(q_cur, fs)
         q_cur = certs[-1]
@@ -581,48 +549,77 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     raise NotInClass("multiplier is nowhere positive")
 
 
-def _interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
-    """Factors for one bounded maximal negative interval: paired interior
-    factors, the endpoint factors, then the paired factors again.
+def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):
+    """Factors for the negative arc of s from a to b (see _negative_arcs):
+    paired interior factors, the endpoint factors, then the paired factors
+    again, each 1 at the anchor.
 
-    The interior points are the entries of q's critical table inside
-    (a, b), its poles being its atoms.  q's sign just right of a, flipped
-    once per interior point, fixes the pattern: a leading zero stays
-    unpaired when q goes from negative to positive, a trailing atom when it
-    goes from positive to negative, and the rest pair up as (atom, zero)."""
+    The interior points are the entries of q's critical table inside the
+    arc, its poles being its atoms, from a to b; through INF, INF is one
+    of them, a pole when beta > 0 and a zero when q(inf) = 0.  q's sign
+    just right of a, flipped once per interior point, fixes the pattern:
+    a leading zero stays unpaired when q goes from negative to positive, a
+    trailing atom when it goes from positive to negative, and the rest
+    pair up as (atom, zero).
+
+    Cyclic-pattern lemma: on an arc that reaches INF, and so misses p,
+    this reading gives factors whose partial products are all Nevanlinna,
+    as on a bounded interval.  Proof: tau(w) = p - 1/w is Herglotz and
+    increasing on each half-line, and maps a bounded interval I onto the
+    arc from a to b, w = 0 to INF.  q o tau is Nevanlinna, and its
+    critical table on I is the arc's sequence, with the same kinds and the
+    same sign just right of the left end.  So the bounded pattern holds on
+    I, and its factor (w - x)/(w - y), 1 at w = INF, composed with
+    tau^-1(z) = -1/(z - p) is the factor here for tau(x) and tau(y), 1 at
+    p, a point w = 0 dropping its linear factor.  Each partial product is
+    the one on I composed with the Herglotz tau^-1, so it is Nevanlinna."""
     q_rat = q.to_ratfun()
-    seq = [(x, kind) for x, _m, kind in q_rat.critical_points()
-           if strictly_between(x, a, b)]
+    crit = [(x, kind) for x, _m, kind in q_rat.critical_points()]
+    if point_cmp(a, b) < 0:
+        seq = [(x, k) for x, k in crit if strictly_between(x, a, b)]
+    else:
+        at_inf = ([(INF, "pole")] if q.beta else
+                  [(INF, "zero")] if not q.c0 else [])
+        seq = ([(x, k) for x, k in crit if point_cmp(x, a) > 0] + at_inf
+               + [(x, k) for x, k in crit if point_cmp(x, b) < 0])
     if any(isinstance(x, RealAlg) for x, _k in seq):
         raise ExactSplitUnavailable("irrational zero inside the interval")
     left_pos = q_rat.laurent_lead_sign(a) > 0
     right_pos = left_pos != (len(seq) % 2 == 1)
     if right_pos and not left_pos:
         alpha0, seq = seq[0][0], seq[1:]
-        ends = [RatFun.from_points([a], [alpha0]),
-                RatFun.from_points([b], [alpha0])]
+        ends = [(a, alpha0), (b, alpha0)]
     elif left_pos and not right_pos:
         beta_last, seq = seq[-1][0], seq[:-1]
-        ends = [RatFun.from_points([beta_last], [a]),
-                RatFun.from_points([beta_last], [b])]
+        ends = [(beta_last, a), (beta_last, b)]
     elif left_pos:
-        ends = [RatFun.from_points([b], [a])]
+        ends = [(b, a)]
     else:
-        ends = [RatFun.from_points([a], [b])]
-    tilde = _pair_factors(seq)
+        ends = [(a, b)]
+    tilde = _pair_factors(seq, anchor)
     expect = ("pole" if left_pos else "zero", "zero" if right_pos else "pole")
     got = (_point_kind(r, a), _point_kind(r, b))
     if got != expect:
         raise NotInClass(f"endpoint kinds {got} do not match the interior "
                          f"pattern {expect}")
-    return tilde + ends + tilde
+    return tilde + [_unit_factor(x, y, anchor) for x, y in ends] + tilde
 
 
-def _pair_factors(seq) -> list[RatFun]:
-    """(z - atom)/(z - zero) for each consecutive two (point, kind) entries
-    of a run of q's critical table, its poles being its atoms."""
-    return [RatFun.from_points([x], [y]) if k == "pole"
-            else RatFun.from_points([y], [x])
+def _unit_factor(x, y, anchor) -> RatFun:
+    """(z - x)/(z - y) for points of the extended line, a point at infinity
+    dropping its linear factor, scaled to 1 at the anchor."""
+    zeros, poles = ([] if isinstance(t, ExtSymbol) else [t] for t in (x, y))
+    gamma = 1 if anchor is INF else (math.prod(anchor - t for t in poles)
+                                     / math.prod(anchor - t for t in zeros))
+    return RatFun.from_points(zeros, poles, gamma)
+
+
+def _pair_factors(seq, anchor) -> list[RatFun]:
+    """(z - atom)/(z - zero), 1 at the anchor, for each consecutive two
+    (point, kind) entries of a run of q's critical table, its poles being
+    its atoms."""
+    return [_unit_factor(x, y, anchor) if k == "pole"
+            else _unit_factor(y, x, anchor)
             for (x, k), (y, _k) in zip(seq[::2], seq[1::2])]
 
 
@@ -637,7 +634,7 @@ def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
     seq = [(x, kind) for x, _m, kind in q.to_ratfun().critical_points()]
     if any(isinstance(x, RealAlg) for x, _k in seq):
         raise ExactSplitUnavailable("irrational double pole")
-    pairs, gamma = _pair_factors(seq), r.gamma
+    pairs, gamma = _pair_factors(seq, INF), r.gamma
     if len(seq) % 2 == 0:
         factors = pairs + [pairs[0] * gamma] + pairs[1:]
     else:

@@ -489,7 +489,9 @@ def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
         if e + eq < -1:
             raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
         if e + eq == -1:
-            atoms.append((x, over_psi(x, -_local(s.num, s.den, x)[1] * lq)))
+            # s's denominator is the monic z - b, so s's lead at b is s.num(b)
+            ls = s.num.eval_q(x) if x == b else _local(s.num, s.den, x)[1]
+            atoms.append((x, over_psi(x, -ls * lq)))
     atoms += [(t, over_psi(t, w * s.eval_q(t))) for t, w in q.sigma
               if t != a and t not in points]
     lhs, rhs = s.num * n, s.den * d

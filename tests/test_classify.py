@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,10 @@ from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
                            NotInterlacing, NotNevanlinna, NotRationalAtoms)
 from nevkit.gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
                          canonical_pair, canonical_rational)
-from nevkit.nevfun import NevFun, nevfun_from_ratfun
+from nevkit.nevfun import NevFun, _compose, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
-from nevkit.poly import Poly, RealAlg, real_root_structure
-from nevkit.qmath import INF, QC
+from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
+from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, strictly_between
 from nevkit.realize import (enumerate_zeros_poles, minimal_model,
                             model_spectral_check, transform_model)
@@ -278,17 +279,25 @@ def _count_extractions(monkeypatch) -> list:
     return calls
 
 
-def _criterion5_pairs(n: int):
-    """The first n pairs of the criterion-5 corpus, the worked pair first,
-    as JSON so that every parse gives fresh objects."""
+@lru_cache(maxsize=1)
+def _criterion5_corpus() -> tuple:
+    """The criterion-5 corpus at the chain workload's 60-second size, 306
+    pairs, the worked pair first, as JSON so that every parse gives fresh
+    objects; drawn once, as its draws are the slow part."""
     pairs = [(WORKED_Q, WORKED_R)]
     rng = random.Random(1005)
-    while len(pairs) < n:
+    while len(pairs) < 306:
         q, r = random_plain_pair(rng)
         _zs, ps = enumerate_zeros_poles(r)
         if ps and q.kac_membership(ps[0]):
             pairs.append((q, r))
-    return [(ser.nevfun_to_json(q), ser.ratfun_to_json(r)) for q, r in pairs]
+    return tuple((ser.nevfun_to_json(q), ser.ratfun_to_json(r))
+                 for q, r in pairs)
+
+
+def _criterion5_pairs(n: int) -> list:
+    """The first n pairs of the criterion-5 corpus, n <= 306."""
+    return list(_criterion5_corpus()[:n])
 
 
 def test_chain_factors_depend_only_on_values(monkeypatch):
@@ -530,10 +539,9 @@ def test_product_of_the_zero_function_is_rejected():
 
 
 def test_chain_leaves_the_leading_zero_unpaired():
-    # the fifth draw of random_plain_pair(random.Random(229), 6): after the
-    # change of variable for the unbounded negative set, one interval holds
-    # a zero of the function and no atom after it, so _interval_factors
-    # leaves that leading zero unpaired
+    # the fifth draw of random_plain_pair(random.Random(229), 6): the
+    # negative arc through infinity holds a zero of the function and no
+    # atom after it, so _interval_factors leaves that leading zero unpaired
     q = NevFun.of(4, Fraction(1, 2))                       # 4 + z/2
     r = RatFun(Poly([-28, 3, 1]), Poly([0, 64, 16, 1]))
     assert check_N00(q, r).ok
@@ -549,22 +557,134 @@ def test_chain_leaves_the_leading_zero_unpaired():
     assert prod == r
 
 
+# -- the chain on the extended line ---------------------------------------------------
+
+
+def _detour_chain_build(q: NevFun, r: RatFun):
+    """The chain as it was built before it walked the extended line, kept
+    as the reference: when r's odd part is negative near infinity, the pair
+    moves by tau = p - 1/lambda, where every negative set is bounded, is
+    factored there, and each factor moves back by -1/(z - p) and is
+    certified again."""
+    import nevkit.classify as cl
+    s = cl._odd_part(r)
+    if s.is_constant or not any(
+            seg.lo is NEG_INF or seg.hi is INF
+            for seg in s.sign_on_interval().negative_segments()):
+        return cl._chain_build(q, r)
+    p = cl._positive_anchor(s, q, r)
+    tau = RatFun.from_points([1 / p], [0], p) if p else \
+        RatFun.from_points([], [0], -1)
+    inner, _ = _detour_chain_build(_compose(q, tau), r.compose_mobius(tau))
+    tinv = RatFun.from_points([], [p], -1)
+    factors = [f.compose_mobius(tinv) for f in inner]
+    return factors, cl._certify_chain(q, factors)
+
+
+# plain pairs whose negative arcs through infinity the draws rarely or
+# never give: q(inf) = 0 inside an arc through infinity (q = -1/z), an atom
+# at infinity inside one (q = z), an arc to infinity (q = -1/z) and one
+# from it (q = 1/(2 - z))
+EXTENDED_LINE_PAIRS = [
+    (MINUS_INV, RatFun.from_points([0, 0, 2], [1], -1)),
+    (NevFun.of(0, 1), RatFun.from_points([1], [0, 0, 2], -1)),
+    (MINUS_INV, RatFun.from_points([1], [], -1)),
+    (NevFun.from_partial_fractions(0, 0, [(2, 1)]),
+     RatFun.from_points([1], [])),
+]
+
+
+def test_chain_on_the_extended_line_matches_the_detour(monkeypatch):
+    """The chain read off the negative arcs of the extended line equals,
+    factor by factor and certificate by certificate, the one built through
+    the change of variable, on the 306 criterion-5 pairs, a drawn stream
+    and the pairs above.  Every factor but the first is 1 at the anchor:
+    INF when no arc reaches it, and otherwise the rational point where the
+    first factor is r."""
+    import nevkit.classify as cl
+    anchors, arcs = [], []
+    anchor, table = cl._positive_anchor, cl._interval_factors
+    monkeypatch.setattr(cl, "_positive_anchor",
+                        lambda *a: anchors.append(anchor(*a)) or anchors[-1])
+
+    def recording(q, r, a, b, p):
+        arcs.append((_arc_shape(a, b), q.to_ratfun().ord_at_inf()))
+        return table(q, r, a, b, p)
+    monkeypatch.setattr(cl, "_interval_factors", recording)
+    pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
+             for qj, rj in _criterion5_pairs(306)] + EXTENDED_LINE_PAIRS
+    rng = random.Random(4242)
+    pairs += [random_plain_pair(rng) for _ in range(100)]
+    rng = random.Random(229)
+    pairs += [random_plain_pair(rng, 6) for _ in range(30)]
+    detours = 0
+    for q, r in pairs:
+        want = _outcome(_detour_chain_build, q, r)
+        anchors.clear()
+        got = _outcome(chain_factorize, q, r)
+        assert isinstance(got, FactorChain), (q, r, got)
+        assert repr(list(got.factors)) == repr(want[0])
+        assert repr(list(got.partial_certificates)) == repr(want[1])
+        first, *rest = got.factors
+        if anchors:
+            [p] = anchors
+            detours += 1
+            assert all(f.eval_q(p) == 1 for f in rest)
+            assert first.eval_q(p) == r.eval_q(p)
+        else:
+            assert all(f.gamma == 1 for f in rest)
+    # measured: 231 of the 440 pairs have an arc through infinity
+    assert detours >= 231
+    # the arcs through infinity: to it, from it, and through it with a
+    # regular point, an atom and a zero of q there
+    assert {shape for shape, _m in arcs} == {
+        "bounded", "to inf", "from inf", "through inf"}
+    assert {m for shape, m in arcs if shape == "through inf"} == {0, -1, 1}
+
+
 # -- interval patterns read from the critical table -----------------------------------
 
 
-def _flag_interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
-    """The interval factors as they were chosen from merged atom and zero
-    lists by two case flags, kept as the reference for the table reading."""
-    from nevkit.classify import _point_kind
+def _flag_arc_entries(q: NevFun, a, b) -> list:
+    """q's atoms and zeros inside the negative arc from a to b, as
+    (point, "atom" | "zero") in the order read from a.  An arc with a > b
+    runs through INF, where q has an atom when it grows at infinity and a
+    zero when it vanishes there."""
     q_rat = q.to_ratfun()
-    atoms_in = [t for t in q.sigma.positions if a < t < b]
-    zero_recs = [rec for rec in q_rat.real_zeros
-                 if strictly_between(rec.point, a, b)]
-    for rec in zero_recs:
-        if not rec.is_rational:
-            raise ExactSplitUnavailable("irrational zero inside the interval")
-    seq = sorted([(t, "atom") for t in atoms_in]
-                 + [(rec.point, "zero") for rec in zero_recs])
+    wraps = point_cmp(a, b) > 0
+
+    def inside(t):
+        if wraps:
+            return point_cmp(t, a) > 0 or point_cmp(t, b) < 0
+        return strictly_between(t, a, b)
+
+    def after_a(entry):
+        t = entry[0]
+        return (1, 0) if t is INF else (2 if wraps and t < b else 0, t)
+    atoms_in = [t for t in q.sigma.positions if inside(t)]
+    zeros_in = [rec.point for rec in q_rat.real_zeros if inside(rec.point)]
+    if not all(isinstance(t, Fraction) for t in zeros_in):
+        raise ExactSplitUnavailable("irrational zero inside the interval")
+    if wraps and q_rat.ord_at_inf() < 0:
+        atoms_in.append(INF)
+    if wraps and q_rat.ord_at_inf() > 0:
+        zeros_in.append(INF)
+    return sorted([(t, "atom") for t in atoms_in]
+                  + [(t, "zero") for t in zeros_in], key=after_a)
+
+
+def _flag_interval_factors(q: NevFun, r: RatFun, a, b, anchor):
+    """The interval factors as they were chosen from merged atom and zero
+    lists by two case flags, kept as the reference for the table reading.
+    A factor leaves out a point at infinity and is divided by its value at
+    a finite anchor."""
+    from nevkit.classify import _point_kind
+
+    def factor(x, y) -> RatFun:
+        f = RatFun.from_points(*([t] if isinstance(t, Fraction) else []
+                                 for t in (x, y)))
+        return f if anchor is INF else f / f.eval_q(anchor)
+    seq = _flag_arc_entries(q, a, b)
     for (x1, k1), (x2, k2) in zip(seq, seq[1:]):
         if k1 == k2:
             raise NotInClass("interior data does not alternate")
@@ -580,28 +700,26 @@ def _flag_interval_factors(q: NevFun, r: RatFun, a: Fraction, b: Fraction):
         pair_iter = zip(betas[:-1], alphas)
     else:
         pair_iter = zip(betas, alphas)
-    tilde = [RatFun.from_points([beta], [alpha]) for beta, alpha in pair_iter]
+    tilde = [factor(beta, alpha) for beta, alpha in pair_iter]
     if not seq:
-        if q_rat.laurent_lead_sign(a) > 0:
+        if q.to_ratfun().laurent_lead_sign(a) > 0:
             expect = ("pole", "zero")
-            ends = [RatFun.from_points([b], [a])]
+            ends = [factor(b, a)]
         else:
             expect = ("zero", "pole")
-            ends = [RatFun.from_points([a], [b])]
+            ends = [factor(a, b)]
     elif has_alpha0 and has_beta_last:
         expect = ("zero", "pole")
-        ends = [RatFun.from_points([a], [b])]
+        ends = [factor(a, b)]
     elif has_alpha0:
         expect = ("zero", "zero")
-        ends = [RatFun.from_points([a], [alphas[0]]),
-                RatFun.from_points([b], [alphas[0]])]
+        ends = [factor(a, alphas[0]), factor(b, alphas[0])]
     elif has_beta_last:
         expect = ("pole", "pole")
-        ends = [RatFun.from_points([betas[-1]], [a]),
-                RatFun.from_points([betas[-1]], [b])]
+        ends = [factor(betas[-1], a), factor(betas[-1], b)]
     else:
         expect = ("pole", "zero")
-        ends = [RatFun.from_points([b], [a])]
+        ends = [factor(b, a)]
     got = (_point_kind(r, a), _point_kind(r, b))
     if got != expect:
         raise NotInClass(f"endpoint kinds {got} do not match the interior "
@@ -616,35 +734,48 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
+def _arc_shape(a, b) -> str:
+    if a is NEG_INF:
+        return "from inf"
+    if b is INF:
+        return "to inf"
+    return "through inf" if point_cmp(a, b) > 0 else "bounded"
+
+
 def test_interval_factors_match_the_flag_reference(monkeypatch):
     import nevkit.classify as cl
     table = cl._interval_factors
-    patterns = set()
+    patterns, shapes = set(), set()
 
-    def checked(q, r, a, b):
-        want = _outcome(_flag_interval_factors, q, r, a, b)
+    def checked(q, r, a, b, anchor):
+        want = _outcome(_flag_interval_factors, q, r, a, b, anchor)
         try:
-            got = table(q, r, a, b)
+            got = table(q, r, a, b, anchor)
         except NevkitError as e:
             assert (type(e), str(e)) == want
             raise
         assert got == want
-        inside = [k for t, _m, k in q.to_ratfun().critical_points()
-                  if strictly_between(t, a, b)]
+        entries = _flag_arc_entries(q, a, b)
+        inside = [k for _t, k in entries]
         patterns.add(tuple(inside[:1] + inside[-1:])
                      or q.to_ratfun().laurent_lead_sign(a))
+        shapes.add((_arc_shape(a, b), any(t is INF for t, _k in entries)))
         return got
     monkeypatch.setattr(cl, "_interval_factors", checked)
     pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
-             for qj, rj in _criterion5_pairs(51)]
+             for qj, rj in _criterion5_pairs(51)] + EXTENDED_LINE_PAIRS
     for seed in (229, 1004):
         rng = random.Random(seed)
         pairs += [random_plain_pair(rng, 6) for _ in range(40)]
     for q, r in pairs:
         _outcome(chain_factorize, q, r)
     # empty with q > 0 and with q < 0, z...a, z...z and a...a
-    assert patterns >= {1, -1, ("zero", "pole"), ("zero", "zero"),
-                        ("pole", "pole")}
+    assert patterns >= {1, -1, ("zero", "atom"), ("zero", "zero"),
+                        ("atom", "atom")}
+    # every arc shape, and INF inside an arc through it
+    assert shapes >= {("bounded", False), ("from inf", False),
+                      ("to inf", False), ("through inf", False),
+                      ("through inf", True)}
 
 
 # q on (0, 10) and r with the endpoint kinds that q's pattern asks for
@@ -681,8 +812,8 @@ P_0_10 = RatFun.from_points([], [0, 10])
 def test_interval_patterns(q, r, factors):
     from nevkit.classify import _interval_factors
     a, b = Fraction(0), Fraction(10)
-    assert _interval_factors(q, r, a, b) == factors
-    assert _flag_interval_factors(q, r, a, b) == factors
+    assert _interval_factors(q, r, a, b, INF) == factors
+    assert _flag_interval_factors(q, r, a, b, INF) == factors
 
 
 @pytest.mark.parametrize("q, r, error", [
@@ -694,8 +825,8 @@ def test_interval_patterns(q, r, factors):
 def test_interval_pattern_refusals(q, r, error):
     from nevkit.classify import _interval_factors
     a, b = Fraction(0), Fraction(10)
-    got = _outcome(_interval_factors, q, r, a, b)
-    assert got == _outcome(_flag_interval_factors, q, r, a, b)
+    got = _outcome(_interval_factors, q, r, a, b, INF)
+    assert got == _outcome(_flag_interval_factors, q, r, a, b, INF)
     assert got[0] is error
 
 
@@ -703,11 +834,14 @@ def test_interval_pattern_refusals(q, r, error):
 
 
 def test_chain_steps_match_extraction(monkeypatch):
-    """Every closed-form chain step and Moebius composition, inner chains
-    included, equals the exact extraction of its RatFun, and every partial
-    certificate equals the extraction of its partial product."""
+    """Every closed-form chain step equals the exact extraction of its
+    RatFun, and every partial certificate equals the extraction of its
+    partial product.  The Moebius compositions that compose_gen makes,
+    here with the maps tau = p - 1/lambda at the chains' anchors, equal
+    the extraction of theirs."""
     import nevkit.classify as cl
-    step, compose = cl._chain_step, cl._compose
+    import nevkit.gnev as gnev
+    step, compose = cl._chain_step, gnev._compose
     seen = {"step": 0, "tau": 0}
 
     def checked_step(s, q):
@@ -722,7 +856,7 @@ def test_chain_steps_match_extraction(monkeypatch):
         seen["tau"] += 1
         return got
     monkeypatch.setattr(cl, "_chain_step", checked_step)
-    monkeypatch.setattr(cl, "_compose", checked_compose)
+    monkeypatch.setattr(gnev, "_compose", checked_compose)
     pairs = [(ser.nevfun_from_json(qj), ser.ratfun_from_json(rj))
              for qj, rj in _criterion5_pairs(51)]
     rng = random.Random(4711)
@@ -734,7 +868,17 @@ def test_chain_steps_match_extraction(monkeypatch):
                            strict=True):
             acc = f * acc
             assert cert == nevfun_from_ratfun(acc)
-    assert seen["step"] >= 350 and seen["tau"] >= 50
+    steps = seen["step"]
+    for q, r in pairs:
+        s = cl._odd_part(r)
+        if not s.is_constant and (s.gamma < 0
+                                  or s.laurent_lead_sign(NEG_INF) < 0):
+            p = cl._positive_anchor(s, q, r)
+            tau = RatFun.from_points([1 / p], [0], p) if p else \
+                RatFun.from_points([], [0], -1)
+            gnev.compose_gen(GenNevFun.from_nevfun(q), tau)
+    # measured: 249 chain steps (no compositions any more) and 63 maps
+    assert steps >= 249 and seen["tau"] >= 60
 
 
 @pytest.mark.parametrize("q, s, psi, pinned", [
@@ -887,8 +1031,8 @@ def _record_analyses(monkeypatch) -> list:
 def test_chain_items_analyse_only_their_input(monkeypatch):
     """The 51 criterion-5 pairs through the calls of the chain verb, from
     empty memos: only the multipliers' polynomials are analysed, each once.
-    Every derived function gets its tables by merging, and tau = p -
-    1/lambda is built from its zero and pole."""
+    Every derived function gets its tables by merging, and every chain
+    factor is built from its zero and pole."""
     pairs = [(ser.nevfun_from_json(q), ser.ratfun_from_json(r))
              for q, r in _criterion5_pairs(51)]
     real_root_structure.cache_clear()

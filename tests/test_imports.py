@@ -1,4 +1,4 @@
-"""Eight rules on the package source, each read off its AST and each with
+"""Nine rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -8,6 +8,7 @@ a detector test on inline source:
 - real_root_structure is called only by RatFun._num_roots and _den_roots;
 - RatFun._with_roots is called only in ratfun.py and nevfun.py;
 - closed forms are certified only by nevfun's _chain_step and _compose;
+- classify composes with no Moebius map;
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -242,6 +243,33 @@ def test_detector_finds_certificates_outside_the_steps():
 
 def test_closed_forms_are_certified_only_by_the_two_steps():
     assert set(_package_calls("_certified")) == CERTIFIED_ALLOWED
+
+
+# The chain walks the negative arcs of the extended line in one pass, so
+# classify has no change of variable: it neither imports nevfun's _compose
+# nor calls RatFun.compose_mobius.
+def _moebius_uses(source: str) -> list[tuple[str, int]]:
+    """Imports of _compose and calls of _compose or compose_mobius, as
+    (name, line)."""
+    found = [(alias.name, node.lineno)
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name == "_compose"]
+    found += [(name, line) for name in ("_compose", "compose_mobius")
+              for _scope, line in _calls(source, name)]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_detector_finds_moebius_detours():
+    src = ("from .nevfun import NevFun, _compose as c\n"
+           "def build(q, r, tau):\n"
+           "    return c(q, tau), r.compose_mobius(tau), _compose(q, tau)\n")
+    assert _moebius_uses(src) == [("_compose", 1), ("_compose", 3),
+                                  ("compose_mobius", 3)]
+
+
+def test_classify_takes_no_moebius_detour():
+    assert _moebius_uses((PACKAGE / "classify.py").read_text()) == []
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder
