@@ -156,12 +156,10 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     sign changes put a zero there.  A step that does not certify is an
     InvariantViolation."""
     a, b = _ends(s)
-    n, d = q.num_den()
     # q's local data at its atoms and the finite ends of s, which cut the
     # line into cells where s has the sign its table gives at the left end
     q_loc = {t: (-1, -w) for t, w in q.sigma}
-    q_loc.update((x, q_loc.get(x) or _local(n, d, x)) for x in (a, b)
-                 if x is not INF)
+    q_loc.update((x, q._local_at(x)) for x in (a, b) if x is not INF)
     ends = sorted(q_loc)                # not empty: s has a finite end
     lefts = [NEG_INF] + ends
     inside = [s.laurent_lead_sign(x) < 0 for x in lefts]     # s < 0 there

@@ -10,7 +10,6 @@ symmetric rational function is built from those multiplicities alone.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
@@ -19,7 +18,7 @@ from .nevfun import NevFun, _compose, nevfun_from_ratfun
 from .poly import (Poly, RealAlg, _factor_squarefree, _poly, _primitive,
                    count_real_roots)
 from .qmath import INF, fmt_rat, record
-from .ratfun import RatFun
+from .ratfun import RatFun, from_table
 
 
 @record
@@ -139,21 +138,15 @@ class GenNevFun:
 def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     """(sum of zero-type, sum of pole-type) multiplicities carried by a
     nonnegative rational factor; validates nonnegativity on the real line."""
-    pi_total = 0
-    for rec in phi.real_zeros:
-        if rec.mult % 2:
-            raise InvalidInput("factor has an odd-order real zero")
-        pi_total += rec.mult // 2
-    for blk in phi.complex_zero_blocks:
-        pi_total += blk.pairs * blk.mult
-    kappa_total = 0
-    for rec in phi.real_poles:
-        if rec.mult % 2:
-            raise InvalidInput("factor has an odd-order real pole")
-        kappa_total += rec.mult // 2
-    for blk in phi.complex_pole_blocks:
-        kappa_total += blk.pairs * blk.mult
-    return pi_total, kappa_total
+    sums = []
+    for kind, real, blocks in (
+            ("zero", phi.real_zeros, phi.complex_zero_blocks),
+            ("pole", phi.real_poles, phi.complex_pole_blocks)):
+        if any(rec.mult % 2 for rec in real):
+            raise InvalidInput(f"factor has an odd-order real {kind}")
+        sums.append(sum(rec.mult // 2 for rec in real)
+                    + sum(blk.pairs * blk.mult for blk in blocks))
+    return tuple(sums)
 
 
 def _is_pure(h: Poly) -> bool:
@@ -177,22 +170,18 @@ def _canonical_factor(f: RatFun):
     """
     records = [rec for rec in nonpositive_type_records(f)
                if rec.point is not INF]
-    points = {"GZNT": [], "GPNT": []}     # kind -> rational points, repeated
-    parts = {"GZNT": {}, "GPNT": {}}      # kind -> {polynomial: exponent}
+    table, blocks = [], []      # psi's (point, order) and (factor, order)
     for rec in records:
-        if isinstance(rec.point, RealAlg):
-            order = abs(f.ord_at(rec.point))
-            if order % 2:
-                raise ExactSplitUnavailable(
-                    "odd-order irrational point carries type multiplicity")
-            parts[rec.kind][rec.point.p] = order
-        else:
-            points[rec.kind] += [rec.point] * (2 * rec.mult)
-    for kind, blocks in (("GZNT", f.complex_zero_blocks),
-                         ("GPNT", f.complex_pole_blocks)):
-        for blk in blocks:
+        # an irrational point's order is even, twice its type multiplicity
+        if isinstance(rec.point, RealAlg) and f.ord_at(rec.point) % 2:
+            raise ExactSplitUnavailable(
+                "odd-order irrational point carries type multiplicity")
+        table.append((rec.point, 2 * rec.mult if rec.kind == "GZNT"
+                      else -2 * rec.mult))
+    for sgn, bs in ((1, f.complex_zero_blocks), (-1, f.complex_pole_blocks)):
+        for blk in bs:
             if not (blk.real_roots and blk.mult % 2):
-                parts[kind][blk.factor] = blk.mult
+                blocks.append((blk.factor, sgn * blk.mult))
                 continue
             pieces = _factor_squarefree(_primitive(blk.factor.n), _is_pure)
             for h in (_poly(a, a[-1]) for a in pieces):
@@ -202,14 +191,10 @@ def _canonical_factor(f: RatFun):
                         "conjugate pairs share an odd-multiplicity factor "
                         "with irrational real roots")
                 if not n:
-                    parts[kind][h] = blk.mult
-    # all parts are monic, so gamma is one; the points seed psi's tables
-    psi = RatFun.from_points(points["GZNT"], points["GPNT"])
-    num, den = (math.prod((h ** e for h, e in parts[kind].items()),
-                          start=Poly.const(1)) for kind in ("GZNT", "GPNT"))
-    if num.degree or den.degree:
-        psi = psi * RatFun(num, den)
-    return psi, records
+                    blocks.append((h, sgn * blk.mult))
+    # an irrational point brings every real root of its polynomial, all of
+    # one order, and a whole block its real roots too
+    return from_table(table, blocks), records
 
 
 def canonical_rational(s: RatFun):

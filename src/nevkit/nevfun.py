@@ -163,6 +163,15 @@ class NevFun:
         object.__setattr__(self, "_num_den", memo)
         return memo
 
+    def _local_at(self, x: Fraction) -> tuple[int, Fraction]:
+        """(order, Laurent lead) at a rational x, memoised like num_den."""
+        memo = self.__dict__.setdefault("_locals", {})
+        v = memo.get(x)
+        if v is None:
+            w = self.sigma.weight_at(x)
+            v = memo[x] = (-1, -w) if w else _local(*self.num_den(), x)
+        return v
+
     def to_ratfun(self) -> RatFun:
         """The function as a reduced RatFun, built once per instance from
         :meth:`num_den` with no gcd (every weight is positive) and with the
@@ -225,7 +234,7 @@ class NevFun:
                 return LIM_INF
             return LimitValue.finite(self.evaluate(c))
         if mode == "slope":
-            e, lead = (-1, -w_c) if w_c else _local(*self.num_den(), c)
+            e, lead = self._local_at(c)
             return LimitValue.finite(lead) if e == 1 else LIM_INF
         raise InvalidInput(f"unknown limit mode {mode!r}")
 
@@ -484,8 +493,7 @@ def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
     n, d = q.num_den()
     atoms = []
     for x, e in points.items():
-        w = q.sigma.weight_at(x)
-        eq, lq = (-1, -w) if w else _local(n, d, x)
+        eq, lq = q._local_at(x)
         if e + eq < -1:
             raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
         if e + eq == -1:

@@ -3,7 +3,7 @@
 A :class:`RatFun` is a reduced pair of Fraction-coefficient polynomials with
 bookkeeping for its zeros and poles on the extended real line: rational
 points are exact, irrational real points are certified isolating intervals,
-and conjugate-pair blocks are tracked by count only (they never take part in
+and conjugate-pair blocks by factor and count (they never take part in
 sign decisions).  The finite real zeros and poles form one ordered table,
 :meth:`RatFun.critical_points`, which every local query (orders, Laurent
 signs, sign segments) reads.  Signs follow one parity rule on that table:
@@ -13,16 +13,19 @@ rational point is found by evaluation.  The point at infinity is first
 class: the zero or pole multiplicity there is the degree imbalance.
 
 The tables travel with the function: only input is analysed.  Products and
-quotients merge them (a common rational point is divided out, no gcd), and
-Mobius maps move rational ones; a table not built or with conjugate pairs,
-a common irrational point or an irrational image falls back to a gcd.
+quotients merge them, a common rational point or pair-block factor divided
+out with no gcd, and Mobius maps move rational ones; a table not built, a
+common irrational point, two block factors with a common root, or a Mobius
+image of blocks or irrational points falls back to a gcd.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
@@ -163,10 +166,13 @@ class RatFun:
         num, den = self.num * o_num, self.den * o_den
         a, b = self._table(), other._table()
         if a is not None and b is not None:
-            table, common = _merge(a, [(p, sign * e) for p, e in b])
-            if table is not None:
-                return _from_table(_divide_out(num, common),
-                                   _divide_out(den, common), table)
+            table, common = _merge(a[0], [(p, sign * e) for p, e in b[0]])
+            blocks, shared = _merge_blocks(a[1], b[1], sign) \
+                if a[1] or b[1] else ((), ())
+            if table is not None and blocks is not None:
+                return _from_table(_divide_out(num, common, shared),
+                                   _divide_out(den, common, shared),
+                                   table, blocks)
         return RatFun(num, den)
 
     def __rtruediv__(self, other):
@@ -245,13 +251,16 @@ class RatFun:
         return r
 
     def _table(self):
-        """The finite real zeros and poles as ascending (point, order) if
-        both root structures are known, without conjugate pairs, else None."""
-        if (self.is_zero or self._roots_num is None or self._roots_den is None
-                or self._num_roots().blocks or self._den_roots().blocks):
+        """(points, blocks) if both root structures are known, else None:
+        the finite real zeros and poles as ascending (point, order) and the
+        conjugate-pair blocks as (factor, order), orders negative at poles."""
+        if self.is_zero or self._roots_num is None or self._roots_den is None:
             return None
-        return [(p, m if kind == "zero" else -m)
-                for p, m, kind in self.critical_points()]
+        nb, db = self._num_roots().blocks, self._den_roots().blocks
+        return ([(p, m if kind == "zero" else -m)
+                 for p, m, kind in self.critical_points()],
+                [(b.factor, b.mult) for b in nb]
+                + [(b.factor, -b.mult) for b in db] if nb or db else ())
 
     @property
     def real_zeros(self) -> list[RootRecord]:
@@ -406,8 +415,9 @@ class RatFun:
         d = self.degree
         num = compose_fractional(self.num, tau.num, tau.den, d)
         den = compose_fractional(self.den, tau.num, tau.den, d)
-        table = self._table()
-        if table is None or any(isinstance(p, RealAlg) for p, _ in table):
+        table, blocks = self._table() or (None, None)
+        if table is None or blocks or any(isinstance(p, RealAlg)
+                                          for p, _ in table):
             return RatFun(num, den)
         # tau = (a z + b)/(c z + e), tau^-1(w) = (e w - b)/(a - c w)
         (b, a), (e, c) = ((p.c + (Fraction(0),) * 2)[:2]
@@ -440,22 +450,61 @@ def _merge(a: list, b: list) -> tuple:
     return out + a[i:] + b[j:], common
 
 
-def _from_table(num: Poly, den: Poly, table: list) -> RatFun:
+def _merge_blocks(a: list, b: list, sign: int) -> tuple:
+    """Two lists of (factor, order), b's orders times sign, merged like
+    _merge's points; (None, None) unless distinct factors are coprime."""
+    orders, common = dict(a), []
+    for h, e in b:
+        m, e = orders.get(h, 0), sign * e
+        if not m and any(gcd(h, k).degree for k, _m in a):
+            return None, None
+        common += [h] * min(abs(m), abs(e)) * (m * e < 0)
+        orders[h] = m + e
+    return [(h, e) for h, e in orders.items() if e], common
+
+
+def _from_table(num: Poly, den: Poly, table: list, blocks=()) -> RatFun:
     """Coprime num/den with the root structures read off its table, the
-    ascending (point, order) of all its finite real zeros and poles."""
+    ascending (point, order) of its finite real zeros and poles, and blocks."""
     return RatFun._with_roots(
         num, den,
-        RootStructure(tuple(RootRecord(p, e) for p, e in table if e > 0), ()),
-        RootStructure(tuple(RootRecord(p, -e) for p, e in table if e < 0), ()))
+        RootStructure(tuple(RootRecord(p, e) for p, e in table if e > 0),
+                      _blocks(table, blocks, 1) if blocks else ()),
+        RootStructure(tuple(RootRecord(p, -e) for p, e in table if e < 0),
+                      _blocks(table, blocks, -1) if blocks else ()))
 
 
-def _divide_out(p: Poly, points: list) -> Poly:
-    """p / prod (z - t) over the listed rational roots t of p, over Z."""
+def _blocks(table: list, blocks: list, k: int) -> tuple:
+    """The conjugate-pair blocks of the (factor, order) of sign k, each
+    factor's irrational real roots being points of the table."""
+    real = Counter(p.p for p, _e in table if isinstance(p, RealAlg))
+    return tuple(ConjugatePairBlock(h, (h.degree - real[h]) // 2, k * e,
+                                    real[h]) for h, e in blocks if k * e > 0)
+
+
+def from_table(table: list, blocks: list) -> RatFun:
+    """The monic function with the (point, order) and blocks given (see
+    _from_table), the table listing every real root of the polynomial of
+    an irrational point: it enters once, to its order, as a factor does."""
+    table = sorted(table, key=cmp_to_key(lambda x, y: point_cmp(x[0], y[0])))
+    powers = dict(blocks)
+    powers.update((p.p, e) for p, e in table if isinstance(p, RealAlg))
+    num, den = (math.prod((h ** (k * e) for h, e in powers.items()
+                           if k * e > 0), start=Poly.from_roots(
+                               [p for p, e in table if isinstance(p, Fraction)
+                                for _ in range(k * e)])) for k in (1, -1))
+    return _from_table(num, den, table, blocks)
+
+
+def _divide_out(p: Poly, points: list, factors=()) -> Poly:
+    """p / prod (z - t) / prod h over its listed roots t and factors h."""
+    if factors:
+        p = p // math.prod(factors, start=Poly.const(1))
     n, scale = p.n, 1
     for t in points:
         n = _deflate(n, t.numerator, t.denominator)
         scale *= t.denominator
-    return _poly([x * scale for x in n], p.d)
+    return _poly([x * scale for x in n], p.d) if points else p
 
 
 def strictly_between(p: RPoint, a, b) -> bool:

@@ -1053,10 +1053,12 @@ def test_chain_items_analyse_only_their_input(monkeypatch):
 
 def test_product_members_analyse_few_derived_polynomials(monkeypatch):
     """The 100 members of the product corpus (seed 1002) through
-    product_factorization, from empty memos: the squared factor psi of each
-    degree-one step is built from its zeros and poles, so the polynomials
-    analysed besides those of r and phi are at most 94 (154 when psi was
-    reduced by a gcd and analysed)."""
+    product_factorization, from empty memos: every function derived from r
+    and phi (psi_r and s0 = r/psi_r, each squared factor psi, acc_phi)
+    merges or seeds its tables, conjugate-pair blocks included, so no
+    polynomial besides those of r and phi is analysed (94 when a block made
+    the merge fall back, 154 when psi was also reduced by a gcd), and the
+    gcd constructor RatFun(num, den) is never called."""
     rng = random.Random(1002)
     members = [random_member_pair(rng, max_atoms=6, max_degree=4)
                for _ in range(100)]
@@ -1066,39 +1068,58 @@ def test_product_members_analyse_few_derived_polynomials(monkeypatch):
     real_root_structure.cache_clear()
     _clear_certificates()
     seen = _record_analyses(monkeypatch)
+    reduced = []
+    init = RatFun.__init__
+    monkeypatch.setattr(RatFun, "__init__",
+                        lambda f, num, den: reduced.append(num) or
+                        init(f, num, den))
     for g, r in pairs:
         product_factorization(g, r)
     inputs = {p for g, r in pairs for p in (r.num, r.den, g.phi.num,
                                             g.phi.den)}
-    assert sum(p not in inputs for p in seen) <= 94
+    assert sum(p not in inputs for p in seen) == 0
+    assert len(reduced) == 0
+
+
+# The draws of the product corpus (seed 1002) whose multiplier has a
+# negative constant as its Nevanlinna part, so that the product is factored
+# whole: five members, and ten refusals by ExactSplitUnavailable.
+BRANCH_MEMBERS = (56, 108, 130, 171, 178)
+BRANCH_REFUSALS = (2, 34, 50, 60, 71, 75, 118, 188, 198, 218)
 
 
 def test_negative_constant_branch_analyses_no_derived_polynomial(
         monkeypatch):
-    """Draws 130 and 171 of the product corpus (seed 1002) take the branch
+    """The 15 draws of the product corpus (seed 1002) that take the branch
     where the multiplier's Nevanlinna part is a negative constant and the
     product is factored whole, by canonical_pair(r g): its tables, and
-    those of its canonical factor and quotient, are merged or seeded, so
-    only the input polynomials are analysed."""
+    those of its canonical factor and quotient, are merged or seeded,
+    conjugate-pair blocks included, so only the input polynomials are
+    analysed, whether the product is factored or refused."""
     import nevkit.classify as cl
     rng = random.Random(1002)
     draws = [(ser.gennev_to_json(random_gennev(rng, 6)),
               ser.ratfun_to_json(random_symmetric_ratfun(rng, 4)))
-             for _ in range(172)]
+             for _ in range(max(BRANCH_REFUSALS) + 1)]
     whole = []
     monkeypatch.setattr(cl, "canonical_pair",
                         lambda f: whole.append(f) or canonical_pair(f))
-    for i in (130, 171):
-        real_root_structure.cache_clear()
-        seen = _record_analyses(monkeypatch)
+    real_root_structure.cache_clear()
+    seen = _record_analyses(monkeypatch)
+    for i in sorted(BRANCH_MEMBERS + BRANCH_REFUSALS):
         g, r = ser.gennev_from_json(draws[i][0]), ser.ratfun_from_json(
             draws[i][1])
         whole.clear()
-        w = product_factorization(g, r)
+        seen.clear()
+        if i in BRANCH_REFUSALS:
+            with pytest.raises(ExactSplitUnavailable):
+                product_factorization(g, r)
+        else:
+            w = product_factorization(g, r)
+            for z in UHP_POINTS:
+                assert w.evaluate(z) == r.eval_qc(z) * g.evaluate(z)
         assert len(whole) == 1
         assert set(seen) <= {r.num, r.den, g.phi.num, g.phi.den}
-        for z in UHP_POINTS:
-            assert w.evaluate(z) == r.eval_qc(z) * g.evaluate(z)
 
 
 def test_irrational_double_points_fail_their_clauses():

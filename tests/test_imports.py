@@ -1,4 +1,4 @@
-"""Nine rules on the package source, each read off its AST and each with
+"""Ten rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -9,6 +9,7 @@ a detector test on inline source:
 - RatFun._with_roots is called only in ratfun.py and nevfun.py;
 - closed forms are certified only by nevfun's _chain_step and _compose;
 - classify composes with no Moebius map;
+- gnev and classify never call the gcd constructor RatFun(num, den);
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -270,6 +271,25 @@ def test_detector_finds_moebius_detours():
 
 def test_classify_takes_no_moebius_detour():
     assert _moebius_uses((PACKAGE / "classify.py").read_text()) == []
+
+
+# The canonical factorizations build every function from tables they hold,
+# by merging, scaling or from zeros and poles, so neither gnev nor classify
+# reduces a pair of polynomials by a gcd.
+REDUCING = ("gnev.py", "classify.py")
+
+
+def test_detector_finds_gcd_constructions():
+    src = ("from .ratfun import RatFun\n"
+           "def psi(num, den):\n"
+           "    return RatFun.from_points([], []) * RatFun(num, den)\n"
+           "one = ratfun.RatFun(Poly.const(1), Poly.const(1))\n")
+    assert _calls(src, "RatFun") == [("psi", 3), (None, 4)]
+
+
+def test_factorizations_reduce_nothing_by_a_gcd():
+    assert {name: _calls((PACKAGE / name).read_text(), "RatFun")
+            for name in REDUCING} == {name: [] for name in REDUCING}
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder

@@ -373,18 +373,36 @@ def mobius_maps():
         lambda t: RatFun(Poly([t[1], t[0]]), Poly([t[3], t[2]])))
 
 
-def _check_tables(f: RatFun, seeded: bool):
+def _irrational_content(s) -> dict:
+    """{multiplicity: (the product of the distinct polynomials that define
+    its conjugate-pair blocks and irrational real roots, its pair count)}
+    of a root structure.  Analysis gives one block a multiplicity, on the
+    whole residual, real roots included; a merge may keep several."""
+    out = {}
+    for m in {b.mult for b in s.blocks} | {r.mult for r in s.real}:
+        polys = {b.factor for b in s.blocks if b.mult == m}
+        polys |= {r.point.p for r in s.real
+                  if isinstance(r.point, RealAlg) and r.mult == m}
+        out[m] = (_product(polys), sum(b.pairs for b in s.blocks
+                                       if b.mult == m))
+    return out
+
+
+def _check_tables(f: RatFun, seeded: bool, grouped: bool = False):
     """f is reduced, its root structures were given (seeded) or are left
     to analysis, and either way they and its critical table agree with
     real_root_structure of its polynomials by point_cmp, multiplicity and
-    kind."""
+    kind; its blocks are those of the analysis, or with ``grouped`` have
+    its irrational content per multiplicity."""
     assert (f._roots_num is not None, f._roots_den is not None) == \
         (seeded, seeded)
     fresh = RatFun(f.num, f.den)
     assert fresh == f
     for got, p in ((f._num_roots(), f.num), (f._den_roots(), f.den)):
         ref = nevkit.poly.real_root_structure(p)
-        assert got.blocks == ref.blocks and len(got.real) == len(ref.real)
+        assert _irrational_content(got) == _irrational_content(ref) \
+            if grouped else got.blocks == ref.blocks
+        assert len(got.real) == len(ref.real)
         for a, b in zip(got.real, ref.real):
             assert point_cmp(a.point, b.point) == 0 and a.mult == b.mult
     crit, ref = f.critical_points(), fresh.critical_points()
@@ -427,7 +445,10 @@ def test_common_irrational_point_falls_back():
         _check_tables(h, seeded=False)
 
 
-def test_conjugate_pairs_and_unbuilt_tables_fall_back(monkeypatch):
+def test_conjugate_pairs_merge_and_unbuilt_tables_fall_back(monkeypatch):
+    """Conjugate-pair blocks travel with the tables through products and
+    quotients, but not through a Moebius map; a table not built makes the
+    merge fall back; and nothing is analysed just to merge."""
     pairs = RatFun(Poly([1, 0, 1]), Poly([-1, 1]))
     pairs.critical_points()
     g = RatFun.from_points([2], [3])
@@ -436,10 +457,96 @@ def test_conjugate_pairs_and_unbuilt_tables_fall_back(monkeypatch):
     monkeypatch.setattr(nevkit.ratfun, "real_root_structure",
                         lambda p: analysed.append(p) or analysis(p))
     unbuilt = RatFun(Poly([-1, 1]), Poly([-5, 1]))
-    products = [pairs * g, g / pairs, unbuilt * g, g / unbuilt,
-                unbuilt.compose_mobius(RatFun.x() + 1)]
+    merged = [pairs * g, g / pairs, pairs * pairs, pairs / pairs.inverse()]
+    fallen = [unbuilt * g, g / unbuilt, unbuilt.compose_mobius(RatFun.x() + 1),
+              pairs.compose_mobius(RatFun.x() + 1)]
     assert analysed == []           # no analysis just to merge
-    for h in products:
+    for h in merged:
+        _check_tables(h, seeded=True)
+    for h in fallen:
+        _check_tables(h, seeded=False)
+
+
+# Monic factors, each with its irrational content: pairs only, pairs that
+# share a root with another factor, pairs with an irrational real root,
+# real irrational roots only, and rational roots.
+BLOCK_POOL = [Poly([1, 0, 1]), Poly([2, 2, 1]),
+              Poly([1, 0, 1]) * Poly([-3, 0, 1]), Poly([-2, 0, 0, 1]),
+              Poly([-2, 0, 1]), Poly([0, 1]), Poly([-1, 1])]
+
+
+def _pooled(exps: tuple, gamma) -> RatFun:
+    """gamma times the pool's factors to the exponents, negative ones in
+    the denominator, reduced and analysed."""
+    f = RatFun(_product(h ** e for h, e in zip(BLOCK_POOL, exps) if e > 0),
+               _product(h ** -e for h, e in zip(BLOCK_POOL, exps) if e < 0))
+    f = f * gamma
+    f.critical_points(), f.complex_zero_blocks, f.complex_pole_blocks
+    return f
+
+
+def _must_fall_back(f: RatFun, g: RatFun) -> bool:
+    """Whether f and g have distinct block factors with a common root, or a
+    common irrational point: what a merge cannot decide without a gcd."""
+    fs, gs = ({b.factor for b in h.complex_zero_blocks
+               + h.complex_pole_blocks} for h in (f, g))
+    irr = [[p for p, _m, _k in h.critical_points() if isinstance(p, RealAlg)]
+           for h in (f, g)]
+    return (any(a != b and nevkit.poly.gcd(a, b).degree for a in fs
+                for b in gs)
+            or any(point_cmp(a, b) == 0 for a in irr[0] for b in irr[1]))
+
+
+# most factors absent, so that analysis often leaves one factor a block
+exponents = st.tuples(*[st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2))]
+                      * len(BLOCK_POOL))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponents, exponents, rationals(5, 3).filter(bool))
+def test_merged_block_tables_match_analysis(a, b, c):
+    """Products and quotients of functions with conjugate-pair blocks keep
+    their tables, blocks with a common factor adding their orders and
+    cancelling, coprime ones side by side, and match real_root_structure of
+    their polynomials per multiplicity; distinct factors with a common root
+    make the merge fall back."""
+    f, g = _pooled(a, c), _pooled(b, 1)
+    assume(not (f.is_constant or g.is_constant))
+    seeded = not _must_fall_back(f, g)
+    for h in (f * g, f / g, g / f):
+        _check_tables(h, seeded=seeded, grouped=True)
+
+
+def test_merged_blocks_cover_sharing_cancelling_and_common_roots():
+    """The cases of the property above, one each: a shared factor adds its
+    orders, a cancelled one leaves the quotient, coprime factors stay side
+    by side, and two distinct factors with the common root i fall back."""
+    one = (0,) * len(BLOCK_POOL)
+    i2 = one[:0] + (1,) + one[1:]                    # z^2 + 1
+    shifted = one[:1] + (1,) + one[2:]               # z^2 + 2z + 2
+    mixed = one[:2] + (1,) + one[3:]                 # (z^2 + 1)(z^2 - 3)
+    cube = one[:3] + (-1,) + one[4:-1] + (1,)        # (z - 1)/(z^3 - 2)
+    f = _pooled(i2, 1)
+    shared = f * f
+    assert [(b.factor, b.mult) for b in shared.complex_zero_blocks] == \
+        [(BLOCK_POOL[0], 2)]
+    part = shared / _pooled(i2, 3)                  # (z^2 + 1)/3
+    assert [(b.factor, b.mult) for b in part.complex_zero_blocks] == \
+        [(BLOCK_POOL[0], 1)]
+    cancelled = part / f
+    assert cancelled == RatFun.const(Fraction(1, 3))
+    assert cancelled.complex_zero_blocks == []
+    side = f / _pooled(shifted, 1) * _pooled(cube, 1)
+    assert {(b.factor, b.mult) for b in side.complex_zero_blocks} == \
+        {(BLOCK_POOL[0], 1)}
+    assert {(b.factor, b.mult, b.real_roots)
+            for b in side.complex_pole_blocks} == \
+        {(BLOCK_POOL[1], 1, 0), (BLOCK_POOL[3], 1, 1)}
+    for h in (shared, part, cancelled, side):
+        _check_tables(h, seeded=True, grouped=True)
+    common = _pooled(mixed, 1)
+    assert _must_fall_back(f, common)
+    for h in (f * common, f / common):
         _check_tables(h, seeded=False)
 
 
