@@ -22,8 +22,8 @@ from typing import Optional
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      InvariantViolation, NotInClass, NotInterlacing,
                      NotNevanlinna, NotRationalAtoms, PoleHit)
-from .gnev import (GenNevFun, _pole_type_mult, _zero_type_mult,
-                   canonical_pair, canonical_rational)
+from .gnev import (GenNevFun, _zero_type_mult, canonical_pair,
+                   canonical_rational)
 from .nevfun import NevFun, _chain_step, _ends, _local, is_nevanlinna
 from .poly import (CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp,
                    rational_between, rational_outside)
@@ -166,11 +166,11 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     # point -> even exponent; s < 0 at an atom off a, b iff right of it
     psi = {t: -2 for t, neg in zip(ends, inside[1:])
            if neg and t not in (a, b)}
-    for x, type_mult, sgn in ((a, _zero_type_mult, 1),
-                              (b, _pole_type_mult, -1)):
+    for x, sgn in ((a, 1), (b, -1)):
         if x is not INF:
             e, lead = q_loc[x]
-            m = type_mult(1 + sgn * e, _local(s.num, s.den, x)[1] * lead)
+            m = _zero_type_mult(1 + sgn * e,
+                                sgn * _local(s.num, s.den, x)[1] * lead)
             if m:
                 psi[x] = 2 * sgn * m
     # q increases on each cell, so it vanishes inside one exactly when it
@@ -211,21 +211,21 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
     if s.degree < 1:
         raise ConstantInput("nothing to factor")
     crit = s.critical_points()
-    if (any(m != 1 for _x, m, _k in crit) or s.complex_zero_blocks
+    if (any(abs(e) != 1 for _x, e in crit) or s.complex_zero_blocks
             or s.complex_pole_blocks):
         raise NotInterlacing("zeros and poles must be real and simple")
-    if any(isinstance(x, RealAlg) for x, _m, _k in crit):
+    if any(isinstance(x, RealAlg) for x, _e in crit):
         raise ExactSplitUnavailable("interlacing split needs rational points")
-    for (x1, _m1, k1), (x2, _m2, k2) in zip(crit, crit[1:]):
-        if k1 == k2:
+    for (x1, e1), (x2, e2) in zip(crit, crit[1:]):
+        if e1 == e2:
             raise NotInterlacing(
                 f"consecutive like points at {fmt_rat(x1)}, {fmt_rat(x2)}")
-    a = [x for x, _m, k in crit if k == "zero"]
-    b = [x for x, _m, k in crit if k == "pole"]
+    a = [x for x, e in crit if e > 0]
+    b = [x for x, e in crit if e < 0]
     l1, l2 = len(a), len(b)
     gamma = s.gamma
     if l1 == l2:
-        if crit and crit[0][2] == "pole":
+        if crit and crit[0][1] < 0:
             return [f.inverse() for f in interlacing_factorize(s.inverse())]
         if gamma < 0:
             out = [RatFun.from_points([a[0]], [b[-1]], gamma)]
@@ -387,7 +387,7 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
             ok_ii = False
     for rec in s.real_poles:
         e = g_rat.ord_at(rec.point)
-        if _pole_type_mult(max(-e, 0), g_rat.laurent_lead_sign(rec.point)):
+        if _zero_type_mult(max(-e, 0), -g_rat.laurent_lead_sign(rec.point)):
             ok_ii = False
     form_ii = ok_ii
 
@@ -421,15 +421,14 @@ def _interval_form(q: NevFun, s: RatFun) -> bool:
     sign inside, with endpoint types matching that sign."""
     q_rat = q.to_ratfun()
     for a, b in _negative_arcs(s):
-        if any(_in_arc(t, a, b) for t, _m, _k in q_rat.critical_points()):
+        if any(_in_arc(t, a, b) for t, _e in q_rat.critical_points()):
             return False
         # through INF the function must be holomorphic and nonvanishing there
         if point_cmp(a, b) > 0 and (q.beta > 0 or q.c0 == 0):
             return False
         # q has no zero or pole inside, so its sign there is the one just
         # right of a; an end at NEG_INF or INF takes its kind from s there
-        want = (("zero", "pole") if q_rat.laurent_lead_sign(a) < 0
-                else ("pole", "zero"))
+        want = (1, -1) if q_rat.laurent_lead_sign(a) < 0 else (-1, 1)
         if (_point_kind(s, a), _point_kind(s, b)) != want:
             return False
     return True
@@ -440,8 +439,7 @@ def _negative_arcs(s: RatFun) -> list[tuple]:
     bounded ones in ascending order, then the one through INF, if any,
     which runs from a through INF to b < a, from a to b = INF, or from
     INF to b with a = NEG_INF."""
-    arcs = [(seg.lo, seg.hi)
-            for seg in s.sign_on_interval().negative_segments()]
+    arcs = negative_closed_pieces(s)
     if arcs and arcs[0][0] is NEG_INF:
         b = arcs.pop(0)[1]
         arcs.append((arcs.pop()[0] if arcs and arcs[-1][1] is INF
@@ -456,12 +454,15 @@ def _in_arc(t, a, b) -> bool:
     return strictly_between(t, a, b)
 
 
-def _point_kind(s: RatFun, p) -> Optional[str]:
-    if p is NEG_INF or p is INF:
-        m = s.ord_at_inf()
-        return "zero" if m > 0 else ("pole" if m < 0 else None)
-    e = s.ord_at(p)
-    return "zero" if e > 0 else ("pole" if e < 0 else None)
+def _point_kind(s: RatFun, p) -> int:
+    """The sign of the order of s at p, NEG_INF and INF being infinity:
+    1 at a zero, -1 at a pole, 0 elsewhere."""
+    e = s.ord_at_inf() if p is NEG_INF or p is INF else s.ord_at(p)
+    return (e > 0) - (e < 0)
+
+
+# the kinds of _point_kind as messages name them
+_KIND_NAMES = {1: "zero", -1: "pole", 0: None}
 
 
 # -- ordered degree-one chains --------------------------------------------------------
@@ -532,7 +533,7 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     critical table, and draw one rational in the first positive cell."""
     pts = []
     for f in (s, q.to_ratfun(), r):
-        pts.extend(p for (p, _m, _k) in f.critical_points())
+        pts.extend(p for p, _e in f.critical_points())
     pts.sort(key=cmp_to_key(point_cmp))
     dedup = []
     for p in pts:
@@ -572,15 +573,14 @@ def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):
     p, a point w = 0 dropping its linear factor.  Each partial product is
     the one on I composed with the Herglotz tau^-1, so it is Nevanlinna."""
     q_rat = q.to_ratfun()
-    crit = [(x, kind) for x, _m, kind in q_rat.critical_points()]
+    crit = q_rat.critical_points()
     if point_cmp(a, b) < 0:
-        seq = [(x, k) for x, k in crit if strictly_between(x, a, b)]
+        seq = [(x, e) for x, e in crit if strictly_between(x, a, b)]
     else:
-        at_inf = ([(INF, "pole")] if q.beta else
-                  [(INF, "zero")] if not q.c0 else [])
-        seq = ([(x, k) for x, k in crit if point_cmp(x, a) > 0] + at_inf
-               + [(x, k) for x, k in crit if point_cmp(x, b) < 0])
-    if any(isinstance(x, RealAlg) for x, _k in seq):
+        at_inf = [(INF, -1)] if q.beta else [(INF, 1)] if not q.c0 else []
+        seq = ([(x, e) for x, e in crit if point_cmp(x, a) > 0] + at_inf
+               + [(x, e) for x, e in crit if point_cmp(x, b) < 0])
+    if any(isinstance(x, RealAlg) for x, _e in seq):
         raise ExactSplitUnavailable("irrational zero inside the interval")
     left_pos = q_rat.laurent_lead_sign(a) > 0
     right_pos = left_pos != (len(seq) % 2 == 1)
@@ -595,9 +595,10 @@ def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):
     else:
         ends = [(a, b)]
     tilde = _pair_factors(seq, anchor)
-    expect = ("pole" if left_pos else "zero", "zero" if right_pos else "pole")
+    expect = (-1 if left_pos else 1, 1 if right_pos else -1)
     got = (_point_kind(r, a), _point_kind(r, b))
     if got != expect:
+        got, expect = (tuple(map(_KIND_NAMES.get, k)) for k in (got, expect))
         raise NotInClass(f"endpoint kinds {got} do not match the interior "
                          f"pattern {expect}")
     return tilde + [_unit_factor(x, y, anchor) for x, y in ends] + tilde
@@ -614,11 +615,11 @@ def _unit_factor(x, y, anchor) -> RatFun:
 
 def _pair_factors(seq, anchor) -> list[RatFun]:
     """(z - atom)/(z - zero), 1 at the anchor, for each consecutive two
-    (point, kind) entries of a run of q's critical table, its poles being
+    (point, order) entries of a run of q's critical table, its poles being
     its atoms."""
-    return [_unit_factor(x, y, anchor) if k == "pole"
+    return [_unit_factor(x, y, anchor) if e < 0
             else _unit_factor(y, x, anchor)
-            for (x, k), (y, _k) in zip(seq[::2], seq[1::2])]
+            for (x, e), (y, _e) in zip(seq[::2], seq[1::2])]
 
 
 def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
@@ -629,15 +630,15 @@ def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
     others; an odd count puts z - x at a last atom x, 1/(z - x) at a last
     zero, and gamma times it between.  Each factor removes or restores one
     adjacent pair, so every partial product is Nevanlinna."""
-    seq = [(x, kind) for x, _m, kind in q.to_ratfun().critical_points()]
-    if any(isinstance(x, RealAlg) for x, _k in seq):
+    seq = q.to_ratfun().critical_points()
+    if any(isinstance(x, RealAlg) for x, _e in seq):
         raise ExactSplitUnavailable("irrational double pole")
     pairs, gamma = _pair_factors(seq, INF), r.gamma
     if len(seq) % 2 == 0:
         factors = pairs + [pairs[0] * gamma] + pairs[1:]
     else:
-        x, kind = seq[-1]
-        lone = RatFun.from_points(*([x], []) if kind == "pole" else ([], [x]))
+        x, e = seq[-1]
+        lone = RatFun.from_points(*([x], []) if e < 0 else ([], [x]))
         factors = pairs + [lone, lone * gamma] + pairs
     try:
         return factors, _certify_chain(q, factors)

@@ -36,7 +36,8 @@ class MultiplicityRecord:
 
 def _zero_type_mult(order: int, lead_sign: int) -> int:
     """Nonpositive-type multiplicity carried by a zero of the given order
-    (order >= 0) with the given leading-coefficient sign."""
+    (order >= 0) with the given nonzero leading-coefficient sign.  A pole
+    carries that of a zero of its order with the opposite sign."""
     if order <= 0:
         return 0
     if order % 2 == 0:
@@ -44,37 +45,22 @@ def _zero_type_mult(order: int, lead_sign: int) -> int:
     return (order + 1) // 2 if lead_sign < 0 else (order - 1) // 2
 
 
-def _pole_type_mult(order: int, lead_sign: int) -> int:
-    """Nonpositive-type multiplicity carried by a pole of the given order."""
-    if order <= 0:
-        return 0
-    if order % 2 == 0:
-        return order // 2
-    return (order - 1) // 2 if lead_sign < 0 else (order + 1) // 2
-
-
 def nonpositive_type_records(f: RatFun) -> list[MultiplicityRecord]:
     """All nonpositive-type zero/pole multiplicity records of a symmetric
     rational function, including the point at infinity."""
     out = []
-    for rec in f.real_zeros:
-        m = _zero_type_mult(rec.mult, f.laurent_lead_sign(rec.point))
-        if m:
-            out.append(MultiplicityRecord(rec.point, "GZNT", m))
-    for rec in f.real_poles:
-        m = _pole_type_mult(rec.mult, f.laurent_lead_sign(rec.point))
-        if m:
-            out.append(MultiplicityRecord(rec.point, "GPNT", m))
-    d = -f.ord_at_inf()          # growth order at infinity
-    lead = 1 if f.gamma > 0 else -1
-    if d < 0:                    # zero at infinity; sign convention flips
-        m = _zero_type_mult(-d, -lead)
-        if m:
-            out.append(MultiplicityRecord(INF, "GZNT", m))
-    elif d > 0:
-        m = _pole_type_mult(d, -lead)
-        if m:
-            out.append(MultiplicityRecord(INF, "GPNT", m))
+    for kind, recs, k in (("GZNT", f.real_zeros, 1),
+                          ("GPNT", f.real_poles, -1)):
+        for rec in recs:
+            m = _zero_type_mult(rec.mult,
+                                k * f.laurent_lead_sign(rec.point))
+            if m:
+                out.append(MultiplicityRecord(rec.point, kind, m))
+    e, lead = f.ord_at_inf(), 1 if f.gamma > 0 else -1
+    # at infinity the sign convention flips
+    m = _zero_type_mult(abs(e), -lead if e > 0 else lead)
+    if m:
+        out.append(MultiplicityRecord(INF, "GZNT" if e > 0 else "GPNT", m))
     return out
 
 

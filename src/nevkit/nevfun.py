@@ -18,8 +18,8 @@ from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
                      NotNevanlinna, NotRationalAtoms)
-from .poly import (Poly, RealAlg, RootRecord, RootStructure, _deflate, _poly,
-                   compose_fractional, interlaced_root_structure, rat)
+from .poly import (Poly, RealAlg, _deflate, _poly, compose_fractional,
+                   interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
                     LimitValue, fmt_rat, record)
 from .ratfun import RatFun
@@ -175,19 +175,16 @@ class NevFun:
     def to_ratfun(self) -> RatFun:
         """The function as a reduced RatFun, built once per instance from
         :meth:`num_den` with no gcd (every weight is positive) and with the
-        root structures its representation states: the atoms are simple
-        poles, and one simple zero lies between neighbouring atoms and one
-        on an outer ray where q is < 0 at -inf or > 0 at +inf, located
-        only when first read."""
+        table its representation states: the atoms are simple poles, and
+        one simple zero lies between neighbouring atoms and one on an outer
+        ray where q is < 0 at -inf or > 0 at +inf, located only when first
+        read."""
         memo = self.__dict__.get("_ratfun")
         if memo is None:
             num, den = self.num_den()
-            atoms = self.sigma.positions
-            zeros = partial(interlaced_root_structure, num, atoms,
-                            self.beta > 0 or self.c0 < 0,
-                            self.beta > 0 or self.c0 > 0)
-            poles = RootStructure(tuple(RootRecord(t, 1) for t in atoms), ())
-            memo = RatFun._with_roots(num, den, zeros, poles)
+            memo = RatFun._with_table(num, den, partial(
+                interlaced_root_structure, num, self.sigma.positions,
+                self.beta > 0 or self.c0 < 0, self.beta > 0 or self.c0 > 0))
             object.__setattr__(self, "_ratfun", memo)
         return memo
 

@@ -332,6 +332,9 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
             peaks = _merge_peaks(peaks, found, 2 * spacing)
             value, refined = _level_integral(ev, phi_ev, c, d, eps,
                                              cfg.quadrature_points, peaks)
+            if not np.isfinite(value):
+                raise NonConvergent(
+                    f"level integral at offset {eps:.6g} is not finite")
             per_level.append(value)
             if refined:
                 peaks = _merge_peaks([], sorted(refined), 3 * eps)

@@ -986,29 +986,31 @@ def real_root_structure(p: Poly) -> RootStructure:
 
 
 def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
-                              left: bool, right: bool) -> RootStructure:
-    """The root structure of a p with one real simple root between each
-    pair of neighbouring rationals of ``poles`` (ascending), one below them
-    if ``left`` and one above if ``right`` (with no poles, one if both),
-    and no other: the zeros of a rational Nevanlinna function and its atoms.
+                              left: bool, right: bool) -> tuple:
+    """The table (see ratfun) of p / prod (z - t) over the ascending
+    rationals t of ``poles``, simple poles, when p has one real simple root
+    between each pair of neighbouring poles, one below them if ``left`` and
+    one above if ``right`` (with no poles, one if both), and no other: the
+    zeros of a rational Nevanlinna function interlaced with its atoms.
     A cell without a rational root boxes an irrational root of the residual,
     the outer cells cut at the Cauchy bound of p.  No Sturm chain is taken;
     records not one per cell and deg p in all raise InvariantViolation."""
     if p.degree < 1:
-        return RootStructure((), ())
+        return tuple((t, -1) for t in poles), ()
     a, rats, _h, hp = _rational_split(p)
     k = (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
     ends = [Fraction(-2**k)] + list(poles) + [Fraction(2**k)]
-    cells = list(zip(ends, ends[1:]))       # every root in (-2^k, 2^k)
-    cells = cells[0 if left else 1:len(cells) - (not right)]
-    pts = []
-    for lo, hi in cells:
-        inside = [r for r in rats if lo < r < hi]
-        pts.append(inside[0] if inside else RealAlg(hp, lo, hi))
-    used = sum(isinstance(x, Fraction) for x in pts)
-    if len(pts) != p.degree or used != len(rats):
+    table = []                              # every root in (-2^k, 2^k)
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if i:
+            table.append((lo, -1))
+        if (left or i) and (right or i < len(poles)):
+            inside = [r for r in rats if lo < r < hi]
+            table.append((inside[0] if inside else RealAlg(hp, lo, hi), 1))
+    used = sum(isinstance(x, Fraction) for x, _e in table) - len(poles)
+    if len(table) - len(poles) != p.degree or used != len(rats):
         raise InvariantViolation("zeros do not interlace with the poles")
-    return RootStructure(tuple(RootRecord(x, 1) for x in pts), ())
+    return tuple(table), ()
 
 
 def rational_between(a: RPoint, b: RPoint) -> Fraction:

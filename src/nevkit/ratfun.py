@@ -1,22 +1,24 @@
 """Exact algebra of symmetric rational functions over the reals.
 
 A :class:`RatFun` is a reduced pair of Fraction-coefficient polynomials with
-bookkeeping for its zeros and poles on the extended real line: rational
-points are exact, irrational real points are certified isolating intervals,
-and conjugate-pair blocks by factor and count (they never take part in
-sign decisions).  The finite real zeros and poles form one ordered table,
-:meth:`RatFun.critical_points`, which every local query (orders, Laurent
-signs, sign segments) reads.  Signs follow one parity rule on that table:
-just above its first i entries the function has the sign of gamma times (-1)
-to the number of odd-order entries from the i-th on.  Only a sign at a
+one table of its zeros and poles on the real line, kept in one slot: the
+finite real points as ascending (point, order) and the conjugate-pair
+blocks as (monic factor, order), the order negative at a pole.  Rational
+points are exact, irrational real points are certified isolating
+intervals, and blocks never take part in sign decisions.  Every local
+query (orders, Laurent signs, sign segments) reads the points,
+:meth:`RatFun.critical_points`.  Signs follow one parity rule on them: just
+above the first i entries the function has the sign of gamma times (-1) to
+the number of odd-order entries from the i-th on.  Only a sign at a
 rational point is found by evaluation.  The point at infinity is first
 class: the zero or pole multiplicity there is the degree imbalance.
 
-The tables travel with the function: only input is analysed.  Products and
-quotients merge them, a common rational point or pair-block factor divided
-out with no gcd, and Mobius maps move rational ones; a table not built, a
-common irrational point, two block factors with a common root, or a Mobius
-image of blocks or irrational points falls back to a gcd.
+The table travels with the function: only input is analysed.  Products and
+quotients merge two tables, a common rational point or block factor
+divided out with no gcd; inverses, scalar multiples and Mobius maps map
+it.  A table not built, a common irrational point, two block factors with
+a common root, or a Mobius image of blocks or irrational points falls back
+to a gcd.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ class SignReport:
 class RatFun:
     """Reduced rational function; den is monic and coprime with num."""
 
-    __slots__ = ("num", "den", "_roots_num", "_roots_den", "_crit")
+    # _tab: the table (points, blocks), a thunk that gives it, or None
+    # while it is to be built by analysis
+    __slots__ = ("num", "den", "_tab")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -71,32 +75,32 @@ class RatFun:
         g = gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
-        self._fill(num, den)
+        self._fill(num, den, None)
 
-    def _fill(self, num: Poly, den: Poly, *slots):
+    def _fill(self, num: Poly, den: Poly, table):
         if den.n[-1] != den.d:              # den is made monic
             k = 1 / den.lead
             num, den = num * k, den * k
-        for name, v in zip(self.__slots__, (num, den, *slots, *[None] * 3)):
+        for name, v in zip(self.__slots__, (num, den, table)):
             object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
     @classmethod
-    def _with_roots(cls, num: Poly, den: Poly, *roots):
-        """num/den for a coprime pair whose two root structures the caller
-        already knows, or thunks that give them: no gcd, no analysis."""
+    def _with_table(cls, num: Poly, den: Poly, table) -> "RatFun":
+        """num/den for a coprime pair whose table the caller already knows,
+        or a thunk that gives it: no gcd, no analysis."""
         f = object.__new__(cls)
-        f._fill(num, den, *roots)
+        f._fill(num, den, table)
         return f
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
     def const(x) -> "RatFun":
         x = rat(x)
-        return _from_table(Poly.const(x), Poly.const(1), []) if x \
-            else RatFun(Poly(), Poly.const(1))
+        return RatFun._with_table(Poly.const(x), Poly.const(1), ((), ())) \
+            if x else RatFun(Poly(), Poly.const(1))
 
     @staticmethod
     def x() -> "RatFun":
@@ -107,13 +111,14 @@ class RatFun:
         """gamma * prod (z - zero) / prod (z - pole), all data rational."""
         orders = Counter(map(rat, zeros))
         orders.subtract(map(rat, poles))
-        table = sorted((p, e) for p, e in orders.items() if e)
+        table = tuple(sorted((p, e) for p, e in orders.items() if e))
         if not rat(gamma):
             return RatFun.const(0)
-        return _from_table(
+        return RatFun._with_table(
             Poly.from_roots([p for p, e in table for _ in range(e)],
                             lead=rat(gamma)),
-            Poly.from_roots([p for p, e in table for _ in range(-e)]), table)
+            Poly.from_roots([p for p, e in table for _ in range(-e)]),
+            (table, ()))
 
     # -- basic queries -----------------------------------------------------------
     @property
@@ -148,8 +153,7 @@ class RatFun:
         if isinstance(other, RatFun):
             return self._times(other, 1)
         k = rat(other)
-        return RatFun._with_roots(self.num * k, self.den, self._roots_num,
-                                  self._roots_den, self._crit) if k \
+        return RatFun._with_table(self.num * k, self.den, self._tab) if k \
             else RatFun.const(0)
 
     __rmul__ = __mul__
@@ -164,15 +168,15 @@ class RatFun:
         """self * other ** sign, sign +-1, by merging the tables if known."""
         o_num, o_den = (other.num, other.den)[::sign]
         num, den = self.num * o_num, self.den * o_den
-        a, b = self._table(), other._table()
+        a, b = self._known(), other._known()
         if a is not None and b is not None:
-            table, common = _merge(a[0], [(p, sign * e) for p, e in b[0]])
+            points, common = _merge(a[0], [(p, sign * e) for p, e in b[0]])
             blocks, shared = _merge_blocks(a[1], b[1], sign) \
                 if a[1] or b[1] else ((), ())
-            if table is not None and blocks is not None:
-                return _from_table(_divide_out(num, common, shared),
-                                   _divide_out(den, common, shared),
-                                   table, blocks)
+            if points is not None and blocks is not None:
+                return RatFun._with_table(_divide_out(num, common, shared),
+                                          _divide_out(den, common, shared),
+                                          (points, blocks))
         return RatFun(num, den)
 
     def __rtruediv__(self, other):
@@ -197,8 +201,10 @@ class RatFun:
     def inverse(self) -> "RatFun":
         if self.is_zero:
             return RatFun(self.den, self.num)       # raises
-        return RatFun._with_roots(self.den, self.num, self._roots_den,
-                                  self._roots_num)
+        # the table, if known, negated when first read
+        return RatFun._with_table(self.den, self.num, self._tab and (
+            lambda: tuple(tuple((x, -e) for x, e in part)
+                          for part in self._table())))
 
     # -- evaluation ------------------------------------------------------------------
     def __call__(self, z):
@@ -235,48 +241,50 @@ class RatFun:
                 / np.polynomial.polynomial.polyval(z, dc))
 
     # -- root bookkeeping -------------------------------------------------------------
-    # None, or a thunk, is replaced by the structure in one attribute write
     def _num_roots(self) -> RootStructure:
-        r = self._roots_num
-        if not isinstance(r, RootStructure):
-            r = real_root_structure(self.num) if r is None else r()
-            object.__setattr__(self, "_roots_num", r)
-        return r
+        return real_root_structure(self.num)
 
     def _den_roots(self) -> RootStructure:
-        r = self._roots_den
-        if not isinstance(r, RootStructure):
-            r = real_root_structure(self.den) if r is None else r()
-            object.__setattr__(self, "_roots_den", r)
-        return r
+        return real_root_structure(self.den)
 
-    def _table(self):
-        """(points, blocks) if both root structures are known, else None:
-        the finite real zeros and poles as ascending (point, order) and the
-        conjugate-pair blocks as (factor, order), orders negative at poles."""
-        if self.is_zero or self._roots_num is None or self._roots_den is None:
-            return None
-        nb, db = self._num_roots().blocks, self._den_roots().blocks
-        return ([(p, m if kind == "zero" else -m)
-                 for p, m, kind in self.critical_points()],
-                [(b.factor, b.mult) for b in nb]
-                + [(b.factor, -b.mult) for b in db] if nb or db else ())
+    def _table(self) -> tuple:
+        """(points, blocks): the finite real zeros and poles as ascending
+        (point, order) and the conjugate-pair blocks as (monic factor,
+        order), orders negative at poles.  A thunk, or None for analysis
+        of num and den, is replaced by the table in one attribute write."""
+        t = self._tab
+        if type(t) is not tuple:
+            if t is None:
+                n, d = self._num_roots(), self._den_roots()
+                t = (_merge([(r.point, r.mult) for r in n.real],
+                            [(r.point, -r.mult) for r in d.real])[0],
+                     tuple((b.factor, k * b.mult) for k, s in ((1, n), (-1, d))
+                           for b in s.blocks))
+            else:
+                t = t()
+            object.__setattr__(self, "_tab", t)
+        return t
+
+    def _known(self):
+        """The table if it was given or built, else None; the zero function
+        has none to merge."""
+        return None if self._tab is None or self.is_zero else self._table()
 
     @property
     def real_zeros(self) -> list[RootRecord]:
-        return list(self._num_roots().real)
+        return [RootRecord(p, e) for p, e in self.critical_points() if e > 0]
 
     @property
     def real_poles(self) -> list[RootRecord]:
-        return list(self._den_roots().real)
+        return [RootRecord(p, -e) for p, e in self.critical_points() if e < 0]
 
     @property
     def complex_zero_blocks(self) -> list[ConjugatePairBlock]:
-        return list(self._num_roots().blocks)
+        return _blocks(*self._table(), 1)
 
     @property
     def complex_pole_blocks(self) -> list[ConjugatePairBlock]:
-        return list(self._den_roots().blocks)
+        return _blocks(*self._table(), -1)
 
     def ord_at_inf(self) -> int:
         """Positive for a zero at infinity, negative for a pole."""
@@ -297,17 +305,11 @@ class RatFun:
         return out
 
     # -- local structure ------------------------------------------------------------
-    def critical_points(self) -> tuple[tuple[RPoint, int, str], ...]:
-        """Finite real zeros and poles merged in ascending order as
-        (point, mult, kind): the one table every local query reads, built
-        once per instance by merging the two ascending root structures."""
-        if self._crit is None:
-            table, _ = _merge(
-                [(r.point, r.mult) for r in self._num_roots().real],
-                [(r.point, -r.mult) for r in self._den_roots().real])
-            object.__setattr__(self, "_crit", tuple(
-                (p, abs(e), "zero" if e > 0 else "pole") for p, e in table))
-        return self._crit
+    def critical_points(self) -> tuple[tuple[RPoint, int], ...]:
+        """Finite real zeros and poles in ascending order as (point, order),
+        the order negative at a pole: the points of the table, which every
+        local query reads."""
+        return self._table()[0]
 
     def _locate(self, x) -> tuple[int, bool]:
         """(i, hit): i is the index of the first critical point not below
@@ -332,10 +334,7 @@ class RatFun:
         if point is INF:
             return self.ord_at_inf()
         i, hit = self._locate(point)
-        if not hit:
-            return 0
-        _p, m, kind = self.critical_points()[i]
-        return m if kind == "zero" else -m
+        return self.critical_points()[i][1] if hit else 0
 
     def laurent_lead(self, point: Point) -> Fraction:
         """Exact coefficient c with f ~ c (z-a)^ord near a rational a, or
@@ -355,7 +354,7 @@ class RatFun:
         +inf, flipped once per odd-order point from the i-th on."""
         g = self.num.n[-1] if self.num.n else 0     # the sign of gamma
         s = (g > 0) - (g < 0)
-        odd = sum(m % 2 for _p, m, _kind in self.critical_points()[i:])
+        odd = sum(e % 2 for _p, e in self.critical_points()[i:])
         return -s if odd % 2 else s
 
     def laurent_lead_sign(self, point: Point) -> int:
@@ -375,7 +374,7 @@ class RatFun:
             i, hit = self._locate(point)
             if not hit:
                 return self._sign_above(i)
-            if self.critical_points()[i][2] == "pole":
+            if self.critical_points()[i][1] < 0:
                 raise PoleHit("sign query at pole")
             return 0
         v_den = self.den.eval_q(rat(point))
@@ -397,9 +396,9 @@ class RatFun:
         segments = []
         a, touches = lo, []
         # hi ends the last segment like one more odd-order point
-        for p, m, kind in self.critical_points()[i + hit:j] + ((hi, 1, None),):
-            if m % 2 == 0:
-                touches.append((p, kind))
+        for p, e in self.critical_points()[i + hit:j] + ((hi, 1),):
+            if e % 2 == 0:
+                touches.append((p, "zero" if e > 0 else "pole"))
                 continue
             segments.append(SignSegment(a, p, sgn, tuple(touches)))
             a, touches, sgn = p, [], -sgn
@@ -415,24 +414,25 @@ class RatFun:
         d = self.degree
         num = compose_fractional(self.num, tau.num, tau.den, d)
         den = compose_fractional(self.den, tau.num, tau.den, d)
-        table, blocks = self._table() or (None, None)
-        if table is None or blocks or any(isinstance(p, RealAlg)
-                                          for p, _ in table):
+        points, blocks = self._known() or (None, None)
+        if points is None or blocks or any(isinstance(p, RealAlg)
+                                           for p, _ in points):
             return RatFun(num, den)
         # tau = (a z + b)/(c z + e), tau^-1(w) = (e w - b)/(a - c w)
         (b, a), (e, c) = ((p.c + (Fraction(0),) * 2)[:2]
                           for p in (tau.num, tau.den))
-        image = [((e * p - b) / (a - c * p), m) for p, m in table
+        image = [((e * p - b) / (a - c * p), m) for p, m in points
                  if a != c * p]
         if c and self.ord_at_inf():
             image.append((-e / c, self.ord_at_inf()))
-        return _from_table(num, den, sorted(image))
+        return RatFun._with_table(num, den, (tuple(sorted(image)), ()))
 
 
-def _merge(a: list, b: list) -> tuple:
-    """Two ascending lists of (point, order) merged, orders added at a
-    common point, and the common points repeated by the orders that cancel
-    there; (None, None) when a common point is irrational."""
+def _merge(a: Sequence, b: Sequence) -> tuple:
+    """Two ascending sequences of (point, order) merged into a tuple,
+    orders added at a common point, and the common points repeated by the
+    orders that cancel there; (None, None) when a common point is
+    irrational."""
     out, common, i, j = [], [], 0, 0
     while i < len(a) and j < len(b):
         c = point_cmp(a[i][0], b[j][0])
@@ -447,12 +447,13 @@ def _merge(a: list, b: list) -> tuple:
             out.append((p, m + n))
         common += [p] * min(abs(m), abs(n)) * (m * n < 0)
         i, j = i + 1, j + 1
-    return out + a[i:] + b[j:], common
+    return (*out, *a[i:], *b[j:]), common
 
 
-def _merge_blocks(a: list, b: list, sign: int) -> tuple:
-    """Two lists of (factor, order), b's orders times sign, merged like
-    _merge's points; (None, None) unless distinct factors are coprime."""
+def _merge_blocks(a: Sequence, b: Sequence, sign: int) -> tuple:
+    """Two sequences of (factor, order), b's orders times sign, merged
+    like _merge's points; (None, None) unless distinct factors are
+    coprime."""
     orders, common = dict(a), []
     for h, e in b:
         m, e = orders.get(h, 0), sign * e
@@ -460,40 +461,32 @@ def _merge_blocks(a: list, b: list, sign: int) -> tuple:
             return None, None
         common += [h] * min(abs(m), abs(e)) * (m * e < 0)
         orders[h] = m + e
-    return [(h, e) for h, e in orders.items() if e], common
+    return tuple((h, e) for h, e in orders.items() if e), common
 
 
-def _from_table(num: Poly, den: Poly, table: list, blocks=()) -> RatFun:
-    """Coprime num/den with the root structures read off its table, the
-    ascending (point, order) of its finite real zeros and poles, and blocks."""
-    return RatFun._with_roots(
-        num, den,
-        RootStructure(tuple(RootRecord(p, e) for p, e in table if e > 0),
-                      _blocks(table, blocks, 1) if blocks else ()),
-        RootStructure(tuple(RootRecord(p, -e) for p, e in table if e < 0),
-                      _blocks(table, blocks, -1) if blocks else ()))
-
-
-def _blocks(table: list, blocks: list, k: int) -> tuple:
+def _blocks(points: Sequence, blocks: Sequence, k: int) -> list:
     """The conjugate-pair blocks of the (factor, order) of sign k, each
-    factor's irrational real roots being points of the table."""
-    real = Counter(p.p for p, _e in table if isinstance(p, RealAlg))
-    return tuple(ConjugatePairBlock(h, (h.degree - real[h]) // 2, k * e,
-                                    real[h]) for h, e in blocks if k * e > 0)
+    factor's irrational real roots being entries of points."""
+    if not blocks:
+        return []
+    real = Counter(p.p for p, _e in points if isinstance(p, RealAlg))
+    return [ConjugatePairBlock(h, (h.degree - real[h]) // 2, k * e, real[h])
+            for h, e in blocks if k * e > 0]
 
 
 def from_table(table: list, blocks: list) -> RatFun:
-    """The monic function with the (point, order) and blocks given (see
-    _from_table), the table listing every real root of the polynomial of
-    an irrational point: it enters once, to its order, as a factor does."""
-    table = sorted(table, key=cmp_to_key(lambda x, y: point_cmp(x[0], y[0])))
+    """The monic function with the (point, order) and (factor, order)
+    given, the table listing every real root of the polynomial of an
+    irrational point: it enters once, to its order, as a factor does."""
+    table = tuple(sorted(table, key=cmp_to_key(
+        lambda x, y: point_cmp(x[0], y[0]))))
     powers = dict(blocks)
     powers.update((p.p, e) for p, e in table if isinstance(p, RealAlg))
     num, den = (math.prod((h ** (k * e) for h, e in powers.items()
                            if k * e > 0), start=Poly.from_roots(
                                [p for p, e in table if isinstance(p, Fraction)
                                 for _ in range(k * e)])) for k in (1, -1))
-    return _from_table(num, den, table, blocks)
+    return RatFun._with_table(num, den, (table, tuple(blocks)))
 
 
 def _divide_out(p: Poly, points: list, factors=()) -> Poly:

@@ -1,4 +1,4 @@
-"""Ten rules on the package source, each read off its AST and each with
+"""Eleven rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -6,7 +6,8 @@ a detector test on inline source:
 - only poly.py takes Sturm sequences, with the exceptions listed;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots;
-- RatFun._with_roots is called only in ratfun.py and nevfun.py;
+- RatFun._with_table is called only in ratfun.py and nevfun.py;
+- outside ratfun.py no module reads a RatFun's table slot or merges tables;
 - closed forms are certified only by nevfun's _chain_step and _compose;
 - classify composes with no Moebius map;
 - gnev and classify never call the gcd constructor RatFun(num, den);
@@ -207,13 +208,13 @@ ANALYSIS_ALLOWED = {("ratfun.py", "RatFun._num_roots"),
 def test_detector_finds_root_analysis_and_given_tables():
     src = ("class RatFun:\n    def _num_roots(self):\n"
            "        return real_root_structure(self.num)\n"
-           "    @classmethod\n    def _with_roots(cls, *a):\n"
-           "        return cls._with_roots(*a)\n"
+           "    @classmethod\n    def _with_table(cls, *a):\n"
+           "        return cls._with_table(*a)\n"
            "def stray(p):\n    return poly.real_root_structure(p)\n"
-           "f = RatFun._with_roots(1, 2)\n")
+           "f = RatFun._with_table(1, 2)\n")
     assert _calls(src, "real_root_structure") == [
         ("RatFun._num_roots", 3), ("stray", 8)]
-    assert _calls(src, "_with_roots") == [("RatFun._with_roots", 6),
+    assert _calls(src, "_with_table") == [("RatFun._with_table", 6),
                                           (None, 9)]
 
 
@@ -223,8 +224,45 @@ def test_root_analysis_is_called_only_by_a_ratfun_on_itself():
 
 
 def test_tables_are_given_only_where_they_are_known():
-    found = _package_calls("_with_roots")
+    found = _package_calls("_with_table")
     assert {fname for fname, _scope in found} <= {"ratfun.py", "nevfun.py"}
+
+
+# A RatFun keeps its table in one slot, and only ratfun.py merges tables:
+# a table given or merged travels as it is and is never split or merged
+# again on its way, so no other module reads the slot or calls a merge.
+TABLE_MERGES = ("_merge", "_merge_blocks")
+
+
+def _table_uses(source: str) -> list[tuple[str, int]]:
+    """Reads of the table slot ``_tab``, and imports and calls of the
+    table merges, as (name, line)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_tab":
+            found.append(("_tab", node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name in TABLE_MERGES]
+    found += [(name, line) for name in TABLE_MERGES
+              for _scope, line in _calls(source, name)]
+    return sorted(found, key=lambda nl: (nl[1], nl[0]))
+
+
+def test_detector_finds_table_reads_and_merges():
+    src = ("from .ratfun import RatFun, _merge as m\n"
+           "def f(r, a, b):\n"
+           "    t = r._tab\n"
+           "    return ratfun._merge(a, b), _merge_blocks(a, b, 1), m, t\n")
+    assert _table_uses(src) == [("_merge", 1), ("_tab", 3), ("_merge", 4),
+                                ("_merge_blocks", 4)]
+
+
+def test_only_ratfun_reads_or_merges_tables():
+    found = {path.name: _table_uses(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "ratfun.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 # A Nevanlinna function built in closed form has one certificate, reached

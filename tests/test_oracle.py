@@ -131,6 +131,18 @@ def test_first_level_finer_than_the_grid_keeps_the_atom(schedule):
     assert abs(res.value - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("schedule", [(1e-2, 1e-310), (1e-310,),
+                                      (1e-2, 1e-100, 1e-200, 1e-310)])
+def test_a_level_that_is_not_finite_is_named(schedule):
+    """At a subnormal offset the spike of the atom at 0 overflows the
+    float evaluation: the inversion refuses with that offset, wherever it
+    stands in the schedule, rather than compare a level of inf."""
+    cfg = InversionConfig(eps_schedule=schedule, interval=(-1, 1))
+    with pytest.raises(NonConvergent) as info:
+        stieltjes_invert(MINUS_INV, cfg)
+    assert str(info.value) == "level integral at offset 1e-310 is not finite"
+
+
 def test_gap_detect_examples():
     assert gap_detect(MINUS_INV, (1, 2)) is True
     assert gap_detect(MINUS_INV, (-1, 1)) is False

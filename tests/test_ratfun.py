@@ -10,8 +10,8 @@ import nevkit.poly
 import nevkit.ratfun
 from nevkit.errors import (DegreeNotOne, IdenticallyZeroDenominator,
                            InvalidInput, PoleHit)
-from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
-                         rational_outside)
+from nevkit.poly import (Poly, RealAlg, RootStructure, point_cmp,
+                         rational_between, rational_outside)
 from nevkit.nevfun import NevFun
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, reduce, strictly_between
@@ -41,7 +41,7 @@ def _sample_inside(r: RatFun, a, b) -> Fraction:
     """A rational point strictly inside (a, b) that is neither a zero nor a
     pole of r: it lies below the first critical point above a, or below b
     if that comes first."""
-    above = [p for p, _m, _k in r.critical_points() if point_cmp(p, a) > 0]
+    above = [p for p, _e in r.critical_points() if point_cmp(p, a) > 0]
     first = above[0] if above else None
     if b is not INF and (first is None or point_cmp(first, b) >= 0):
         first = b
@@ -131,13 +131,13 @@ def test_sign_on_interval_with_finite_ends(r, lo, hi):
     crit = [it for it in r.critical_points()
             if strictly_between(it[0], lo, hi)]
     segs = r.sign_on_interval(lo, hi).segments
-    bounds = [lo] + [p for p, m, _k in crit if m % 2] + [hi]
+    bounds = [lo] + [p for p, e in crit if e % 2] + [hi]
     assert [(seg.lo, seg.hi) for seg in segs] == list(zip(bounds,
                                                           bounds[1:]))
     for seg in segs:
         assert list(seg.touches) == [
-            (p, k) for p, m, k in crit
-            if m % 2 == 0 and strictly_between(p, seg.lo, seg.hi)]
+            (p, "zero" if e > 0 else "pole") for p, e in crit
+            if e % 2 == 0 and strictly_between(p, seg.lo, seg.hi)]
         x = _sample_inside(r, seg.lo, seg.hi)
         assert strictly_between(x, seg.lo, seg.hi)
         assert r.ord_at(x) == 0 and r.sign_at(x) == seg.sign
@@ -179,7 +179,7 @@ def test_sign_at_irrational_points_matches_sturm(r):
     of numerator and denominator, and a pole raises."""
     points = [RealAlg(Poly([-n, 0, 1]), Fraction(lo), Fraction(lo + 1))
               for n in (2, 3) for lo in (-2, 1)]
-    for p, _m, _k in r.critical_points():
+    for p, _e in r.critical_points():
         if isinstance(p, RealAlg):
             points += [p, RealAlg(p.p, *p.box)]
     for p in points:
@@ -246,7 +246,7 @@ def test_ord_and_laurent():
 def _eta_count(r: RatFun, c) -> int:
     """Number of odd-order finite real zeros and poles of r strictly
     greater than the real point c: the reference for the parity rule."""
-    return sum(m % 2 for p, m, _k in r.critical_points()
+    return sum(e % 2 for p, e in r.critical_points()
                if point_cmp(p, c) > 0)
 
 
@@ -270,8 +270,8 @@ def test_root_order_is_exact():
     assert zs[1].point == c
     assert zs[2].point.cmp_rat(c) > 0
     crit = r.critical_points()
-    assert [p for p, _m, _k in crit[:3]] == [zs[0].point, c, zs[2].point]
-    assert crit[3] == (Fraction(5), 1, "pole")
+    assert [p for p, _e in crit[:3]] == [zs[0].point, c, zs[2].point]
+    assert crit[3] == (Fraction(5), -1)
 
 
 def _root_multiplicity(p: Poly, r) -> int:
@@ -286,7 +286,7 @@ def _root_multiplicity(p: Poly, r) -> int:
 @given(factored_ratfuns(), st.lists(rationals(8, 4), max_size=4))
 def test_ord_at_matches_root_multiplicity(r, extra):
     crit = r.critical_points()
-    rational = [p for p, _m, _k in crit if not isinstance(p, RealAlg)]
+    rational = [p for p, _e in crit if not isinstance(p, RealAlg)]
     for p in rational + extra:
         assert r.ord_at(p) == (_root_multiplicity(r.num, p)
                                - _root_multiplicity(r.den, p))
@@ -325,7 +325,7 @@ def test_critical_points_are_sorted_once(monkeypatch):
 def _sign_just_right(r: RatFun, p) -> int:
     """Sign of r at a rational point right of p with no zero or pole of r
     in between: the sign of the leading Laurent coefficient at p."""
-    above = [c for c, _m, _k in r.critical_points() if point_cmp(c, p) > 0]
+    above = [c for c, _e in r.critical_points() if point_cmp(c, p) > 0]
     hi = above[0] if above else rational_outside(p)[1]
     return r.sign_at(rational_between(p, hi))
 
@@ -338,7 +338,7 @@ def test_laurent_sign_is_eta_rule_at_irrational_points():
           RatFun(Poly([-1, -1, 1]) * Poly([5, 1]), s2 * Poly([-7, 2]))]
     sqrt3 = RatFun(s3, Poly.const(1)).real_zeros[1].point
     for r in rs:
-        points = [c for c, _m, _k in r.critical_points()] + [sqrt3]
+        points = [c for c, _e in r.critical_points()] + [sqrt3]
         assert any(isinstance(p, RealAlg) for p in points)
         for p in points:
             sign = r.laurent_lead_sign(p)
@@ -389,16 +389,17 @@ def _irrational_content(s) -> dict:
 
 
 def _check_tables(f: RatFun, seeded: bool, grouped: bool = False):
-    """f is reduced, its root structures were given (seeded) or are left
-    to analysis, and either way they and its critical table agree with
-    real_root_structure of its polynomials by point_cmp, multiplicity and
-    kind; its blocks are those of the analysis, or with ``grouped`` have
-    its irrational content per multiplicity."""
-    assert (f._roots_num is not None, f._roots_den is not None) == \
-        (seeded, seeded)
+    """f is reduced, its table was given (seeded) or is left to analysis,
+    and either way its views and its points agree with real_root_structure
+    of its polynomials by point_cmp and signed order; its blocks are those
+    of the analysis, or with ``grouped`` have its irrational content per
+    multiplicity."""
+    assert (f._tab is not None) == seeded
     fresh = RatFun(f.num, f.den)
     assert fresh == f
-    for got, p in ((f._num_roots(), f.num), (f._den_roots(), f.den)):
+    for got, p in (((f.real_zeros, f.complex_zero_blocks), f.num),
+                   ((f.real_poles, f.complex_pole_blocks), f.den)):
+        got = RootStructure(*map(tuple, got))
         ref = nevkit.poly.real_root_structure(p)
         assert _irrational_content(got) == _irrational_content(ref) \
             if grouped else got.blocks == ref.blocks
@@ -407,8 +408,8 @@ def _check_tables(f: RatFun, seeded: bool, grouped: bool = False):
             assert point_cmp(a.point, b.point) == 0 and a.mult == b.mult
     crit, ref = f.critical_points(), fresh.critical_points()
     assert len(crit) == len(ref)
-    for (p, m, kind), (x, n, want) in zip(crit, ref):
-        assert point_cmp(p, x) == 0 and (m, kind) == (n, want)
+    for (p, e), (x, n) in zip(crit, ref):
+        assert point_cmp(p, x) == 0 and e == n
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,7 +433,7 @@ def test_products_with_irrational_points(q, f):
     for h in (g * f, f / g, g / f):
         _check_tables(h, seeded=True)
     # g's irrational zeros are common to both operands of g * g
-    irrational = any(isinstance(p, RealAlg) for p, _m, _k
+    irrational = any(isinstance(p, RealAlg) for p, _e
                      in g.critical_points())
     _check_tables(g * g, seeded=not irrational)
 
@@ -490,7 +491,7 @@ def _must_fall_back(f: RatFun, g: RatFun) -> bool:
     common irrational point: what a merge cannot decide without a gcd."""
     fs, gs = ({b.factor for b in h.complex_zero_blocks
                + h.complex_pole_blocks} for h in (f, g))
-    irr = [[p for p, _m, _k in h.critical_points() if isinstance(p, RealAlg)]
+    irr = [[p for p, _e in h.critical_points() if isinstance(p, RealAlg)]
            for h in (f, g)]
     return (any(a != b and nevkit.poly.gcd(a, b).degree for a in fs
                 for b in gs)
@@ -562,9 +563,8 @@ def test_mobius_images_at_infinity():
     h = f.compose_mobius(tau)
     # the double zero at 1 goes to inf, and the double pole at inf to 1
     assert (f.ord_at_inf(), h.ord_at_inf()) == (-2, 2)
-    assert [(p, m, k) for p, m, k in h.critical_points()] == [
-        (Fraction(0), 1, "pole"), (Fraction(1), 2, "pole"),
-        (Fraction(2), 1, "zero")]
+    assert h.critical_points() == (
+        (Fraction(0), -1), (Fraction(1), -2), (Fraction(2), 1))
     _check_tables(h, seeded=True)
     q = NevFun.of(0, 1, [(0, 2)])                    # zeros +-sqrt(2)
     _check_tables(q.to_ratfun().compose_mobius(tau), seeded=False)
@@ -578,6 +578,62 @@ def test_inverse_negation_and_scaling_keep_tables(f, c):
         assert h == RatFun(h.num, h.den)
         _check_tables(h, seeded=True)
     _check_tables(RatFun.const(c), seeded=True)
+
+
+def _count_merges(monkeypatch) -> list:
+    calls, merge = [], nevkit.ratfun._merge
+    monkeypatch.setattr(nevkit.ratfun, "_merge",
+                        lambda a, b: calls.append(1) or merge(a, b))
+    return calls
+
+
+def _read_all(h: RatFun):
+    return (h.critical_points(), h.real_zeros, h.real_poles,
+            h.complex_zero_blocks, h.complex_pole_blocks,
+            h.sign_on_interval(), h.ord_at(Fraction(1, 3)))
+
+
+def test_a_given_table_is_read_with_no_more_merges(monkeypatch):
+    """A table that a product or quotient merged, or that an inverse, a
+    scalar multiple or a Moebius map mapped, is stored as it is: reading
+    it calls _merge no more times than building the function did."""
+    f = RatFun.from_points([0, 1, 1], [2], 3)
+    # +-sqrt(2) and a pair block on one quartic, a double pole at 3
+    g = RatFun(Poly([-2, 0, 1]) * Poly([1, 0, 1]), Poly([-3, 1]) ** 2)
+    q = NevFun.of(0, 1, [(0, 3)]).to_ratfun()       # zeros +-sqrt(3)
+    g.critical_points()
+    tau = RatFun(Poly([1, 2]), Poly([-1, 1]))        # (2z + 1)/(z - 1)
+    calls = _count_merges(monkeypatch)
+    for build in (lambda: f * g, lambda: f / g, lambda: g / f,
+                  lambda: g * q, lambda: q / f, lambda: f.inverse(),
+                  lambda: g.inverse(), lambda: q.inverse(), lambda: -g,
+                  lambda: g * Fraction(2, 3), lambda: q / 3,
+                  lambda: f.compose_mobius(tau), lambda: (f * g).inverse()):
+        calls.clear()
+        h = build()
+        built = len(calls)
+        assert h._tab is not None
+        _read_all(h)
+        assert len(calls) == built
+
+
+def test_a_nevfun_table_is_read_with_no_merge(monkeypatch):
+    """A NevFun's RatFun takes its whole table, zeros and atoms
+    interlaced, from its representation: reading it merges nothing."""
+    calls = _count_merges(monkeypatch)
+    for q in (NevFun.of(0, 1, [(0, 2)]), NevFun.of(1, 0, [(0, 1), (2, 3)]),
+              NevFun.of(-1, 2, [(-1, 1), (0, 2), (5, 1)]), NevFun.of(3, 0),
+              NevFun.of(0, 0, [(1, 1)])):
+        calls.clear()
+        f = q.to_ratfun()
+        crit = f.critical_points()
+        _read_all(f)
+        assert calls == []
+        assert all(e * n == -1 for (_p, e), (_x, n) in zip(crit, crit[1:]))
+        fresh = RatFun(f.num, f.den).critical_points()
+        assert len(crit) == len(fresh) and all(
+            point_cmp(p, x) == 0 and e == n
+            for (p, e), (x, n) in zip(crit, fresh))
 
 
 def test_laurent_lead_refuses_an_irrational_point():

@@ -231,8 +231,8 @@ def test_cli_invert_steep_schedule_keeps_the_atom(tmp_path, capsys,
 @pytest.mark.parametrize("eps_min, code", [("1e-310", 1), ("1e-200", 0)])
 def test_cli_invert_subnormal_offset(tmp_path, capsys, eps_min, code):
     """A unit atom at 0 sampled at a subnormal offset overflows the float
-    evaluation to inf: the levels then disagree and the run fails with one
-    error line and no report.  At 1e-200 the mass is recovered."""
+    evaluation to inf: the run fails with one error line, naming that
+    offset, and no report.  At 1e-200 the mass is recovered."""
     p = tmp_path / "f.json"
     p.write_text(json.dumps({"alpha": "0", "beta": "0",
                              "atoms": [{"t": "0", "w": "1"}]}))
@@ -259,7 +259,8 @@ def test_cli_invert_overflow_prints_one_line(tmp_path):
          "--interval=-1,1", "--eps-min", "1e-310"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: NonConvergent: levels disagree: 1 vs inf\n"
+    assert proc.stderr == ("error: NonConvergent: level integral at offset "
+                           "1e-310 is not finite\n")
 
 
 @pytest.mark.parametrize("text, value", [
