@@ -119,7 +119,8 @@ def _negative_at(r: RatFun, points) -> list:
 
 
 def _zero_points(q: NevFun) -> list:
-    return [rec.point for rec in q.zeros()]
+    """The finite real zeros of q."""
+    return [x for x, _m in q.to_ratfun().real_zeros]
 
 
 def product_factorization(g: GenNevFun, r: RatFun) -> GenNevFun:
@@ -291,9 +292,9 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
     # every finite zero and pole of r real, of order at most two
     if r.complex_zero_blocks or r.complex_pole_blocks:
         failures.append(("ii", None, "nonreal zero or pole"))
-    for rec in r.real_zeros + r.real_poles:
-        if rec.mult > 2:
-            failures.append(("ii", rec.point, f"order {rec.mult} > 2"))
+    for x, m in r.real_zeros + r.real_poles:
+        if m > 2:
+            failures.append(("ii", x, f"order {m} > 2"))
 
     # the multiplier is nonnegative on the spectral support and the function
     # does not vanish where the multiplier is strictly negative
@@ -305,33 +306,33 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
                          "function vanishes where multiplier is negative"))
 
     # local clauses at the finite zeros and poles of r of order <= 2
-    for rec in r.real_zeros:
-        if rec.mult == 2:
-            has_atom = q.sigma.weight_at(rec.point) > 0
+    for x, m in r.real_zeros:
+        if m == 2:
+            has_atom = q.sigma.weight_at(x) > 0
             if not has_atom:
-                failures.append(("ii(a)", rec.point,
+                failures.append(("ii(a)", x,
                                  "double zero is not an isolated pole"))
-            if r.laurent_lead_sign(rec.point) >= 0:
-                failures.append(("ii(a)", rec.point,
+            if r.laurent_lead_sign(x) >= 0:
+                failures.append(("ii(a)", x,
                                  "double zero has nonnegative local limit"))
-        elif rec.mult == 1:
-            if not _order_one_clause(q, r, rec.point, is_zero=True):
-                failures.append(("ii(b)", rec.point, "zero-side limit sign"))
-    for rec in r.real_poles:
-        if rec.mult == 2:
+        elif m == 1:
+            if not _order_one_clause(q, r, x, is_zero=True):
+                failures.append(("ii(b)", x, "zero-side limit sign"))
+    for x, m in r.real_poles:
+        if m == 2:
             ok = False
             # q is evaluated only at a rational point
-            if rec.is_rational and q.sigma.weight_at(rec.point) == 0:
-                ok = q.evaluate(rec.point) == 0
+            if isinstance(x, Fraction) and q.sigma.weight_at(x) == 0:
+                ok = q.evaluate(x) == 0
             if not ok:
-                failures.append(("ii(a)", rec.point,
+                failures.append(("ii(a)", x,
                                  "double pole is not an isolated zero"))
-            if r.laurent_lead_sign(rec.point) >= 0:
-                failures.append(("ii(a)", rec.point,
+            if r.laurent_lead_sign(x) >= 0:
+                failures.append(("ii(a)", x,
                                  "double pole has nonnegative local limit"))
-        elif rec.mult == 1:
-            if not _order_one_clause(q, r, rec.point, is_zero=False):
-                failures.append(("ii(b)", rec.point, "pole-side limit sign"))
+        elif m == 1:
+            if not _order_one_clause(q, r, x, is_zero=False):
+                failures.append(("ii(b)", x, "pole-side limit sign"))
 
     try:
         pair = canonical_pair(r * q_rat)
@@ -381,22 +382,22 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
     form_i = is_nevanlinna(g_rat)
 
     ok_ii = not _negative_at(s, q.support() + _zero_points(q))
-    for rec in s.real_zeros:
-        e = g_rat.ord_at(rec.point)
-        if _zero_type_mult(max(e, 0), g_rat.laurent_lead_sign(rec.point)):
+    for x, _m in s.real_zeros:
+        e = g_rat.ord_at(x)
+        if _zero_type_mult(max(e, 0), g_rat.laurent_lead_sign(x)):
             ok_ii = False
-    for rec in s.real_poles:
-        e = g_rat.ord_at(rec.point)
-        if _zero_type_mult(max(-e, 0), -g_rat.laurent_lead_sign(rec.point)):
+    for x, _m in s.real_poles:
+        e = g_rat.ord_at(x)
+        if _zero_type_mult(max(-e, 0), -g_rat.laurent_lead_sign(x)):
             ok_ii = False
     form_ii = ok_ii
 
     form_iii = _interval_form(q, s)
 
     ok_iv = not _negative_at(s, q.support())
-    for rec in s.real_poles:
-        e = g_rat.ord_at(rec.point)
-        if e < -1 or (e == -1 and g_rat.laurent_lead_sign(rec.point) > 0):
+    for x, _m in s.real_poles:
+        e = g_rat.ord_at(x)
+        if e < -1 or (e == -1 and g_rat.laurent_lead_sign(x) > 0):
             ok_iv = False
     if s.ord_at_inf() < 0:
         d = g_rat.num.degree - g_rat.den.degree
@@ -410,7 +411,7 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
 def _require_simple(s: RatFun):
     if s.is_constant:
         raise ConstantInput("multiplier must be nonconstant")
-    if (any(r.mult != 1 for r in s.real_zeros + s.real_poles)
+    if (any(m != 1 for _x, m in s.real_zeros + s.real_poles)
             or s.complex_zero_blocks or s.complex_pole_blocks
             or abs(s.ord_at_inf()) > 1):
         raise NotInterlacing("multiplier must be simple, infinity included")
@@ -457,7 +458,7 @@ def _in_arc(t, a, b) -> bool:
 def _point_kind(s: RatFun, p) -> int:
     """The sign of the order of s at p, NEG_INF and INF being infinity:
     1 at a zero, -1 at a pole, 0 elsewhere."""
-    e = s.ord_at_inf() if p is NEG_INF or p is INF else s.ord_at(p)
+    e = s.ord_at(p)
     return (e > 0) - (e < 0)
 
 
@@ -493,7 +494,7 @@ def _odd_part(r: RatFun) -> RatFun:
     and its leading coefficient; r divided by it is nonnegative."""
     points = []
     for recs, what in ((r.real_zeros, "zero"), (r.real_poles, "pole")):
-        points.append([rec.point for rec in recs if rec.mult % 2])
+        points.append([x for x, m in recs if m % 2])
         if not all(isinstance(x, Fraction) for x in points[-1]):
             raise ExactSplitUnavailable(f"irrational odd-order {what}")
     return RatFun.from_points(*points, r.gamma)
@@ -659,8 +660,6 @@ def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:
     rq = rep.product
     if rq is None:
         raise NotRationalAtoms("pole is not rational")
-    at_poles = tuple((rec.point, q.kac_membership(rec.point))
-                     for rec in r.poles())
-    at_zeros = tuple((rec.point, rq.kac_membership(rec.point))
-                     for rec in r.zeros())
+    at_poles = tuple((x, q.kac_membership(x)) for x, _m in r.poles())
+    at_zeros = tuple((x, rq.kac_membership(x)) for x, _m in r.zeros())
     return KacClosureReport(at_poles, at_zeros)

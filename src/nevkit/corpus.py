@@ -131,7 +131,7 @@ def random_plain_pair(rng: random.Random, max_factors: int = 4,
             factors += 1
         if factors == 0 or r.is_constant:
             continue
-        if simple_only and (any(rec.mult != 1 for rec in
+        if simple_only and (any(m != 1 for _x, m in
                                 r.real_zeros + r.real_poles)
                             or abs(r.ord_at_inf()) > 1):
             continue

@@ -51,11 +51,10 @@ def nonpositive_type_records(f: RatFun) -> list[MultiplicityRecord]:
     out = []
     for kind, recs, k in (("GZNT", f.real_zeros, 1),
                           ("GPNT", f.real_poles, -1)):
-        for rec in recs:
-            m = _zero_type_mult(rec.mult,
-                                k * f.laurent_lead_sign(rec.point))
+        for x, order in recs:
+            m = _zero_type_mult(order, k * f.laurent_lead_sign(x))
             if m:
-                out.append(MultiplicityRecord(rec.point, kind, m))
+                out.append(MultiplicityRecord(x, kind, m))
     e, lead = f.ord_at_inf(), 1 if f.gamma > 0 else -1
     # at infinity the sign convention flips
     m = _zero_type_mult(abs(e), -lead if e > 0 else lead)
@@ -111,28 +110,28 @@ class GenNevFun:
     # -- multiplicities -----------------------------------------------------------
     def balance_check(self) -> bool:
         """Total zero-type mass equals total pole-type mass, with infinity
-        and the conjugate-pair content (full multiplicity each) included."""
+        and the conjugate pairs (full multiplicity each) included: a pair of
+        order m takes 2m of the degree the real points leave."""
         f = self.to_ratfun()
+        if f.is_zero:               # no zeros or poles, and num has no degree
+            return True
         recs = nonpositive_type_records(f)
         z = sum(r.mult for r in recs if r.kind == "GZNT")
         p = sum(r.mult for r in recs if r.kind == "GPNT")
-        z += sum(b.pairs * b.mult for b in f.complex_zero_blocks)
-        p += sum(b.pairs * b.mult for b in f.complex_pole_blocks)
+        z += (f.num.degree - sum(m for _x, m in f.real_zeros)) // 2
+        p += (f.den.degree - sum(m for _x, m in f.real_poles)) // 2
         return z == p
 
 
 def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     """(sum of zero-type, sum of pole-type) multiplicities carried by a
-    nonnegative rational factor; validates nonnegativity on the real line."""
-    sums = []
-    for kind, real, blocks in (
-            ("zero", phi.real_zeros, phi.complex_zero_blocks),
-            ("pole", phi.real_poles, phi.complex_pole_blocks)):
-        if any(rec.mult % 2 for rec in real):
+    nonnegative rational factor; validates nonnegativity on the real line.
+    With every real order even, each real point of order 2k and each
+    conjugate pair of order k take 2k of the degree and carry k."""
+    for kind, real in (("zero", phi.real_zeros), ("pole", phi.real_poles)):
+        if any(m % 2 for _x, m in real):
             raise InvalidInput(f"factor has an odd-order real {kind}")
-        sums.append(sum(rec.mult // 2 for rec in real)
-                    + sum(blk.pairs * blk.mult for blk in blocks))
-    return tuple(sums)
+    return phi.num.degree // 2, phi.den.degree // 2
 
 
 def _is_pure(h: Poly) -> bool:
@@ -164,12 +163,15 @@ def _canonical_factor(f: RatFun):
                 "odd-order irrational point carries type multiplicity")
         table.append((rec.point, 2 * rec.mult if rec.kind == "GZNT"
                       else -2 * rec.mult))
+    crit = f.critical_points()
     for sgn, bs in ((1, f.complex_zero_blocks), (-1, f.complex_pole_blocks)):
-        for blk in bs:
-            if not (blk.real_roots and blk.mult % 2):
-                blocks.append((blk.factor, sgn * blk.mult))
+        for factor, m in bs:
+            # the irrational real roots of a block are points on its factor
+            if not (m % 2 and any(isinstance(x, RealAlg) and x.p == factor
+                                  for x, _e in crit)):
+                blocks.append((factor, sgn * m))
                 continue
-            pieces = _factor_squarefree(_primitive(blk.factor.n), _is_pure)
+            pieces = _factor_squarefree(_primitive(factor.n), _is_pure)
             for h in (_poly(a, a[-1]) for a in pieces):
                 n = count_real_roots(h)
                 if 0 < n < h.degree:
@@ -177,7 +179,7 @@ def _canonical_factor(f: RatFun):
                         "conjugate pairs share an odd-multiplicity factor "
                         "with irrational real roots")
                 if not n:
-                    blocks.append((h, sgn * blk.mult))
+                    blocks.append((h, sgn * m))
     # an irrational point brings every real root of its polynomial, all of
     # one order, and a whole block its real roots too
     return from_table(table, blocks), records

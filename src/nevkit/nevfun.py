@@ -188,10 +188,6 @@ class NevFun:
             object.__setattr__(self, "_ratfun", memo)
         return memo
 
-    def zeros(self) -> list:
-        """Finite real zeros (records) of the function."""
-        return self.to_ratfun().real_zeros
-
     def support(self, include_inf: bool = True) -> list:
         """Spectral support: atom positions, plus INF when beta > 0."""
         pts: list = list(self.sigma.positions)
@@ -402,13 +398,12 @@ def _herglotz_parts(f: RatFun):
         raise NotNevanlinna("negative slope at infinity")
     c0 = q.c[0] if not q.is_zero else Fraction(0)
     poles, blocks = f.real_poles, f.complex_pole_blocks
-    if blocks or any(r.mult > 1 for r in poles):
-        multiple = any(r.mult > 1 for r in poles + blocks)
+    if blocks or any(m > 1 for _x, m in poles):
+        multiple = any(m > 1 for _x, m in poles + blocks)
         raise NotNevanlinna("multiple pole" if multiple else "nonreal pole")
     dp = f.den.deriv()
     pairs = []
-    for recd in poles:
-        t = recd.point
+    for t, _m in poles:
         # residue of rem/den at t is rem(t)/den'(t); need it negative, so
         # weight w = -residue is positive
         if isinstance(t, Fraction):

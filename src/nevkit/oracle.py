@@ -183,7 +183,9 @@ class InversionConfig:
         if len(self.eps_schedule) > MAX_EPS_LEVELS:
             raise InvalidInput(f"at most {MAX_EPS_LEVELS} offset levels")
         eps = tuple(float(e) for e in self.eps_schedule)
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or not eps:
+        if not eps:
+            raise InvalidInput("need at least one offset level")
+        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise InvalidInput("schedule must decrease strictly")
         if not all(0 < e < np.inf for e in eps):
             raise InvalidInput("offset levels must be finite and positive")
@@ -381,8 +383,8 @@ def _check_phi(phi, cfg: InversionConfig):
         phi = phi.to_ratfun()
     if isinstance(phi, RatFun):
         lo, hi = rat(cfg.interval[0]), rat(cfg.interval[1])
-        if any(point_cmp(lo, r.point) <= 0 <= point_cmp(hi, r.point)
-               for r in phi.real_poles):
+        if any(point_cmp(lo, x) <= 0 <= point_cmp(hi, x)
+               for x, _m in phi.real_poles):
             raise InvalidInput("weight has a pole inside the interval")
 
 

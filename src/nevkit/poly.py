@@ -13,7 +13,8 @@ into rational intervals, represented as lazy :class:`RealAlg` values, which
 refine their interval only as far as an exact sign query or comparison
 needs.
 :func:`real_root_structure` is the one place where the real roots and
-conjugate-pair content of a polynomial are derived, memoised on the
+conjugate-pair content of a polynomial are derived, as one table of
+(point, multiplicity) and (residual, multiplicity) pairs, memoised on the
 polynomial's value.  Everything this module returns about an irrational
 point (comparisons, signs, floors, the rationals of
 :func:`rational_between` and :func:`rational_outside`) depends only on the
@@ -28,10 +29,10 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations, zip_longest
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ExactSplitUnavailable, InvalidInput, InvariantViolation
-from .qmath import INF, NEG_INF, QC, rat, record
+from .qmath import INF, NEG_INF, QC, rat
 
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
@@ -919,70 +920,32 @@ def point_cmp(a, b) -> int:
     return (a > b) - (a < b)
 
 
-@record
-class RootRecord:
-    """A real or infinite zero/pole with its exact multiplicity."""
-
-    point: object  # Fraction | RealAlg, or INF for the point at infinity
-    mult: int
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.mult % 2 else "even"
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.point, Fraction)
-
-
-@record
-class ConjugatePairBlock:
-    """Count of the conjugate nonreal root pairs of ``factor``: the
-    residual of one squarefree part after its rational roots are divided
-    out.
-
-    ``factor`` also holds the ``real_roots`` irrational real roots of that
-    residual, so it is an exact polynomial witness of the pairs only when
-    ``real_roots == 0``; otherwise the pairs are split off by factoring it
-    over the rationals, where and when a caller needs them apart.
-    """
-
-    factor: Poly
-    pairs: int
-    mult: int
-    real_roots: int
-
-
-class RootStructure(NamedTuple):
-    real: tuple[RootRecord, ...]            # finite real roots, ascending
-    blocks: tuple[ConjugatePairBlock, ...]  # conjugate-pair content
-
-
 @lru_cache(maxsize=ROOT_STRUCTURE_CACHE_SIZE)
-def real_root_structure(p: Poly) -> RootStructure:
-    """Real roots of p with exact multiplicities plus its conjugate-pair
-    blocks.
+def real_root_structure(p: Poly) -> tuple:
+    """The table of the roots of p, (points, blocks): its finite real
+    roots as ascending (point, multiplicity) and its conjugate-pair content
+    as (monic residual h, multiplicity), the shape of
+    :func:`interlaced_root_structure`.
 
     The real roots of each squarefree part g are isolated once, by the
-    helper of :func:`isolate_real_roots`: rational roots become rational
-    records, and the residual h it divides out, g without its rational
-    linear factors, gives the rest.  Each irrational real root
-    becomes a :class:`RealAlg` record on h, and when h also has nonreal
-    roots they are one conjugate-pair block on h.  Nothing is factored
-    here.  The result is memoised on the value of p and shared, so it is
-    immutable; the isolating boxes of its RealAlg records only ever shrink.
+    helper of :func:`isolate_real_roots`: rational roots are exact points,
+    and the residual h it divides out, g without its rational linear
+    factors, gives the rest.  Each irrational real root becomes a
+    :class:`RealAlg` point on h, and when h also has nonreal roots it is a
+    block, whose (deg h - its RealAlg points) / 2 pairs nothing here splits
+    off: nothing is factored.  The result is memoised on the value of p and
+    shared, so it is immutable; the isolating boxes of its RealAlg points
+    only ever shrink.
     """
-    real: list[RootRecord] = []
-    blocks: list[ConjugatePairBlock] = []
+    points, blocks = [], []
     for g, m in squarefree_decomposition(p):
         rats, h, boxes = _real_roots(g)
-        real.extend(RootRecord(r, m) for r in rats)
-        real.extend(RootRecord(RealAlg(h, lo, hi), m) for lo, hi in boxes)
+        points += [(r, m) for r in rats]
+        points += [(RealAlg(h, lo, hi), m) for lo, hi in boxes]
         if len(boxes) < h.degree:
-            blocks.append(ConjugatePairBlock(
-                h, (h.degree - len(boxes)) // 2, m, len(boxes)))
-    real.sort(key=cmp_to_key(lambda a, b: point_cmp(a.point, b.point)))
-    return RootStructure(tuple(real), tuple(blocks))
+            blocks.append((h, m))
+    points.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
+    return tuple(points), tuple(blocks)
 
 
 def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],

@@ -3,7 +3,11 @@
 A :class:`RatFun` is a reduced pair of Fraction-coefficient polynomials with
 one table of its zeros and poles on the real line, kept in one slot: the
 finite real points as ascending (point, order) and the conjugate-pair
-blocks as (monic factor, order), the order negative at a pole.  Rational
+blocks as (monic factor, order), the order negative at a pole.  Analysis
+(:func:`~nevkit.poly.real_root_structure`) gives each of num and den in
+this form, and the views (:attr:`RatFun.real_zeros`, :meth:`RatFun.poles`,
+:attr:`RatFun.complex_zero_blocks`, ...) read it back as (point,
+multiplicity) and (factor, multiplicity) pairs of one kind.  Rational
 points are exact, irrational real points are certified isolating
 intervals, and blocks never take part in sign decisions.  Every local
 query (orders, Laurent signs, sign segments) reads the points,
@@ -32,8 +36,7 @@ from typing import Sequence, Union
 
 from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
                      InvalidInput, PoleHit)
-from .poly import (ConjugatePairBlock, Poly, RealAlg, RootRecord,
-                   RootStructure, RPoint, _deflate, _poly, compose_fractional,
+from .poly import (Poly, RealAlg, RPoint, _deflate, _poly, compose_fractional,
                    gcd, point_cmp, rat, real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, record
 
@@ -241,10 +244,10 @@ class RatFun:
                 / np.polynomial.polynomial.polyval(z, dc))
 
     # -- root bookkeeping -------------------------------------------------------------
-    def _num_roots(self) -> RootStructure:
+    def _num_roots(self) -> tuple:
         return real_root_structure(self.num)
 
-    def _den_roots(self) -> RootStructure:
+    def _den_roots(self) -> tuple:
         return real_root_structure(self.den)
 
     def _table(self) -> tuple:
@@ -255,11 +258,9 @@ class RatFun:
         t = self._tab
         if type(t) is not tuple:
             if t is None:
-                n, d = self._num_roots(), self._den_roots()
-                t = (_merge([(r.point, r.mult) for r in n.real],
-                            [(r.point, -r.mult) for r in d.real])[0],
-                     tuple((b.factor, k * b.mult) for k, s in ((1, n), (-1, d))
-                           for b in s.blocks))
+                (n, nb), (d, db) = self._num_roots(), self._den_roots()
+                t = (_merge(n, [(x, -m) for x, m in d])[0],
+                     nb + tuple((h, -m) for h, m in db))
             else:
                 t = t()
             object.__setattr__(self, "_tab", t)
@@ -271,38 +272,34 @@ class RatFun:
         return None if self._tab is None or self.is_zero else self._table()
 
     @property
-    def real_zeros(self) -> list[RootRecord]:
-        return [RootRecord(p, e) for p, e in self.critical_points() if e > 0]
+    def real_zeros(self) -> list[tuple[RPoint, int]]:
+        return [(p, e) for p, e in self.critical_points() if e > 0]
 
     @property
-    def real_poles(self) -> list[RootRecord]:
-        return [RootRecord(p, -e) for p, e in self.critical_points() if e < 0]
+    def real_poles(self) -> list[tuple[RPoint, int]]:
+        return [(p, -e) for p, e in self.critical_points() if e < 0]
 
     @property
-    def complex_zero_blocks(self) -> list[ConjugatePairBlock]:
-        return _blocks(*self._table(), 1)
+    def complex_zero_blocks(self) -> list[tuple[Poly, int]]:
+        return [(h, e) for h, e in self._table()[1] if e > 0]
 
     @property
-    def complex_pole_blocks(self) -> list[ConjugatePairBlock]:
-        return _blocks(*self._table(), -1)
+    def complex_pole_blocks(self) -> list[tuple[Poly, int]]:
+        return [(h, -e) for h, e in self._table()[1] if e < 0]
 
     def ord_at_inf(self) -> int:
         """Positive for a zero at infinity, negative for a pole."""
         return self.den.degree - self.num.degree
 
-    def zeros(self) -> list[RootRecord]:
-        out = self.real_zeros
+    def zeros(self) -> list[tuple[Point, int]]:
+        """The real zeros, then (INF, m) for a zero at infinity."""
         m = self.ord_at_inf()
-        if m > 0:
-            out.append(RootRecord(INF, m))
-        return out
+        return self.real_zeros + [(INF, m)] * (m > 0)
 
-    def poles(self) -> list[RootRecord]:
-        out = self.real_poles
-        m = self.ord_at_inf()
-        if m < 0:
-            out.append(RootRecord(INF, -m))
-        return out
+    def poles(self) -> list[tuple[Point, int]]:
+        """The real poles, then (INF, m) for a pole at infinity."""
+        m = -self.ord_at_inf()
+        return self.real_poles + [(INF, m)] * (m > 0)
 
     # -- local structure ------------------------------------------------------------
     def critical_points(self) -> tuple[tuple[RPoint, int], ...]:
@@ -330,8 +327,9 @@ class RatFun:
 
     def ord_at(self, point: Point) -> int:
         """Order at a point: k > 0 for a zero of order k, k < 0 for a pole,
-        0 when regular and nonzero."""
-        if point is INF:
+        0 when regular and nonzero.  NEG_INF is the point at infinity, as
+        INF is, the two ends of one extended line."""
+        if point is INF or point is NEG_INF:
             return self.ord_at_inf()
         i, hit = self._locate(point)
         return self.critical_points()[i][1] if hit else 0
@@ -462,16 +460,6 @@ def _merge_blocks(a: Sequence, b: Sequence, sign: int) -> tuple:
         common += [h] * min(abs(m), abs(e)) * (m * e < 0)
         orders[h] = m + e
     return tuple((h, e) for h, e in orders.items() if e), common
-
-
-def _blocks(points: Sequence, blocks: Sequence, k: int) -> list:
-    """The conjugate-pair blocks of the (factor, order) of sign k, each
-    factor's irrational real roots being entries of points."""
-    if not blocks:
-        return []
-    real = Counter(p.p for p, _e in points if isinstance(p, RealAlg))
-    return [ConjugatePairBlock(h, (h.degree - real[h]) // 2, k * e, real[h])
-            for h, e in blocks if k * e > 0]
 
 
 def from_table(table: list, blocks: list) -> RatFun:

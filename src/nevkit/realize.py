@@ -114,13 +114,9 @@ def enumerate_zeros_poles(r: RatFun) -> tuple[tuple, tuple]:
     """Zeros and poles with multiplicity: double points first (two
     consecutive entries), then simple points ascending, the point at
     infinity last."""
-    def enum(records, inf_mult):
-        doubles = [rec for rec in records if rec.mult == 2]
-        simples = [rec for rec in records if rec.mult == 1]
-        out = []
-        for rec in doubles:
-            out.extend([rec.point, rec.point])
-        out.extend(rec.point for rec in simples)
+    def enum(points, inf_mult):
+        out = [x for x, m in points if m == 2 for _ in range(2)]
+        out.extend(x for x, m in points if m == 1)
         out.extend([INF] * inf_mult)
         return tuple(out)
 
@@ -167,7 +163,7 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     if any(z < 0 for _, z in zetas):
         raise InvariantViolation("negative acquired point mass")
 
-    finite_zero_pts = {rec.point for rec in r.real_zeros if rec.is_rational}
+    finite_zero_pts = {x for x, _m in r.real_zeros if isinstance(x, Fraction)}
     kept = [(t, w) for t, w in q.sigma if t not in finite_zero_pts]
     new_atoms = [(b, Fraction(1)) for b, z in zetas
                  if b is not INF and z > 0]

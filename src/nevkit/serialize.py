@@ -50,8 +50,9 @@ def ratfun_to_json(r: RatFun) -> dict:
 
 def ratfun_records_json(r: RatFun) -> dict:
     def recs(items):
-        return [{"point": point_to_json(rec.point), "mult": rec.mult,
-                 "order_parity": rec.parity} for rec in items]
+        return [{"point": point_to_json(x), "mult": m,
+                 "order_parity": "odd" if m % 2 else "even"}
+                for x, m in items]
     return {"zeros": recs(r.zeros()), "poles": recs(r.poles())}
 
 

@@ -324,9 +324,9 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
         q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
         if refine:
             for f in (r, q.to_ratfun()):
-                for rec in f.real_zeros + f.real_poles:
-                    if isinstance(rec.point, RealAlg):
-                        rec.point.floor_div(Fraction(1, 2**200))
+                for x, _m in f.real_zeros + f.real_poles:
+                    if isinstance(x, RealAlg):
+                        x.floor_div(Fraction(1, 2**200))
         return chain_factorize(q, r).factors
 
     base = factors()
@@ -401,13 +401,11 @@ def _extraction_step(s: RatFun, q: NevFun):
     q_rat = q.to_ratfun()
     g_rat = s * q_rat
     psi_num = psi_den = Poly.const(1)
-    for rec in s.real_zeros:
-        a = rec.point
+    for a, _m in s.real_zeros:
         pi = _zero_type_mult(max(g_rat.ord_at(a), 0),
                              g_rat.laurent_lead_sign(a))
         psi_num = psi_num * Poly([-a, 1]) ** (2 * pi)
-    for rec in s.real_poles:
-        b = rec.point
+    for b, _m in s.real_poles:
         ka = _zero_type_mult(max(-g_rat.ord_at(b), 0),
                              -g_rat.laurent_lead_sign(b))
         psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
@@ -662,7 +660,7 @@ def _flag_arc_entries(q: NevFun, a, b) -> list:
         t = entry[0]
         return (1, 0) if t is INF else (2 if wraps and t < b else 0, t)
     atoms_in = [t for t in q.sigma.positions if inside(t)]
-    zeros_in = [rec.point for rec in q_rat.real_zeros if inside(rec.point)]
+    zeros_in = [x for x, _m in q_rat.real_zeros if inside(x)]
     if not all(isinstance(t, Fraction) for t in zeros_in):
         raise ExactSplitUnavailable("irrational zero inside the interval")
     if wraps and q_rat.ord_at_inf() < 0:
@@ -1172,10 +1170,10 @@ def _candidate_search(q: NevFun, r: RatFun):
     pts = []
     for recs, kind, what in ((r.real_zeros, "atom", "zero"),
                              (r.real_poles, "zero", "pole")):
-        for rec in recs:
-            if not rec.is_rational:
+        for x, _m in recs:
+            if not isinstance(x, Fraction):
                 raise ExactSplitUnavailable(f"irrational double {what}")
-            pts.append((rec.point, kind))
+            pts.append((x, kind))
     pts.sort()
     for (x1, k1), (x2, k2) in zip(pts, pts[1:]):
         if k1 == k2:

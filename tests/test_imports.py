@@ -5,7 +5,8 @@ a detector test on inline source:
 - no module imports dataclasses;
 - only poly.py takes Sturm sequences, with the exceptions listed;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
-- real_root_structure is called only by RatFun._num_roots and _den_roots;
+- real_root_structure is called only by RatFun._num_roots and _den_roots,
+  and they only by RatFun._table;
 - RatFun._with_table is called only in ratfun.py and nevfun.py;
 - outside ratfun.py no module reads a RatFun's table slot or merges tables;
 - closed forms are certified only by nevfun's _chain_step and _compose;
@@ -198,11 +199,12 @@ def test_extraction_is_called_only_on_rational_input():
 
 
 # Root analysis has one path: a RatFun analyses its own polynomials when a
-# table is first read and was not given, and every other table travels with
-# the function it belongs to.  Tables are given only where they are known:
-# in ratfun.py, and for a NevFun's RatFun in nevfun.py.
+# table is first read and was not given, in _table, and every other table
+# travels with the function it belongs to.  Tables are given only where
+# they are known: in ratfun.py, and for a NevFun's RatFun in nevfun.py.
 ANALYSIS_ALLOWED = {("ratfun.py", "RatFun._num_roots"),
                     ("ratfun.py", "RatFun._den_roots")}
+ANALYSIS_ENTRIES = ("_num_roots", "_den_roots")
 
 
 def test_detector_finds_root_analysis_and_given_tables():
@@ -210,17 +212,24 @@ def test_detector_finds_root_analysis_and_given_tables():
            "        return real_root_structure(self.num)\n"
            "    @classmethod\n    def _with_table(cls, *a):\n"
            "        return cls._with_table(*a)\n"
+           "    def _table(self):\n"
+           "        return self._num_roots(), self._den_roots()\n"
            "def stray(p):\n    return poly.real_root_structure(p)\n"
-           "f = RatFun._with_table(1, 2)\n")
+           "f = RatFun._with_table(1, 2)\n"
+           "g = f._den_roots()\n")
     assert _calls(src, "real_root_structure") == [
-        ("RatFun._num_roots", 3), ("stray", 8)]
+        ("RatFun._num_roots", 3), ("stray", 10)]
     assert _calls(src, "_with_table") == [("RatFun._with_table", 6),
-                                          (None, 9)]
+                                          (None, 11)]
+    assert _calls(src, "_num_roots") == [("RatFun._table", 8)]
+    assert _calls(src, "_den_roots") == [("RatFun._table", 8), (None, 12)]
 
 
 def test_root_analysis_is_called_only_by_a_ratfun_on_itself():
     found = _package_calls("real_root_structure")
     assert set(found) <= ANALYSIS_ALLOWED
+    for name in ANALYSIS_ENTRIES:
+        assert set(_package_calls(name)) == {("ratfun.py", "RatFun._table")}
 
 
 def test_tables_are_given_only_where_they_are_known():

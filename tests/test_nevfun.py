@@ -337,8 +337,7 @@ def _sturm_herglotz_parts(f: RatFun):
         raise NotNevanlinna("multiple pole" if gcd(den, dp).degree > 0
                             else "nonreal pole")
     pairs = []
-    for recd in f.real_poles:
-        t = recd.point
+    for t, _m in f.real_poles:
         if isinstance(t, Fraction):
             resid = rem.eval_q(t) / dp.eval_q(t)
             if resid >= 0:
@@ -486,18 +485,18 @@ def _fraction_num_den(q: NevFun) -> tuple[Poly, Poly]:
 
 def _check_seeded_structures(q: NevFun):
     """q's RatFun is RatFun(*num_den()), and the root structures it was
-    given equal those of the root analysis record by record."""
+    given equal those of the root analysis entry by entry."""
     fresh = NevFun.of(q.alpha, q.beta, q.sigma)      # no memo of any kind
     assert fresh.num_den() == _fraction_num_den(fresh)
     f = fresh.to_ratfun()
     assert f == RatFun(*fresh.num_den())
     for seeded, p in ((f.real_zeros, f.num), (f.real_poles, f.den)):
-        ref = real_root_structure(p)
-        assert ref.blocks == () and len(seeded) == len(ref.real)
-        for got, want in zip(seeded, ref.real):
-            assert point_cmp(got.point, want.point) == 0
-            assert type(got.point) is type(want.point)
-            assert got.mult == want.mult == 1
+        ref_points, ref_blocks = real_root_structure(p)
+        assert ref_blocks == () and len(seeded) == len(ref_points)
+        for (got, m), (want, n) in zip(seeded, ref_points):
+            assert point_cmp(got, want) == 0
+            assert type(got) is type(want)
+            assert m == n == 1
     assert f.complex_zero_blocks == f.complex_pole_blocks == []
 
 
@@ -532,7 +531,7 @@ def test_interlacing_is_checked():
 
 
 def test_weight_at_an_irrational_point_is_zero():
-    sqrt2 = real_root_structure(Poly([-2, 0, 1])).real[1].point
+    sqrt2 = real_root_structure(Poly([-2, 0, 1]))[0][1][0]
     q = NevFun.of(0, 1, [(1, 2), (Fraction(3, 2), 1)])
     assert q.sigma.weight_at(sqrt2) == 0
     assert q.sigma.weight_at(1) == 2 and q.kac_membership(sqrt2)

@@ -275,7 +275,19 @@ def test_squarefree_decomposition_never_divides_by_one(monkeypatch):
 
 
 def roots_of(p):
-    return [(rec.point, rec.mult) for rec in real_root_structure(p).real]
+    return list(real_root_structure(p)[0])
+
+
+def zero_blocks(f: RatFun) -> list:
+    """(factor, pairs, multiplicity, real roots) of each conjugate-pair
+    zero block of f: its real roots are the points of f on the factor, and
+    its pairs the rest of the factor's degree, halved."""
+    out = []
+    for h, m in f.complex_zero_blocks:
+        n = sum(isinstance(x, RealAlg) and x.p == h
+                for x, _e in f.critical_points())
+        out.append((h, (h.degree - n) // 2, m, n))
+    return out
 
 
 def test_rational_roots():
@@ -297,9 +309,10 @@ def test_root_structure_shared_by_equal_numerators():
     # a first read analyses both sides: num once, and the two denominators
     info = real_root_structure.cache_info()
     assert (info.misses, info.hits) == (3, 1)
-    assert [rec.is_rational for rec in zeros] == [False, False, True]
+    assert [isinstance(x, Fraction) for x, _m in zeros] == \
+        [False, False, True]
     # the pair of z^2 + 1 shares its block with the roots of z^2 - 3
-    assert [(b.pairs, b.real_roots) for b in r2.complex_zero_blocks] == [(1, 2)]
+    assert [(pairs, n) for _h, pairs, _m, n in zero_blocks(r2)] == [(1, 2)]
 
 
 def test_root_structure_mixed_factor(monkeypatch):
@@ -313,16 +326,14 @@ def test_root_structure_mixed_factor(monkeypatch):
     monkeypatch.setattr(nevkit.gnev, "_factor_squarefree", counting)
     cube = P(-2, 0, 0, 1)          # one irrational real root, one pair
     f1 = RatFun(cube * P(-1, 1), Poly.const(1))
-    assert [(b.factor, b.pairs, b.mult, b.real_roots)
-            for b in f1.complex_zero_blocks] == [(cube, 1, 1, 1)]
-    assert [rec.mult for rec in f1.real_zeros] == [1, 1]
+    assert zero_blocks(f1) == [(cube, 1, 1, 1)]
+    assert [m for _x, m in f1.real_zeros] == [1, 1]
     # an odd power is factored, and its irreducible mixed factor refused
     with pytest.raises(ExactSplitUnavailable, match="conjugate pairs share"):
         canonical_pair(f1)
     assert calls == [cube]
     f2 = RatFun(cube ** 2 * P(-1, 1), Poly.const(1))
-    assert [(b.pairs, b.mult, b.real_roots)
-            for b in f2.complex_zero_blocks] == [(1, 2, 1)]
+    assert [b[1:] for b in zero_blocks(f2)] == [(1, 2, 1)]
     psi, s0, _records = canonical_rational(f2)
     assert psi == RatFun(cube ** 2, Poly.const(1))
     assert s0 == RatFun(P(-1, 1), Poly.const(1))
@@ -343,8 +354,7 @@ def test_mixed_block_splits_into_pairs_and_real_roots():
     assert count_real_roots(cubic) == 3
     f = RatFun(block * F(-422, 65),
                P(F(2, 3), F(35, 12), F(13, 8), F(-83, 12), F(-43, 6), 1))
-    assert [(b.pairs, b.mult, b.real_roots)
-            for b in f.complex_zero_blocks] == [(1, 1, 3)]
+    assert [b[1:] for b in zero_blocks(f)] == [(1, 1, 3)]
     psi, s0, _records = canonical_rational(f)
     assert psi == RatFun(P(1, 0, 1), P(F(1, 4), 1, 1))
     assert psi * s0 == f
@@ -505,7 +515,7 @@ def test_real_root_structure_does_not_bisect(monkeypatch):
     for p in (P(-2, 0, 1), P(-2, 0, 1) * P(-5, 1), P(1, 0, -10, 0, 1),
               P(-2, 0, 0, 1) * P(-1, 1)):
         s = real_root_structure.__wrapped__(p)    # bypass the cache
-        assert any(isinstance(rec.point, RealAlg) for rec in s.real)
+        assert any(isinstance(x, RealAlg) for x, _m in s[0])
     assert steps == []
 
 
@@ -652,9 +662,9 @@ def test_integer_isolation_edge_cases():
     assert root == (r, r) and box[0] > r
     sqrt2 = RealAlg(P(-2, 0, 1), *box)
     assert sqrt2.cmp_rat(r) > 0 and float(sqrt2) == math.sqrt(2)
-    recs = real_root_structure(g).real
-    assert [rec.point for rec in recs[1:2]] == [r]
-    assert [rec.point.p for rec in recs[::2]] == [P(-2, 0, 1)] * 2
+    points = real_root_structure(g)[0]
+    assert [x for x, _m in points[1:2]] == [r]
+    assert [x.p for x, _m in points[::2]] == [P(-2, 0, 1)] * 2
 
 
 def _bisection_reference(g: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -844,19 +854,17 @@ def test_residual_without_real_roots_is_one_block(monkeypatch):
     real_root_structure.cache_clear()
     quartic = P(2, 0, 3, 0, 1)                   # (z^2 + 1)(z^2 + 2)
     f = RatFun(quartic * P(-3, 1) * P(-1, 0, 1) ** 2, Poly.const(1))
-    assert [(b.factor, b.pairs, b.mult, b.real_roots)
-            for b in f.complex_zero_blocks] == [(quartic, 2, 1, 0)]
-    assert [(rec.point, rec.mult) for rec in f.real_zeros] == [
-        (-1, 2), (1, 2), (3, 1)]
+    assert zero_blocks(f) == [(quartic, 2, 1, 0)]
+    assert f.real_zeros == [(-1, 2), (1, 2), (3, 1)]
     w = canonical_pair(RatFun(quartic, Poly.const(1)))
     assert w.phi == RatFun(quartic, Poly.const(1)) and w.kappa == 2
     assert w.q0.to_ratfun() == RatFun.const(1)
-    # a residual with only real roots: RealAlg records on the residual
+    # a residual with only real roots: RealAlg points on the residual
     g = P(-2, 0, 1) * P(-3, 0, 1) * P(-5, 1)
-    s = real_root_structure(g)
-    assert s.blocks == () and len(s.real) == 5
-    assert {rec.point.p for rec in s.real
-            if not rec.is_rational} == {P(6, 0, -5, 0, 1)}
+    points, blocks = real_root_structure(g)
+    assert blocks == () and len(points) == 5
+    assert {x.p for x, _m in points
+            if not isinstance(x, Fraction)} == {P(6, 0, -5, 0, 1)}
 
 
 def test_sign_of_reuses_the_sturm_chain():

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from nevkit.classify import N00Report
+from nevkit.classify import FactorChain, KacClosureReport, N00Report
 from nevkit.errors import InvalidInput
-from nevkit.nevfun import AtomicMeasure, NevFun
+from nevkit.gnev import MultiplicityRecord
+from nevkit.nevfun import AtomicMeasure, NevFun, ProductMembership
 from nevkit.oracle import InversionConfig
-from nevkit.poly import ConjugatePairBlock, Poly, RootRecord
+from nevkit.poly import Poly
 from nevkit.qmath import INF, NEG_INF, QC, LimitValue, rat, record
 from nevkit.ratfun import RatFun, SignReport, SignSegment
 
@@ -26,12 +27,12 @@ def _dataclass_twin(cls):
 HALF = Fraction(1, 2)
 SEGMENT = SignSegment(NEG_INF, HALF, -1, (Fraction(-2),))
 RECORDS = [
-    (RootRecord, (Fraction(1, 3), 2), {}),
-    (RootRecord, (INF, 1), {}),
+    (KacClosureReport, (((Fraction(1, 3), True),), ((INF, False),)), {}),
+    (ProductMembership, ((True, False), ("i", "ii")), {}),
     (SignSegment, (HALF, INF, 1), {}),
     (SignSegment, (NEG_INF, HALF), {"sign": -1, "touches": (Fraction(-2),)}),
     (SignReport, ((SEGMENT,),), {}),
-    (ConjugatePairBlock, (Poly([1, 0, 1]), 1, 2, 0), {}),
+    (FactorChain, ((RatFun(Poly([1, 0, 1]), Poly([0, 1])),), ()), {}),
     (N00Report, (False, (("ii(b)", HALF, "why"),)), {"kappa_tilde": 1}),
     (AtomicMeasure, (((HALF, Fraction(3)),),), {}),
 ]
@@ -51,7 +52,8 @@ def test_records_match_their_dataclass_twins(cls, args, kw):
 
 
 def test_records_compare_every_field():
-    assert RootRecord(HALF, 1) != RootRecord(HALF, 2)
+    assert MultiplicityRecord(HALF, "GZNT", 1) != \
+        MultiplicityRecord(HALF, "GZNT", 2)
     assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, 1, (HALF,))
     assert len({QC(HALF, HALF), QC.of(1, 1) * HALF, QC.of(HALF)}) == 2
 
@@ -63,22 +65,24 @@ def test_keyword_construction_and_defaults():
     assert LimitValue("+inf").value is None
     assert LimitValue(kind="finite", value=HALF) == LimitValue.finite(HALF)
     assert N00Report(True).product is None and N00Report(True).failures == ()
-    for bad in (lambda: RootRecord(HALF), lambda: RootRecord(HALF, 1, 2),
-                lambda: RootRecord(HALF, 1, point=HALF),
-                lambda: RootRecord(HALF, mult=1, parity="odd")):
+    for bad in (lambda: MultiplicityRecord(HALF, "GZNT"),
+                lambda: MultiplicityRecord(HALF, "GZNT", 1, 2),
+                lambda: MultiplicityRecord(HALF, "GZNT", 1, point=HALF),
+                lambda: MultiplicityRecord(HALF, "GZNT", mult=1,
+                                           parity="odd")):
         with pytest.raises(TypeError):
             bad()
 
 
 def test_records_are_frozen_but_keep_their_memos():
-    rec = RootRecord(HALF, 1)
+    rec = MultiplicityRecord(HALF, "GZNT", 1)
     with pytest.raises(AttributeError):
         rec.mult = 2
     with pytest.raises(AttributeError):
         rec.other = 2
     with pytest.raises(AttributeError):
         del rec.point
-    assert rec == RootRecord(HALF, 1)
+    assert rec == MultiplicityRecord(HALF, "GZNT", 1)
     # a memo in the instance dict is no field: equality, hash and repr
     # ignore it
     q = NevFun.of(0, 1, [(1, 2)])
@@ -92,9 +96,11 @@ def test_post_init_checks_run_on_every_construction():
     assert InversionConfig().quadrature_points == 4096
     assert InversionConfig((1e-1, 1e-2), 64).eps_schedule == (1e-1, 1e-2)
     for kw in ({"eps_schedule": (1e-3, 1e-2)}, {"eps_schedule": (1e-3,) * 2},
-               {"eps_schedule": ()}, {"quadrature_points": 63}):
+               {"quadrature_points": 63}):
         with pytest.raises(InvalidInput):
             InversionConfig(**kw)
+    with pytest.raises(InvalidInput, match="need at least one offset level"):
+        InversionConfig(eps_schedule=())
     with pytest.raises(InvalidInput):
         InversionConfig((1e-3, 1e-2))
 
@@ -119,7 +125,7 @@ def test_record_of_one_field_and_of_many():
     assert (Many(1, 2).c, Many(b=1, a=2).a) == (3, 2)
 
 
-SQRT2 = RatFun(Poly([-2, 0, 1]), Poly.const(1)).real_zeros[1].point
+SQRT2 = RatFun(Poly([-2, 0, 1]), Poly.const(1)).real_zeros[1][0]
 Q = NevFun.of(0, 1, [(0, 1)])
 
 

@@ -10,8 +10,8 @@ import nevkit.poly
 import nevkit.ratfun
 from nevkit.errors import (DegreeNotOne, IdenticallyZeroDenominator,
                            InvalidInput, PoleHit)
-from nevkit.poly import (Poly, RealAlg, RootStructure, point_cmp,
-                         rational_between, rational_outside)
+from nevkit.poly import (Poly, RealAlg, point_cmp, rational_between,
+                         rational_outside)
 from nevkit.nevfun import NevFun
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, reduce, strictly_between
@@ -56,23 +56,21 @@ def test_reduce_cancels_common_factor():
     r = reduce(Poly.from_roots([1, 2]), Poly.from_roots([2]))
     assert r.num == Poly.from_roots([1])
     assert r.den == Poly.const(1)
-    assert [(rec.point, rec.mult) for rec in r.zeros()] == [(Fraction(1), 1)]
-    assert [(rec.point, rec.mult) for rec in r.poles()] == [(INF, 1)]
+    assert r.zeros() == [(Fraction(1), 1)]
+    assert r.poles() == [(INF, 1)]
 
 
 def test_reduce_keeps_data():
     r = reduce(Poly.from_roots([1]), Poly.from_roots([2]))
-    assert [(rec.point, rec.mult) for rec in r.zeros()] == [(Fraction(1), 1)]
-    assert [(rec.point, rec.mult) for rec in r.poles()] == [(Fraction(2), 1)]
+    assert r.zeros() == [(Fraction(1), 1)]
+    assert r.poles() == [(Fraction(2), 1)]
     assert r.gamma == 1
 
 
 def test_reduce_multiplicities():
     r = RatFun.from_points([2, 2, 0], [1, 1, 3])
-    assert [(rec.point, rec.mult) for rec in r.real_zeros] == \
-        [(Fraction(0), 1), (Fraction(2), 2)]
-    assert [(rec.point, rec.mult) for rec in r.real_poles] == \
-        [(Fraction(1), 2), (Fraction(3), 1)]
+    assert r.real_zeros == [(Fraction(0), 1), (Fraction(2), 2)]
+    assert r.real_poles == [(Fraction(1), 2), (Fraction(3), 1)]
 
 
 def test_zero_denominator():
@@ -163,8 +161,8 @@ def test_signs_read_the_table_not_a_sample(monkeypatch):
     r = RatFun(s2 * Poly([-1, 1]), Poly([-5, 1]))
     segs = r.sign_on_interval().segments
     assert [seg.sign for seg in segs] == [1, -1, 1, -1, 1]
-    for rec in r.real_zeros:
-        assert r.sign_at(rec.point) == 0
+    for x, _m in r.real_zeros:
+        assert r.sign_at(x) == 0
     twin = RealAlg(s2, Fraction(1), Fraction(2))
     sqrt3 = RealAlg(Poly([-3, 0, 1]), Fraction(1), Fraction(2))
     assert r.sign_at(twin) == 0
@@ -254,7 +252,7 @@ def test_irrational_roots_and_signs():
     # (z^2-2)/(z-5): zeros at +-sqrt(2), pole at 5
     r = RatFun(Poly([-2, 0, 1]), Poly([-5, 1]))
     zs = r.real_zeros
-    assert len(zs) == 2 and all(rec.mult == 1 for rec in zs)
+    assert len(zs) == 2 and all(m == 1 for _x, m in zs)
     assert _eta_count(r, 0) == 2    # sqrt(2) and the pole 5
     segs = r.sign_on_interval().segments
     assert [seg.sign for seg in segs] == [-1, 1, -1, 1]
@@ -266,11 +264,11 @@ def test_root_order_is_exact():
     c = Fraction(isqrt(2 * 10**100), 10**50)
     r = RatFun(Poly([-2, 0, 1]) * Poly([-c, 1]), Poly([-5, 1]))
     zs = r.real_zeros
-    assert [rec.is_rational for rec in zs] == [False, True, False]
-    assert zs[1].point == c
-    assert zs[2].point.cmp_rat(c) > 0
+    assert [isinstance(x, Fraction) for x, _m in zs] == [False, True, False]
+    assert zs[1][0] == c
+    assert zs[2][0].cmp_rat(c) > 0
     crit = r.critical_points()
-    assert [p for p, _e in crit[:3]] == [zs[0].point, c, zs[2].point]
+    assert [p for p, _e in crit[:3]] == [zs[0][0], c, zs[2][0]]
     assert crit[3] == (Fraction(5), -1)
 
 
@@ -291,12 +289,12 @@ def test_ord_at_matches_root_multiplicity(r, extra):
         assert r.ord_at(p) == (_root_multiplicity(r.num, p)
                                - _root_multiplicity(r.den, p))
     for recs, sign in ((r.real_zeros, 1), (r.real_poles, -1)):
-        for rec in recs:
-            assert r.ord_at(rec.point) == sign * rec.mult
-            if isinstance(rec.point, RealAlg):
+        for x, m in recs:
+            assert r.ord_at(x) == sign * m
+            if isinstance(x, RealAlg):
                 # another number object of the same value
-                twin = RealAlg(rec.point.p, *rec.point.box)
-                assert r.ord_at(twin) == sign * rec.mult
+                twin = RealAlg(x.p, *x.box)
+                assert r.ord_at(twin) == sign * m
     sqrt11 = RealAlg(Poly([-11, 0, 1]), Fraction(3), Fraction(4))
     assert r.ord_at(sqrt11) == 0
 
@@ -336,7 +334,7 @@ def test_laurent_sign_is_eta_rule_at_irrational_points():
           RatFun(s2 * Poly([-1, 1]) ** 3, s3 * Poly([4, 1])),
           RatFun(-s3 ** 3, s2 ** 2 * Poly([1, 0, 1])),
           RatFun(Poly([-1, -1, 1]) * Poly([5, 1]), s2 * Poly([-7, 2]))]
-    sqrt3 = RatFun(s3, Poly.const(1)).real_zeros[1].point
+    sqrt3 = RatFun(s3, Poly.const(1)).real_zeros[1][0]
     for r in rs:
         points = [c for c, _e in r.critical_points()] + [sqrt3]
         assert any(isinstance(p, RealAlg) for p in points)
@@ -373,18 +371,20 @@ def mobius_maps():
         lambda t: RatFun(Poly([t[1], t[0]]), Poly([t[3], t[2]])))
 
 
-def _irrational_content(s) -> dict:
+def _irrational_content(table) -> dict:
     """{multiplicity: (the product of the distinct polynomials that define
     its conjugate-pair blocks and irrational real roots, its pair count)}
-    of a root structure.  Analysis gives one block a multiplicity, on the
-    whole residual, real roots included; a merge may keep several."""
+    of a table (points, blocks) of one polynomial, the pairs being the
+    roots of that product that are not its real points, halved.  Analysis
+    gives one block a multiplicity, on the whole residual, real roots
+    included; a merge may keep several."""
+    points, blocks = table
     out = {}
-    for m in {b.mult for b in s.blocks} | {r.mult for r in s.real}:
-        polys = {b.factor for b in s.blocks if b.mult == m}
-        polys |= {r.point.p for r in s.real
-                  if isinstance(r.point, RealAlg) and r.mult == m}
-        out[m] = (_product(polys), sum(b.pairs for b in s.blocks
-                                       if b.mult == m))
+    for m in {k for _h, k in blocks} | {k for _x, k in points}:
+        roots = [x for x, k in points if isinstance(x, RealAlg) and k == m]
+        poly = _product({h for h, k in blocks if k == m}
+                        | {x.p for x in roots})
+        out[m] = (poly, (poly.degree - len(roots)) // 2)
     return out
 
 
@@ -399,13 +399,13 @@ def _check_tables(f: RatFun, seeded: bool, grouped: bool = False):
     assert fresh == f
     for got, p in (((f.real_zeros, f.complex_zero_blocks), f.num),
                    ((f.real_poles, f.complex_pole_blocks), f.den)):
-        got = RootStructure(*map(tuple, got))
+        got = tuple(map(tuple, got))
         ref = nevkit.poly.real_root_structure(p)
         assert _irrational_content(got) == _irrational_content(ref) \
-            if grouped else got.blocks == ref.blocks
-        assert len(got.real) == len(ref.real)
-        for a, b in zip(got.real, ref.real):
-            assert point_cmp(a.point, b.point) == 0 and a.mult == b.mult
+            if grouped else got[1] == ref[1]
+        assert len(got[0]) == len(ref[0])
+        for (a, m), (b, n) in zip(got[0], ref[0]):
+            assert point_cmp(a, b) == 0 and m == n
     crit, ref = f.critical_points(), fresh.critical_points()
     assert len(crit) == len(ref)
     for (p, e), (x, n) in zip(crit, ref):
@@ -489,8 +489,8 @@ def _pooled(exps: tuple, gamma) -> RatFun:
 def _must_fall_back(f: RatFun, g: RatFun) -> bool:
     """Whether f and g have distinct block factors with a common root, or a
     common irrational point: what a merge cannot decide without a gcd."""
-    fs, gs = ({b.factor for b in h.complex_zero_blocks
-               + h.complex_pole_blocks} for h in (f, g))
+    fs, gs = ({h for h, _m in k.complex_zero_blocks + k.complex_pole_blocks}
+              for k in (f, g))
     irr = [[p for p, _e in h.critical_points() if isinstance(p, RealAlg)]
            for h in (f, g)]
     return (any(a != b and nevkit.poly.gcd(a, b).degree for a in fs
@@ -529,19 +529,18 @@ def test_merged_blocks_cover_sharing_cancelling_and_common_roots():
     cube = one[:3] + (-1,) + one[4:-1] + (1,)        # (z - 1)/(z^3 - 2)
     f = _pooled(i2, 1)
     shared = f * f
-    assert [(b.factor, b.mult) for b in shared.complex_zero_blocks] == \
-        [(BLOCK_POOL[0], 2)]
+    assert shared.complex_zero_blocks == [(BLOCK_POOL[0], 2)]
     part = shared / _pooled(i2, 3)                  # (z^2 + 1)/3
-    assert [(b.factor, b.mult) for b in part.complex_zero_blocks] == \
-        [(BLOCK_POOL[0], 1)]
+    assert part.complex_zero_blocks == [(BLOCK_POOL[0], 1)]
     cancelled = part / f
     assert cancelled == RatFun.const(Fraction(1, 3))
     assert cancelled.complex_zero_blocks == []
     side = f / _pooled(shifted, 1) * _pooled(cube, 1)
-    assert {(b.factor, b.mult) for b in side.complex_zero_blocks} == \
-        {(BLOCK_POOL[0], 1)}
-    assert {(b.factor, b.mult, b.real_roots)
-            for b in side.complex_pole_blocks} == \
+    assert set(side.complex_zero_blocks) == {(BLOCK_POOL[0], 1)}
+    # each pole block with the count of its real roots among the points
+    assert {(h, m, sum(isinstance(x, RealAlg) and x.p == h
+                       for x, _e in side.critical_points()))
+            for h, m in side.complex_pole_blocks} == \
         {(BLOCK_POOL[1], 1, 0), (BLOCK_POOL[3], 1, 1)}
     for h in (shared, part, cancelled, side):
         _check_tables(h, seeded=True, grouped=True)
@@ -636,9 +635,49 @@ def test_a_nevfun_table_is_read_with_no_merge(monkeypatch):
             for (p, e), (x, n) in zip(crit, fresh))
 
 
+S2_I = Poly([-2, 0, 1]) * Poly([1, 0, 1])         # +-sqrt(2) and +-i
+ANALYSED = RatFun(S2_I * Poly([-1, 1]) ** 2, Poly([-3, 1]) * Poly([2, 2, 1]))
+POINTED = RatFun.from_points([0, 1, 1], [2, 5], 3)
+TAU = RatFun(Poly([1, 2]), Poly([-1, 1]))           # (2z + 1)/(z - 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RatFun(ANALYSED.num, ANALYSED.den), lambda: POINTED,
+    lambda: ANALYSED * POINTED, lambda: POINTED / ANALYSED,
+    lambda: ANALYSED.inverse(), lambda: POINTED.inverse(),
+    lambda: ANALYSED * Fraction(-2, 3), lambda: -POINTED,
+    lambda: POINTED.compose_mobius(TAU),
+    lambda: NevFun.of(0, 1, [(0, 2)]).to_ratfun(),
+    lambda: NevFun.of(1, 0, [(0, 1), (2, 3)]).to_ratfun(),
+], ids=["analysis", "from_points", "product", "quotient", "inverse",
+        "inverse_pointed", "scalar", "negation", "mobius", "nevfun",
+        "nevfun_no_beta"])
+def test_views_are_pairs_read_off_the_table(build):
+    """real_zeros, real_poles and the complex blocks are the (point,
+    multiplicity) and (factor, multiplicity) pairs of the table, the sign
+    of the order split off; zeros() and poles() add (INF, m) last."""
+    f = build()
+    crit, blocks = f.critical_points(), f._table()[1]
+    for k, points, bs in ((1, f.real_zeros, f.complex_zero_blocks),
+                          (-1, f.real_poles, f.complex_pole_blocks)):
+        assert points == [(x, k * e) for x, e in crit if k * e > 0]
+        assert bs == [(h, k * e) for h, e in blocks if k * e > 0]
+        assert all(type(v) is tuple for v in points + bs)
+    m = f.ord_at_inf()
+    assert f.zeros() == f.real_zeros + ([(INF, m)] if m > 0 else [])
+    assert f.poles() == f.real_poles + ([(INF, -m)] if m < 0 else [])
+
+
+def test_negative_infinity_is_the_point_at_infinity():
+    f = RatFun.from_points([1, 2, 3], [0])          # pole of order 2 at inf
+    assert f.ord_at(INF) == f.ord_at(NEG_INF) == -2
+    assert f.inverse().ord_at(NEG_INF) == 2
+    assert RatFun.from_points([1], [2]).ord_at(NEG_INF) == 0
+
+
 def test_laurent_lead_refuses_an_irrational_point():
     r = RatFun(Poly([-2, 0, 1]), Poly([-1, 1]))
-    sqrt2 = r.real_zeros[1].point
+    sqrt2 = r.real_zeros[1][0]
     with pytest.raises(InvalidInput):
         r.laurent_lead(sqrt2)
     assert r.laurent_lead(1) == -1 and r.laurent_lead(0) == 2
@@ -664,8 +703,8 @@ def _sqrts():
     out = []
     for p in (Poly([-2, 0, 1]), Poly([-3, 0, 1]),
               Poly([-2, 0, 1]) * Poly([-3, 0, 1])):
-        out += [rec.point for rec in
-                nevkit.poly.real_root_structure.__wrapped__(p).real]
+        out += [x for x, _m in
+                nevkit.poly.real_root_structure.__wrapped__(p)[0]]
     return out
 
 

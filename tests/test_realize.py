@@ -204,7 +204,7 @@ def test_transform_random_pairs():
         assert all(z >= 0 for _b, z in rep.zetas)
         # minimality: no atom at any zero of r; atoms at poles only when the
         # acquired mass is positive
-        zero_pts = {rec.point for rec in r.real_zeros if rec.is_rational}
+        zero_pts = {x for x, _m in r.real_zeros if isinstance(x, Fraction)}
         for t in rep.model_out.sigma.positions:
             assert t not in zero_pts
         for b, z in rep.zetas:

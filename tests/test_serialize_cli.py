@@ -296,13 +296,14 @@ def _sqrt2_point(r: RatFun) -> str:
 
 def test_emitted_irrational_point_depends_only_on_its_value():
     first = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-5, 1])))
-    # both functions share the cached root records of z^2 - 2; these
+    # both functions share the cached root points of z^2 - 2; these
     # queries refine their boxes in between
     f = RatFun(Poly([-2, 0, 1]), Poly([-5, 1]))
-    box = f.real_zeros[1].point.box
-    f.real_zeros[1].point.floor_div(Fraction(1, 2**100))
-    f.real_zeros[1].point.cmp_rat(Fraction(1414213562373095, 10**15))
-    assert f.real_zeros[1].point.box != box
+    sqrt2 = f.real_zeros[1][0]
+    box = sqrt2.box
+    sqrt2.floor_div(Fraction(1, 2**100))
+    sqrt2.cmp_rat(Fraction(1414213562373095, 10**15))
+    assert f.real_zeros[1][0].box != box
     second = _sqrt2_point(RatFun(Poly([-2, 0, 1]), Poly([-7, 1])))
     assert first == second
     w = Fraction(1, 2**64)
@@ -570,6 +571,8 @@ R_JSON = {"num": ["0", "1"], "den": ["1", "0", "1"]}
     ("kappa", Q_JSON, ["--tol=nan"]),
     ("kappa", Q_JSON, ["--tol=inf"]),
     ("kappa", Q_JSON, ["--seed=-1"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--eps-levels=0"]),
+    ("invert", Q_JSON, ["--interval=-1,1", "--eps-levels=-1"]),
 ])
 def test_cli_invalid_input_is_one_error_line(tmp_path, capsys, verb, q,
                                              extra):
