@@ -21,10 +21,10 @@ from typing import Optional
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      InvariantViolation, NotInClass, NotInterlacing,
-                     NotNevanlinna, NotRationalAtoms, PoleHit)
+                     NotNevanlinna, NotRationalAtoms)
 from .gnev import (GenNevFun, _zero_type_mult, canonical_pair,
                    canonical_rational)
-from .nevfun import NevFun, _chain_step, _ends, _local, is_nevanlinna
+from .nevfun import NevFun, _chain_step, _ends, is_nevanlinna
 from .poly import (CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp,
                    rational_between, rational_outside)
 from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
@@ -102,20 +102,10 @@ def membership(g: GenNevFun, r: RatFun) -> ClassReport:
 
 
 def _negative_at(r: RatFun, points) -> list:
-    """The points, INF included, at which r is strictly negative; r is not
-    negative at its poles."""
-    out = []
-    for p in points:
-        if p is INF:
-            neg = r.ord_at_inf() == 0 and r.gamma < 0
-        else:
-            try:
-                neg = r.sign_at(p) < 0
-            except PoleHit:
-                neg = False
-        if neg:
-            out.append(p)
-    return out
+    """The points, INF included, at which r is strictly negative, read from
+    its critical table; r is not negative at its zeros and poles."""
+    return [p for p in points
+            if r.ord_at(p) == 0 and r.laurent_lead_sign(p) < 0]
 
 
 def _zero_points(q: NevFun) -> list:
@@ -152,47 +142,27 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     """One multiplication by a degree-one simple factor s, in closed form on
     the representation data of q: the squared factor psi it contributes to
     the canonical pair, from the type multiplicities of s q at the finite
-    zero and pole of s and the atoms and zeros of q where s is negative, and
-    the chain step q_next = s q / psi.  q's numerator is isolated only when
-    sign changes put a zero there.  A step that does not certify is an
-    InvariantViolation."""
+    zero and pole of s and the atoms and zeros of q where s is negative, all
+    read off the critical tables of s and q, and the chain step q_next =
+    s q / psi.  A step that does not certify is an InvariantViolation."""
     a, b = _ends(s)
-    # q's local data at its atoms and the finite ends of s, which cut the
-    # line into cells where s has the sign its table gives at the left end
-    q_loc = {t: (-1, -w) for t, w in q.sigma}
-    q_loc.update((x, q._local_at(x)) for x in (a, b) if x is not INF)
-    ends = sorted(q_loc)                # not empty: s has a finite end
-    lefts = [NEG_INF] + ends
-    inside = [s.laurent_lead_sign(x) < 0 for x in lefts]     # s < 0 there
-    # point -> even exponent; s < 0 at an atom off a, b iff right of it
-    psi = {t: -2 for t, neg in zip(ends, inside[1:])
-           if neg and t not in (a, b)}
-    for x, sgn in ((a, 1), (b, -1)):
-        if x is not INF:
-            e, lead = q_loc[x]
-            m = _zero_type_mult(1 + sgn * e,
-                                sgn * _local(s.num, s.den, x)[1] * lead)
-            if m:
-                psi[x] = 2 * sgn * m
-    # q increases on each cell, so it vanishes inside one exactly when it
-    # is negative just right of the left end and positive just left of the
-    # right end.  The outer cells end at NEG_INF and INF, which are not in
-    # q_loc: there q takes its signs as at an atom if beta > 0, else as at
-    # a regular point.
-    at_inf = (-1, -1) if q.beta > 0 else (0, q.c0)
-
-    def end_sign(x, right_of: bool) -> int:
-        e, lead = q_loc.get(x, at_inf)                  # q ~ lead (z-x)^e
-        sgn = (lead > 0) - (lead < 0)
-        return sgn if right_of or e % 2 == 0 else -sgn
-
-    if any(neg and end_sign(lo, True) < 0 < end_sign(hi, False)
-           for lo, hi, neg in zip(lefts, ends + [INF], inside)):
-        for x in _negative_at(s, _zero_points(q)):
-            if isinstance(x, RealAlg):
+    q_rat = q.to_ratfun()
+    # point -> even exponent: -2 at an atom and +2 at a zero of q where s
+    # is negative, so off a and b
+    psi = {}
+    for x, e in q_rat.critical_points():
+        if _negative_at(s, [x]):
+            if isinstance(x, RealAlg):          # atoms are rational
                 raise ExactSplitUnavailable(
                     "irrational zero inside the negative set of the factor")
-            psi[x] = 2
+            psi[x] = 2 * e
+    for x, sgn in ((a, 1), (b, -1)):
+        if x is not INF:
+            m = _zero_type_mult(1 + sgn * q_rat.ord_at(x),
+                                sgn * s.laurent_lead_sign(x)
+                                * q_rat.laurent_lead_sign(x))
+            if m:
+                psi[x] = 2 * sgn * m
     try:
         q_next = _chain_step(s, q, psi)
     except NotNevanlinna as exc:
@@ -308,30 +278,25 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
     # local clauses at the finite zeros and poles of r of order <= 2
     for x, m in r.real_zeros:
         if m == 2:
-            has_atom = q.sigma.weight_at(x) > 0
-            if not has_atom:
+            if q_rat.ord_at(x) >= 0:
                 failures.append(("ii(a)", x,
                                  "double zero is not an isolated pole"))
             if r.laurent_lead_sign(x) >= 0:
                 failures.append(("ii(a)", x,
                                  "double zero has nonnegative local limit"))
         elif m == 1:
-            if not _order_one_clause(q, r, x, is_zero=True):
+            if not _order_one_clause(q_rat, r, x, is_zero=True):
                 failures.append(("ii(b)", x, "zero-side limit sign"))
     for x, m in r.real_poles:
         if m == 2:
-            ok = False
-            # q is evaluated only at a rational point
-            if isinstance(x, Fraction) and q.sigma.weight_at(x) == 0:
-                ok = q.evaluate(x) == 0
-            if not ok:
+            if q_rat.ord_at(x) <= 0:
                 failures.append(("ii(a)", x,
                                  "double pole is not an isolated zero"))
             if r.laurent_lead_sign(x) >= 0:
                 failures.append(("ii(a)", x,
                                  "double pole has nonnegative local limit"))
         elif m == 1:
-            if not _order_one_clause(q, r, x, is_zero=False):
+            if not _order_one_clause(q_rat, r, x, is_zero=False):
                 failures.append(("ii(b)", x, "pole-side limit sign"))
 
     try:
@@ -348,28 +313,16 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
                      pair.q0 if kappa_tilde == 0 else None)
 
 
-def _order_one_clause(q: NevFun, r: RatFun, point, is_zero: bool) -> bool:
-    """Sign condition at an order-one zero or pole of the multiplier, with
-    the improper limit of q taken from inside the adjacent negative set."""
-    iota = r.laurent_lead_sign(point)
-    # the multiplier is negative to the left of the point exactly when the
-    # local leading coefficient is positive
-    side = "-" if iota > 0 else "+"
-    if isinstance(point, RealAlg):
-        # atoms are rational, so q is regular at an irrational point
-        val_sign = q.to_ratfun().sign_at(point)
-        if is_zero:
-            return iota * val_sign > 0
-        return iota * val_sign <= 0
-    lim = q.limit_at(point, "value", side=side)
-    if is_zero:
-        if lim.is_finite:
-            return iota * lim.value > 0
-        return (lim.kind == "+inf" and iota > 0) or \
-               (lim.kind == "-inf" and iota < 0)
-    if not lim.is_finite:
-        return False
-    return iota * lim.value <= 0
+def _order_one_clause(q_rat: RatFun, r: RatFun, point,
+                      is_zero: bool) -> bool:
+    """Sign condition at an order-one zero or pole of the multiplier, read
+    from the critical tables: at an atom of q the limit of q from inside
+    the adjacent negative set is infinite, of the sign that a zero needs
+    and a pole cannot have; elsewhere q is regular there."""
+    if q_rat.ord_at(point) < 0:
+        return is_zero
+    v = r.laurent_lead_sign(point) * q_rat.sign_at(point)
+    return v > 0 if is_zero else v <= 0
 
 
 def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:

@@ -164,13 +164,9 @@ class NevFun:
         return memo
 
     def _local_at(self, x: Fraction) -> tuple[int, Fraction]:
-        """(order, Laurent lead) at a rational x, memoised like num_den."""
-        memo = self.__dict__.setdefault("_locals", {})
-        v = memo.get(x)
-        if v is None:
-            w = self.sigma.weight_at(x)
-            v = memo[x] = (-1, -w) if w else _local(*self.num_den(), x)
-        return v
+        """(order, Laurent lead) at a rational x."""
+        w = self.sigma.weight_at(x)
+        return (-1, -w) if w else _local(*self.num_den(), x)
 
     def to_ratfun(self) -> RatFun:
         """The function as a reduced RatFun, built once per instance from
@@ -188,12 +184,9 @@ class NevFun:
             object.__setattr__(self, "_ratfun", memo)
         return memo
 
-    def support(self, include_inf: bool = True) -> list:
+    def support(self) -> list:
         """Spectral support: atom positions, plus INF when beta > 0."""
-        pts: list = list(self.sigma.positions)
-        if include_inf and self.beta > 0:
-            pts.append(INF)
-        return pts
+        return self.sigma.positions + [INF] * (self.beta > 0)
 
     def spectral_gaps(self) -> list[tuple]:
         """Maximal open intervals free of atoms, as (lo, hi) with the

@@ -869,12 +869,17 @@ class RealAlg:
                 return v
             if g is None:
                 g = gcd(self.p, q)
-                if g.degree > 0 and count_real_roots(g, lo, hi) > 0:
+                if _changes_sign(g, lo, hi):
                     # the only root of p in the box is shared with q
                     return 0
             self._step()
 
     def cmp_alg(self, other: "RealAlg") -> int:
+        """Sign of (self - other).  The numbers are equal exactly when g =
+        gcd of the two polynomials changes sign over the overlap of the
+        boxes: g divides both, so it is nonzero at every box end, and a
+        root of g there is the one root of each polynomial in its box, a
+        simple root of g."""
         if self is other:
             return 0
         g = None    # needed only once the boxes overlap
@@ -886,14 +891,15 @@ class RealAlg:
                 return 1
             if g is None:
                 g = gcd(self.p, other.p)
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            # a root of g in the overlap is the one root of each p there
-            if (g.degree > 0
-                    and count_real_roots(g, lo, hi) > 0
-                    and count_real_roots(self.p, lo, hi) == 1
-                    and count_real_roots(other.p, lo, hi) == 1):
+            if _changes_sign(g, max(alo, blo), min(ahi, bhi)):
                 return 0
             (self if ahi - alo >= bhi - blo else other)._step()
+
+
+def _changes_sign(g: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether a nonconstant g has opposite signs at lo and hi."""
+    return g.degree > 0 and (_sign_at(g.n, lo.numerator, lo.denominator)
+                             != _sign_at(g.n, hi.numerator, hi.denominator))
 
 
 RPoint = Union[Fraction, RealAlg]

@@ -10,12 +10,13 @@ this form, and the views (:attr:`RatFun.real_zeros`, :meth:`RatFun.poles`,
 multiplicity) and (factor, multiplicity) pairs of one kind.  Rational
 points are exact, irrational real points are certified isolating
 intervals, and blocks never take part in sign decisions.  Every local
-query (orders, Laurent signs, sign segments) reads the points,
-:meth:`RatFun.critical_points`.  Signs follow one parity rule on them: just
-above the first i entries the function has the sign of gamma times (-1) to
-the number of odd-order entries from the i-th on.  Only a sign at a
-rational point is found by evaluation.  The point at infinity is first
-class: the zero or pole multiplicity there is the degree imbalance.
+query (orders, Laurent signs, signs at points, sign segments) reads the
+points, :meth:`RatFun.critical_points`.  Signs follow one parity rule on
+them: just above the first i entries the function has the sign of gamma
+times (-1) to the number of odd-order entries from the i-th on.  No sign is
+found by evaluation, at a rational point or elsewhere; values are.  The
+point at infinity is first class: the zero or pole multiplicity there is
+the degree imbalance.
 
 The table travels with the function: only input is analysed.  Products and
 quotients merge two tables, a common rational point or block factor
@@ -337,8 +338,9 @@ class RatFun:
     def laurent_lead(self, point: Point) -> Fraction:
         """Exact coefficient c with f ~ c (z-a)^ord near a rational a, or
         f ~ c z^(-ord_at_inf) near infinity; the order is read from the
-        critical table."""
-        if point is INF:
+        critical table.  NEG_INF is the point at infinity, as in
+        :meth:`ord_at`."""
+        if point is INF or point is NEG_INF:
             return self.gamma
         if isinstance(point, RealAlg):
             raise InvalidInput("Laurent coefficient at an irrational point")
@@ -363,23 +365,14 @@ class RatFun:
         i, hit = self._locate(point)
         return self._sign_above(i + hit)
 
-    def sign_at(self, point: RPoint) -> int:
-        """Exact sign at a real point; raises PoleHit at poles.  A rational
-        point is evaluated; an irrational one is located in the critical
-        table, where it is a zero, a pole or inside one constant-sign
-        segment."""
-        if isinstance(point, RealAlg):
-            i, hit = self._locate(point)
-            if not hit:
-                return self._sign_above(i)
-            if self.critical_points()[i][1] < 0:
-                raise PoleHit("sign query at pole")
-            return 0
-        v_den = self.den.eval_q(rat(point))
-        if v_den == 0:
-            raise PoleHit(f"sign query at pole {fmt_rat(rat(point))}")
-        v = self.num.eval_q(rat(point)) / v_den
-        return 0 if v == 0 else (-1 if v < 0 else 1)
+    def sign_at(self, point: Point) -> int:
+        """Exact sign at a point of the extended line, read from the
+        critical table: 0 at a zero, the Laurent sign where the function is
+        regular and nonzero; raises PoleHit at a pole, infinity included."""
+        e = self.ord_at(point)
+        if e < 0:
+            raise PoleHit("sign query at pole")
+        return 0 if e else self.laurent_lead_sign(point)
 
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
         """Maximal constant-sign subintervals of (lo, hi) with exact

@@ -13,18 +13,19 @@ from nevkit.classify import (FactorChain, chain_factorize, check_N00,
                              interlacing_factorize, kac_closure, membership,
                              negative_closed_pieces, pieces_disjoint,
                              product_factorization, productinNg_forms,
-                             _certify_chain, _degree_one_step, _negative_at,
-                             _zero_points)
+                             _certify_chain, _degree_one_step, _zero_points)
 from nevkit.corpus import (random_gennev, random_interlacing_simple,
                            random_member_pair, random_plain_pair,
                            random_symmetric_ratfun, structured_plain_pair)
 from nevkit import serialize as ser
 from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
                            InvariantViolation, NevkitError, NotInClass,
-                           NotInterlacing, NotNevanlinna, NotRationalAtoms)
+                           NotInterlacing, NotNevanlinna, NotRationalAtoms,
+                           PoleHit)
 from nevkit.gnev import (GenNevFun, _zero_type_mult, canonical_pair,
                          canonical_rational)
-from nevkit.nevfun import NevFun, _compose, nevfun_from_ratfun
+from nevkit.nevfun import (NevFun, _compose, is_nevanlinna,
+                           nevfun_from_ratfun)
 from nevkit.oracle import negative_squares
 from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
 from nevkit.qmath import INF, NEG_INF, QC
@@ -394,10 +395,34 @@ def test_results_equal_with_cold_and_warm_certificates():
 # -- closed-form degree-one steps ----------------------------------------------------
 
 
+def _value_sign(s: RatFun, x) -> int:
+    """The sign of s at x by exact evaluation, for an s whose zeros and
+    poles are rational: at an irrational x, at the midpoint of its box once
+    the box holds none of them.  Raises PoleHit at a pole."""
+    if isinstance(x, RealAlg):
+        for c, _e in s.critical_points():
+            x.cmp_rat(c)                # splits the box at c if inside it
+        x = sum(x.box) / 2
+    v = s.eval_q(x)
+    return (v > 0) - (v < 0)
+
+
+def _negative_by_value(s: RatFun, points) -> list:
+    """The points at which s is strictly negative, by evaluation."""
+    out = []
+    for x in points:
+        try:
+            if _value_sign(s, x) < 0:
+                out.append(x)
+        except PoleHit:
+            pass
+    return out
+
+
 def _extraction_step(s: RatFun, q: NevFun):
     """Reference for one product step: psi from the type multiplicities of
-    the RatFun s*q and the negative set of s, and q_next by exact
-    extraction of s*q/psi."""
+    the RatFun s*q and the negative set of s, found by evaluation, and
+    q_next by exact extraction of s*q/psi."""
     q_rat = q.to_ratfun()
     g_rat = s * q_rat
     psi_num = psi_den = Poly.const(1)
@@ -409,12 +434,12 @@ def _extraction_step(s: RatFun, q: NevFun):
         ka = _zero_type_mult(max(-g_rat.ord_at(b), 0),
                              -g_rat.laurent_lead_sign(b))
         psi_den = psi_den * Poly([-b, 1]) ** (2 * ka)
-    for a in _negative_at(s, _zero_points(q)):
+    for a in _negative_by_value(s, _zero_points(q)):
         if isinstance(a, RealAlg):
             raise ExactSplitUnavailable(
                 "irrational zero inside the negative set of the factor")
         psi_num = psi_num * Poly([-a, 1]) ** 2
-    for t in _negative_at(s, q.sigma.positions):
+    for t in _negative_by_value(s, q.sigma.positions):
         psi_den = psi_den * Poly([-t, 1]) ** 2
     psi = RatFun(psi_num, psi_den)
     return psi, nevfun_from_ratfun(g_rat / psi)
@@ -1155,6 +1180,21 @@ def test_clause_ii_failures_are_described(q, r, text):
     assert not rep.ok and rep.product is None
     assert rep.describe() == text
     with pytest.raises(NotInClass, match="plain-pair test"):
+        chain_factorize(q, r)
+
+
+def test_double_pole_on_an_irrational_zero_is_plain():
+    """q = z - 2/z vanishes at +-sqrt(2), the double poles of r =
+    -z^2/(z^2 - 2)^2, and r q = -z/(z^2 - 2) is a Nevanlinna function with
+    irrational atoms: the pair is plain, and the index of r q is not
+    computable over Q."""
+    q = NevFun.of(0, 1, [(0, 2)])
+    r = RatFun(Poly([0, 0, -1]), Poly([-2, 0, 1]) ** 2)
+    assert is_nevanlinna(r * q.to_ratfun())
+    rep = check_N00(q, r)
+    assert rep.ok and rep.failures == ()
+    assert rep.kappa_tilde is None and rep.product is None
+    with pytest.raises(ExactSplitUnavailable, match="irrational double pole"):
         chain_factorize(q, r)
 
 

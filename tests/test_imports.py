@@ -1,4 +1,4 @@
-"""Eleven rules on the package source, each read off its AST and each with
+"""Twelve rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -11,6 +11,7 @@ a detector test on inline source:
 - outside ratfun.py no module reads a RatFun's table slot or merges tables;
 - closed forms are certified only by nevfun's _chain_step and _compose;
 - classify composes with no Moebius map;
+- classify reads every sign off a critical table, evaluating nothing;
 - gnev and classify never call the gcd constructor RatFun(num, den);
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
@@ -318,6 +319,33 @@ def test_detector_finds_moebius_detours():
 
 def test_classify_takes_no_moebius_detour():
     assert _moebius_uses((PACKAGE / "classify.py").read_text()) == []
+
+
+# classify reads every order and sign at a real point off a critical table
+# (ord_at, laurent_lead_sign, sign_at), so it evaluates no function, takes
+# no limit and reads no local data of a representation.
+EVALUATING = ("evaluate", "eval_q", "limit_at", "_local", "_local_at")
+
+
+def _evaluations(source: str) -> list[tuple[str, int]]:
+    """Calls of the evaluating functions, as (name, line)."""
+    return sorted(((name, line) for name in EVALUATING
+                   for _scope, line in _calls(source, name)),
+                  key=lambda item: (item[1], item[0]))
+
+
+def test_detector_finds_evaluations():
+    src = ("def clause(q, r, x):\n"
+           "    v = q.evaluate(x) * r.eval_q(x)\n"
+           "    lim = q.limit_at(x, 'value', side='-')\n"
+           "    return v, lim, _local(r.num, r.den, x), q._local_at(x)\n")
+    assert _evaluations(src) == [("eval_q", 2), ("evaluate", 2),
+                                 ("limit_at", 3), ("_local", 4),
+                                 ("_local_at", 4)]
+
+
+def test_classify_reads_signs_off_tables():
+    assert _evaluations((PACKAGE / "classify.py").read_text()) == []
 
 
 # The canonical factorizations build every function from tables they hold,

@@ -545,6 +545,55 @@ def test_floor_div_is_exact():
     assert pos.floor_div(Fraction(1, 3)) == 4
 
 
+def _cmp_alg_by_counts(a: RealAlg, b: RealAlg) -> int:
+    """cmp_alg with equality decided by three Sturm counts on the overlap
+    of the boxes, as it was before the one sign test of the gcd: the
+    reference for that test."""
+    if a is b:
+        return 0
+    g = None
+    while True:
+        (alo, ahi), (blo, bhi) = a.box, b.box
+        if ahi <= blo:
+            return -1
+        if bhi <= alo:
+            return 1
+        if g is None:
+            g = gcd(a.p, b.p)
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if (g.degree > 0 and count_real_roots(g, lo, hi) > 0
+                and count_real_roots(a.p, lo, hi) == 1
+                and count_real_roots(b.p, lo, hi) == 1):
+            return 0
+        (a if ahi - alo >= bhi - blo else b)._step()
+
+
+def test_cmp_alg_sign_test_matches_the_sturm_counts():
+    """On the roots of distinct polynomials that share factors, and so
+    roots, the sign test of the gcd and the three counts agree with each
+    other and with floats, boxes as isolated and as first refined."""
+    factors = [P(-2, 0, 1), P(-3, 0, 1), P(1, -3, 0, 1), P(-1, -1, 1)]
+    polys = [f * g for f, g in itertools.combinations(factors, 2)]
+    roots = [(i, lo, hi, float(RealAlg(p, lo, hi))) for i, p in
+             enumerate(polys) for lo, hi in isolate_real_roots(p)]
+    pairs = equal = 0
+    for (i, alo, ahi, fa), (j, blo, bhi, fb) in itertools.product(roots,
+                                                                  repeat=2):
+        if i == j:
+            continue
+        for k in (0, 3):
+            def fresh():
+                a = RealAlg(polys[i], alo, ahi)
+                for _ in range(k):
+                    a._step()
+                return a, RealAlg(polys[j], blo, bhi)
+            want = _cmp_alg_by_counts(*fresh())
+            a, b = fresh()
+            assert a.cmp_alg(b) == want == (fa > fb) - (fa < fb)
+            pairs, equal = pairs + 1, equal + (want == 0)
+    assert (pairs, equal) == (1212, 108)
+
+
 def test_cmp_alg_separates_close_numbers_without_a_step_cap():
     # sqrt(2 + 10^-120) - sqrt(2) is about 2^-400
     near = Poly([-(2 + Fraction(1, 10**120)), 0, 1])

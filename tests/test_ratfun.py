@@ -52,6 +52,13 @@ def _sample_inside(r: RatFun, a, b) -> Fraction:
     return rational_between(a, first)
 
 
+def _value_sign(r: RatFun, x: Fraction) -> int:
+    """The sign of r's exact value at a rational x, by evaluation; raises
+    PoleHit at a pole."""
+    v = r.eval_q(x)
+    return (v > 0) - (v < 0)
+
+
 def test_reduce_cancels_common_factor():
     r = reduce(Poly.from_roots([1, 2]), Poly.from_roots([2]))
     assert r.num == Poly.from_roots([1])
@@ -119,7 +126,7 @@ def test_sign_report_matches_pointwise(r):
     rep = r.sign_on_interval()
     for seg in rep.segments:
         x = _sample_inside(r, seg.lo, seg.hi)
-        assert r.sign_at(x) == seg.sign
+        assert _value_sign(r, x) == seg.sign
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +145,7 @@ def test_sign_on_interval_with_finite_ends(r, lo, hi):
             if e % 2 == 0 and strictly_between(p, seg.lo, seg.hi)]
         x = _sample_inside(r, seg.lo, seg.hi)
         assert strictly_between(x, seg.lo, seg.hi)
-        assert r.ord_at(x) == 0 and r.sign_at(x) == seg.sign
+        assert r.ord_at(x) == 0 and _value_sign(r, x) == seg.sign
 
 
 def test_signs_read_the_table_not_a_sample(monkeypatch):
@@ -187,6 +194,36 @@ def test_sign_at_irrational_points_matches_sturm(r):
                 r.sign_at(p)
         else:
             assert r.sign_at(p) == p.sign_of(r.num) * den
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_ratfuns(), rationals(6, 4))
+def test_sign_at_rationals_matches_evaluation(r, x):
+    """The table's sign at a rational point is the sign of the value, and a
+    pole raises; the rational zeros and poles of r are among the points."""
+    points = [x] + [p for p, _e in r.critical_points()
+                    if isinstance(p, Fraction)]
+    for p in points:
+        if r.den.eval_q(p) == 0:
+            with pytest.raises(PoleHit):
+                r.sign_at(p)
+        else:
+            assert r.sign_at(p) == _value_sign(r, p)
+
+
+def test_sign_at_infinity_and_poles():
+    f = RatFun.from_points([1], [2], -3)        # -3 at both ends
+    assert f.sign_at(INF) == f.sign_at(NEG_INF) == -1
+    g = RatFun.from_points([1, 2], [0])         # a pole at infinity too
+    for p in (INF, NEG_INF, Fraction(0)):
+        with pytest.raises(PoleHit):
+            g.sign_at(p)
+    assert g.inverse().sign_at(INF) == g.inverse().sign_at(NEG_INF) == 0
+    h = RatFun(Poly([-2, 0, 1]), Poly([-3, 0, 1]))
+    sqrt3 = h.real_poles[1][0]
+    with pytest.raises(PoleHit):
+        h.sign_at(sqrt3)
+    assert h.sign_at(INF) == 1 and h.sign_at(Fraction(0)) == 1
 
 
 def test_compose_mobius_examples():
@@ -325,7 +362,7 @@ def _sign_just_right(r: RatFun, p) -> int:
     in between: the sign of the leading Laurent coefficient at p."""
     above = [c for c, _e in r.critical_points() if point_cmp(c, p) > 0]
     hi = above[0] if above else rational_outside(p)[1]
-    return r.sign_at(rational_between(p, hi))
+    return _value_sign(r, rational_between(p, hi))
 
 
 def test_laurent_sign_is_eta_rule_at_irrational_points():
@@ -673,6 +710,9 @@ def test_negative_infinity_is_the_point_at_infinity():
     assert f.ord_at(INF) == f.ord_at(NEG_INF) == -2
     assert f.inverse().ord_at(NEG_INF) == 2
     assert RatFun.from_points([1], [2]).ord_at(NEG_INF) == 0
+    for g in (f * -2, f.inverse() * Fraction(3, 4),
+              RatFun.from_points([1], [2], 7)):
+        assert g.laurent_lead(NEG_INF) == g.laurent_lead(INF) == g.gamma
 
 
 def test_laurent_lead_refuses_an_irrational_point():
