@@ -147,14 +147,15 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     s q / psi.  A step that does not certify is an InvariantViolation."""
     a, b = _ends(s)
     q_rat = q.to_ratfun()
-    # point -> even exponent: -2 at an atom and +2 at a zero of q where s
-    # is negative, so off a and b
+    # point -> even exponent: -2 at an atom and +2 at a zero of q inside
+    # the one negative arc of s, INF left out
+    (arc,) = _negative_arcs(s)
     psi = {}
-    for x, e in q_rat.critical_points():
-        if _negative_at(s, [x]):
-            if isinstance(x, RealAlg):          # atoms are rational
-                raise ExactSplitUnavailable(
-                    "irrational zero inside the negative set of the factor")
+    for x, e in _arc_entries(q, *arc):
+        if isinstance(x, RealAlg):              # atoms are rational
+            raise ExactSplitUnavailable(
+                "irrational zero inside the negative set of the factor")
+        if x is not INF:
             psi[x] = 2 * e
     for x, sgn in ((a, 1), (b, -1)):
         if x is not INF:
@@ -191,31 +192,16 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
         if e1 == e2:
             raise NotInterlacing(
                 f"consecutive like points at {fmt_rat(x1)}, {fmt_rat(x2)}")
-    a = [x for x, e in crit if e > 0]
-    b = [x for x, e in crit if e < 0]
-    l1, l2 = len(a), len(b)
-    gamma = s.gamma
-    if l1 == l2:
-        if crit and crit[0][1] < 0:
-            return [f.inverse() for f in interlacing_factorize(s.inverse())]
-        if gamma < 0:
-            out = [RatFun.from_points([a[0]], [b[-1]], gamma)]
-            out += [RatFun.from_points([a[i]], [b[i - 1]]) for i in range(1, l1)]
-        else:
-            out = [RatFun.from_points([a[0]], [b[0]], gamma)]
-            out += [RatFun.from_points([a[i]], [b[i]]) for i in range(1, l1)]
-    elif l2 == l1 + 1:
-        # pole first and pole last
-        if gamma < 0:
-            out = [RatFun.from_points([a[i]], [b[i]]) for i in range(l1)]
-            out += [RatFun.from_points([], [b[-1]], gamma)]
-        else:
-            out = [RatFun.from_points([a[i]], [b[i + 1]]) for i in range(l1)]
-            out += [RatFun.from_points([], [b[0]], gamma)]
-    elif l1 == l2 + 1:
-        return [f.inverse() for f in interlacing_factorize(s.inverse())]
-    else:
-        raise NotInterlacing("zero/pole counts differ by more than one")
+    # one monic factor per negative arc, from its zero end to its pole
+    # end; the arc through INF first, gamma on the arc that touches INF
+    arcs = _negative_arcs(s)
+    a, b = arcs[-1]
+    if point_cmp(a, b) > 0:
+        arcs.insert(0, arcs.pop())
+    out = [_unit_factor(x, y, INF) if _point_kind(s, x) > 0
+           else _unit_factor(y, x, INF) for x, y in arcs]
+    k = -1 if a is NEG_INF or b is INF else 0
+    out[k] = out[k] * s.gamma
     if math.prod(out, start=RatFun.const(1)) != s:
         raise InvariantViolation("interlacing factors do not multiply back")
     return out
@@ -375,14 +361,11 @@ def _interval_form(q: NevFun, s: RatFun) -> bool:
     sign inside, with endpoint types matching that sign."""
     q_rat = q.to_ratfun()
     for a, b in _negative_arcs(s):
-        if any(_in_arc(t, a, b) for t, _e in q_rat.critical_points()):
-            return False
-        # through INF the function must be holomorphic and nonvanishing there
-        if point_cmp(a, b) > 0 and (q.beta > 0 or q.c0 == 0):
+        if _arc_entries(q, a, b):
             return False
         # q has no zero or pole inside, so its sign there is the one just
         # right of a; an end at NEG_INF or INF takes its kind from s there
-        want = (1, -1) if q_rat.laurent_lead_sign(a) < 0 else (-1, 1)
+        want = (1, -1) if q_rat.sign_right_of(a) < 0 else (-1, 1)
         if (_point_kind(s, a), _point_kind(s, b)) != want:
             return False
     return True
@@ -401,11 +384,18 @@ def _negative_arcs(s: RatFun) -> list[tuple]:
     return arcs
 
 
-def _in_arc(t, a, b) -> bool:
-    """Whether t lies inside the arc from a to b, through INF when a > b."""
-    if point_cmp(a, b) > 0:
-        return point_cmp(t, a) > 0 or point_cmp(t, b) < 0
-    return strictly_between(t, a, b)
+def _arc_entries(q: NevFun, a, b) -> list[tuple]:
+    """The entries of q's critical table inside the arc from a to b (see
+    _negative_arcs), its poles being its atoms, in order from a to b;
+    through INF, INF is one of them when q has a zero or pole there."""
+    q_rat = q.to_ratfun()
+    crit = q_rat.critical_points()
+    if point_cmp(a, b) < 0:
+        return [(x, e) for x, e in crit if strictly_between(x, a, b)]
+    k = q_rat.ord_at(INF)
+    return ([(x, e) for x, e in crit if point_cmp(x, a) > 0]
+            + [(INF, k)] * (k != 0)
+            + [(x, e) for x, e in crit if point_cmp(x, b) < 0])
 
 
 def _point_kind(s: RatFun, p) -> int:
@@ -462,7 +452,7 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
     s = _odd_part(r)
     if s.is_constant:
         return _degenerate_chain(q, r)
-    anchor = (INF if s.gamma > 0 < s.laurent_lead_sign(NEG_INF)
+    anchor = (INF if s.gamma > 0 < s.sign_right_of(NEG_INF)
               else _positive_anchor(s, q, r))
     factors, certs, q_cur = [], [], q
     for a, b in _negative_arcs(s):
@@ -494,7 +484,7 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
         if not dedup or point_cmp(dedup[-1], p) != 0:
             dedup.append(p)
     for a, b in zip([NEG_INF] + dedup, dedup + [INF]):
-        if s.laurent_lead_sign(a) <= 0:
+        if s.sign_right_of(a) <= 0:
             continue
         if a is NEG_INF:                # s nonconstant: dedup is not empty
             return rational_outside(b)[0]
@@ -507,10 +497,8 @@ def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):
     paired interior factors, the endpoint factors, then the paired factors
     again, each 1 at the anchor.
 
-    The interior points are the entries of q's critical table inside the
-    arc, its poles being its atoms, from a to b; through INF, INF is one
-    of them, a pole when beta > 0 and a zero when q(inf) = 0.  q's sign
-    just right of a, flipped once per interior point, fixes the pattern:
+    The interior points are those of _arc_entries.  q's sign just right
+    of a, flipped once per interior point, fixes the pattern:
     a leading zero stays unpaired when q goes from negative to positive, a
     trailing atom when it goes from positive to negative, and the rest
     pair up as (atom, zero).
@@ -526,17 +514,10 @@ def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):
     tau^-1(z) = -1/(z - p) is the factor here for tau(x) and tau(y), 1 at
     p, a point w = 0 dropping its linear factor.  Each partial product is
     the one on I composed with the Herglotz tau^-1, so it is Nevanlinna."""
-    q_rat = q.to_ratfun()
-    crit = q_rat.critical_points()
-    if point_cmp(a, b) < 0:
-        seq = [(x, e) for x, e in crit if strictly_between(x, a, b)]
-    else:
-        at_inf = [(INF, -1)] if q.beta else [(INF, 1)] if not q.c0 else []
-        seq = ([(x, e) for x, e in crit if point_cmp(x, a) > 0] + at_inf
-               + [(x, e) for x, e in crit if point_cmp(x, b) < 0])
+    seq = _arc_entries(q, a, b)
     if any(isinstance(x, RealAlg) for x, _e in seq):
         raise ExactSplitUnavailable("irrational zero inside the interval")
-    left_pos = q_rat.laurent_lead_sign(a) > 0
+    left_pos = q.to_ratfun().sign_right_of(a) > 0
     right_pos = left_pos != (len(seq) % 2 == 1)
     if right_pos and not left_pos:
         alpha0, seq = seq[0][0], seq[1:]

@@ -2,9 +2,9 @@
 
 Verbs: factor, classify, product, chain, realize, kappa, invert, selftest.
 Exact inputs and outputs are JSON with rationals as "p/q" strings; numeric
-results carry explicit tolerance fields.  Exit status: 0 success, 1 parse,
-schema and other input errors, 2 for classification-negative outcomes, 3 when
-an internal invariant is violated (a defect in nevkit).
+results carry explicit tolerance fields.  Exit status: 0 success, 1 usage,
+parse, schema and other input errors, 2 for classification-negative outcomes,
+3 when an internal invariant is violated (a defect in nevkit).
 
 Each verb imports the layers it runs when it runs: classify, product and
 chain import the classify module, realize the realize module, and the
@@ -281,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         code, report = args.fn(args)
     except (ParseError, SchemaMismatch) as exc:

@@ -184,7 +184,7 @@ class RatFun:
         return RatFun(num, den)
 
     def __rtruediv__(self, other):
-        return RatFun.const(other) / self
+        return self.inverse() * other
 
     def __add__(self, other):
         o = other if isinstance(other, RatFun) else RatFun.const(other)
@@ -357,13 +357,17 @@ class RatFun:
         odd = sum(e % 2 for _p, e in self.critical_points()[i:])
         return -s if odd % 2 else s
 
-    def laurent_lead_sign(self, point: Point) -> int:
-        """Sign of the leading Laurent coefficient at a real point or at
-        infinity: the sign just right of the point, sign(gamma) times
-        (-1)^eta(p).  At infinity, above every entry, it is the sign of
-        gamma."""
+    def sign_right_of(self, point: Point) -> int:
+        """The sign just right of a real point or of NEG_INF, read from the
+        critical table: sign(gamma) times (-1)^eta(p)."""
         i, hit = self._locate(point)
         return self._sign_above(i + hit)
+
+    def laurent_lead_sign(self, point: Point) -> int:
+        """Sign of the leading Laurent coefficient: at a real point the sign
+        just right of it, at infinity the sign of gamma.  NEG_INF is the
+        point at infinity, as in :meth:`ord_at`."""
+        return self.sign_right_of(INF if point is NEG_INF else point)
 
     def sign_at(self, point: Point) -> int:
         """Exact sign at a point of the extended line, read from the

@@ -111,6 +111,30 @@ def test_interlacing_rejects():
         interlacing_factorize(RatFun.from_points([1, 1], [2]))
 
 
+def _four_case_split(s: RatFun) -> list[RatFun]:
+    """The interlacing split as it was chosen from the zero and pole counts,
+    with two inversions, kept as the reference for the split by arcs."""
+    crit = s.critical_points()
+    a = [x for x, e in crit if e > 0]
+    b = [x for x, e in crit if e < 0]
+    l1, l2, gamma = len(a), len(b), s.gamma
+    if l1 == l2 + 1 or (l1 == l2 and crit[0][1] < 0):
+        return [f.inverse() for f in _four_case_split(s.inverse())]
+    if l1 == l2:
+        if gamma < 0:
+            return ([RatFun.from_points([a[0]], [b[-1]], gamma)]
+                    + [RatFun.from_points([a[i]], [b[i - 1]])
+                       for i in range(1, l1)])
+        return ([RatFun.from_points([a[0]], [b[0]], gamma)]
+                + [RatFun.from_points([a[i]], [b[i]]) for i in range(1, l1)])
+    # pole first and pole last
+    if gamma < 0:
+        return ([RatFun.from_points([a[i]], [b[i]]) for i in range(l1)]
+                + [RatFun.from_points([], [b[-1]], gamma)])
+    return ([RatFun.from_points([a[i]], [b[i + 1]]) for i in range(l1)]
+            + [RatFun.from_points([], [b[0]], gamma)])
+
+
 def test_interlacing_corpus():
     rng = random.Random(5)
     for _ in range(60):
@@ -125,6 +149,18 @@ def test_interlacing_corpus():
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
                 assert pieces_disjoint(pieces[i], pieces[j])
+    # the split by negative arcs gives the factors of the four-case split,
+    # in the same order, with gamma on the same factor
+    shapes = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(100):
+            s = random_interlacing_simple(rng, 6)
+            assert interlacing_factorize(s) == _four_case_split(s), s
+            crit = s.critical_points()
+            shapes.add((s.gamma > 0, len(crit) % 2, crit[0][1]))
+    # both signs of gamma, both parities of the count, either kind first
+    assert len(shapes) == 8
 
 
 def test_chain_worked_instance():
@@ -727,7 +763,7 @@ def _flag_interval_factors(q: NevFun, r: RatFun, a, b, anchor):
         pair_iter = zip(betas, alphas)
     tilde = [factor(beta, alpha) for beta, alpha in pair_iter]
     if not seq:
-        if q.to_ratfun().laurent_lead_sign(a) > 0:
+        if q.to_ratfun().sign_right_of(a) > 0:
             expect = ("pole", "zero")
             ends = [factor(b, a)]
         else:
@@ -783,7 +819,7 @@ def test_interval_factors_match_the_flag_reference(monkeypatch):
         entries = _flag_arc_entries(q, a, b)
         inside = [k for _t, k in entries]
         patterns.add(tuple(inside[:1] + inside[-1:])
-                     or q.to_ratfun().laurent_lead_sign(a))
+                     or q.to_ratfun().sign_right_of(a))
         shapes.add((_arc_shape(a, b), any(t is INF for t, _k in entries)))
         return got
     monkeypatch.setattr(cl, "_interval_factors", checked)
@@ -897,7 +933,7 @@ def test_chain_steps_match_extraction(monkeypatch):
     for q, r in pairs:
         s = cl._odd_part(r)
         if not s.is_constant and (s.gamma < 0
-                                  or s.laurent_lead_sign(NEG_INF) < 0):
+                                  or s.sign_right_of(NEG_INF) < 0):
             p = cl._positive_anchor(s, q, r)
             tau = RatFun.from_points([1 / p], [0], p) if p else \
                 RatFun.from_points([], [0], -1)

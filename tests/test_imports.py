@@ -322,8 +322,8 @@ def test_classify_takes_no_moebius_detour():
 
 
 # classify reads every order and sign at a real point off a critical table
-# (ord_at, laurent_lead_sign, sign_at), so it evaluates no function, takes
-# no limit and reads no local data of a representation.
+# (ord_at, laurent_lead_sign, sign_right_of, sign_at), so it evaluates no
+# function, takes no limit and reads no local data of a representation.
 EVALUATING = ("evaluate", "eval_q", "limit_at", "_local", "_local_at")
 
 

@@ -715,6 +715,24 @@ def test_negative_infinity_is_the_point_at_infinity():
         assert g.laurent_lead(NEG_INF) == g.laurent_lead(INF) == g.gamma
 
 
+@pytest.mark.parametrize("f", [
+    RatFun.from_points([1], []),                    # odd order at infinity
+    RatFun.from_points([1, 2, 3], [0], -2),         # even order
+    RatFun.from_points([], [1], Fraction(-1, 2)),   # zero at infinity
+    RatFun.from_points([1], [2], 7),                # regular at infinity
+])
+def test_laurent_lead_sign_at_negative_infinity_is_the_sign_of_gamma(f):
+    gamma_sign = 1 if f.gamma > 0 else -1
+    assert f.laurent_lead_sign(NEG_INF) == f.laurent_lead_sign(INF) \
+        == gamma_sign
+    # the first cell's sign has its own name: sign(gamma) times (-1) to
+    # the number of odd-order points
+    odd = sum(e % 2 for _x, e in f.critical_points())
+    assert f.sign_right_of(NEG_INF) == gamma_sign * (-1) ** odd
+    below = min(x for x, _e in f.critical_points()) - 1
+    assert f.sign_right_of(NEG_INF) == f.sign_at(below)
+
+
 def test_laurent_lead_refuses_an_irrational_point():
     r = RatFun(Poly([-2, 0, 1]), Poly([-1, 1]))
     sqrt2 = r.real_zeros[1][0]

@@ -322,9 +322,31 @@ def test_cli_maps_invariant_violation_to_exit_3(tmp_path, monkeypatch):
 
 
 def test_realize_has_no_xi_flag(tmp_path):
-    with pytest.raises(SystemExit):
-        _run(tmp_path, "realize", {"in": WORKED_Q, "r": WORKED_R},
-             extra=["--xi", "1"])
+    code, rep = _run(tmp_path, "realize", {"in": WORKED_Q, "r": WORKED_R},
+                     extra=["--xi", "1"])
+    assert code == 1 and rep is None
+
+
+# usage errors exit 1, as input errors do; 2 is a classification-negative
+# result
+@pytest.mark.parametrize("args", [
+    ["chain", "--in", "Q"],                             # no --r
+    ["kappa", "--in", "Q", "--points", "x"],            # not an integer
+    ["invert", "--in", "Q", "--interval", "-1,1"],      # read as a flag
+    ["frobnicate"],                                     # no such verb
+])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, args):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(WORKED_Q))
+    assert main([str(q) if a == "Q" else a for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: nevkit" in err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["chain", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: nevkit") == 2
 
 
 def test_selftest_reports_a_broken_check(monkeypatch):
