@@ -25,8 +25,7 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
 from .gnev import (GenNevFun, _zero_type_mult, canonical_pair,
                    canonical_rational)
 from .nevfun import NevFun, _chain_step, _ends, is_nevanlinna
-from .poly import (CERTIFICATE_CACHE_SIZE, RealAlg, point_cmp,
-                   rational_between, rational_outside)
+from .poly import RealAlg, point_cmp, rational_between, rational_outside
 from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
 from .ratfun import RatFun, strictly_between
 
@@ -226,6 +225,9 @@ def pieces_disjoint(p1: list[tuple], p2: list[tuple]) -> bool:
 
 
 # -- plain-pair characterization ----------------------------------------------------
+
+#: number of pairs whose plain-pair report is kept by check_N00
+CERTIFICATE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)

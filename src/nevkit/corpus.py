@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ExactSplitUnavailable, NotNevanlinna
+from .errors import (ExactSplitUnavailable, InvariantViolation,
+                     NotNevanlinna)
 from .gnev import GenNevFun
 from .nevfun import NevFun, _chain_step
 from .poly import Poly
@@ -136,7 +137,7 @@ def random_plain_pair(rng: random.Random, max_factors: int = 4,
                             or abs(r.ord_at_inf()) > 1):
             continue
         return q, r
-    raise RuntimeError("plain-pair generation failed")
+    raise InvariantViolation("plain-pair generation failed")
 
 
 def structured_plain_pair(rng: random.Random):
@@ -171,7 +172,7 @@ def structured_plain_pair(rng: random.Random):
                 return q, r2
         except ExactSplitUnavailable:
             continue
-    raise RuntimeError("structured pair generation failed")
+    raise InvariantViolation("structured pair generation failed")
 
 
 def random_interlacing_simple(rng: random.Random, max_degree: int = 5) -> RatFun:
@@ -205,4 +206,4 @@ def random_member_pair(rng: random.Random, max_atoms: int = 6,
         except ExactSplitUnavailable:
             continue
         return g, r
-    raise RuntimeError("member pair generation failed")
+    raise InvariantViolation("member pair generation failed")

@@ -15,8 +15,7 @@ from fractions import Fraction
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotNevanlinnaTau)
 from .nevfun import NevFun, _compose, nevfun_from_ratfun
-from .poly import (Poly, RealAlg, _factor_squarefree, _poly, _primitive,
-                   count_real_roots)
+from .poly import RealAlg, nonreal_pieces
 from .qmath import INF, fmt_rat, record
 from .ratfun import RatFun, from_table
 
@@ -134,11 +133,6 @@ def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
     return phi.num.degree // 2, phi.den.degree // 2
 
 
-def _is_pure(h: Poly) -> bool:
-    """Whether h has only real roots or none."""
-    return count_real_roots(h) in (0, h.degree)
-
-
 def _canonical_factor(f: RatFun):
     """The nonnegative factor of the canonical factorization of f, built
     from the finite nonpositive-type records of f, and those records.
@@ -167,19 +161,11 @@ def _canonical_factor(f: RatFun):
     for sgn, bs in ((1, f.complex_zero_blocks), (-1, f.complex_pole_blocks)):
         for factor, m in bs:
             # the irrational real roots of a block are points on its factor
-            if not (m % 2 and any(isinstance(x, RealAlg) and x.p == factor
-                                  for x, _e in crit)):
+            if m % 2 and any(isinstance(x, RealAlg) and x.p == factor
+                             for x, _e in crit):
+                blocks += [(h, sgn * m) for h in nonreal_pieces(factor)]
+            else:
                 blocks.append((factor, sgn * m))
-                continue
-            pieces = _factor_squarefree(_primitive(factor.n), _is_pure)
-            for h in (_poly(a, a[-1]) for a in pieces):
-                n = count_real_roots(h)
-                if 0 < n < h.degree:
-                    raise ExactSplitUnavailable(
-                        "conjugate pairs share an odd-multiplicity factor "
-                        "with irrational real roots")
-                if not n:
-                    blocks.append((h, sgn * m))
     # an irrational point brings every real root of its polynomial, all of
     # one order, and a whole block its real roots too
     return from_table(table, blocks), records

@@ -255,9 +255,6 @@ def _level_integral(ev, phi_ev, c: float, d: float, eps: float,
     if cursor < d:
         xs = np.linspace(cursor, d, n)
         total += float(np.trapezoid(integrand(xs), xs))
-    if not merged:
-        xs = np.linspace(c, d, n)
-        total = float(np.trapezoid(integrand(xs), xs))
     return total, refined
 
 

@@ -41,12 +41,6 @@ DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 #: number of polynomials whose root structure is kept by real_root_structure
 ROOT_STRUCTURE_CACHE_SIZE = 1024
 
-#: number of polynomials whose Sturm chain is kept by sturm_chain
-STURM_CHAIN_CACHE_SIZE = 1024
-
-#: number of pairs whose plain-pair report is kept by classify.check_N00
-CERTIFICATE_CACHE_SIZE = 1024
-
 
 class Poly:
     """Immutable polynomial with rational coefficients, ascending degree.
@@ -328,6 +322,31 @@ def irreducible_factors(p: Poly) -> list[Poly]:
         for f in _factor_squarefree(_primitive(g.n)):
             out.extend([_poly(f, f[-1])] * m)
     return out
+
+
+def nonreal_pieces(h: Poly) -> list[Poly]:
+    """The monic factors over Q of a squarefree h that have no real root.
+
+    h is factored only until every piece is pure, with only real roots or
+    none, by :func:`_factor_squarefree`, which stops once the cofactor is
+    pure.  A piece with both real and nonreal roots cannot be split exactly
+    and raises ExactSplitUnavailable."""
+    out = []
+    for a in _factor_squarefree(_primitive(h.n), _is_pure):
+        g = _poly(a, a[-1])
+        n = count_real_roots(g)
+        if 0 < n < g.degree:
+            raise ExactSplitUnavailable(
+                "conjugate pairs share an odd-multiplicity factor "
+                "with irrational real roots")
+        if not n:
+            out.append(g)
+    return out
+
+
+def _is_pure(h: Poly) -> bool:
+    """Whether h has only real roots or none."""
+    return count_real_roots(h) in (0, h.degree)
 
 
 # -- Factoring over Z (Zassenhaus 1969; von zur Gathen and Gerhard, Modern
@@ -636,23 +655,16 @@ def _neg_prem(a: IntPoly, b: IntPoly) -> IntPoly:
     return _primitive([-x for x in r])
 
 
-@lru_cache(maxsize=STURM_CHAIN_CACHE_SIZE)
 def sturm_chain(p: Poly) -> tuple[IntPoly, ...]:
     """Sturm chain of p as primitive integer polynomials: p, p' and the
     negated remainders, each a positive multiple of its classical term, so
-    sign variations are those of the classical chain.  Memoised on the
-    value of p."""
+    sign variations are those of the classical chain."""
     chain = [_primitive(p.n)]
     nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
     while nxt:
         chain.append(nxt)
         nxt = _neg_prem(chain[-2], chain[-1])
     return tuple(chain)
-
-
-def _signs(chain: Sequence[IntPoly], x: Fraction) -> list[int]:
-    u, v = x.numerator, x.denominator
-    return [_sign_at(a, u, v) for a in chain]
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -667,20 +679,18 @@ def _variations_at(chain: Sequence[IntPoly], x) -> int:
         return _variations((1 if a[-1] > 0 else -1)
                            * (at_inf if len(a) % 2 == 0 else 1)
                            for a in chain)
-    return _variations(_signs(chain, rat(x)))
+    x = rat(x)
+    return _variations(_sign_at(a, x.numerator, x.denominator)
+                       for a in chain)
 
 
-def count_real_roots(p: Poly, lo=NEG_INF, hi=INF, chain=None) -> int:
+def count_real_roots(p: Poly, lo=NEG_INF, hi=INF) -> int:
     """Number of distinct real roots of p in (lo, hi], when p is
-    squarefree or neither end is a multiple root of p.
-
-    The ends are rationals, NEG_INF or INF; ``chain`` defaults to
-    ``sturm_chain(p)``.
-    """
+    squarefree or neither end is a multiple root of p.  The ends are
+    rationals, NEG_INF or INF."""
     if p.degree < 1:
         return 0
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
@@ -781,9 +791,10 @@ class RealAlg:
     interval, the box, that holds exactly one of its roots.
 
     The box is a private cache, not data.  Construction keeps the box it is
-    given; each query (:meth:`cmp_rat`, :meth:`cmp_alg`, :meth:`sign_of`,
-    :meth:`floor_div`, ``float``) bisects it only until its exact answer is
-    decided, and no answer depends on how far earlier queries refined it.
+    given; each query (:meth:`cmp_rat`, :meth:`cmp_alg`, :meth:`floor_div`,
+    ``float``) bisects it only until its exact answer is decided, and no
+    answer depends on how far earlier queries refined it.  :meth:`sign_of`
+    takes no Sturm sign: it locates the number among q's real roots.
     The box only ever shrinks and is replaced in a single attribute write,
     so concurrent refinement from several threads stays consistent."""
 
@@ -856,23 +867,11 @@ class RealAlg:
             self._step()
 
     def sign_of(self, q: Poly) -> int:
-        """Exact sign of q evaluated at this number."""
-        if q.is_zero:
-            return 0
-        chain = sturm_chain(q)
-        g = None    # needed only once q has a root in the box
-        # refine until q has no root in [lo, hi], then the sign is constant
-        while True:
-            lo, hi = self.box
-            v = _sign_at(chain[0], lo.numerator, lo.denominator)
-            if v and count_real_roots(q, lo, hi, chain) == 0:
-                return v
-            if g is None:
-                g = gcd(self.p, q)
-                if _changes_sign(g, lo, hi):
-                    # the only root of p in the box is shared with q
-                    return 0
-            self._step()
+        """Exact sign of q at this number, 0 at a root of q: the sign rule
+        on q's table, which compares this number only with q's real
+        roots."""
+        from .ratfun import RatFun     # ratfun builds on this module
+        return 0 if q.is_zero else RatFun(q, Poly.const(1)).sign_at(self)
 
     def cmp_alg(self, other: "RealAlg") -> int:
         """Sign of (self - other).  The numbers are equal exactly when g =

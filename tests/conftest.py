@@ -6,7 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from nevkit.nevfun import NevFun
-from nevkit.poly import Poly
+from nevkit.poly import (Poly, RealAlg, _changes_sign, _sign_at,
+                         _variations_at, gcd, sturm_chain)
 from nevkit.qmath import QC
 from nevkit.ratfun import RatFun
 
@@ -73,3 +74,24 @@ def upper_half_points():
     return st.builds(QC.of, rationals(10, 4),
                      st.builds(Fraction, st.integers(1, 10),
                                st.integers(1, 4)))
+
+
+def sturm_sign_of(x: RealAlg, q: Poly) -> int:
+    """The sign of q at x by Sturm counts, as RealAlg.sign_of took it
+    before it read q's table: the reference for the sign rule.  The box of
+    x is bisected until q has no root in its closure, or until the gcd of
+    x's polynomial and q changes sign over it, a root shared with q."""
+    if q.is_zero:
+        return 0
+    chain = sturm_chain(q)
+    g = None    # needed only once q has a root in the box
+    while True:
+        lo, hi = x.box
+        v = _sign_at(chain[0], lo.numerator, lo.denominator)
+        if v and _variations_at(chain, lo) == _variations_at(chain, hi):
+            return v
+        if g is None:
+            g = gcd(x.p, q)
+            if _changes_sign(g, lo, hi):
+                return 0
+        x._step()

@@ -232,6 +232,17 @@ def test_chain_structured_pairs():
         assert len(chain.factors) >= 3     # interior pair emitted twice
 
 
+def test_failed_pair_generation_is_a_nevkit_error(monkeypatch):
+    import nevkit.corpus
+
+    def refused(s, q):
+        raise NotNevanlinna("no step")
+    monkeypatch.setattr(nevkit.corpus, "_chain_step", refused)
+    with pytest.raises(InvariantViolation,
+                       match="^plain-pair generation failed$"):
+        random_plain_pair(random.Random(31))
+
+
 def test_kac_closure_examples():
     kc = kac_closure(MINUS_INV, Z)
     assert kc.at_poles == ((INF, True),)

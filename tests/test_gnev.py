@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import nevkit.gnev
 import nevkit.poly
 from nevkit.corpus import random_symmetric_ratfun
 from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
@@ -238,8 +237,9 @@ def test_canonical_split_stops_once_the_rest_is_pure(monkeypatch, n,
     assert psi.num.divmod(P(1, 0, 1))[1].is_zero and psi * s0 == f
     if n == 4:
         # factoring into irreducibles gives the same split, in 164 trials
-        monkeypatch.setattr(nevkit.gnev, "_factor_squarefree",
-                            lambda a, _done: nevkit.poly._factor_squarefree(a))
+        factor = nevkit.poly._factor_squarefree
+        monkeypatch.setattr(nevkit.poly, "_factor_squarefree",
+                            lambda a, _done: factor(a))
         assert canonical_rational(f)[:2] == (psi, s0)
         assert len(subsets) == trials + 164
 

@@ -1,9 +1,10 @@
-"""Twelve rules on the package source, each read off its AST and each with
+"""Thirteen rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
 - no module imports dataclasses;
 - only poly.py takes Sturm sequences, with the exceptions listed;
+- no method of RealAlg builds or reads a Sturm chain;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots,
   and they only by RatFun._table;
@@ -98,12 +99,10 @@ def test_no_module_imports_dataclasses():
 
 
 # Sturm sequences belong to poly.py: every other module reads real roots
-# from a root structure and signs from a critical table.  gnev counts the
-# real roots of the pieces of a factored pair block, which have no RatFun,
-# and selftest checks the isolation against the Sturm count.
+# from a root structure and signs from a critical table.  selftest checks
+# the isolation against the Sturm count.
 STURM_NAMES = {"count_real_roots", "sturm_chain", "isolate_real_roots"}
-STURM_ALLOWED = {("gnev.py", "count_real_roots"),
-                 ("selftest.py", "count_real_roots"),
+STURM_ALLOWED = {("selftest.py", "count_real_roots"),
                  ("selftest.py", "isolate_real_roots")}
 
 
@@ -140,6 +139,42 @@ def test_only_poly_takes_sturm_sequences():
              for name, line in _sturm_uses(path.read_text())}
     assert {key: line for key, line in found.items()
             if key not in STURM_ALLOWED} == {}
+
+
+# Within poly.py, Sturm chains serve isolation and the independent count:
+# a real algebraic number answers every query from its box, and a sign
+# from the table of the polynomial it is asked about.
+REALALG_STURM = {"sturm_chain", "count_real_roots", "_variations_at"}
+
+
+def _method_sturm_uses(source: str, cls: str) -> list[tuple[str, int]]:
+    """Names and attributes among REALALG_STURM in the body of the class
+    ``cls``, as (name, line)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for n in ast.walk(node):
+                name = n.id if isinstance(n, ast.Name) else \
+                    n.attr if isinstance(n, ast.Attribute) else None
+                if name in REALALG_STURM:
+                    found.append((name, n.lineno))
+    return sorted(found, key=lambda nl: (nl[1], nl[0]))
+
+
+def test_detector_finds_sturm_chains_in_realalg():
+    src = ("def count(p):\n    return _variations_at(sturm_chain(p), 0)\n"
+           "class RealAlg:\n    def sign_of(self, q):\n"
+           "        chain = sturm_chain(q)\n"
+           "        return poly.count_real_roots(q, 0, 1, chain)\n"
+           "class Other:\n    def f(self, c):\n"
+           "        return _variations_at(c, 0)\n")
+    assert _method_sturm_uses(src, "RealAlg") == [("sturm_chain", 5),
+                                                  ("count_real_roots", 6)]
+
+
+def test_realalg_takes_no_sturm_chain():
+    assert _method_sturm_uses((PACKAGE / "poly.py").read_text(),
+                              "RealAlg") == []
 
 
 def _calls(source: str, name: str) -> list[tuple[Optional[str], int]]:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import nevfuns, rationals, small_polys, upper_half_points
+from conftest import (nevfuns, rationals, small_polys, sturm_sign_of,
+                      upper_half_points)
 import nevkit.nevfun
 from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
@@ -344,7 +345,7 @@ def _sturm_herglotz_parts(f: RatFun):
                 raise NotNevanlinna(f"nonnegative residue at {fmt_rat(t)}")
             pairs.append((t, -resid))
         else:
-            if t.sign_of(rem) * t.sign_of(dp) >= 0:
+            if sturm_sign_of(t, rem) * sturm_sign_of(t, dp) >= 0:
                 raise NotNevanlinna("nonnegative residue at irrational pole")
             pairs.append((t, None))
     return beta, c0, pairs

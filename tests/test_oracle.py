@@ -143,6 +143,21 @@ def test_a_level_that_is_not_finite_is_named(schedule):
     assert str(info.value) == "level integral at offset 1e-310 is not finite"
 
 
+def test_a_level_without_peaks_evaluates_its_grid_once():
+    """Over (3, 4), away from the atom at 1, no level has a peak window:
+    each of the six levels evaluates the detection grid and the base
+    trapezoid, and no grid twice."""
+    ev = as_evaluator(NevFun.of(0, 0, [(1, 1)]))
+    sizes = []
+
+    def counted(z):
+        sizes.append(len(z))
+        return ev(z)
+    res = stieltjes_invert(counted, InversionConfig(interval=(3, 4)))
+    assert sizes == [4096] * 12
+    assert res.peaks == () and abs(res.value) < 1e-12
+
+
 def test_gap_detect_examples():
     assert gap_detect(MINUS_INV, (1, 2)) is True
     assert gap_detect(MINUS_INV, (-1, 1)) is False

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, small_polys
-import nevkit.gnev
+from conftest import rationals, small_polys, sturm_sign_of
 import nevkit.poly
 from nevkit.corpus import random_plain_pair
 from nevkit.errors import ExactSplitUnavailable, InvalidInput
@@ -317,13 +316,13 @@ def test_root_structure_shared_by_equal_numerators():
 
 def test_root_structure_mixed_factor(monkeypatch):
     calls = []
-    factor = nevkit.gnev._factor_squarefree
+    factor = nevkit.poly._factor_squarefree
 
-    def counting(a, done):
+    def counting(a, done=None):
         calls.append(Poly(a))
         return factor(a, done)
 
-    monkeypatch.setattr(nevkit.gnev, "_factor_squarefree", counting)
+    monkeypatch.setattr(nevkit.poly, "_factor_squarefree", counting)
     cube = P(-2, 0, 0, 1)          # one irrational real root, one pair
     f1 = RatFun(cube * P(-1, 1), Poly.const(1))
     assert zero_blocks(f1) == [(cube, 1, 1, 1)]
@@ -456,29 +455,6 @@ def test_cmp_alg_takes_no_gcd_of_disjoint_boxes(monkeypatch):
     assert calls == [1]
 
 
-def test_sign_of_takes_a_gcd_only_when_the_box_holds_a_root_of_q(
-        monkeypatch):
-    calls = []
-    gcd_ = nevkit.poly.gcd
-
-    def counted(a, b):
-        calls.append(1)
-        return gcd_(a, b)
-
-    monkeypatch.setattr(nevkit.poly, "gcd", counted)
-    sqrt2 = RealAlg(P(-2, 0, 1), Fraction(1), Fraction(3, 2))
-    assert sqrt2.sign_of(P(-2, 1)) < 0              # root 2 outside the box
-    assert sqrt2.sign_of(P(-3, 0, 1)) < 0           # roots +-sqrt(3) too
-    assert calls == []
-    assert sqrt2.sign_of(P(Fraction(-7, 5), 1)) > 0   # 7/5 < sqrt(2)
-    assert calls == [1]
-    # a root shared with q: the sign is 0
-    assert sqrt2.sign_of(P(-2, 0, 1)) == 0
-    assert RealAlg(P(-2, 0, 1), Fraction(1), Fraction(3, 2)).sign_of(
-        P(-2, 0, 1) * P(-5, 1)) == 0
-    assert calls == [1, 1, 1]
-
-
 def test_point_cmp_mixed():
     p = P(-2, 0, 1)
     pos = RealAlg(p, *isolate_real_roots(p)[1])
@@ -498,8 +474,7 @@ def test_point_cmp_orders_the_extended_line():
 
 def test_sturm_chain_endpoints():
     p = Poly.from_roots([0, 1, 2, 3])
-    chain = sturm_chain(p)
-    assert count_real_roots(p, Fraction(-1), INF, chain) == 4
+    assert count_real_roots(p, Fraction(-1), INF) == 4
 
 
 def fresh_roots(p: Poly) -> list[RealAlg]:
@@ -728,7 +703,8 @@ def _bisection_reference(g: Poly) -> list[tuple[Fraction, Fraction]]:
 
     def point(x):
         # (variations, sign of g, sign of g')
-        s = nevkit.poly._signs(chain, x)
+        s = [nevkit.poly._sign_at(c, x.numerator, x.denominator)
+             for c in chain]
         return nevkit.poly._variations(s), s[0], s[1]
 
     def one_root(lo, plo, hi, phi):
@@ -916,11 +892,43 @@ def test_residual_without_real_roots_is_one_block(monkeypatch):
             if not isinstance(x, Fraction)} == {P(6, 0, -5, 0, 1)}
 
 
-def test_sign_of_reuses_the_sturm_chain():
+def test_sign_of_analyses_q_once():
     q = P(-1, 0, 0, 1)                           # z^3 - 1
     points = fresh_roots(P(-2, 0, 1)) + fresh_roots(P(-3, 0, 1))
-    sturm_chain.cache_clear()
-    assert [x.sign_of(q) for x in points] == [-1, 1, -1, 1]
-    info = sturm_chain.cache_info()
-    assert info.misses == 1 and info.hits == 3
-    assert sturm_chain(P(-1, 0, 0, 1)) is sturm_chain(q)
+    real_root_structure.cache_clear()
+    signs, misses = [], []
+    for x in points:
+        signs.append(x.sign_of(q))
+        misses.append(real_root_structure.cache_info().misses)
+    assert signs == [-1, 1, -1, 1]
+    # the first query analyses q and the constant denominator of its table
+    assert misses == [2] * 4
+
+
+SIGN_POINTS = [(P(-2, 0, 1), Fraction(1), Fraction(3, 2)),
+               (P(-2, 0, 1), Fraction(-2), Fraction(-1)),
+               (P(-3, 0, 1), Fraction(1), Fraction(2)),
+               (P(-2, 0, 1) * P(-3, 0, 1), Fraction(3, 2), Fraction(2)),
+               (P(-2, 0, 0, 1), Fraction(1), Fraction(2)),
+               (P(-1, -1, 1), Fraction(-1), Fraction(0))]
+SIGN_FACTORS = [P(-2, 0, 1), P(-3, 0, 1), P(-2, 0, 0, 1), P(-1, -1, 1),
+                P(1, 0, 1), P(-2, 1), P(Fraction(-7, 5), 1), P(-5, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SIGN_FACTORS), st.integers(1, 3)),
+                max_size=3),
+       st.lists(rationals(4, 3), max_size=2), rationals(3, 2))
+@example([(P(-2, 1), 1)], [], 1)                # root 2 outside the box
+@example([(P(Fraction(-7, 5), 1), 1)], [], 1)   # 7/5 < sqrt(2)
+@example([(P(-2, 0, 1), 1), (P(-5, 1), 1)], [], 7)   # a shared root
+@example([], [], 0)                             # q = 0
+def test_sign_of_matches_the_sturm_reference(factors, roots, lead):
+    """The sign rule on q's table gives the Sturm sign at irrational points
+    of several polynomials, at roots shared with q too."""
+    q = Poly.from_roots(roots, lead)
+    for f, m in factors:
+        q = q * f ** m
+    for p, lo, hi in SIGN_POINTS:
+        x, ref = RealAlg(p, lo, hi), RealAlg(p, lo, hi)
+        assert x.sign_of(q) == sturm_sign_of(ref, q)
