@@ -174,7 +174,8 @@ def cmd_invert(args) -> tuple[int, dict]:
         raise InvalidInput(f"--eps-levels must be at most {MAX_EPS_LEVELS}")
     top = 1e-2
     ratio = (args.eps_min / top) ** (1.0 / max(levels - 1, 1))
-    schedule = tuple(top * ratio ** k for k in range(levels))
+    schedule = tuple(top * ratio ** k if k < levels - 1 else args.eps_min
+                     for k in range(levels))
     phi = None
     if args.phi:
         phi = ser.ratfun_from_json(_read_json(args.phi))

@@ -373,10 +373,14 @@ class RatFun:
         """Exact sign at a point of the extended line, read from the
         critical table: 0 at a zero, the Laurent sign where the function is
         regular and nonzero; raises PoleHit at a pole, infinity included."""
-        e = self.ord_at(point)
+        if point is INF or point is NEG_INF:
+            e, i = self.ord_at_inf(), len(self.critical_points())
+        else:
+            i, hit = self._locate(point)
+            e = self.critical_points()[i][1] if hit else 0
         if e < 0:
             raise PoleHit("sign query at pole")
-        return 0 if e else self.laurent_lead_sign(point)
+        return 0 if e else self._sign_above(i)
 
     def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
         """Maximal constant-sign subintervals of (lo, hi) with exact

@@ -4,18 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import nevfuns
 import nevkit.oracle
 from nevkit.corpus import random_nevfun, random_symmetric_ratfun
 from nevkit.errors import EvaluationFailure, InvalidInput, NonConvergent
 from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun
-from nevkit.oracle import (InversionConfig, _local_maxima, _sample_points,
-                           as_evaluator, build_kernel_sample, gap_detect,
-                           negative_squares, negative_squares_report,
-                           stieltjes_invert)
+from nevkit.oracle import (InversionConfig, _local_maxima, _median,
+                           _sample_points, as_evaluator, build_kernel_sample,
+                           gap_detect, negative_squares,
+                           negative_squares_report, stieltjes_invert)
 from nevkit.poly import Poly
 from nevkit.ratfun import RatFun
 
@@ -104,9 +105,9 @@ def test_only_long_steps_add_tracking_offsets(monkeypatch):
     offsets = []
     level = nevkit.oracle._level_integral
 
-    def recorded(ev, phi_ev, c, d, eps, n, peaks):
+    def recorded(density, c, d, eps, n, peaks):
         offsets.append(eps)
-        return level(ev, phi_ev, c, d, eps, n, peaks)
+        return level(density, c, d, eps, n, peaks)
 
     monkeypatch.setattr(nevkit.oracle, "_level_integral", recorded)
     cfg = InversionConfig()
@@ -156,6 +157,58 @@ def test_a_level_without_peaks_evaluates_its_grid_once():
     res = stieltjes_invert(counted, InversionConfig(interval=(3, 4)))
     assert sizes == [4096] * 12
     assert res.peaks == () and abs(res.value) < 1e-12
+
+
+@settings(max_examples=150)
+@given(q=nevfuns(max_atoms=5), exponent=st.floats(-12, -2),
+       offsets=st.lists(st.integers(-40, 40), max_size=6))
+def test_closed_form_density_matches_the_complex_path(q, exponent, offsets):
+    """The density a NevFun reads off its representation is the imaginary
+    part of its complex evaluation over pi, on a grid through its atoms,
+    a few offsets from them and far from them."""
+    eps = 10.0 ** exponent
+    atoms = [float(t) for t in q.sigma.positions]
+    xs = np.array(atoms + [t + k * eps for t in atoms for k in offsets]
+                  + np.linspace(-60.0, 60.0, 241).tolist())
+    got = nevkit.oracle._boundary_density(q, None)(xs, eps)
+    want = np.imag(as_evaluator(q)(xs + 1j * eps)) / np.pi
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_inverting_a_nevfun_evaluates_it_only_under_a_weight(monkeypatch):
+    """Without a weight the inversion reads the closed-form density and
+    never evaluates the NevFun; with one, both go through as_evaluator."""
+    calls = []
+    evaluate = NevFun.evaluate
+
+    def counted(self, z):
+        calls.append(1)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(NevFun, "evaluate", counted)
+    cfg = InversionConfig(interval=(Fraction(-1, 2), Fraction(1, 2)))
+    res = stieltjes_invert(MINUS_INV, cfg)
+    assert calls == [] and abs(res.value - 1.0) < 1e-3
+    weighted = stieltjes_invert(MINUS_INV, cfg, phi=NevFun.const(2))
+    assert calls and abs(weighted.value - 2.0) < 2e-3
+
+
+@given(g=st.lists(st.floats(min_value=0.0), min_size=1, max_size=40),
+       nan_at=st.one_of(st.none(), st.integers(0, 40)))
+@example(g=[3.0, 1.0, 2.0], nan_at=None)
+@example(g=[4.0, 1.0, 3.0, 2.0], nan_at=None)
+@example(g=[1.0, 2.0], nan_at=1)
+@example(g=[1.0, 2.0, 3.0], nan_at=0)
+@example(g=[1e308, 1.5e308], nan_at=None)
+def test_median_is_numpys_bit_for_bit(g, nan_at):
+    """Odd and even lengths, a NaN anywhere, and two middle values whose
+    sum overflows."""
+    if nan_at is not None:
+        g.insert(nan_at, float("nan"))
+    g = np.array(g)
+    with np.errstate(over="ignore"):
+        want, got = np.float64(np.median(g)), np.float64(_median(g))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gap_detect_examples():

@@ -358,6 +358,31 @@ def test_critical_points_are_sorted_once(monkeypatch):
     assert 0 < len(calls) <= 3
 
 
+def test_sign_at_locates_a_real_point_once(monkeypatch):
+    """At sqrt 5 on an 11-point table, one binary search of point_cmp:
+    the order and the sign come off the same location."""
+    r = RatFun(Poly.from_roots([-5, -3, -1, 1, 3]),
+               Poly.from_roots([-4, -2, 0, 2, 4, 5]))
+    sqrt5 = RealAlg(Poly([-5, 0, 1]), Fraction(2), Fraction(3))
+    assert len(r.critical_points()) == 11
+    calls = []
+    point_cmp_ = nevkit.ratfun.point_cmp
+
+    def counted(a, b):
+        calls.append(1)
+        return point_cmp_(a, b)
+
+    monkeypatch.setattr(nevkit.ratfun, "point_cmp", counted)
+    r._locate(sqrt5)
+    one_search = len(calls)
+    calls.clear()
+    assert r.sign_at(sqrt5) == _value_sign(r, Fraction(9, 4)) == -1
+    assert len(calls) == one_search <= 4
+    assert r.sign_at(Fraction(3)) == 0 == r.sign_at(INF) == r.sign_at(NEG_INF)
+    with pytest.raises(PoleHit):
+        r.sign_at(Fraction(4))
+
+
 def _sign_just_right(r: RatFun, p) -> int:
     """Sign of r at a rational point right of p with no zero or pole of r
     in between: the sign of the leading Laurent coefficient at p."""

@@ -228,6 +228,20 @@ def test_cli_invert_steep_schedule_keeps_the_atom(tmp_path, capsys,
         assert code == 1 and "NonConvergent" in capsys.readouterr().err
 
 
+def test_cli_invert_one_level_runs_at_eps_min(tmp_path):
+    """One level is one offset, --eps-min: over (-36/5, -34/5) the atom at
+    -7 of weight 7/4 is read at 1e-5, not at 1e-2, where the spike's tails
+    still lie outside the interval.  One level has nothing to extrapolate."""
+    q = {"alpha": "1/2", "beta": "0", "atoms": [{"t": "-7", "w": "7/4"},
+                                                {"t": "4/3", "w": "2"}]}
+    code, rep = _run(tmp_path, "invert", {"in": q},
+                     extra=["--interval=-36/5,-34/5", "--eps-levels", "1",
+                            "--eps-min", "1e-5"])
+    assert code == 0 and rep["error_estimate"] == 0.0
+    assert rep["per_level"] == [rep["mass"]]
+    assert abs(rep["mass"] - 1.75) < 1e-4
+
+
 @pytest.mark.parametrize("eps_min, code", [("1e-310", 1), ("1e-200", 0)])
 def test_cli_invert_subnormal_offset(tmp_path, capsys, eps_min, code):
     """A unit atom at 0 sampled at a subnormal offset overflows the float
