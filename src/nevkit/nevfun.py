@@ -21,7 +21,7 @@ from .errors import (GapViolated, InvalidInput, InvariantViolation,
 from .poly import (Poly, RealAlg, _deflate, _poly, compose_fractional,
                    interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
-                    LimitValue, fmt_rat, record)
+                    LimitValue, as_float, fmt_rat, record)
 from .ratfun import RatFun
 
 
@@ -130,9 +130,9 @@ class NevFun:
         np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
         if isinstance(z, complex) or (np is not None
                                       and isinstance(z, np.ndarray)):
-            acc = float(self.alpha) + float(self.beta) * z
+            acc = as_float(self.alpha) + as_float(self.beta) * z
             for t, w in self.sigma:
-                tf, wf = float(t), float(w)
+                tf, wf = as_float(t), as_float(w)
                 acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
             return acc
         return self.to_ratfun()(z)

@@ -21,13 +21,14 @@ from .errors import EvaluationFailure, InvalidInput, NonConvergent
 from .gnev import GenNevFun
 from .nevfun import NevFun
 from .poly import point_cmp
-from .qmath import rat, record
+from .qmath import as_float, rat, record
 from .ratfun import RatFun
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 #: largest trials * n_points^2 of a negative-squares count, whose kernels
-#: take several complex arrays of that many entries (16 MiB each)
+#: take several complex arrays of that many entries (16 MiB each); the memo
+#: of first point sets keeps the denominators of 4 settings, 64 MiB at most
 MAX_KERNEL_ENTRIES = 2 ** 20
 #: largest quadrature grid and offset schedule of an inversion
 MAX_QUADRATURE_POINTS = 2 ** 20
@@ -58,16 +59,22 @@ class KernelSample:
 
 
 def build_kernel_sample(f: Evaluator, points: np.ndarray) -> KernelSample:
-    return KernelSample(points, _gram(points, f(points)))
+    return KernelSample(points, _gram(_kernel_den(points), f(points)))
 
 
-def _gram(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Hermitian part of the kernel (f(z) - f(w)*)/(z - w*) at the points,
-    given the values of f there; a leading axis indexes point sets."""
-    num = vals[..., :, None] - np.conj(vals)[..., None, :]
-    den = points[..., :, None] - np.conj(points)[..., None, :]
-    gram = num / den
-    return (gram + gram.conj().swapaxes(-1, -2)) / 2
+def _kernel_den(points: np.ndarray) -> np.ndarray:
+    """The kernel's denominators z_i - z_j* at the points; a leading axis
+    indexes point sets."""
+    return points[..., :, None] - np.conj(points)[..., None, :]
+
+
+def _gram(den: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The kernel (f(z_i) - f(z_j)*)/(z_i - z_j*) from its denominators and
+    the values of f, in one new array.  It is Hermitian bit for bit: entry
+    (j, i) divides the conjugated negatives of the parts of entry (i, j),
+    and numpy's complex division (Smith's) commutes with those flips."""
+    gram = np.subtract(vals[..., :, None], np.conj(vals)[..., None, :])
+    return np.divide(gram, den, out=gram)
 
 
 #: float evaluations may meet a pole or overflow, and a huge tolerance
@@ -94,14 +101,16 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(seed * 1_000_003 + trial)
 
 
-@lru_cache(maxsize=16)
-def _first_point_sets(seed: int, trials: int, n_points: int) -> np.ndarray:
-    """The first point set of every trial, stacked; read-only, as the same
-    array answers every call with these settings."""
+@lru_cache(maxsize=4)
+def _first_point_sets(seed: int, trials: int, n_points: int):
+    """The first point set of every trial, stacked, and their kernel
+    denominators; read-only, as the same arrays answer every call with
+    these settings."""
     pts = np.stack([_sample_points(_trial_rng(seed, trial), n_points)
                     for trial in range(trials)])
-    pts.flags.writeable = False
-    return pts
+    den = _kernel_den(pts)
+    pts.flags.writeable = den.flags.writeable = False
+    return pts, den
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
@@ -129,7 +138,8 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
     point set depends only on (seed, t, n_points); those sets are memoised
     per (seed, trials, n_points).  f is evaluated on all of them at once,
     and only a trial whose set meets a pole or overflow redraws, from where
-    its generator left off.  The trials' kernels are balanced, thresholded
+    its generator left off, on copies of the memoised points and
+    denominators.  The trials' kernels are balanced in place, thresholded
     and diagonalized as one stack.
     """
     if n_points < 1 or trials < 1:
@@ -142,10 +152,13 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
     if seed < 0:
         raise InvalidInput("seed must be nonnegative")
     ev = as_evaluator(f)
-    pts = _first_point_sets(seed, trials, n_points).copy()
+    pts, den = _first_point_sets(seed, trials, n_points)
     with np.errstate(**_FLOAT_QUIET):
         vals = ev(pts.ravel()).reshape(pts.shape)
-        for trial in np.flatnonzero(~_finite(vals)).tolist():
+        redrawn = np.flatnonzero(~_finite(vals)).tolist()
+        if redrawn:
+            pts, den = pts.copy(), den.copy()
+        for trial in redrawn:
             rng = _trial_rng(seed, trial)
             _sample_points(rng, n_points)          # the first set, rejected
             for _attempt in range(63):             # 64 sets in all
@@ -156,14 +169,16 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
             else:
                 raise EvaluationFailure(
                     "sampling kept hitting poles or overflow")
-        gram = _gram(pts, vals)
-        # positive diagonal congruence preserves the signature and tames the
-        # dynamic range before thresholding
+            den[trial] = _kernel_den(pts[trial])
+        gram = _gram(den, vals)
+        # positive diagonal congruence keeps the signature and tames the
+        # range before thresholding; numpy divides by a real r as times 1/r
         d = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1)) + 1e-30)
-        balanced = gram / (d[:, :, None] * d[:, None, :])
-        norm_inf = np.max(np.sum(np.abs(balanced), axis=-1), axis=-1)
+        scale = np.multiply(d[:, :, None], d[:, None, :])
+        gram *= np.divide(1.0, scale, out=scale)
+        norm_inf = np.max(np.sum(np.abs(gram), axis=-1), axis=-1)
         thresh = -tol_rel * np.maximum(norm_inf, 1.0)
-    eigs = np.linalg.eigvalsh(balanced)
+    eigs = np.linalg.eigvalsh(gram)
     counts = np.sum(eigs < thresh[:, None], axis=-1).tolist()
     tails = [row[:max(count + 2, 4)]
              for row, count in zip(eigs.tolist(), counts)]
@@ -287,8 +302,8 @@ def _boundary_density(f, phi) -> Callable[[np.ndarray, float], np.ndarray]:
     gives beta eps / pi + sum w / (pi eps (1 + ((t - x) / eps)^2)), where no
     eps^2 underflows; other input is evaluated in complex floating point."""
     if isinstance(f, NevFun) and phi is None:
-        beta = float(f.beta) / np.pi
-        atoms = [(float(t), float(w) / np.pi) for t, w in f.sigma]
+        beta = as_float(f.beta) / np.pi
+        atoms = [(as_float(t), as_float(w) / np.pi) for t, w in f.sigma]
 
         def density(x: np.ndarray, eps: float) -> np.ndarray:
             return sum((w / (eps * (1 + ((t - x) / eps) ** 2))
@@ -314,7 +329,8 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
         raise InvalidInput("tolerance must be finite and nonnegative")
     _check_phi(phi, cfg)
     density = _boundary_density(f, phi)
-    c, d = (e if isinstance(e, float) else float(rat(e)) for e in cfg.interval)
+    c, d = (e if isinstance(e, float) else as_float(rat(e))
+            for e in cfg.interval)
     if not c < d:
         raise InvalidInput("interval must be nondegenerate")
     peaks: list[float] = []

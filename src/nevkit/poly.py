@@ -32,7 +32,7 @@ from itertools import combinations, zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import ExactSplitUnavailable, InvalidInput, InvariantViolation
-from .qmath import INF, NEG_INF, QC, rat
+from .qmath import INF, NEG_INF, QC, as_float, rat
 
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
@@ -251,12 +251,12 @@ class Poly:
 
     def eval_c(self, z: complex) -> complex:
         acc = 0j
-        for a in reversed(self.c):
-            acc = acc * z + float(a)
+        for a in reversed(self.float_coeffs()):
+            acc = acc * z + a
         return acc
 
     def float_coeffs(self) -> list[float]:
-        return [float(a) for a in self.c]
+        return [as_float(x, self.d) for x in self.n]
 
 
 def _poly(n: Sequence[int], d: int = 1) -> Poly:

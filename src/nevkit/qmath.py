@@ -82,6 +82,15 @@ def rat(x) -> Fraction:
     raise InvalidInput(f"cannot coerce {x!r} to an exact rational")
 
 
+def as_float(x, d: int = 1) -> float:
+    """x / d for a rational x and an int d > 0, correctly rounded as by
+    ``float(Fraction)``; beyond the float range InvalidInput is raised."""
+    try:
+        return x.numerator / (x.denominator * d)
+    except OverflowError:
+        raise InvalidInput("exact value beyond the float range") from None
+
+
 def parse_rat(s: str) -> Fraction:
     """The rational written as the string s: an integer, p/q or a plain
     decimal.  Anything else, exponent notation, a JSON number or null

@@ -238,11 +238,14 @@ class RatFun:
         return self.num.eval_c(z) / self.den.eval_c(z)
 
     def eval_np(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-        nc = self.num.float_coeffs() or [0.0]
-        dc = self.den.float_coeffs()
-        return (np.polynomial.polynomial.polyval(z, nc)
-                / np.polynomial.polynomial.polyval(z, dc))
+        """num(z) / den(z) by numpy's polyval recurrence, bit for bit."""
+        def polyval(c):
+            acc = c[-1] + z * 0
+            for a in reversed(c[:-1]):
+                acc = a + acc * z
+            return acc
+        return polyval(self.num.float_coeffs() or [0.0]) \
+            / polyval(self.den.float_coeffs())
 
     # -- root bookkeeping -------------------------------------------------------------
     def _num_roots(self) -> tuple:

@@ -13,7 +13,8 @@ from nevkit.corpus import random_nevfun, random_symmetric_ratfun
 from nevkit.errors import EvaluationFailure, InvalidInput, NonConvergent
 from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun
-from nevkit.oracle import (InversionConfig, _local_maxima, _median,
+from nevkit.oracle import (MAX_KERNEL_ENTRIES, InversionConfig,
+                           _first_point_sets, _gram, _local_maxima, _median,
                            _sample_points, as_evaluator, build_kernel_sample,
                            gap_detect, negative_squares,
                            negative_squares_report, stieltjes_invert)
@@ -47,7 +48,7 @@ def test_kernel_sample_hermitian():
     f = RatFun(Poly([0, 0, 1]), Poly.const(1))
     pts = np.array([0.3 + 0.2j, -1.0 + 1.5j, 2.0 + 0.1j])
     ks = build_kernel_sample(lambda z: f.eval_np(z), pts)
-    assert np.allclose(ks.gram, ks.gram.conj().T)
+    assert np.array_equal(ks.gram, ks.gram.conj().T)
 
 
 def test_inversion_single_atom():
@@ -362,18 +363,42 @@ def test_stacked_count_matches_reference_on_every_input_kind():
         _report_reference(r, 40, 5, 7, 1e-3)
 
 
+def test_kernel_is_hermitian_bit_for_bit_and_counts_match_the_reference():
+    # the count neither averages the kernel with its conjugate transpose nor
+    # divides it by the balance; _report_reference does both
+    pts, den = _first_point_sets(12345, 5, 40)
+    rng = random.Random(1001)
+    for _ in range(200):
+        f = random_symmetric_ratfun(rng, max_degree=8)
+        with np.errstate(all="ignore"):
+            gram = _gram(den, f.eval_np(pts))
+        assert np.array_equal(gram, gram.conj().swapaxes(-1, -2),
+                              equal_nan=True)
+        assert negative_squares_report(f, 40, 5, 12345) == \
+            _report_reference(f, 40, 5, 12345, 1e-9)
+
+
 def test_redrawn_trials_match_reference_and_leave_the_cache_intact():
     seed, trials, n_points = 31, 6, 9
     # trials whose first point set reaches Re z > 9 redraw
     redrawn = [t for t in range(trials) if np.any(_sample_points(
         np.random.default_rng(seed * 1_000_003 + t), n_points).real > 9)]
     assert 0 < len(redrawn) < trials
+    pts, den = _first_point_sets(seed, trials, n_points)
+    assert not pts.flags.writeable and not den.flags.writeable
+    memo = pts.tobytes(), den.tobytes()
     assert negative_squares_report(_inf_right_of_9, n_points, trials, seed) \
         == _report_reference(_inf_right_of_9, n_points, trials, seed, 1e-9)
-    # the redraws replaced rows of a copy, not of the memoised first sets
+    # the redraws replaced rows of copies, not of the memoised arrays
+    assert all(a is b for a, b in zip(
+        _first_point_sets(seed, trials, n_points), (pts, den)))
+    assert (pts.tobytes(), den.tobytes()) == memo
     f = NevFun.of(1, 2, [(0, 1), (12, 3)])
     assert negative_squares_report(f, n_points, trials, seed) == \
         _report_reference(f, n_points, trials, seed, 1e-9)
+    # the memo keeps at most 64 MiB of complex denominators
+    assert _first_point_sets.cache_info().maxsize * MAX_KERNEL_ENTRIES \
+        * 16 <= 64 * 2 ** 20
 
 
 def test_exhausted_redraws_stop_after_64_sets():

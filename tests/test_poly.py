@@ -248,6 +248,31 @@ def test_eval_qc_matches_qc_horner(p, re, im):
     assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
 
 
+HUGE = 10 ** 400
+TOP = 2 ** 1024 - 2 ** 970         # rounds up to 2^1024, beyond the floats
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-HUGE, HUGE), max_size=6),
+       st.integers(1, HUGE))
+@example(n=[HUGE, 34, 1], d=10)
+@example(n=[-TOP, 1], d=1)
+@example(n=[1, TOP - 1], d=1)
+@example(n=[1, -3, 2 ** 1080], d=2 ** 60 + 1)
+@example(n=[1, 7], d=HUGE)
+def test_float_coeffs_round_as_fractions_do(n, d):
+    """One correctly rounded integer division per coefficient, as float()
+    of its Fraction; beyond the float range both raise."""
+    p = Poly([Fraction(x, d) for x in n])
+    try:
+        want = [float(c) for c in p.c]
+    except OverflowError:
+        with pytest.raises(InvalidInput, match="beyond the float range"):
+            p.float_coeffs()
+    else:
+        assert p.float_coeffs() == want
+
+
 def test_squarefree_decomposition():
     p = Poly.from_roots([1]) ** 3 * Poly.from_roots([2]) * P(1, 0, 1)
     parts = squarefree_decomposition(p)
@@ -873,9 +898,9 @@ def test_neighbouring_rational_roots_take_no_bisection(monkeypatch):
 
 
 def test_residual_without_real_roots_is_one_block(monkeypatch):
-    def no_factoring(p):
+    def no_factoring(*args):
         raise AssertionError("factored a residual that is not mixed")
-    monkeypatch.setattr(nevkit.poly, "irreducible_factors", no_factoring)
+    monkeypatch.setattr(nevkit.poly, "_factor_squarefree", no_factoring)
     real_root_structure.cache_clear()
     quartic = P(2, 0, 3, 0, 1)                   # (z^2 + 1)(z^2 + 2)
     f = RatFun(quartic * P(-3, 1) * P(-1, 0, 1) ** 2, Poly.const(1))

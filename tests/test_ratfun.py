@@ -1,8 +1,9 @@
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (nevfuns, rationals, ratfuns, small_polys,
@@ -266,6 +267,27 @@ def test_eval_exact_and_pole():
     z = QC.of(0, 1)
     val = r.eval_qc(z)
     assert complex(val) == pytest.approx(complex(-1 + 1j) / (-2 + 1j))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfuns(6), st.lists(st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False), max_size=8),
+       st.lists(st.floats(-1e3, 1e3), max_size=4))
+@example(r=RatFun(Poly(), Poly.const(1)), zs=[1j, -2.5], xs=[0.0])
+@example(r=RatFun.from_points([0, 1], [Fraction(-1, 3), 2]), zs=[],
+         xs=[-1e3, 2.0])
+def test_eval_np_is_numpys_polyval_ratio(r, zs, xs):
+    """eval_np runs numpy's polyval recurrence: the same bits at complex
+    and real points, the origin and the rational poles included."""
+    polyval = np.polynomial.polynomial.polyval
+    nc, dc = r.num.float_coeffs() or [0.0], r.den.float_coeffs()
+    xs = np.array(xs + [0.0] + [float(x) for x, _m in r.real_poles
+                                if isinstance(x, Fraction)])
+    with np.errstate(all="ignore"):
+        for z in (np.array(zs + list(xs), dtype=complex), xs):
+            assert np.array_equal(r.eval_np(z),
+                                  polyval(z, nc) / polyval(z, dc),
+                                  equal_nan=True)
 
 
 def test_ord_and_laurent():

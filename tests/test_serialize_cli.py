@@ -609,6 +609,13 @@ R_JSON = {"num": ["0", "1"], "den": ["1", "0", "1"]}
     ("kappa", Q_JSON, ["--seed=-1"]),
     ("invert", Q_JSON, ["--interval=-1,1", "--eps-levels=0"]),
     ("invert", Q_JSON, ["--interval=-1,1", "--eps-levels=-1"]),
+    # exact data beyond the float range
+    ("kappa", {"num": [str(10 ** 400), "34", "1"], "den": ["10", "-2", "1"]},
+     []),
+    ("invert", {"alpha": "0", "beta": "0",
+                "atoms": [{"t": "0", "w": str(10 ** 400)}]},
+     ["--interval=-1,1"]),
+    ("invert", Q_JSON, [f"--interval=-{10 ** 400},1"]),
 ])
 def test_cli_invalid_input_is_one_error_line(tmp_path, capsys, verb, q,
                                              extra):
