@@ -190,6 +190,12 @@ def negative_squares_report(f, n_points: int = 40, trials: int = 5,
 PEAK_TRACK_RATIO = 10.0
 
 
+def _as_float(e) -> float:
+    """A float as it is, any other exact value correctly rounded by
+    as_float, which raises InvalidInput beyond the float range."""
+    return e if isinstance(e, float) else as_float(rat(e))
+
+
 @record
 class InversionConfig:
     eps_schedule: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -199,7 +205,7 @@ class InversionConfig:
     def __post_init__(self):
         if len(self.eps_schedule) > MAX_EPS_LEVELS:
             raise InvalidInput(f"at most {MAX_EPS_LEVELS} offset levels")
-        eps = tuple(float(e) for e in self.eps_schedule)
+        eps = tuple(map(_as_float, self.eps_schedule))
         if not eps:
             raise InvalidInput("need at least one offset level")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
@@ -329,8 +335,7 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
         raise InvalidInput("tolerance must be finite and nonnegative")
     _check_phi(phi, cfg)
     density = _boundary_density(f, phi)
-    c, d = (e if isinstance(e, float) else as_float(rat(e))
-            for e in cfg.interval)
+    c, d = map(_as_float, cfg.interval)
     if not c < d:
         raise InvalidInput("interval must be nondegenerate")
     peaks: list[float] = []
@@ -420,7 +425,7 @@ def gap_detect(f, interval, samples: int = 128, mass_tol: float = 1e-3) -> bool:
     boundary values look real and increasing along it.  Endpoints are padded
     inward so that boundary atoms do not count against the gap."""
     ev = as_evaluator(f)
-    c, d = float(interval[0]), float(interval[1])
+    c, d = map(_as_float, interval)
     pad = (d - c) * 1e-3
     cfg = InversionConfig(
         interval=(Fraction(c + pad).limit_denominator(10**9),

@@ -8,10 +8,11 @@ made only where a coefficient or a value is read out.  On top of it sits
 certified real-root location on the primitive integer form of a polynomial:
 its rational roots are found exactly by lifting its roots modulo a small
 prime p-adically, and the remaining real roots, those of the residual
-without rational roots, are separated by Sturm bisection on dyadic points
-into rational intervals, represented as lazy :class:`RealAlg` values, which
-refine their interval only as far as an exact sign query or comparison
-needs.
+without rational roots, are separated by Descartes' rule of signs on dyadic
+cells (Vincent-Collins-Akritas bisection) into rational intervals,
+represented as lazy :class:`RealAlg` values, which refine their interval
+only as far as an exact sign query or comparison needs.  Root counts read
+the same table.
 :func:`real_root_structure` is the one place where the real roots and
 conjugate-pair content of a polynomial are derived, as one table of
 (point, multiplicity) and (residual, multiplicity) pairs, memoised on the
@@ -554,7 +555,8 @@ def _rational_roots(a: IntPoly) -> list[Fraction]:
     the discriminant of a, unless a is not squarefree; once the product of
     such primes exceeds the Hadamard bound on the discriminant, InvalidInput
     is raised.  A square factor without rational roots may pass the search;
-    it stays in the residual, whose Sturm chain detects it."""
+    it stays in the residual, where :func:`isolate_real_roots` detects it by
+    a gcd with the derivative."""
     n, lead = len(a) - 1, a[-1]
     da = [i * c for i, c in enumerate(a)][1:]
     limit = ((math.isqrt(sum(c * c for c in a)) + 1) ** (n - 1)
@@ -598,12 +600,12 @@ def _deflate(a: IntPoly, u: int, v: int) -> IntPoly:
     return tuple(q)
 
 
-# -- Sturm machinery on primitive integer polynomials -------------------------
+# -- Real roots of primitive integer polynomials ------------------------------
 #
-# A polynomial is cleared of denominators and content, its Sturm chain is
-# built from sign-corrected pseudo-remainders, and every sign at a rational
-# u/v is read off the integer v^n a(u/v) by homogeneous Horner evaluation, so
-# no Fraction enters these loops.
+# A polynomial is cleared of denominators and content, every sign at a
+# rational u/v is read off the integer v^n a(u/v) by homogeneous Horner
+# evaluation, and the real roots are isolated by Descartes' rule of signs on
+# integer Taylor shifts, so the arithmetic on coefficients stays in ints.
 
 IntPoly = tuple[int, ...]   # ascending integer coefficients
 
@@ -655,43 +657,29 @@ def _neg_prem(a: IntPoly, b: IntPoly) -> IntPoly:
     return _primitive([-x for x in r])
 
 
-def sturm_chain(p: Poly) -> tuple[IntPoly, ...]:
-    """Sturm chain of p as primitive integer polynomials: p, p' and the
-    negated remainders, each a positive multiple of its classical term, so
-    sign variations are those of the classical chain."""
-    chain = [_primitive(p.n)]
-    nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
-    while nxt:
-        chain.append(nxt)
-        nxt = _neg_prem(chain[-2], chain[-1])
-    return tuple(chain)
+def _variations(a: Iterable[int]) -> int:
+    """Sign variations of the nonzero entries of a."""
+    s = [x > 0 for x in a if x]
+    return sum(x != y for x, y in zip(s, s[1:]))
 
 
-def _variations(signs: Iterable[int]) -> int:
-    nz = [s for s in signs if s]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _variations_at(chain: Sequence[IntPoly], x) -> int:
-    """Sign variations of the chain at the rational x, NEG_INF or INF."""
-    if x is NEG_INF or x is INF:
-        at_inf = -1 if x is NEG_INF else 1
-        return _variations((1 if a[-1] > 0 else -1)
-                           * (at_inf if len(a) % 2 == 0 else 1)
-                           for a in chain)
-    x = rat(x)
-    return _variations(_sign_at(a, x.numerator, x.denominator)
-                       for a in chain)
+def _taylor1(a: Sequence[int]) -> list[int]:
+    """a(x + 1), ascending, by Horner steps on the coefficients."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
 
 def count_real_roots(p: Poly, lo=NEG_INF, hi=INF) -> int:
-    """Number of distinct real roots of p in (lo, hi], when p is
-    squarefree or neither end is a multiple root of p.  The ends are
-    rationals, NEG_INF or INF."""
+    """Number of distinct real roots of p in (lo, hi]: the points of p's
+    table there.  The ends are rationals, NEG_INF or INF."""
     if p.degree < 1:
         return 0
-    chain = sturm_chain(p)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+    from .ratfun import RatFun     # ratfun builds on this module
+    return sum(point_cmp(lo, x) < 0 <= point_cmp(hi, x)
+               for x, _m in RatFun(p, Poly.const(1)).real_zeros)
 
 
 def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -700,55 +688,64 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     holding exactly one root, which is irrational.
 
     The rational roots are found directly by p-adic lifting, and only the
-    residual, which has no rational root, is separated by Sturm bisection
-    (:func:`_real_roots`).  Raises :class:`InvalidInput` when p is not
-    squarefree.
+    residual h, which has no rational root, is isolated by Descartes
+    bisection (:func:`_boxes`).  Raises :class:`InvalidInput` when p is not
+    squarefree: the p-adic search finds a multiple rational root, and
+    gcd(h, h') a multiple irrational or nonreal one.
     """
-    rats, _h, boxes = _real_roots(p)
-    return sorted([(r, r) for r in rats] + boxes)
+    if p.degree < 1:
+        return []
+    _a, rats, h, hp = _rational_split(p)
+    if gcd(hp, hp.deriv()).degree > 0:
+        raise InvalidInput("polynomial is not squarefree")
+    return sorted([(r, r) for r in rats] + _boxes(h, rats))
 
 
 def _real_roots(p: Poly) -> tuple[list[Fraction], Poly,
                                   list[tuple[Fraction, Fraction]]]:
     """The rational roots of a squarefree p, ascending; the residual h, p
     without its rational linear factors, monic; and isolating boxes of the
-    real roots of h, which each hold no rational root of p.
-
-    h has no rational root, so it is nonzero at every dyadic point u/2^e,
-    and Sturm bisection of its chain needs neither a root test nor a
-    Fraction: a box is a dyadic cell (u/2^e, (u+1)/2^e), with e < 0 for the
-    cells wider than 1, bisected until it holds one root of h and then only
-    while its closure holds a rational root of p.
-    """
+    real roots of h (:func:`_boxes`), which each hold no rational root of
+    p."""
     if p.degree < 1:
         return [], p, []
     _a, rats, h, hp = _rational_split(p)
+    return rats, hp, _boxes(h, rats)
+
+
+def _boxes(h: IntPoly, rats: Sequence[Fraction]
+           ) -> list[tuple[Fraction, Fraction]]:
+    """Isolating boxes of the real roots of a squarefree h without rational
+    roots, whose closures hold none of the rationals rats.
+
+    Vincent-Collins-Akritas bisection (Collins and Akritas 1976; Rouillier
+    and Zimmermann 2004) on dyadic cells (lo, lo + w): a cell carries
+    b(x) = h(lo + w x) in integers, and Descartes' rule bounds its roots in
+    (0, 1) by the sign variations of (x + 1)^n b(1/(x + 1)), exactly when
+    0 or 1.  A cell with one root is kept unless its closure holds one of
+    rats; that one and a cell with more are halved.  h has no rational
+    root, so none lies on a cell end.  The roots below 0 are those of h(-z)
+    above it, their cells mirrored."""
     if len(h) < 3:                  # h has no rational root, so no degree 1
-        return rats, hp, []
-    chain = sturm_chain(hp)
-    if len(chain[-1]) > 1:          # gcd(h, h') is not a constant
-        raise InvalidInput("polynomial is not squarefree")
-    if _variations_at(chain, NEG_INF) == _variations_at(chain, INF):
-        return rats, hp, []
-
-    def var(u: int, e: int) -> int:
-        x, v = _dyadic(u, e)
-        return _variations([_sign_at(c, x, v) for c in chain])
-
+        return []
     # every root of h lies in (-2^k, 2^k) (Cauchy)
     k = (max(abs(c) for c in h[:-1]) // abs(h[-1]) + 1).bit_length()
-    v_lo, v_mid, v_hi = var(-1, -k), var(0, 0), var(1, -k)
-    stack = [(-1, -k, v_lo, v_mid), (0, -k, v_mid, v_hi)]
     boxes = []
-    while stack:
-        u, e, v_lo, v_hi = stack.pop()
-        if v_lo - v_hi == 1:
-            boxes.append(_exclude(h, u, e, rats))
-        elif v_lo - v_hi > 1:
-            v_mid = var(2 * u + 1, e + 1)
-            stack.append((2 * u, e + 1, v_lo, v_mid))
-            stack.append((2 * u + 1, e + 1, v_mid, v_hi))
-    return rats, hp, boxes
+    for s in (1, -1):
+        stack = [(Fraction(0), Fraction(2**k),
+                  _primitive([c * s**i << k * i for i, c in enumerate(h)]))]
+        while stack:
+            lo, w, b = stack.pop()
+            v = _variations(_taylor1(b[::-1]))
+            box = (lo, lo + w) if s > 0 else (-lo - w, -lo)
+            if v == 1 and not any(box[0] <= r <= box[1] for r in rats):
+                boxes.append(box)
+            elif v:                 # halves: 2^n b(x/2) and its shift by 1
+                n = len(b) - 1
+                left = _primitive([c << n - i for i, c in enumerate(b)])
+                w /= 2
+                stack += [(lo, w, left), (lo + w, w, _taylor1(left))]
+    return boxes
 
 
 def _rational_split(p: Poly) -> tuple:
@@ -763,28 +760,6 @@ def _rational_split(p: Poly) -> tuple:
     return a, rats, h, _poly(h, h[-1])
 
 
-def _dyadic(u: int, e: int) -> tuple[int, int]:
-    """u/2^e as (numerator, positive denominator), for any int e."""
-    return (u, 1 << e) if e >= 0 else (u << -e, 1)
-
-
-def _exclude(h: IntPoly, u: int, e: int, rats: Sequence[Fraction]
-             ) -> tuple[Fraction, Fraction]:
-    """The cell (u/2^e, (u+1)/2^e), holding one root of h, bisected until
-    its closure holds none of the rationals rats, as Fractions."""
-    s_lo = None
-    while True:
-        (lo, v), (hi, _v) = _dyadic(u, e), _dyadic(u + 1, e)
-        if not any(lo * r.denominator <= r.numerator * v <= hi * r.denominator
-                   for r in rats):
-            return Fraction(lo, v), Fraction(hi, v)
-        if s_lo is None:
-            s_lo = _sign_at(h, lo, v)
-        u, e = 2 * u, e + 1
-        if _sign_at(h, *_dyadic(u + 1, e)) == s_lo:
-            u += 1                  # the root is right of the midpoint
-
-
 class RealAlg:
     """A real algebraic number: a squarefree defining polynomial with no
     rational roots (not necessarily irreducible) and an open isolating
@@ -794,7 +769,7 @@ class RealAlg:
     given; each query (:meth:`cmp_rat`, :meth:`cmp_alg`, :meth:`floor_div`,
     ``float``) bisects it only until its exact answer is decided, and no
     answer depends on how far earlier queries refined it.  :meth:`sign_of`
-    takes no Sturm sign: it locates the number among q's real roots.
+    counts no roots: it locates the number among q's real roots.
     The box only ever shrinks and is replaced in a single attribute write,
     so concurrent refinement from several threads stays consistent."""
 
@@ -831,12 +806,12 @@ class RealAlg:
 
     # -- queries ----------------------------------------------------------------
     def __float__(self):
-        """The correctly rounded double: bisect until both ends of the box
-        round to the same double."""
+        """The correctly rounded double, +-inf beyond the float range as
+        IEEE rounding gives: bisect until both ends of the box round to the
+        same double."""
         while True:
-            lo, hi = self.box
-            f = float(lo)
-            if f == float(hi):
+            f, g = (_round_float(x) for x in self.box)
+            if f == g:
                 return f
             self._step()
 
@@ -893,6 +868,14 @@ class RealAlg:
             if _changes_sign(g, max(alo, blo), min(ahi, bhi)):
                 return 0
             (self if ahi - alo >= bhi - blo else other)._step()
+
+
+def _round_float(x: Fraction) -> float:
+    """x correctly rounded to a double, +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _changes_sign(g: Poly, lo: Fraction, hi: Fraction) -> bool:
@@ -961,7 +944,7 @@ def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
     one above if ``right`` (with no poles, one if both), and no other: the
     zeros of a rational Nevanlinna function interlaced with its atoms.
     A cell without a rational root boxes an irrational root of the residual,
-    the outer cells cut at the Cauchy bound of p.  No Sturm chain is taken;
+    the outer cells cut at the Cauchy bound of p.  Nothing is bisected;
     records not one per cell and deg p in all raise InvariantViolation."""
     if p.degree < 1:
         return tuple((t, -1) for t in poles), ()

@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .classify import (_degree_one_step, chain_factorize, check_N00,
                        interlacing_factorize, membership,
                        negative_closed_pieces, pieces_disjoint,
@@ -18,8 +20,7 @@ from .classify import (_degree_one_step, chain_factorize, check_N00,
 from .gnev import GenNevFun, canonical_pair, canonical_rational
 from .nevfun import NevFun, _compose, is_nevanlinna, nevfun_from_ratfun
 from .oracle import negative_squares
-from .poly import (Poly, count_real_roots, isolate_real_roots,
-                   squarefree_decomposition)
+from .poly import Poly, isolate_real_roots, squarefree_decomposition
 from .qmath import QC
 from .ratfun import RatFun
 from .realize import (minimal_model, model_spectral_check, model_weyl,
@@ -175,12 +176,16 @@ def run_selftest(seed: int = 0):
                 roots = isolate_real_roots(g)
                 expect(all(g(lo) == 0 for lo, hi in roots if lo == hi),
                        f"rational roots of {g} are exact zeros")
-                expect(len(roots) == count_real_roots(g),
-                       f"roots of {g} number its Sturm count")
-                expect(all(count_real_roots(g, lo, hi) == 1
-                           for lo, hi in roots if lo != hi),
-                       f"each box of {g} holds one root")
-    check("p-adic rational roots agree with the Sturm count",
+                # numpy's roots of g, a root real when nearly so
+                real = sorted(z.real for z in np.roots(g.float_coeffs()[::-1])
+                              if abs(z.imag) <= 1e-7 * max(1, abs(z)))
+                expect(len(real) == len(roots),
+                       f"roots of {g} number numpy's real roots")
+                expect(all(lo - 1e-7 * max(1, abs(x)) <= x
+                           <= hi + 1e-7 * max(1, abs(x))
+                           for x, (lo, hi) in zip(real, roots)),
+                       f"each real root of {g} lies in its box")
+    check("p-adic rational roots and boxes agree with numpy's roots",
           chk_rational_roots)
 
     return ok_all, lines

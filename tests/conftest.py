@@ -6,9 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from nevkit.nevfun import NevFun
-from nevkit.poly import (Poly, RealAlg, _changes_sign, _sign_at,
-                         _variations_at, gcd, sturm_chain)
-from nevkit.qmath import QC
+from nevkit.poly import (IntPoly, Poly, RealAlg, _changes_sign, _neg_prem,
+                         _primitive, _sign_at, _variations, gcd)
+from nevkit.qmath import INF, NEG_INF, QC, rat
 from nevkit.ratfun import RatFun
 
 
@@ -74,6 +74,40 @@ def upper_half_points():
     return st.builds(QC.of, rationals(10, 4),
                      st.builds(Fraction, st.integers(1, 10),
                                st.integers(1, 4)))
+
+
+def sturm_chain(p: Poly) -> tuple[IntPoly, ...]:
+    """Sturm chain of p as primitive integer polynomials: p, p' and the
+    negated remainders, each a positive multiple of its classical term, so
+    sign variations are those of the classical chain.  The reference for
+    the root counts of the package, which read root tables instead."""
+    chain = [_primitive(p.n)]
+    nxt = _primitive([i * c for i, c in enumerate(chain[0])][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _neg_prem(chain[-2], chain[-1])
+    return tuple(chain)
+
+
+def _variations_at(chain, x) -> int:
+    """Sign variations of the chain at the rational x, NEG_INF or INF."""
+    if x is NEG_INF or x is INF:
+        at_inf = -1 if x is NEG_INF else 1
+        return _variations((1 if a[-1] > 0 else -1)
+                           * (at_inf if len(a) % 2 == 0 else 1)
+                           for a in chain)
+    x = rat(x)
+    return _variations(_sign_at(a, x.numerator, x.denominator)
+                       for a in chain)
+
+
+def sturm_count(p: Poly, lo=NEG_INF, hi=INF) -> int:
+    """Number of distinct real roots of p in (lo, hi] by its Sturm chain,
+    when p is squarefree or neither end is a multiple root of p."""
+    if p.degree < 1:
+        return 0
+    chain = sturm_chain(p)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def sturm_sign_of(x: RealAlg, q: Poly) -> int:

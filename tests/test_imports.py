@@ -3,8 +3,8 @@ a detector test on inline source:
 
 - every name a module imports is used in that module;
 - no module imports dataclasses;
-- only poly.py takes Sturm sequences, with the exceptions listed;
-- no method of RealAlg builds or reads a Sturm chain;
+- only poly.py isolates or counts real roots, with the exceptions listed;
+- no method of RealAlg isolates or counts real roots;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots,
   and they only by RatFun._table;
@@ -98,23 +98,23 @@ def test_no_module_imports_dataclasses():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-# Sturm sequences belong to poly.py: every other module reads real roots
-# from a root structure and signs from a critical table.  selftest checks
-# the isolation against the Sturm count.
-STURM_NAMES = {"count_real_roots", "sturm_chain", "isolate_real_roots"}
-STURM_ALLOWED = {("selftest.py", "count_real_roots"),
-                 ("selftest.py", "isolate_real_roots")}
+# Real roots are isolated and counted in poly.py: every other module reads
+# real roots from a root structure and signs from a critical table.
+# selftest checks the isolation against numpy's roots.
+ROOT_NAMES = {"count_real_roots", "isolate_real_roots", "_real_roots",
+              "_boxes"}
+ROOT_ALLOWED = {("selftest.py", "isolate_real_roots")}
 
 
-def _sturm_uses(source: str) -> list[tuple[str, int]]:
-    """Imports and attribute reads of the Sturm helpers, and calls of a
+def _root_uses(source: str) -> list[tuple[str, int]]:
+    """Imports and attribute reads of the root helpers, and calls of a
     ``.sign_of`` method, as (name, line)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             found += [(alias.name, node.lineno) for alias in node.names
-                      if alias.name in STURM_NAMES]
-        elif isinstance(node, ast.Attribute) and node.attr in STURM_NAMES:
+                      if alias.name in ROOT_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in ROOT_NAMES:
             found.append((node.attr, node.lineno))
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
@@ -123,32 +123,32 @@ def _sturm_uses(source: str) -> list[tuple[str, int]]:
     return sorted(found, key=lambda nl: (nl[1], nl[0]))
 
 
-def test_detector_finds_sturm_helpers():
-    src = ("from .poly import Poly, sturm_chain\n"
+def test_detector_finds_root_helpers():
+    src = ("from .poly import Poly, isolate_real_roots\n"
            "def f(t, p):\n"
            "    from . import poly\n"
            "    return t.sign_of(p) * poly.count_real_roots(p)\n")
-    assert _sturm_uses(src) == [("sturm_chain", 1), ("count_real_roots", 4),
-                                ("sign_of", 4)]
+    assert _root_uses(src) == [("isolate_real_roots", 1),
+                               ("count_real_roots", 4), ("sign_of", 4)]
 
 
-def test_only_poly_takes_sturm_sequences():
+def test_only_poly_isolates_or_counts_real_roots():
     found = {(path.name, name): line
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "poly.py"
-             for name, line in _sturm_uses(path.read_text())}
+             for name, line in _root_uses(path.read_text())}
     assert {key: line for key, line in found.items()
-            if key not in STURM_ALLOWED} == {}
+            if key not in ROOT_ALLOWED} == {}
 
 
-# Within poly.py, Sturm chains serve isolation and the independent count:
-# a real algebraic number answers every query from its box, and a sign
-# from the table of the polynomial it is asked about.
-REALALG_STURM = {"sturm_chain", "count_real_roots", "_variations_at"}
+# Within poly.py, no RealAlg method isolates or counts real roots: a real
+# algebraic number answers every query from its box, and a sign from the
+# table of the polynomial it is asked about.
+REALALG_ROOTS = ROOT_NAMES | {"_taylor1", "_variations"}
 
 
-def _method_sturm_uses(source: str, cls: str) -> list[tuple[str, int]]:
-    """Names and attributes among REALALG_STURM in the body of the class
+def _method_root_uses(source: str, cls: str) -> list[tuple[str, int]]:
+    """Names and attributes among REALALG_ROOTS in the body of the class
     ``cls``, as (name, line)."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -156,25 +156,25 @@ def _method_sturm_uses(source: str, cls: str) -> list[tuple[str, int]]:
             for n in ast.walk(node):
                 name = n.id if isinstance(n, ast.Name) else \
                     n.attr if isinstance(n, ast.Attribute) else None
-                if name in REALALG_STURM:
+                if name in REALALG_ROOTS:
                     found.append((name, n.lineno))
     return sorted(found, key=lambda nl: (nl[1], nl[0]))
 
 
-def test_detector_finds_sturm_chains_in_realalg():
-    src = ("def count(p):\n    return _variations_at(sturm_chain(p), 0)\n"
+def test_detector_finds_root_isolation_in_realalg():
+    src = ("def count(p):\n    return _variations(_taylor1(p))\n"
            "class RealAlg:\n    def sign_of(self, q):\n"
-           "        chain = sturm_chain(q)\n"
-           "        return poly.count_real_roots(q, 0, 1, chain)\n"
+           "        boxes = _boxes(q, [])\n"
+           "        return poly.count_real_roots(q, 0, 1)\n"
            "class Other:\n    def f(self, c):\n"
-           "        return _variations_at(c, 0)\n")
-    assert _method_sturm_uses(src, "RealAlg") == [("sturm_chain", 5),
-                                                  ("count_real_roots", 6)]
+           "        return _variations(c)\n")
+    assert _method_root_uses(src, "RealAlg") == [("_boxes", 5),
+                                                 ("count_real_roots", 6)]
 
 
-def test_realalg_takes_no_sturm_chain():
-    assert _method_sturm_uses((PACKAGE / "poly.py").read_text(),
-                              "RealAlg") == []
+def test_realalg_isolates_no_real_roots():
+    assert _method_root_uses((PACKAGE / "poly.py").read_text(),
+                             "RealAlg") == []
 
 
 def _calls(source: str, name: str) -> list[tuple[Optional[str], int]]:

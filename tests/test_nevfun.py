@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (nevfuns, rationals, small_polys, sturm_sign_of,
-                      upper_half_points)
+from conftest import (nevfuns, rationals, small_polys, sturm_count,
+                      sturm_sign_of, upper_half_points)
 import nevkit.nevfun
 from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
@@ -301,11 +301,11 @@ def test_herglotz_check_takes_no_sturm_sequence(monkeypatch):
         (RatFun(Poly.const(-1), Poly([-2, 0, 1]) ** 2), "multiple pole"),
     ]
     worked = WORKED.to_ratfun()
-    # each root structure is isolated once, by Sturm bisection where a
+    # each root structure is isolated once, by Descartes bisection where a
     # residual has irrational roots; the check itself only reads it
     for f in [worked, IRRATIONAL_ATOMS] + [f for f, _m in rejected]:
         f.critical_points()
-    for name in ("count_real_roots", "sturm_chain"):
+    for name in ("count_real_roots", "_boxes"):
         monkeypatch.setattr(poly, name, counted(name, getattr(poly, name)))
     monkeypatch.setattr(RealAlg, "sign_of",
                         counted("sign_of", RealAlg.sign_of))
@@ -324,7 +324,6 @@ def _sturm_herglotz_parts(f: RatFun):
     """The check as it read Sturm sequences: a count of the denominator's
     real roots, a gcd for the message and Sturm signs at irrational
     poles."""
-    from nevkit.poly import count_real_roots
     q, rem = f.num.divmod(f.den)
     if q.degree > 1:
         raise NotNevanlinna("superlinear growth at infinity")
@@ -334,7 +333,7 @@ def _sturm_herglotz_parts(f: RatFun):
     c0 = q.c[0] if not q.is_zero else Fraction(0)
     den = f.den
     dp = den.deriv()
-    if count_real_roots(den) != den.degree:
+    if sturm_count(den) != den.degree:
         raise NotNevanlinna("multiple pole" if gcd(den, dp).degree > 0
                             else "nonreal pole")
     pairs = []

@@ -454,7 +454,8 @@ def test_negative_squares_rejects_bad_settings(kwargs):
         negative_squares_report(MINUS_INV, **kwargs)
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf"),
+                                 Fraction(10 ** 400)])
 def test_inversion_config_rejects_bad_levels(eps):
     with pytest.raises(InvalidInput):
         InversionConfig(eps_schedule=(eps,))
@@ -464,3 +465,8 @@ def test_inversion_config_rejects_bad_levels(eps):
 def test_inversion_rejects_bad_tolerance(tol):
     with pytest.raises(InvalidInput):
         stieltjes_invert(MINUS_INV, InversionConfig(), tol=tol)
+
+
+def test_gap_detect_refuses_an_end_beyond_the_float_range():
+    with pytest.raises(InvalidInput, match="beyond the float range"):
+        gap_detect(NevFun.of(0, 1, []), (-10 ** 400, 1))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, small_polys, sturm_sign_of
+from conftest import (rationals, small_polys, sturm_chain, sturm_count,
+                      sturm_sign_of)
 import nevkit.poly
 from nevkit.corpus import random_plain_pair
 from nevkit.errors import ExactSplitUnavailable, InvalidInput
@@ -16,8 +18,7 @@ from nevkit.gnev import canonical_pair, canonical_rational
 from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
                          irreducible_factors, isolate_real_roots, point_cmp,
                          rational_between, rational_outside,
-                         real_root_structure, squarefree_decomposition,
-                         sturm_chain)
+                         real_root_structure, squarefree_decomposition)
 from nevkit.nevfun import NevFun
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun
@@ -437,6 +438,43 @@ def test_sturm_count():
     assert count_real_roots(p, NEG_INF, Fraction(0)) == 2
     no_real = P(1, 0, 1)
     assert count_real_roots(no_real) == 0
+    # an end at a double root, where a Sturm count does not hold
+    p = Poly.from_roots([1, 1, 2])
+    assert count_real_roots(p, Fraction(0), Fraction(1)) == 1
+    assert count_real_roots(p, Fraction(1), Fraction(2)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys(6), rationals(), rationals())
+def test_count_real_roots_matches_the_sturm_count(p, lo, hi):
+    """The points of p's table in (lo, hi] are as many as its Sturm count
+    gives, on the squarefree part of p so that no end is a multiple root."""
+    if p.degree >= 1:
+        p = p // gcd(p, p.deriv())
+    for a, b in [(lo, hi), (NEG_INF, hi), (lo, INF), (NEG_INF, INF)]:
+        if point_cmp(a, b) <= 0:
+            assert count_real_roots(p, a, b) == sturm_count(p, a, b)
+
+
+def test_isolation_without_rational_roots_takes_no_remainder(monkeypatch):
+    """Descartes bisection of a residual takes no pseudo-remainder: _real_roots
+    of SD_5 (z^2 + 1), squarefree without rational roots, calls _neg_prem
+    zero times."""
+    p = _swinnerton_dyer(5) * P(1, 0, 1)
+    calls = _counted(monkeypatch, "_neg_prem")
+    rats, h, boxes = nevkit.poly._real_roots(p)
+    assert (rats, len(boxes), calls) == ([], 32, {"_neg_prem": 0})
+    assert h == p.monic()
+
+
+def test_float_of_a_point_beyond_the_float_range_is_infinite():
+    """+-sqrt(x^2 + 1) lies just above |x|: below TOP it rounds to the
+    largest double, at TOP to infinity, as IEEE rounding gives."""
+    for x, want in [(TOP - 1, sys.float_info.max), (TOP, math.inf)]:
+        p = P(-(x * x + 1), 0, 1)
+        neg, pos = (RealAlg(p, lo, hi) for lo, hi in isolate_real_roots(p))
+        assert (float(neg), float(pos)) == (-want, want)
+    assert repr(pos) == "RealAlg~inf" and repr(neg) == "RealAlg~-inf"
 
 
 def test_isolation_and_realalg():
@@ -561,9 +599,9 @@ def _cmp_alg_by_counts(a: RealAlg, b: RealAlg) -> int:
         if g is None:
             g = gcd(a.p, b.p)
         lo, hi = max(alo, blo), min(ahi, bhi)
-        if (g.degree > 0 and count_real_roots(g, lo, hi) > 0
-                and count_real_roots(a.p, lo, hi) == 1
-                and count_real_roots(b.p, lo, hi) == 1):
+        if (g.degree > 0 and sturm_count(g, lo, hi) > 0
+                and sturm_count(a.p, lo, hi) == 1
+                and sturm_count(b.p, lo, hi) == 1):
             return 0
         (a if ahi - alo >= bhi - blo else b)._step()
 
@@ -642,9 +680,9 @@ def test_rational_outside():
     assert rational_outside(Fraction(5, 2)) == (Fraction(3, 2), Fraction(7, 2))
 
 
-def _sympy_roots(g: Poly) -> tuple[list[Fraction], int, object]:
+def _sympy_roots(g: Poly) -> tuple[list[Fraction], int]:
     """Rational roots and the number of irrational real roots of g from
-    sympy's factorization, and g as a sympy polynomial."""
+    sympy's factorization and count_roots."""
     import sympy
     sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                      for c in reversed(g.c)], sympy.Symbol("x"), domain="QQ")
@@ -656,18 +694,21 @@ def _sympy_roots(g: Poly) -> tuple[list[Fraction], int, object]:
             rational.append(Fraction(int(root.p), int(root.q)))
         else:
             irrational += f.count_roots()
-    return sorted(rational), irrational, sp
+    return sorted(rational), irrational
 
 
 def _check_isolation(g: Poly):
+    """The rational roots are sympy's and the boxes as many as sympy's
+    count_roots of the other factors.  Each box, disjoint from the others
+    and from the rational roots, has a sign change of g over it, so at
+    least one of those roots: with as many boxes as roots, exactly one."""
     got = isolate_real_roots(g)
-    rational, irrational, sp = _sympy_roots(g)
+    rational, irrational = _sympy_roots(g)
     assert [lo for lo, hi in got if lo == hi] == rational
     boxes = [(lo, hi) for lo, hi in got if lo != hi]
     assert len(boxes) == irrational
     for lo, hi in boxes:
-        assert lo < hi and g.eval_q(lo) != 0 and g.eval_q(hi) != 0
-        assert sp.count_roots(lo, hi) == 1
+        assert lo < hi and g.eval_q(lo) * g.eval_q(hi) < 0
     assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
     return got
 
@@ -675,21 +716,62 @@ def _check_isolation(g: Poly):
 BIG = 10**6
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)),
-                max_size=5),
-       st.lists(st.tuples(st.booleans(), st.integers(1, 50)), max_size=2))
-@example([(0, 1), (1, 3), (-2, 7), (1, 2)], [(True, 2), (False, 1)])
-@example([(BIG, BIG - 1), (BIG - 1, BIG - 2)], [(True, 3)])
-def test_integer_isolation_matches_sympy(linear, quadratic):
-    """Products of (b z - a) times optional z^2 - c and z^2 + c: the
-    rational roots are sympy's linear factors and every other real root of
-    the squarefree part gets one box."""
+def _product(linear, quadratic) -> Poly:
+    """The product of b z - a over (a, b) in linear and of z^2 - c or
+    z^2 + c over (real, c) in quadratic."""
     p = Poly.const(1)
     for a, b in linear:
         p = p * P(-a, b)
     for real, c in quadratic:
         p = p * P(-c if real else c, 0, 1)
+    return p
+
+
+def _mignotte(n: int, a: int) -> Poly:
+    """z^n - 2 (a z - 1)^2, irreducible by Eisenstein at 2, with two real
+    roots within about a^-(n+2)/2 of 1/a."""
+    return Poly([-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1])
+
+
+def _cluster(c: int, big: int) -> Poly:
+    """The product of big z^2 - (big c + j) for j = 0, 1, 2: six irrational
+    real roots, three within about 1/(big sqrt c) of each of +-sqrt(c)."""
+    return P(-big * c, 0, big) * P(-big * c - 1, 0, big) \
+        * P(-big * c - 2, 0, big)
+
+
+def _products():
+    """Products of (b z - a) times optional z^2 - c and z^2 + c."""
+    return st.builds(
+        _product,
+        st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)),
+                 max_size=5),
+        st.lists(st.tuples(st.booleans(), st.integers(1, 50)), max_size=2))
+
+
+def _dense():
+    """Dense integer polynomials up to degree 40, alone or times a cluster
+    of irrational roots, and Mignotte polynomials up to degree 40."""
+    def dense(top):
+        return st.integers(1, top).flatmap(lambda n: st.lists(
+            st.integers(-1000, 1000), min_size=n + 1, max_size=n + 1)) \
+            .map(Poly)
+    return st.one_of(
+        dense(40),
+        st.builds(lambda p, c, e: p * _cluster(c, 10 ** e), dense(34),
+                  st.sampled_from([2, 3, 5, 7, 10]), st.integers(3, 12)),
+        st.builds(_mignotte, st.integers(3, 40), st.integers(2, 100)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_products(), _dense()))
+@example(_product([(0, 1), (1, 3), (-2, 7), (1, 2)], [(True, 2), (False, 1)]))
+@example(_product([(BIG, BIG - 1), (BIG - 1, BIG - 2)], [(True, 3)]))
+@example(_mignotte(40, 100))
+@example(_cluster(2, 10 ** 12) * _mignotte(20, 10))
+def test_integer_isolation_matches_sympy(p):
+    """The rational roots of the squarefree part of p are sympy's linear
+    factors, and every other real root gets one box (_check_isolation)."""
     if p.degree < 1:
         assert isolate_real_roots(p) == []
         return
@@ -779,8 +861,8 @@ def _check_against_reference(g: Poly):
     for (lo, hi), (rlo, rhi) in zip(got, ref):
         if lo != hi:
             assert lo < hi and g.eval_q(lo) != 0 and g.eval_q(hi) != 0
-            assert count_real_roots(g, lo, hi) == 1
-            assert count_real_roots(g, max(lo, rlo), min(hi, rhi)) == 1
+            assert sturm_count(g, lo, hi) == 1
+            assert sturm_count(g, max(lo, rlo), min(hi, rhi)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -822,11 +904,14 @@ def test_isolation_matches_the_reference_on_plain_pairs():
 
 
 @pytest.mark.parametrize("p", [P(-2, 0, 1) ** 2,
-                               P(-1, 1) ** 2 * P(-2, 0, 1)])
+                               P(-1, 1) ** 2 * P(-2, 0, 1),
+                               P(1, 0, 1) ** 2 * P(-3, 0, 1)])
 def test_isolation_rejects_a_polynomial_that_is_not_squarefree(p):
-    # (z^2-2)^2: a square factor without rational roots reaches the Sturm
-    # chain; (z-1)^2 (z^2-2): a double rational root is a double root mod
-    # every prime, which ends the prime search at the discriminant bound
+    # (z^2-2)^2 and (z^2+1)^2 (z^2-3): a square factor without rational
+    # roots stays in the residual, whose gcd with its derivative finds it
+    # before any bisection; (z-1)^2 (z^2-2): a double rational root is a
+    # double root mod every prime, which ends the prime search at the
+    # discriminant bound
     with pytest.raises(InvalidInput, match="not squarefree"):
         isolate_real_roots(p)
 

@@ -136,6 +136,19 @@ def test_cli_chain(tmp_path):
     assert code2 == 2 and rep2["ok"] is False and rep2["kappa_tilde"] == 1
 
 
+def test_cli_chain_names_poles_beyond_the_float_range(tmp_path, capsys):
+    """The poles +-sqrt(10^701) of r lie beyond the float range: the
+    failed clauses name them as RealAlg~-inf and RealAlg~inf, as IEEE
+    rounding gives, in one report with exit status 2."""
+    r = {"num": ["1"], "den": [str(-10 ** 701), "0", "1"]}
+    code, rep = _run(tmp_path, "chain",
+                     {"in": {"alpha": "0", "beta": "1", "atoms": []}, "r": r})
+    assert code == 2 and rep["ok"] is False
+    assert [p for _c, p, _d in rep["failures"]] == ["0", "RealAlg~-inf",
+                                                    "RealAlg~inf"]
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_realize(tmp_path):
     code, rep = _run(tmp_path, "realize", {"in": WORKED_Q, "r": WORKED_R})
     assert code == 0
