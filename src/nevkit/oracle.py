@@ -114,8 +114,9 @@ def _first_point_sets(seed: int, trials: int, n_points: int):
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
-    """Per point set (last axis), whether every value is usable."""
-    return np.all(np.isfinite(vals) & (np.abs(vals) < 1e100), axis=-1)
+    """Per point set (last axis), whether every value is usable; a NaN or
+    infinite part fails the bound too, as hypot(nan, inf) is inf."""
+    return np.all(np.abs(vals) < 1e100, axis=-1)
 
 
 def negative_squares(f, n_points: int = 40, trials: int = 5,
@@ -227,12 +228,24 @@ class InversionResult:
     peaks: tuple[float, ...]
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """np.trapezoid(y, x) of flat arrays bit for bit: its operations, in
+    place and without its wrapper."""
+    s = y[1:] + y[:-1]
+    s *= x[1:] - x[:-1]
+    s /= 2.0
+    return float(s.sum())
+
+
 def _level_integral(density, c: float, d: float, eps: float,
-                    n: int, peaks: Sequence[float]):
+                    n: int, peaks: Sequence[float],
+                    detected: tuple[np.ndarray, np.ndarray] | None = None):
     """One boundary-offset level: base trapezoid plus substituted windows
     around known peaks so spikes of width eps stay resolved.  Returns the
     integral together with the peak positions re-located on the window
-    grids, which keeps the windows centered as eps shrinks."""
+    grids, which keeps the windows centered as eps shrinks.  detected, the
+    detection grid linspace(c, d, n) and the density on it at this eps,
+    is the base grid of a level without windows."""
     windows = []
     for p in peaks:
         w = max(2e3 * eps, 16 * (d - c) / n)
@@ -254,22 +267,30 @@ def _level_integral(density, c: float, d: float, eps: float,
     for lo, hi, p in merged:
         if cursor < lo:
             xs = np.linspace(cursor, lo, max(n // 8, 64))
-            total += float(np.trapezoid(density(xs, eps), xs))
-        # angle substitution x = p + eps*tan(theta) concentrates nodes at p
+            total += _trapezoid(density(xs, eps), xs)
+        # angle substitution x = p + eps*tan(theta) concentrates nodes at p,
+        # with dx/dtheta = eps (1 + tan(theta)^2)
         t_lo = np.arctan((lo - p) / eps)
         t_hi = np.arctan((hi - p) / eps)
         th = np.linspace(t_lo, t_hi, 2048)
-        xs = p + eps * np.tan(th)
-        jac = eps / np.cos(th) ** 2
+        tn = np.tan(th)
+        xs = p + eps * tn
         vals = density(xs, eps)
-        total += float(np.trapezoid(vals * jac, th))
+        jac = np.multiply(tn, tn, out=tn)
+        jac += 1
+        jac *= eps
+        jac *= vals
+        total += _trapezoid(jac, th)
         gs = np.abs(vals)
         top = float(np.max(gs))
         refined.extend(xs[_local_maxima(gs, 0.005 * top)].tolist())
         cursor = hi
-    if cursor < d:
+    if not merged and detected is not None:
+        xs, vals = detected
+        total += _trapezoid(vals, xs)
+    elif cursor < d:
         xs = np.linspace(cursor, d, n)
-        total += float(np.trapezoid(density(xs, eps), xs))
+        total += _trapezoid(density(xs, eps), xs)
     return total, refined
 
 
@@ -283,24 +304,30 @@ def _local_maxima(g: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _median(g: np.ndarray) -> float:
-    """np.median of a flat array by np.sort, several times faster than its
-    introselect on detection grids; a NaN sorts last and gives NaN."""
-    s, n = np.sort(g), len(g)
-    m = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
-    return float("nan") if np.isnan(s[-1]) else float(m)
+    """np.median of a flat array bit for bit, by one np.partition and
+    without its overhead: the lower half holds the other middle value of
+    an even length as its max, and a NaN, which sorts last, lands in the
+    upper half and gives NaN."""
+    n = len(g)
+    h = n // 2
+    part = np.partition(g, h)
+    m = part[h] if n % 2 else (np.max(part[:h]) + part[h]) / 2
+    return float("nan") if np.isnan(np.max(part[h:])) else float(m)
 
 
-def _detect_peaks(density, c: float, d: float, eps: float,
-                  n: int) -> list[float]:
-    xs = np.linspace(c, d, n)
-    g = np.abs(density(xs, eps))
+def _detect_peaks(density, xs: np.ndarray,
+                  eps: float) -> tuple[list[float], np.ndarray]:
+    """Peaks of |density| at eps on the detection grid xs, and the density
+    there."""
+    vals = density(xs, eps)
+    g = np.abs(vals)
     scale = max(_median(g), 1e-12)
     merged = []
     for p in xs[_local_maxima(g, 20 * scale)].tolist():
         if merged and abs(p - merged[-1]) < 10 * eps:
             continue
         merged.append(p)
-    return merged
+    return merged, vals
 
 
 def _boundary_density(f, phi) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -309,11 +336,24 @@ def _boundary_density(f, phi) -> Callable[[np.ndarray, float], np.ndarray]:
     eps^2 underflows; other input is evaluated in complex floating point."""
     if isinstance(f, NevFun) and phi is None:
         beta = as_float(f.beta) / np.pi
-        atoms = [(as_float(t), as_float(w) / np.pi) for t, w in f.sigma]
+        atoms = np.array([(as_float(t), as_float(w) / np.pi)
+                          for t, w in f.sigma]).reshape(-1, 2)
+        ts, ws = atoms[:, :1], atoms[:, 1:]
 
         def density(x: np.ndarray, eps: float) -> np.ndarray:
-            return sum((w / (eps * (1 + ((t - x) / eps) ** 2))
-                        for t, w in atoms), np.full(x.shape, beta * eps))
+            # one row per atom, each operation in place, and the rows added
+            # in atom order onto beta eps: the operations, and so the bits,
+            # of one term per atom
+            u = np.subtract(ts, x)
+            u /= eps
+            np.square(u, out=u)
+            u += 1
+            u *= eps
+            np.divide(ws, u, out=u)
+            out = np.full(x.shape, beta * eps)
+            for row in u:
+                out += row
+            return out
         return density
     ev = as_evaluator(f)
     phi_ev = None if phi is None else as_evaluator(phi)
@@ -340,15 +380,16 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
         raise InvalidInput("interval must be nondegenerate")
     peaks: list[float] = []
     per_level = []
-    spacing = (d - c) / cfg.quadrature_points
+    n = cfg.quadrature_points
+    spacing = (d - c) / n
     mid = 0.0
     with np.errstate(**_FLOAT_QUIET):
+        grid = np.linspace(c, d, n)
         if cfg.eps_schedule[0] < spacing:
             # spikes finer than the grid fall between its samples, so those of
             # a first level below the grid spacing are found at that spacing
             # and tracked down to the level like those of an earlier level
-            peaks = _detect_peaks(density, c, d, spacing,
-                                  cfg.quadrature_points)
+            peaks, _vals = _detect_peaks(density, grid, spacing)
             mid = spacing / PEAK_TRACK_RATIO
         for eps in cfg.eps_schedule:
             # a peak located at the last level is off by up to about that
@@ -356,16 +397,15 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
             # re-located at unrecorded offsets in between, lest the window of
             # the new level miss its spike
             while mid > eps * (1 + 1e-9):
-                _, refined = _level_integral(density, c, d, mid,
-                                             cfg.quadrature_points, peaks)
+                _, refined = _level_integral(density, c, d, mid, n, peaks)
                 if refined:
                     peaks = _merge_peaks([], sorted(refined), 3 * mid)
                 mid /= PEAK_TRACK_RATIO
             mid = eps / PEAK_TRACK_RATIO
-            found = _detect_peaks(density, c, d, eps, cfg.quadrature_points)
+            found, vals = _detect_peaks(density, grid, eps)
             peaks = _merge_peaks(peaks, found, 2 * spacing)
-            value, refined = _level_integral(density, c, d, eps,
-                                             cfg.quadrature_points, peaks)
+            value, refined = _level_integral(density, c, d, eps, n, peaks,
+                                             (grid, vals))
             if not np.isfinite(value):
                 raise NonConvergent(
                     f"level integral at offset {eps:.6g} is not finite")

@@ -14,8 +14,9 @@ from nevkit.errors import EvaluationFailure, InvalidInput, NonConvergent
 from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun
 from nevkit.oracle import (MAX_KERNEL_ENTRIES, InversionConfig,
-                           _first_point_sets, _gram, _local_maxima, _median,
-                           _sample_points, as_evaluator, build_kernel_sample,
+                           _finite, _first_point_sets, _gram, _local_maxima,
+                           _median, _sample_points, as_evaluator,
+                           build_kernel_sample,
                            gap_detect, negative_squares,
                            negative_squares_report, stieltjes_invert)
 from nevkit.poly import Poly
@@ -106,9 +107,9 @@ def test_only_long_steps_add_tracking_offsets(monkeypatch):
     offsets = []
     level = nevkit.oracle._level_integral
 
-    def recorded(density, c, d, eps, n, peaks):
+    def recorded(density, c, d, eps, n, peaks, *detected):
         offsets.append(eps)
-        return level(density, c, d, eps, n, peaks)
+        return level(density, c, d, eps, n, peaks, *detected)
 
     monkeypatch.setattr(nevkit.oracle, "_level_integral", recorded)
     cfg = InversionConfig()
@@ -147,8 +148,8 @@ def test_a_level_that_is_not_finite_is_named(schedule):
 
 def test_a_level_without_peaks_evaluates_its_grid_once():
     """Over (3, 4), away from the atom at 1, no level has a peak window:
-    each of the six levels evaluates the detection grid and the base
-    trapezoid, and no grid twice."""
+    each of the six levels evaluates the detection grid once, and its base
+    trapezoid reads those values."""
     ev = as_evaluator(NevFun.of(0, 0, [(1, 1)]))
     sizes = []
 
@@ -156,17 +157,67 @@ def test_a_level_without_peaks_evaluates_its_grid_once():
         sizes.append(len(z))
         return ev(z)
     res = stieltjes_invert(counted, InversionConfig(interval=(3, 4)))
-    assert sizes == [4096] * 12
+    assert sizes == [4096] * 6
     assert res.peaks == () and abs(res.value) < 1e-12
+
+
+def test_a_level_without_peaks_integrates_a_negative_density():
+    """-z has density -eps/pi: the base trapezoid reads the signed
+    detection values, not their absolute values."""
+    cfg = InversionConfig(interval=(3, 4))
+    res = stieltjes_invert(lambda z: -z, cfg)
+    assert res.peaks == ()
+    np.testing.assert_allclose(res.per_level,
+                               [-e / np.pi for e in cfg.eps_schedule],
+                               rtol=1e-12)
+
+
+def test_one_window_item_shares_its_grid_and_counts_its_density_calls(
+        monkeypatch):
+    """MINUS_INV over (-1/2, 1/2): every level detects on the one grid
+    built by the inversion; at 1e-2 and 1e-3 the window covers the
+    interval (detection and window), from 1e-4 on it leaves a base grid on
+    each side (detection, before, window, after)."""
+    calls, grids = [], []
+    boundary = nevkit.oracle._boundary_density
+    detect = nevkit.oracle._detect_peaks
+
+    def counted_boundary(f, phi):
+        density = boundary(f, phi)
+
+        def counted(x, eps):
+            calls.append(eps)
+            return density(x, eps)
+        return counted
+
+    def recorded(density, xs, eps):
+        grids.append(xs)
+        return detect(density, xs, eps)
+
+    monkeypatch.setattr(nevkit.oracle, "_boundary_density", counted_boundary)
+    monkeypatch.setattr(nevkit.oracle, "_detect_peaks", recorded)
+    cfg = InversionConfig(interval=(Fraction(-1, 2), Fraction(1, 2)))
+    res = stieltjes_invert(MINUS_INV, cfg)
+    assert len(grids) == 6 and all(g is grids[0] for g in grids)
+    assert [calls.count(e) for e in cfg.eps_schedule] == [2, 2, 4, 4, 4, 4]
+    assert len(calls) == 20 and abs(res.value - 1.0) < 1e-3
+
+
+def test_inverting_an_atom_free_nevfun_finds_no_mass():
+    res = stieltjes_invert(NevFun.of(0, 1, []), InversionConfig())
+    assert res.peaks == () and abs(res.value) < 1e-9
 
 
 @settings(max_examples=150)
 @given(q=nevfuns(max_atoms=5), exponent=st.floats(-12, -2),
        offsets=st.lists(st.integers(-40, 40), max_size=6))
+@example(q=NevFun.of(0, 0, []), exponent=-2.0, offsets=[])
+@example(q=NevFun.of(0, 1, []), exponent=-7.0, offsets=[])
 def test_closed_form_density_matches_the_complex_path(q, exponent, offsets):
     """The density a NevFun reads off its representation is the imaginary
     part of its complex evaluation over pi, on a grid through its atoms,
-    a few offsets from them and far from them."""
+    a few offsets from them and far from them; and it is, bit for bit, the
+    sum of one term per atom added in atom order onto beta eps / pi."""
     eps = 10.0 ** exponent
     atoms = [float(t) for t in q.sigma.positions]
     xs = np.array(atoms + [t + k * eps for t in atoms for k in offsets]
@@ -174,6 +225,10 @@ def test_closed_form_density_matches_the_complex_path(q, exponent, offsets):
     got = nevkit.oracle._boundary_density(q, None)(xs, eps)
     want = np.imag(as_evaluator(q)(xs + 1j * eps)) / np.pi
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    beta = float(q.beta) / np.pi
+    terms = [float(w) / np.pi / (eps * (1 + ((float(t) - xs) / eps) ** 2))
+             for t, w in q.sigma]
+    assert got.tobytes() == sum(terms, np.full(xs.shape, beta * eps)).tobytes()
 
 
 def test_inverting_a_nevfun_evaluates_it_only_under_a_weight(monkeypatch):
@@ -201,14 +256,40 @@ def test_inverting_a_nevfun_evaluates_it_only_under_a_weight(monkeypatch):
 @example(g=[1.0, 2.0], nan_at=1)
 @example(g=[1.0, 2.0, 3.0], nan_at=0)
 @example(g=[1e308, 1.5e308], nan_at=None)
+@example(g=[1.0, 2.0, 3.0], nan_at=3)
+@example(g=[], nan_at=0)
 def test_median_is_numpys_bit_for_bit(g, nan_at):
-    """Odd and even lengths, a NaN anywhere, and two middle values whose
-    sum overflows."""
+    """Odd and even lengths, a NaN anywhere (in the upper half of an even
+    length, or alone), and two middle values whose sum overflows."""
     if nan_at is not None:
         g.insert(nan_at, float("nan"))
     g = np.array(g)
     with np.errstate(over="ignore"):
         want, got = np.float64(np.median(g)), np.float64(_median(g))
+    assert got.tobytes() == want.tobytes()
+
+
+@given(y=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=40),
+       data=st.data())
+def test_trapezoid_is_numpys_bit_for_bit(y, data):
+    x = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(y),
+                                  max_size=len(y))))
+    y, x = np.array(y), np.array(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.float64(np.trapezoid(y, x))
+        got = np.float64(nevkit.oracle._trapezoid(y, x))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-7])
+def test_median_of_a_detection_grid_is_numpys_bit_for_bit(eps):
+    """An even-length grid as the inversion reads it: a 3-atom density over
+    4,096 points, spikes above a floor several decades lower."""
+    q = NevFun.of(1, 0, [(Fraction(-1, 3), 1), (Fraction(1, 7), 2),
+                         (Fraction(3, 5), Fraction(1, 2))])
+    xs = np.linspace(-1.0, 1.0, 4096)
+    g = np.abs(nevkit.oracle._boundary_density(q, None)(xs, eps))
+    want, got = np.float64(np.median(g)), np.float64(_median(g))
     assert got.tobytes() == want.tobytes()
 
 
@@ -278,6 +359,14 @@ def test_local_maxima_edges():
     assert _local_maxima(np.array([1.0, 2.0]), 0.0).tolist() == [False, True]
     assert _local_maxima(np.array([1.0, np.nan, 1.0]), 0.0).tolist() == \
         [False] * 3
+
+
+def test_finite_rejects_a_non_finite_part_by_its_modulus():
+    nan, inf = float("nan"), float("inf")
+    bad = [complex(nan, 0), complex(0, nan), complex(inf, 0), complex(0, -inf),
+           complex(nan, inf), complex(inf, nan), complex(1e100, 0)]
+    vals = np.array([[1 + 2j, v] for v in bad] + [[1 + 2j, 1e99j]])
+    assert _finite(vals).tolist() == [False] * len(bad) + [True]
 
 
 def _report_per_trial(f, n_points, trials, seed, tol_rel):
