@@ -11,7 +11,6 @@ Herglotz maps they and the chains are built from.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
@@ -21,7 +20,7 @@ from .errors import (GapViolated, InvalidInput, InvariantViolation,
 from .poly import (Poly, RealAlg, _deflate, _poly, compose_fractional,
                    interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
-                    LimitValue, as_float, fmt_rat, record)
+                    LimitValue, as_float, fmt_rat, is_float_point, record)
 from .ratfun import RatFun
 
 
@@ -123,19 +122,18 @@ class NevFun:
         return self.evaluate(z)
 
     def evaluate(self, z):
-        """The value at z.  Exact points, rationals and QC, go through
-        :meth:`to_ratfun` and its integer Horner evaluation, which raises
-        PoleHit at an atom; a complex float or a numpy array is evaluated
-        in floating point from the representation."""
-        np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
-        if isinstance(z, complex) or (np is not None
-                                      and isinstance(z, np.ndarray)):
-            acc = as_float(self.alpha) + as_float(self.beta) * z
-            for t, w in self.sigma:
-                tf, wf = as_float(t), as_float(w)
-                acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
-            return acc
-        return self.to_ratfun()(z)
+        """The value at z: a float point goes to :meth:`eval_np`, an exact
+        one (rational or QC) to :meth:`to_ratfun` and its integer Horner
+        evaluation, which raises PoleHit at an atom."""
+        return self.eval_np(z) if is_float_point(z) else self.to_ratfun()(z)
+
+    def eval_np(self, z):
+        """The value at a float point, from the representation."""
+        acc = as_float(self.alpha) + as_float(self.beta) * z
+        for t, w in self.sigma:
+            tf, wf = as_float(t), as_float(w)
+            acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
+        return acc
 
     # -- structure ------------------------------------------------------------------
     def num_den(self) -> tuple[Poly, Poly]:
@@ -383,24 +381,21 @@ def _herglotz_parts(f: RatFun):
     weight None at an irrational pole.  The poles come from f's root
     structure; at a simple irrational pole t the residue has the sign of f
     just right of t, its Laurent sign.  Raises NotNevanlinna."""
-    q, rem = f.num.divmod(f.den)
+    q = f.num // f.den
     if q.degree > 1:
         raise NotNevanlinna("superlinear growth at infinity")
-    beta = q.c[1] if q.degree == 1 else Fraction(0)
+    c0, beta = (q.c + (Fraction(0),) * 2)[:2]
     if beta < 0:
         raise NotNevanlinna("negative slope at infinity")
-    c0 = q.c[0] if not q.is_zero else Fraction(0)
     poles, blocks = f.real_poles, f.complex_pole_blocks
     if blocks or any(m > 1 for _x, m in poles):
         multiple = any(m > 1 for _x, m in poles + blocks)
         raise NotNevanlinna("multiple pole" if multiple else "nonreal pole")
-    dp = f.den.deriv()
     pairs = []
     for t, _m in poles:
-        # residue of rem/den at t is rem(t)/den'(t); need it negative, so
-        # weight w = -residue is positive
+        # the residue num(t)/den'(t) must be negative: w = -residue > 0
         if isinstance(t, Fraction):
-            resid = rem.eval_q(t) / dp.eval_q(t)
+            resid = _local(f.num, f.den, t)[1]
             if resid >= 0:
                 raise NotNevanlinna(f"nonnegative residue at {fmt_rat(t)}")
             pairs.append((t, -resid))
@@ -482,9 +477,7 @@ def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
         if e + eq < -1:
             raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
         if e + eq == -1:
-            # s's denominator is the monic z - b, so s's lead at b is s.num(b)
-            ls = s.num.eval_q(x) if x == b else _local(s.num, s.den, x)[1]
-            atoms.append((x, over_psi(x, -ls * lq)))
+            atoms.append((x, over_psi(x, -_local(s.num, s.den, x)[1] * lq)))
     atoms += [(t, over_psi(t, w * s.eval_q(t))) for t, w in q.sigma
               if t != a and t not in points]
     lhs, rhs = s.num * n, s.den * d

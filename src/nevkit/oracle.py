@@ -39,15 +39,11 @@ def as_evaluator(obj) -> Evaluator:
     """Vectorized complex evaluator for the function types or a callable."""
     if isinstance(obj, GenNevFun):
         return obj.to_ratfun().eval_np
-    if callable(obj) and not hasattr(obj, "evaluate") and not hasattr(obj, "eval_np"):
-        def f(z: np.ndarray) -> np.ndarray:
-            return np.asarray(obj(z), dtype=complex)
-        return f
     if hasattr(obj, "eval_np"):
         return obj.eval_np
-    if hasattr(obj, "evaluate"):
+    if callable(obj):
         def f(z: np.ndarray) -> np.ndarray:
-            return np.asarray(obj.evaluate(z), dtype=complex)
+            return np.asarray(obj(z), dtype=complex)
         return f
     raise TypeError(f"cannot build an evaluator from {obj!r}")
 
@@ -197,6 +193,16 @@ def _as_float(e) -> float:
     return e if isinstance(e, float) else as_float(rat(e))
 
 
+def _float_interval(interval) -> tuple[float, float]:
+    """The float ends c < d of an interval whose width is a float too."""
+    c, d = map(_as_float, interval)
+    if not c < d:
+        raise InvalidInput("interval must be nondegenerate")
+    if d - c == np.inf:
+        raise InvalidInput("interval width beyond the float range")
+    return c, d
+
+
 @record
 class InversionConfig:
     eps_schedule: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -321,7 +327,8 @@ def _detect_peaks(density, xs: np.ndarray,
     there."""
     vals = density(xs, eps)
     g = np.abs(vals)
-    scale = max(_median(g), 1e-12)
+    # an atom's spike at a grid's own spacing is lower on a wider grid
+    scale = max(_median(g), 1e-12 / max(1.0, xs[-1] - xs[0]))
     merged = []
     for p in xs[_local_maxima(g, 20 * scale)].tolist():
         if merged and abs(p - merged[-1]) < 10 * eps:
@@ -375,9 +382,7 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
         raise InvalidInput("tolerance must be finite and nonnegative")
     _check_phi(phi, cfg)
     density = _boundary_density(f, phi)
-    c, d = map(_as_float, cfg.interval)
-    if not c < d:
-        raise InvalidInput("interval must be nondegenerate")
+    c, d = _float_interval(cfg.interval)
     peaks: list[float] = []
     per_level = []
     n = cfg.quadrature_points
@@ -465,7 +470,7 @@ def gap_detect(f, interval, samples: int = 128, mass_tol: float = 1e-3) -> bool:
     boundary values look real and increasing along it.  Endpoints are padded
     inward so that boundary atoms do not count against the gap."""
     ev = as_evaluator(f)
-    c, d = map(_as_float, interval)
+    c, d = _float_interval(interval)
     pad = (d - c) * 1e-3
     cfg = InversionConfig(
         interval=(Fraction(c + pad).limit_denominator(10**9),

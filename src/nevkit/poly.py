@@ -33,7 +33,7 @@ from itertools import combinations, zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import ExactSplitUnavailable, InvalidInput, InvariantViolation
-from .qmath import INF, NEG_INF, QC, as_float, rat
+from .qmath import INF, NEG_INF, QC, as_float, is_float_point, rat
 
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
@@ -221,8 +221,8 @@ class Poly:
     def __call__(self, z):
         if isinstance(z, QC):
             return self.eval_qc(z)
-        if isinstance(z, complex):
-            return self.eval_c(z)
+        if is_float_point(z):
+            return self.eval_np(z)
         return self.eval_q(z)
 
     def eval_q(self, z) -> Fraction:
@@ -250,10 +250,12 @@ class Poly:
         den = self.d * w ** (len(self.n) - 1)
         return QC(Fraction(re, den), Fraction(im, den))
 
-    def eval_c(self, z: complex) -> complex:
-        acc = 0j
-        for a in reversed(self.float_coeffs()):
-            acc = acc * z + a
+    def eval_np(self, z):
+        """p(z) at a float point by numpy's polyval recurrence."""
+        c = self.float_coeffs() or [0.0]
+        acc = c[-1] + z * 0
+        for a in reversed(c[:-1]):
+            acc = a + acc * z
         return acc
 
     def float_coeffs(self) -> list[float]:

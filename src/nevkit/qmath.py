@@ -12,6 +12,7 @@ and interval ends.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
@@ -89,6 +90,13 @@ def as_float(x, d: int = 1) -> float:
         return x.numerator / (x.denominator * d)
     except OverflowError:
         raise InvalidInput("exact value beyond the float range") from None
+
+
+def is_float_point(z) -> bool:
+    """Whether z is a point of floating-point evaluation: a complex float,
+    or a numpy array, which exists only once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return isinstance(z, (complex, np.ndarray) if np else complex)
 
 
 def parse_rat(s: str) -> Fraction:

@@ -29,7 +29,6 @@ to a gcd.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
@@ -39,7 +38,8 @@ from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
                      InvalidInput, PoleHit)
 from .poly import (Poly, RealAlg, RPoint, _deflate, _poly, compose_fractional,
                    gcd, point_cmp, rat, real_root_structure)
-from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, record
+from .qmath import (INF, NEG_INF, QC, ExtSymbol, fmt_rat, is_float_point,
+                    record)
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
 
@@ -214,10 +214,7 @@ class RatFun:
     def __call__(self, z):
         if isinstance(z, QC):
             return self.eval_qc(z)
-        if isinstance(z, complex):
-            return self.eval_c(z)
-        np = sys.modules.get("numpy")   # an ndarray means numpy is loaded
-        if np is not None and isinstance(z, np.ndarray):
+        if is_float_point(z):
             return self.eval_np(z)
         return self.eval_q(z)
 
@@ -234,18 +231,9 @@ class RatFun:
             raise PoleHit("evaluation at complex pole")
         return self.num.eval_qc(z) / d
 
-    def eval_c(self, z: complex) -> complex:
-        return self.num.eval_c(z) / self.den.eval_c(z)
-
-    def eval_np(self, z: np.ndarray) -> np.ndarray:
-        """num(z) / den(z) by numpy's polyval recurrence, bit for bit."""
-        def polyval(c):
-            acc = c[-1] + z * 0
-            for a in reversed(c[:-1]):
-                acc = a + acc * z
-            return acc
-        return polyval(self.num.float_coeffs() or [0.0]) \
-            / polyval(self.den.float_coeffs())
+    def eval_np(self, z):
+        """num(z) / den(z) in floating point, see :meth:`Poly.eval_np`."""
+        return self.num.eval_np(z) / self.den.eval_np(z)
 
     # -- root bookkeeping -------------------------------------------------------------
     def _num_roots(self) -> tuple:

@@ -155,10 +155,8 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
 
     rq = rep.product
 
-    zeta_map = {}                   # pole -> acquired mass, INF included
-    for b in poles_enum:
-        if b not in zeta_map:
-            zeta_map[b] = rq.limit_at(b, "residue").value
+    zeta_map = {b: rq.beta if b is INF else rq.sigma.weight_at(b)
+                for b in poles_enum}    # pole -> acquired mass, INF too
     zetas = list(zeta_map.items())
     if any(z < 0 for _, z in zetas):
         raise InvariantViolation("negative acquired point mass")
@@ -181,18 +179,10 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     if beta_e != rq.beta:
         raise InvariantViolation("mass at infinity disagrees with the product")
 
-    omega_sq = []
-    for t, _w in kept:
-        val = abs(r.eval_q(t))
-        if a_n is not INF:
-            val = val / (t - a_n) ** 2
-        omega_sq.append((t, val))
-    for b, _one in new_atoms:
-        val = zeta_map[b]
-        if a_n is not INF:
-            val = val / (b - a_n) ** 2
-        omega_sq.append((b, val))
-    omega_sq.sort()
+    masses = ([(t, abs(r.eval_q(t))) for t, _w in kept]
+              + [(b, zeta_map[b]) for b, _one in new_atoms])
+    omega_sq = sorted((t, v if a_n is INF else v / (t - a_n) ** 2)
+                      for t, v in masses)
 
     eta_out = rq.c0 if a_n is INF else rq.evaluate(a_n)
     model_out = L2Model(beta_e, sigma_e, a_n, eta_out, tuple(omega_sq),

@@ -1,8 +1,9 @@
-"""Thirteen rules on the package source, each read off its AST and each with
+"""Fourteen rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
 - no module imports dataclasses;
+- only qmath.py reads sys.modules;
 - only poly.py isolates or counts real roots, with the exceptions listed;
 - no method of RealAlg isolates or counts real roots;
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
@@ -95,6 +96,32 @@ def test_no_module_imports_dataclasses():
     methods it compiles with exec cost every process at start-up."""
     found = {path.name: _dataclasses_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Whether numpy is loaded is asked in one place, qmath.is_float_point, which
+# tells every float evaluator's dispatch what a float point is.
+def _sys_modules_reads(source: str) -> list[int]:
+    """The lines that read sys.modules or import it from sys."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "modules"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys"
+        and any(a.name == "modules" for a in node.names))
+
+
+def test_detector_finds_sys_modules_reads():
+    src = ("import sys\nfrom sys import modules as m, path\n"
+           "def f(z):\n    np = sys.modules.get('numpy')\n"
+           "    return sys.path, m, np\n")
+    assert _sys_modules_reads(src) == [2, 4]
+
+
+def test_only_qmath_reads_sys_modules():
+    found = {path.name: _sys_modules_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "qmath.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

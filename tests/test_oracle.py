@@ -235,13 +235,13 @@ def test_inverting_a_nevfun_evaluates_it_only_under_a_weight(monkeypatch):
     """Without a weight the inversion reads the closed-form density and
     never evaluates the NevFun; with one, both go through as_evaluator."""
     calls = []
-    evaluate = NevFun.evaluate
+    eval_np = NevFun.eval_np
 
     def counted(self, z):
         calls.append(1)
-        return evaluate(self, z)
+        return eval_np(self, z)
 
-    monkeypatch.setattr(NevFun, "evaluate", counted)
+    monkeypatch.setattr(NevFun, "eval_np", counted)
     cfg = InversionConfig(interval=(Fraction(-1, 2), Fraction(1, 2)))
     res = stieltjes_invert(MINUS_INV, cfg)
     assert calls == [] and abs(res.value - 1.0) < 1e-3
@@ -559,3 +559,19 @@ def test_inversion_rejects_bad_tolerance(tol):
 def test_gap_detect_refuses_an_end_beyond_the_float_range():
     with pytest.raises(InvalidInput, match="beyond the float range"):
         gap_detect(NevFun.of(0, 1, []), (-10 ** 400, 1))
+
+
+def test_gap_detect_refuses_a_width_beyond_the_float_range():
+    """Both ends are floats but their difference is not, so the inward pad
+    would overflow."""
+    with pytest.raises(InvalidInput, match="width beyond the float range"):
+        gap_detect(MINUS_INV, (-10 ** 308, 10 ** 308))
+
+
+@pytest.mark.parametrize("k", [12, 14, 16, 30])
+def test_inversion_finds_a_unit_atom_on_a_wide_interval(k):
+    """The detection floor falls with a width above 1, so the spike of -1/z
+    at 0 is found over (-10^k, 10^k), not only up to k = 12."""
+    cfg = InversionConfig(interval=(-10 ** k, 10 ** k))
+    res = stieltjes_invert(MINUS_INV, cfg)
+    assert abs(res.value - 1.0) < 1e-6 and len(res.peaks) == 1

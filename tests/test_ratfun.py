@@ -272,22 +272,46 @@ def test_eval_exact_and_pole():
 @settings(max_examples=200, deadline=None)
 @given(ratfuns(6), st.lists(st.complex_numbers(
     max_magnitude=1e3, allow_nan=False, allow_infinity=False), max_size=8),
-       st.lists(st.floats(-1e3, 1e3), max_size=4))
-@example(r=RatFun(Poly(), Poly.const(1)), zs=[1j, -2.5], xs=[0.0])
+       st.lists(st.floats(-1e3, 1e3), max_size=4), nevfuns())
+@example(r=RatFun(Poly(), Poly.const(1)), zs=[1j, -2.5], xs=[0.0],
+         q=NevFun.of(0, 0, []))
 @example(r=RatFun.from_points([0, 1], [Fraction(-1, 3), 2]), zs=[],
-         xs=[-1e3, 2.0])
-def test_eval_np_is_numpys_polyval_ratio(r, zs, xs):
-    """eval_np runs numpy's polyval recurrence: the same bits at complex
-    and real points, the origin and the rational poles included."""
+         xs=[-1e3, 2.0], q=NevFun.of(0, 1, [(0, 1)]))
+def test_eval_np_is_numpys_polyval_ratio(r, zs, xs, q):
+    """Poly.eval_np runs numpy's polyval recurrence and RatFun.eval_np
+    divides two of them: the same bits at complex and real points, the
+    origin and the rational poles included.  At a complex scalar, Poly,
+    RatFun and NevFun call their eval_np, which agrees with a one-point
+    array up to rounding: numpy's array loops fuse multiply-adds and divide
+    by a reciprocal, CPython's complex arithmetic does neither."""
     polyval = np.polynomial.polynomial.polyval
     nc, dc = r.num.float_coeffs() or [0.0], r.den.float_coeffs()
     xs = np.array(xs + [0.0] + [float(x) for x, _m in r.real_poles
                                 if isinstance(x, Fraction)])
     with np.errstate(all="ignore"):
         for z in (np.array(zs + list(xs), dtype=complex), xs):
-            assert np.array_equal(r.eval_np(z),
-                                  polyval(z, nc) / polyval(z, dc),
-                                  equal_nan=True)
+            num, den = polyval(z, nc), polyval(z, dc)
+            assert np.array_equal(r.num.eval_np(z), num, equal_nan=True)
+            assert np.array_equal(r.den.eval_np(z), den, equal_nan=True)
+            assert np.array_equal(r.eval_np(z), num / den, equal_nan=True)
+
+    def close(scalar, one_point, scale):
+        assert abs(scalar - one_point[0]) <= 1e-13 * scale
+
+    for z in map(complex, zs):
+        one = np.array([z])
+        for p in (r.num, r.den):
+            assert p(z) == p.eval_np(z)
+            close(p(z), p.eval_np(one),
+                  sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.c)))
+        if r.den(z) != 0:
+            assert r(z) == r.eval_np(z) == r.num(z) / r.den(z)
+        terms = [abs(float(w)) * (1 / abs(float(t) - z) + abs(float(t)))
+                 for t, w in q.sigma if float(t) != z]
+        if len(terms) == len(q.sigma):
+            assert q(z) == q.evaluate(z) == q.eval_np(z)
+            close(q(z), q.eval_np(one),
+                  abs(float(q.alpha)) + float(q.beta) * abs(z) + sum(terms))
 
 
 def test_ord_and_laurent():

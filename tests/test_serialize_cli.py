@@ -290,6 +290,23 @@ def test_cli_invert_overflow_prints_one_line(tmp_path):
                            "1e-310 is not finite\n")
 
 
+def test_cli_invert_refuses_a_width_beyond_the_float_range(tmp_path):
+    """Both ends of (-10^308, 10^308) are floats, its width is not: the
+    grid spacing would be infinite and never shrink below an offset, so
+    the interval is refused at once (in a child with a timeout)."""
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps({"alpha": "0", "beta": "0",
+                             "atoms": [{"t": "0", "w": "1"}]}))
+    big = 10 ** 308
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevkit.cli", "invert", "--in", str(p),
+         f"--interval=-{big},{big}"],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: InvalidInput: interval width beyond the "
+                           "float range\n")
+
+
 @pytest.mark.parametrize("text, value", [
     ("7", Fraction(7)), (" -3/4 ", Fraction(-3, 4)), ("2.5", Fraction(5, 2)),
     ("-0.125", Fraction(-1, 8))])
