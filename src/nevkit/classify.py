@@ -264,28 +264,17 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
                          "function vanishes where multiplier is negative"))
 
     # local clauses at the finite zeros and poles of r of order <= 2
-    for x, m in r.real_zeros:
-        if m == 2:
-            if q_rat.ord_at(x) >= 0:
-                failures.append(("ii(a)", x,
-                                 "double zero is not an isolated pole"))
-            if r.laurent_lead_sign(x) >= 0:
-                failures.append(("ii(a)", x,
-                                 "double zero has nonnegative local limit"))
-        elif m == 1:
-            if not _order_one_clause(q_rat, r, x, is_zero=True):
-                failures.append(("ii(b)", x, "zero-side limit sign"))
-    for x, m in r.real_poles:
-        if m == 2:
-            if q_rat.ord_at(x) <= 0:
-                failures.append(("ii(a)", x,
-                                 "double pole is not an isolated zero"))
-            if r.laurent_lead_sign(x) >= 0:
-                failures.append(("ii(a)", x,
-                                 "double pole has nonnegative local limit"))
-        elif m == 1:
-            if not _order_one_clause(q_rat, r, x, is_zero=False):
-                failures.append(("ii(b)", x, "pole-side limit sign"))
+    for k, kind, other in ((1, "zero", "pole"), (-1, "pole", "zero")):
+        for x, m in r.real_zeros if k > 0 else r.real_poles:
+            if m == 2:
+                if k * q_rat.ord_at(x) >= 0:
+                    failures.append(("ii(a)", x, f"double {kind} is not an "
+                                     f"isolated {other}"))
+                if r.laurent_lead_sign(x) >= 0:
+                    failures.append(("ii(a)", x, f"double {kind} has "
+                                     "nonnegative local limit"))
+            elif m == 1 and not _order_one_clause(q_rat, r, x, k > 0):
+                failures.append(("ii(b)", x, f"{kind}-side limit sign"))
 
     try:
         pair = canonical_pair(r * q_rat)
@@ -322,29 +311,23 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
 
     form_i = is_nevanlinna(g_rat)
 
-    ok_ii = not _negative_at(s, q.support() + _zero_points(q))
-    for x, _m in s.real_zeros:
-        e = g_rat.ord_at(x)
-        if _zero_type_mult(max(e, 0), g_rat.laurent_lead_sign(x)):
-            ok_ii = False
-    for x, _m in s.real_poles:
-        e = g_rat.ord_at(x)
-        if _zero_type_mult(max(-e, 0), -g_rat.laurent_lead_sign(x)):
-            ok_ii = False
-    form_ii = ok_ii
+    form_ii = not _negative_at(s, q.support() + _zero_points(q))
+    for x, k in s.critical_points():        # k = +-1: s is simple
+        if _zero_type_mult(max(k * g_rat.ord_at(x), 0),
+                           k * g_rat.laurent_lead_sign(x)):
+            form_ii = False
 
     form_iii = _interval_form(q, s)
 
-    ok_iv = not _negative_at(s, q.support())
+    form_iv = not _negative_at(s, q.support())
     for x, _m in s.real_poles:
         e = g_rat.ord_at(x)
         if e < -1 or (e == -1 and g_rat.laurent_lead_sign(x) > 0):
-            ok_iv = False
+            form_iv = False
     if s.ord_at_inf() < 0:
         d = g_rat.num.degree - g_rat.den.degree
         if d > 1 or (d == 1 and g_rat.gamma < 0):
-            ok_iv = False
-    form_iv = ok_iv
+            form_iv = False
 
     return form_i, form_ii, form_iii, form_iv
 

@@ -16,7 +16,7 @@ from functools import cached_property, partial
 from typing import Optional
 
 from .errors import (GapViolated, InvalidInput, InvariantViolation,
-                     NotNevanlinna, NotRationalAtoms)
+                     NotNevanlinna, NotRationalAtoms, PoleHit)
 from .poly import (Poly, RealAlg, _deflate, _poly, compose_fractional,
                    interlaced_root_structure, rat)
 from .qmath import (INF, LIM_INF, LIM_NEG_INF, LIM_POS_INF, NEG_INF,
@@ -128,11 +128,15 @@ class NevFun:
         return self.eval_np(z) if is_float_point(z) else self.to_ratfun()(z)
 
     def eval_np(self, z):
-        """The value at a float point, from the representation."""
+        """The value at a float point, from the representation: at an atom
+        a complex scalar raises PoleHit, an array gives inf or nan."""
         acc = as_float(self.alpha) + as_float(self.beta) * z
         for t, w in self.sigma:
             tf, wf = as_float(t), as_float(w)
-            acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
+            try:
+                acc = acc + wf / (tf - z) - wf * tf / (1 + tf * tf)
+            except ZeroDivisionError:
+                raise PoleHit("float evaluation at an atom") from None
         return acc
 
     # -- structure ------------------------------------------------------------------

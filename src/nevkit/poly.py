@@ -697,22 +697,11 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     """
     if p.degree < 1:
         return []
-    _a, rats, h, hp = _rational_split(p)
+    rats, h = _rational_split(_primitive(p.n))
+    hp = _poly(h)
     if gcd(hp, hp.deriv()).degree > 0:
         raise InvalidInput("polynomial is not squarefree")
     return sorted([(r, r) for r in rats] + _boxes(h, rats))
-
-
-def _real_roots(p: Poly) -> tuple[list[Fraction], Poly,
-                                  list[tuple[Fraction, Fraction]]]:
-    """The rational roots of a squarefree p, ascending; the residual h, p
-    without its rational linear factors, monic; and isolating boxes of the
-    real roots of h (:func:`_boxes`), which each hold no rational root of
-    p."""
-    if p.degree < 1:
-        return [], p, []
-    _a, rats, h, hp = _rational_split(p)
-    return rats, hp, _boxes(h, rats)
 
 
 def _boxes(h: IntPoly, rats: Sequence[Fraction]
@@ -730,8 +719,7 @@ def _boxes(h: IntPoly, rats: Sequence[Fraction]
     above it, their cells mirrored."""
     if len(h) < 3:                  # h has no rational root, so no degree 1
         return []
-    # every root of h lies in (-2^k, 2^k) (Cauchy)
-    k = (max(abs(c) for c in h[:-1]) // abs(h[-1]) + 1).bit_length()
+    k = _cauchy(h)
     boxes = []
     for s in (1, -1):
         stack = [(Fraction(0), Fraction(2**k),
@@ -750,16 +738,21 @@ def _boxes(h: IntPoly, rats: Sequence[Fraction]
     return boxes
 
 
-def _rational_split(p: Poly) -> tuple:
-    """The primitive integer coefficients a of a nonconstant p, its
-    rational roots ascending, and the residual, a without its rational
-    linear factors, as integers h and as the monic Poly hp."""
-    a = _primitive(p.n)
+def _rational_split(a: IntPoly) -> tuple[list[Fraction], IntPoly]:
+    """The rational roots of the primitive integer polynomial a of positive
+    degree, ascending, and the residual h, a without its rational linear
+    factors, in integers."""
     rats = _rational_roots(a)
     h = a
     for r in rats:
         h = _deflate(h, r.numerator, r.denominator)
-    return a, rats, h, _poly(h, h[-1])
+    return rats, h
+
+
+def _cauchy(a: IntPoly) -> int:
+    """The k, for a of positive degree, such that every root of a lies in
+    (-2^k, 2^k) (Cauchy)."""
+    return (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
 
 
 class RealAlg:
@@ -775,17 +768,15 @@ class RealAlg:
     The box only ever shrinks and is replaced in a single attribute write,
     so concurrent refinement from several threads stays consistent."""
 
-    __slots__ = ("p", "box", "_ints", "_lo_neg")
+    __slots__ = ("p", "box", "_lo_neg")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        ints = _primitive(p.n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "box", (lo, hi))
-        object.__setattr__(self, "_ints", ints)
         # inside the box p has one sign left of the root, so the sign at
-        # the first lo holds at every later lo
+        # the first lo holds at every later lo; p.n is d p, d > 0
         object.__setattr__(self, "_lo_neg",
-                           _sign_at(ints, lo.numerator, lo.denominator) < 0)
+                           _sign_at(p.n, lo.numerator, lo.denominator) < 0)
 
     def __setattr__(self, *a):
         raise AttributeError("RealAlg is immutable")
@@ -795,7 +786,7 @@ class RealAlg:
         the number; return the sign of (self - x)."""
         lo, hi = self.box
         # p has no rational roots, so p(x) != 0
-        if (_sign_at(self._ints, x.numerator, x.denominator) < 0) \
+        if (_sign_at(self.p.n, x.numerator, x.denominator) < 0) \
                 == self._lo_neg:
             object.__setattr__(self, "box", (x, hi))
             return 1
@@ -917,23 +908,23 @@ def real_root_structure(p: Poly) -> tuple:
     as (monic residual h, multiplicity), the shape of
     :func:`interlaced_root_structure`.
 
-    The real roots of each squarefree part g are isolated once, by the
-    helper of :func:`isolate_real_roots`: rational roots are exact points,
-    and the residual h it divides out, g without its rational linear
-    factors, gives the rest.  Each irrational real root becomes a
-    :class:`RealAlg` point on h, and when h also has nonreal roots it is a
-    block, whose (deg h - its RealAlg points) / 2 pairs nothing here splits
-    off: nothing is factored.  The result is memoised on the value of p and
-    shared, so it is immutable; the isolating boxes of its RealAlg points
-    only ever shrink.
+    The real roots of each squarefree part g are isolated once, as by
+    :func:`isolate_real_roots`: rational roots are exact points, and the
+    residual h, g without its rational linear factors, gives the rest.
+    Each irrational real root becomes a :class:`RealAlg` point on h, and
+    when h also has nonreal roots it is a block, whose (deg h - its RealAlg
+    points) / 2 pairs nothing here splits off: nothing is factored.  The
+    result is memoised on the value of p and shared, so it is immutable;
+    the isolating boxes of its RealAlg points only ever shrink.
     """
     points, blocks = [], []
     for g, m in squarefree_decomposition(p):
-        rats, h, boxes = _real_roots(g)
+        rats, h = _rational_split(_primitive(g.n))
+        boxes, hp = _boxes(h, rats), _poly(h, h[-1])
         points += [(r, m) for r in rats]
-        points += [(RealAlg(h, lo, hi), m) for lo, hi in boxes]
-        if len(boxes) < h.degree:
-            blocks.append((h, m))
+        points += [(RealAlg(hp, lo, hi), m) for lo, hi in boxes]
+        if len(boxes) < hp.degree:
+            blocks.append((hp, m))
     points.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
     return tuple(points), tuple(blocks)
 
@@ -950,8 +941,9 @@ def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
     records not one per cell and deg p in all raise InvariantViolation."""
     if p.degree < 1:
         return tuple((t, -1) for t in poles), ()
-    a, rats, _h, hp = _rational_split(p)
-    k = (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
+    a = _primitive(p.n)
+    rats, h = _rational_split(a)
+    hp, k = _poly(h, h[-1]), _cauchy(a)
     ends = [Fraction(-2**k)] + list(poles) + [Fraction(2**k)]
     table = []                              # every root in (-2^k, 2^k)
     for i, (lo, hi) in enumerate(zip(ends, ends[1:])):

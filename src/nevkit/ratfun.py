@@ -232,8 +232,12 @@ class RatFun:
         return self.num.eval_qc(z) / d
 
     def eval_np(self, z):
-        """num(z) / den(z) in floating point, see :meth:`Poly.eval_np`."""
-        return self.num.eval_np(z) / self.den.eval_np(z)
+        """num(z) / den(z) in floating point, see :meth:`Poly.eval_np`: at a
+        pole a complex scalar raises PoleHit, an array gives inf or nan."""
+        try:
+            return self.num.eval_np(z) / self.den.eval_np(z)
+        except ZeroDivisionError:
+            raise PoleHit("float evaluation at a pole") from None
 
     # -- root bookkeeping -------------------------------------------------------------
     def _num_roots(self) -> tuple:

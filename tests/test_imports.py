@@ -128,7 +128,7 @@ def test_only_qmath_reads_sys_modules():
 # Real roots are isolated and counted in poly.py: every other module reads
 # real roots from a root structure and signs from a critical table.
 # selftest checks the isolation against numpy's roots.
-ROOT_NAMES = {"count_real_roots", "isolate_real_roots", "_real_roots",
+ROOT_NAMES = {"count_real_roots", "isolate_real_roots", "_rational_split",
               "_boxes"}
 ROOT_ALLOWED = {("selftest.py", "isolate_real_roots")}
 

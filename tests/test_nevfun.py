@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from conftest import (nevfuns, rationals, small_polys, sturm_count,
                       sturm_sign_of, upper_half_points)
 import nevkit.nevfun
 from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
+from nevkit.gnev import GenNevFun
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
                            nevfun_from_ratfun)
 from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd, point_cmp,
@@ -26,6 +28,19 @@ def test_evaluate_examples():
     assert WORKED.evaluate(0) == Fraction(-1, 2)
     with pytest.raises(PoleHit):
         WORKED.evaluate(2)
+
+
+def test_float_scalar_on_a_pole_raises_polehit():
+    """A complex scalar on a real pole raises PoleHit, as an exact point
+    does, on a RatFun, a NevFun and a GenNevFun; an array there gives inf."""
+    pole = RatFun.from_points([], [2])
+    gen = GenNevFun(RatFun(Poly([1, -2, 1]), Poly.const(1)), MINUS_INV)
+    for f, z in [(pole, 2 + 0j), (MINUS_INV, 0j), (gen, 0j)]:
+        with pytest.raises(PoleHit):
+            f(z)
+    with np.errstate(all="ignore"):
+        for f, z in [(pole, 2.0), (MINUS_INV, 0.0)]:
+            assert np.isinf(f(np.array([z + 0j]))[0])
 
 
 def test_to_ratfun_closed_form():

@@ -568,6 +568,16 @@ def test_gap_detect_refuses_a_width_beyond_the_float_range():
         gap_detect(MINUS_INV, (-10 ** 308, 10 ** 308))
 
 
+@pytest.mark.parametrize("k", [10, 12])
+def test_gap_detect_on_a_short_interval(k):
+    """The padded ends of (0, 10^-k) stay floats, so a short interval is not
+    refused as degenerate: without an atom in it it is a gap, with an atom
+    at its midpoint it is not."""
+    w = Fraction(1, 10 ** k)
+    assert gap_detect(NevFun.of(0, 0, [(-5, 1)]), (0, w)) is True
+    assert gap_detect(NevFun.of(0, 0, [(w / 2, 1)]), (0, w)) is False
+
+
 @pytest.mark.parametrize("k", [12, 14, 16, 30])
 def test_inversion_finds_a_unit_atom_on_a_wide_interval(k):
     """The detection floor falls with a width above 1, so the spike of -1/z

@@ -457,14 +457,15 @@ def test_count_real_roots_matches_the_sturm_count(p, lo, hi):
 
 
 def test_isolation_without_rational_roots_takes_no_remainder(monkeypatch):
-    """Descartes bisection of a residual takes no pseudo-remainder: _real_roots
-    of SD_5 (z^2 + 1), squarefree without rational roots, calls _neg_prem
-    zero times."""
+    """Descartes bisection of a residual takes no pseudo-remainder: the
+    rational split and the boxes of SD_5 (z^2 + 1), squarefree without
+    rational roots, call _neg_prem zero times."""
     p = _swinnerton_dyer(5) * P(1, 0, 1)
     calls = _counted(monkeypatch, "_neg_prem")
-    rats, h, boxes = nevkit.poly._real_roots(p)
+    rats, h = nevkit.poly._rational_split(nevkit.poly._primitive(p.n))
+    boxes = nevkit.poly._boxes(h, rats)
     assert (rats, len(boxes), calls) == ([], 32, {"_neg_prem": 0})
-    assert h == p.monic()
+    assert nevkit.poly._poly(h, h[-1]) == p.monic()
 
 
 def test_float_of_a_point_beyond_the_float_range_is_infinite():
@@ -491,6 +492,11 @@ def test_isolation_and_realalg():
     assert pos.sign_of(P(-1, 1)) > 0
     assert pos.sign_of(p) == 0
     assert pos.sign_of(P(-2, 0, 1) * P(7)) == 0
+    # defining polynomials with content 6 read the same signs
+    for scaled in (P(-12, 0, 6), P(12, 0, -6)):
+        x = RealAlg(scaled, *boxes[1])
+        assert x.cmp_rat(Fraction(7, 5)) > 0 and x.cmp_rat(Fraction(3, 2)) < 0
+        assert x.cmp_alg(pos) == 0 and float(x) == math.sqrt(2)
     # sqrt(2) vs sqrt(3)
     p3 = P(-3, 0, 1)
     sqrt3 = RealAlg(p3, *isolate_real_roots(p3)[1])
