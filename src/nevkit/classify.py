@@ -22,8 +22,7 @@ from typing import Optional
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      InvariantViolation, NotInClass, NotInterlacing,
                      NotNevanlinna, NotRationalAtoms)
-from .gnev import (GenNevFun, _zero_type_mult, canonical_pair,
-                   canonical_rational)
+from .gnev import GenNevFun, _type_mult, canonical_pair, canonical_rational
 from .nevfun import NevFun, _chain_step, _ends, is_nevanlinna
 from .poly import RealAlg, point_cmp, rational_between, rational_outside
 from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
@@ -156,13 +155,13 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
                 "irrational zero inside the negative set of the factor")
         if x is not INF:
             psi[x] = 2 * e
-    for x, sgn in ((a, 1), (b, -1)):
-        if x is not INF:
-            m = _zero_type_mult(1 + sgn * q_rat.ord_at(x),
-                                sgn * s.laurent_lead_sign(x)
-                                * q_rat.laurent_lead_sign(x))
-            if m:
-                psi[x] = 2 * sgn * m
+    # the type multiplicity of s q at the zero (k = 1) and the pole (k = -1)
+    # of s, where its order is k + ord q and its sign that of s times q's
+    for x, k in ((a, 1), (b, -1)):
+        if x is not INF and (m := _type_mult(
+                k + q_rat.ord_at(x),
+                s.laurent_lead_sign(x) * q_rat.laurent_lead_sign(x))):
+            psi[x] = 2 * m
     try:
         q_next = _chain_step(s, q, psi)
     except NotNevanlinna as exc:
@@ -312,9 +311,8 @@ def productinNg_forms(q: NevFun, s: RatFun) -> tuple[bool, bool, bool, bool]:
     form_i = is_nevanlinna(g_rat)
 
     form_ii = not _negative_at(s, q.support() + _zero_points(q))
-    for x, k in s.critical_points():        # k = +-1: s is simple
-        if _zero_type_mult(max(k * g_rat.ord_at(x), 0),
-                           k * g_rat.laurent_lead_sign(x)):
+    for x, _k in s.critical_points():
+        if _type_mult(g_rat.ord_at(x), g_rat.laurent_lead_sign(x)):
             form_ii = False
 
     form_iii = _interval_form(q, s)

@@ -30,7 +30,9 @@ def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or bytes that are not UTF-8; RecursionError:
+        # nesting too deep for the decoder
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -288,7 +290,9 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         code, report = args.fn(args)
-    except (ParseError, SchemaMismatch) as exc:
+        _write_report(report, getattr(args, "outfile", None))
+    except (ParseError, SchemaMismatch, OSError) as exc:
+        # OSError: a report or sample file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
@@ -297,7 +301,6 @@ def main(argv=None) -> int:
     except NevkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _write_report(report, getattr(args, "outfile", None))
     return code
 
 

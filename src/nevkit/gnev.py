@@ -2,64 +2,47 @@
 
 A :class:`GenNevFun` is a nonnegative rational factor together with an
 ordinary Nevanlinna function; its negative index is read off the factor's
-multiplicities.  Zero/pole multiplicities of nonpositive type are decided
-symbolically from exact local orders and leading signs, the signs read off
-odd-order point counts, and the canonical factorization of an arbitrary
-symmetric rational function is built from those multiplicities alone.
+multiplicities.  The generalized zeros and poles of nonpositive type of a
+symmetric rational function form one signed table, as its zeros and poles
+do: (point, m) pairs, m > 0 at a zero and m < 0 at a pole.  One rule,
+:func:`_type_mult`, decides m from the exact signed order and the sign just
+right of the point, read off odd-order point counts, and the canonical
+factorization of an arbitrary symmetric rational function is built from
+that table alone.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      NotNevanlinna, NotNevanlinnaTau)
 from .nevfun import NevFun, _compose, nevfun_from_ratfun
 from .poly import RealAlg, nonreal_pieces
-from .qmath import INF, fmt_rat, record
+from .qmath import INF
 from .ratfun import RatFun, from_table
 
 
-@record
-class MultiplicityRecord:
-    """A real or infinite point carrying nonpositive-type multiplicity."""
-
-    point: object          # Fraction | RealAlg | INF
-    kind: str              # "GZNT" or "GPNT"
-    mult: int
-
-    def __repr__(self):
-        p = self.point if not isinstance(self.point, Fraction) else fmt_rat(self.point)
-        return f"{self.kind}({p}:{self.mult})"
-
-
-def _zero_type_mult(order: int, lead_sign: int) -> int:
-    """Nonpositive-type multiplicity carried by a zero of the given order
-    (order >= 0) with the given nonzero leading-coefficient sign.  A pole
-    carries that of a zero of its order with the opposite sign."""
-    if order <= 0:
-        return 0
-    if order % 2 == 0:
-        return order // 2
-    return (order + 1) // 2 if lead_sign < 0 else (order - 1) // 2
+def _type_mult(order: int, sign: int) -> int:
+    """Signed nonpositive-type multiplicity of a point where a function has
+    the signed order (> 0 at a zero, < 0 at a pole) and the sign just right
+    of the point: half the order, rounded away from zero at a negative
+    point of odd order (sign < 0 at a zero, sign > 0 at a pole) and towards
+    zero elsewhere."""
+    k = abs(order)
+    negative = sign < 0 if order > 0 else sign > 0
+    m = k // 2 + (k % 2 == 1 and negative)
+    return m if order > 0 else -m
 
 
-def nonpositive_type_records(f: RatFun) -> list[MultiplicityRecord]:
-    """All nonpositive-type zero/pole multiplicity records of a symmetric
-    rational function, including the point at infinity."""
-    out = []
-    for kind, recs, k in (("GZNT", f.real_zeros, 1),
-                          ("GPNT", f.real_poles, -1)):
-        for x, order in recs:
-            m = _zero_type_mult(order, k * f.laurent_lead_sign(x))
-            if m:
-                out.append(MultiplicityRecord(x, kind, m))
-    e, lead = f.ord_at_inf(), 1 if f.gamma > 0 else -1
-    # at infinity the sign convention flips
-    m = _zero_type_mult(abs(e), -lead if e > 0 else lead)
-    if m:
-        out.append(MultiplicityRecord(INF, "GZNT" if e > 0 else "GPNT", m))
-    return out
+def nonpositive_type_records(f: RatFun) -> list[tuple]:
+    """The points of nonpositive type of a symmetric rational function as
+    (point, m) pairs, m > 0 at a generalized zero and m < 0 at a generalized
+    pole: the zeros ascending, then the poles ascending, then infinity,
+    read in the variable -1/z, just right of whose 0 an odd order has the
+    sign -sign(gamma)."""
+    table = [(x, m) for x, e in [*f.critical_points(), (INF, f.ord_at_inf())]
+             if (m := _type_mult(e, -f.gamma if x is INF
+                                 else f.laurent_lead_sign(x)))]
+    return sorted(table, key=lambda xm: (xm[0] is INF, xm[1] < 0))
 
 
 class GenNevFun:
@@ -114,12 +97,9 @@ class GenNevFun:
         f = self.to_ratfun()
         if f.is_zero:               # no zeros or poles, and num has no degree
             return True
-        recs = nonpositive_type_records(f)
-        z = sum(r.mult for r in recs if r.kind == "GZNT")
-        p = sum(r.mult for r in recs if r.kind == "GPNT")
-        z += (f.num.degree - sum(m for _x, m in f.real_zeros)) // 2
-        p += (f.den.degree - sum(m for _x, m in f.real_poles)) // 2
-        return z == p
+        pairs = ((f.num.degree - sum(m for _x, m in f.real_zeros)) // 2
+                 - (f.den.degree - sum(m for _x, m in f.real_poles)) // 2)
+        return sum(m for _x, m in nonpositive_type_records(f)) + pairs == 0
 
 
 def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
@@ -147,16 +127,14 @@ def _canonical_factor(f: RatFun):
     carries type multiplicity, nor conjugate pairs that share an irreducible
     factor with irrational real roots; both are refused.
     """
-    records = [rec for rec in nonpositive_type_records(f)
-               if rec.point is not INF]
-    table, blocks = [], []      # psi's (point, order) and (factor, order)
-    for rec in records:
-        # an irrational point's order is even, twice its type multiplicity
-        if isinstance(rec.point, RealAlg) and f.ord_at(rec.point) % 2:
-            raise ExactSplitUnavailable(
-                "odd-order irrational point carries type multiplicity")
-        table.append((rec.point, 2 * rec.mult if rec.kind == "GZNT"
-                      else -2 * rec.mult))
+    records = [(x, m) for x, m in nonpositive_type_records(f)
+               if x is not INF]
+    # an irrational point's order is even, twice its type multiplicity
+    if any(isinstance(x, RealAlg) and f.ord_at(x) % 2 for x, _m in records):
+        raise ExactSplitUnavailable(
+            "odd-order irrational point carries type multiplicity")
+    table = [(x, 2 * m) for x, m in records]    # psi's (point, order)
+    blocks = []                                 # and its (factor, order)
     crit = f.critical_points()
     for sgn, bs in ((1, f.complex_zero_blocks), (-1, f.complex_pole_blocks)):
         for factor, m in bs:

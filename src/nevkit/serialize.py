@@ -96,8 +96,8 @@ def gennev_from_json(d: dict) -> GenNevFun:
 
 
 def records_to_json(records) -> list:
-    return [{"point": point_to_json(r.point), "kind": r.kind, "mult": r.mult}
-            for r in records]
+    return [{"point": point_to_json(x), "kind": "GZNT" if m > 0 else "GPNT",
+             "mult": abs(m)} for x, m in records]
 
 
 def model_to_json(m: L2Model) -> dict:

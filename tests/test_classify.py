@@ -22,8 +22,7 @@ from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
                            InvariantViolation, NevkitError, NotInClass,
                            NotInterlacing, NotNevanlinna, NotRationalAtoms,
                            PoleHit)
-from nevkit.gnev import (GenNevFun, _zero_type_mult, canonical_pair,
-                         canonical_rational)
+from nevkit.gnev import GenNevFun, canonical_pair, canonical_rational
 from nevkit.nevfun import (NevFun, _compose, is_nevanlinna,
                            nevfun_from_ratfun)
 from nevkit.oracle import negative_squares
@@ -466,6 +465,17 @@ def _negative_by_value(s: RatFun, points) -> list:
     return out
 
 
+def _zero_type_mult(order: int, lead_sign: int) -> int:
+    """The type multiplicity of a zero of the given order (>= 0) with the
+    given leading sign; a pole carries that of a zero of its order with the
+    opposite sign.  The reference rule, kept apart from gnev's signed one."""
+    if order <= 0:
+        return 0
+    if order % 2 == 0:
+        return order // 2
+    return (order + 1) // 2 if lead_sign < 0 else (order - 1) // 2
+
+
 def _extraction_step(s: RatFun, q: NevFun):
     """Reference for one product step: psi from the type multiplicities of
     the RatFun s*q and the negative set of s, found by evaluation, and
@@ -583,8 +593,8 @@ import nevkit.classify as cl
 from nevkit.errors import InvariantViolation
 from nevkit.nevfun import NevFun
 from nevkit.ratfun import RatFun
-zero_type_mult = cl._zero_type_mult
-cl._zero_type_mult = lambda order, lead: zero_type_mult(order, lead) + 1
+type_mult = cl._type_mult
+cl._type_mult = lambda order, sign: type_mult(order, sign) + 1
 for q in (NevFun.of(0, 1, [(0, 2)]), NevFun.of(0, 0, [(3, 1)]),
           NevFun.of(3, 1)):
     try:

@@ -9,13 +9,15 @@ import nevkit.poly
 from nevkit.corpus import random_symmetric_ratfun
 from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
                            NotNevanlinnaTau, NotRationalAtoms)
-from nevkit.gnev import (GenNevFun, canonical_pair, canonical_rational,
-                         compose_gen, nonpositive_type_records)
+from nevkit.gnev import (GenNevFun, _type_mult, canonical_pair,
+                         canonical_rational, compose_gen,
+                         nonpositive_type_records)
 from nevkit.nevfun import NevFun, is_nevanlinna, nevfun_from_ratfun
 from nevkit.oracle import negative_squares
 from nevkit.poly import Poly
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun
+from test_classify import _zero_type_mult
 
 Z = NevFun.of(0, 1)
 CUBE = GenNevFun(RatFun(Poly([0, 0, 1]), Poly.const(1)), Z)   # z^3
@@ -31,15 +33,34 @@ def test_evaluate_examples():
 
 def test_records_examples():
     recs = nonpositive_type_records(CUBE.to_ratfun())
-    assert {(r.point, r.kind, r.mult) for r in recs} == \
-        {(Fraction(0), "GZNT", 1), (INF, "GPNT", 1)}
+    assert set(recs) == {(Fraction(0), 1), (INF, -1)}
     assert nonpositive_type_records(
         GenNevFun.from_nevfun(Z).to_ratfun()) == []
     q0 = nevfun_from_ratfun(RatFun(Poly([-1, -1]), Poly([0, 1])))
     g = GenNevFun(RatFun(Poly([0, 0, 1]), Poly([1, 2, 1])), q0)
-    assert {(r.point, r.kind, r.mult) for r in
-            nonpositive_type_records(g.to_ratfun())} == \
-        {(Fraction(0), "GZNT", 1), (Fraction(-1), "GPNT", 1)}
+    assert set(nonpositive_type_records(g.to_ratfun())) == \
+        {(Fraction(0), 1), (Fraction(-1), -1)}
+
+
+def test_type_mult_matches_the_unsigned_rule():
+    for e in range(-6, 7):
+        for s in (1, -1):
+            # a pole carried the multiplicity of a zero of its order with
+            # the opposite sign
+            want = _zero_type_mult(e, s) if e >= 0 else \
+                -_zero_type_mult(-e, -s)
+            assert _type_mult(e, s) == want
+    # at infinity the unsigned rule read a zero with -sign(gamma) and a
+    # pole with sign(gamma)
+    for f, want in ((RatFun.from_points([0] * 3, []), [(INF, -1)]),
+                    (RatFun.from_points([0] * 3, [], -1), [(INF, -2)]),
+                    (RatFun.from_points([], [0]), [(INF, 1)]),
+                    (RatFun.from_points([], [0], -1), [])):
+        e, lead = f.ord_at_inf(), 1 if f.gamma > 0 else -1
+        m = _zero_type_mult(abs(e), -lead if e > 0 else lead)
+        assert want == ([(INF, m if e > 0 else -m)] if m else [])
+        assert [(x, m) for x, m in nonpositive_type_records(f)
+                if x is INF] == want
 
 
 def test_kappa_and_normalization():
@@ -57,8 +78,7 @@ def test_canonical_rational_examples():
     psi, s0, recs = canonical_rational(s)
     assert psi == RatFun.from_points([1, 1], [2, 2])
     assert s0 == RatFun.from_points([2], [1])
-    assert {(r.point, r.kind, r.mult) for r in recs} == \
-        {(Fraction(1), "GZNT", 1), (Fraction(2), "GPNT", 1)}
+    assert set(recs) == {(Fraction(1), 1), (Fraction(2), -1)}
 
     s2 = RatFun.from_points([2], [1])
     psi2, s02, recs2 = canonical_rational(s2)
@@ -70,9 +90,8 @@ def test_canonical_rational_examples():
     assert s03 == RatFun.from_points([3], [0])
     assert psi3 * s03 == r3
     assert is_nevanlinna(s03)
-    by_point = {(r.point, r.kind): r.mult for r in recs3}
-    assert by_point == {(Fraction(2), "GZNT"): 1, (Fraction(1), "GPNT"): 1,
-                        (Fraction(0), "GZNT"): 1, (Fraction(3), "GPNT"): 1}
+    assert dict(recs3) == {Fraction(2): 1, Fraction(1): -1,
+                           Fraction(0): 1, Fraction(3): -1}
 
 
 def test_canonical_rational_constant_input():
@@ -128,9 +147,8 @@ def test_compose_examples():
     shift = RatFun(Poly([1, 1]), Poly.const(1))
     g2 = compose_gen(CUBE, shift)
     assert g2.to_ratfun() == RatFun(Poly([1, 3, 3, 1]), Poly.const(1))
-    assert {(r.point, r.kind) for r in
-            nonpositive_type_records(g2.to_ratfun())} == \
-        {(Fraction(-1), "GZNT"), (INF, "GPNT")}
+    assert set(nonpositive_type_records(g2.to_ratfun())) == \
+        {(Fraction(-1), 1), (INF, -1)}
     assert g2.kappa == CUBE.kappa
 
 
@@ -175,8 +193,7 @@ def test_canonical_rational_odd_irrational_without_type():
     psi, s0, recs = canonical_rational(f)
     assert psi == RatFun(P(-1, 1) ** 2, Poly.const(1))
     assert s0 == RatFun(SQRT2_SQ, P(-1, 1))
-    assert [(r.point, r.kind, r.mult) for r in recs] == \
-        [(Fraction(1), "GZNT", 1)]
+    assert recs == [(Fraction(1), 1)]
     assert canonical_pair(f).phi == psi
 
 
@@ -282,8 +299,8 @@ def test_canonical_rational_and_pair_agree():
                 canonical_pair(f)
             continue
         assert psi * s0 == f and is_nevanlinna(s0)
-        assert recs == [r for r in nonpositive_type_records(f)
-                        if r.point is not INF]
+        assert recs == [(x, m) for x, m in nonpositive_type_records(f)
+                        if x is not INF]
         try:
             g = canonical_pair(f)
         except NotRationalAtoms:
@@ -294,9 +311,9 @@ def test_canonical_rational_and_pair_agree():
         assert psi == g.phi and s0 == g.q0.to_ratfun()
         # the finite records and the conjugate pairs account for kappa, a
         # pair of order m taking 2m of the degree the real points leave
-        zeros = sum(r.mult for r in recs if r.kind == "GZNT") + \
+        zeros = sum(m for _x, m in recs if m > 0) + \
             (f.num.degree - sum(m for _x, m in f.real_zeros)) // 2
-        poles = sum(r.mult for r in recs if r.kind == "GPNT") + \
+        poles = sum(-m for _x, m in recs if m < 0) + \
             (f.den.degree - sum(m for _x, m in f.real_poles)) // 2
         assert g.kappa == max(zeros, poles)
     assert paired >= 30

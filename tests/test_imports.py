@@ -1,4 +1,4 @@
-"""Fourteen rules on the package source, each read off its AST and each with
+"""Sixteen rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -15,6 +15,9 @@ a detector test on inline source:
 - classify composes with no Moebius map;
 - classify reads every sign off a critical table, evaluating nothing;
 - gnev and classify never call the gcd constructor RatFun(num, den);
+- the kind strings "GZNT" and "GPNT" occur only in serialize.py;
+- the signed type rule _type_mult is called only where a type table or a
+  type multiplicity is read off critical tables;
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -427,6 +430,56 @@ def test_detector_finds_gcd_constructions():
 def test_factorizations_reduce_nothing_by_a_gcd():
     assert {name: _calls((PACKAGE / name).read_text(), "RatFun")
             for name in REDUCING} == {name: [] for name in REDUCING}
+
+
+# The points of nonpositive type are one signed table, (point, m) with m > 0
+# at a generalized zero and m < 0 at a generalized pole; the kind strings
+# name them only in the JSON that serialize.py emits.
+KINDS = ("GZNT", "GPNT")
+
+
+def _kind_literals(source: str) -> list[tuple[str, int]]:
+    """String constants that are a kind string, as (kind, line)."""
+    return sorted(((node.value, node.lineno)
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and node.value in KINDS),
+                  key=lambda item: (item[1], item[0]))
+
+
+def test_detector_finds_kind_literals():
+    src = ('"""Records of GZNT points."""\n'
+           "def kinds(m):\n"
+           "    return 'GZNT' if m > 0 else \"GPNT\"\n"
+           "PAIR = ('GPNT', 'GZNTs')\n")
+    assert _kind_literals(src) == [("GPNT", 3), ("GZNT", 3), ("GPNT", 4)]
+
+
+def test_kind_strings_only_in_serialize():
+    found = {path.name: _kind_literals(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "serialize.py"}
+    assert {name: lits for name, lits in found.items() if lits} == {}
+
+
+# One signed rule gives every type multiplicity: the table of a rational
+# function, and the type of s q at the ends of a degree-one step and at the
+# points of a simple multiplier in membership form (ii).
+TYPE_RULE_ALLOWED = {("gnev.py", "nonpositive_type_records"),
+                     ("classify.py", "_degree_one_step"),
+                     ("classify.py", "productinNg_forms")}
+
+
+def test_detector_finds_type_rule_calls():
+    src = ("from .gnev import _type_mult\n"
+           "def nonpositive_type_records(f):\n"
+           "    return [_type_mult(e, 1) for e in f]\n"
+           "def balance(f):\n    return gnev._type_mult(1, -1)\n")
+    assert _calls(src, "_type_mult") == [("nonpositive_type_records", 3),
+                                         ("balance", 5)]
+
+
+def test_type_rule_is_called_only_at_its_three_sites():
+    assert set(_package_calls("_type_mult")) == TYPE_RULE_ALLOWED
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder

@@ -8,7 +8,6 @@ import pytest
 
 from nevkit.classify import FactorChain, KacClosureReport, N00Report
 from nevkit.errors import InvalidInput
-from nevkit.gnev import MultiplicityRecord
 from nevkit.nevfun import AtomicMeasure, NevFun, ProductMembership
 from nevkit.oracle import InversionConfig
 from nevkit.poly import Poly
@@ -52,8 +51,7 @@ def test_records_match_their_dataclass_twins(cls, args, kw):
 
 
 def test_records_compare_every_field():
-    assert MultiplicityRecord(HALF, "GZNT", 1) != \
-        MultiplicityRecord(HALF, "GZNT", 2)
+    assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, -1)
     assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, 1, (HALF,))
     assert len({QC(HALF, HALF), QC.of(1, 1) * HALF, QC.of(HALF)}) == 2
 
@@ -65,24 +63,23 @@ def test_keyword_construction_and_defaults():
     assert LimitValue("+inf").value is None
     assert LimitValue(kind="finite", value=HALF) == LimitValue.finite(HALF)
     assert N00Report(True).product is None and N00Report(True).failures == ()
-    for bad in (lambda: MultiplicityRecord(HALF, "GZNT"),
-                lambda: MultiplicityRecord(HALF, "GZNT", 1, 2),
-                lambda: MultiplicityRecord(HALF, "GZNT", 1, point=HALF),
-                lambda: MultiplicityRecord(HALF, "GZNT", mult=1,
-                                           parity="odd")):
+    for bad in (lambda: SignSegment(HALF, INF),
+                lambda: SignSegment(HALF, INF, 1, (), 2),
+                lambda: SignSegment(HALF, INF, 1, lo=HALF),
+                lambda: SignSegment(HALF, INF, sign=1, parity="odd")):
         with pytest.raises(TypeError):
             bad()
 
 
 def test_records_are_frozen_but_keep_their_memos():
-    rec = MultiplicityRecord(HALF, "GZNT", 1)
+    rec = SignSegment(HALF, INF, 1)
     with pytest.raises(AttributeError):
-        rec.mult = 2
+        rec.sign = 2
     with pytest.raises(AttributeError):
         rec.other = 2
     with pytest.raises(AttributeError):
-        del rec.point
-    assert rec == MultiplicityRecord(HALF, "GZNT", 1)
+        del rec.lo
+    assert rec == SignSegment(HALF, INF, 1)
     # a memo in the instance dict is no field: equality, hash and repr
     # ignore it
     q = NevFun.of(0, 1, [(1, 2)])

@@ -199,6 +199,43 @@ def test_cli_parse_error(tmp_path):
     assert main(["factor", "--in", str(p)]) == 1
 
 
+# an input that cannot be read or decoded is a ParseError: bytes that are
+# not UTF-8, and nesting too deep for the JSON decoder
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_cli_undecodable_input_is_one_error_line(tmp_path, capsys, payload):
+    p = tmp_path / "f.json"
+    p.write_bytes(payload)
+    assert main(["factor", "--in", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {p}: ")
+    assert err.count("\n") == 1
+
+
+# a report or sample file that cannot be written is one error line, exit 1
+@pytest.mark.parametrize("args", [
+    ["factor", "--in", "R", "--out", "MISSING"],
+    ["selftest", "--out", "MISSING"],
+    ["invert", "--in", "F", "--interval=-1,1", "--points", "64",
+     "--dump-samples", "MISSING"],
+])
+def test_cli_unwritable_output_is_one_error_line(tmp_path, capsys,
+                                                 monkeypatch, args):
+    import nevkit.selftest
+    monkeypatch.setattr(nevkit.selftest, "run_selftest",
+                        lambda seed: (True, []))
+    f, r = tmp_path / "f.json", tmp_path / "r.json"
+    f.write_text(json.dumps({"alpha": "0", "beta": "0",
+                             "atoms": [{"t": "0", "w": "1"}]}))
+    r.write_text(json.dumps(WORKED_R))
+    missing = tmp_path / "no" / "such.out"
+    subs = {"F": str(f), "R": str(r), "MISSING": str(missing)}
+    assert main([subs.get(a, a) for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_cli_selftest_runs():
     assert main(["selftest", "--seed", "0"]) == 0
 
