@@ -191,7 +191,7 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
             raise NotInterlacing(
                 f"consecutive like points at {fmt_rat(x1)}, {fmt_rat(x2)}")
     # one monic factor per negative arc, from its zero end to its pole
-    # end; the arc through INF first, gamma on the arc that touches INF
+    # end; the arc through INF first, gamma on the arc that reaches INF
     arcs = _negative_arcs(s)
     a, b = arcs[-1]
     if point_cmp(a, b) > 0:
@@ -208,8 +208,7 @@ def interlacing_factorize(s: RatFun) -> list[RatFun]:
 def negative_closed_pieces(f: RatFun) -> list[tuple]:
     """Closure in the real line of the set where f is negative, as closed
     intervals (lo, hi) with NEG_INF / INF allowed as endpoints."""
-    return [(seg.lo, seg.hi)
-            for seg in f.sign_on_interval().negative_segments()]
+    return [(a, b) for a, b, sgn in f.sign_on_interval() if sgn < 0]
 
 
 def pieces_disjoint(p1: list[tuple], p2: list[tuple]) -> bool:

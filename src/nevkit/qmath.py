@@ -115,10 +115,17 @@ def parse_rat(s: str) -> Fraction:
 
 
 def fmt_rat(x: Fraction) -> str:
+    """x as p/q in lowest terms, or p; a part longer than Python's limit
+    for integer string conversion is an InvalidInput."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise InvalidInput(
+            "rational too long to write: more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 class ExtSymbol:

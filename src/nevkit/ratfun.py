@@ -18,12 +18,12 @@ found by evaluation, at a rational point or elsewhere; values are.  The
 point at infinity is first class: the zero or pole multiplicity there is
 the degree imbalance.
 
-The table travels with the function: only input is analysed.  Products and
-quotients merge two tables, a common rational point or block factor
-divided out with no gcd; inverses, scalar multiples and Mobius maps map
-it.  A table not built, a common irrational point, two block factors with
-a common root, or a Mobius image of blocks or irrational points falls back
-to a gcd.
+The table travels with the function.  Products and quotients merge two
+tables, a common rational point or block factor divided out with no gcd;
+scalar multiples keep it.  A table not built, a common irrational point or
+two block factors with a common root falls back to a gcd.  A function
+given no table, an inverse or a Mobius image among them, is analysed when
+its table is first read.
 """
 
 from __future__ import annotations
@@ -38,32 +38,9 @@ from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
                      InvalidInput, PoleHit)
 from .poly import (Poly, RealAlg, RPoint, _deflate, _poly, compose_fractional,
                    gcd, point_cmp, rat, real_root_structure)
-from .qmath import (INF, NEG_INF, QC, ExtSymbol, fmt_rat, is_float_point,
-                    record)
+from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, is_float_point
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
-
-
-@record
-class SignSegment:
-    """Maximal open interval of constant nonzero sign.
-
-    ``touches`` lists the even-order zeros and poles strictly inside, where
-    the function vanishes or blows up without changing sign.
-    """
-
-    lo: object  # Fraction | RealAlg | NEG_INF
-    hi: object  # Fraction | RealAlg | INF
-    sign: int
-    touches: tuple = ()
-
-
-@record
-class SignReport:
-    segments: tuple[SignSegment, ...]
-
-    def negative_segments(self) -> list[SignSegment]:
-        return [s for s in self.segments if s.sign < 0]
 
 
 class RatFun:
@@ -203,12 +180,7 @@ class RatFun:
         return RatFun.const(other) + (-self)
 
     def inverse(self) -> "RatFun":
-        if self.is_zero:
-            return RatFun(self.den, self.num)       # raises
-        # the table, if known, negated when first read
-        return RatFun._with_table(self.den, self.num, self._tab and (
-            lambda: tuple(tuple((x, -e) for x, e in part)
-                          for part in self._table())))
+        return RatFun(self.den, self.num)
 
     # -- evaluation ------------------------------------------------------------------
     def __call__(self, z):
@@ -377,49 +349,23 @@ class RatFun:
             raise PoleHit("sign query at pole")
         return 0 if e else self._sign_above(i)
 
-    def sign_on_interval(self, lo=NEG_INF, hi=INF) -> SignReport:
-        """Maximal constant-sign subintervals of (lo, hi) with exact
-        endpoints; only odd-order zeros and poles separate segments, and
-        the even-order ones inside a segment are its touches.  The sign
-        starts as the one just above lo and flips at each odd-order point."""
-        if point_cmp(lo, hi) >= 0:
-            raise InvalidInput("interval must have lo < hi")
-        i, hit = self._locate(lo)
-        j, _ = self._locate(hi)
-        sgn = self._sign_above(i + hit)
-        segments = []
-        a, touches = lo, []
-        # hi ends the last segment like one more odd-order point
-        for p, e in self.critical_points()[i + hit:j] + ((hi, 1),):
-            if e % 2 == 0:
-                touches.append((p, "zero" if e > 0 else "pole"))
-                continue
-            segments.append(SignSegment(a, p, sgn, tuple(touches)))
-            a, touches, sgn = p, [], -sgn
-        return SignReport(tuple(segments))
+    def sign_on_interval(self) -> tuple[tuple[Point, Point, int], ...]:
+        """The maximal open intervals of constant nonzero sign, as ascending
+        (lo, hi, sign) from NEG_INF to INF; only odd-order zeros and poles
+        separate them, and the sign flips at each."""
+        ends = [NEG_INF, *(p for p, e in self.critical_points() if e % 2), INF]
+        sgn = self._sign_above(0)
+        return tuple((a, b, sgn * (-1) ** k)
+                     for k, (a, b) in enumerate(zip(ends, ends[1:])))
 
     # -- composition ---------------------------------------------------------------------
     def compose_mobius(self, tau: "RatFun") -> "RatFun":
-        """self o tau for a degree-one tau; degrees multiply.  A rational
-        table maps through tau^-1, tau(inf) to infinity and infinity to the
-        pole of tau."""
+        """self o tau for a degree-one tau; degrees multiply."""
         if tau.degree != 1:
             raise DegreeNotOne(f"tau has degree {tau.degree}")
         d = self.degree
-        num = compose_fractional(self.num, tau.num, tau.den, d)
-        den = compose_fractional(self.den, tau.num, tau.den, d)
-        points, blocks = self._known() or (None, None)
-        if points is None or blocks or any(isinstance(p, RealAlg)
-                                           for p, _ in points):
-            return RatFun(num, den)
-        # tau = (a z + b)/(c z + e), tau^-1(w) = (e w - b)/(a - c w)
-        (b, a), (e, c) = ((p.c + (Fraction(0),) * 2)[:2]
-                          for p in (tau.num, tau.den))
-        image = [((e * p - b) / (a - c * p), m) for p, m in points
-                 if a != c * p]
-        if c and self.ord_at_inf():
-            image.append((-e / c, self.ord_at_inf()))
-        return RatFun._with_table(num, den, (tuple(sorted(image)), ()))
+        return RatFun(compose_fractional(self.num, tau.num, tau.den, d),
+                      compose_fractional(self.den, tau.num, tau.den, d))
 
 
 def _merge(a: Sequence, b: Sequence) -> tuple:

@@ -89,9 +89,12 @@ def gennev_from_json(d: dict) -> GenNevFun:
         g = GenNevFun(ratfun_from_json(d["phi"]), nevfun_from_json(d["q0"]))
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"bad canonical-pair object: {exc}") from exc
-    if "kappa" in d and d["kappa"] != g.kappa:
+    kappa = d.get("kappa", g.kappa)
+    if type(kappa) is not int:          # bool is a subclass of int
+        raise SchemaMismatch(f"declared index {kappa!r} is not an integer")
+    if kappa != g.kappa:
         raise SchemaMismatch(
-            f"declared index {d['kappa']} but computed {g.kappa}")
+            f"declared index {kappa} but computed {g.kappa}")
     return g
 
 

@@ -649,8 +649,8 @@ def _detour_chain_build(q: NevFun, r: RatFun):
     import nevkit.classify as cl
     s = cl._odd_part(r)
     if s.is_constant or not any(
-            seg.lo is NEG_INF or seg.hi is INF
-            for seg in s.sign_on_interval().negative_segments()):
+            sgn < 0 and (lo is NEG_INF or hi is INF)
+            for lo, hi, sgn in s.sign_on_interval()):
         return cl._chain_build(q, r)
     p = cl._positive_anchor(s, q, r)
     tau = RatFun.from_points([1 / p], [0], p) if p else \

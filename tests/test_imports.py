@@ -1,4 +1,4 @@
-"""Sixteen rules on the package source, each read off its AST and each with
+"""Seventeen rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -9,7 +9,9 @@ a detector test on inline source:
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots,
   and they only by RatFun._table;
-- RatFun._with_table is called only in ratfun.py and nevfun.py;
+- RatFun._with_table is called only by the six functions that know the
+  table they give;
+- sign_on_interval is called only by classify.negative_closed_pieces;
 - outside ratfun.py no module reads a RatFun's table slot or merges tables;
 - closed forms are certified only by nevfun's _chain_step and _compose;
 - classify composes with no Moebius map;
@@ -267,7 +269,16 @@ def test_extraction_is_called_only_on_rational_input():
 # Root analysis has one path: a RatFun analyses its own polynomials when a
 # table is first read and was not given, in _table, and every other table
 # travels with the function it belongs to.  Tables are given only where
-# they are known: in ratfun.py, and for a NevFun's RatFun in nevfun.py.
+# they are known: a constant's, from_points' and from_table's from their
+# data, a scalar multiple's and a merged product's from the operands, and a
+# NevFun's RatFun from its representation.  An inverse or a Moebius image
+# is given none.
+TABLE_GIVERS = {("ratfun.py", "RatFun.const"),
+                ("ratfun.py", "RatFun.from_points"),
+                ("ratfun.py", "RatFun.__mul__"),
+                ("ratfun.py", "RatFun._times"),
+                ("ratfun.py", "from_table"),
+                ("nevfun.py", "NevFun.to_ratfun")}
 ANALYSIS_ALLOWED = {("ratfun.py", "RatFun._num_roots"),
                     ("ratfun.py", "RatFun._den_roots")}
 ANALYSIS_ENTRIES = ("_num_roots", "_den_roots")
@@ -298,9 +309,37 @@ def test_root_analysis_is_called_only_by_a_ratfun_on_itself():
         assert set(_package_calls(name)) == {("ratfun.py", "RatFun._table")}
 
 
+def test_detector_finds_a_table_given_elsewhere():
+    src = ("class RatFun:\n    def inverse(self):\n"
+           "        return RatFun._with_table(self.den, self.num, t)\n"
+           "    def _times(self, other, sign):\n"
+           "        return self._with_table(num, den, t)\n")
+    found = _calls(src, "_with_table")
+    assert found == [("RatFun.inverse", 3), ("RatFun._times", 5)]
+    assert {("ratfun.py", scope) for scope, _line in found} - TABLE_GIVERS \
+        == {("ratfun.py", "RatFun.inverse")}
+
+
 def test_tables_are_given_only_where_they_are_known():
-    found = _package_calls("_with_table")
-    assert {fname for fname, _scope in found} <= {"ratfun.py", "nevfun.py"}
+    assert set(_package_calls("_with_table")) <= TABLE_GIVERS
+
+
+# The sign segments of the whole line have one reader, the closed negative
+# pieces of a multiplier; every other sign is read at a point.
+SEGMENT_READERS = {("classify.py", "negative_closed_pieces")}
+
+
+def test_detector_finds_sign_segment_reads():
+    src = ("def negative_closed_pieces(f):\n"
+           "    return [(a, b) for a, b, s in f.sign_on_interval() if s < 0]\n"
+           "class Chain:\n    def arcs(self, s):\n"
+           "        return RatFun.sign_on_interval(s)\n")
+    assert _calls(src, "sign_on_interval") == [
+        ("negative_closed_pieces", 2), ("Chain.arcs", 5)]
+
+
+def test_sign_segments_are_read_only_for_negative_pieces():
+    assert set(_package_calls("sign_on_interval")) == SEGMENT_READERS
 
 
 # A RatFun keeps its table in one slot, and only ratfun.py merges tables:

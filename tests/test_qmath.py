@@ -12,7 +12,7 @@ from nevkit.nevfun import AtomicMeasure, NevFun, ProductMembership
 from nevkit.oracle import InversionConfig
 from nevkit.poly import Poly
 from nevkit.qmath import INF, NEG_INF, QC, LimitValue, rat, record
-from nevkit.ratfun import RatFun, SignReport, SignSegment
+from nevkit.ratfun import RatFun
 
 
 def _dataclass_twin(cls):
@@ -24,13 +24,13 @@ def _dataclass_twin(cls):
 
 
 HALF = Fraction(1, 2)
-SEGMENT = SignSegment(NEG_INF, HALF, -1, (Fraction(-2),))
+PRODUCT = NevFun.of(0, 1, [(1, 2)])
 RECORDS = [
     (KacClosureReport, (((Fraction(1, 3), True),), ((INF, False),)), {}),
     (ProductMembership, ((True, False), ("i", "ii")), {}),
-    (SignSegment, (HALF, INF, 1), {}),
-    (SignSegment, (NEG_INF, HALF), {"sign": -1, "touches": (Fraction(-2),)}),
-    (SignReport, ((SEGMENT,),), {}),
+    (N00Report, (True,), {}),
+    (N00Report, (True, ()), {"kappa_tilde": 0, "product": PRODUCT}),
+    (N00Report, (False, (("i", NEG_INF, "why"),), 2), {}),
     (FactorChain, ((RatFun(Poly([1, 0, 1]), Poly([0, 1])),), ()), {}),
     (N00Report, (False, (("ii(b)", HALF, "why"),)), {"kappa_tilde": 1}),
     (AtomicMeasure, (((HALF, Fraction(3)),),), {}),
@@ -51,35 +51,35 @@ def test_records_match_their_dataclass_twins(cls, args, kw):
 
 
 def test_records_compare_every_field():
-    assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, -1)
-    assert SignSegment(HALF, INF, 1) != SignSegment(HALF, INF, 1, (HALF,))
+    assert N00Report(True, (), 1) != N00Report(True, (), 0)
+    assert N00Report(True, (), 0) != N00Report(True, (), 0, PRODUCT)
     assert len({QC(HALF, HALF), QC.of(1, 1) * HALF, QC.of(HALF)}) == 2
 
 
 def test_keyword_construction_and_defaults():
-    assert SignSegment(lo=HALF, hi=INF, sign=1) == SignSegment(HALF, INF, 1,
-                                                               ())
-    assert SignSegment(HALF, INF, touches=(1,), sign=-1).touches == (1,)
+    assert N00Report(ok=True, failures=(), kappa_tilde=1) == N00Report(
+        True, (), 1, None)
+    assert N00Report(True, product=PRODUCT, kappa_tilde=0).product == PRODUCT
     assert LimitValue("+inf").value is None
     assert LimitValue(kind="finite", value=HALF) == LimitValue.finite(HALF)
     assert N00Report(True).product is None and N00Report(True).failures == ()
-    for bad in (lambda: SignSegment(HALF, INF),
-                lambda: SignSegment(HALF, INF, 1, (), 2),
-                lambda: SignSegment(HALF, INF, 1, lo=HALF),
-                lambda: SignSegment(HALF, INF, sign=1, parity="odd")):
+    for bad in (lambda: N00Report(),
+                lambda: N00Report(True, (), 1, None, 2),
+                lambda: N00Report(True, (), ok=True),
+                lambda: N00Report(True, kappa_tilde=1, parity="odd")):
         with pytest.raises(TypeError):
             bad()
 
 
 def test_records_are_frozen_but_keep_their_memos():
-    rec = SignSegment(HALF, INF, 1)
+    rec = N00Report(True, (), 1)
     with pytest.raises(AttributeError):
-        rec.sign = 2
+        rec.kappa_tilde = 2
     with pytest.raises(AttributeError):
         rec.other = 2
     with pytest.raises(AttributeError):
-        del rec.lo
-    assert rec == SignSegment(HALF, INF, 1)
+        del rec.ok
+    assert rec == N00Report(True, (), 1)
     # a memo in the instance dict is no field: equality, hash and repr
     # ignore it
     q = NevFun.of(0, 1, [(1, 2)])

@@ -86,6 +86,17 @@ def test_schema_mismatch():
                               "kappa": 7})
 
 
+@pytest.mark.parametrize("kappa", [True, False, 1.0, "1", None, [1]])
+def test_declared_index_must_be_an_integer(kappa):
+    """phi = (z - 6)^2 has index 1; a declared index that is not a JSON
+    integer, a boolean included, is refused whatever its value."""
+    pair = {"phi": {"num": ["36", "-12", "1"], "den": ["1"]},
+            "q0": {"alpha": "0", "beta": "1", "atoms": []}}
+    assert ser.gennev_from_json({**pair, "kappa": 1}).kappa == 1
+    with pytest.raises(SchemaMismatch, match="is not an integer"):
+        ser.gennev_from_json({**pair, "kappa": kappa})
+
+
 WORKED_Q = {"alpha": "-3/5", "beta": "0", "atoms": [{"t": "2", "w": "1"}]}
 WORKED_R = {"num": ["0", "4", "-4", "1"], "den": ["-3", "7", "-5", "1"]}
 SHIFT_INV = {"alpha": "-1/2", "beta": "0", "atoms": [{"t": "-1", "w": "1"}]}
@@ -234,6 +245,22 @@ def test_cli_unwritable_output_is_one_error_line(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err == \
         f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_cli_report_over_the_digit_limit_is_one_error_line(tmp_path,
+                                                           capsys):
+    """A result with an integer longer than Python's limit for integer
+    string conversion: phi = (z - a)^2, r = z (z - b)^2 with a and b of
+    1,101 digits, so the product's coefficients have more than 4,300."""
+    a, b = 10**1100 + 7, 10**1100 + 3
+    code, rep = _run(tmp_path, "product", {
+        "in": {"phi": {"num": [str(a * a), str(-2 * a), "1"], "den": ["1"]},
+               "q0": {"alpha": "0", "beta": "1", "atoms": []}},
+        "r": {"num": ["0", str(b * b), str(-2 * b), "1"], "den": ["1"]}})
+    out, err = capsys.readouterr()
+    assert (code, rep, out) == (1, None, "")
+    assert err.startswith("error: InvalidInput: rational too long to write")
+    assert err.count("\n") == 1
 
 
 def test_cli_selftest_runs():
