@@ -123,6 +123,29 @@ def test_sign_report_matches_pointwise(r):
         assert r.ord_at(x) == 0 and _value_sign(r, x) == sign
 
 
+@settings(max_examples=60, deadline=None)
+@given(factored_ratfuns(), rationals(6, 4), rationals(6, 4))
+def test_sign_on_interval_with_finite_ends(r, lo, hi):
+    """Cut to a window [lo, hi] with finite ends, the segments are bounded
+    by lo, the odd-order points strictly inside and hi; across an
+    even-order point inside a piece r keeps the piece's sign."""
+    assume(lo < hi)
+    crit = [it for it in r.critical_points()
+            if strictly_between(it[0], lo, hi)]
+    pieces = [(a if point_cmp(a, lo) > 0 else lo,
+               b if point_cmp(b, hi) < 0 else hi, sign)
+              for a, b, sign in r.sign_on_interval()
+              if point_cmp(a, hi) < 0 and point_cmp(b, lo) > 0]
+    bounds = [lo] + [p for p, e in crit if e % 2] + [hi]
+    assert [(a, b) for a, b, _s in pieces] == list(zip(bounds, bounds[1:]))
+    for a, b, sign in pieces:
+        cuts = [a] + [p for p, _e in crit if strictly_between(p, a, b)] + [b]
+        for c, d in zip(cuts, cuts[1:]):
+            x = _sample_inside(r, c, d)
+            assert strictly_between(x, c, d)
+            assert r.ord_at(x) == 0 and _value_sign(r, x) == sign
+
+
 def test_signs_read_the_table_not_a_sample(monkeypatch):
     """Signs at irrational points and on segments come from the critical
     table: no rational is drawn and no Sturm sign is taken."""
