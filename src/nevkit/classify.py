@@ -31,12 +31,10 @@ from .ratfun import RatFun, strictly_between
 
 @record
 class ClassReport:
-    member: bool
     kappa: int
-    kappa_tilde: Optional[int]
-    witness: Optional[GenNevFun]
-    violations: tuple = ()
-    exceptional_atoms: tuple = ()
+    kappa_tilde: int
+    witness: GenNevFun
+    exceptional_atoms: tuple
 
 
 @record
@@ -51,9 +49,6 @@ class N00Report:
     failures: tuple = ()
     kappa_tilde: Optional[int] = None
     product: Optional[NevFun] = None    # r q, when its index is 0
-
-    def __bool__(self):
-        return self.ok
 
     def describe(self) -> str:
         """The failed clauses as 'clause at point: detail', joined by '; ',
@@ -95,8 +90,7 @@ def membership(g: GenNevFun, r: RatFun) -> ClassReport:
         raise ConstantInput("multiplier must be nonconstant")
     exceptional = _negative_at(r, g.q0.support())
     witness = product_factorization(g, r)
-    return ClassReport(True, g.kappa, witness.kappa, witness,
-                       (), tuple(exceptional))
+    return ClassReport(g.kappa, witness.kappa, witness, tuple(exceptional))
 
 
 def _negative_at(r: RatFun, points) -> list:
@@ -288,6 +282,15 @@ def check_N00(q: NevFun, r: RatFun) -> N00Report:
                      pair.q0 if kappa_tilde == 0 else None)
 
 
+def plain_pair(q: NevFun, r: RatFun) -> N00Report:
+    """The memoised plain-pair report of q and r when the pair passes;
+    NotInClass naming the failed clauses when it does not."""
+    rep = check_N00(q, r)
+    if not rep.ok:
+        raise NotInClass(f"pair fails the plain-pair test: {rep.describe()}")
+    return rep
+
+
 def _order_one_clause(q_rat: RatFun, r: RatFun, point,
                       is_zero: bool) -> bool:
     """Sign condition at an order-one zero or pole of the multiplier, read
@@ -398,9 +401,7 @@ def chain_factorize(q: NevFun, r: RatFun) -> FactorChain:
     """Ordered degree-one factors multiplying to r such that every partial
     product with q is a Nevanlinna function, each computed once in closed
     form from the one before and certified by a polynomial identity."""
-    rep = check_N00(q, r)
-    if not rep.ok:
-        raise NotInClass(f"pair fails the plain-pair test: {rep.describe()}")
+    plain_pair(q, r)
     factors, certs = _chain_build(q, r)
     if math.prod(factors, start=RatFun.const(1)) != r:
         raise InvariantViolation("chain factors do not multiply back")
@@ -570,10 +571,7 @@ def _degenerate_chain(q: NevFun, r: RatFun) -> tuple[list[RatFun],
 def kac_closure(q: NevFun, r: RatFun) -> KacClosureReport:
     """Local integrability of q at every pole of r and of the product at
     every zero of r; the plain-pair precondition is required."""
-    rep = check_N00(q, r)
-    if not rep.ok:
-        raise NotInClass("pair fails the plain-pair test")
-    rq = rep.product
+    rq = plain_pair(q, r).product
     if rq is None:
         raise NotRationalAtoms("pole is not rational")
     at_poles = tuple((x, q.kac_membership(x)) for x, _m in r.poles())

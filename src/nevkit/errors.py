@@ -58,10 +58,6 @@ class NotKacMember(NevkitError):
     """The function is not in the required local integrability class."""
 
 
-class NotInN00(NevkitError):
-    """transform_model requires a plain-pair instance."""
-
-
 class SpectrumHit(NevkitError):
     """Model evaluation was requested on the model spectrum."""
 

@@ -103,10 +103,6 @@ class Poly:
         return not self.n
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.n) <= 1
-
-    @property
     def lead(self) -> Fraction:
         return Fraction(self.n[-1], self.d) if self.n else Fraction(0)
 

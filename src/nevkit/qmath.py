@@ -107,11 +107,21 @@ def parse_rat(s: str) -> Fraction:
         raise ParseError(f"rational literal {s!r} is not a string")
     # Fraction expands an exponent exactly: "1e10000000" has 10**7 digits
     if re.search(r"[eE][-+]?\d", s):
-        raise ParseError(f"exponent notation in rational literal {s!r}")
+        raise ParseError(f"exponent notation in rational literal {_cut(s)}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {s!r}") from exc
+        why = f"bad rational literal {_cut(s)}"
+        limit = sys.get_int_max_str_digits()
+        if limit and re.search(rf"\d{{{limit + 1}}}", s):
+            why += f": a part has more than {limit} digits"
+        raise ParseError(why) from exc
+
+
+def _cut(s: str) -> str:
+    """s quoted, or its first 40 characters quoted and its length when it
+    is longer, so that an error line stays short."""
+    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} characters)"
 
 
 def fmt_rat(x: Fraction) -> str:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .classify import check_N00
-from .errors import (InvalidInput, InvariantViolation, NotInN00,
-                     NotKacMember, NotRationalAtoms, SpectrumHit)
+from .classify import plain_pair
+from .errors import (InvalidInput, InvariantViolation, NotKacMember,
+                     NotRationalAtoms, SpectrumHit)
 from .nevfun import AtomicMeasure, NevFun
 from .poly import RealAlg, point_cmp, rat
 from .qmath import INF, QC, ExtSymbol, fmt_rat, record
@@ -136,12 +136,11 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     be anchored at the first enumerated pole and realize q, or InvalidInput
     is raised; the output model must realize r q, or InvariantViolation is.
     """
-    rep = check_N00(q, r)
-    if not rep.ok:
-        raise NotInN00(f"pair fails the plain-pair test: {rep.describe()}")
+    rq = plain_pair(q, r).product
+    # poles_enum is not empty: a plain pair's r is nonconstant with only
+    # real zeros and poles, so with no real pole it is a polynomial and has
+    # its pole at infinity
     zeros_enum, poles_enum = enumerate_zeros_poles(r)
-    if not poles_enum:
-        raise NotInN00("multiplier has no pole on the extended line")
     b1 = poles_enum[0]
     if point_cmp(m.xi, b1) != 0:
         raise InvalidInput("input model must be anchored at the first pole")
@@ -152,8 +151,6 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     if any(isinstance(p, RealAlg) for p in (a_n,) + poles_enum):
         raise NotRationalAtoms("the transferred model needs rational poles "
                                "and a rational anchor")
-
-    rq = rep.product
 
     zeta_map = {b: rq.beta if b is INF else rq.sigma.weight_at(b)
                 for b in poles_enum}    # pole -> acquired mass, INF too

@@ -48,15 +48,15 @@ def eval_gen(g: GenNevFun, z: QC) -> QC:
 
 def test_membership_examples():
     rep = membership(GenNevFun.from_nevfun(MINUS_INV), Z)
-    assert rep.member and rep.kappa == 0 and rep.kappa_tilde == 0
+    assert rep.kappa == 0 and rep.kappa_tilde == 0
     assert rep.witness.to_ratfun() == RatFun.const(-1)
 
     rep2 = membership(GenNevFun.from_nevfun(SHIFT_INV), Z)
-    assert rep2.member and rep2.kappa_tilde == 1
+    assert rep2.kappa_tilde == 1
     assert rep2.exceptional_atoms == (Fraction(-1),)
 
     rep3 = membership(GenNevFun.from_nevfun(NevFun.of(0, 1)), Z)
-    assert rep3.member and rep3.kappa_tilde == 1
+    assert rep3.kappa_tilde == 1
 
 
 def test_product_factorization_examples():
@@ -1238,6 +1238,22 @@ def test_clause_ii_failures_are_described(q, r, text):
     assert rep.describe() == text
     with pytest.raises(NotInClass, match="plain-pair test"):
         chain_factorize(q, r)
+
+
+@pytest.mark.parametrize("q, r", [
+    (SHIFT_INV, Z),                                    # clause (i) at -1
+    (NevFun.of(0, 1), RatFun(Poly([1, 0, 1]), Poly([0, 1]))),  # clause (ii)
+])
+def test_every_plain_pair_call_refuses_a_failed_pair_alike(q, r):
+    """The chain, the Kac closure and the model transfer refuse a failed
+    pair with one error that names the failed clauses."""
+    text = f"pair fails the plain-pair test: {check_N00(q, r).describe()}"
+    model = minimal_model(q, 5)
+    for call in (lambda: chain_factorize(q, r), lambda: kac_closure(q, r),
+                 lambda: transform_model(model, r, q)):
+        with pytest.raises(NotInClass) as exc:
+            call()
+        assert str(exc.value) == text
 
 
 def test_double_pole_on_an_irrational_zero_is_plain():

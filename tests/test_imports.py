@@ -1,4 +1,4 @@
-"""Seventeen rules on the package source, each read off its AST and each with
+"""Nineteen rules on the package source, each read off its AST and each with
 a detector test on inline source:
 
 - every name a module imports is used in that module;
@@ -20,6 +20,9 @@ a detector test on inline source:
 - the kind strings "GZNT" and "GPNT" occur only in serialize.py;
 - the signed type rule _type_mult is called only where a type table or a
   type multiplicity is read off critical tables;
+- check_N00 is called only by the plain-pair gate and by the three readers
+  of its full report;
+- the refusal of a failed plain pair is written once;
 - every function, method and class has a caller in the package, or is on
   an allowlist that says why it is kept.
 """
@@ -519,6 +522,52 @@ def test_detector_finds_type_rule_calls():
 
 def test_type_rule_is_called_only_at_its_three_sites():
     assert set(_package_calls("_type_mult")) == TYPE_RULE_ALLOWED
+
+
+# A failed plain pair is refused in one place: plain_pair passes the report
+# on or raises NotInClass naming the failed clauses, and the chain, the Kac
+# closure and the model transfer call it.  check_N00 itself is called only
+# by the gate and where the full report is read whether the pair passes or
+# not: the chain verb's failure output and the corpus and selftest filters.
+PLAIN_PAIR_TEST_ALLOWED = {("classify.py", "plain_pair"),
+                           ("cli.py", "cmd_chain"),
+                           ("corpus.py", "structured_plain_pair"),
+                           ("selftest.py", "run_selftest")}
+REFUSAL = "pair fails the plain-pair test"
+
+
+def test_detector_finds_plain_pair_tests():
+    src = ("def plain_pair(q, r):\n    return check_N00(q, r)\n"
+           "def run(q, r):\n    def inner():\n"
+           "        return classify.check_N00(q, r)\n"
+           "    return inner(), check_N00.cache_info()\n")
+    assert _calls(src, "check_N00") == [("plain_pair", 2),
+                                        ("run.inner", 5)]
+
+
+def test_check_n00_is_called_only_by_the_gate_and_report_readers():
+    assert {(fname, scope.split(".")[0])
+            for fname, scope in _package_calls("check_N00")} \
+        == PLAIN_PAIR_TEST_ALLOWED
+
+
+def _occurrences(sources: dict[str, str], text: str) -> dict[str, int]:
+    """{file: count} of the files whose source contains text."""
+    return {name: src.count(text) for name, src in sources.items()
+            if text in src}
+
+
+def test_detector_finds_refusal_texts():
+    sources = {"a.py": f'raise E(f"{REFUSAL}: {{rep.describe()}}")\n',
+               "b.py": "x = 1\n",
+               "c.py": f'raise E("{REFUSAL}")\n# {REFUSAL}\n'}
+    assert _occurrences(sources, REFUSAL) == {"a.py": 1, "c.py": 2}
+
+
+def test_a_failed_plain_pair_is_refused_in_one_place():
+    assert _occurrences({path.name: path.read_text()
+                         for path in sorted(PACKAGE.glob("*.py"))},
+                        REFUSAL) == {"classify.py": 1}
 
 
 # A definition whose name the package never uses is dead, and goes.  Dunder

@@ -210,6 +210,41 @@ def test_cli_parse_error(tmp_path):
     assert main(["factor", "--in", str(p)]) == 1
 
 
+UNIT_ATOM = {"alpha": "0", "beta": "0", "atoms": [{"t": "0", "w": "1"}]}
+
+
+# a bad input is one error line that names what is wrong with it; a
+# coefficient over Python's limit of 4,300 digits for integer string
+# conversion is echoed by its first 40 characters and its length
+@pytest.mark.parametrize("verb, payload, extra, line", [
+    ("factor", {"num": ["abc"], "den": ["1"]}, [],
+     "bad rational literal 'abc'"),
+    ("factor", {"num": ["1" * 5000, "1"], "den": ["1"]}, [],
+     f"bad rational literal '{'1' * 40}'... (5000 characters): "
+     "a part has more than 4300 digits"),
+    ("kappa", {"alpha": "0", "beta": "0", "atoms": [{"t": "0"}]}, [],
+     "bad representation object: 'w'"),
+    ("invert", UNIT_ATOM, ["--interval=-1"], "interval must be LO,HI"),
+    ("invert", UNIT_ATOM, ["--interval=-1,1", "--phi", "PHI"],   # phi = 1/z
+     "InvalidInput: weight has a pole inside the interval"),
+])
+def test_cli_bad_input_is_one_named_error_line(tmp_path, capsys, verb,
+                                               payload, extra, line):
+    p, phi = tmp_path / "in.json", tmp_path / "phi.json"
+    p.write_text(json.dumps(payload))
+    phi.write_text(json.dumps({"num": ["1"], "den": ["0", "1"]}))
+    extra = [str(phi) if a == "PHI" else a for a in extra]
+    assert main([verb, "--in", str(p)] + extra) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_cli_invert_weighs_the_mass_by_phi(tmp_path):
+    code, rep = _run(tmp_path, "invert", {
+        "in": UNIT_ATOM, "phi": {"num": ["2"], "den": ["1"]}},
+        extra=["--interval=-1,1"])
+    assert code == 0 and abs(rep["mass"] - 2) < 1e-3
+
+
 # an input that cannot be read or decoded is a ParseError: bytes that are
 # not UTF-8, and nesting too deep for the JSON decoder
 @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100000],
