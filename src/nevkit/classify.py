@@ -26,7 +26,7 @@ from .gnev import GenNevFun, _type_mult, canonical_pair, canonical_rational
 from .nevfun import NevFun, _chain_step, _ends, is_nevanlinna
 from .poly import RealAlg, point_cmp, rational_between, rational_outside
 from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
-from .ratfun import RatFun, strictly_between
+from .ratfun import RatFun, from_table, strictly_between
 
 
 @record
@@ -86,8 +86,6 @@ def membership(g: GenNevFun, r: RatFun) -> ClassReport:
     and membership holds; the report lists those exceptional poles, which are
     exactly the mechanism that raises the product index.
     """
-    if r.is_constant:
-        raise ConstantInput("multiplier must be nonconstant")
     exceptional = _negative_at(r, g.q0.support())
     witness = product_factorization(g, r)
     return ClassReport(g.kappa, witness.kappa, witness, tuple(exceptional))
@@ -160,9 +158,7 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
         q_next = _chain_step(s, q, psi)
     except NotNevanlinna as exc:
         raise InvariantViolation(f"degree-one step: {exc}") from exc
-    return RatFun.from_points(
-        [y for y, e in psi.items() for _ in range(e)],
-        [y for y, e in psi.items() for _ in range(-e)]), q_next
+    return from_table(psi.items(), ()), q_next
 
 
 # -- splitting of simple interlacing functions ---------------------------------------

@@ -79,10 +79,6 @@ class Poly:
         return _poly((x.numerator,), x.denominator)
 
     @staticmethod
-    def x() -> "Poly":
-        return _poly((0, 1))
-
-    @staticmethod
     def from_roots(roots: Sequence, lead=1) -> "Poly":
         """lead * prod (z - r), as lead * prod (v z - u) / prod v in ints."""
         lead = rat(lead)

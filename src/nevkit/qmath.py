@@ -104,7 +104,8 @@ def parse_rat(s: str) -> Fraction:
     decimal.  Anything else, exponent notation, a JSON number or null
     included, is a ParseError."""
     if not isinstance(s, str):
-        raise ParseError(f"rational literal {s!r} is not a string")
+        raise ParseError(f"rational literal {_cut(repr(s), str)} "
+                         "is not a string")
     # Fraction expands an exponent exactly: "1e10000000" has 10**7 digits
     if re.search(r"[eE][-+]?\d", s):
         raise ParseError(f"exponent notation in rational literal {_cut(s)}")
@@ -118,10 +119,11 @@ def parse_rat(s: str) -> Fraction:
         raise ParseError(why) from exc
 
 
-def _cut(s: str) -> str:
-    """s quoted, or its first 40 characters quoted and its length when it
-    is longer, so that an error line stays short."""
-    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} characters)"
+def _cut(s: str, show=repr) -> str:
+    """show(s), s quoted by default, or show of its first 40 characters and
+    its length when it is longer, so that an error line stays short."""
+    return show(s) if len(s) <= 40 else \
+        f"{show(s[:40])}... ({len(s)} characters)"
 
 
 def fmt_rat(x: Fraction) -> str:

@@ -79,27 +79,18 @@ class RatFun:
     # -- constructors ----------------------------------------------------------
     @staticmethod
     def const(x) -> "RatFun":
-        x = rat(x)
-        return RatFun._with_table(Poly.const(x), Poly.const(1), ((), ())) \
-            if x else RatFun(Poly(), Poly.const(1))
+        return from_table((), ()) * x
 
     @staticmethod
     def x() -> "RatFun":
-        return RatFun(Poly.x(), Poly.const(1))
+        return from_table([(Fraction(0), 1)], ())
 
     @staticmethod
     def from_points(zeros: Sequence, poles: Sequence, gamma=1) -> "RatFun":
         """gamma * prod (z - zero) / prod (z - pole), all data rational."""
         orders = Counter(map(rat, zeros))
         orders.subtract(map(rat, poles))
-        table = tuple(sorted((p, e) for p, e in orders.items() if e))
-        if not rat(gamma):
-            return RatFun.const(0)
-        return RatFun._with_table(
-            Poly.from_roots([p for p, e in table for _ in range(e)],
-                            lead=rat(gamma)),
-            Poly.from_roots([p for p, e in table for _ in range(-e)]),
-            (table, ()))
+        return from_table([(p, e) for p, e in orders.items() if e], ()) * gamma
 
     # -- basic queries -----------------------------------------------------------
     @property
@@ -135,7 +126,7 @@ class RatFun:
             return self._times(other, 1)
         k = rat(other)
         return RatFun._with_table(self.num * k, self.den, self._tab) if k \
-            else RatFun.const(0)
+            else RatFun(Poly(), Poly.const(1))
 
     __rmul__ = __mul__
 
@@ -404,12 +395,16 @@ def _merge_blocks(a: Sequence, b: Sequence, sign: int) -> tuple:
     return tuple((h, e) for h, e in orders.items() if e), common
 
 
+_BY_POINT = cmp_to_key(lambda x, y: point_cmp(x[0], y[0]))
+
+
 def from_table(table: list, blocks: list) -> RatFun:
     """The monic function with the (point, order) and (factor, order)
     given, the table listing every real root of the polynomial of an
-    irrational point: it enters once, to its order, as a factor does."""
-    table = tuple(sorted(table, key=cmp_to_key(
-        lambda x, y: point_cmp(x[0], y[0]))))
+    irrational point: it enters once, to its order, as a factor does.
+    Every function given by its points is built here: RatFun.const and
+    RatFun.from_points scale the function their table gives."""
+    table = tuple(sorted(table, key=_BY_POINT))
     powers = dict(blocks)
     powers.update((p.p, e) for p, e in table if isinstance(p, RealAlg))
     num, den = (math.prod((h ** (k * e) for h, e in powers.items()

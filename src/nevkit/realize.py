@@ -152,11 +152,11 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
         raise NotRationalAtoms("the transferred model needs rational poles "
                                "and a rational anchor")
 
+    # pole -> acquired mass, INF too; none is negative, as rq is a NevFun
+    # and NevFun.of and AtomicMeasure.of refuse a negative beta or weight
     zeta_map = {b: rq.beta if b is INF else rq.sigma.weight_at(b)
-                for b in poles_enum}    # pole -> acquired mass, INF too
+                for b in poles_enum}
     zetas = list(zeta_map.items())
-    if any(z < 0 for _, z in zetas):
-        raise InvariantViolation("negative acquired point mass")
 
     finite_zero_pts = {x for x, _m in r.real_zeros if isinstance(x, Fraction)}
     kept = [(t, w) for t, w in q.sigma if t not in finite_zero_pts]

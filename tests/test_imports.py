@@ -9,7 +9,7 @@ a detector test on inline source:
 - Nevanlinna extraction is called only on input that arrives as a RatFun;
 - real_root_structure is called only by RatFun._num_roots and _den_roots,
   and they only by RatFun._table;
-- RatFun._with_table is called only by the six functions that know the
+- RatFun._with_table is called only by the four functions that know the
   table they give;
 - sign_on_interval is called only by classify.negative_closed_pieces;
 - outside ratfun.py no module reads a RatFun's table slot or merges tables;
@@ -272,13 +272,12 @@ def test_extraction_is_called_only_on_rational_input():
 # Root analysis has one path: a RatFun analyses its own polynomials when a
 # table is first read and was not given, in _table, and every other table
 # travels with the function it belongs to.  Tables are given only where
-# they are known: a constant's, from_points' and from_table's from their
-# data, a scalar multiple's and a merged product's from the operands, and a
-# NevFun's RatFun from its representation.  An inverse or a Moebius image
-# is given none.
-TABLE_GIVERS = {("ratfun.py", "RatFun.const"),
-                ("ratfun.py", "RatFun.from_points"),
-                ("ratfun.py", "RatFun.__mul__"),
+# they are known, by four functions: from_table's from its data, a scalar
+# multiple's and a merged product's from the operands, and a NevFun's
+# RatFun from its representation.  A constant and from_points' function
+# are scalar multiples of from_table's.  An inverse or a Moebius image is
+# given none.
+TABLE_GIVERS = {("ratfun.py", "RatFun.__mul__"),
                 ("ratfun.py", "RatFun._times"),
                 ("ratfun.py", "from_table"),
                 ("nevfun.py", "NevFun.to_ratfun")}
@@ -324,7 +323,7 @@ def test_detector_finds_a_table_given_elsewhere():
 
 
 def test_tables_are_given_only_where_they_are_known():
-    assert set(_package_calls("_with_table")) <= TABLE_GIVERS
+    assert set(_package_calls("_with_table")) == TABLE_GIVERS
 
 
 # The sign segments of the whole line have one reader, the closed negative

@@ -213,9 +213,15 @@ def test_cli_parse_error(tmp_path):
 UNIT_ATOM = {"alpha": "0", "beta": "0", "atoms": [{"t": "0", "w": "1"}]}
 
 
+Q_Z = {"alpha": "0", "beta": "1", "atoms": []}
+R_TWO = {"num": ["2"], "den": ["1"]}
+
+
 # a bad input is one error line that names what is wrong with it; a
 # coefficient over Python's limit of 4,300 digits for integer string
-# conversion is echoed by its first 40 characters and its length
+# conversion, or a long literal that is no string, is echoed by its first
+# 40 characters and its length.  A dict among the extra arguments is
+# written to a file of its own and passed by its path.
 @pytest.mark.parametrize("verb, payload, extra, line", [
     ("factor", {"num": ["abc"], "den": ["1"]}, [],
      "bad rational literal 'abc'"),
@@ -225,16 +231,37 @@ UNIT_ATOM = {"alpha": "0", "beta": "0", "atoms": [{"t": "0", "w": "1"}]}
     ("kappa", {"alpha": "0", "beta": "0", "atoms": [{"t": "0"}]}, [],
      "bad representation object: 'w'"),
     ("invert", UNIT_ATOM, ["--interval=-1"], "interval must be LO,HI"),
-    ("invert", UNIT_ATOM, ["--interval=-1,1", "--phi", "PHI"],   # phi = 1/z
+    ("invert", UNIT_ATOM, ["--interval=-1,1", "--phi",
+                           {"num": ["1"], "den": ["0", "1"]}],   # phi = 1/z
      "InvalidInput: weight has a pole inside the interval"),
+    ("factor", {"num": [[1] * 3000, "1"], "den": ["1"]}, [],
+     f"rational literal [{'1, ' * 13}... (9000 characters) "
+     "is not a string"),
+    ("factor", {"num": [1], "den": ["1"]}, [],
+     "rational literal 1 is not a string"),
+    ("product", Q_Z, ["--r", {"num": ["-2", "0", "1"],      # (z^2 - 2)/z
+                              "den": ["0", "1"]}],
+     "ExactSplitUnavailable: interlacing split needs rational points"),
+    ("chain", Q_Z, ["--r", {"num": ["-2", "0", "1"],      # (z^2 - 2)/z^2
+                            "den": ["0", "0", "1"]}],
+     "ExactSplitUnavailable: irrational odd-order zero"),
+    ("chain", Q_Z, ["--r", R_TWO],
+     "ConstantInput: multiplier must be nonconstant"),
+    ("classify", Q_Z, ["--r", R_TWO],
+     "ConstantInput: multiplier must be nonconstant"),
 ])
 def test_cli_bad_input_is_one_named_error_line(tmp_path, capsys, verb,
                                                payload, extra, line):
-    p, phi = tmp_path / "in.json", tmp_path / "phi.json"
+    p = tmp_path / "in.json"
     p.write_text(json.dumps(payload))
-    phi.write_text(json.dumps({"num": ["1"], "den": ["0", "1"]}))
-    extra = [str(phi) if a == "PHI" else a for a in extra]
-    assert main([verb, "--in", str(p)] + extra) == 1
+    args = []
+    for i, a in enumerate(extra):
+        if isinstance(a, dict):
+            f = tmp_path / f"extra{i}.json"
+            f.write_text(json.dumps(a))
+            a = str(f)
+        args.append(a)
+    assert main([verb, "--in", str(p)] + args) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
