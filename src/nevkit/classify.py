@@ -462,13 +462,13 @@ def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     for p in pts:
         if not dedup or point_cmp(dedup[-1], p) != 0:
             dedup.append(p)
-    for a, b in zip([NEG_INF] + dedup, dedup + [INF]):
-        if s.sign_right_of(a) <= 0:
-            continue
-        if a is NEG_INF:                # s nonconstant: dedup is not empty
-            return rational_outside(b)[0]
-        return rational_outside(a)[1] if b is INF else rational_between(a, b)
-    raise NotInClass("multiplier is nowhere positive")
+    # s is nonconstant with simple points, so it changes sign at its first
+    # point, and some cell is positive
+    a, b = next((a, b) for a, b in zip([NEG_INF] + dedup, dedup + [INF])
+                if s.sign_right_of(a) > 0)
+    if a is NEG_INF:                    # s nonconstant: dedup is not empty
+        return rational_outside(b)[0]
+    return rational_outside(a)[1] if b is INF else rational_between(a, b)
 
 
 def _interval_factors(q: NevFun, r: RatFun, a, b, anchor):

@@ -141,38 +141,21 @@ def random_plain_pair(rng: random.Random, max_factors: int = 4,
 
 
 def structured_plain_pair(rng: random.Random):
-    """A pair with interior double-point structure: the function is built
-    with chosen interlacing zeros and atoms inside one interval, and the
-    multiplier gets matching double points plus simple endpoints."""
-    for _attempt in range(200):
-        pts = _distinct_points(rng, 4, pool=[Fraction(n) for n in range(-6, 7)])
-        a, beta1, alpha1, b = pts
-        w = Fraction(rng.randint(1, 4))
-        # q has an atom at beta1 and a zero forced near alpha1 by choosing
-        # the additive constant afterwards
-        base = NevFun.of(0, 0, [(beta1, w)])
-        val = base.evaluate(alpha1)
-        q = NevFun.of(base.alpha - val, 0, [(beta1, w)])
-        if q.to_ratfun().eval_q(alpha1) != 0:
-            continue
-        # double zero at the atom, double pole at the zero, simple endpoints
-        phi = RatFun(Poly([-beta1, 1]) ** 2, Poly([-alpha1, 1]) ** 2)
-        s = RatFun.from_points([a], [b])
-        r = phi * s
-        from .classify import check_N00
-        try:
-            if check_N00(q, r).ok:
-                return q, r
-        except ExactSplitUnavailable:
-            continue
-        # try the mirrored endpoint orientation
-        r2 = phi * RatFun.from_points([b], [a])
-        try:
-            if check_N00(q, r2).ok:
-                return q, r2
-        except ExactSplitUnavailable:
-            continue
-    raise InvariantViolation("structured pair generation failed")
+    """A pair with interior double-point structure: q = C (z - x)/(z - t)
+    has its atom at t and its zero at x, and r = phi (z - b)/(z - a), with
+    phi the double zero at t over the double pole at x, for rational
+    a < t < x < b.  q's residue C (t - x) at t is negative, so C > 0, and
+    r q = C (z - t)(z - b)/((z - a)(z - x)) has its points interlacing
+    upward from the pole a: a Nevanlinna function, so every draw is a plain
+    pair.  (The other orientation, (z - a)/(z - b), puts a positive residue
+    at b and never is.)"""
+    a, t, x, b = _distinct_points(rng, 4, pool=[Fraction(n) for n in range(-6, 7)])
+    w = Fraction(rng.randint(1, 4))
+    # the additive constant that makes q(x) = 0 exactly
+    base = NevFun.of(0, 0, [(t, w)])
+    q = NevFun.of(-base.evaluate(x), 0, [(t, w)])
+    phi = RatFun(Poly([-t, 1]) ** 2, Poly([-x, 1]) ** 2)
+    return q, phi * RatFun.from_points([b], [a])
 
 
 def random_interlacing_simple(rng: random.Random, max_degree: int = 5) -> RatFun:

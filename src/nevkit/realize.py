@@ -173,8 +173,8 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     else:
         case = "both_finite"
         beta_e = r.gamma * q.beta
-    if beta_e != rq.beta:
-        raise InvariantViolation("mass at infinity disagrees with the product")
+    # beta_e is model_out's slope, which the check against rq below compares
+    # with rq.beta; in the bn_infinite case it is rq.beta itself
 
     masses = ([(t, abs(r.eval_q(t))) for t, _w in kept]
               + [(b, zeta_map[b]) for b, _one in new_atoms])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, nevfuns, rationals
+import nevkit.classify as cl
 from nevkit.classify import (FactorChain, chain_factorize, check_N00,
                              interlacing_factorize, kac_closure, membership,
                              negative_closed_pieces, pieces_disjoint,
@@ -18,7 +19,7 @@ from nevkit.corpus import (random_gennev, random_interlacing_simple,
                            random_member_pair, random_plain_pair,
                            random_symmetric_ratfun, structured_plain_pair)
 from nevkit import serialize as ser
-from nevkit.errors import (ExactSplitUnavailable, InvalidInput,
+from nevkit.errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                            InvariantViolation, NevkitError, NotInClass,
                            NotInterlacing, NotNevanlinna, NotRationalAtoms,
                            PoleHit)
@@ -91,6 +92,8 @@ def test_interlacing_factorize_examples():
     assert pieces == [[(Fraction(1), Fraction(2))],
                       [(Fraction(3), Fraction(4))]]
     assert pieces_disjoint(pieces[0], pieces[1])
+    # closed pieces that touch at 2 intersect
+    assert not pieces_disjoint(pieces[0], [(Fraction(2), Fraction(3))])
 
     single = RatFun.from_points([1], [2])
     assert interlacing_factorize(single) == [single]
@@ -108,6 +111,24 @@ def test_interlacing_rejects():
         interlacing_factorize(RatFun.from_points([1, 2], [3]))
     with pytest.raises(NotInterlacing):
         interlacing_factorize(RatFun.from_points([1, 1], [2]))
+    with pytest.raises(ConstantInput, match="^nothing to factor$"):
+        interlacing_factorize(RatFun.const(2))
+
+
+def test_interlacing_factors_that_do_not_multiply_back_are_a_defect(
+        monkeypatch):
+    monkeypatch.setattr(cl, "_unit_factor", lambda x, y, anchor: Z)
+    with pytest.raises(InvariantViolation,
+                       match="^interlacing factors do not multiply back$"):
+        interlacing_factorize(RatFun.from_points([1, 3], [2, 4]))
+
+
+def test_a_degree_one_step_that_fails_is_a_defect(monkeypatch):
+    def refused(s, q, psi):
+        raise NotNevanlinna("planted")
+    monkeypatch.setattr(cl, "_chain_step", refused)
+    with pytest.raises(InvariantViolation, match="^degree-one step: planted$"):
+        _degree_one_step(RatFun.from_points([1], [2]), MINUS_INV)
 
 
 def _four_case_split(s: RatFun) -> list[RatFun]:
@@ -231,6 +252,18 @@ def test_chain_structured_pairs():
         assert len(chain.factors) >= 3     # interior pair emitted twice
 
 
+def test_every_structured_draw_is_a_plain_pair():
+    """structured_plain_pair draws once: r q interlaces upward from the
+    simple pole a, and the other orientation of the simple ends fails."""
+    rng = random.Random(41)
+    for _ in range(200):
+        q, r = structured_plain_pair(rng)
+        assert check_N00(q, r).ok
+        (a,), (b,) = ([x for x, m in points if m == 1]
+                      for points in (r.real_poles, r.real_zeros))
+        assert not check_N00(q, r * RatFun.from_points([a, a], [b, b])).ok
+
+
 def test_failed_pair_generation_is_a_nevkit_error(monkeypatch):
     import nevkit.corpus
 
@@ -240,6 +273,15 @@ def test_failed_pair_generation_is_a_nevkit_error(monkeypatch):
     with pytest.raises(InvariantViolation,
                        match="^plain-pair generation failed$"):
         random_plain_pair(random.Random(31))
+
+
+def test_failed_member_pair_generation_is_a_nevkit_error(monkeypatch):
+    def refused(g, r):
+        raise ExactSplitUnavailable("no split")
+    monkeypatch.setattr(cl, "product_factorization", refused)
+    with pytest.raises(InvariantViolation,
+                       match="^member pair generation failed$"):
+        random_member_pair(random.Random(31))
 
 
 def test_kac_closure_examples():
@@ -275,6 +317,16 @@ def test_kappa_tilde_oracle_match():
             assert negative_squares(w.to_ratfun(), seed=5) == w.kappa
 
 
+@pytest.mark.parametrize("s, error, message", [
+    (RatFun.const(2), ConstantInput, "multiplier must be nonconstant"),
+    (RatFun.from_points([1, 1], [2]), NotInterlacing,
+     "multiplier must be simple, infinity included"),
+])
+def test_four_forms_need_a_simple_multiplier(s, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        productinNg_forms(WORKED_Q, s)
+
+
 def test_four_forms_agree():
     rng = random.Random(53)
     n_member = 0
@@ -300,11 +352,22 @@ def test_four_forms_agree():
 
 
 def test_chain_invariant_holds_without_assert(monkeypatch):
-    import nevkit.classify as cl
     monkeypatch.setattr(cl, "_chain_build",
                         lambda q, r: ([RatFun.from_points([2], [1])], [q]))
     with pytest.raises(InvariantViolation):
         chain_factorize(WORKED_Q, WORKED_R)
+
+
+def test_a_negative_leftover_constant_is_a_defect(monkeypatch):
+    """-1/z times z: one arc and one factor, z; its sign flipped, the
+    constant left over is -1."""
+    factors = cl._interval_factors
+    monkeypatch.setattr(cl, "_interval_factors",
+                        lambda *args: [-f for f in factors(*args)])
+    monkeypatch.setattr(cl, "_certify_chain", lambda q, fs: [q] * len(fs))
+    with pytest.raises(InvariantViolation,
+                       match="^negative leftover constant$"):
+        chain_factorize(MINUS_INV, Z)
 
 
 def _clear_certificates():
@@ -348,7 +411,6 @@ def _criterion5_pairs(n: int) -> list:
 
 
 def test_chain_factors_depend_only_on_values(monkeypatch):
-    import nevkit.classify as cl
     qj, rj = _criterion5_pairs(7)[6]
     from_irrational, anchors = [], []
 
@@ -385,7 +447,6 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
 
 
 def test_plain_pair_is_analysed_once_per_value(monkeypatch):
-    import nevkit.classify as cl
     calls = []
     canonical = cl.canonical_pair
     monkeypatch.setattr(cl, "canonical_pair",
@@ -404,8 +465,6 @@ def test_plain_pair_is_analysed_once_per_value(monkeypatch):
 
 
 def test_plain_pair_cross_check_is_not_memoised(monkeypatch):
-    import nevkit.classify as cl
-
     class Wrong:
         kappa = 1
     monkeypatch.setattr(cl, "canonical_pair", lambda f: Wrong)
@@ -577,7 +636,6 @@ def test_closed_form_step_cases(q, s):
 
 def test_closed_form_step_isolates_no_zero_outside_the_negative_set(
         monkeypatch):
-    import nevkit.classify as cl
     calls = _count_extractions(monkeypatch)
     s = RatFun.from_points([3], [4])       # negative on (3, 4)
     q = NevFun.of(0, 1, [(0, 2)])          # fresh: irrational zeros +-sqrt(2)
@@ -646,7 +704,6 @@ def _detour_chain_build(q: NevFun, r: RatFun):
     moves by tau = p - 1/lambda, where every negative set is bounded, is
     factored there, and each factor moves back by -1/(z - p) and is
     certified again."""
-    import nevkit.classify as cl
     s = cl._odd_part(r)
     if s.is_constant or not any(
             sgn < 0 and (lo is NEG_INF or hi is INF)
@@ -681,7 +738,6 @@ def test_chain_on_the_extended_line_matches_the_detour(monkeypatch):
     and the pairs above.  Every factor but the first is 1 at the anchor:
     INF when no arc reaches it, and otherwise the rational point where the
     first factor is r."""
-    import nevkit.classify as cl
     anchors, arcs = [], []
     anchor, table = cl._positive_anchor, cl._interval_factors
     monkeypatch.setattr(cl, "_positive_anchor",
@@ -825,7 +881,6 @@ def _arc_shape(a, b) -> str:
 
 
 def test_interval_factors_match_the_flag_reference(monkeypatch):
-    import nevkit.classify as cl
     table = cl._interval_factors
     patterns, shapes = set(), set()
 
@@ -921,7 +976,6 @@ def test_chain_steps_match_extraction(monkeypatch):
     partial product.  The Moebius compositions that compose_gen makes,
     here with the maps tau = p - 1/lambda at the chains' anchors, equal
     the extraction of theirs."""
-    import nevkit.classify as cl
     import nevkit.gnev as gnev
     step, compose = cl._chain_step, gnev._compose
     seen = {"step": 0, "tau": 0}
@@ -1178,7 +1232,6 @@ def test_negative_constant_branch_analyses_no_derived_polynomial(
     those of its canonical factor and quotient, are merged or seeded,
     conjugate-pair blocks included, so only the input polynomials are
     analysed, whether the product is factored or refused."""
-    import nevkit.classify as cl
     rng = random.Random(1002)
     draws = [(ser.gennev_to_json(random_gennev(rng, 6)),
               ser.ratfun_to_json(random_symmetric_ratfun(rng, 4)))
@@ -1363,8 +1416,6 @@ def test_all_even_chain_matches_the_candidate_search():
 
 
 def test_all_even_chain_failing_its_certificate_is_a_defect(monkeypatch):
-    import nevkit.classify as cl
-
     def refuse(q, factors):
         raise NotNevanlinna("forced")
     monkeypatch.setattr(cl, "_certify_chain", refuse)

@@ -8,7 +8,7 @@ import pytest
 import nevkit.poly
 from nevkit.corpus import random_symmetric_ratfun
 from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
-                           NotNevanlinnaTau, NotRationalAtoms)
+                           InvalidInput, NotNevanlinnaTau, NotRationalAtoms)
 from nevkit.gnev import (GenNevFun, _type_mult, canonical_pair,
                          canonical_rational, compose_gen,
                          nonpositive_type_records)
@@ -97,6 +97,12 @@ def test_canonical_rational_examples():
 def test_canonical_rational_constant_input():
     with pytest.raises(ConstantInput):
         canonical_rational(RatFun.const(3))
+
+
+def test_canonical_pair_of_the_zero_function_is_invalid_input():
+    with pytest.raises(InvalidInput,
+                       match="^zero function has no canonical pair$"):
+        canonical_pair(RatFun.const(0))
 
 
 def test_canonical_rational_interlacing_residual(rng=None):

@@ -20,7 +20,7 @@ a detector test on inline source:
 - the kind strings "GZNT" and "GPNT" occur only in serialize.py;
 - the signed type rule _type_mult is called only where a type table or a
   type multiplicity is read off critical tables;
-- check_N00 is called only by the plain-pair gate and by the three readers
+- check_N00 is called only by the plain-pair gate and by the two readers
   of its full report;
 - the refusal of a failed plain pair is written once;
 - every function, method and class has a caller in the package, or is on
@@ -527,10 +527,9 @@ def test_type_rule_is_called_only_at_its_three_sites():
 # on or raises NotInClass naming the failed clauses, and the chain, the Kac
 # closure and the model transfer call it.  check_N00 itself is called only
 # by the gate and where the full report is read whether the pair passes or
-# not: the chain verb's failure output and the corpus and selftest filters.
+# not: the chain verb's failure output and the selftest filter.
 PLAIN_PAIR_TEST_ALLOWED = {("classify.py", "plain_pair"),
                            ("cli.py", "cmd_chain"),
-                           ("corpus.py", "structured_plain_pair"),
                            ("selftest.py", "run_selftest")}
 REFUSAL = "pair fails the plain-pair test"
 

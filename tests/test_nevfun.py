@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from conftest import (nevfuns, rationals, small_polys, sturm_count,
                       sturm_sign_of, upper_half_points)
 import nevkit.nevfun
-from nevkit.errors import GapViolated, InvalidInput, NotNevanlinna, PoleHit
+from nevkit.errors import (GapViolated, InvalidInput, InvariantViolation,
+                           NotNevanlinna, PoleHit)
 from nevkit.gnev import GenNevFun
 from nevkit.nevfun import (AtomicMeasure, NevFun, is_nevanlinna,
                            nevfun_from_ratfun)
 from nevkit.poly import (Poly, RealAlg, compose_fractional, gcd, point_cmp,
                          rational_between, real_root_structure)
-from nevkit.qmath import INF, NEG_INF, QC, fmt_rat
+from nevkit.qmath import INF, LIM_INF, NEG_INF, QC, fmt_rat
 from nevkit.ratfun import RatFun
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])            # -1/z
@@ -51,6 +52,8 @@ def test_limit_examples():
     assert MINUS_INV.limit_at(0, "residue").value == 1
     assert LINE.limit_at(INF, "residue").value == 1
     assert WORKED.limit_at(NEG_INF, "value").value == -1
+    assert repr(WORKED.limit_at(NEG_INF, "value")) == "Limit(-1)"
+    assert repr(MINUS_INV.limit_at(0, "value")) == "Limit(inf)"
 
 
 def test_limit_slope_forms():
@@ -75,6 +78,16 @@ def test_value_sides_at_atom():
     assert LINE.limit_at(INF, "value", side="+").kind == "+inf"
 
 
+def test_limits_diverging_without_a_sign():
+    """With no side, the value at an atom and at infinity with beta > 0
+    diverges in modulus only; so does the slope at infinity unless beta = 0
+    and the value there is 0."""
+    assert MINUS_INV.limit_at(0, "value") is LIM_INF
+    assert LINE.limit_at(INF, "value") is LIM_INF
+    assert LINE.limit_at(INF, "slope") is LIM_INF
+    assert WORKED.limit_at(INF, "slope") is LIM_INF
+
+
 def test_kac_examples():
     assert MINUS_INV.kac_membership(INF) is True
     assert MINUS_INV.kac_membership(0) is False
@@ -88,6 +101,13 @@ def test_gap_characterize_examples():
 
     rep2 = MINUS_INV.gap_characterize(0, shape="left_ray")
     assert rep2.condition_holds and rep2.eta.value == 0
+    # off the atoms the value from below at the endpoint is finite, and the
+    # secondary representative is (q - eta_secondary)/(z - 1)
+    rep4 = WORKED.gap_characterize(1, shape="left_ray")
+    assert rep4.eta_secondary.value == 0
+    assert rep4.q_tilde_secondary == \
+        NevFun.from_partial_fractions(0, 0, [(2, 1)])          # 1/(2 - z)
+    assert WORKED.spectral_gaps() == [(NEG_INF, 2), (2, INF)]
 
     q3 = NevFun.of(Fraction(1, 2), 0, [(1, 1)])
     rep3 = q3.gap_characterize(2, 3, "bounded_gap")
@@ -102,6 +122,19 @@ def test_gap_violated():
     with pytest.raises(GapViolated) as exc:
         WORKED.gap_characterize(0, 3, "bounded_gap")
     assert exc.value.atoms == (Fraction(2),)
+
+
+@pytest.mark.parametrize("q, args, message, atoms", [
+    (WORKED, (3, None, "left_ray"), "atoms below the ray endpoint", (2,)),
+    (WORKED, (-1, 1, "complement_gap"),
+     "atoms outside the compact interval", (2,)),
+    (NevFun.of(0, 1, [(0, 1)]), (-1, 1, "complement_gap"),
+     "mass at infinity", ()),
+])
+def test_gap_violated_on_the_ray_and_the_complement(q, args, message, atoms):
+    with pytest.raises(GapViolated, match=f"^{message}$") as exc:
+        q.gap_characterize(*args)
+    assert exc.value.atoms == atoms
 
 
 def test_gap_identity_bounded():
@@ -430,6 +463,23 @@ def test_rejections_are_not_memoised(monkeypatch):
             with pytest.raises(error):
                 nevfun_from_ratfun(f)
     assert len(calls) == 4
+
+
+def test_an_extraction_that_misses_its_input_is_a_defect(monkeypatch):
+    build = NevFun.from_partial_fractions
+    monkeypatch.setattr(NevFun, "from_partial_fractions", staticmethod(
+        lambda c0, beta, atoms=(): build(c0 + 1, beta, atoms)))
+    with pytest.raises(InvariantViolation,
+                       match="^representation extraction mismatch$"):
+        nevfun_from_ratfun(RatFun(Poly([1, -1]), Poly([-2, 1])))
+
+
+def test_a_closed_form_with_atoms_off_its_identity_is_a_defect():
+    """lhs/rhs = 1, but the atom (0, 1) makes the NevFun 1 - 1/z."""
+    with pytest.raises(InvariantViolation,
+                       match="^planted: the certificate identity fails$"):
+        nevkit.nevfun._certified(Poly.const(1), Poly.const(1),
+                                 [(Fraction(0), Fraction(1))], "planted")
 
 
 def test_float_evaluation_matches_exact_values():

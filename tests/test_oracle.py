@@ -298,6 +298,8 @@ def test_gap_detect_examples():
     assert gap_detect(MINUS_INV, (-1, 1)) is False
     worked = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])
     assert gap_detect(worked, (-10, 2)) is True
+    # Im f = 1/eps: the inversion levels disagree, NonConvergent
+    assert gap_detect(lambda z: 1j / z.imag, (-1, 1)) is False
 
 
 def test_phi_pole_rejected():
@@ -548,6 +550,13 @@ def test_negative_squares_rejects_bad_settings(kwargs):
 def test_inversion_config_rejects_bad_levels(eps):
     with pytest.raises(InvalidInput):
         InversionConfig(eps_schedule=(eps,))
+
+
+def test_inversion_config_caps_the_levels():
+    schedule = tuple(2.0 ** -k for k in range(1, 66))
+    with pytest.raises(InvalidInput, match="^at most 64 offset levels$"):
+        InversionConfig(eps_schedule=schedule)
+    assert len(InversionConfig(eps_schedule=schedule[:64]).eps_schedule) == 64
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

@@ -15,8 +15,9 @@ import nevkit.poly
 from nevkit.corpus import random_plain_pair
 from nevkit.errors import ExactSplitUnavailable, InvalidInput
 from nevkit.gnev import canonical_pair, canonical_rational
-from nevkit.poly import (Poly, RealAlg, count_real_roots, gcd,
-                         irreducible_factors, isolate_real_roots, point_cmp,
+from nevkit.poly import (Poly, RealAlg, compose_fractional, count_real_roots,
+                         gcd, irreducible_factors, isolate_real_roots,
+                         point_cmp,
                          rational_between, rational_outside,
                          real_root_structure, squarefree_decomposition)
 from nevkit.nevfun import NevFun
@@ -27,6 +28,21 @@ from nevkit.realize import enumerate_zeros_poles
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: repr(Poly()), "Poly(0)"),
+    (lambda: Poly()(2), 0),
+    (lambda: Poly()(QC.of(1, 1)), QC.of(0)),
+    (lambda: Poly([1, 2])(0.5 + 1j), 2 + 2j),
+    (lambda: count_real_roots(Poly.const(3)), 0),
+    (lambda: isolate_real_roots(Poly.const(3)), []),
+    (lambda: compose_fractional(Poly(), Poly([0, 1]), Poly([1, 1]), 2),
+     Poly()),
+], ids=["repr", "at-rational", "at-qc", "at-float", "count", "isolate",
+        "compose"])
+def test_zero_and_constant_polynomials(call, value):
+    assert call() == value
 
 
 def test_divmod_roundtrip():

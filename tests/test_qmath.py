@@ -1,15 +1,19 @@
 """The frozen value records of qmath.record, against the dataclasses they
-replace."""
+replace; exact coercion; and Python's own protocols on nevkit values."""
 
+import copy
 import dataclasses
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
 
 from nevkit.classify import FactorChain, KacClosureReport, N00Report
 from nevkit.errors import InvalidInput
+from nevkit.gnev import GenNevFun
 from nevkit.nevfun import AtomicMeasure, NevFun, ProductMembership
-from nevkit.oracle import InversionConfig
+from nevkit.oracle import InversionConfig, as_evaluator
 from nevkit.poly import Poly
 from nevkit.qmath import INF, NEG_INF, QC, LimitValue, rat, record
 from nevkit.ratfun import RatFun
@@ -147,3 +151,48 @@ def test_inexact_points_are_invalid_input(call):
 def test_rat_rejects_what_is_not_exact(x):
     with pytest.raises(InvalidInput, match="exact rational"):
         rat(x)
+
+
+def test_rat_reads_a_literal_and_qc_conjugates():
+    assert rat("-3/4") == Fraction(-3, 4)
+    assert QC.of(1, 2).conj() == QC.of(1, -2)
+
+
+G = GenNevFun(RatFun.const(1), Q)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: setattr(Poly([1, 2]), "d", 1),
+     AttributeError("Poly is immutable")),
+    (lambda: setattr(SQRT2, "lo", 0), AttributeError("RealAlg is immutable")),
+    (lambda: setattr(RatFun.x(), "num", Poly.const(1)),
+     AttributeError("RatFun is immutable")),
+    (lambda: setattr(G, "phi", RatFun.x()),
+     AttributeError("GenNevFun is immutable")),
+    (lambda: G == GenNevFun(RatFun.const(1), Q), True),
+    (lambda: G == Q, False),
+    (lambda: 2 - Poly([0, 1]), Poly([2, -1])),
+    (lambda: 2 - RatFun.x(), RatFun(Poly([2, -1]), Poly.const(1))),
+    (lambda: 2 / RatFun.x(), RatFun(Poly.const(2), Poly([0, 1]))),
+    (lambda: Poly([1, 0, 1])(QC.of(0, 1)), QC.of(0)),
+    (lambda: Poly([1]).divmod(Poly.const(0)),
+     ZeroDivisionError("polynomial division by zero")),
+    (lambda: QC.of(1) / QC.of(0),
+     ZeroDivisionError("division by exact complex zero")),
+    (lambda: pickle.loads(pickle.dumps(INF)) is INF, True),
+    (lambda: copy.deepcopy(INF) is INF, True),
+    (lambda: as_evaluator(5), TypeError("cannot build an evaluator from 5")),
+], ids=["poly-set", "realalg-set", "ratfun-set", "gennev-set", "gennev-eq",
+        "gennev-ne", "poly-rsub", "ratfun-rsub", "ratfun-rtruediv",
+        "poly-at-qc", "poly-divmod-zero", "qc-div-zero", "inf-pickle",
+        "inf-deepcopy", "evaluator-of-int"])
+def test_python_protocol(call, outcome):
+    """Python's own protocols on nevkit values: immutability, reflected
+    operators, division by zero, and INF as a singleton through pickle and
+    deepcopy.  No CLI path reaches these; a library caller can."""
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome),
+                           match=f"^{re.escape(str(outcome))}$"):
+            call()
+    else:
+        assert call() == outcome

@@ -83,6 +83,12 @@ def test_reduce_multiplicities():
     assert r.real_poles == [(Fraction(1), 2), (Fraction(3), 1)]
 
 
+def test_subtraction_takes_a_ratfun_or_a_constant():
+    z = RatFun.x()
+    assert z - 1 == RatFun.from_points([1], [])
+    assert (z - z).is_zero
+
+
 def test_zero_denominator():
     with pytest.raises(IdenticallyZeroDenominator):
         reduce(Poly.const(1), Poly())

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nevkit.corpus import random_plain_pair, structured_plain_pair
-from nevkit.errors import InvalidInput, NotKacMember, PoleHit, SpectrumHit
+from nevkit.errors import (InvalidInput, InvariantViolation, NotKacMember,
+                           PoleHit, SpectrumHit)
 from nevkit.gnev import GenNevFun
 from nevkit.nevfun import AtomicMeasure, NevFun
 from nevkit.poly import Poly
@@ -233,6 +234,31 @@ def test_transform_refuses_a_model_of_another_function():
     m = minimal_model(NevFun.of(5, 0, [(2, 3)]), 1)
     with pytest.raises(InvalidInput, match="does not realize"):
         transform_model(m, WORKED_R, WORKED_Q)
+
+
+def test_a_transferred_model_off_the_product_is_a_defect(monkeypatch):
+    import nevkit.realize
+    m = minimal_model(WORKED_Q, 1)
+    monkeypatch.setattr(nevkit.realize, "L2Model",
+                        lambda beta, sigma, xi, eta, *rest:
+                        L2Model(beta, sigma, xi, eta + 1, *rest))
+    with pytest.raises(InvariantViolation,
+                       match="^transferred model does not realize the "
+                             "product$"):
+        transform_model(m, WORKED_R, WORKED_Q)
+
+
+@pytest.mark.parametrize("q_in, q_out", [
+    # the acquired mass at the pole 3 of r is 3/2, not 5
+    (WORKED_Q, NevFun.of(0, 0, [(3, 5)])),
+    # an output atom at 5, off the poles, where the input has none
+    (WORKED_Q, NevFun.of(0, 0, [(5, 1)])),
+    # the input atom at 5, where r is finite and nonzero, dropped
+    (NevFun.of(0, 0, [(5, 1)]), NevFun.const(0)),
+], ids=["pole-mass", "new-atom", "lost-atom"])
+def test_spectral_check_fails_on_a_wrong_measure(q_in, q_out):
+    assert not model_spectral_check(minimal_model(q_in, INF),
+                                    minimal_model(q_out, INF), WORKED_R)
 
 
 def _weyl_ratfun(m: L2Model) -> RatFun:

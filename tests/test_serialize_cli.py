@@ -84,6 +84,12 @@ def test_schema_mismatch():
         ser.gennev_from_json({"phi": {"num": ["1"], "den": ["1"]},
                               "q0": {"alpha": "0", "beta": "0", "atoms": []},
                               "kappa": 7})
+    with pytest.raises(SchemaMismatch,
+                       match="^bad canonical-pair object: 'phi'$"):
+        ser.gennev_from_json({"q0": {"alpha": "0", "beta": "0",
+                                     "atoms": []}})
+    with pytest.raises(SchemaMismatch, match="^bad model object: 'xi'$"):
+        ser.model_from_json({})
 
 
 @pytest.mark.parametrize("kappa", [True, False, 1.0, "1", None, [1]])
@@ -166,6 +172,10 @@ def test_cli_realize(tmp_path):
     assert rep["spectral_check"] is True
     assert dict(map(tuple, rep["zetas"])) == {"1": "1/2", "3": "3/2"}
     assert rep["output_model"]["xi"] == "0"
+    # a canonical pair with phi = 1 is read as its Nevanlinna part
+    pair = {"phi": {"num": ["1"], "den": ["1"]}, "q0": WORKED_Q}
+    assert _run(tmp_path, "realize", {"in": pair, "r": WORKED_R}) == \
+        (code, rep)
 
 
 def test_cli_kappa_and_invert(tmp_path):
@@ -249,6 +259,11 @@ R_TWO = {"num": ["2"], "den": ["1"]}
      "ConstantInput: multiplier must be nonconstant"),
     ("classify", Q_Z, ["--r", R_TWO],
      "ConstantInput: multiplier must be nonconstant"),
+    ("realize", Q_Z, ["--r", {"num": ["1"], "den": ["1", "0", "1"]}],
+     "multiplier has no pole on the extended line"),
+    ("product", R_TWO, ["--r", R_TWO],
+     "expected representation data or a canonical pair"),
+    ("chain", R_TWO, ["--r", R_TWO], "expected plain representation data"),
 ])
 def test_cli_bad_input_is_one_named_error_line(tmp_path, capsys, verb,
                                                payload, extra, line):
