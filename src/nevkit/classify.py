@@ -452,10 +452,11 @@ def _chain_build(q: NevFun, r: RatFun) -> tuple[list[RatFun], list[NevFun]]:
 def _positive_anchor(s: RatFun, q: NevFun, r: RatFun) -> Fraction:
     """A rational point where s is strictly positive that is not a zero,
     pole or support point of anything involved: walk the cells of the
-    common critical-point refinement, read the sign of s on each from its
-    critical table, and draw one rational in the first positive cell."""
+    common critical-point refinement of q and r, which holds s's points,
+    r's odd-order ones, read the sign of s on each from its critical
+    table, and draw one rational in the first positive cell."""
     pts = []
-    for f in (s, q.to_ratfun(), r):
+    for f in (q.to_ratfun(), r):
         pts.extend(p for p, _e in f.critical_points())
     pts.sort(key=cmp_to_key(point_cmp))
     dedup = []

@@ -536,35 +536,26 @@ def _pval(a: Sequence[int], x: int, m: int) -> int:
 
 
 def _rational_roots(a: IntPoly) -> list[Fraction]:
-    """The rational roots of the primitive integer polynomial a, ascending.
+    """The rational roots of the primitive squarefree integer polynomial a,
+    ascending.  Squarefreeness is the caller's to decide, as for every root
+    kernel: a multiple rational root is a multiple root mod every prime, so
+    the prime search below would not end.
 
     With L = lead(a), take the first odd prime p that does not divide L and
-    at which every root of a mod p, found by trial, is simple.  Each lifts
-    by Newton steps to a root rho mod p^(2^j) > 2 (|L| + max |a_i|), a bound
-    on 2 |L x| for a root x.  A rational root x = u/v has v | L and reduces
-    to one of them, so the symmetric residue c of L rho is L x: c/L is kept
-    when it is an exact root.
-
-    A prime that does not divide L but gives a multiple root mod p divides
-    the discriminant of a, unless a is not squarefree; once the product of
-    such primes exceeds the Hadamard bound on the discriminant, InvalidInput
-    is raised.  A square factor without rational roots may pass the search;
-    it stays in the residual, where :func:`isolate_real_roots` detects it by
-    a gcd with the derivative."""
-    n, lead = len(a) - 1, a[-1]
+    at which every root of a mod p, found by trial, is simple; each prime
+    dividing neither L nor the discriminant of a is one.  Each root lifts
+    by Newton steps to a root rho mod p^(2^j) > 2 (|L| + max |a_i|), a
+    bound on 2 |L x| for a root x.  A rational root x = u/v has v | L and
+    reduces to one of them, so the symmetric residue c of L rho is L x:
+    c/L is kept when it is an exact root."""
+    lead = a[-1]
     da = [i * c for i, c in enumerate(a)][1:]
-    limit = ((math.isqrt(sum(c * c for c in a)) + 1) ** (n - 1)
-             * (math.isqrt(sum(c * c for c in da)) + 1) ** n)
-    bad = 1
     for p in _odd_primes():
         if lead % p:
             ap, dap = _pnorm(a, p), _pnorm(da, p)
             roots = [r for r in range(p) if not _pval(ap, r, p)]
             if all(_pval(dap, r, p) for r in roots):
                 break
-            bad *= p
-            if bad > limit:
-                raise InvalidInput("polynomial is not squarefree")
     bound = abs(lead) + max(abs(c) for c in a)      # |L x| for a root x
     out = []
     for r in roots:
@@ -681,25 +672,25 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     rational root r, else an open interval with nonzero endpoint values
     holding exactly one root, which is irrational.
 
-    The rational roots are found directly by p-adic lifting, and only the
-    residual h, which has no rational root, is isolated by Descartes
-    bisection (:func:`_boxes`).  Raises :class:`InvalidInput` when p is not
-    squarefree: the p-adic search finds a multiple rational root, and
-    gcd(h, h') a multiple irrational or nonreal one.
+    Squarefreeness is decided on entry, by one gcd(p, p'): a p that is not
+    squarefree raises :class:`InvalidInput` before any root search, and
+    the kernels below rely on it.  The rational roots are found directly
+    by p-adic lifting, and only the residual h, which has no rational
+    root, is isolated by Descartes bisection (:func:`_boxes`).
     """
     if p.degree < 1:
         return []
-    rats, h = _rational_split(_primitive(p.n))
-    hp = _poly(h)
-    if gcd(hp, hp.deriv()).degree > 0:
+    if gcd(p, p.deriv()).degree > 0:
         raise InvalidInput("polynomial is not squarefree")
+    rats, h = _rational_split(_primitive(p.n))
     return sorted([(r, r) for r in rats] + _boxes(h, rats))
 
 
 def _boxes(h: IntPoly, rats: Sequence[Fraction]
            ) -> list[tuple[Fraction, Fraction]]:
     """Isolating boxes of the real roots of a squarefree h without rational
-    roots, whose closures hold none of the rationals rats.
+    roots, whose closures hold none of the rationals rats.  Like
+    :func:`_rational_roots`, it relies on its caller for squarefreeness.
 
     Vincent-Collins-Akritas bisection (Collins and Akritas 1976; Rouillier
     and Zimmermann 2004) on dyadic cells (lo, lo + w): a cell carries
@@ -893,6 +884,9 @@ def point_cmp(a, b) -> int:
     return (a > b) - (a < b)
 
 
+_BY_POINT = cmp_to_key(lambda x, y: point_cmp(x[0], y[0]))  # (point, m) pairs
+
+
 @lru_cache(maxsize=ROOT_STRUCTURE_CACHE_SIZE)
 def real_root_structure(p: Poly) -> tuple:
     """The table of the roots of p, (points, blocks): its finite real
@@ -900,7 +894,8 @@ def real_root_structure(p: Poly) -> tuple:
     as (monic residual h, multiplicity), the shape of
     :func:`interlaced_root_structure`.
 
-    The real roots of each squarefree part g are isolated once, as by
+    The real roots of each squarefree part g of Yun's decomposition, which
+    decides squarefreeness here, are isolated once, as by
     :func:`isolate_real_roots`: rational roots are exact points, and the
     residual h, g without its rational linear factors, gives the rest.
     Each irrational real root becomes a :class:`RealAlg` point on h, and
@@ -917,7 +912,7 @@ def real_root_structure(p: Poly) -> tuple:
         points += [(RealAlg(hp, lo, hi), m) for lo, hi in boxes]
         if len(boxes) < hp.degree:
             blocks.append((hp, m))
-    points.sort(key=cmp_to_key(lambda a, b: point_cmp(a[0], b[0])))
+    points.sort(key=_BY_POINT)
     return tuple(points), tuple(blocks)
 
 
@@ -927,10 +922,11 @@ def interlaced_root_structure(p: Poly, poles: Sequence[Fraction],
     rationals t of ``poles``, simple poles, when p has one real simple root
     between each pair of neighbouring poles, one below them if ``left`` and
     one above if ``right`` (with no poles, one if both), and no other: the
-    zeros of a rational Nevanlinna function interlaced with its atoms.
-    A cell without a rational root boxes an irrational root of the residual,
-    the outer cells cut at the Cauchy bound of p.  Nothing is bisected;
-    records not one per cell and deg p in all raise InvariantViolation."""
+    zeros of a rational Nevanlinna function interlaced with its atoms, so
+    p is squarefree, as the root kernels need.  A cell without a rational
+    root boxes an irrational root of the residual, the outer cells cut at
+    the Cauchy bound of p.  Nothing is bisected; records not one per cell
+    and deg p in all raise InvariantViolation."""
     if p.degree < 1:
         return tuple((t, -1) for t in poles), ()
     a = _primitive(p.n)

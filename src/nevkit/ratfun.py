@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .errors import (DegreeNotOne, IdenticallyZeroDenominator,
                      InvalidInput, PoleHit)
-from .poly import (Poly, RealAlg, RPoint, _deflate, _poly, compose_fractional,
-                   gcd, point_cmp, rat, real_root_structure)
+from .poly import (_BY_POINT, Poly, RealAlg, RPoint, _deflate, _poly,
+                   compose_fractional, gcd, point_cmp, rat,
+                   real_root_structure)
 from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, is_float_point
 
 Point = Union[Fraction, RealAlg, ExtSymbol]
@@ -393,9 +393,6 @@ def _merge_blocks(a: Sequence, b: Sequence, sign: int) -> tuple:
         common += [h] * min(abs(m), abs(e)) * (m * e < 0)
         orders[h] = m + e
     return tuple((h, e) for h, e in orders.items() if e), common
-
-
-_BY_POINT = cmp_to_key(lambda x, y: point_cmp(x[0], y[0]))
 
 
 def from_table(table: list, blocks: list) -> RatFun:

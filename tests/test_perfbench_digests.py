@@ -6,7 +6,11 @@ purpose pins the new digest and says why."""
 
 import hashlib
 import importlib.util
+from itertools import islice
 from pathlib import Path
+
+import nevkit.poly
+from nevkit.poly import gcd, real_root_structure
 
 PRODUCT_SHA256 = \
     "10c2d932ba12bbd825729b965be35909d30c8a071a2966b6152b70b9c240a649"
@@ -55,3 +59,25 @@ def test_product_results_match_their_digest():
 
 def test_chain_results_match_their_digest():
     assert _digest(_chain_lines(_workloads())) == CHAIN_SHA256
+
+
+def test_root_kernels_see_only_squarefree_polynomials(monkeypatch):
+    """Every polynomial reaching the p-adic rational-root search on the
+    first 100 `product` draws and the 51 `chain` items is squarefree:
+    squarefreeness is decided before the root kernels, which rely on it."""
+    seen, search = [], nevkit.poly._rational_roots
+
+    def recorded(a):
+        seen.append(a)
+        return search(a)
+    monkeypatch.setattr(nevkit.poly, "_rational_roots", recorded)
+    real_root_structure.cache_clear()
+    w = _workloads()
+    for _line in islice(_product_lines(w), 100):
+        pass
+    for _line in _chain_lines(w):
+        pass
+    assert seen
+    for a in seen:
+        p = nevkit.poly._poly(a)
+        assert gcd(p, p.deriv()).degree == 0, a

@@ -930,10 +930,28 @@ def test_isolation_matches_the_reference_on_plain_pairs():
                                P(1, 0, 1) ** 2 * P(-3, 0, 1)])
 def test_isolation_rejects_a_polynomial_that_is_not_squarefree(p):
     # (z^2-2)^2 and (z^2+1)^2 (z^2-3): a square factor without rational
-    # roots stays in the residual, whose gcd with its derivative finds it
-    # before any bisection; (z-1)^2 (z^2-2): a double rational root is a
-    # double root mod every prime, which ends the prime search at the
-    # discriminant bound
+    # roots; (z-1)^2 (z^2-2): a double rational root, a double root mod
+    # every prime.  The gcd of p with its derivative finds either before
+    # any root search
+    with pytest.raises(InvalidInput, match="not squarefree"):
+        isolate_real_roots(p)
+
+
+def _big_monic(seed: int, degree: int, digits: int) -> Poly:
+    rng = random.Random(seed)
+    return Poly([rng.randrange(10 ** (digits - 1), 10 ** digits)
+                 for _ in range(degree)] + [1])
+
+
+@pytest.mark.parametrize("p", [P(-1, 1) ** 2 * P(-2, 0, 1),
+                               P(-1, 1) ** 2 * _big_monic(0, 8, 60)])
+def test_isolation_refuses_a_square_before_any_root_search(monkeypatch, p):
+    """A double rational root is refused by one gcd with the derivative,
+    before the rational split, however large the coefficients."""
+    def no_split(*args):
+        raise AssertionError("searched the roots of a polynomial that is "
+                             "not squarefree")
+    monkeypatch.setattr(nevkit.poly, "_rational_split", no_split)
     with pytest.raises(InvalidInput, match="not squarefree"):
         isolate_real_roots(p)
 
