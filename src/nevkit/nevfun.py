@@ -102,7 +102,7 @@ class NevFun:
     def c0(self) -> Fraction:
         """The constant of the partial-fraction form c0 + beta z +
         sum w/(t - z), which is the limit at infinity when beta = 0.
-        Memoised outside the record fields, like :meth:`num_den`."""
+        Memoised outside the record fields, like :meth:`to_ratfun`."""
         return self.alpha - _shift(self.sigma)
 
     @property
@@ -140,14 +140,23 @@ class NevFun:
         return acc
 
     # -- structure ------------------------------------------------------------------
-    def num_den(self) -> tuple[Poly, Poly]:
-        """(num, den) with the function num/den and den the monic product
-        of z - t over the atoms, built once per instance without a gcd, in
+    def _local_at(self, x: Fraction) -> tuple[int, Fraction]:
+        """(order, Laurent lead) at a rational x."""
+        w = self.sigma.weight_at(x)
+        return (-1, -w) if w else _local(self.to_ratfun(), x)
+
+    def to_ratfun(self) -> RatFun:
+        """The function as a reduced RatFun num/den, built once per
+        instance.  den is the monic product of z - t over the atoms, and
+        num/den needs no gcd (every weight is positive); both are built in
         integers: with t = u/v, D = prod (v z - u) = V den, c0 + beta z =
         (C + B z)/L and w v = W/L, num = (D (C + B z) - sum W D/(v z - u))
-        / (V L).  The memo lives outside the record fields, so equality,
-        the hash and the repr do not see it."""
-        memo = self.__dict__.get("_num_den")
+        / (V L).  The table is the one the representation states: the atoms
+        are simple poles, and one simple zero lies between neighbouring
+        atoms and one on an outer ray where q is < 0 at -inf or > 0 at
+        +inf, located only when first read.  The memo lives outside the
+        record fields, so equality, the hash and the repr do not see it."""
+        memo = self.__dict__.get("_ratfun")
         if memo is not None:
             return memo
         c0, beta = self.c0, self.beta
@@ -161,29 +170,11 @@ class NevFun:
             ww = w.numerator * (big // w.denominator) * t.denominator
             for i, x in enumerate(_deflate(dd, t.numerator, t.denominator)):
                 nn[i] -= ww * x
-        memo = (_poly(nn, dd[-1] * big), den)
-        object.__setattr__(self, "_num_den", memo)
-        return memo
-
-    def _local_at(self, x: Fraction) -> tuple[int, Fraction]:
-        """(order, Laurent lead) at a rational x."""
-        w = self.sigma.weight_at(x)
-        return (-1, -w) if w else _local(*self.num_den(), x)
-
-    def to_ratfun(self) -> RatFun:
-        """The function as a reduced RatFun, built once per instance from
-        :meth:`num_den` with no gcd (every weight is positive) and with the
-        table its representation states: the atoms are simple poles, and
-        one simple zero lies between neighbouring atoms and one on an outer
-        ray where q is < 0 at -inf or > 0 at +inf, located only when first
-        read."""
-        memo = self.__dict__.get("_ratfun")
-        if memo is None:
-            num, den = self.num_den()
-            memo = RatFun._with_table(num, den, partial(
-                interlaced_root_structure, num, self.sigma.positions,
-                self.beta > 0 or self.c0 < 0, self.beta > 0 or self.c0 > 0))
-            object.__setattr__(self, "_ratfun", memo)
+        num = _poly(nn, dd[-1] * big)
+        memo = RatFun._with_table(num, den, partial(
+            interlaced_root_structure, num, self.sigma.positions,
+            beta > 0 or c0 < 0, beta > 0 or c0 > 0))
+        object.__setattr__(self, "_ratfun", memo)
         return memo
 
     def support(self) -> list:
@@ -239,10 +230,7 @@ class NevFun:
                 return LIM_INF
             return LimitValue.finite(self.c0)
         if mode == "slope":
-            if self.beta > 0:
-                return LIM_INF
-            val = self._limit_at_inf("value", INF, None)
-            if val.value != 0:
+            if self.beta > 0 or self.c0:
                 return LIM_INF
             return LimitValue.finite(-self.sigma.total_mass())
         raise InvalidInput(f"unknown limit mode {mode!r}")
@@ -399,7 +387,7 @@ def _herglotz_parts(f: RatFun):
     for t, _m in poles:
         # the residue num(t)/den'(t) must be negative: w = -residue > 0
         if isinstance(t, Fraction):
-            resid = _local(f.num, f.den, t)[1]
+            resid = _local(f, t)[1]
             if resid >= 0:
                 raise NotNevanlinna(f"nonnegative residue at {fmt_rat(t)}")
             pairs.append((t, -resid))
@@ -418,7 +406,7 @@ def nevfun_from_ratfun(f: RatFun) -> NevFun:
     if any(w is None for _, w in pairs):
         raise NotRationalAtoms("pole is not rational")
     q = NevFun.from_partial_fractions(c0, beta, pairs)
-    if q.num_den() != (f.num, f.den):
+    if q.to_ratfun() != f:
         raise InvariantViolation("representation extraction mismatch")
     return q
 
@@ -435,8 +423,8 @@ def _certified(lhs: Poly, rhs: Poly, atoms, what: str) -> NevFun:
     if lin.degree > 1 or beta < 0 or any(w <= 0 for _, w in atoms):
         raise NotNevanlinna(f"{what} is not a Nevanlinna function")
     q_next = NevFun.from_partial_fractions(c0, beta, atoms)
-    n_next, d_next = q_next.num_den()
-    if n_next * rhs != lhs * d_next:
+    f = q_next.to_ratfun()
+    if f.num * rhs != lhs * f.den:
         raise InvariantViolation(f"{what}: the certificate identity fails")
     return q_next
 
@@ -447,9 +435,10 @@ def _ends(s: RatFun) -> tuple:
                  for p in (s.num, s.den))
 
 
-def _local(n: Poly, d: Poly, x: Fraction) -> tuple[int, Fraction]:
-    """(order, Laurent lead) of n/d at a rational x where the order is
+def _local(f: RatFun, x: Fraction) -> tuple[int, Fraction]:
+    """(order, Laurent lead) of f = n/d at a rational x where the order is
     -1, 0 or 1."""
+    n, d = f.num, f.den
     u, v = n.eval_q(x), d.eval_q(x)
     if not v:
         return -1, u / d.deriv().eval_q(x)
@@ -474,17 +463,17 @@ def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
     def over_psi(x, v):
         return math.prod(((x - y) ** -e for y, e in psi.items() if y != x),
                          start=v) if psi else v
-    n, d = q.num_den()
+    f = q.to_ratfun()
     atoms = []
     for x, e in points.items():
         eq, lq = q._local_at(x)
         if e + eq < -1:
             raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
         if e + eq == -1:
-            atoms.append((x, over_psi(x, -_local(s.num, s.den, x)[1] * lq)))
+            atoms.append((x, over_psi(x, -_local(s, x)[1] * lq)))
     atoms += [(t, over_psi(t, w * s.eval_q(t))) for t, w in q.sigma
               if t != a and t not in points]
-    lhs, rhs = s.num * n, s.den * d
+    lhs, rhs = s.num * f.num, s.den * f.den
     if psi:                             # lhs times psi's poles, rhs its zeros
         zeros, poles = ([y for y, e in psi.items() for _ in range(k * e)]
                         for k in (1, -1))
@@ -508,8 +497,8 @@ def _compose(q: NevFun, tau: RatFun) -> NevFun:
                  for t, w in q.sigma if t != c]
         if q.beta:
             atoms.append((s, q.beta * v))
-    n, d = q.num_den()
-    deg = max(n.degree, d.degree)
-    return _certified(compose_fractional(n, tau.num, tau.den, deg),
-                      compose_fractional(d, tau.num, tau.den, deg), atoms,
-                      "q o tau")
+    f = q.to_ratfun()
+    deg = max(f.num.degree, f.den.degree)
+    return _certified(compose_fractional(f.num, tau.num, tau.den, deg),
+                      compose_fractional(f.den, tau.num, tau.den, deg),
+                      atoms, "q o tau")

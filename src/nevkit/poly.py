@@ -15,11 +15,12 @@ only as far as an exact sign query or comparison needs.  Root counts read
 the same table.
 :func:`real_root_structure` is the one place where the real roots and
 conjugate-pair content of a polynomial are derived, as one table of
-(point, multiplicity) and (residual, multiplicity) pairs, memoised on the
-polynomial's value.  Everything this module returns about an irrational
-point (comparisons, signs, floors, the rationals of
-:func:`rational_between` and :func:`rational_outside`) depends only on the
-point's value, never on how far its interval happens to be refined.
+(point, multiplicity) and (residual, multiplicity) pairs, which a
+:class:`~nevkit.ratfun.RatFun` keeps for its numerator and denominator.
+Everything this module returns about an irrational point (comparisons,
+signs, floors, the rationals of :func:`rational_between` and
+:func:`rational_outside`) depends only on the point's value, never on how
+far its interval happens to be refined.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, reduce
 from itertools import combinations, zip_longest
 from typing import Iterable, Sequence, Union
 
@@ -38,9 +39,6 @@ from .qmath import INF, NEG_INF, QC, as_float, is_float_point, rat
 #: resolution w of the emitted approximations of irrational points: an
 #: irrational x is emitted as (floor(x/w) + 1/2) * w
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
-
-#: number of polynomials whose root structure is kept by real_root_structure
-ROOT_STRUCTURE_CACHE_SIZE = 1024
 
 
 class Poly:
@@ -887,7 +885,6 @@ def point_cmp(a, b) -> int:
 _BY_POINT = cmp_to_key(lambda x, y: point_cmp(x[0], y[0]))  # (point, m) pairs
 
 
-@lru_cache(maxsize=ROOT_STRUCTURE_CACHE_SIZE)
 def real_root_structure(p: Poly) -> tuple:
     """The table of the roots of p, (points, blocks): its finite real
     roots as ascending (point, multiplicity) and its conjugate-pair content
@@ -900,9 +897,9 @@ def real_root_structure(p: Poly) -> tuple:
     residual h, g without its rational linear factors, gives the rest.
     Each irrational real root becomes a :class:`RealAlg` point on h, and
     when h also has nonreal roots it is a block, whose (deg h - its RealAlg
-    points) / 2 pairs nothing here splits off: nothing is factored.  The
-    result is memoised on the value of p and shared, so it is immutable;
-    the isolating boxes of its RealAlg points only ever shrink.
+    points) / 2 pairs nothing here splits off: nothing is factored.  Each
+    call analyses p afresh: a RatFun keeps the table of its num and den,
+    and the isolating boxes of its RealAlg points only ever shrink.
     """
     points, blocks = [], []
     for g, m in squarefree_decomposition(p):
@@ -980,18 +977,13 @@ def rational_outside(p: RPoint) -> tuple[Fraction, Fraction]:
 
 
 def compose_fractional(p: Poly, num: Poly, den: Poly, pad_to: int) -> Poly:
-    """p(num/den) * den**pad_to as a polynomial; requires pad_to >= deg p."""
+    """p(num/den) * den**pad_to as a polynomial; requires pad_to >= deg p.
+    Homogeneous Horner on the integer numerators of p keeps one running
+    power of den, as :meth:`Poly.eval_qc` keeps one of w."""
     if pad_to < p.degree:
         raise InvalidInput("pad_to must be at least deg p")
-    if p.is_zero:
-        return Poly()
-    acc = Poly()
-    num_pow = Poly.const(1)
-    dens = [Poly.const(1)]
-    for _ in range(pad_to):
-        dens.append(dens[-1] * den)
-    for k, a in enumerate(p.n):
-        if a:
-            acc = acc + num_pow * dens[pad_to - k] * a
-        num_pow = num_pow * num
+    acc, dk = Poly(), Poly.const(1)
+    for a in reversed(p.n):
+        acc, dk = acc * num + dk * a, dk * den
+    acc = acc * den ** (pad_to - p.degree)
     return _poly(acc.n, acc.d * p.d)

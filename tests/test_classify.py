@@ -27,7 +27,7 @@ from nevkit.gnev import GenNevFun, canonical_pair, canonical_rational
 from nevkit.nevfun import (NevFun, _compose, is_nevanlinna,
                            nevfun_from_ratfun)
 from nevkit.oracle import negative_squares
-from nevkit.poly import Poly, RealAlg, point_cmp, real_root_structure
+from nevkit.poly import Poly, RealAlg, point_cmp
 from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun, strictly_between
 from nevkit.realize import (enumerate_zeros_poles, minimal_model,
@@ -425,7 +425,6 @@ def test_chain_factors_depend_only_on_values(monkeypatch):
                         lambda *a: anchors.append(anchor(*a)) or anchors[-1])
 
     def factors(refine=False):
-        real_root_structure.cache_clear()
         _clear_certificates()
         q, r = ser.nevfun_from_json(qj), ser.ratfun_from_json(rj)
         if refine:
@@ -636,9 +635,9 @@ def test_closed_form_step_isolates_no_zero_outside_the_negative_set(
     calls = _count_extractions(monkeypatch)
     s = RatFun.from_points([3], [4])       # negative on (3, 4)
     q = NevFun.of(0, 1, [(0, 2)])          # fresh: irrational zeros +-sqrt(2)
-    real_root_structure.cache_clear()
+    seen = _record_analyses(monkeypatch)
     got = cl._degree_one_step(s, q)
-    assert real_root_structure.cache_info().misses == 0
+    assert seen == []
     assert calls == []
     assert got == _extraction_step(s, q)
 
@@ -1163,12 +1162,11 @@ def _record_analyses(monkeypatch) -> list:
 
 def test_chain_items_analyse_only_their_input(monkeypatch):
     """The 51 criterion-5 pairs through the calls of the chain verb, from
-    empty memos: only the multipliers' polynomials are analysed, each once.
-    Every derived function gets its tables by merging, and every chain
-    factor is built from its zero and pole."""
+    empty memos: only the multipliers' polynomials are analysed, each once
+    per item.  Every derived function gets its tables by merging, and every
+    chain factor is built from its zero and pole."""
     pairs = [(ser.nevfun_from_json(q), ser.ratfun_from_json(r))
              for q, r in _criterion5_pairs(51)]
-    real_root_structure.cache_clear()
     _clear_certificates()
     seen = _record_analyses(monkeypatch)
     for q, r in pairs:
@@ -1181,7 +1179,7 @@ def test_chain_items_analyse_only_their_input(monkeypatch):
                                     .model_out, r)
     inputs = {p for _q, r in pairs for p in (r.num, r.den)}
     assert set(seen) <= inputs
-    assert real_root_structure.cache_info().misses <= 91
+    assert len(seen) == 2 * len(pairs)
 
 
 def test_product_members_analyse_few_derived_polynomials(monkeypatch):
@@ -1198,7 +1196,6 @@ def test_product_members_analyse_few_derived_polynomials(monkeypatch):
     pairs = [(ser.gennev_from_json(ser.gennev_to_json(g)),
               ser.ratfun_from_json(ser.ratfun_to_json(r)))
              for g, r in members]
-    real_root_structure.cache_clear()
     _clear_certificates()
     seen = _record_analyses(monkeypatch)
     reduced = []
@@ -1236,7 +1233,6 @@ def test_negative_constant_branch_analyses_no_derived_polynomial(
     whole = []
     monkeypatch.setattr(cl, "canonical_pair",
                         lambda f: whole.append(f) or canonical_pair(f))
-    real_root_structure.cache_clear()
     seen = _record_analyses(monkeypatch)
     for i in sorted(BRANCH_MEMBERS + BRANCH_REFUSALS):
         g, r = ser.gennev_from_json(draws[i][0]), ser.ratfun_from_json(

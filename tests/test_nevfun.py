@@ -540,7 +540,7 @@ def test_to_ratfun_is_built_once_and_invisible():
 
 def _fraction_num_den(q: NevFun) -> tuple[Poly, Poly]:
     """(num, den) built one atom at a time in Fraction arithmetic, the
-    reference for the integer assembly of NevFun.num_den."""
+    reference for the integer assembly of NevFun.to_ratfun."""
     num, den = Poly.const(0), Poly.const(1)
     for t, w in q.sigma:
         lin = Poly([-t, 1])
@@ -549,12 +549,13 @@ def _fraction_num_den(q: NevFun) -> tuple[Poly, Poly]:
 
 
 def _check_seeded_structures(q: NevFun):
-    """q's RatFun is RatFun(*num_den()), and the root structures it was
-    given equal those of the root analysis entry by entry."""
+    """q's RatFun is RatFun(num, den) of its own num and den, and the
+    root structures it was given equal those of the root analysis entry by
+    entry."""
     fresh = NevFun.of(q.alpha, q.beta, q.sigma)      # no memo of any kind
-    assert fresh.num_den() == _fraction_num_den(fresh)
     f = fresh.to_ratfun()
-    assert f == RatFun(*fresh.num_den())
+    assert (f.num, f.den) == _fraction_num_den(fresh)
+    assert f == RatFun(f.num, f.den)
     for seeded, p in ((f.real_zeros, f.num), (f.real_poles, f.den)):
         ref_points, ref_blocks = real_root_structure(p)
         assert ref_blocks == () and len(seeded) == len(ref_points)

@@ -10,7 +10,7 @@ from itertools import islice
 from pathlib import Path
 
 import nevkit.poly
-from nevkit.poly import gcd, real_root_structure
+from nevkit.poly import gcd
 
 PRODUCT_SHA256 = \
     "10c2d932ba12bbd825729b965be35909d30c8a071a2966b6152b70b9c240a649"
@@ -71,7 +71,6 @@ def test_root_kernels_see_only_squarefree_polynomials(monkeypatch):
         seen.append(a)
         return search(a)
     monkeypatch.setattr(nevkit.poly, "_rational_roots", recorded)
-    real_root_structure.cache_clear()
     w = _workloads()
     for _line in islice(_product_lines(w), 100):
         pass

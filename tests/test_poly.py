@@ -339,17 +339,25 @@ def test_rational_roots():
     assert roots_of(q) == [(Fraction(-1, 2), 1), (Fraction(1), 2)]
 
 
-def test_root_structure_shared_by_equal_numerators():
-    real_root_structure.cache_clear()
+def _record_analyses(monkeypatch) -> list:
+    """The polynomials a RatFun gives to real_root_structure from now on."""
+    seen, analysis = [], nevkit.ratfun.real_root_structure
+    monkeypatch.setattr(nevkit.ratfun, "real_root_structure",
+                        lambda p: seen.append(p) or analysis(p))
+    return seen
+
+
+def test_root_structure_shared_by_equal_numerators(monkeypatch):
+    seen = _record_analyses(monkeypatch)
     num = P(-3, 0, 1) * P(-7, 1) * P(1, 0, 1)   # squarefree: one analysis
     r1 = RatFun(num, Poly.from_roots([2]))
     r2 = RatFun(num, Poly.from_roots([-4, 9]))
     assert r1 is not r2
     zeros = r1.real_zeros
-    assert r2.real_zeros == zeros
-    # a first read analyses both sides: num once, and the two denominators
-    info = real_root_structure.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    assert [(point_cmp(x, y), m - n) for (x, m), (y, n)
+            in zip(r2.real_zeros, zeros, strict=True)] == [(0, 0)] * 3
+    # a first read analyses both sides of each RatFun, once per RatFun
+    assert seen == [num, r1.den, num, r2.den]
     assert [isinstance(x, Fraction) for x, _m in zeros] == \
         [False, False, True]
     # the pair of z^2 + 1 shares its block with the roots of z^2 - 3
@@ -574,7 +582,7 @@ def test_real_root_structure_does_not_bisect(monkeypatch):
                         lambda self: (steps.append(self), step(self)))
     for p in (P(-2, 0, 1), P(-2, 0, 1) * P(-5, 1), P(1, 0, -10, 0, 1),
               P(-2, 0, 0, 1) * P(-1, 1)):
-        s = real_root_structure.__wrapped__(p)    # bypass the cache
+        s = real_root_structure(p)
         assert any(isinstance(x, RealAlg) for x, _m in s[0])
     assert steps == []
 
@@ -1026,7 +1034,6 @@ def test_residual_without_real_roots_is_one_block(monkeypatch):
     def no_factoring(*args):
         raise AssertionError("factored a residual that is not mixed")
     monkeypatch.setattr(nevkit.poly, "_factor_squarefree", no_factoring)
-    real_root_structure.cache_clear()
     quartic = P(2, 0, 3, 0, 1)                   # (z^2 + 1)(z^2 + 2)
     f = RatFun(quartic * P(-3, 1) * P(-1, 0, 1) ** 2, Poly.const(1))
     assert zero_blocks(f) == [(quartic, 2, 1, 0)]
@@ -1042,17 +1049,18 @@ def test_residual_without_real_roots_is_one_block(monkeypatch):
             if not isinstance(x, Fraction)} == {P(6, 0, -5, 0, 1)}
 
 
-def test_sign_of_analyses_q_once():
+def test_sign_of_analyses_q_once(monkeypatch):
+    seen = _record_analyses(monkeypatch)
     q = P(-1, 0, 0, 1)                           # z^3 - 1
     points = fresh_roots(P(-2, 0, 1)) + fresh_roots(P(-3, 0, 1))
-    real_root_structure.cache_clear()
-    signs, misses = [], []
+    signs, counts = [], []
     for x in points:
         signs.append(x.sign_of(q))
-        misses.append(real_root_structure.cache_info().misses)
+        counts.append(len(seen))
     assert signs == [-1, 1, -1, 1]
-    # the first query analyses q and the constant denominator of its table
-    assert misses == [2] * 4
+    # each query analyses q once, with the constant denominator of its
+    # table: no table outlives its RatFun
+    assert counts == [2, 4, 6, 8]
 
 
 SIGN_POINTS = [(P(-2, 0, 1), Fraction(1), Fraction(3, 2)),

@@ -88,8 +88,8 @@ def test_records_are_frozen_but_keep_their_memos():
     # ignore it
     q = NevFun.of(0, 1, [(1, 2)])
     fresh = NevFun.of(0, 1, [(1, 2)])
-    q.num_den()
-    assert q.c0 == -1 and "_num_den" in q.__dict__
+    q.to_ratfun()
+    assert q.c0 == -1 and "_ratfun" in q.__dict__
     assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
 
 

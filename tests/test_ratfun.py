@@ -854,7 +854,7 @@ def _sqrts():
     for p in (Poly([-2, 0, 1]), Poly([-3, 0, 1]),
               Poly([-2, 0, 1]) * Poly([-3, 0, 1])):
         out += [x for x, _m in
-                nevkit.poly.real_root_structure.__wrapped__(p)[0]]
+                nevkit.poly.real_root_structure(p)[0]]
     return out
 
 
