@@ -380,9 +380,9 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
     """
     if not np.isfinite(tol) or tol < 0:
         raise InvalidInput("tolerance must be finite and nonnegative")
+    c, d = _float_interval(cfg.interval)
     _check_phi(phi, cfg)
     density = _boundary_density(f, phi)
-    c, d = _float_interval(cfg.interval)
     peaks: list[float] = []
     per_level = []
     n = cfg.quadrature_points
@@ -453,13 +453,15 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[float]):
 
 
 def _check_phi(phi, cfg: InversionConfig):
-    """Refuse a weight with a pole in the closed interval; no weight (None)
-    passes.  Every weight with ``to_ratfun()`` is checked on that RatFun,
-    whose real poles come from its root structure."""
+    """Refuse a weight with a pole in the closed interval, whose ends
+    :func:`_float_interval` has checked; a float end is read exactly.  No
+    weight (None) passes.  Every weight with ``to_ratfun()`` is checked on
+    that RatFun, whose real poles come from its root structure."""
     if hasattr(phi, "to_ratfun"):
         phi = phi.to_ratfun()
     if isinstance(phi, RatFun):
-        lo, hi = rat(cfg.interval[0]), rat(cfg.interval[1])
+        lo, hi = (Fraction(e) if isinstance(e, float) else rat(e)
+                  for e in cfg.interval)
         if any(point_cmp(lo, x) <= 0 <= point_cmp(hi, x)
                for x, _m in phi.real_poles):
             raise InvalidInput("weight has a pole inside the interval")

@@ -322,12 +322,22 @@ def nonreal_pieces(h: Poly) -> list[Poly]:
 
     h is factored only until every piece is pure, with only real roots or
     none, by :func:`_factor_squarefree`, which stops once the cofactor is
-    pure.  A piece with both real and nonreal roots cannot be split exactly
-    and raises ExactSplitUnavailable."""
+    pure.  Each distinct piece's real roots are counted once, by the stop
+    test or the loop below, whichever sees it first.  A piece with both
+    real and nonreal roots cannot be split exactly and raises
+    ExactSplitUnavailable."""
+    counts = {}
+
+    def count(g: Poly) -> int:
+        if g not in counts:
+            counts[g] = count_real_roots(g)
+        return counts[g]
+
     out = []
-    for a in _factor_squarefree(_primitive(h.n), _is_pure):
+    for a in _factor_squarefree(_primitive(h.n),
+                                lambda g: count(g) in (0, g.degree)):
         g = _poly(a, a[-1])
-        n = count_real_roots(g)
+        n = count(g)
         if 0 < n < g.degree:
             raise ExactSplitUnavailable(
                 "conjugate pairs share an odd-multiplicity factor "
@@ -335,11 +345,6 @@ def nonreal_pieces(h: Poly) -> list[Poly]:
         if not n:
             out.append(g)
     return out
-
-
-def _is_pure(h: Poly) -> bool:
-    """Whether h has only real roots or none."""
-    return count_real_roots(h) in (0, h.degree)
 
 
 # -- Factoring over Z (Zassenhaus 1969; von zur Gathen and Gerhard, Modern

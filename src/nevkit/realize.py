@@ -5,11 +5,14 @@ anchor point, squared vector values, boundary constant) that realizes a
 function locally integrable at the anchor.  The realized function is one
 :class:`NevFun`, built in closed form from that data by
 :meth:`L2Model.to_nevfun`; evaluation, the certificate of a transferred
-model and the spectral comparison all read it.  The central operation rebuilds
-the model of the product with a symmetric rational multiplier from the model
-of the original function: atoms at the multiplier's zeros are removed, unit
-atoms appear at its poles with the acquired point masses carried by the
-vector, and the anchor moves to the last enumerated zero.
+model and the spectral comparison all read it.  Every model is built by
+one builder, ``_model``, the model of a :class:`NevFun` at an anchor on a
+measure with its atoms, read off its representation.  The central operation
+rebuilds the model of the product with a symmetric rational multiplier from
+the model of the original function: it is ``_model`` of the product, whose
+atoms at the multiplier's zeros are gone, with unit atoms at its poles
+whose acquired point masses the vector carries, anchored at the last
+enumerated zero.
 """
 
 from __future__ import annotations
@@ -90,13 +93,19 @@ def minimal_model(q: NevFun, xi) -> L2Model:
         xi = rat(xi)
     if not q.kac_membership(xi):
         raise NotKacMember(f"function is not locally integrable at {xi}")
-    if xi is INF:
-        omega_sq = tuple((t, Fraction(1)) for t, _ in q.sigma)
-        eta = q.c0
-    else:
-        omega_sq = tuple((t, 1 / (t - xi) ** 2) for t, _ in q.sigma)
-        eta = q.evaluate(xi)
-    return L2Model(q.beta, q.sigma, xi, eta, omega_sq, Fraction(1))
+    return _model(q, xi, q.sigma)
+
+
+def _model(f: NevFun, xi, sigma: AtomicMeasure) -> L2Model:
+    """The model of f anchored at xi in its local class, on a measure sigma
+    with exactly f's atoms: omega^2(t) = m_t / (sigma_t (t - xi)^2), or
+    m_t / sigma_t at xi = INF, for f's weights m_t, with eta = f(xi) (c0 at
+    INF), f's slope and omega_inf^2 = 1.  Its :meth:`L2Model.to_nevfun` is
+    f."""
+    omega_sq = tuple((t, m / (w if xi is INF else w * (t - xi) ** 2))
+                     for (t, m), (_t, w) in zip(f.sigma, sigma))
+    eta = f.c0 if xi is INF else f.evaluate(xi)
+    return L2Model(f.beta, sigma, xi, eta, omega_sq, Fraction(1))
 
 
 def model_weyl(m: L2Model, lam):
@@ -129,10 +138,11 @@ def enumerate_zeros_poles(r: RatFun) -> tuple[tuple, tuple]:
 def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformReport:
     """Model of the product from the model of the function.
 
-    The acquired point masses at the multiplier's poles are the limits of
-    (b - lam) r(lam) q(lam); they appear as unit atoms whose vector values
-    carry the square roots, while atoms at the multiplier's zeros drop out
-    and the anchor moves to the last enumerated zero.  The input model must
+    The output model is ``_model`` of the product r q, which the plain-pair
+    test carries, anchored at the last enumerated zero: q's atoms off the
+    multiplier's zeros keep q's weight, and the acquired point masses at
+    its poles, the limits of (b - lam) r(lam) q(lam), appear as unit atoms
+    whose vector values carry the square roots.  The input model must
     be anchored at the first enumerated pole and realize q, or InvalidInput
     is raised; the output model must realize r q, or InvariantViolation is.
     """
@@ -147,7 +157,6 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     if m.to_nevfun() != q:
         raise InvalidInput("input model does not realize the function")
     a_n = zeros_enum[-1]
-    b_n = poles_enum[-1]
     if any(isinstance(p, RealAlg) for p in (a_n,) + poles_enum):
         raise NotRationalAtoms("the transferred model needs rational poles "
                                "and a rational anchor")
@@ -156,39 +165,18 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
     # and NevFun.of and AtomicMeasure.of refuse a negative beta or weight
     zeta_map = {b: rq.beta if b is INF else rq.sigma.weight_at(b)
                 for b in poles_enum}
-    zetas = list(zeta_map.items())
-
-    finite_zero_pts = {x for x, _m in r.real_zeros if isinstance(x, Fraction)}
-    kept = [(t, w) for t, w in q.sigma if t not in finite_zero_pts]
-    new_atoms = [(b, Fraction(1)) for b, z in zetas
-                 if b is not INF and z > 0]
-    sigma_e = AtomicMeasure.of(kept + new_atoms)
-
-    if a_n is INF:
-        case = "an_infinite"
-        beta_e = Fraction(0)
-    elif b_n is INF:
-        case = "bn_infinite"
-        beta_e = zeta_map[INF]
-    else:
-        case = "both_finite"
-        beta_e = r.gamma * q.beta
-    # beta_e is model_out's slope, which the check against rq below compares
-    # with rq.beta; in the bn_infinite case it is rq.beta itself
-
-    masses = ([(t, abs(r.eval_q(t))) for t, _w in kept]
-              + [(b, zeta_map[b]) for b, _one in new_atoms])
-    omega_sq = sorted((t, v if a_n is INF else v / (t - a_n) ** 2)
-                      for t, v in masses)
-
-    eta_out = rq.c0 if a_n is INF else rq.evaluate(a_n)
-    model_out = L2Model(beta_e, sigma_e, a_n, eta_out, tuple(omega_sq),
-                        Fraction(1))
+    # the product's atoms are q's atoms off the zeros of r, on q's weight,
+    # and the poles of r with a positive acquired mass, on weight 1
+    sigma_e = AtomicMeasure.of((t, 1 if t in zeta_map else
+                                q.sigma.weight_at(t)) for t, _m in rq.sigma)
+    model_out = _model(rq, a_n, sigma_e)
     if model_out.to_nevfun() != rq:
         raise InvariantViolation("transferred model does not realize the "
                                  "product")
-    return RealizationTransformReport(tuple(zetas), case, model_out,
-                                      zeros_enum, poles_enum)
+    case = ("an_infinite" if a_n is INF else
+            "bn_infinite" if poles_enum[-1] is INF else "both_finite")
+    return RealizationTransformReport(tuple(zeta_map.items()), case,
+                                      model_out, zeros_enum, poles_enum)
 
 
 def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:

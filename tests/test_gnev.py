@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import nevkit.poly
+import nevkit.ratfun
 from nevkit.corpus import random_symmetric_ratfun
 from nevkit.errors import (ConstantInput, ExactSplitUnavailable,
                            InvalidInput, NotNevanlinnaTau, NotRationalAtoms)
@@ -265,6 +266,23 @@ def test_canonical_split_stops_once_the_rest_is_pure(monkeypatch, n,
                             lambda a, _done: factor(a))
         assert canonical_rational(f)[:2] == (psi, s0)
         assert len(subsets) == trials + 164
+
+
+@pytest.mark.parametrize("n, degrees", [(4, [18, 16, 2]), (5, [34, 32, 2])])
+def test_nonreal_split_counts_each_piece_once(monkeypatch, n, degrees):
+    # SD_n (z^2 + 1) is counted by the stop test, then its cofactor SD_n,
+    # which the stop test passes, and the split-off z^2 + 1 by the loop:
+    # the cofactor is not counted again
+    analysed, analyse = [], nevkit.ratfun.real_root_structure
+
+    def recorded(p):
+        if p.degree > 0:
+            analysed.append(p.degree)
+        return analyse(p)
+    monkeypatch.setattr(nevkit.ratfun, "real_root_structure", recorded)
+    assert nevkit.poly.nonreal_pieces(_swinnerton_dyer(n).num) == \
+        [P(1, 0, 1)]
+    assert analysed == degrees
 
 
 def test_recombination_past_its_cap_is_refused(monkeypatch):

@@ -333,6 +333,44 @@ def test_weight_with_poles_outside_the_interval_is_accepted():
     assert abs(res.value - float(phi.to_ratfun()(0))) < 1e-3
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.3, 0.7)])
+def test_a_float_interval_with_a_weight_reads_its_ends_exactly(lo, hi):
+    phi = RatFun.from_points([], [5])
+    exact = InversionConfig(interval=(Fraction(lo), Fraction(hi)))
+    res = stieltjes_invert(MINUS_INV, InversionConfig(interval=(lo, hi)),
+                           phi=phi)
+    assert res == stieltjes_invert(MINUS_INV, exact, phi=phi)
+    assert abs(res.value + 0.2) < 1e-3
+
+
+@pytest.mark.parametrize("pole, lo, hi", [
+    (Fraction(1, 2), -1.0, 1.0),
+    (Fraction(1, 2), 0.5, 1.0),
+    # the float 0.1 is a little above 1/10, so the pole is inside
+    (Fraction(1, 10), -1.0, 0.1),
+])
+def test_a_weight_pole_inside_a_float_interval_is_refused(pole, lo, hi):
+    cfg = InversionConfig(interval=(lo, hi))
+    with pytest.raises(InvalidInput,
+                       match="^weight has a pole inside the interval$"):
+        stieltjes_invert(MINUS_INV, cfg, phi=RatFun.from_points([], [pole]))
+
+
+def test_a_weight_pole_just_above_a_float_end_is_outside():
+    # the float 0.3 is a little below 3/10
+    nevkit.oracle._check_phi(RatFun.from_points([], [Fraction(3, 10)]),
+                             InversionConfig(interval=(-1.0, 0.3)))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf), (np.nan, 1.0),
+    (0.0, np.nan)])
+def test_an_unbounded_or_nan_float_end_with_a_weight_is_invalid(lo, hi):
+    with pytest.raises(InvalidInput):
+        stieltjes_invert(MINUS_INV, InversionConfig(interval=(lo, hi)),
+                         phi=RatFun.from_points([], [5]))
+
+
 def _local_maxima_loop(g, floor):
     """The per-sample scan the peak mask replaced, kept as its reference."""
     keep = []

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nevkit.corpus import random_plain_pair, structured_plain_pair
+from nevkit.corpus import (random_nevfun, random_plain_pair,
+                           structured_plain_pair)
 from nevkit.errors import (InvalidInput, InvariantViolation, NotKacMember,
                            PoleHit, SpectrumHit)
 from nevkit.gnev import GenNevFun
@@ -11,8 +12,9 @@ from nevkit.nevfun import AtomicMeasure, NevFun
 from nevkit.poly import Poly
 from nevkit.qmath import INF, QC
 from nevkit.ratfun import RatFun
-from nevkit.realize import (L2Model, enumerate_zeros_poles, minimal_model,
-                            model_spectral_check, model_weyl, transform_model)
+from nevkit.realize import (L2Model, _model, enumerate_zeros_poles,
+                            minimal_model, model_spectral_check, model_weyl,
+                            transform_model)
 
 MINUS_INV = NevFun.of(0, 0, [(0, 1)])
 WORKED_Q = NevFun.of(Fraction(-3, 5), 0, [(2, 1)])
@@ -322,6 +324,24 @@ def test_closed_form_matches_the_term_by_term_sum_on_random_models(finite):
         assert m.to_nevfun().to_ratfun() == ref
         for z in UHP[::10]:
             assert model_weyl(m, z) == ref.eval_qc(z)
+
+
+def test_the_model_of_a_function_realizes_it():
+    # _model is the right inverse of L2Model.to_nevfun on any measure with
+    # the function's atoms, and on the function's own measure it is the
+    # minimal model; INF is an anchor in the local class only when beta = 0
+    rng = random.Random(83)
+    for _ in range(200):
+        f = random_nevfun(rng)
+        xi = None
+        while xi is None or not f.kac_membership(xi):
+            xi = INF if rng.random() < 0.3 else \
+                Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        sigma = AtomicMeasure.of(
+            (t, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+            for t, _m in f.sigma)
+        assert _model(f, xi, sigma).to_nevfun() == f
+        assert minimal_model(f, xi) == _model(f, xi, f.sigma)
 
 
 def test_vanishing_vector_value_keeps_the_atom_in_the_spectrum():
