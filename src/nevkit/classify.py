@@ -23,7 +23,7 @@ from .errors import (ConstantInput, ExactSplitUnavailable, InvalidInput,
                      InvariantViolation, NotInClass, NotInterlacing,
                      NotNevanlinna, NotRationalAtoms)
 from .gnev import GenNevFun, _type_mult, canonical_pair, canonical_rational
-from .nevfun import NevFun, _chain_step, _ends, is_nevanlinna
+from .nevfun import NevFun, _chain_step, is_nevanlinna
 from .poly import RealAlg, point_cmp, rational_between, rational_outside
 from .qmath import INF, NEG_INF, ExtSymbol, fmt_rat, record
 from .ratfun import RatFun, from_table, strictly_between
@@ -133,32 +133,40 @@ def _degree_one_step(s: RatFun, q: NevFun) -> tuple[RatFun, NevFun]:
     the representation data of q: the squared factor psi it contributes to
     the canonical pair, from the type multiplicities of s q at the finite
     zero and pole of s and the atoms and zeros of q where s is negative, all
-    read off the critical tables of s and q, and the chain step q_next =
-    s q / psi.  A step that does not certify is an InvariantViolation."""
+    read off the critical tables of s and q, and q_next = s q / psi, the
+    chain step with the multiplier s / psi, which carries the merged table
+    of s and psi.  A step that does not certify is an InvariantViolation."""
     a, b = _ends(s)
     q_rat = q.to_ratfun()
     # point -> even exponent: -2 at an atom and +2 at a zero of q inside
     # the one negative arc of s, INF left out
     (arc,) = _negative_arcs(s)
-    psi = {}
+    exps = {}
     for x, e in _arc_entries(q, *arc):
         if isinstance(x, RealAlg):              # atoms are rational
             raise ExactSplitUnavailable(
                 "irrational zero inside the negative set of the factor")
         if x is not INF:
-            psi[x] = 2 * e
+            exps[x] = 2 * e
     # the type multiplicity of s q at the zero (k = 1) and the pole (k = -1)
     # of s, where its order is k + ord q and its sign that of s times q's
     for x, k in ((a, 1), (b, -1)):
         if x is not INF and (m := _type_mult(
                 k + q_rat.ord_at(x),
                 s.laurent_lead_sign(x) * q_rat.laurent_lead_sign(x))):
-            psi[x] = 2 * m
+            exps[x] = 2 * m
+    psi = from_table(exps.items(), ())
     try:
-        q_next = _chain_step(s, q, psi)
+        q_next = _chain_step(s / psi, q)
     except NotNevanlinna as exc:
         raise InvariantViolation(f"degree-one step: {exc}") from exc
-    return from_table(psi.items(), ()), q_next
+    return psi, q_next
+
+
+def _ends(s: RatFun) -> tuple:
+    """The zero and the pole of a degree-one s, INF when at infinity."""
+    return tuple(-p.c[0] / p.c[1] if p.degree == 1 else INF
+                 for p in (s.num, s.den))
 
 
 # -- splitting of simple interlacing functions ---------------------------------------

@@ -238,8 +238,8 @@ class NevFun:
     # -- Kac-Donoghue classes ------------------------------------------------------------
     def kac_membership(self, xi) -> bool:
         """Local integrability class at xi: for finite xi this needs no atom
-        exactly at xi; at infinity it needs beta = 0."""
-        if xi is INF:
+        exactly at xi; at infinity, INF or NEG_INF, it needs beta = 0."""
+        if xi is INF or xi is NEG_INF:
             return self.beta == 0
         return self.sigma.weight_at(xi) == 0
 
@@ -429,12 +429,6 @@ def _certified(lhs: Poly, rhs: Poly, atoms, what: str) -> NevFun:
     return q_next
 
 
-def _ends(s: RatFun) -> tuple:
-    """The zero and the pole of a degree-one s, INF when at infinity."""
-    return tuple(-p.c[0] / p.c[1] if p.degree == 1 else INF
-                 for p in (s.num, s.den))
-
-
 def _local(f: RatFun, x: Fraction) -> tuple[int, Fraction]:
     """(order, Laurent lead) of f = n/d at a rational x where the order is
     -1, 0 or 1."""
@@ -445,41 +439,31 @@ def _local(f: RatFun, x: Fraction) -> tuple[int, Fraction]:
     return (0, u / v) if u else (1, n.deriv().eval_q(x) / v)
 
 
-def _chain_step(s: RatFun, q: NevFun, psi: Optional[dict] = None) -> NevFun:
-    """s q / psi in closed form, for a degree-one s with zero a and pole b
-    and psi = prod (z - y)^e over the items of psi, rational points y with
-    even e (None: psi = 1).  An atom t of q off a, b and psi's points keeps
-    its place with weight w s(t) / psi(t).  At b and psi's points the order
-    ord s + ord q - ord psi decides (at a it is >= 0 unless psi has a): -1
-    makes an atom of weight -lead(s) lead(q) / lead(psi); below -1 (for psi
-    = 1, an atom of q at b), or any other failure, raises NotNevanlinna."""
-    psi = psi or {}
-    a, b = _ends(s)
-    # ord s - ord psi at b and psi's points, where q's order is added
-    points = {y: (y == a) - e for y, e in psi.items()}
-    if b is not INF:
-        points[b] = points.get(b, 0) - 1
-
-    def over_psi(x, v):
-        return math.prod(((x - y) ** -e for y, e in psi.items() if y != x),
-                         start=v) if psi else v
-    f = q.to_ratfun()
-    atoms = []
-    for x, e in points.items():
-        eq, lq = q._local_at(x)
+def _chain_step(m: RatFun, q: NevFun) -> NevFun:
+    """m q in closed form, for a multiplier m with a table: s in a chain,
+    s / psi in a product step, r in the spectral comparison.  An atom t of
+    q off m's points keeps its place with weight w m(t).  At m's points
+    the order ord m + ord q decides: -1 makes an atom of weight -lead(m)
+    lead(q), below -1 raises NotNevanlinna.  At an irrational point of m,
+    where q has no atom, q's order is read from its table, and -1 there
+    raises NotRationalAtoms.  q has no nonreal zero or pole to cancel one
+    of m, so m with one raises NotNevanlinna.  The result is certified by
+    _certified."""
+    if m.complex_zero_blocks or m.complex_pole_blocks:
+        raise NotNevanlinna("nonreal zero or pole")
+    f, atoms = q.to_ratfun(), []
+    for x, e in m.critical_points():
+        rational = isinstance(x, Fraction)
+        eq, lq = q._local_at(x) if rational else (f.ord_at(x), None)
         if e + eq < -1:
-            raise NotNevanlinna(f"multiple pole at {fmt_rat(x)}")
+            raise NotNevanlinna("multiple pole at " + (
+                fmt_rat(x) if rational else "an irrational point"))
         if e + eq == -1:
-            atoms.append((x, over_psi(x, -_local(s, x)[1] * lq)))
-    atoms += [(t, over_psi(t, w * s.eval_q(t))) for t, w in q.sigma
-              if t != a and t not in points]
-    lhs, rhs = s.num * f.num, s.den * f.den
-    if psi:                             # lhs times psi's poles, rhs its zeros
-        zeros, poles = ([y for y, e in psi.items() for _ in range(k * e)]
-                        for k in (1, -1))
-        lhs, rhs = lhs * Poly.from_roots(poles), rhs * Poly.from_roots(zeros)
-    return _certified(lhs, rhs, atoms,
-                      "chain step: s q / psi" if psi else "chain step: s q")
+            if not rational:
+                raise NotRationalAtoms("pole is not rational")
+            atoms.append((x, -m.laurent_lead(x) * lq))
+    atoms += [(t, w * m.eval_q(t)) for t, w in q.sigma if not m.ord_at(t)]
+    return _certified(m.num * f.num, m.den * f.den, atoms, "chain step: m q")
 
 
 def _compose(q: NevFun, tau: RatFun) -> NevFun:

@@ -191,7 +191,8 @@ class RatFun:
     def eval_qc(self, z: QC) -> QC:
         d = self.den.eval_qc(z)
         if d.abs2() == 0:
-            raise PoleHit("evaluation at complex pole")
+            raise PoleHit(f"evaluation at pole {fmt_rat(z.re)}" if z.is_real
+                          else "evaluation at complex pole")
         return self.num.eval_qc(z) / d
 
     def eval_np(self, z):

@@ -22,10 +22,10 @@ from typing import Union
 
 from .classify import plain_pair
 from .errors import (InvalidInput, InvariantViolation, NotKacMember,
-                     NotRationalAtoms, SpectrumHit)
-from .nevfun import AtomicMeasure, NevFun
+                     NotNevanlinna, NotRationalAtoms, SpectrumHit)
+from .nevfun import AtomicMeasure, NevFun, _chain_step
 from .poly import RealAlg, point_cmp, rat
-from .qmath import INF, QC, ExtSymbol, fmt_rat, record
+from .qmath import INF, NEG_INF, QC, ExtSymbol, fmt_rat, record
 from .ratfun import RatFun
 
 
@@ -86,11 +86,11 @@ class RealizationTransformReport:
 
 def minimal_model(q: NevFun, xi) -> L2Model:
     """Minimal model of a function at an anchor in its local class: the
-    vector is 1/(t - xi) for a finite anchor and 1 at infinity."""
+    vector is 1/(t - xi) for a finite anchor and 1 at infinity, which
+    NEG_INF names as INF does."""
     if isinstance(xi, RealAlg):
         raise NotRationalAtoms("a model needs a rational anchor")
-    if xi is not INF:
-        xi = rat(xi)
+    xi = INF if xi is INF or xi is NEG_INF else rat(xi)
     if not q.kac_membership(xi):
         raise NotKacMember(f"function is not locally integrable at {xi}")
     return _model(q, xi, q.sigma)
@@ -180,29 +180,15 @@ def transform_model(m: L2Model, r: RatFun, q: NevFun) -> RealizationTransformRep
 
 
 def model_spectral_check(m_in: L2Model, m_out: L2Model, r: RatFun) -> bool:
-    """Exact comparison of the realized functions' spectral measures: off
-    the poles of r the output measure is the multiplier times the input
-    measure; at each pole it is the acquired point mass of the product."""
-    q_in, q_out = m_in.to_nevfun(), m_out.to_nevfun()
-    induced_in = dict(q_in.sigma)
-    induced_out = dict(q_out.sigma)
-    rq = r * q_in.to_ratfun()
-    for t, mass in induced_out.items():
-        if r.ord_at(t) < 0:
-            zeta = -rq.laurent_lead(t)
-            if mass != zeta:
-                return False
-        else:
-            base = induced_in.get(t, Fraction(0))
-            if mass != abs(r.eval_q(t)) * base:
-                return False
-    # every off-pole input atom must survive with the right mass unless the
-    # multiplier vanishes there
-    for t, mass in induced_in.items():
-        if r.ord_at(t) == 0 and abs(r.eval_q(t)) * mass != \
-                induced_out.get(t, Fraction(0)):
-            return False
-    # growth at infinity
-    d = rq.num.degree - rq.den.degree
-    inf_mass = rq.gamma if d == 1 else Fraction(0)
-    return q_out.beta == inf_mass
+    """Exact comparison of the realized functions' spectral data: the
+    output function has the measure and the slope of r times the input
+    function, formed by the closed-form step ``_chain_step``; off the
+    poles of r its atoms are the input's times r, at each pole the
+    acquired point mass.  A product that is not a Nevanlinna function
+    with rational atoms fails the check."""
+    try:
+        rq = _chain_step(r, m_in.to_nevfun())
+    except (NotNevanlinna, NotRationalAtoms):
+        return False
+    q_out = m_out.to_nevfun()
+    return q_out.sigma == rq.sigma and q_out.beta == rq.beta

@@ -124,7 +124,7 @@ def test_interlacing_factors_that_do_not_multiply_back_are_a_defect(
 
 
 def test_a_degree_one_step_that_fails_is_a_defect(monkeypatch):
-    def refused(s, q, psi):
+    def refused(m, q):
         raise NotNevanlinna("planted")
     monkeypatch.setattr(cl, "_chain_step", refused)
     with pytest.raises(InvariantViolation, match="^degree-one step: planted$"):
@@ -1046,9 +1046,34 @@ def test_chain_step_cases(q, s, psi, pinned):
     psi_f = RatFun.from_points([y for y, e in items for _ in range(e)],
                                [y for y, e in items for _ in range(-e)])
     want = _outcome(nevfun_from_ratfun, s * q.to_ratfun() / psi_f)
-    got = _outcome(_chain_step, s, q, psi)
+    got = _outcome(_chain_step, s / psi_f, q)
     assert got == want if isinstance(want, NevFun) else got[0] is want[0]
     assert pinned is None or got == pinned
+
+
+def test_chain_step_at_irrational_points():
+    """A multiplier's irrational points, where q has no atom, enter the
+    step by q's order read off its table: order 0 or more leaves no atom,
+    -1 is an atom off the rationals, below -1 a multiple pole.  The plain
+    pair q = z, r = (z^2 - 2)(z - 3)/((z^2 - 1)(z - 2)) has zeros of r at
+    -sqrt 2 and sqrt 2."""
+    from nevkit.nevfun import _chain_step
+    q = NevFun.of(0, 1)
+    r = RatFun(Poly([-2, 0, 1]) * Poly([-3, 1]),
+               Poly([-1, 0, 1]) * Poly([-2, 1]))
+    assert any(isinstance(x, RealAlg) for x, _e in r.critical_points())
+    assert check_N00(q, r).ok
+    _zs, ps = enumerate_zeros_poles(r)
+    m_in = minimal_model(q, ps[0])
+    assert model_spectral_check(m_in, transform_model(m_in, r, q).model_out,
+                                r)
+    assert _chain_step(r, q) == nevfun_from_ratfun(r * q.to_ratfun())
+    one = NevFun.const(1)
+    assert _outcome(_chain_step, RatFun(Poly([0, 0, 1]), Poly([-2, 0, 1])),
+                    one) == (NotRationalAtoms, "pole is not rational")
+    assert _outcome(_chain_step, RatFun(Poly.const(1), Poly([-2, 0, 1]) ** 2),
+                    one) == (NotNevanlinna,
+                             "multiple pole at an irrational point")
 
 
 @pytest.mark.parametrize("q, p", [

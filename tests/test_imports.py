@@ -382,9 +382,10 @@ def test_only_ratfun_reads_or_merges_tables():
 
 
 # A Nevanlinna function built in closed form has one certificate, reached
-# through two constructions: a degree-one product s q / psi, the chain step
-# that the chain, the gap representatives, the corpus and the product share,
-# and a composition with a degree-one Herglotz map.
+# through two constructions: a product m q with a multiplier m that has a
+# table, the chain step that the chain, the gap representatives and the
+# corpus share with the product (m = s / psi) and the spectral comparison
+# (m = r), and a composition with a degree-one Herglotz map.
 CERTIFIED_ALLOWED = {("nevfun.py", "_chain_step"), ("nevfun.py", "_compose")}
 
 

@@ -31,6 +31,16 @@ def test_evaluate_examples():
         WORKED.evaluate(2)
 
 
+def test_exact_evaluation_names_the_real_pole():
+    """A real QC on an atom is a real pole, named as at a rational; only
+    a nonreal QC hits a complex pole."""
+    for z in (2, QC.of(2)):
+        with pytest.raises(PoleHit, match="^evaluation at pole 2$"):
+            WORKED.evaluate(z)
+    with pytest.raises(PoleHit, match="^evaluation at complex pole$"):
+        RatFun(Poly.const(1), Poly([1, 0, 1])).eval_qc(QC.of(0, 1))
+
+
 def test_float_scalar_on_a_pole_raises_polehit():
     """A complex scalar on a real pole raises PoleHit, as an exact point
     does, on a RatFun, a NevFun and a GenNevFun; an array there gives inf."""

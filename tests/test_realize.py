@@ -10,7 +10,7 @@ from nevkit.errors import (InvalidInput, InvariantViolation, NotKacMember,
 from nevkit.gnev import GenNevFun
 from nevkit.nevfun import AtomicMeasure, NevFun
 from nevkit.poly import Poly
-from nevkit.qmath import INF, QC
+from nevkit.qmath import INF, NEG_INF, QC
 from nevkit.ratfun import RatFun
 from nevkit.realize import (L2Model, _model, enumerate_zeros_poles,
                             minimal_model, model_spectral_check, model_weyl,
@@ -154,6 +154,15 @@ def test_transform_worked_instance():
     assert model_spectral_check(m, out, WORKED_R)
 
 
+def test_neg_inf_anchor_is_the_point_at_infinity():
+    # NEG_INF names the point at infinity, as in RatFun.ord_at
+    assert WORKED_Q.kac_membership(NEG_INF) is True
+    assert NevFun.of(0, 1).kac_membership(NEG_INF) is False
+    assert minimal_model(WORKED_Q, NEG_INF) == minimal_model(WORKED_Q, INF)
+    with pytest.raises(NotKacMember):
+        minimal_model(NevFun.of(0, 1), NEG_INF)
+
+
 def test_transform_requires_the_first_pole_as_anchor():
     with pytest.raises(InvalidInput):
         transform_model(minimal_model(WORKED_Q, 3), WORKED_R, WORKED_Q)
@@ -257,10 +266,19 @@ def test_a_transferred_model_off_the_product_is_a_defect(monkeypatch):
     (WORKED_Q, NevFun.of(0, 0, [(5, 1)])),
     # the input atom at 5, where r is finite and nonzero, dropped
     (NevFun.of(0, 0, [(5, 1)]), NevFun.const(0)),
-], ids=["pole-mass", "new-atom", "lost-atom"])
+    # the atom at the pole 1 right, the acquired mass 3/2 at 3 missing
+    (WORKED_Q, NevFun.of(0, 0, [(1, Fraction(1, 2))])),
+], ids=["pole-mass", "new-atom", "lost-atom", "lost-pole-mass"])
 def test_spectral_check_fails_on_a_wrong_measure(q_in, q_out):
     assert not model_spectral_check(minimal_model(q_in, INF),
                                     minimal_model(q_out, INF), WORKED_R)
+
+
+def test_spectral_check_fails_on_a_nonreal_pole():
+    # r q = 1/(z^2 + 1) is no Nevanlinna function, whatever the measures
+    m = minimal_model(NevFun.const(1), INF)
+    assert not model_spectral_check(m, m, RatFun(Poly.const(1),
+                                                 Poly([1, 0, 1])))
 
 
 def _weyl_ratfun(m: L2Model) -> RatFun:
