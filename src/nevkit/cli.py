@@ -21,8 +21,8 @@ import sys
 from . import serialize as ser
 from .errors import (InvalidInput, InvariantViolation, NevkitError,
                      ParseError, SchemaMismatch)
-from .gnev import GenNevFun, canonical_rational
-from .nevfun import NevFun, nevfun_from_ratfun
+from .gnev import GenNevFun, canonical_rational, factor_index
+from .nevfun import NevFun, is_nevanlinna
 from .qmath import fmt_rat, parse_rat
 
 
@@ -68,12 +68,13 @@ def _as_nevfun(obj) -> NevFun:
 def cmd_factor(args) -> tuple[int, dict]:
     r = ser.ratfun_from_json(_read_json(args.infile))
     psi, s0, records = canonical_rational(r)
-    g = GenNevFun(psi, nevfun_from_ratfun(s0))
+    if not is_nevanlinna(s0):
+        raise InvariantViolation("the Nevanlinna part fails certification")
     return 0, {
         "psi": ser.ratfun_to_json(psi),
         "s0": ser.ratfun_to_json(s0),
         "records": ser.records_to_json(records),
-        "kappa": g.kappa,
+        "kappa": factor_index(psi),
         "input_records": ser.ratfun_records_json(r),
     }
 

@@ -61,10 +61,9 @@ class GenNevFun:
                 raise InvalidInput("factor must be positive at its leading order")
             phi = phi / g
             q0 = q0.scale(g)
-        pi_total, kappa_total = _factor_multiplicity_sums(phi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "kappa", max(pi_total, kappa_total))
+        object.__setattr__(self, "kappa", factor_index(phi))
 
     def __setattr__(self, *a):
         raise AttributeError("GenNevFun is immutable")
@@ -102,15 +101,16 @@ class GenNevFun:
         return sum(m for _x, m in nonpositive_type_records(f)) + pairs == 0
 
 
-def _factor_multiplicity_sums(phi: RatFun) -> tuple[int, int]:
-    """(sum of zero-type, sum of pole-type) multiplicities carried by a
-    nonnegative rational factor; validates nonnegativity on the real line.
-    With every real order even, each real point of order 2k and each
-    conjugate pair of order k take 2k of the degree and carry k."""
+def factor_index(phi: RatFun) -> int:
+    """The negative index carried by a nonnegative rational factor: the
+    larger of its zero-type and pole-type multiplicity sums; validates
+    nonnegativity on the real line.  With every real order even, each real
+    point of order 2k and each conjugate pair of order k take 2k of the
+    degree and carry k."""
     for kind, real in (("zero", phi.real_zeros), ("pole", phi.real_poles)):
         if any(m % 2 for _x, m in real):
             raise InvalidInput(f"factor has an odd-order real {kind}")
-    return phi.num.degree // 2, phi.den.degree // 2
+    return max(phi.num.degree, phi.den.degree) // 2
 
 
 def _canonical_factor(f: RatFun):

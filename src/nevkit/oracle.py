@@ -219,6 +219,7 @@ class InversionConfig:
             raise InvalidInput("schedule must decrease strictly")
         if not all(0 < e < np.inf for e in eps):
             raise InvalidInput("offset levels must be finite and positive")
+        object.__setattr__(self, "eps_schedule", eps)
         if self.quadrature_points < 64:
             raise InvalidInput("need at least 64 quadrature points")
         if self.quadrature_points > MAX_QUADRATURE_POINTS:
@@ -244,14 +245,11 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
 
 
 def _level_integral(density, c: float, d: float, eps: float,
-                    n: int, peaks: Sequence[float],
-                    detected: tuple[np.ndarray, np.ndarray] | None = None):
+                    n: int, peaks: Sequence[float]):
     """One boundary-offset level: base trapezoid plus substituted windows
     around known peaks so spikes of width eps stay resolved.  Returns the
     integral together with the peak positions re-located on the window
-    grids, which keeps the windows centered as eps shrinks.  detected, the
-    detection grid linspace(c, d, n) and the density on it at this eps,
-    is the base grid of a level without windows."""
+    grids, which keeps the windows centered as eps shrinks."""
     windows = []
     for p in peaks:
         w = max(2e3 * eps, 16 * (d - c) / n)
@@ -291,10 +289,7 @@ def _level_integral(density, c: float, d: float, eps: float,
         top = float(np.max(gs))
         refined.extend(xs[_local_maxima(gs, 0.005 * top)].tolist())
         cursor = hi
-    if not merged and detected is not None:
-        xs, vals = detected
-        total += _trapezoid(vals, xs)
-    elif cursor < d:
+    if cursor < d:
         xs = np.linspace(cursor, d, n)
         total += _trapezoid(density(xs, eps), xs)
     return total, refined
@@ -321,12 +316,9 @@ def _median(g: np.ndarray) -> float:
     return float("nan") if np.isnan(np.max(part[h:])) else float(m)
 
 
-def _detect_peaks(density, xs: np.ndarray,
-                  eps: float) -> tuple[list[float], np.ndarray]:
-    """Peaks of |density| at eps on the detection grid xs, and the density
-    there."""
-    vals = density(xs, eps)
-    g = np.abs(vals)
+def _detect_peaks(density, xs: np.ndarray, eps: float) -> list[float]:
+    """Peaks of |density| at eps on the detection grid xs."""
+    g = np.abs(density(xs, eps))
     # an atom's spike at a grid's own spacing is lower on a wider grid
     scale = max(_median(g), 1e-12 / max(1.0, xs[-1] - xs[0]))
     merged = []
@@ -334,7 +326,7 @@ def _detect_peaks(density, xs: np.ndarray,
         if merged and abs(p - merged[-1]) < 10 * eps:
             continue
         merged.append(p)
-    return merged, vals
+    return merged
 
 
 def _boundary_density(f, phi) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -394,7 +386,7 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
             # spikes finer than the grid fall between its samples, so those of
             # a first level below the grid spacing are found at that spacing
             # and tracked down to the level like those of an earlier level
-            peaks, _vals = _detect_peaks(density, grid, spacing)
+            peaks = _detect_peaks(density, grid, spacing)
             mid = spacing / PEAK_TRACK_RATIO
         for eps in cfg.eps_schedule:
             # a peak located at the last level is off by up to about that
@@ -407,10 +399,9 @@ def stieltjes_invert(f, cfg: InversionConfig, phi=None,
                     peaks = _merge_peaks([], sorted(refined), 3 * mid)
                 mid /= PEAK_TRACK_RATIO
             mid = eps / PEAK_TRACK_RATIO
-            found, vals = _detect_peaks(density, grid, eps)
+            found = _detect_peaks(density, grid, eps)
             peaks = _merge_peaks(peaks, found, 2 * spacing)
-            value, refined = _level_integral(density, c, d, eps, n, peaks,
-                                             (grid, vals))
+            value, refined = _level_integral(density, c, d, eps, n, peaks)
             if not np.isfinite(value):
                 raise NonConvergent(
                     f"level integral at offset {eps:.6g} is not finite")
@@ -477,7 +468,7 @@ def gap_detect(f, interval) -> bool:
     pad = (d - c) * 1e-3
     cfg = InversionConfig(interval=(c + pad, d - pad))
     try:
-        res = stieltjes_invert(ev, cfg)
+        res = stieltjes_invert(f, cfg)
     except NonConvergent:
         return False
     if abs(res.value) > 1e-3:

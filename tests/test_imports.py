@@ -255,10 +255,9 @@ def test_detector_finds_extraction_calls():
 
 # A Nevanlinna function derived from another one is formed in closed form
 # and passed on; extraction is for input that arrives as a RatFun: the
-# canonical pair of a rational function, the factor verb's Nevanlinna part,
-# and selftest's reference checks, which run in its nested functions.
-EXTRACTION_ALLOWED = {"gnev.py canonical_pair", "cli.py cmd_factor",
-                      "selftest.py run_selftest"}
+# canonical pair of a rational function and selftest's reference checks,
+# which run in its nested functions.
+EXTRACTION_ALLOWED = {"gnev.py canonical_pair", "selftest.py run_selftest"}
 
 
 def test_extraction_is_called_only_on_rational_input():

@@ -64,3 +64,41 @@ def test_linetrace_reports_every_module_on_two_tests():
     assert limit_at.body[1].lineno not in unrun["nevfun.py"]
     assert len(unrun["cli.py"]) == len(statement_lines(
         (PACKAGE / "cli.py").read_text()))
+
+
+def test_golden_coverage_reports_every_counted_module_on_two_goldens():
+    out = subprocess.run(
+        [sys.executable, str(TESTS / "golden_coverage.py"), "factor-0",
+         "invert-0"],
+        cwd=TESTS.parent, env=child_env(), capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    share, *modules = out.stdout.splitlines()
+    m = re.fullmatch(r"goldens reach (\d+) of (\d+) lines \((\d+\.\d) %\) "
+                     r"outside corpus\.py and selftest\.py", share)
+    assert m and 0 < int(m[1]) < int(m[2])
+    assert float(m[3]) == round(100 * int(m[1]) / int(m[2]), 1)
+    names = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if path.name not in ("corpus.py", "selftest.py"))
+    unreached = {}
+    for name, line in zip(names, modules, strict=True):
+        m = re.fullmatch(rf"{re.escape(name)}: (\d+) unreached((?: [\w.]+)*)",
+                         line)
+        assert m, line
+        unreached[name] = m[2].split()
+        assert len(unreached[name]) == int(m[1])
+    # factor and invert reach the factorization and the inversion, and no
+    # other verb
+    assert "canonical_rational" not in unreached["gnev.py"]
+    assert "stieltjes_invert" not in unreached["oracle.py"]
+    assert "cmd_chain" in unreached["cli.py"]
+    assert "chain_factorize" in unreached["classify.py"]
+
+
+def test_golden_coverage_refuses_an_unknown_case():
+    out = subprocess.run(
+        [sys.executable, str(TESTS / "golden_coverage.py"), "no-such-case"],
+        cwd=TESTS.parent, env=child_env(), capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == "no golden case no-such-case\n"

@@ -15,7 +15,7 @@ from nevkit.gnev import GenNevFun, canonical_pair
 from nevkit.nevfun import NevFun
 from nevkit.oracle import (MAX_KERNEL_ENTRIES, InversionConfig,
                            _finite, _first_point_sets, _gram, _local_maxima,
-                           _median, _sample_points, as_evaluator,
+                           _median, _sample_points, _trapezoid, as_evaluator,
                            build_kernel_sample,
                            gap_detect, negative_squares,
                            negative_squares_report, stieltjes_invert)
@@ -107,9 +107,9 @@ def test_only_long_steps_add_tracking_offsets(monkeypatch):
     offsets = []
     level = nevkit.oracle._level_integral
 
-    def recorded(density, c, d, eps, n, peaks, *detected):
+    def recorded(density, c, d, eps, n, peaks):
         offsets.append(eps)
-        return level(density, c, d, eps, n, peaks, *detected)
+        return level(density, c, d, eps, n, peaks)
 
     monkeypatch.setattr(nevkit.oracle, "_level_integral", recorded)
     cfg = InversionConfig()
@@ -146,10 +146,10 @@ def test_a_level_that_is_not_finite_is_named(schedule):
     assert str(info.value) == "level integral at offset 1e-310 is not finite"
 
 
-def test_a_level_without_peaks_evaluates_its_grid_once():
+def test_a_level_without_peaks_evaluates_detection_and_base_grids():
     """Over (3, 4), away from the atom at 1, no level has a peak window:
-    each of the six levels evaluates the detection grid once, and its base
-    trapezoid reads those values."""
+    each of the six levels evaluates the detection grid, then its base
+    grid over the whole interval."""
     ev = as_evaluator(NevFun.of(0, 0, [(1, 1)]))
     sizes = []
 
@@ -157,13 +157,28 @@ def test_a_level_without_peaks_evaluates_its_grid_once():
         sizes.append(len(z))
         return ev(z)
     res = stieltjes_invert(counted, InversionConfig(interval=(3, 4)))
-    assert sizes == [4096] * 6
+    assert sizes == [4096] * 12
     assert res.peaks == () and abs(res.value) < 1e-12
+
+
+@pytest.mark.parametrize("f", [NevFun.of(0, 0, [(1, 1)]),
+                               NevFun.of(Fraction(1, 3), 2, [(-2, 5)])])
+def test_a_level_without_peaks_integrates_the_detection_grid(f):
+    """On an atom-free interval the base grid of every level is the
+    detection grid linspace(c, d, n): each level's integral is the
+    trapezoid of the density there, bit for bit."""
+    cfg = InversionConfig(interval=(3, 4))
+    res = stieltjes_invert(f, cfg)
+    density = nevkit.oracle._boundary_density(f, None)
+    grid = np.linspace(3.0, 4.0, cfg.quadrature_points)
+    assert res.peaks == ()
+    assert res.per_level == tuple(_trapezoid(density(grid, eps), grid)
+                                  for eps in cfg.eps_schedule)
 
 
 def test_a_level_without_peaks_integrates_a_negative_density():
     """-z has density -eps/pi: the base trapezoid reads the signed
-    detection values, not their absolute values."""
+    density, not its absolute value."""
     cfg = InversionConfig(interval=(3, 4))
     res = stieltjes_invert(lambda z: -z, cfg)
     assert res.peaks == ()
@@ -595,6 +610,21 @@ def test_inversion_config_caps_the_levels():
     with pytest.raises(InvalidInput, match="^at most 64 offset levels$"):
         InversionConfig(eps_schedule=schedule)
     assert len(InversionConfig(eps_schedule=schedule[:64]).eps_schedule) == 64
+
+
+@pytest.mark.parametrize("schedule", [
+    (Fraction(1, 100), Fraction(1, 1000)), ("1/100", "0.001"),
+    (Fraction(1, 100), "1/1000"), (10, 1), (10, Fraction(1, 10))])
+def test_an_exact_schedule_is_the_float_schedule(schedule):
+    """Exact offsets are stored as the floats they round to: the config
+    record and the inversion equal those of that float schedule."""
+    cfg = InversionConfig(eps_schedule=schedule, interval=(-1000, 1000))
+    floats = InversionConfig(eps_schedule=tuple(map(float, map(Fraction,
+                                                                schedule))),
+                             interval=(-1000, 1000))
+    assert cfg == floats and repr(cfg) == repr(floats)
+    assert stieltjes_invert(MINUS_INV, cfg) == stieltjes_invert(MINUS_INV,
+                                                                floats)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

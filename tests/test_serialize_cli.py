@@ -705,6 +705,27 @@ def test_cli_factor_splits_odd_irrational_without_type(tmp_path, capsys):
     assert rep["records"] == [{"point": "1", "kind": "GZNT", "mult": 1}]
 
 
+def test_cli_factor_reports_a_nevanlinna_input_with_irrational_atoms(
+        tmp_path):
+    # -z/(z^2-2): atoms at -+sqrt(2), no point of nonpositive type
+    r = {"num": ["0", "-1"], "den": ["-2", "0", "1"]}
+    code, rep = _run(tmp_path, "factor", {"in": r})
+    assert code == 0 and rep["kappa"] == 0
+    assert rep["psi"] == {"num": ["1"], "den": ["1"]}
+    assert rep["s0"] == r and rep["records"] == []
+
+
+def test_cli_factor_exits_3_on_a_nevanlinna_part_that_fails(tmp_path,
+                                                              monkeypatch):
+    import nevkit.cli
+
+    def planted(r):
+        return RatFun.const(1), RatFun(Poly([0, -1]), Poly.const(1)), []
+    monkeypatch.setattr(nevkit.cli, "canonical_rational", planted)
+    code, rep = _run(tmp_path, "factor", {"in": WORKED_R})
+    assert code == 3 and rep is None
+
+
 
 def _chebyshev(n: int) -> Poly:
     t0, t1 = Poly.const(1), Poly([0, 1])
